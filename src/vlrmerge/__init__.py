@@ -32,21 +32,7 @@ from .components import (  # noqa: F401
     load_manifest_config,
     validate_triple,
 )
-from .merging import (  # noqa: F401
-    MergeMethod,
-    MergeRecipe,
-    TaskVector,
-    compute_task_vector,
-    dare_sparsify,
-    disjoint_merge,
-    elect_sign,
-    merge_dare,
-    merge_linear,
-    merge_task_arithmetic,
-    merge_ties,
-    merge_transformer,
-    trim_by_magnitude,
-)
+from .merging import MergeMethod, MergeRecipe, merge_tensor, merge_transformer  # noqa: F401
 from .embeddings import AlignedVocab, align_vocab, merge_embedding_rows  # noqa: F401
 from .assembly import AssemblyPlan, assemble_vlrm, check_merged_structure, write_merged  # noqa: F401
 from .evaluation import (  # noqa: F401

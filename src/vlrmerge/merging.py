@@ -1,6 +1,11 @@
-"""Per-tensor merge kernels over transformer weights and task vectors.
+"""The merge kernel for the shared transformer weights.
 
-Five strategies are supported:
+``merge_tensor`` is the one implementation of every merge rule: it merges a
+single tensor of the base model and the two fine-tuned models per a validated
+``MergeRecipe``. ``merge_transformer`` validates the recipe and the tensor
+alignment once, then maps ``merge_tensor`` over the tensor names. A task
+vector is fine-tuned weights minus base weights. Five strategies are
+supported:
 
 * linear            -- elementwise weighted average of the two fine-tuned models
 * task-arithmetic   -- base weights plus the scaled sum of both task vectors
@@ -87,14 +92,6 @@ class MergeRecipe:
         return "-".join(parts)
 
 
-@dataclass
-class TaskVector:
-    """Per-tensor float32 deltas of a fine-tuned model against the shared base."""
-
-    deltas: TensorMap
-    origin: str  # "lvlm" or "rm"; keys the drop-mask random stream
-
-
 def _check_aligned(named_maps: dict[str, TensorMap]) -> None:
     items = list(named_maps.items())
     first_label, first = items[0]
@@ -113,144 +110,35 @@ def _check_aligned(named_maps: dict[str, TensorMap]) -> None:
                 )
 
 
-def compute_task_vector(model_trans: TensorMap, pre_trans: TensorMap, origin: str) -> TaskVector:
-    """Elementwise float32 difference: fine-tuned weights minus base weights."""
-    _check_aligned({"model": model_trans, "base": pre_trans})
-    deltas = {
-        name: model_trans[name].astype(np.float32) - pre_trans[name].astype(np.float32)
-        for name in model_trans
-    }
-    return TaskVector(deltas=deltas, origin=origin)
+def merge_tensor(
+    recipe: MergeRecipe, name: str, pre: np.ndarray, lvlm: np.ndarray, rm: np.ndarray
+) -> np.ndarray:
+    """Merge one tensor of the shared transformer per an already-validated recipe.
 
-
-def merge_linear(lvlm_trans: TensorMap, rm_trans: TensorMap, lam: float) -> TensorMap:
-    """Convex combination lam * lvlm + (1 - lam) * rm, elementwise."""
-    if not 0.0 <= lam <= 1.0:
-        raise RecipeError(f"lambda must be in [0, 1], got {lam}")
-    _check_aligned({"lvlm": lvlm_trans, "rm": rm_trans})
-    return {name: _linear_array(lvlm_trans[name], rm_trans[name], lam) for name in lvlm_trans}
-
-
-def merge_task_arithmetic(
-    pre_trans: TensorMap, tau_lvlm: TaskVector, tau_rm: TaskVector, lam: float
-) -> TensorMap:
-    """Base weights plus lam times the sum of both task vectors."""
-    if lam < 0.0:
-        raise RecipeError(f"lambda must be >= 0, got {lam}")
-    _check_aligned({"pre": pre_trans, "tau_lvlm": tau_lvlm.deltas, "tau_rm": tau_rm.deltas})
-    return {
-        name: _task_arithmetic_array(pre_trans[name], tau_lvlm.deltas[name], tau_rm.deltas[name], lam)
-        for name in pre_trans
-    }
-
-
-def trim_by_magnitude(tau: TaskVector, density: float) -> TaskVector:
-    """Keep the ceil(density * n) largest-magnitude entries per tensor, zero the rest.
-
-    Magnitude ties at the cut keep the lower flat index.
+    ``pre``, ``lvlm`` and ``rm`` are the same-shaped weights of the base model
+    and the two fine-tuned models; the result is float32. ``name`` keys the
+    DARE drop-mask random stream. Task vectors are fine-tuned minus base
+    weights; the jointly merged delta of ties/dare-ties receives a single lam
+    factor, and dare-ties runs sign election and the disjoint mean on the
+    already-rescaled survivors.
     """
-    _check_density(density)
-    return TaskVector(
-        deltas={name: _trim_array(arr, density) for name, arr in tau.deltas.items()},
-        origin=tau.origin,
-    )
-
-
-def elect_sign(taus: list[TaskVector]) -> TensorMap:
-    """Per element, pick the direction with the larger total magnitude.
-
-    Returns +-1.0 arrays; a tie (including the all-zero case) resolves to +1.
-    """
-    if not taus:
-        raise VlrmergeError("sign election needs at least one task vector")
-    _check_aligned({f"tau{i}": t.deltas for i, t in enumerate(taus)})
-    return {
-        name: _elect_arrays([t.deltas[name] for t in taus]) for name in taus[0].deltas
-    }
-
-
-def disjoint_merge(taus: list[TaskVector], signs: TensorMap) -> TaskVector:
-    """Mean of the nonzero, sign-matching values per element; 0 when none qualify."""
-    if not taus:
-        raise VlrmergeError("disjoint merge needs at least one task vector")
-    _check_aligned({f"tau{i}": t.deltas for i, t in enumerate(taus)})
-    merged = {
-        name: _disjoint_arrays([t.deltas[name] for t in taus], signs[name])
-        for name in taus[0].deltas
-    }
-    return TaskVector(deltas=merged, origin="merged")
-
-
-def merge_ties(
-    pre_trans: TensorMap,
-    tau_lvlm: TaskVector,
-    tau_rm: TaskVector,
-    lam: float,
-    density: float,
-) -> TensorMap:
-    """Trim both task vectors, elect signs jointly, average survivors, add to base.
-
-    The jointly merged delta receives a single lam factor: each retained element
-    contributes its mean at weight lam.
-    """
-    _check_density(density)
-    _check_aligned({"pre": pre_trans, "tau_lvlm": tau_lvlm.deltas, "tau_rm": tau_rm.deltas})
-    out = {}
-    for name in pre_trans:
-        a = _trim_array(tau_lvlm.deltas[name], density)
-        b = _trim_array(tau_rm.deltas[name], density)
-        sign = _elect_arrays([a, b])
-        merged = _disjoint_arrays([a, b], sign)
-        out[name] = _apply_delta(pre_trans[name], merged, lam)
-    return out
-
-
-def dare_sparsify(tau: TaskVector, density: float, seed: int) -> TaskVector:
-    """Randomly keep each entry with probability d and rescale survivors by 1/d.
-
-    With drop probability p this is the usual 1/(1-p) rescale, d = 1 - p.
-    d = 1 returns the input unchanged and consumes no randomness.
-    """
-    _check_density(density)
-    return TaskVector(
-        deltas={
-            name: _dare_array(arr, density, seed, tau.origin, name)
-            for name, arr in tau.deltas.items()
-        },
-        origin=tau.origin,
-    )
-
-
-def merge_dare(
-    pre_trans: TensorMap,
-    tau_lvlm: TaskVector,
-    tau_rm: TaskVector,
-    lam: float,
-    density: float,
-    seed: int,
-    mode: str,
-) -> TensorMap:
-    """Drop-and-rescale both task vectors, then combine per ``mode``.
-
-    mode "ta": base + lam * (sparsified lvlm delta + sparsified rm delta).
-    mode "ties": the random drop replaces magnitude trimming; sign election and
-    the disjoint mean run on the already-rescaled survivors.
-    """
-    if mode not in ("ta", "ties"):
-        raise VlrmergeError(f"unknown dare mode {mode!r}")
-    _check_density(density)
-    _check_aligned({"pre": pre_trans, "tau_lvlm": tau_lvlm.deltas, "tau_rm": tau_rm.deltas})
-    out = {}
-    for name in pre_trans:
-        a = _dare_array(tau_lvlm.deltas[name], density, seed, tau_lvlm.origin, name)
-        b = _dare_array(tau_rm.deltas[name], density, seed, tau_rm.origin, name)
-        if mode == "ta":
-            out[name] = _task_arithmetic_array(pre_trans[name], a, b, lam)
-        else:
-            sign = _elect_arrays([a, b])
-            merged = _disjoint_arrays([a, b], sign)
-            out[name] = _apply_delta(pre_trans[name], merged, lam)
-    return out
+    pre, lvlm, rm = _as_f32(pre), _as_f32(lvlm), _as_f32(rm)
+    method, lam, density = recipe.method, recipe.lam, recipe.density
+    if method is MergeMethod.LINEAR:
+        return _linear_array(lvlm, rm, lam)
+    tau_l = lvlm - pre
+    tau_r = rm - pre
+    if method is MergeMethod.TASK_ARITHMETIC:
+        return _apply_delta(pre, tau_l + tau_r, lam)
+    if method is MergeMethod.TIES:
+        a = _trim_array(tau_l, density)
+        b = _trim_array(tau_r, density)
+    else:
+        a = _dare_array(tau_l, density, recipe.seed, "lvlm", name)
+        b = _dare_array(tau_r, density, recipe.seed, "rm", name)
+        if method is MergeMethod.DARE_TASK_ARITHMETIC:
+            return _apply_delta(pre, a + b, lam)
+    return _apply_delta(pre, _disjoint_arrays(a, b, _elect_arrays(a, b)), lam)
 
 
 def merge_transformer(
@@ -262,34 +150,16 @@ def merge_transformer(
 ) -> TensorMap:
     """Merge the shared transformer weights per the recipe.
 
-    Tensors are independent, so they are processed in parallel when jobs > 1;
-    results are identical for any worker count.
+    Validates the recipe and the tensor alignment once, then applies
+    ``merge_tensor`` to every name. Tensors are independent, so they are
+    processed in parallel when jobs > 1; results are identical for any worker
+    count.
     """
     recipe.validate()
     _check_aligned({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans})
-    method, lam, density, seed = recipe.method, recipe.lam, recipe.density, recipe.seed
 
     def merge_one(name: str) -> np.ndarray:
-        pre = pre_trans[name]
-        lvlm = lvlm_trans[name]
-        rm = rm_trans[name]
-        if method is MergeMethod.LINEAR:
-            return _linear_array(lvlm, rm, lam)
-        tau_l = lvlm.astype(np.float32) - pre.astype(np.float32)
-        tau_r = rm.astype(np.float32) - pre.astype(np.float32)
-        if method is MergeMethod.TASK_ARITHMETIC:
-            return _task_arithmetic_array(pre, tau_l, tau_r, lam)
-        if method is MergeMethod.TIES:
-            a = _trim_array(tau_l, density)
-            b = _trim_array(tau_r, density)
-        else:
-            a = _dare_array(tau_l, density, seed, "lvlm", name)
-            b = _dare_array(tau_r, density, seed, "rm", name)
-            if method is MergeMethod.DARE_TASK_ARITHMETIC:
-                return _task_arithmetic_array(pre, a, b, lam)
-        sign = _elect_arrays([a, b])
-        merged = _disjoint_arrays([a, b], sign)
-        return _apply_delta(pre, merged, lam)
+        return merge_tensor(recipe, name, pre_trans[name], lvlm_trans[name], rm_trans[name])
 
     names = list(pre_trans)
     if jobs is not None and jobs <= 1:
@@ -303,17 +173,11 @@ def merge_transformer(
 # per-array kernels (float32 in, float32 out)
 
 
-def _check_density(density: float) -> None:
-    if not 0.0 < density <= 1.0:
-        raise RecipeError(f"density must be in (0, 1], got {density}")
-
-
 def _as_f32(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.float32) if arr.dtype != np.float32 else arr
 
 
 def _linear_array(lvlm: np.ndarray, rm: np.ndarray, lam: float) -> np.ndarray:
-    lvlm, rm = _as_f32(lvlm), _as_f32(rm)
     # exact identities at the endpoints, untouched by rounding
     if lam == 1.0:
         return lvlm.copy()
@@ -322,17 +186,7 @@ def _linear_array(lvlm: np.ndarray, rm: np.ndarray, lam: float) -> np.ndarray:
     return lam * lvlm + (1.0 - lam) * rm
 
 
-def _task_arithmetic_array(
-    pre: np.ndarray, tau_l: np.ndarray, tau_r: np.ndarray, lam: float
-) -> np.ndarray:
-    pre = _as_f32(pre)
-    if lam == 0.0:
-        return pre.copy()
-    return pre + lam * (_as_f32(tau_l) + _as_f32(tau_r))
-
-
 def _apply_delta(pre: np.ndarray, delta: np.ndarray, lam: float) -> np.ndarray:
-    pre = _as_f32(pre)
     if lam == 0.0:
         return pre.copy()
     return pre + lam * delta
@@ -351,7 +205,6 @@ def retained_count(density: float, n: int) -> int:
 
 
 def _trim_array(arr: np.ndarray, density: float) -> np.ndarray:
-    arr = _as_f32(arr)
     flat = arr.ravel()
     k = retained_count(density, flat.size)
     if k >= flat.size:
@@ -364,21 +217,21 @@ def _trim_array(arr: np.ndarray, density: float) -> np.ndarray:
     return out.reshape(arr.shape)
 
 
-def _elect_arrays(arrays: list[np.ndarray]) -> np.ndarray:
-    pos = np.zeros(arrays[0].shape, dtype=np.float32)
-    neg = np.zeros(arrays[0].shape, dtype=np.float32)
-    for arr in arrays:
-        arr = _as_f32(arr)
+def _elect_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per element, the direction with the larger total magnitude; ties give +1."""
+    pos = np.zeros(a.shape, dtype=np.float32)
+    neg = np.zeros(a.shape, dtype=np.float32)
+    for arr in (a, b):
         pos += np.where(arr > 0, arr, np.float32(0.0))
         neg += np.where(arr < 0, -arr, np.float32(0.0))
     return np.where(pos >= neg, np.float32(1.0), np.float32(-1.0))
 
 
-def _disjoint_arrays(arrays: list[np.ndarray], sign: np.ndarray) -> np.ndarray:
-    total = np.zeros(arrays[0].shape, dtype=np.float32)
-    count = np.zeros(arrays[0].shape, dtype=np.int32)
-    for arr in arrays:
-        arr = _as_f32(arr)
+def _disjoint_arrays(a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Mean of the nonzero, sign-matching values per element; 0 when none qualify."""
+    total = np.zeros(a.shape, dtype=np.float32)
+    count = np.zeros(a.shape, dtype=np.int32)
+    for arr in (a, b):
         match = ((arr > 0) & (sign > 0)) | ((arr < 0) & (sign < 0))
         total += np.where(match, arr, np.float32(0.0))
         count += match
@@ -425,7 +278,6 @@ def element_uniforms(key: int, n: int) -> np.ndarray:
 
 
 def _dare_array(arr: np.ndarray, density: float, seed: int, origin: str, name: str) -> np.ndarray:
-    arr = _as_f32(arr)
     if density == 1.0:
         return arr.copy()
     uniforms = element_uniforms(stream_key(seed, origin, name), arr.size)

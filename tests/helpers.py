@@ -8,9 +8,12 @@ import numpy as np
 from vlrmerge import (
     Checkpoint,
     Dtype,
+    MergeMethod,
+    MergeRecipe,
     Tensor,
     classify_triple,
     load_manifest_config,
+    merge_tensor,
     write_checkpoint,
     write_vocab,
 )
@@ -19,6 +22,32 @@ from vlrmerge.tensorstore import default_vocab_path
 
 def make_tensor(name: str, values, dtype: Dtype = Dtype.F32) -> Tensor:
     return Tensor.from_f32(name, np.asarray(values, dtype=np.float32), dtype)
+
+
+def trim_step(values, density: float) -> np.ndarray:
+    """The magnitude trim of one task vector, seen through ``merge_tensor``.
+
+    ties with lam 1 and a zero base and zero rm: the lvlm task vector is the
+    values themselves, and sign election and the disjoint mean pass every
+    survivor of the trim through unchanged.
+    """
+    values = np.asarray(values, dtype=np.float32)
+    zeros = np.zeros_like(values)
+    recipe = MergeRecipe(MergeMethod.TIES, lam=1.0, density=density)
+    return merge_tensor(recipe, "t", zeros, values, zeros)
+
+
+def drop_step(values, density: float, seed: int, origin: str = "lvlm", name: str = "t") -> np.ndarray:
+    """The DARE drop-and-rescale of one task vector, seen through ``merge_tensor``.
+
+    dare-task-arithmetic with lam 1, a zero base and the other model zero: the
+    values sit on the model whose ``origin`` stream draws the drop mask.
+    """
+    values = np.asarray(values, dtype=np.float32)
+    zeros = np.zeros_like(values)
+    lvlm, rm = (values, zeros) if origin == "lvlm" else (zeros, values)
+    recipe = MergeRecipe(MergeMethod.DARE_TASK_ARITHMETIC, lam=1.0, density=density, seed=seed)
+    return merge_tensor(recipe, name, zeros, lvlm, rm)
 
 
 def toy_triple(

@@ -118,7 +118,7 @@ def ties(pre: list, tau_l: list, tau_r: list, lam: float, density: float) -> lis
     return apply_delta(pre, merged, lam)
 
 
-def dare_sparsify(values: list, density: float, seed: int, origin: str, name: str) -> list:
+def drop_and_rescale(values: list, density: float, seed: int, origin: str, name: str) -> list:
     if density == 1.0:
         return [F(v) for v in values]
     keep = keep_decisions(seed, origin, name, len(values), density)
@@ -127,8 +127,8 @@ def dare_sparsify(values: list, density: float, seed: int, origin: str, name: st
 
 
 def dare(pre, tau_l, tau_r, lam, density, seed, mode, name):
-    a = dare_sparsify(tau_l, density, seed, "lvlm", name)
-    b = dare_sparsify(tau_r, density, seed, "rm", name)
+    a = drop_and_rescale(tau_l, density, seed, "lvlm", name)
+    b = drop_and_rescale(tau_r, density, seed, "rm", name)
     if mode == "ta":
         return task_arithmetic(pre, a, b, lam)
     merged = disjoint([a, b], elect([a, b]))

@@ -23,22 +23,26 @@ from vlrmerge import (
     MergeRecipe,
     Tensor,
     align_vocab,
-    dare_sparsify,
     merge_embedding_rows,
-    merge_task_arithmetic,
-    merge_ties,
+    merge_tensor,
     merge_transformer,
     read_checkpoint,
     score_pairwise_bench,
-    trim_by_magnitude,
     write_checkpoint,
 )
 from vlrmerge.cli import main
 from vlrmerge.evaluation import PreferencePair
-from vlrmerge.merging import TaskVector, retained_count
+from vlrmerge.merging import retained_count
 from vlrmerge.tensorstore import default_vocab_path
 
-from helpers import toy_triple, write_triple, write_pairwise_dataset, write_bon_dataset
+from helpers import (
+    drop_step,
+    toy_triple,
+    trim_step,
+    write_bon_dataset,
+    write_pairwise_dataset,
+    write_triple,
+)
 from test_sweep import (
     DENSITY_TABLES,
     LAMBDA_TABLES,
@@ -118,19 +122,17 @@ def test_criterion_3_ties_structure(rng):
     for density in (0.2, 0.4, 0.6, 0.8):
         for n in (1, 7, 100, 256, 1000):
             values = rng.uniform(0.25, 3.0, n).astype(np.float32) * rng.choice([-1.0, 1.0], n)
-            tau = TaskVector({"w": values}, "lvlm")
-            out = trim_by_magnitude(tau, density).deltas["w"]
+            out = trim_step(values, density)
             assert np.count_nonzero(out) == retained_count(density, n)
 
-    # hand-worked four-element pipeline fixture
-    pre = {"t": np.zeros(4, dtype=np.float32)}
-    tau_l = TaskVector({"t": np.array([0.3, -0.1, 0.5, 0.0], dtype=np.float32)}, "lvlm")
-    tau_r = TaskVector({"t": np.array([-0.4, 0.2, 0.1, 0.0], dtype=np.float32)}, "rm")
-    trimmed_l = trim_by_magnitude(tau_l, 0.5).deltas["t"]
-    trimmed_r = trim_by_magnitude(tau_r, 0.5).deltas["t"]
-    assert trimmed_l.tolist() == pytest.approx([0.3, 0.0, 0.5, 0.0])
-    assert trimmed_r.tolist() == pytest.approx([-0.4, 0.2, 0.0, 0.0])
-    out = merge_ties(pre, tau_l, tau_r, 1.0, 0.5)["t"]
+    # hand-worked four-element pipeline fixture; a zero base makes the task
+    # vectors the fine-tuned weights themselves
+    pre = np.zeros(4, dtype=np.float32)
+    tau_l = np.array([0.3, -0.1, 0.5, 0.0], dtype=np.float32)
+    tau_r = np.array([-0.4, 0.2, 0.1, 0.0], dtype=np.float32)
+    assert trim_step(tau_l, 0.5).tolist() == pytest.approx([0.3, 0.0, 0.5, 0.0])
+    assert trim_step(tau_r, 0.5).tolist() == pytest.approx([-0.4, 0.2, 0.0, 0.0])
+    out = merge_tensor(MergeRecipe(MergeMethod.TIES, lam=1.0, density=0.5), "t", pre, tau_l, tau_r)
     assert out.tolist() == pytest.approx([-0.4, 0.2, 0.5, 0.0])
     report(3, "ties trim/elect/mean structure", started)
 
@@ -138,8 +140,7 @@ def test_criterion_3_ties_structure(rng):
 def test_criterion_4_dare_statistics():
     started = time.monotonic()
     n, d = 100_000, 0.4
-    ones = TaskVector({"w": np.ones(n, dtype=np.float32)}, "lvlm")
-    out = dare_sparsify(ones, d, seed=2024).deltas["w"]
+    out = drop_step(np.ones(n, dtype=np.float32), d, seed=2024, origin="lvlm", name="w")
     kept = int(np.count_nonzero(out))
     assert abs(kept - n * d) <= 4 * math.sqrt(n * d * (1 - d))
     assert np.all(out[out != 0] == np.float32(1.0 / d))

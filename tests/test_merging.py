@@ -8,135 +8,149 @@ from vlrmerge import (
     MergeMethod,
     MergeRecipe,
     RecipeError,
-    TaskVector,
-    compute_task_vector,
-    dare_sparsify,
-    disjoint_merge,
-    elect_sign,
-    merge_dare,
-    merge_linear,
-    merge_task_arithmetic,
-    merge_ties,
+    VlrmergeError,
+    merge_tensor,
     merge_transformer,
-    trim_by_magnitude,
 )
 from vlrmerge.merging import retained_count
+
+from helpers import drop_step, trim_step
+
+LINEAR = MergeMethod.LINEAR
+TA = MergeMethod.TASK_ARITHMETIC
+TIES = MergeMethod.TIES
 
 
 def arr(values):
     return np.asarray(values, dtype=np.float32)
 
 
-def tv(values, origin="lvlm", name="t"):
-    return TaskVector(deltas={name: arr(values)}, origin=origin)
+def merge(method, pre, lvlm, rm, lam, density=None, seed=None, name="t"):
+    recipe = MergeRecipe(method, lam=lam, density=density, seed=seed)
+    return merge_tensor(recipe, name, arr(pre), arr(lvlm), arr(rm))
+
+
+def merge_map(recipe, pre, lvlm, rm):
+    return merge_transformer(recipe, {"t": arr(pre)}, {"t": arr(lvlm)}, {"t": arr(rm)})
+
+
+def ties_untrimmed(tau_l, tau_r):
+    """ties at density 1 and lam 1 on a zero base: the disjoint mean under the elected sign."""
+    zeros = np.zeros(len(tau_l), dtype=np.float32)
+    return merge(TIES, zeros, tau_l, tau_r, 1.0, density=1.0)
 
 
 class TestTaskVector:
     def test_definitional_subtraction(self):
-        out = compute_task_vector({"t": arr([3.0])}, {"t": arr([1.0])}, "lvlm")
-        assert out.deltas["t"].tolist() == [2.0]
-        assert out.origin == "lvlm"
+        # rm equal to the base adds a zero task vector; 1 + 0.5 * (3 - 1)
+        out = merge(TA, [1.0], [3.0], [1.0], 0.5)
+        assert out.tolist() == [2.0]
 
     def test_equal_models_give_zero(self, rng):
-        weights = {"t": arr(rng.standard_normal(8))}
-        out = compute_task_vector(weights, {"t": weights["t"].copy()}, "rm")
-        assert not out.deltas["t"].any()
+        weights = arr(rng.standard_normal(8))
+        out = merge(TA, weights, weights.copy(), weights.copy(), 0.7)
+        assert out.tobytes() == weights.tobytes()
 
     def test_matches_scalar_loop_exactly(self, rng):
         model = rng.uniform(-2, 2, 64).astype(np.float32)
         pre = rng.uniform(-2, 2, 64).astype(np.float32)
-        out = compute_task_vector({"t": model}, {"t": pre}, "lvlm")
-        expected = ref.task_vector(model.tolist(), pre.tolist())
-        assert out.deltas["t"].tolist() == [float(v) for v in expected]
+        out = merge(TA, pre, model, pre.copy(), 1.0)
+        expected = ref.merge_reference("task-arithmetic", pre, model, pre, 1.0)
+        assert out.tolist() == [float(v) for v in expected]
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(Exception, match="shape mismatch"):
-            compute_task_vector({"t": arr([1.0, 2.0])}, {"t": arr([1.0])}, "lvlm")
+        with pytest.raises(VlrmergeError, match="shape mismatch"):
+            merge_transformer(
+                MergeRecipe(TA, lam=0.5),
+                {"t": arr([1.0, 2.0])}, {"t": arr([1.0])}, {"t": arr([1.0, 2.0])},
+            )
 
 
 class TestLinear:
     def test_lambda_one_returns_lvlm_exactly(self, rng):
-        lvlm = {"t": rng.standard_normal(16).astype(np.float32)}
-        rm = {"t": rng.standard_normal(16).astype(np.float32)}
-        out = merge_linear(lvlm, rm, 1.0)
-        assert out["t"].tobytes() == lvlm["t"].tobytes()
+        pre = np.zeros(16, dtype=np.float32)
+        lvlm = rng.standard_normal(16).astype(np.float32)
+        rm = rng.standard_normal(16).astype(np.float32)
+        out = merge(LINEAR, pre, lvlm, rm, 1.0)
+        assert out.tobytes() == lvlm.tobytes()
 
     def test_lambda_zero_returns_rm_exactly(self, rng):
-        lvlm = {"t": rng.standard_normal(16).astype(np.float32)}
-        rm = {"t": rng.standard_normal(16).astype(np.float32)}
-        out = merge_linear(lvlm, rm, 0.0)
-        assert out["t"].tobytes() == rm["t"].tobytes()
+        pre = np.zeros(16, dtype=np.float32)
+        lvlm = rng.standard_normal(16).astype(np.float32)
+        rm = rng.standard_normal(16).astype(np.float32)
+        out = merge(LINEAR, pre, lvlm, rm, 0.0)
+        assert out.tobytes() == rm.tobytes()
 
     def test_midpoint_example(self):
-        out = merge_linear({"t": arr([2.0, 4.0])}, {"t": arr([0.0, 8.0])}, 0.5)
-        assert out["t"].tolist() == [1.0, 6.0]
+        out = merge(LINEAR, [0.0, 0.0], [2.0, 4.0], [0.0, 8.0], 0.5)
+        assert out.tolist() == [1.0, 6.0]
 
     @pytest.mark.parametrize("lam", [-0.1, 1.5])
     def test_lambda_out_of_range(self, lam):
         with pytest.raises(RecipeError):
-            merge_linear({"t": arr([1.0])}, {"t": arr([1.0])}, lam)
+            merge_map(MergeRecipe(LINEAR, lam=lam), [1.0], [1.0], [1.0])
 
 
 class TestTaskArithmetic:
     def test_lambda_zero_returns_pre(self, rng):
-        pre = {"t": rng.standard_normal(16).astype(np.float32)}
-        out = merge_task_arithmetic(pre, tv(rng.standard_normal(16)), tv(rng.standard_normal(16), "rm"), 0.0)
-        assert out["t"].tobytes() == pre["t"].tobytes()
+        pre, lvlm, rm = (rng.standard_normal(16).astype(np.float32) for _ in range(3))
+        out = merge(TA, pre, lvlm, rm, 0.0)
+        assert out.tobytes() == pre.tobytes()
 
     def test_half_lambda_example(self):
-        out = merge_task_arithmetic({"t": arr([1.0])}, tv([2.0]), tv([-1.0], "rm"), 0.5)
-        assert out["t"].tolist() == [1.5]
+        # task vectors 2 and -1
+        out = merge(TA, [1.0], [3.0], [0.0], 0.5)
+        assert out.tolist() == [1.5]
 
     def test_lambda_one_zero_rm_tau_recovers_lvlm(self, rng):
         # well-conditioned values: base and deltas exactly representable on a
         # shared exponent range, so subtract-then-add cancels exactly
         pre = arr([k / 16 for k in range(-16, 16)])
         lvlm = arr([k / 16 for k in range(-8, 24)])
-        tau = compute_task_vector({"t": lvlm}, {"t": pre}, "lvlm")
-        out = merge_task_arithmetic({"t": pre}, tau, tv([0.0] * 32, "rm"), 1.0)
-        assert out["t"].tolist() == lvlm.tolist()
+        out = merge(TA, pre, lvlm, pre.copy(), 1.0)
+        assert out.tolist() == lvlm.tolist()
 
     def test_homogeneity_for_power_of_two_scaling(self, rng):
         # a zero base exposes the merged delta itself, which must scale exactly
-        zeros = {"t": np.zeros(32, dtype=np.float32)}
+        zeros = np.zeros(32, dtype=np.float32)
         tau_l = rng.standard_normal(32).astype(np.float32)
         tau_r = rng.standard_normal(32).astype(np.float32)
-        base = merge_task_arithmetic(zeros, tv(tau_l), tv(tau_r, "rm"), 0.75)
-        scaled = merge_task_arithmetic(zeros, tv(4.0 * tau_l), tv(4.0 * tau_r, "rm"), 0.75)
-        assert np.array_equal(scaled["t"], 4.0 * base["t"])
+        base = merge(TA, zeros, tau_l, tau_r, 0.75)
+        scaled = merge(TA, zeros, 4.0 * tau_l, 4.0 * tau_r, 0.75)
+        assert np.array_equal(scaled, 4.0 * base)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(RecipeError):
-            merge_task_arithmetic({"t": arr([1.0])}, tv([1.0]), tv([1.0], "rm"), -0.5)
+            merge_map(MergeRecipe(TA, lam=-0.5), [1.0], [2.0], [2.0])
 
 
 class TestTrim:
     def test_density_one_is_identity(self, rng):
         values = rng.standard_normal(32).astype(np.float32)
-        out = trim_by_magnitude(tv(values), 1.0)
-        assert out.deltas["t"].tobytes() == values.tobytes()
+        out = trim_step(values, 1.0)
+        assert out.tobytes() == values.tobytes()
 
     def test_hand_worked_example(self):
-        out = trim_by_magnitude(tv([0.3, -0.1, 0.5, 0.0]), 0.5)
-        assert out.deltas["t"].tolist() == pytest.approx([0.3, 0.0, 0.5, 0.0])
+        out = trim_step([0.3, -0.1, 0.5, 0.0], 0.5)
+        assert out.tolist() == pytest.approx([0.3, 0.0, 0.5, 0.0])
 
     def test_magnitude_tie_keeps_lower_flat_index(self):
-        out = trim_by_magnitude(tv([1.0, -1.0, 1.0, -1.0]), 0.5)
-        assert out.deltas["t"].tolist() == [1.0, -1.0, 0.0, 0.0]
+        out = trim_step([1.0, -1.0, 1.0, -1.0], 0.5)
+        assert out.tolist() == [1.0, -1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("density", [0.2, 0.4, 0.6, 0.8])
     def test_retains_exactly_ceil_on_zero_free_input(self, rng, density):
         for n in (1, 5, 17, 100, 256):
             values = rng.uniform(0.5, 2.0, n).astype(np.float32) * rng.choice([-1, 1], n)
-            out = trim_by_magnitude(tv(values.tolist()), density)
-            assert np.count_nonzero(out.deltas["t"]) == retained_count(density, n)
+            out = trim_step(values.tolist(), density)
+            assert np.count_nonzero(out) == retained_count(density, n)
 
     def test_kept_set_matches_full_sort_oracle(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 64))
             values = rng.standard_normal(n).astype(np.float32)
             d = float(rng.uniform(0.05, 1.0))
-            out = trim_by_magnitude(tv(values.tolist()), d).deltas["t"]
+            out = trim_step(values.tolist(), d)
             expected = ref.trim(values.tolist(), d)
             assert out.tolist() == [float(v) for v in expected]
 
@@ -148,65 +162,57 @@ class TestTrim:
 
     @pytest.mark.parametrize("density", [0.0, -0.2, 1.5])
     def test_bad_density_rejected(self, density):
-        with pytest.raises(RecipeError):
-            trim_by_magnitude(tv([1.0]), density)
+        with pytest.raises(RecipeError, match="density must be in"):
+            merge_map(MergeRecipe(TIES, lam=1.0, density=density), [0.0], [1.0], [0.0])
 
 
 class TestElectSign:
     def test_larger_negative_total_wins(self):
-        signs = elect_sign([tv([0.3]), tv([-0.4], "rm")])
-        assert signs["t"].tolist() == [-1.0]
+        out = ties_untrimmed([0.3], [-0.4])
+        assert out.tolist() == arr([-0.4]).tolist()
 
     def test_all_zero_ties_to_positive(self):
-        signs = elect_sign([tv([0.0]), tv([0.0], "rm")])
-        assert signs["t"].tolist() == [1.0]
+        # equal totals elect +1; with nothing nonzero the position stays 0
+        assert ties_untrimmed([0.5], [-0.5]).tolist() == [0.5]
+        assert ties_untrimmed([0.0], [0.0]).tolist() == [0.0]
 
     def test_single_task_keeps_its_sign(self):
-        signs = elect_sign([tv([0.5, -0.5, 0.0])])
-        assert signs["t"].tolist() == [1.0, -1.0, 1.0]
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(Exception, match="at least one"):
-            elect_sign([])
+        out = ties_untrimmed([0.5, -0.5, 0.0], [0.0, 0.0, 0.0])
+        assert out.tolist() == [0.5, -0.5, 0.0]
 
 
 class TestDisjointMerge:
     def test_singleton_mean(self):
-        taus = [tv([0.5]), tv([0.0], "rm")]
-        merged = disjoint_merge(taus, elect_sign(taus))
-        assert merged.deltas["t"].tolist() == [0.5]
+        assert ties_untrimmed([0.5], [0.0]).tolist() == [0.5]
 
     def test_mismatching_value_dropped(self):
-        taus = [tv([0.3]), tv([-0.4], "rm")]
-        merged = disjoint_merge(taus, elect_sign(taus))
-        assert merged.deltas["t"].tolist() == pytest.approx([-0.4])
+        out = ties_untrimmed([0.3, 0.2], [-0.4, 0.6])
+        assert out.tolist() == pytest.approx([-0.4, 0.4])
 
     def test_all_trimmed_position_is_zero(self):
-        taus = [tv([0.0]), tv([0.0], "rm")]
-        merged = disjoint_merge(taus, elect_sign(taus))
-        assert merged.deltas["t"].tolist() == [0.0]
+        assert ties_untrimmed([0.0], [0.0]).tolist() == [0.0]
 
 
 class TestTies:
     def test_hand_worked_four_element_example(self):
-        pre = {"t": arr([0.0, 0.0, 0.0, 0.0])}
-        out = merge_ties(pre, tv([0.3, -0.1, 0.5, 0.0]), tv([-0.4, 0.2, 0.1, 0.0], "rm"), 1.0, 0.5)
-        assert out["t"].tolist() == pytest.approx([-0.4, 0.2, 0.5, 0.0])
+        out = merge(TIES, [0.0] * 4, [0.3, -0.1, 0.5, 0.0], [-0.4, 0.2, 0.1, 0.0], 1.0, density=0.5)
+        assert out.tolist() == pytest.approx([-0.4, 0.2, 0.5, 0.0])
 
     def test_equal_positive_taus_at_full_density(self, rng):
-        pre = {"t": rng.standard_normal(8).astype(np.float32)}
-        tau = np.abs(rng.standard_normal(8)).astype(np.float32) + 0.1
-        out = merge_ties(pre, tv(tau.tolist()), tv(tau.tolist(), "rm"), 0.7, 1.0)
-        expected = ref.ties(pre["t"].tolist(), tau.tolist(), tau.tolist(), 0.7, 1.0)
-        ref.assert_close(out["t"], expected)
+        pre = rng.standard_normal(8).astype(np.float32)
+        lvlm = pre + (np.abs(rng.standard_normal(8)).astype(np.float32) + np.float32(0.1))
+        out = merge(TIES, pre, lvlm, lvlm.copy(), 0.7, density=1.0)
+        expected = ref.merge_reference("ties", pre, lvlm, lvlm, 0.7, 1.0)
+        ref.assert_close(out, expected)
         # mean of two equal values is the value itself
-        ref.assert_close(out["t"], ref.apply_delta(pre["t"].tolist(), tau.tolist(), 0.7))
+        tau = ref.task_vector(lvlm.tolist(), pre.tolist())
+        ref.assert_close(out, ref.apply_delta(pre.tolist(), tau, 0.7))
 
     def test_single_nonzero_task_full_density_adds_that_task(self, rng):
-        pre = {"t": rng.standard_normal(16).astype(np.float32)}
-        tau = rng.standard_normal(16).astype(np.float32)
-        out = merge_ties(pre, tv(tau.tolist()), tv([0.0] * 16, "rm"), 1.0, 1.0)
-        assert out["t"].tolist() == (pre["t"] + tau).tolist()
+        pre = rng.standard_normal(16).astype(np.float32)
+        lvlm = rng.standard_normal(16).astype(np.float32)
+        out = merge(TIES, pre, lvlm, pre.copy(), 1.0, density=1.0)
+        assert out.tolist() == (pre + (lvlm - pre)).tolist()
 
     def test_random_tensors_match_reference(self, rng):
         for _ in range(20):
@@ -216,44 +222,38 @@ class TestTies:
             rm = rng.uniform(-2, 2, n).astype(np.float32)
             lam = float(rng.uniform(0, 1.5))
             d = float(rng.uniform(0.05, 1.0))
-            out = merge_ties(
-                {"t": pre},
-                compute_task_vector({"t": lvlm}, {"t": pre}, "lvlm"),
-                compute_task_vector({"t": rm}, {"t": pre}, "rm"),
-                lam,
-                d,
-            )
+            out = merge(TIES, pre, lvlm, rm, lam, density=d)
             expected = ref.merge_reference("ties", pre, lvlm, rm, lam, d)
-            ref.assert_close(out["t"], expected)
+            ref.assert_close(out, expected)
 
 
 class TestDareSparsify:
     def test_density_one_is_identity(self, rng):
         values = rng.standard_normal(64).astype(np.float32)
-        out = dare_sparsify(tv(values), 1.0, seed=7)
-        assert out.deltas["t"].tobytes() == values.tobytes()
+        out = drop_step(values, 1.0, seed=7)
+        assert out.tobytes() == values.tobytes()
 
     def test_deterministic_for_same_seed_and_name(self, rng):
         values = rng.standard_normal(512).astype(np.float32)
-        a = dare_sparsify(tv(values), 0.5, seed=3).deltas["t"]
-        b = dare_sparsify(tv(values), 0.5, seed=3).deltas["t"]
+        a = drop_step(values, 0.5, seed=3)
+        b = drop_step(values, 0.5, seed=3)
         assert a.tobytes() == b.tobytes()
 
     def test_different_names_get_different_masks(self, rng):
         values = np.ones(512, dtype=np.float32)
-        a = dare_sparsify(TaskVector({"a": values.copy()}, "lvlm"), 0.5, seed=3).deltas["a"]
-        b = dare_sparsify(TaskVector({"b": values.copy()}, "lvlm"), 0.5, seed=3).deltas["b"]
+        a = drop_step(values, 0.5, seed=3, name="a")
+        b = drop_step(values, 0.5, seed=3, name="b")
         assert a.tobytes() != b.tobytes()
 
     def test_different_origins_get_different_masks(self):
         values = np.ones(512, dtype=np.float32)
-        a = dare_sparsify(TaskVector({"t": values.copy()}, "lvlm"), 0.5, seed=3).deltas["t"]
-        b = dare_sparsify(TaskVector({"t": values.copy()}, "rm"), 0.5, seed=3).deltas["t"]
+        a = drop_step(values, 0.5, seed=3, origin="lvlm")
+        b = drop_step(values, 0.5, seed=3, origin="rm")
         assert a.tobytes() != b.tobytes()
 
     def test_unit_tensor_statistics(self):
         n, d = 100_000, 0.4
-        out = dare_sparsify(tv(np.ones(n, dtype=np.float32).tolist()), d, seed=11).deltas["t"]
+        out = drop_step(np.ones(n, dtype=np.float32), d, seed=11)
         kept = np.count_nonzero(out)
         sigma_count = math.sqrt(n * d * (1 - d))
         assert abs(kept - n * d) <= 4 * sigma_count
@@ -263,8 +263,8 @@ class TestDareSparsify:
 
     def test_matches_scalar_stream(self, rng):
         values = rng.standard_normal(256).astype(np.float32)
-        out = dare_sparsify(TaskVector({"w.0": values}, "rm"), 0.3, seed=42).deltas["w.0"]
-        expected = ref.dare_sparsify(values.tolist(), 0.3, 42, "rm", "w.0")
+        out = drop_step(values, 0.3, seed=42, origin="rm", name="w.0")
+        expected = ref.drop_and_rescale(values.tolist(), 0.3, 42, "rm", "w.0")
         assert out.tolist() == [float(v) for v in expected]
 
     def test_unbiased_expectation_over_seeds(self, rng):
@@ -272,7 +272,7 @@ class TestDareSparsify:
         d, n_seeds = 0.4, 10_000
         total = np.zeros(16, dtype=np.float64)
         for seed in range(n_seeds):
-            total += dare_sparsify(tv(values), d, seed=seed).deltas["t"]
+            total += drop_step(values, d, seed=seed)
         mean = total / n_seeds
         sigma = np.abs(values) * math.sqrt((1 - d) / d / n_seeds)
         assert np.all(np.abs(mean - values) <= 3 * sigma)
@@ -280,20 +280,18 @@ class TestDareSparsify:
 
 class TestMergeDare:
     def test_density_one_ta_equals_task_arithmetic(self, rng):
-        pre = {"t": rng.standard_normal(32).astype(np.float32)}
-        tau_l = tv(rng.standard_normal(32))
-        tau_r = tv(rng.standard_normal(32), "rm")
-        a = merge_dare(pre, tau_l, tau_r, 0.8, 1.0, seed=1, mode="ta")
-        b = merge_task_arithmetic(pre, tau_l, tau_r, 0.8)
-        assert a["t"].tobytes() == b["t"].tobytes()
+        pre, lvlm, rm = (rng.standard_normal(32).astype(np.float32) for _ in range(3))
+        a = merge(MergeMethod.DARE_TASK_ARITHMETIC, pre, lvlm, rm, 0.8, density=1.0, seed=1)
+        b = merge(TA, pre, lvlm, rm, 0.8)
+        assert a.tobytes() == b.tobytes()
 
     def test_density_one_ties_mode_mean_where_signs_agree(self, rng):
-        pre = {"t": rng.standard_normal(16).astype(np.float32)}
-        tau_l = np.abs(rng.standard_normal(16)).astype(np.float32) + 0.1
-        tau_r = np.abs(rng.standard_normal(16)).astype(np.float32) + 0.1
-        out = merge_dare(pre, tv(tau_l.tolist()), tv(tau_r.tolist(), "rm"), 0.7, 1.0, seed=1, mode="ties")
-        mean = (tau_l + tau_r) / np.float32(2.0)
-        ref.assert_close(out["t"], ref.apply_delta(pre["t"].tolist(), mean.tolist(), 0.7))
+        pre = rng.standard_normal(16).astype(np.float32)
+        lvlm = pre + (np.abs(rng.standard_normal(16)).astype(np.float32) + np.float32(0.1))
+        rm = pre + (np.abs(rng.standard_normal(16)).astype(np.float32) + np.float32(0.1))
+        out = merge(MergeMethod.DARE_TIES, pre, lvlm, rm, 0.7, density=1.0, seed=1)
+        mean = ((lvlm - pre) + (rm - pre)) / np.float32(2.0)
+        ref.assert_close(out, ref.apply_delta(pre.tolist(), mean.tolist(), 0.7))
 
     @pytest.mark.parametrize("mode", ["ta", "ties"])
     def test_random_tensors_match_reference(self, rng, mode):
@@ -303,14 +301,9 @@ class TestMergeDare:
             lvlm = rng.uniform(-2, 2, 16).astype(np.float32)
             rm = rng.uniform(-2, 2, 16).astype(np.float32)
             lam, d, seed = float(rng.uniform(0, 1.5)), float(rng.uniform(0.1, 1.0)), trial
-            out = merge_dare(
-                {"w": pre},
-                compute_task_vector({"w": lvlm}, {"w": pre}, "lvlm"),
-                compute_task_vector({"w": rm}, {"w": pre}, "rm"),
-                lam, d, seed, mode,
-            )
+            out = merge(MergeMethod(method), pre, lvlm, rm, lam, density=d, seed=seed, name="w")
             expected = ref.merge_reference(method, pre, lvlm, rm, lam, d, seed, name="w")
-            ref.assert_close(out["w"], expected)
+            ref.assert_close(out, expected)
 
 
 class TestMergeTransformer:
