@@ -24,7 +24,6 @@ from .tensorstore import Checkpoint, Tensor, write_checkpoint, write_vocab, defa
 class AssemblyPlan:
     recipe: MergeRecipe
     triple: ModelTriple
-    output_path: Path | None = None
     provenance: dict[str, str] = field(default_factory=dict)
 
 
@@ -128,8 +127,12 @@ def assemble_vlrm(plan: AssemblyPlan, jobs: int | None = None) -> Checkpoint:
 
 
 def write_merged(merged: Checkpoint, path: str | Path) -> Path:
-    """Write the merged checkpoint and its vocabulary sidecar."""
+    """Write the merged vocabulary sidecar, then the checkpoint.
+
+    Each file is replaced atomically and the checkpoint comes last, so an
+    existing checkpoint at ``path`` means the whole variant was written.
+    """
     path = Path(path)
-    write_checkpoint(merged, path)
     write_vocab(merged.vocab, default_vocab_path(path))
+    write_checkpoint(merged, path)
     return path

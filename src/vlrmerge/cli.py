@@ -16,7 +16,7 @@ from .errors import RecipeError, VlrmergeError
 from .evaluation import evaluate_bon, evaluate_pairwise, load_bon_dataset, load_pairwise_dataset
 from .merging import MergeMethod, MergeRecipe
 from .scoring import RecordingScorer, ReplayScorer, SubprocessScorer, stub_scorer_loop
-from .sweep import SweepConfig, run_sweep
+from .sweep import MANIFEST_NAME, SweepConfig, run_sweep
 from .tensorstore import default_vocab_path, read_checkpoint
 
 log = logging.getLogger("vlrmerge")
@@ -201,7 +201,7 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
     click.echo(f"primary accuracy: {100.0 * winner_entry.primary_accuracy:.1f}")
     if winner_entry.tiebreak_accuracy is not None:
         click.echo(f"tiebreak accuracy: {100.0 * winner_entry.tiebreak_accuracy:.1f}")
-    click.echo(f"manifest: {Path(out_dir) / 'sweep-manifest.jsonl'}")
+    click.echo(f"manifest: {Path(out_dir) / MANIFEST_NAME}")
 
 
 @main.command("eval")

@@ -53,10 +53,9 @@ class Rule:
 
 @dataclass
 class ComponentMap:
-    """Total assignment of tensor names to roles, plus the rules that produced it."""
+    """Total assignment of tensor names to roles."""
 
     assignments: dict[str, Role]
-    rules: tuple[Rule, ...]
 
     def names(self, role: Role) -> list[str]:
         return [name for name, r in self.assignments.items() if r is role]
@@ -88,7 +87,7 @@ def classify_tensors(ckpt: Checkpoint, rules: list[Rule] | tuple[Rule, ...]) -> 
             unmatched.append(name)
     if unmatched:
         raise ClassificationError(unmatched)
-    return ComponentMap(assignments=assignments, rules=tuple(rules))
+    return ComponentMap(assignments=assignments)
 
 
 @dataclass

@@ -113,14 +113,11 @@ def _check_aligned(named_maps: dict[str, TensorMap]) -> None:
 def merge_tensor(
     recipe: MergeRecipe, name: str, pre: np.ndarray, lvlm: np.ndarray, rm: np.ndarray
 ) -> np.ndarray:
-    """Merge one tensor of the shared transformer per an already-validated recipe.
+    """Merge one same-shaped tensor of the three models per a validated recipe.
 
-    ``pre``, ``lvlm`` and ``rm`` are the same-shaped weights of the base model
-    and the two fine-tuned models; the result is float32. ``name`` keys the
-    DARE drop-mask random stream. Task vectors are fine-tuned minus base
-    weights; the jointly merged delta of ties/dare-ties receives a single lam
-    factor, and dare-ties runs sign election and the disjoint mean on the
-    already-rescaled survivors.
+    Returns float32. ``name`` keys the DARE drop-mask random stream. ties and
+    dare-ties scale the jointly merged delta by a single lam; dare-ties elects
+    signs and takes the disjoint mean on the already-rescaled survivors.
     """
     pre, lvlm, rm = _as_f32(pre), _as_f32(lvlm), _as_f32(rm)
     method, lam, density = recipe.method, recipe.lam, recipe.density

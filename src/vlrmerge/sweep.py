@@ -34,6 +34,7 @@ DEFAULT_LAMBDA_GRIDS = {
 }
 DEFAULT_DENSITY_GRID = (0.2, 0.4, 0.6, 0.8)
 LAMBDA_CAP = 1.5
+MANIFEST_NAME = "sweep-manifest.jsonl"
 
 
 @dataclass
@@ -215,7 +216,6 @@ def run_sweep(
     out_dir: str | Path,
     provenance: dict[str, str] | None = None,
     jobs: int | None = None,
-    manifest_name: str = "sweep-manifest.jsonl",
 ) -> SweepResult:
     """Assemble and score every grid point, then select the winner.
 
@@ -279,7 +279,7 @@ def run_sweep(
                 entries[id(sel.recipe)].tiebreak_accuracy = sel.tiebreak_accuracy
 
     result = SweepResult(entries=[entries[id(r)] for r in grid], winner=winner)
-    _write_manifest(out_dir / manifest_name, result)
+    _write_manifest(out_dir / MANIFEST_NAME, result)
     return result
 
 

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -130,9 +133,6 @@ class Checkpoint:
     metadata: dict[str, str] = field(default_factory=dict)
     source_label: str = field(default="", compare=False)
 
-    def tensor_names(self) -> list[str]:
-        return list(self.tensors)
-
 
 def _parse_header(blob: bytes) -> dict:
     def reject_duplicates(pairs):
@@ -247,8 +247,26 @@ def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> C
     return Checkpoint(tensors=tensors, vocab=vocab, metadata=dict(metadata), source_label=str(path))
 
 
+@contextmanager
+def _replace_when_done(path: Path, mode: str, **kwargs):
+    """Open a temporary file beside ``path``; move it onto ``path`` once written.
+
+    ``path`` therefore never holds a partly written file: an interrupted write
+    leaves only the temporary file behind, and it is removed when the
+    interruption arrives as an exception.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Write a checkpoint with a canonical header.
+    """Write a checkpoint with a canonical header, replacing ``path`` atomically.
 
     Header keys are sorted lexicographically and the data region packs tensor
     payloads in that same order with no gaps, so re-writing a loaded file
@@ -271,7 +289,7 @@ def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         }
         offset += len(t.data)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as f:
+    with _replace_when_done(path, "wb") as f:
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
         for name in ordered:
@@ -298,7 +316,7 @@ def read_vocab(path: str | Path) -> dict[str, int]:
 
 
 def write_vocab(vocab: dict[str, int], path: str | Path) -> None:
-    """Write a vocabulary sidecar, ordering tokens by row index."""
+    """Write a vocabulary sidecar, ordering tokens by row index, replacing ``path`` atomically."""
     rows = sorted(vocab.items(), key=lambda item: item[1])
     indices = [idx for _, idx in rows]
     if indices != list(range(len(rows))):
@@ -306,7 +324,7 @@ def write_vocab(vocab: dict[str, int], path: str | Path) -> None:
     for token, _ in rows:
         if "\n" in token or "\r" in token:
             raise VocabError(f"token {token!r} contains a line break")
-    with open(path, "w", encoding="utf-8") as f:
+    with _replace_when_done(Path(path), "w", encoding="utf-8") as f:
         for token, _ in rows:
             f.write(token)
             f.write("\n")

@@ -1,3 +1,4 @@
+import builtins
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from vlrmerge import (
 )
 from vlrmerge.errors import DatasetError, ScorerError, VlrmergeError
 from vlrmerge.evaluation import load_pairwise_dataset
+from vlrmerge import tensorstore
 from vlrmerge.sweep import sample_validation_slices
 
 from helpers import classified_toy_triple, write_pairwise_dataset
@@ -272,6 +274,29 @@ class TestValidationSampling:
             sample_validation_slices(examples, seed=0, primary_size=20, tiebreak_size=10)
 
 
+class CutWrite:
+    """Binary file that writes ``limit`` bytes, then fails as an interrupt would."""
+
+    def __init__(self, f, limit):
+        self.f = f
+        self.limit = limit
+
+    def write(self, data):
+        if len(data) > self.limit:
+            self.f.write(data[: self.limit])
+            self.f.flush()
+            raise KeyboardInterrupt("interrupted mid-write")
+        self.limit -= len(data)
+        return self.f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+        return False
+
+
 class FailFor:
     def __init__(self, inner, fail_density):
         self.inner = inner
@@ -388,3 +413,28 @@ class TestRunSweep:
         mtimes = {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")}
         run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
         assert {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")} == mtimes
+
+    def test_interrupted_write_leaves_no_variant_and_is_rebuilt(self, rng, tmp_path, monkeypatch):
+        triple = classified_toy_triple(rng)
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
+        config = small_config()
+        out = tmp_path / "out"
+
+        def interrupted_open(file, mode="r", *args, **kwargs):
+            f = builtins.open(file, mode, *args, **kwargs)
+            return CutWrite(f, limit=2000) if mode == "wb" else f
+
+        # the first checkpoint write stops part-way, after its header
+        monkeypatch.setattr(tensorstore, "open", interrupted_open, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        monkeypatch.undo()
+        assert not list(out.glob("variant-*.safetensors"))
+
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "clean", jobs=1)
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            p.name for p in (tmp_path / "clean").iterdir()
+        )
+        for path in (tmp_path / "clean").iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes()
