@@ -255,6 +255,8 @@ def _replace_when_done(path: Path, mode: str, **kwargs):
     leaves only the temporary file behind, and it is removed when the
     interruption arrives as an exception.
     """
+    # unique per process and thread, so concurrent writers of one path never
+    # share a temporary file
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as f:

@@ -275,7 +275,7 @@ class TestValidationSampling:
 
 
 class CutWrite:
-    """Binary file that writes ``limit`` bytes, then fails as an interrupt would."""
+    """File that writes its first ``limit`` bytes or characters, then fails as an interrupt would."""
 
     def __init__(self, f, limit):
         self.f = f
@@ -414,21 +414,23 @@ class TestRunSweep:
         run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
         assert {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")} == mtimes
 
-    def test_interrupted_write_leaves_no_variant_and_is_rebuilt(self, rng, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode,limit", [("wb", 2000), ("w", 20)])
+    def test_interrupted_write_leaves_no_variant_and_is_rebuilt(
+        self, rng, tmp_path, monkeypatch, mode, limit
+    ):
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         config = small_config()
         out = tmp_path / "out"
 
-        def interrupted_open(file, mode="r", *args, **kwargs):
-            f = builtins.open(file, mode, *args, **kwargs)
-            return CutWrite(f, limit=2000) if mode == "wb" else f
+        def interrupted_open(file, open_mode="r", *args, **kwargs):
+            f = builtins.open(file, open_mode, *args, **kwargs)
+            return CutWrite(f, limit) if open_mode == mode else f
 
-        # the first checkpoint write stops part-way, after its header
-        monkeypatch.setattr(tensorstore, "open", interrupted_open, raising=False)
-        with pytest.raises(KeyboardInterrupt):
+        # the first checkpoint ("wb") or vocabulary sidecar ("w") write stops part-way
+        with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+            patch.setattr(tensorstore, "open", interrupted_open, raising=False)
             run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
-        monkeypatch.undo()
         assert not list(out.glob("variant-*.safetensors"))
 
         run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
