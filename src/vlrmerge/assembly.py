@@ -27,8 +27,18 @@ class AssemblyPlan:
     provenance: dict[str, str] = field(default_factory=dict)
 
 
+_HASH_BLOCK = 1 << 20
+
+
 def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of a file, read one block at a time so no whole copy is held."""
+    digest = hashlib.sha256()
+    block = bytearray(_HASH_BLOCK)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(block):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def _provenance(plan: AssemblyPlan) -> dict[str, str]:

@@ -18,7 +18,8 @@ supported:
 All arithmetic runs in float32 regardless of storage dtype. Randomness is
 counter-based: the value drawn for element ``i`` of a tensor is a pure function
 of (seed, origin tag, tensor name, i), so results do not depend on iteration
-order or worker count.
+order or worker count. Element ``i`` survives the drop when its draw, a 53-bit
+uniform on [0, 1), is below d; the test is made on the draw's integer bits.
 """
 
 from __future__ import annotations
@@ -202,50 +203,70 @@ def retained_count(density: float, n: int) -> int:
 
 
 def _trim_array(arr: np.ndarray, density: float) -> np.ndarray:
+    """Keep the ``retained_count`` entries of largest magnitude, zero the rest.
+
+    The kept set is the first k of a stable sort on descending magnitude:
+    equal magnitudes at the cut are kept in ascending flat-index order, and
+    NaN ranks after every number. It is found by selection, not by sorting.
+    """
     flat = arr.ravel()
     k = retained_count(density, flat.size)
     if k >= flat.size:
         return arr.copy()
-    # stable sort on descending magnitude keeps the lower flat index on ties
-    order = np.argsort(-np.abs(flat), kind="stable")
-    out = np.zeros_like(flat)
-    keep = order[:k]
-    out[keep] = flat[keep]
-    return out.reshape(arr.shape)
+    key = np.negative(np.abs(flat))
+    cut = np.partition(key, k - 1)[k - 1]
+    if np.isnan(cut):
+        # fewer than k numbers: all of them, then the first NaNs
+        at_cut = np.isnan(key)
+        keep = ~at_cut
+    else:
+        keep = key < cut
+        at_cut = key == cut
+    keep[np.flatnonzero(at_cut)[: k - np.count_nonzero(keep)]] = True
+    return _select(keep, flat).reshape(arr.shape)
+
+
+def _select(keep: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """``arr`` where ``keep``, +0.0 elsewhere: ``np.where`` by a bit mask.
+
+    Same bytes as ``np.where(keep, arr, 0)``, NaN payloads and -0.0 included,
+    without the per-element branch that makes ``np.where`` slow on an
+    irregular mask.
+    """
+    bits = np.negative(keep.astype(np.uint32))
+    return (arr.view(np.uint32) & bits).view(np.float32)
 
 
 def _elect_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per element, the direction with the larger total magnitude; ties give +1."""
-    pos = np.zeros(a.shape, dtype=np.float32)
-    neg = np.zeros(a.shape, dtype=np.float32)
-    for arr in (a, b):
-        pos += np.where(arr > 0, arr, np.float32(0.0))
-        neg += np.where(arr < 0, -arr, np.float32(0.0))
-    return np.where(pos >= neg, np.float32(1.0), np.float32(-1.0))
+    """Per element, True where the positive total magnitude wins; ties elect +.
+
+    fmax/fmin skip NaN, so a NaN entry counts toward neither direction.
+    """
+    zero = np.float32(0.0)
+    pos = np.fmax(a, zero) + np.fmax(b, zero)
+    neg = np.fmin(a, zero) + np.fmin(b, zero)
+    return pos >= -neg
 
 
-def _disjoint_arrays(a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Mean of the nonzero, sign-matching values per element; 0 when none qualify."""
-    total = np.zeros(a.shape, dtype=np.float32)
-    count = np.zeros(a.shape, dtype=np.int32)
-    for arr in (a, b):
-        match = ((arr > 0) & (sign > 0)) | ((arr < 0) & (sign < 0))
-        total += np.where(match, arr, np.float32(0.0))
-        count += match
-    return np.divide(
-        total,
-        count.astype(np.float32),
-        out=np.zeros_like(total),
-        where=count > 0,
-    )
+def _disjoint_arrays(a: np.ndarray, b: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Mean of the nonzero values that match the elected sign; 0 where none do."""
+    down = ~up
+    match_a = (up & (a > 0)) | (down & (a < 0))
+    match_b = (up & (b > 0)) | (down & (b < 0))
+    total = _select(match_a, a) + _select(match_b, b)
+    count = np.add(match_a, match_b, dtype=np.float32)
+    # where nothing matches, total is 0 and so is the mean
+    return total / np.maximum(count, np.float32(1.0))
 
 
 # ---------------------------------------------------------------------------
 # counter-based random stream for the drop masks
 
-_MIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_GAMMA = np.uint64(_GAMMA)
 _MIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_M2 = np.uint64(0x94D049BB133111EB)
+_MASK_CHUNK = 1 << 14
 
 
 def stream_key(seed: int, origin: str, name: str) -> int:
@@ -257,26 +278,34 @@ def stream_key(seed: int, origin: str, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def element_uniforms(key: int, n: int) -> np.ndarray:
-    """Uniform [0, 1) draws for flat indices 0..n-1 of one stream.
+def _keep_mask(key: int, n: int, density: float) -> np.ndarray:
+    """Drop-mask decisions for flat indices 0..n-1 of one stream; True keeps.
 
     Draw i mixes ``key + i * gamma`` through the splitmix64 finalizer, so any
-    element's value can be produced independently of the others.
+    element's decision can be made independently of the others. Its top 53
+    bits m stand for the uniform m * 2**-53, which is kept when below density.
+    The test is made on the integer, m < ceil(density * 2**53), which is exact
+    because scaling by 2**53 is exact in float64. The draws are made
+    ``_MASK_CHUNK`` at a time, so no full-size integer temporary exists.
     """
-    idx = np.arange(n, dtype=np.uint64)
+    limit = np.uint64(math.ceil(density * 2.0**53))
+    steps = np.arange(min(n, _MASK_CHUNK), dtype=np.uint64) * _MIX_GAMMA
+    keep = np.empty(n, dtype=bool)
     with np.errstate(over="ignore"):
-        z = np.uint64(key) + idx * _MIX_GAMMA
-        z ^= z >> np.uint64(30)
-        z *= _MIX_M1
-        z ^= z >> np.uint64(27)
-        z *= _MIX_M2
-        z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        for start in range(0, n, _MASK_CHUNK):
+            stop = min(start + _MASK_CHUNK, n)
+            z = steps[: stop - start] + np.uint64((key + start * _GAMMA) % 2**64)
+            z ^= z >> np.uint64(30)
+            z *= _MIX_M1
+            z ^= z >> np.uint64(27)
+            z *= _MIX_M2
+            z ^= z >> np.uint64(31)
+            np.less(z >> np.uint64(11), limit, out=keep[start:stop])
+    return keep
 
 
 def _dare_array(arr: np.ndarray, density: float, seed: int, origin: str, name: str) -> np.ndarray:
     if density == 1.0:
         return arr.copy()
-    uniforms = element_uniforms(stream_key(seed, origin, name), arr.size)
-    keep = (uniforms < density).reshape(arr.shape)
-    return np.where(keep, arr * (1.0 / density), np.float32(0.0))
+    keep = _keep_mask(stream_key(seed, origin, name), arr.size, density).reshape(arr.shape)
+    return _select(keep, arr * (1.0 / density))

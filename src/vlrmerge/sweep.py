@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,6 +57,9 @@ class SweepConfig:
         self.validate()
 
     def validate(self) -> None:
+        _check_grid("lambda", self.lambda_grid)
+        if self.density_grid is not None:
+            _check_grid("density", self.density_grid)
         if self.method.needs_density:
             if not self.density_grid:
                 raise VlrmergeError(f"method {self.method.value} needs a density grid")
@@ -71,8 +75,16 @@ class SweepConfig:
         for d in self.density_grid or ():
             if not 0.0 < d <= 1.0:
                 raise VlrmergeError(f"density {d} outside (0, 1]")
+        for field in ("primary_size", "tiebreak_size", "sampling_seed", "tie_rounding_decimals"):
+            value = getattr(self, field)
+            if field == "tie_rounding_decimals" and value is None:
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise VlrmergeError(f"{field} must be an integer, got {value!r}")
         if self.primary_size <= 0 or self.tiebreak_size < 0:
             raise VlrmergeError("validation slice sizes must be positive")
+        if not 0 <= self.sampling_seed < 2**64:
+            raise VlrmergeError(f"sampling_seed must be in [0, 2**64), got {self.sampling_seed}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SweepConfig":
@@ -92,15 +104,33 @@ class SweepConfig:
             method = MergeMethod(raw["method"])
         except ValueError:
             raise VlrmergeError(f"{path}: unknown method {raw['method']!r}") from None
+        # a JSON list becomes a tuple; validate() rejects any other value
+        lambda_grid, density_grid = (
+            tuple(grid) if isinstance(grid, list) else grid
+            for grid in (raw.get("lambda_grid"), raw.get("density_grid"))
+        )
         return cls(
             method=method,
-            lambda_grid=tuple(raw["lambda_grid"]) if "lambda_grid" in raw else None,
-            density_grid=tuple(raw["density_grid"]) if raw.get("density_grid") is not None else None,
+            lambda_grid=lambda_grid,
+            density_grid=density_grid,
             primary_size=raw.get("primary_size", 400),
             tiebreak_size=raw.get("tiebreak_size", 100),
             sampling_seed=raw.get("sampling_seed", 0),
             tie_rounding_decimals=raw.get("tie_rounding_decimals"),
         )
+
+
+def _check_grid(label: str, grid) -> None:
+    """A grid is a sequence of distinct real numbers; a bool is not a number."""
+    if not isinstance(grid, (tuple, list)):
+        raise VlrmergeError(f"{label} grid must be a list of numbers, got {grid!r}")
+    seen = set()
+    for value in grid:
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise VlrmergeError(f"{label} grid values must be numbers, got {value!r}")
+        if value in seen:
+            raise VlrmergeError(f"{label} grid repeats {value!r}")
+        seen.add(value)
 
 
 def derive_recipe_seed(sampling_seed: int) -> int:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from vlrmerge import (
     assemble_vlrm,
     read_checkpoint,
 )
-from vlrmerge.assembly import write_merged
+from vlrmerge.assembly import _HASH_BLOCK, file_digest, write_merged
 from vlrmerge.merging import MergeMethod, MergeRecipe
 from vlrmerge.tensorstore import default_vocab_path, read_vocab
 
@@ -154,3 +156,11 @@ def test_round_trip_through_disk(rng, tmp_path):
     assert loaded.tensors == merged.tensors
     assert loaded.metadata == merged.metadata
     assert read_vocab(default_vocab_path(path)) == merged.vocab
+
+
+class TestFileDigest:
+    @pytest.mark.parametrize("size", [0, 5, 3 * _HASH_BLOCK + 17])
+    def test_matches_whole_file_sha256(self, rng, tmp_path, size):
+        path = tmp_path / "blob.bin"
+        path.write_bytes(rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+        assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()

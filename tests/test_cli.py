@@ -236,6 +236,18 @@ class TestSweepCommand:
         assert result.exit_code != 0
         assert "lambda grid is empty" in result.output
 
+    def test_malformed_grid_config_is_an_error(self, runner, triple_files, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"method": "linear", "lambda_grid": 0.5}), encoding="utf-8")
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        result = runner.invoke(main, [
+            "sweep", *triple_args(triple_files),
+            "--config", str(config), "--data", str(data),
+            "--scorer", STUB_CMD, "--out-dir", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 1
+        assert "lambda grid must be a list of numbers" in result.output
+
     def test_record_then_replay_gives_identical_manifest(self, runner, triple_files, tmp_path):
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({

@@ -12,7 +12,8 @@ from vlrmerge import (
     merge_tensor,
     merge_transformer,
 )
-from vlrmerge.merging import retained_count
+from vlrmerge.merging import _MASK_CHUNK, _trim_array, retained_count
+from vlrmerge.sweep import DEFAULT_DENSITY_GRID
 
 from helpers import drop_step, trim_step
 
@@ -32,6 +33,42 @@ def merge(method, pre, lvlm, rm, lam, density=None, seed=None, name="t"):
 
 def merge_map(recipe, pre, lvlm, rm):
     return merge_transformer(recipe, {"t": arr(pre)}, {"t": arr(lvlm)}, {"t": arr(rm)})
+
+
+def argsort_trim(values, density):
+    """The trim as a full stable sort on descending magnitude: the rule the
+    selection-based kernel must reproduce, tie and NaN order included."""
+    flat = np.asarray(values, dtype=np.float32).ravel()
+    k = retained_count(density, flat.size)
+    keep = np.argsort(-np.abs(flat), kind="stable")[:k]
+    out = np.zeros_like(flat)
+    out[keep] = flat[keep]
+    return out
+
+
+def bf16_rounded(values):
+    """Truncate float32 values to bf16 precision, as stored checkpoints are."""
+    bits = np.asarray(values, dtype=np.float32).view(np.uint32) & np.uint32(0xFFFF0000)
+    return bits.view(np.float32)
+
+
+SPECIALS = np.array(
+    [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45, 0.5, -0.5, 1.0, -1.0],
+    dtype=np.float32,
+)
+
+
+def trim_inputs(kind, rng, n=3000):
+    if kind == "bf16":
+        return bf16_rounded(rng.standard_normal(n).astype(np.float32) * np.float32(0.01))
+    if kind == "halves":
+        return (rng.integers(-6, 7, n) * 0.5).astype(np.float32)
+    if kind == "specials":
+        return rng.choice(SPECIALS, n)
+    # mostly NaN: for every density below 1 the cut falls inside the NaNs
+    values = rng.choice(SPECIALS, n)
+    values[rng.random(n) < 0.85] = np.nan
+    return values
 
 
 def ties_untrimmed(tau_l, tau_r):
@@ -160,6 +197,26 @@ class TestTrim:
         assert retained_count(0.6, 5) == 3
         assert retained_count(0.5, 5) == 3
 
+    @pytest.mark.parametrize("density", DEFAULT_DENSITY_GRID + (1.0,))
+    @pytest.mark.parametrize("kind", ["bf16", "halves", "specials", "mostly-nan"])
+    def test_bytes_match_stable_argsort(self, rng, kind, density):
+        values = trim_inputs(kind, rng)
+        out = _trim_array(values, density)
+        assert out.tobytes() == argsort_trim(values, density).tobytes()
+
+    def test_cut_inside_nans_keeps_every_number_then_first_nans(self):
+        values = arr([np.nan, 2.0, -np.nan, -0.0, np.nan, np.inf, np.nan])
+        # k = 5: the three numbers, then the NaNs at flat indices 0 and 2
+        out = _trim_array(values, 5 / 7)
+        assert out.tobytes() == argsort_trim(values, 5 / 7).tobytes()
+        assert out.tobytes() == values[[0, 1, 2, 3]].tobytes() + arr([0.0, np.inf, 0.0]).tobytes()
+
+    def test_bytes_match_stable_argsort_on_2d_tensor(self, rng):
+        values = trim_inputs("halves", rng).reshape(60, 50)
+        out = _trim_array(values, 0.4)
+        assert out.shape == values.shape
+        assert out.tobytes() == argsort_trim(values, 0.4).tobytes()
+
     @pytest.mark.parametrize("density", [0.0, -0.2, 1.5])
     def test_bad_density_rejected(self, density):
         with pytest.raises(RecipeError, match="density must be in"):
@@ -179,6 +236,16 @@ class TestElectSign:
     def test_single_task_keeps_its_sign(self):
         out = ties_untrimmed([0.5, -0.5, 0.0], [0.0, 0.0, 0.0])
         assert out.tolist() == [0.5, -0.5, 0.0]
+
+
+class TestElectAndDisjointSpecialValues:
+    def test_bytes_match_scalar_loop_on_every_pair(self):
+        # every pairing of NaN, +-inf, +-0.0, subnormals and equal magnitudes
+        tau_l = np.repeat(SPECIALS, len(SPECIALS))
+        tau_r = np.tile(SPECIALS, len(SPECIALS))
+        out = ties_untrimmed(tau_l, tau_r)
+        expected = ref.ties([0.0] * len(tau_l), tau_l.tolist(), tau_r.tolist(), 1.0, 1.0)
+        assert out.tobytes() == arr(expected).tobytes()
 
 
 class TestDisjointMerge:
@@ -266,6 +333,29 @@ class TestDareSparsify:
         out = drop_step(values, 0.3, seed=42, origin="rm", name="w.0")
         expected = ref.drop_and_rescale(values.tolist(), 0.3, 42, "rm", "w.0")
         assert out.tolist() == [float(v) for v in expected]
+
+    @pytest.mark.parametrize("density", [1 / 3, 0.5])
+    def test_keep_decisions_across_mask_chunks(self, density):
+        # several whole mask chunks and a partial one
+        n = 5 * _MASK_CHUNK + 123
+        out = drop_step(np.ones(n, dtype=np.float32), density, seed=5, origin="rm", name="w.big")
+        kept = out != 0
+        # every decision, those on both sides of each chunk boundary included
+        assert kept.tolist() == ref.keep_decisions(5, "rm", "w.big", n, density)
+
+    def test_keep_threshold_is_exact_at_a_draw(self):
+        # element 0's draw is m * 2**-53; a density half a step above it keeps
+        # the element, a density equal to it drops it
+        def draw(seed):
+            return ref.mix64(ref.stream_key(seed, "lvlm", "t")) >> 11
+
+        # below 2**52, so that half a step above the draw is a float64
+        seed = next(s for s in range(100) if 0 < draw(s) < 2**52)
+        m = draw(seed)
+        for density, kept in (((2 * m + 1) * 2.0**-54, True), (m * 2.0**-53, False)):
+            assert ref.keep_decisions(seed, "lvlm", "t", 1, density) == [kept]
+            out = drop_step(arr([1.0]), density, seed=seed)
+            assert (out[0] != 0) == kept
 
     def test_unbiased_expectation_over_seeds(self, rng):
         values = rng.uniform(0.5, 1.5, 16).astype(np.float32)

@@ -71,6 +71,34 @@ class TestGenerateGrid:
             SweepConfig.from_json(path)
 
 
+class TestSweepConfigValidation:
+    @pytest.mark.parametrize("grids,message", [
+        ({"lambda_grid": (0.5, 0.5)}, "lambda grid repeats 0.5"),
+        ({"lambda_grid": (1, 0.5, 1.0)}, "lambda grid repeats 1.0"),
+        ({"density_grid": (0.4, 0.2, 0.4)}, "density grid repeats 0.4"),
+    ])
+    def test_repeated_grid_value_rejected(self, grids, message):
+        with pytest.raises(VlrmergeError, match=message):
+            SweepConfig(MergeMethod.TIES, **grids)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"lambda_grid": 0.5}, "lambda grid must be a list of numbers"),
+        ({"density_grid": "0.4"}, "density grid must be a list of numbers"),
+        ({"lambda_grid": ["a"]}, "lambda grid values must be numbers"),
+        ({"density_grid": [True]}, "density grid values must be numbers"),
+        ({"primary_size": "400"}, "primary_size must be an integer"),
+        ({"tiebreak_size": 1.5}, "tiebreak_size must be an integer"),
+        ({"sampling_seed": None}, "sampling_seed must be an integer"),
+        ({"sampling_seed": -1}, r"sampling_seed must be in \[0, 2\*\*64\)"),
+        ({"tie_rounding_decimals": "3"}, "tie_rounding_decimals must be an integer"),
+    ])
+    def test_malformed_config_file_is_a_named_error(self, tmp_path, fields, message):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"method": "ties", **fields}), encoding="utf-8")
+        with pytest.raises(VlrmergeError, match=message):
+            SweepConfig.from_json(path)
+
+
 def lam_entries(method, accuracies):
     grid = generate_grid(SweepConfig(method, sampling_seed=1))
     assert len(grid) == len(accuracies)
