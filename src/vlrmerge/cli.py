@@ -22,6 +22,7 @@ from .tensorstore import default_vocab_path, read_checkpoint
 log = logging.getLogger("vlrmerge")
 
 METHOD_CHOICES = [m.value for m in MergeMethod]
+JOBS_HELP = "Worker threads for per-tensor merging."
 
 
 def _setup_logging(verbose: int) -> None:
@@ -34,26 +35,23 @@ def _echo_config(name: str, resolved: dict) -> None:
     click.echo(f"{name} config: {json.dumps(resolved, sort_keys=True, default=str)}", err=True)
 
 
-def _hash_inputs(paths: dict[str, Path]) -> dict[str, str]:
+def _hash_inputs(inputs: dict[str, tuple[str, str | None]]) -> dict[str, str]:
+    """Digest each checkpoint and the vocabulary file that was read with it."""
     provenance = {}
-    for label, path in paths.items():
+    for label, (path, vocab) in inputs.items():
         provenance[f"input.{label}.sha256"] = file_digest(path)
-        vocab = default_vocab_path(path)
-        if vocab.exists():
-            provenance[f"input.{label}_vocab.sha256"] = file_digest(vocab)
+        sidecar = Path(vocab) if vocab is not None else default_vocab_path(path)
+        if sidecar.exists():
+            provenance[f"input.{label}_vocab.sha256"] = file_digest(sidecar)
     return provenance
 
 
 def _load_triple(pre, lvlm, rm, pre_vocab, lvlm_vocab, rm_vocab, manifest):
     config = load_manifest_config(manifest)
-    ckpts = {
-        "pre": read_checkpoint(pre, pre_vocab),
-        "lvlm": read_checkpoint(lvlm, lvlm_vocab),
-        "rm": read_checkpoint(rm, rm_vocab),
-    }
+    inputs = {"pre": (pre, pre_vocab), "lvlm": (lvlm, lvlm_vocab), "rm": (rm, rm_vocab)}
+    ckpts = {label: read_checkpoint(path, vocab) for label, (path, vocab) in inputs.items()}
     triple = classify_triple(ckpts["pre"], ckpts["lvlm"], ckpts["rm"], config)
-    provenance = _hash_inputs({"pre": Path(pre), "lvlm": Path(lvlm), "rm": Path(rm)})
-    return triple, provenance
+    return triple, _hash_inputs(inputs)
 
 
 @click.group()
@@ -96,7 +94,7 @@ def _with_options(options):
 @click.option("--density", type=float, default=None, help="Retained fraction for ties/dare methods.")
 @click.option("--seed", type=int, default=None, help="Drop-mask seed for dare methods.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--jobs", type=int, default=None, help="Worker threads for per-tensor merging.")
+@click.option("--jobs", type=click.IntRange(min=1), default=None, help=JOBS_HELP)
 def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest,
           method, lam, density, seed, out_path, jobs):
     """Merge a checkpoint triple into a vision-language reward model."""
@@ -160,7 +158,7 @@ def _make_scorer_factory(scorer_cmd, replay_dir, record_dir, timeout):
 @click.option("--scorer-timeout", type=float, default=30.0, show_default=True,
               help="Seconds allowed per scored record.")
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-@click.option("--jobs", type=int, default=None)
+@click.option("--jobs", type=click.IntRange(min=1), default=None, help=JOBS_HELP)
 def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest,
           config_path, data_path, scorer_cmd, replay_dir, record_dir, scorer_timeout,
           out_dir, jobs):
@@ -175,6 +173,7 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
             "primary_size": config.primary_size, "tiebreak_size": config.tiebreak_size,
             "sampling_seed": config.sampling_seed, "data": data_path,
             "scorer": scorer_cmd or f"replay:{replay_dir}", "out_dir": out_dir,
+            "manifest": manifest or "<builtin>", "jobs": jobs or "auto",
         })
         triple, provenance = _load_triple(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest

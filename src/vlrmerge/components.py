@@ -47,9 +47,6 @@ class Rule:
     pattern: str
     role: Role
 
-    def matches(self, name: str) -> bool:
-        return _compile_pattern(self.pattern).match(name) is not None
-
 
 @dataclass
 class ComponentMap:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,7 +43,6 @@ class BenchReport:
     overall_accuracy: float
     macro_average: float
     counts: dict[str, int]
-    correct: dict[str, int] = field(default_factory=dict)
 
     def render(self) -> str:
         domains = list(self.per_domain_accuracy)
@@ -93,7 +92,6 @@ def score_pairwise_bench(pairs: list[PreferencePair]) -> BenchReport:
         overall_accuracy=float(overall),
         macro_average=float(macro),
         counts=counts,
-        correct=correct,
     )
 
 

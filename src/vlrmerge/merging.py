@@ -67,8 +67,8 @@ class MergeRecipe:
         if self.method is MergeMethod.LINEAR:
             if not 0.0 <= self.lam <= 1.0:
                 problems.append(f"lambda must be in [0, 1] for {self.method.value}, got {self.lam}")
-        elif self.lam < 0.0:
-            problems.append(f"lambda must be >= 0, got {self.lam}")
+        elif not (math.isfinite(self.lam) and self.lam >= 0.0):
+            problems.append(f"lambda must be a finite number >= 0, got {self.lam}")
         if self.method.needs_density:
             if self.density is None:
                 problems.append(f"--density is required for method {self.method.value}")
@@ -149,10 +149,12 @@ def merge_transformer(
     """Merge the shared transformer weights per the recipe.
 
     Validates the recipe and the tensor alignment once, then applies
-    ``merge_tensor`` to every name. Tensors are independent, so they are
-    processed in parallel when jobs > 1; results are identical for any worker
-    count.
+    ``merge_tensor`` to every name on ``jobs`` worker threads (None takes the
+    executor's default). Tensors are independent, so results are identical
+    for any worker count.
     """
+    if jobs is not None and jobs < 1:
+        raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
     recipe.validate()
     _check_aligned({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans})
 
@@ -160,11 +162,8 @@ def merge_transformer(
         return merge_tensor(recipe, name, pre_trans[name], lvlm_trans[name], rm_trans[name])
 
     names = list(pre_trans)
-    if jobs is not None and jobs <= 1:
-        return {name: merge_one(name) for name in names}
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = pool.map(merge_one, names)
-        return dict(zip(names, results))
+        return dict(zip(names, pool.map(merge_one, names)))
 
 
 # ---------------------------------------------------------------------------

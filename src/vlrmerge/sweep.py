@@ -11,7 +11,6 @@ import hashlib
 import json
 import logging
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -247,10 +246,13 @@ def run_sweep(
     provenance: dict[str, str] | None = None,
     jobs: int | None = None,
 ) -> SweepResult:
-    """Assemble and score every grid point, then select the winner.
+    """Assemble and score every grid point in grid order, then select the winner.
 
-    Variants are cached on disk keyed by (input digest, recipe); a recipe whose
-    scorer fails is recorded as failed and excluded from selection.
+    Recipes run one at a time, and ``jobs`` is the thread count of each
+    recipe's per-tensor merge, so a sweep holds one recipe's float32 copy of
+    the model at a time. Variants are cached on disk keyed by (input digest,
+    recipe); a recipe whose scorer fails is recorded as failed and excluded
+    from selection.
     """
     provenance = dict(provenance or {})
     out_dir = Path(out_dir)
@@ -261,54 +263,37 @@ def run_sweep(
     )
     digest = _inputs_digest(triple, provenance)
 
-    entries: dict[int, SweepEntry] = {}
-    scorers: dict[int, object] = {}
-
-    def assemble_and_score(recipe: MergeRecipe) -> None:
-        entry = entries[id(recipe)]
-        variant = out_dir / entry.variant_path
-        if not variant.exists():
+    # grid values are distinct, so each recipe keys one entry; dicts keep grid order
+    entries: dict[MergeRecipe, SweepEntry] = {}
+    scorers: dict[MergeRecipe, object] = {}
+    for recipe in grid:
+        variant = out_dir / f"variant-{recipe.slug()}-{digest}.safetensors"
+        entry = entries[recipe] = SweepEntry(recipe=recipe, variant_path=variant.name)
+        if variant.exists():
+            log.info("reusing cached %s", variant.name)
+        else:
             plan = AssemblyPlan(recipe=recipe, triple=triple, provenance=provenance)
             write_merged(assemble_vlrm(plan, jobs=jobs), variant)
             log.info("assembled %s", variant.name)
-        else:
-            log.info("reusing cached %s", variant.name)
-        scorer = scorer_factory(recipe, variant)
-        scorers[id(recipe)] = scorer
+        scorers[recipe] = scorer_factory(recipe, variant)
         try:
-            report = evaluate_pairwise(primary_slice, scorer)
-            entry.primary_accuracy = report.overall_accuracy
+            entry.primary_accuracy = evaluate_pairwise(primary_slice, scorers[recipe]).overall_accuracy
         except ScorerError as exc:
             entry.status = "failed"
             entry.error = str(exc)
             log.warning("recipe %s failed: %s", recipe.slug(), exc)
 
-    for recipe in grid:
-        variant = out_dir / f"variant-{recipe.slug()}-{digest}.safetensors"
-        entries[id(recipe)] = SweepEntry(recipe=recipe, variant_path=variant.name)
-    # recipes are independent; the manifest is written only after all settle
-    if jobs is not None and jobs <= 1:
-        for recipe in grid:
-            assemble_and_score(recipe)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(assemble_and_score, grid))
+    def tiebreak_provider(recipe: MergeRecipe) -> float:
+        entry = entries[recipe]
+        entry.tiebreak_accuracy = evaluate_pairwise(tiebreak_slice, scorers[recipe]).overall_accuracy
+        return entry.tiebreak_accuracy
 
     scoreable = [(e.recipe, e.primary_accuracy) for e in entries.values() if e.status == "ok"]
-
-    def tiebreak_provider(recipe: MergeRecipe) -> float:
-        report = evaluate_pairwise(tiebreak_slice, scorers[id(recipe)])
-        return report.overall_accuracy
-
     winner = None
     if scoreable:
-        selection = select_best(scoreable, tiebreak_provider, config.tie_rounding_decimals)
-        winner = selection.winner
-        for sel in selection.entries:
-            if sel.tiebreak_accuracy is not None:
-                entries[id(sel.recipe)].tiebreak_accuracy = sel.tiebreak_accuracy
+        winner = select_best(scoreable, tiebreak_provider, config.tie_rounding_decimals).winner
 
-    result = SweepResult(entries=[entries[id(r)] for r in grid], winner=winner)
+    result = SweepResult(entries=list(entries.values()), winner=winner)
     _write_manifest(out_dir / MANIFEST_NAME, result)
     return result
 

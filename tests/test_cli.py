@@ -1,5 +1,7 @@
+import hashlib
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +75,41 @@ class TestMergeCommand:
         ])
         assert result.exit_code == 2
         assert "--density is required" in result.output
+
+    def test_non_finite_lambda_is_usage_error(self, runner, triple_files, tmp_path):
+        out = tmp_path / "merged.safetensors"
+        result = runner.invoke(main, [
+            "merge", *triple_args(triple_files),
+            "--method", "task-arithmetic", "--lambda", "nan", "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "lambda must be a finite number >= 0, got nan" in result.output
+        assert not out.exists()
+
+    def test_jobs_below_one_is_usage_error(self, runner, triple_files, tmp_path):
+        out = tmp_path / "merged.safetensors"
+        result = runner.invoke(main, [
+            "merge", *triple_args(triple_files),
+            "--method", "linear", "--lambda", "0.5", "--out", str(out), "--jobs", "-3",
+        ])
+        assert result.exit_code == 2
+        assert "--jobs" in result.output
+        assert not out.exists()
+
+    def test_explicit_vocab_is_the_one_hashed(self, runner, triple_files, tmp_path):
+        # the same tokens without the final newline: a valid sidecar with other bytes
+        other = tmp_path / "other.vocab"
+        other.write_bytes(Path(f"{triple_files['lvlm']}.vocab").read_bytes().rstrip(b"\n"))
+        out = tmp_path / "merged.safetensors"
+        result = runner.invoke(main, [
+            "merge", *triple_args(triple_files), "--lvlm-vocab", str(other),
+            "--method", "linear", "--lambda", "0.5", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        metadata = read_checkpoint(out).metadata
+        assert metadata["input.lvlm_vocab.sha256"] == hashlib.sha256(other.read_bytes()).hexdigest()
+        pre_sidecar = Path(f"{triple_files['pre']}.vocab").read_bytes()
+        assert metadata["input.pre_vocab.sha256"] == hashlib.sha256(pre_sidecar).hexdigest()
 
     def test_validation_failure_exits_nonzero_with_report(self, runner, triple_files, tmp_path, rng):
         # corrupt the rm checkpoint: drop one transformer tensor
@@ -277,6 +314,36 @@ class TestSweepCommand:
         second = (tmp_path / "run2" / "sweep-manifest.jsonl").read_bytes()
         assert first == second
         assert "winner:" in replayed.output
+
+    def test_jobs_below_one_is_usage_error(self, runner, triple_files, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"method": "linear"}), encoding="utf-8")
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        result = runner.invoke(main, [
+            "sweep", *triple_args(triple_files),
+            "--config", str(config), "--data", str(data),
+            "--scorer", STUB_CMD, "--out-dir", str(tmp_path / "out"), "--jobs", "0",
+        ])
+        assert result.exit_code == 2
+        assert "--jobs" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_echoed_config_names_jobs_and_manifest(self, runner, triple_files, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "method": "linear", "lambda_grid": [0.5], "primary_size": 6, "tiebreak_size": 3,
+        }), encoding="utf-8")
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        result = runner.invoke(main, [
+            "sweep", *triple_args(triple_files),
+            "--config", str(config), "--data", str(data),
+            "--scorer", STUB_CMD, "--out-dir", str(tmp_path / "out"), "--jobs", "3",
+        ])
+        assert result.exit_code == 0, result.output
+        line = next(l for l in result.stderr.splitlines() if l.startswith("sweep config: "))
+        echoed = json.loads(line[len("sweep config: "):])
+        assert echoed["jobs"] == 3
+        assert echoed["manifest"] == "<builtin>"
 
     def test_scorer_or_replay_required(self, runner, triple_files, tmp_path):
         config = tmp_path / "sweep.json"

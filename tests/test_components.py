@@ -52,12 +52,12 @@ class TestClassify:
         assert forward.assignments == backward.assignments
 
     def test_star_spans_dots(self):
-        assert Rule("model.layers.*cross_attn*", Role.ADAPTER).matches(
-            "model.layers.3.cross_attn.q_proj.weight"
-        )
-        assert not Rule("model.layers.*cross_attn*", Role.ADAPTER).matches(
-            "model.layers.3.self_attn.q_proj.weight"
-        )
+        rules = [Rule("model.layers.*cross_attn*", Role.ADAPTER), Rule("*", Role.TRANSFORMER)]
+        cross = "model.layers.3.cross_attn.q_proj.weight"
+        own = "model.layers.3.self_attn.q_proj.weight"
+        cmap = classify_tensors(ckpt_with([cross, own]), rules)
+        assert cmap.assignments[cross] is Role.ADAPTER
+        assert cmap.assignments[own] is Role.TRANSFORMER
 
     def test_empty_rule_list_rejected(self):
         with pytest.raises(Exception, match="empty"):

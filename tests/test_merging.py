@@ -419,3 +419,22 @@ class TestMergeTransformer:
         recipe = MergeRecipe(MergeMethod.TIES, lam=0.5)  # density missing
         with pytest.raises(RecipeError, match="--density is required"):
             merge_transformer(recipe, {"t": arr([1.0])}, {"t": arr([1.0])}, {"t": arr([1.0])})
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        recipe = MergeRecipe(LINEAR, lam=0.5)
+        with pytest.raises(VlrmergeError, match=f"jobs must be at least 1, got {jobs}"):
+            merge_transformer(recipe, {"t": arr([1.0])}, {"t": arr([1.0])}, {"t": arr([1.0])}, jobs=jobs)
+
+
+class TestRecipeValidation:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    @pytest.mark.parametrize("method,extra", [
+        (MergeMethod.TASK_ARITHMETIC, {}),
+        (MergeMethod.TIES, {"density": 0.4}),
+        (MergeMethod.DARE_TASK_ARITHMETIC, {"density": 0.4, "seed": 9}),
+        (MergeMethod.DARE_TIES, {"density": 0.4, "seed": 9}),
+    ])
+    def test_non_finite_lambda_rejected(self, method, extra, lam):
+        with pytest.raises(RecipeError, match="lambda must be a finite number >= 0"):
+            MergeRecipe(method, lam=lam, **extra).validate()

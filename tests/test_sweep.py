@@ -1,5 +1,7 @@
 import builtins
 import json
+import threading
+import time
 
 import pytest
 
@@ -16,7 +18,7 @@ from vlrmerge import (
 )
 from vlrmerge.errors import DatasetError, ScorerError, VlrmergeError
 from vlrmerge.evaluation import load_pairwise_dataset
-from vlrmerge import tensorstore
+from vlrmerge import sweep, tensorstore
 from vlrmerge.sweep import sample_validation_slices
 
 from helpers import classified_toy_triple, write_pairwise_dataset
@@ -431,6 +433,38 @@ class TestRunSweep:
         ).read_bytes()
         for variant in (tmp_path / "a").glob("variant-*"):
             assert variant.read_bytes() == (tmp_path / "b" / variant.name).read_bytes()
+
+    def test_recipes_run_one_at_a_time_in_grid_order(self, rng, tmp_path, monkeypatch):
+        triple = classified_toy_triple(rng)
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
+        config = small_config()
+        lock = threading.Lock()
+        in_flight, peak, jobs_seen = [0], [0], []
+        real_assemble = sweep.assemble_vlrm
+
+        def counting_assemble(plan, jobs=None):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+                jobs_seen.append(jobs)
+            try:
+                time.sleep(0.05)  # long enough for a concurrent recipe to start
+                return real_assemble(plan, jobs=jobs)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        scored = []
+
+        def factory(recipe, path):
+            scored.append(recipe)
+            return StubScorer()
+
+        monkeypatch.setattr(sweep, "assemble_vlrm", counting_assemble)
+        run_sweep(config, triple, dataset, factory, tmp_path / "out", jobs=4)
+        assert peak[0] == 1
+        assert jobs_seen == [4] * 4
+        assert scored == generate_grid(config)
 
     def test_cached_variants_are_reused(self, rng, tmp_path, caplog):
         triple = classified_toy_triple(rng)
