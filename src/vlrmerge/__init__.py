@@ -18,6 +18,7 @@ from .tensorstore import (  # noqa: F401
     Tensor,
     cast_tensor,
     read_checkpoint,
+    read_metadata,
     read_vocab,
     write_checkpoint,
     write_vocab,

@@ -9,20 +9,22 @@ language-modeling head.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
 from .components import ModelTriple, Role, validate_triple
 from .embeddings import align_vocab, merge_embedding_rows
-from .errors import TripleValidationError, VlrmergeError
+from .errors import RecipeError, TripleValidationError, VlrmergeError
 from .merging import MergeRecipe, merge_transformer
 from .tensorstore import Checkpoint, Tensor, write_checkpoint, write_vocab, default_vocab_path
 
 
 @dataclass
 class AssemblyPlan:
-    recipe: MergeRecipe
+    """Recipes that differ only in lambda, assembled from one triple."""
+
+    recipes: tuple[MergeRecipe, ...]
     triple: ModelTriple
     provenance: dict[str, str] = field(default_factory=dict)
 
@@ -41,9 +43,9 @@ def file_digest(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _provenance(plan: AssemblyPlan) -> dict[str, str]:
-    recipe = plan.recipe
-    meta = dict(plan.provenance)
+def recorded_provenance(recipe: MergeRecipe, provenance: dict[str, str]) -> dict[str, str]:
+    """The metadata a checkpoint assembled for ``recipe`` records."""
+    meta = dict(provenance)
     meta["recipe.method"] = recipe.method.value
     meta["recipe.lambda"] = repr(recipe.lam)
     if recipe.density is not None:
@@ -79,61 +81,78 @@ def check_merged_structure(merged: Checkpoint, triple: ModelTriple) -> list[str]
     return report
 
 
-def assemble_vlrm(plan: AssemblyPlan, jobs: int | None = None) -> Checkpoint:
-    """Produce the merged checkpoint for a validated triple and recipe.
+def assemble_vlrm(plan: AssemblyPlan, jobs: int | None = None) -> list[Checkpoint]:
+    """Produce one merged checkpoint per recipe of a validated triple's plan.
 
+    The triple is validated, widened, merged (one ``merge_transformer`` call
+    for every lambda) and its embeddings merged once for the whole plan.
     Raises TripleValidationError when the triple is not mergeable and
-    RecipeError on a method/hyperparameter mismatch.
+    RecipeError on a method/hyperparameter mismatch or on recipes that differ
+    in more than lambda.
     """
     report = validate_triple(plan.triple)
     if report:
         raise TripleValidationError(report)
-    plan.recipe.validate()
+    if not plan.recipes:
+        raise RecipeError("an assembly plan needs at least one recipe")
+    first = plan.recipes[0]
+    for recipe in plan.recipes:
+        recipe.validate()
+        if replace(recipe, lam=first.lam) != first:
+            raise RecipeError(
+                f"recipes {first.slug()} and {recipe.slug()} differ in more than lambda"
+            )
 
     pre, lvlm, rm = plan.triple.pre, plan.triple.lvlm, plan.triple.rm
-    out: dict[str, Tensor] = {}
+    shared: dict[str, Tensor] = {}
 
     for role in (Role.VISION_ENCODER, Role.ADAPTER):
         for name in lvlm.cmap.names(role):
-            out[name] = lvlm.ckpt.tensors[name]
+            shared[name] = lvlm.ckpt.tensors[name]
 
     trans_names = lvlm.cmap.names(Role.TRANSFORMER)
     merged_trans = merge_transformer(
-        plan.recipe,
+        first,
         {n: pre.ckpt.tensors[n].to_f32() for n in trans_names},
         {n: lvlm.ckpt.tensors[n].to_f32() for n in trans_names},
         {n: rm.ckpt.tensors[n].to_f32() for n in trans_names},
         jobs=jobs,
+        lams=[recipe.lam for recipe in plan.recipes],
+        dtypes={n: lvlm.ckpt.tensors[n].dtype for n in trans_names},
     )
-    for name in trans_names:
-        out[name] = Tensor.from_f32(name, merged_trans[name], lvlm.ckpt.tensors[name].dtype)
 
     aligned = align_vocab(pre.ckpt.vocab, lvlm.ckpt.vocab, rm.ckpt.vocab)
+    tail: dict[str, Tensor] = {}
     for name in lvlm.cmap.names(Role.EMBEDDING):
         rows = merge_embedding_rows(
             aligned,
             pre.ckpt.tensors[name].to_f32(),
             lvlm.ckpt.tensors[name].to_f32(),
             rm.ckpt.tensors[name].to_f32(),
-            plan.recipe.method,
+            first.method,
         )
-        out[name] = Tensor.from_f32(name, rows, lvlm.ckpt.tensors[name].dtype)
+        tail[name] = Tensor.from_f32(name, rows, lvlm.ckpt.tensors[name].dtype)
 
     for name in rm.cmap.names(Role.RM_HEAD):
-        if name in out:
+        if name in shared or name in trans_names or name in tail:
             raise VlrmergeError(f"reward head name {name} collides with an lvlm tensor")
-        out[name] = rm.ckpt.tensors[name]
+        tail[name] = rm.ckpt.tensors[name]
 
-    merged = Checkpoint(
-        tensors=out,
-        vocab=aligned.output_vocab(),
-        metadata=_provenance(plan),
-        source_label="merged",
-    )
-    structure = check_merged_structure(merged, plan.triple)
-    if structure:
-        raise VlrmergeError("assembled checkpoint failed structural checks:\n  " + "\n  ".join(structure))
-    return merged
+    checkpoints = []
+    for recipe, trans in zip(plan.recipes, merged_trans):
+        merged = Checkpoint(
+            tensors={**shared, **trans, **tail},
+            vocab=aligned.output_vocab(),
+            metadata=recorded_provenance(recipe, plan.provenance),
+            source_label="merged",
+        )
+        structure = check_merged_structure(merged, plan.triple)
+        if structure:
+            raise VlrmergeError(
+                "assembled checkpoint failed structural checks:\n  " + "\n  ".join(structure)
+            )
+        checkpoints.append(merged)
+    return checkpoints
 
 
 def write_merged(merged: Checkpoint, path: str | Path) -> Path:

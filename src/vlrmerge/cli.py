@@ -14,7 +14,7 @@ from .assembly import AssemblyPlan, assemble_vlrm, file_digest, write_merged
 from .components import MODEL_KINDS, Role, classify_tensors, classify_triple, load_manifest_config, validate_triple
 from .errors import RecipeError, VlrmergeError
 from .evaluation import evaluate_bon, evaluate_pairwise, load_bon_dataset, load_pairwise_dataset
-from .merging import MergeMethod, MergeRecipe
+from .merging import MergeMethod, MergeRecipe, default_jobs
 from .scoring import RecordingScorer, ReplayScorer, SubprocessScorer, stub_scorer_loop
 from .sweep import MANIFEST_NAME, SweepConfig, run_sweep
 from .tensorstore import default_vocab_path, read_checkpoint
@@ -22,7 +22,7 @@ from .tensorstore import default_vocab_path, read_checkpoint
 log = logging.getLogger("vlrmerge")
 
 METHOD_CHOICES = [m.value for m in MergeMethod]
-JOBS_HELP = "Worker threads for per-tensor merging."
+JOBS_HELP = "Worker threads for per-tensor merging [default: the CPUs this process may use]."
 
 
 def _setup_logging(verbose: int) -> None:
@@ -106,7 +106,7 @@ def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
     _echo_config("merge", {
         "pre": pre_path, "lvlm": lvlm_path, "rm": rm_path, "manifest": manifest or "<builtin>",
         "method": method, "lambda": lam, "density": density, "seed": seed,
-        "out": out_path, "jobs": jobs or "auto",
+        "out": out_path, "jobs": jobs or default_jobs(),
     })
     try:
         triple, provenance = _load_triple(
@@ -117,8 +117,8 @@ def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
             for entry in report:
                 click.echo(f"validation: {entry}", err=True)
             raise click.ClickException(f"triple validation failed with {len(report)} violation(s)")
-        plan = AssemblyPlan(recipe=recipe, triple=triple, provenance=provenance)
-        merged = assemble_vlrm(plan, jobs=jobs)
+        plan = AssemblyPlan(recipes=(recipe,), triple=triple, provenance=provenance)
+        [merged] = assemble_vlrm(plan, jobs=jobs)
         write_merged(merged, out_path)
     except (VlrmergeError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
@@ -173,7 +173,7 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
             "primary_size": config.primary_size, "tiebreak_size": config.tiebreak_size,
             "sampling_seed": config.sampling_seed, "data": data_path,
             "scorer": scorer_cmd or f"replay:{replay_dir}", "out_dir": out_dir,
-            "manifest": manifest or "<builtin>", "jobs": jobs or "auto",
+            "manifest": manifest or "<builtin>", "jobs": jobs or default_jobs(),
         })
         triple, provenance = _load_triple(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest

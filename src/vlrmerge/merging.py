@@ -1,10 +1,12 @@
 """The merge kernel for the shared transformer weights.
 
-``merge_tensor`` is the one implementation of every merge rule: it merges a
-single tensor of the base model and the two fine-tuned models per a validated
-``MergeRecipe``. ``merge_transformer`` validates the recipe and the tensor
-alignment once, then maps ``merge_tensor`` over the tensor names. A task
-vector is fine-tuned weights minus base weights. Five strategies are
+``merge_tensor`` merges a single tensor of the base model and the two
+fine-tuned models per a validated ``MergeRecipe``. It is the one-lambda form of
+``_merge_per_lam``, the one implementation of every merge rule, which computes
+the part of the rule that does not depend on lambda once and applies each of
+several lambdas to it. ``merge_transformer`` validates the recipe and the
+tensor alignment once, then maps ``_merge_per_lam`` over the tensor names. A
+task vector is fine-tuned weights minus base weights. Five strategies are
 supported:
 
 * linear            -- elementwise weighted average of the two fine-tuned models
@@ -26,13 +28,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import RecipeError, VlrmergeError
+from .tensorstore import Dtype, Tensor
 
 TensorMap = dict[str, np.ndarray]
 
@@ -120,23 +125,57 @@ def merge_tensor(
     dare-ties scale the jointly merged delta by a single lam; dare-ties elects
     signs and takes the disjoint mean on the already-rescaled survivors.
     """
+    return next(_merge_per_lam(recipe, (recipe.lam,), name, pre, lvlm, rm))
+
+
+def _merge_per_lam(
+    recipe: MergeRecipe,
+    lams: Sequence[float],
+    name: str,
+    pre: np.ndarray,
+    lvlm: np.ndarray,
+    rm: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """``merge_tensor`` for each lam in ``lams`` in turn; ``recipe.lam`` is not used.
+
+    The part of the rule that does not depend on lam -- the widened pair for
+    linear, the merged task vector for the other methods -- is computed once,
+    before the first output is yielded.
+    """
     pre, lvlm, rm = _as_f32(pre), _as_f32(lvlm), _as_f32(rm)
-    method, lam, density = recipe.method, recipe.lam, recipe.density
+    method, density = recipe.method, recipe.density
     if method is MergeMethod.LINEAR:
-        return _linear_array(lvlm, rm, lam)
+        for lam in lams:
+            yield _linear_array(lvlm, rm, lam)
+        return
     tau_l = lvlm - pre
     tau_r = rm - pre
     if method is MergeMethod.TASK_ARITHMETIC:
-        return _apply_delta(pre, tau_l + tau_r, lam)
-    if method is MergeMethod.TIES:
-        a = _trim_array(tau_l, density)
-        b = _trim_array(tau_r, density)
+        delta = tau_l + tau_r
     else:
-        a = _dare_array(tau_l, density, recipe.seed, "lvlm", name)
-        b = _dare_array(tau_r, density, recipe.seed, "rm", name)
+        if method is MergeMethod.TIES:
+            a = _trim_array(tau_l, density)
+            b = _trim_array(tau_r, density)
+        else:
+            a = _dare_array(tau_l, density, recipe.seed, "lvlm", name)
+            b = _dare_array(tau_r, density, recipe.seed, "rm", name)
         if method is MergeMethod.DARE_TASK_ARITHMETIC:
-            return _apply_delta(pre, a + b, lam)
-    return _apply_delta(pre, _disjoint_arrays(a, b, _elect_arrays(a, b)), lam)
+            delta = a + b
+        else:
+            delta = _disjoint_arrays(a, b, _elect_arrays(a, b))
+        del a, b
+    # the generator is suspended between lams: keep only pre and delta alive
+    del tau_l, tau_r
+    for lam in lams:
+        yield _apply_delta(pre, delta, lam)
+
+
+def default_jobs() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 def merge_transformer(
@@ -145,25 +184,37 @@ def merge_transformer(
     lvlm_trans: TensorMap,
     rm_trans: TensorMap,
     jobs: int | None = None,
-) -> TensorMap:
-    """Merge the shared transformer weights per the recipe.
+    lams: Sequence[float] | None = None,
+    dtypes: dict[str, Dtype] | None = None,
+) -> list[dict[str, np.ndarray]] | list[dict[str, Tensor]]:
+    """Merge the shared transformer weights per the recipe, once per lam.
 
-    Validates the recipe and the tensor alignment once, then applies
-    ``merge_tensor`` to every name on ``jobs`` worker threads (None takes the
-    executor's default). Tensors are independent, so results are identical
-    for any worker count.
+    ``lams`` defaults to the recipe's own lam; the result holds one map per
+    lam, in order. Validates the recipe at every lam and the tensor alignment
+    once, then merges every name on ``jobs`` worker threads (None takes
+    ``default_jobs()``). A worker computes each tensor's lam-independent part
+    once and every lam's output from it. Outputs are float32 arrays, or, when
+    ``dtypes`` maps each name to its storage dtype, Tensors the worker has
+    narrowed, so no float32 copy of a whole output exists. Tensors are
+    independent, so results are identical for any worker count.
     """
     if jobs is not None and jobs < 1:
         raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
-    recipe.validate()
+    lams = (recipe.lam,) if lams is None else tuple(lams)
+    for lam in lams:
+        replace(recipe, lam=lam).validate()
     _check_aligned({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans})
 
-    def merge_one(name: str) -> np.ndarray:
-        return merge_tensor(recipe, name, pre_trans[name], lvlm_trans[name], rm_trans[name])
+    def merge_one(name: str) -> list:
+        outs = _merge_per_lam(recipe, lams, name, pre_trans[name], lvlm_trans[name], rm_trans[name])
+        if dtypes is None:
+            return list(outs)
+        return [Tensor.from_f32(name, out, dtypes[name]) for out in outs]
 
     names = list(pre_trans)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return dict(zip(names, pool.map(merge_one, names)))
+    with ThreadPoolExecutor(max_workers=jobs or default_jobs()) as pool:
+        per_name = dict(zip(names, pool.map(merge_one, names)))
+    return [{name: outs[i] for name, outs in per_name.items()} for i in range(len(lams))]
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import AssemblyPlan, assemble_vlrm, write_merged
+from .assembly import AssemblyPlan, assemble_vlrm, recorded_provenance, write_merged
 from .components import ModelTriple
-from .errors import DatasetError, ScorerError, VlrmergeError
+from .errors import CheckpointFormatError, DatasetError, ScorerError, VlrmergeError
 from .evaluation import PairwiseExample, evaluate_pairwise
 from .merging import MergeMethod, MergeRecipe
+from .tensorstore import read_metadata
 
 log = logging.getLogger(__name__)
 
@@ -190,18 +191,18 @@ def select_best(
     best_key = max(tie_key(acc) for _, acc in entries)
     tied = [(recipe, acc) for recipe, acc in entries if tie_key(acc) == best_key]
     result_entries = [SweepEntry(recipe=recipe, primary_accuracy=acc) for recipe, acc in entries]
-    by_recipe = {id(entry.recipe): entry for entry in result_entries}
+    by_recipe = {entry.recipe: entry for entry in result_entries}
 
     if len(tied) == 1:
         return SweepResult(entries=result_entries, winner=tied[0][0])
 
-    tiebreak: dict[int, float] = {}
+    tiebreak: dict[MergeRecipe, float] = {}
     for recipe, _ in tied:
         value = tiebreak_provider(recipe)
-        tiebreak[id(recipe)] = value
-        by_recipe[id(recipe)].tiebreak_accuracy = value
+        tiebreak[recipe] = value
+        by_recipe[recipe].tiebreak_accuracy = value
     best_tb = max(tiebreak.values())
-    finalists = [recipe for recipe, _ in tied if tiebreak[id(recipe)] == best_tb]
+    finalists = [recipe for recipe, _ in tied if tiebreak[recipe] == best_tb]
     # residual ties resolve by grid order: lambda ascending, then density descending
     winner = min(finalists, key=lambda r: (r.lam, -(r.density if r.density is not None else 0.0)))
     return SweepResult(entries=result_entries, winner=winner)
@@ -237,6 +238,30 @@ def _inputs_digest(triple: ModelTriple, provenance: dict[str, str]) -> str:
     return h.hexdigest()[:12]
 
 
+def _group_by_lambda(recipes: list[MergeRecipe]) -> list[list[MergeRecipe]]:
+    """Recipes that differ only in lambda, each group in the order given."""
+    groups: dict[tuple, list[MergeRecipe]] = {}
+    for recipe in recipes:
+        groups.setdefault((recipe.method, recipe.density, recipe.seed), []).append(recipe)
+    return list(groups.values())
+
+
+def _is_current(variant: Path, recipe: MergeRecipe, provenance: dict[str, str]) -> bool:
+    """True when ``variant`` exists and records what this run would record.
+
+    Its inputs' digests and the tool version are in the recorded metadata, so
+    a variant built from other inputs or by another version is rebuilt.
+    """
+    if not variant.exists():
+        return False
+    try:
+        recorded = read_metadata(variant)
+    except CheckpointFormatError as exc:
+        log.warning("rebuilding unreadable %s: %s", variant.name, exc)
+        return False
+    return recorded == recorded_provenance(recipe, provenance)
+
+
 def run_sweep(
     config: SweepConfig,
     triple: ModelTriple,
@@ -246,13 +271,15 @@ def run_sweep(
     provenance: dict[str, str] | None = None,
     jobs: int | None = None,
 ) -> SweepResult:
-    """Assemble and score every grid point in grid order, then select the winner.
+    """Build the missing variants, score every grid point in grid order, select the winner.
 
-    Recipes run one at a time, and ``jobs`` is the thread count of each
-    recipe's per-tensor merge, so a sweep holds one recipe's float32 copy of
-    the model at a time. Variants are cached on disk keyed by (input digest,
-    recipe); a recipe whose scorer fails is recorded as failed and excluded
-    from selection.
+    Variants are cached on disk keyed by (input digest, recipe), and a cached
+    one is reused only when its recorded metadata is what this run would
+    record. Missing variants that differ only in lambda are assembled
+    together: one merge per (method, density, seed), every lambda's variant
+    from it. Groups run one at a time, and ``jobs`` is the thread count of
+    each group's per-tensor merge. A recipe whose scorer fails is recorded as
+    failed and excluded from selection.
     """
     provenance = dict(provenance or {})
     out_dir = Path(out_dir)
@@ -262,19 +289,25 @@ def run_sweep(
         dataset, config.sampling_seed, config.primary_size, config.tiebreak_size
     )
     digest = _inputs_digest(triple, provenance)
+    variants = {r: out_dir / f"variant-{r.slug()}-{digest}.safetensors" for r in grid}
+
+    missing = []
+    for recipe, variant in variants.items():
+        if _is_current(variant, recipe, provenance):
+            log.info("reusing cached %s", variant.name)
+        else:
+            missing.append(recipe)
+    for group in _group_by_lambda(missing):
+        plan = AssemblyPlan(recipes=tuple(group), triple=triple, provenance=provenance)
+        for recipe, merged in zip(group, assemble_vlrm(plan, jobs=jobs)):
+            write_merged(merged, variants[recipe])
+            log.info("assembled %s", variants[recipe].name)
 
     # grid values are distinct, so each recipe keys one entry; dicts keep grid order
     entries: dict[MergeRecipe, SweepEntry] = {}
     scorers: dict[MergeRecipe, object] = {}
-    for recipe in grid:
-        variant = out_dir / f"variant-{recipe.slug()}-{digest}.safetensors"
+    for recipe, variant in variants.items():
         entry = entries[recipe] = SweepEntry(recipe=recipe, variant_path=variant.name)
-        if variant.exists():
-            log.info("reusing cached %s", variant.name)
-        else:
-            plan = AssemblyPlan(recipe=recipe, triple=triple, provenance=provenance)
-            write_merged(assemble_vlrm(plan, jobs=jobs), variant)
-            log.info("assembled %s", variant.name)
         scorers[recipe] = scorer_factory(recipe, variant)
         try:
             entry.primary_accuracy = evaluate_pairwise(primary_slice, scorers[recipe]).overall_accuracy

@@ -189,6 +189,36 @@ def _parse_entry(name: str, entry: object, data_size: int) -> tuple[Dtype, tuple
     return dtype, tuple(shape), begin, end
 
 
+def _header_length(path: Path, prefix: bytes, file_size: int) -> int:
+    """The declared header length, checked against the file's size."""
+    if len(prefix) < 8:
+        raise CheckpointFormatError(f"{path}: file too short for an 8-byte header length")
+    (header_len,) = struct.unpack("<Q", prefix[:8])
+    if 8 + header_len > file_size:
+        raise CheckpointFormatError(
+            f"{path}: declared header length {header_len} exceeds file size {file_size}"
+        )
+    return header_len
+
+
+def _pop_metadata(path: Path, header: dict) -> dict[str, str]:
+    metadata = header.pop("__metadata__", {})
+    if not isinstance(metadata, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
+    ):
+        raise CheckpointFormatError(f"{path}: __metadata__ must map strings to strings")
+    return dict(metadata)
+
+
+def read_metadata(path: str | Path) -> dict[str, str]:
+    """The ``__metadata__`` of a checkpoint file, reading its header only."""
+    path = Path(path)
+    with open(path, "rb") as f:
+        header_len = _header_length(path, f.read(8), os.fstat(f.fileno()).st_size)
+        header = _parse_header(f.read(header_len))
+    return _pop_metadata(path, header)
+
+
 def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> Checkpoint:
     """Load a checkpoint file, validating the header against the data region.
 
@@ -197,19 +227,9 @@ def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> C
     """
     path = Path(path)
     raw = path.read_bytes()
-    if len(raw) < 8:
-        raise CheckpointFormatError(f"{path}: file too short for an 8-byte header length")
-    (header_len,) = struct.unpack("<Q", raw[:8])
-    if 8 + header_len > len(raw):
-        raise CheckpointFormatError(
-            f"{path}: declared header length {header_len} exceeds file size {len(raw)}"
-        )
+    header_len = _header_length(path, raw[:8], len(raw))
     header = _parse_header(raw[8 : 8 + header_len])
-    metadata = header.pop("__metadata__", {})
-    if not isinstance(metadata, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
-    ):
-        raise CheckpointFormatError(f"{path}: __metadata__ must map strings to strings")
+    metadata = _pop_metadata(path, header)
 
     data = raw[8 + header_len :]
     spans = []
@@ -244,7 +264,7 @@ def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> C
             vocab = read_vocab(candidate)
     else:
         vocab = read_vocab(vocab_path)
-    return Checkpoint(tensors=tensors, vocab=vocab, metadata=dict(metadata), source_label=str(path))
+    return Checkpoint(tensors=tensors, vocab=vocab, metadata=metadata, source_label=str(path))
 
 
 @contextmanager

@@ -81,7 +81,7 @@ def test_criterion_1_merge_kernel_oracles():
             density = float(rng.uniform(0.05, 1.0)) if method.needs_density else None
             seed = trial if method.needs_seed else None
             recipe = MergeRecipe(method, lam=lam, density=density, seed=seed)
-            out = merge_transformer(recipe, {"w": pre}, {"w": lvlm}, {"w": rm}, jobs=1)
+            out = merge_transformer(recipe, {"w": pre}, {"w": lvlm}, {"w": rm}, jobs=1)[0]
             expected = ref.merge_reference(
                 method.value, pre, lvlm, rm, lam, density, seed, name="w"
             )
@@ -98,7 +98,7 @@ def test_criterion_2_identity_ladder(rng, tmp_path):
     trans_names = triple.lvlm.cmap.names(Role.TRANSFORMER)
 
     def merged_bytes(recipe):
-        merged = assemble_vlrm(AssemblyPlan(recipe=recipe, triple=triple), jobs=1)
+        [merged] = assemble_vlrm(AssemblyPlan(recipes=(recipe,), triple=triple), jobs=1)
         return {name: merged.tensors[name].data for name in trans_names}
 
     lvlm_bytes = {n: triple.lvlm.ckpt.tensors[n].data for n in trans_names}
@@ -151,9 +151,9 @@ def test_criterion_4_dare_statistics():
     lvlm = {"w": rng.standard_normal(n).astype(np.float32)}
     rm = {"w": rng.standard_normal(n).astype(np.float32)}
     recipe = MergeRecipe(MergeMethod.DARE_TASK_ARITHMETIC, lam=0.7, density=d, seed=2024)
-    single = merge_transformer(recipe, pre, lvlm, rm, jobs=1)
+    single = merge_transformer(recipe, pre, lvlm, rm, jobs=1)[0]
     for workers in (2, 8):
-        multi = merge_transformer(recipe, pre, lvlm, rm, jobs=workers)
+        multi = merge_transformer(recipe, pre, lvlm, rm, jobs=workers)[0]
         assert multi["w"].tobytes() == single["w"].tobytes()
     report(4, "dare drop statistics and determinism", started, budget=10.0)
 

@@ -21,13 +21,13 @@ from helpers import classified_toy_triple
 
 
 def plan_for(triple, method, **kwargs):
-    return AssemblyPlan(recipe=MergeRecipe(method, **kwargs), triple=triple)
+    return AssemblyPlan(recipes=(MergeRecipe(method, **kwargs),), triple=triple)
 
 
 class TestComposition:
     def test_linear_identity_lambda_copies_lvlm(self, rng):
         triple = classified_toy_triple(rng, trans_dtype=Dtype.BF16, emb_dtype=Dtype.BF16)
-        merged = assemble_vlrm(plan_for(triple, MergeMethod.LINEAR, lam=1.0), jobs=1)
+        [merged] = assemble_vlrm(plan_for(triple, MergeMethod.LINEAR, lam=1.0), jobs=1)
         lvlm = triple.lvlm
         for name in lvlm.cmap.names(Role.TRANSFORMER):
             assert merged.tensors[name].data == lvlm.ckpt.tensors[name].data
@@ -39,19 +39,19 @@ class TestComposition:
 
     def test_task_arithmetic_zero_lambda_copies_pre_transformer(self, rng):
         triple = classified_toy_triple(rng, trans_dtype=Dtype.BF16)
-        merged = assemble_vlrm(plan_for(triple, MergeMethod.TASK_ARITHMETIC, lam=0.0), jobs=1)
+        [merged] = assemble_vlrm(plan_for(triple, MergeMethod.TASK_ARITHMETIC, lam=0.0), jobs=1)
         for name in triple.pre.cmap.names(Role.TRANSFORMER):
             assert merged.tensors[name].data == triple.pre.ckpt.tensors[name].data
 
     def test_lm_head_is_dropped(self, rng):
         triple = classified_toy_triple(rng)
-        merged = assemble_vlrm(plan_for(triple, MergeMethod.LINEAR, lam=0.5), jobs=1)
+        [merged] = assemble_vlrm(plan_for(triple, MergeMethod.LINEAR, lam=0.5), jobs=1)
         assert "lm_head.weight" not in merged.tensors
         assert "score.weight" in merged.tensors
 
     def test_tensor_count(self, rng):
         triple = classified_toy_triple(rng)
-        merged = assemble_vlrm(plan_for(triple, MergeMethod.LINEAR, lam=0.5), jobs=1)
+        [merged] = assemble_vlrm(plan_for(triple, MergeMethod.LINEAR, lam=0.5), jobs=1)
         lvlm = triple.lvlm.cmap
         expected = (
             len(lvlm.names(Role.VISION_ENCODER))
@@ -64,13 +64,13 @@ class TestComposition:
 
     def test_tied_output_embedding_adds_one_tensor(self, rng):
         triple = classified_toy_triple(rng, tied_output_embedding=True)
-        merged = assemble_vlrm(plan_for(triple, MergeMethod.TIES, lam=0.7, density=0.4), jobs=1)
+        [merged] = assemble_vlrm(plan_for(triple, MergeMethod.TIES, lam=0.7, density=0.4), jobs=1)
         assert "model.embed_tokens.weight" in merged.tensors
         assert "model.embed_tokens.tied_out" in merged.tensors
 
     def test_merged_vocab_is_lvlm_order_then_rm_only(self, rng):
         triple = classified_toy_triple(rng, lvlm_vocab=6, shared_vocab=4, rm_extra=2, pre_vocab=3)
-        merged = assemble_vlrm(plan_for(triple, MergeMethod.LINEAR, lam=0.5), jobs=1)
+        [merged] = assemble_vlrm(plan_for(triple, MergeMethod.LINEAR, lam=0.5), jobs=1)
         tokens = sorted(merged.vocab, key=merged.vocab.get)
         assert tokens == ["t0", "t1", "t2", "t3", "t4", "t5", "r0", "r1"]
         emb = merged.tensors["model.embed_tokens.weight"]
@@ -79,7 +79,7 @@ class TestComposition:
     def test_dare_ties_end_to_end_matches_reference(self, rng):
         triple = classified_toy_triple(rng, hidden=6, layers=3)
         recipe = MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=7)
-        merged = assemble_vlrm(AssemblyPlan(recipe=recipe, triple=triple), jobs=1)
+        [merged] = assemble_vlrm(AssemblyPlan(recipes=(recipe,), triple=triple), jobs=1)
         for name in triple.pre.cmap.names(Role.TRANSFORMER):
             pre = triple.pre.ckpt.tensors[name].to_f32().ravel()
             lvlm = triple.lvlm.ckpt.tensors[name].to_f32().ravel()
@@ -94,7 +94,7 @@ class TestComposition:
 
     def test_output_dtypes_follow_lvlm(self, rng):
         triple = classified_toy_triple(rng, trans_dtype=Dtype.BF16, emb_dtype=Dtype.BF16)
-        merged = assemble_vlrm(plan_for(triple, MergeMethod.TASK_ARITHMETIC, lam=0.3), jobs=1)
+        [merged] = assemble_vlrm(plan_for(triple, MergeMethod.TASK_ARITHMETIC, lam=0.3), jobs=1)
         for name in triple.lvlm.cmap.names(Role.TRANSFORMER):
             assert merged.tensors[name].dtype is Dtype.BF16
         assert merged.tensors["vision_model.encoder.weight"].dtype is Dtype.F16
@@ -107,9 +107,9 @@ class TestDeterminism:
         provenance = {"input.pre.sha256": "x" * 64}
         paths = []
         for i in range(2):
-            plan = AssemblyPlan(recipe=recipe, triple=triple, provenance=dict(provenance))
+            plan = AssemblyPlan(recipes=(recipe,), triple=triple, provenance=dict(provenance))
             path = tmp_path / f"out{i}.safetensors"
-            write_merged(assemble_vlrm(plan, jobs=1), path)
+            write_merged(assemble_vlrm(plan, jobs=1)[0], path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert default_vocab_path(paths[0]).read_bytes() == default_vocab_path(paths[1]).read_bytes()
@@ -117,8 +117,8 @@ class TestDeterminism:
     def test_worker_count_does_not_change_output(self, rng):
         triple = classified_toy_triple(rng)
         recipe = MergeRecipe(MergeMethod.DARE_TIES, lam=1.0, density=0.2, seed=99)
-        a = assemble_vlrm(AssemblyPlan(recipe=recipe, triple=triple), jobs=1)
-        b = assemble_vlrm(AssemblyPlan(recipe=recipe, triple=triple), jobs=4)
+        [a] = assemble_vlrm(AssemblyPlan(recipes=(recipe,), triple=triple), jobs=1)
+        [b] = assemble_vlrm(AssemblyPlan(recipes=(recipe,), triple=triple), jobs=4)
         assert a.tensors == b.tensors
 
 
@@ -147,9 +147,45 @@ class TestErrors:
             assemble_vlrm(plan_for(triple, MergeMethod.DARE_TIES, lam=0.5, density=0.4), jobs=1)
 
 
+class TestLambdaGroups:
+    @pytest.mark.parametrize("method,extra", [
+        (MergeMethod.LINEAR, {}),
+        (MergeMethod.TASK_ARITHMETIC, {}),
+        (MergeMethod.TIES, {"density": 0.4}),
+        (MergeMethod.DARE_TASK_ARITHMETIC, {"density": 0.6, "seed": 3}),
+        (MergeMethod.DARE_TIES, {"density": 0.4, "seed": 3}),
+    ])
+    def test_each_checkpoint_matches_its_own_assembly(self, rng, method, extra):
+        triple = classified_toy_triple(rng, trans_dtype=Dtype.BF16, emb_dtype=Dtype.BF16)
+        recipes = tuple(MergeRecipe(method, lam=lam, **extra) for lam in (0.8, 0.0, 0.3))
+        provenance = {"input.pre.sha256": "x" * 64}
+        grouped = assemble_vlrm(AssemblyPlan(recipes, triple, provenance), jobs=2)
+        assert len(grouped) == len(recipes)
+        for recipe, merged in zip(recipes, grouped):
+            [alone] = assemble_vlrm(AssemblyPlan((recipe,), triple, provenance), jobs=1)
+            assert merged.tensors == alone.tensors
+            assert merged.metadata == alone.metadata
+            assert merged.metadata["recipe.lambda"] == repr(recipe.lam)
+            assert merged.vocab == alone.vocab
+
+    @pytest.mark.parametrize("other", [
+        MergeRecipe(MergeMethod.TIES, lam=0.5, density=0.2),
+        MergeRecipe(MergeMethod.DARE_TIES, lam=0.5, density=0.4, seed=1),
+    ])
+    def test_recipes_differing_in_more_than_lambda_rejected(self, rng, other):
+        triple = classified_toy_triple(rng)
+        recipes = (MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.4), other)
+        with pytest.raises(RecipeError, match="differ in more than lambda"):
+            assemble_vlrm(AssemblyPlan(recipes, triple), jobs=1)
+
+    def test_empty_plan_rejected(self, rng):
+        with pytest.raises(RecipeError, match="at least one recipe"):
+            assemble_vlrm(AssemblyPlan((), classified_toy_triple(rng)), jobs=1)
+
+
 def test_round_trip_through_disk(rng, tmp_path):
     triple = classified_toy_triple(rng)
-    merged = assemble_vlrm(plan_for(triple, MergeMethod.TIES, lam=0.7, density=0.6), jobs=1)
+    [merged] = assemble_vlrm(plan_for(triple, MergeMethod.TIES, lam=0.7, density=0.6), jobs=1)
     path = tmp_path / "merged.safetensors"
     write_merged(merged, path)
     loaded = read_checkpoint(path)

@@ -65,7 +65,7 @@ class TestMergeCommand:
             load_manifest_config(),
         )
         recipe = MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=7)
-        expected = assemble_vlrm(AssemblyPlan(recipe=recipe, triple=triple), jobs=1)
+        [expected] = assemble_vlrm(AssemblyPlan(recipes=(recipe,), triple=triple), jobs=1)
         assert merged.tensors == expected.tensors
 
     def test_missing_density_is_usage_error(self, runner, triple_files, tmp_path):
@@ -344,6 +344,32 @@ class TestSweepCommand:
         echoed = json.loads(line[len("sweep config: "):])
         assert echoed["jobs"] == 3
         assert echoed["manifest"] == "<builtin>"
+
+    def test_rerun_with_other_vocab_rebuilds_variants(self, runner, triple_files, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "method": "ties", "lambda_grid": [0.5], "density_grid": [0.4],
+            "primary_size": 6, "tiebreak_size": 3,
+        }), encoding="utf-8")
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        out_dir = tmp_path / "sweep-out"
+        args = [
+            "sweep", *triple_args(triple_files), "--config", str(config), "--data", str(data),
+            "--scorer", STUB_CMD, "--out-dir", str(out_dir),
+        ]
+        assert runner.invoke(main, args).exit_code == 0
+        # the same tokens with the first two swapped
+        tokens = Path(f"{triple_files['lvlm']}.vocab").read_text(encoding="utf-8").splitlines()
+        tokens[0], tokens[1] = tokens[1], tokens[0]
+        other = tmp_path / "other.vocab"
+        other.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+        result = runner.invoke(main, [*args, "--lvlm-vocab", str(other)])
+        assert result.exit_code == 0, result.output
+        [variant] = out_dir.glob("variant-*.safetensors")
+        metadata = read_checkpoint(variant).metadata
+        assert metadata["input.lvlm_vocab.sha256"] == hashlib.sha256(other.read_bytes()).hexdigest()
+        sidecar = Path(f"{variant}.vocab").read_text(encoding="utf-8").splitlines()
+        assert sidecar[0] == tokens[0]
 
     def test_scorer_or_replay_required(self, runner, triple_files, tmp_path):
         config = tmp_path / "sweep.json"

@@ -133,7 +133,7 @@ class TestValidateTriple:
             )
             assert validate_triple(triple) == []
             for recipe in recipes:
-                merged = assemble_vlrm(AssemblyPlan(recipe=recipe, triple=triple), jobs=1)
+                [merged] = assemble_vlrm(AssemblyPlan(recipes=(recipe,), triple=triple), jobs=1)
                 assert merged.tensors
 
 

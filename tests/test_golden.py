@@ -2,11 +2,13 @@
 
 A fixed bf16 toy triple is assembled with every merge method and written with
 ``write_merged``; the sha256 of each checkpoint and of its vocabulary sidecar
-is pinned below. A change that alters any output byte fails here. If the
+is pinned below, both when the recipe is assembled alone and when it is one
+lambda of a group. A change that alters any output byte fails here. If the
 change is intended, re-pin the digests by hand and say why in the change log.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,7 +60,17 @@ def sha256(path) -> str:
     [(method, 1) for method in RECIPES] + [("dare-ties", 4)],
 )
 def test_merged_bytes_match_golden(triple, tmp_path, method, jobs):
-    merged = assemble_vlrm(AssemblyPlan(recipe=RECIPES[method], triple=triple), jobs=jobs)
+    [merged] = assemble_vlrm(AssemblyPlan(recipes=(RECIPES[method],), triple=triple), jobs=jobs)
+    path = write_merged(merged, tmp_path / f"{method}.safetensors")
+    assert sha256(path) == CHECKPOINT_SHA256[method]
+    assert sha256(default_vocab_path(path)) == VOCAB_SHA256
+
+
+@pytest.mark.parametrize("method", RECIPES)
+def test_grouped_bytes_match_golden(triple, tmp_path, method):
+    recipe = RECIPES[method]
+    group = (replace(recipe, lam=0.0), recipe, replace(recipe, lam=0.25))
+    merged = assemble_vlrm(AssemblyPlan(recipes=group, triple=triple), jobs=2)[1]
     path = write_merged(merged, tmp_path / f"{method}.safetensors")
     assert sha256(path) == CHECKPOINT_SHA256[method]
     assert sha256(default_vocab_path(path)) == VOCAB_SHA256

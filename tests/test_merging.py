@@ -1,16 +1,22 @@
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import reference as ref
 from vlrmerge import (
+    Dtype,
     MergeMethod,
     MergeRecipe,
     RecipeError,
+    Tensor,
     VlrmergeError,
     merge_tensor,
     merge_transformer,
+    merging,
 )
 from vlrmerge.merging import _MASK_CHUNK, _trim_array, retained_count
 from vlrmerge.sweep import DEFAULT_DENSITY_GRID
@@ -32,7 +38,7 @@ def merge(method, pre, lvlm, rm, lam, density=None, seed=None, name="t"):
 
 
 def merge_map(recipe, pre, lvlm, rm):
-    return merge_transformer(recipe, {"t": arr(pre)}, {"t": arr(lvlm)}, {"t": arr(rm)})
+    return merge_transformer(recipe, {"t": arr(pre)}, {"t": arr(lvlm)}, {"t": arr(rm)})[0]
 
 
 def argsort_trim(values, density):
@@ -410,8 +416,8 @@ class TestMergeTransformer:
         for _ in range(3):
             maps.append({f"w{i}": rng.uniform(-1, 1, (4, 4)).astype(np.float32) for i in range(6)})
         pre, lvlm, rm = maps
-        single = merge_transformer(recipe, pre, lvlm, rm, jobs=1)
-        multi = merge_transformer(recipe, pre, lvlm, rm, jobs=4)
+        single = merge_transformer(recipe, pre, lvlm, rm, jobs=1)[0]
+        multi = merge_transformer(recipe, pre, lvlm, rm, jobs=4)[0]
         for name in single:
             assert single[name].tobytes() == multi[name].tobytes()
 
@@ -425,6 +431,56 @@ class TestMergeTransformer:
         recipe = MergeRecipe(LINEAR, lam=0.5)
         with pytest.raises(VlrmergeError, match=f"jobs must be at least 1, got {jobs}"):
             merge_transformer(recipe, {"t": arr([1.0])}, {"t": arr([1.0])}, {"t": arr([1.0])}, jobs=jobs)
+
+    @pytest.mark.parametrize("method,extra", [
+        (MergeMethod.LINEAR, {}),
+        (MergeMethod.TASK_ARITHMETIC, {}),
+        (MergeMethod.TIES, {"density": 0.4}),
+        (MergeMethod.DARE_TASK_ARITHMETIC, {"density": 0.4, "seed": 9}),
+        (MergeMethod.DARE_TIES, {"density": 0.4, "seed": 9}),
+    ])
+    def test_each_lambda_matches_merge_tensor(self, rng, method, extra):
+        recipe = MergeRecipe(method, lam=0.7, **extra)
+        lams = (0.0, 0.6, 1.0)
+        maps = []
+        for _ in range(3):
+            maps.append({f"w{i}": rng.uniform(-1, 1, (5, 7)).astype(np.float32) for i in range(4)})
+        pre, lvlm, rm = maps
+        wide = merge_transformer(recipe, pre, lvlm, rm, jobs=2, lams=lams)
+        dtypes = {name: Dtype.BF16 for name in pre}
+        narrow = merge_transformer(recipe, pre, lvlm, rm, jobs=2, lams=lams, dtypes=dtypes)
+        assert len(wide) == len(narrow) == len(lams)
+        for lam, wide_map, narrow_map in zip(lams, wide, narrow):
+            for name in pre:
+                expected = merge_tensor(replace(recipe, lam=lam), name, pre[name], lvlm[name], rm[name])
+                assert wide_map[name].tobytes() == expected.tobytes()
+                assert narrow_map[name] == Tensor.from_f32(name, expected, Dtype.BF16)
+
+    def test_every_lambda_is_validated(self):
+        recipe = MergeRecipe(LINEAR, lam=0.5)
+        with pytest.raises(RecipeError, match="lambda must be in"):
+            merge_transformer(
+                recipe, {"t": arr([1.0])}, {"t": arr([1.0])}, {"t": arr([1.0])}, lams=(0.5, 1.5)
+            )
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_default_jobs_are_the_usable_cpus(self, monkeypatch, affinity):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        else:  # a platform without CPU affinity counts every CPU
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(merging, "ThreadPoolExecutor", RecordingPool)
+        recipe = MergeRecipe(LINEAR, lam=0.5)
+        merge_transformer(recipe, {"t": arr([1.0])}, {"t": arr([1.0])}, {"t": arr([1.0])})
+        assert sizes == [3]
 
 
 class TestRecipeValidation:

@@ -18,7 +18,7 @@ from vlrmerge import (
 )
 from vlrmerge.errors import DatasetError, ScorerError, VlrmergeError
 from vlrmerge.evaluation import load_pairwise_dataset
-from vlrmerge import sweep, tensorstore
+from vlrmerge import assembly, sweep, tensorstore
 from vlrmerge.sweep import sample_validation_slices
 
 from helpers import classified_toy_triple, write_pairwise_dataset
@@ -463,8 +463,30 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "assemble_vlrm", counting_assemble)
         run_sweep(config, triple, dataset, factory, tmp_path / "out", jobs=4)
         assert peak[0] == 1
-        assert jobs_seen == [4] * 4
+        assert jobs_seen == [4] * 2  # one assembly per density
         assert scored == generate_grid(config)
+
+    def test_one_merge_per_density(self, rng, tmp_path, monkeypatch):
+        triple = classified_toy_triple(rng)
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
+        calls = []
+        real_merge = assembly.merge_transformer
+
+        def counting_merge(recipe, *args, **kwargs):
+            calls.append((recipe.density, tuple(kwargs["lams"])))
+            return real_merge(recipe, *args, **kwargs)
+
+        monkeypatch.setattr(assembly, "merge_transformer", counting_merge)
+        out = tmp_path / "out"
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        assert calls == [(0.4, (0.5, 1.0)), (0.2, (0.5, 1.0))]
+        assert len(list(out.glob("variant-*.safetensors"))) == 4
+
+        # a resumed sweep merges only the densities that lost a variant
+        calls.clear()
+        next(out.glob("variant-ties-l1-d0.2-*.safetensors")).unlink()
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        assert calls == [(0.2, (1.0,))]
 
     def test_cached_variants_are_reused(self, rng, tmp_path, caplog):
         triple = classified_toy_triple(rng)
@@ -475,6 +497,29 @@ class TestRunSweep:
         mtimes = {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")}
         run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
         assert {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")} == mtimes
+
+    @pytest.mark.parametrize("change", ["vocab-digest", "tool-version", "unreadable"])
+    def test_variant_from_other_inputs_is_rebuilt(self, rng, tmp_path, monkeypatch, change):
+        triple = classified_toy_triple(rng)
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
+        config = small_config(lambda_grid=(0.5,), density_grid=(0.4,))
+        provenance = {f"input.{kind}.sha256": kind[0] * 64 for kind in ("pre", "lvlm", "rm")}
+        provenance["input.lvlm_vocab.sha256"] = "1" * 64
+        out = tmp_path / "out"
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
+        [variant] = out.glob("variant-*.safetensors")
+        if change == "vocab-digest":
+            provenance["input.lvlm_vocab.sha256"] = "2" * 64
+        elif change == "tool-version":
+            monkeypatch.setattr(assembly, "__version__", "0.0.0-other")
+        else:
+            variant.write_bytes(b"\x00" * 4)
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
+        [rebuilt] = out.glob("variant-*.safetensors")
+        assert rebuilt.name == variant.name
+        assert tensorstore.read_metadata(rebuilt) == assembly.recorded_provenance(
+            generate_grid(config)[0], provenance
+        )
 
     @pytest.mark.parametrize("mode,limit", [("wb", 2000), ("w", 20)])
     def test_interrupted_write_leaves_no_variant_and_is_rebuilt(

@@ -12,6 +12,7 @@ from vlrmerge import (
     VocabError,
     cast_tensor,
     read_checkpoint,
+    read_metadata,
     read_vocab,
     write_checkpoint,
     write_vocab,
@@ -178,6 +179,36 @@ class TestMalformed:
         path = build_file(tmp_path / "x", header, b"\x00" * 10)
         with pytest.raises(CheckpointFormatError, match="trailing bytes"):
             read_checkpoint(path)
+
+
+class TestReadMetadata:
+    def test_matches_read_checkpoint(self, rng, tmp_path):
+        ckpt = random_checkpoint(rng, 4)
+        ckpt.metadata = {"recipe.method": "ties", "input.pre.sha256": "ab" * 32}
+        path = tmp_path / "x"
+        write_checkpoint(ckpt, path)
+        assert read_metadata(path) == read_checkpoint(path).metadata == ckpt.metadata
+
+    def test_reads_the_header_only(self, tmp_path):
+        header = {"__metadata__": {"k": "v"}, "w": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}}
+        path = build_file(tmp_path / "x", header, b"\x00" * 10)
+        assert read_metadata(path) == {"k": "v"}
+        with pytest.raises(CheckpointFormatError, match="trailing bytes"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("raw,message", [
+        (b"\x01\x02", "too short"),
+        (struct.pack("<Q", 1000) + b"{}", "exceeds file size"),
+        (struct.pack("<Q", 8) + b"not json", "not valid UTF-8 JSON"),
+        (struct.pack("<Q", 5) + b"[1,2]", "must be an object"),
+        (struct.pack("<Q", 26) + b'{"__metadata__": {"k": 1}}', "must map strings to strings"),
+    ])
+    def test_malformed_header_rejected_as_by_read_checkpoint(self, tmp_path, raw, message):
+        path = tmp_path / "x"
+        path.write_bytes(raw)
+        for read in (read_metadata, read_checkpoint):
+            with pytest.raises(CheckpointFormatError, match=message):
+                read(path)
 
 
 def f16_reference(value: float) -> float:
