@@ -85,7 +85,9 @@ def assemble_vlrm(plan: AssemblyPlan, jobs: int | None = None) -> list[Checkpoin
     """Produce one merged checkpoint per recipe of a validated triple's plan.
 
     The triple is validated, widened, merged (one ``merge_transformer`` call
-    for every lambda) and its embeddings merged once for the whole plan.
+    for every lambda) and its embeddings merged once for the whole plan. Each
+    checkpoint holds its own narrowed transformer, so memory grows with the
+    number of recipes.
     Raises TripleValidationError when the triple is not mergeable and
     RecipeError on a method/hyperparameter mismatch or on recipes that differ
     in more than lambda.

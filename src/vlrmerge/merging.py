@@ -186,16 +186,18 @@ def merge_transformer(
     jobs: int | None = None,
     lams: Sequence[float] | None = None,
     dtypes: dict[str, Dtype] | None = None,
-) -> list[dict[str, np.ndarray]] | list[dict[str, Tensor]]:
+) -> list[dict[str, Tensor]]:
     """Merge the shared transformer weights per the recipe, once per lam.
 
     ``lams`` defaults to the recipe's own lam; the result holds one map per
     lam, in order. Validates the recipe at every lam and the tensor alignment
     once, then merges every name on ``jobs`` worker threads (None takes
     ``default_jobs()``). A worker computes each tensor's lam-independent part
-    once and every lam's output from it. Outputs are float32 arrays, or, when
-    ``dtypes`` maps each name to its storage dtype, Tensors the worker has
-    narrowed, so no float32 copy of a whole output exists. Tensors are
+    once, every lam's output from it, and packs each output as a Tensor of its
+    storage dtype, ``dtypes[name]`` (float32 when ``dtypes`` is None), so no
+    float32 copy of a whole output exists. The call takes the three input
+    maps over: each worker pops its tensor from them, so an input's memory is
+    freed once it is merged, and the maps are empty on return. Tensors are
     independent, so results are identical for any worker count.
     """
     if jobs is not None and jobs < 1:
@@ -205,15 +207,20 @@ def merge_transformer(
         replace(recipe, lam=lam).validate()
     _check_aligned({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans})
 
-    def merge_one(name: str) -> list:
-        outs = _merge_per_lam(recipe, lams, name, pre_trans[name], lvlm_trans[name], rm_trans[name])
-        if dtypes is None:
-            return list(outs)
-        return [Tensor.from_f32(name, out, dtypes[name]) for out in outs]
+    def merge_one(name: str) -> list[Tensor]:
+        dtype = Dtype.F32 if dtypes is None else dtypes[name]
+        inputs = [trans.pop(name) for trans in (pre_trans, lvlm_trans, rm_trans)]
+        outs = _merge_per_lam(recipe, lams, name, *inputs)
+        return [Tensor.from_f32(name, out, dtype) for out in outs]
 
     names = list(pre_trans)
+    per_name: dict[str, list[Tensor]] = {}
     with ThreadPoolExecutor(max_workers=jobs or default_jobs()) as pool:
-        per_name = dict(zip(names, pool.map(merge_one, names)))
+        for name, outs in zip(names, pool.map(merge_one, names)):
+            # copy each payload as it arrives, on this thread: the outputs then
+            # outlive the call in this thread's heap, where consumed inputs were
+            # freed, and the workers' allocator arenas hold only temporaries
+            per_name[name] = [replace(out, data=bytes(memoryview(out.data))) for out in outs]
     return [{name: outs[i] for name, outs in per_name.items()} for i in range(len(lams))]
 
 

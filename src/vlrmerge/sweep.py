@@ -18,11 +18,11 @@ from typing import Callable
 import numpy as np
 
 from .assembly import AssemblyPlan, assemble_vlrm, recorded_provenance, write_merged
-from .components import ModelTriple
+from .components import ModelTriple, Role
 from .errors import CheckpointFormatError, DatasetError, ScorerError, VlrmergeError
 from .evaluation import PairwiseExample, evaluate_pairwise
 from .merging import MergeMethod, MergeRecipe
-from .tensorstore import read_metadata
+from .tensorstore import Dtype, read_metadata
 
 log = logging.getLogger(__name__)
 
@@ -238,12 +238,28 @@ def _inputs_digest(triple: ModelTriple, provenance: dict[str, str]) -> str:
     return h.hexdigest()[:12]
 
 
-def _group_by_lambda(recipes: list[MergeRecipe]) -> list[list[MergeRecipe]]:
-    """Recipes that differ only in lambda, each group in the order given."""
+def _lambdas_per_merge(triple: ModelTriple) -> int:
+    """How many variants one assembly may build: 3 for 16-bit weights, 2 for float32.
+
+    Each variant holds a narrowed copy of the transformer until it is written.
+    Together they take no more than one float32 copy plus one narrowed copy,
+    less than the three float32 inputs the merge frees as it goes, so a
+    sweep's peak does not grow with its lambda grid.
+    """
+    lvlm = triple.lvlm
+    itemsize = max(
+        (lvlm.ckpt.tensors[name].dtype.itemsize for name in lvlm.cmap.names(Role.TRANSFORMER)),
+        default=Dtype.F32.itemsize,
+    )
+    return 1 + Dtype.F32.itemsize // itemsize
+
+
+def _group_by_lambda(recipes: list[MergeRecipe], size: int) -> list[list[MergeRecipe]]:
+    """Recipes that differ only in lambda, in the order given, at most ``size`` a group."""
     groups: dict[tuple, list[MergeRecipe]] = {}
     for recipe in recipes:
         groups.setdefault((recipe.method, recipe.density, recipe.seed), []).append(recipe)
-    return list(groups.values())
+    return [group[i:i + size] for group in groups.values() for i in range(0, len(group), size)]
 
 
 def _is_current(variant: Path, recipe: MergeRecipe, provenance: dict[str, str]) -> bool:
@@ -276,10 +292,11 @@ def run_sweep(
     Variants are cached on disk keyed by (input digest, recipe), and a cached
     one is reused only when its recorded metadata is what this run would
     record. Missing variants that differ only in lambda are assembled
-    together: one merge per (method, density, seed), every lambda's variant
-    from it. Groups run one at a time, and ``jobs`` is the thread count of
-    each group's per-tensor merge. A recipe whose scorer fails is recorded as
-    failed and excluded from selection.
+    together: one merge per (method, density, seed) and up to three lambdas
+    (``_lambdas_per_merge``), every lambda's variant from it. Groups run one
+    at a time, and ``jobs`` is the thread count of each group's per-tensor
+    merge. A recipe whose scorer fails is recorded as failed and excluded
+    from selection.
     """
     provenance = dict(provenance or {})
     out_dir = Path(out_dir)
@@ -297,11 +314,12 @@ def run_sweep(
             log.info("reusing cached %s", variant.name)
         else:
             missing.append(recipe)
-    for group in _group_by_lambda(missing):
+    for group in _group_by_lambda(missing, _lambdas_per_merge(triple)):
         plan = AssemblyPlan(recipes=tuple(group), triple=triple, provenance=provenance)
         for recipe, merged in zip(group, assemble_vlrm(plan, jobs=jobs)):
             write_merged(merged, variants[recipe])
             log.info("assembled %s", variants[recipe].name)
+        del merged  # or the group's last checkpoint lives through the next merge
 
     # grid values are distinct, so each recipe keys one entry; dicts keep grid order
     entries: dict[MergeRecipe, SweepEntry] = {}

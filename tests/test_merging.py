@@ -415,11 +415,11 @@ class TestMergeTransformer:
         maps = []
         for _ in range(3):
             maps.append({f"w{i}": rng.uniform(-1, 1, (4, 4)).astype(np.float32) for i in range(6)})
-        pre, lvlm, rm = maps
-        single = merge_transformer(recipe, pre, lvlm, rm, jobs=1)[0]
-        multi = merge_transformer(recipe, pre, lvlm, rm, jobs=4)[0]
+        # merge_transformer empties its input maps, so each call gets copies
+        single = merge_transformer(recipe, *map(dict, maps), jobs=1)[0]
+        multi = merge_transformer(recipe, *map(dict, maps), jobs=4)[0]
         for name in single:
-            assert single[name].tobytes() == multi[name].tobytes()
+            assert single[name].data == multi[name].data
 
     def test_recipe_validation_runs(self):
         recipe = MergeRecipe(MergeMethod.TIES, lam=0.5)  # density missing
@@ -446,15 +446,23 @@ class TestMergeTransformer:
         for _ in range(3):
             maps.append({f"w{i}": rng.uniform(-1, 1, (5, 7)).astype(np.float32) for i in range(4)})
         pre, lvlm, rm = maps
-        wide = merge_transformer(recipe, pre, lvlm, rm, jobs=2, lams=lams)
+        wide = merge_transformer(recipe, *map(dict, maps), jobs=2, lams=lams)
         dtypes = {name: Dtype.BF16 for name in pre}
-        narrow = merge_transformer(recipe, pre, lvlm, rm, jobs=2, lams=lams, dtypes=dtypes)
+        narrow = merge_transformer(recipe, *map(dict, maps), jobs=2, lams=lams, dtypes=dtypes)
         assert len(wide) == len(narrow) == len(lams)
         for lam, wide_map, narrow_map in zip(lams, wide, narrow):
             for name in pre:
                 expected = merge_tensor(replace(recipe, lam=lam), name, pre[name], lvlm[name], rm[name])
-                assert wide_map[name].tobytes() == expected.tobytes()
+                assert wide_map[name] == Tensor.from_f32(name, expected, Dtype.F32)
                 assert narrow_map[name] == Tensor.from_f32(name, expected, Dtype.BF16)
+
+    def test_input_maps_are_emptied(self, rng):
+        # each input tensor is dropped once merged, so its memory can be freed
+        recipe = MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.4)
+        maps = [{f"w{i}": rng.uniform(-1, 1, (5, 7)).astype(np.float32) for i in range(4)} for _ in range(3)]
+        merged = merge_transformer(recipe, *maps, jobs=2, lams=(0.5, 1.0))
+        assert maps == [{}, {}, {}]
+        assert [sorted(m) for m in merged] == [["w0", "w1", "w2", "w3"]] * 2
 
     def test_every_lambda_is_validated(self):
         recipe = MergeRecipe(LINEAR, lam=0.5)

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from vlrmerge import (
+    Dtype,
     MergeMethod,
     MergeRecipe,
     ReplayScorer,
@@ -487,6 +488,29 @@ class TestRunSweep:
         next(out.glob("variant-ties-l1-d0.2-*.safetensors")).unlink()
         run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
         assert calls == [(0.2, (1.0,))]
+
+    @pytest.mark.parametrize("trans_dtype,per_merge", [(Dtype.BF16, 3), (Dtype.F32, 2)])
+    def test_merges_hold_a_bounded_number_of_lambdas(
+        self, rng, tmp_path, monkeypatch, trans_dtype, per_merge
+    ):
+        # each merge holds one narrowed transformer per lambda until its variants
+        # are written, so an 11-lambda grid is built a few lambdas at a time
+        triple = classified_toy_triple(rng, trans_dtype=trans_dtype)
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
+        config = SweepConfig(MergeMethod.TASK_ARITHMETIC, primary_size=8, tiebreak_size=4)
+        calls = []
+        real_merge = assembly.merge_transformer
+
+        def counting_merge(recipe, *args, **kwargs):
+            calls.append(tuple(kwargs["lams"]))
+            return real_merge(recipe, *args, **kwargs)
+
+        monkeypatch.setattr(assembly, "merge_transformer", counting_merge)
+        out = tmp_path / "out"
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        lams = list(config.lambda_grid)
+        assert calls == [tuple(lams[i:i + per_merge]) for i in range(0, len(lams), per_merge)]
+        assert len(list(out.glob("variant-*.safetensors"))) == len(lams)
 
     def test_cached_variants_are_reused(self, rng, tmp_path, caplog):
         triple = classified_toy_triple(rng)
