@@ -16,7 +16,6 @@ from .tensorstore import (  # noqa: F401
     Checkpoint,
     Dtype,
     Tensor,
-    cast_tensor,
     read_checkpoint,
     read_metadata,
     read_vocab,

@@ -89,8 +89,8 @@ def assemble_vlrm(plan: AssemblyPlan, jobs: int | None = None) -> list[Checkpoin
     checkpoint holds its own narrowed transformer, so memory grows with the
     number of recipes.
     Raises TripleValidationError when the triple is not mergeable and
-    RecipeError on a method/hyperparameter mismatch or on recipes that differ
-    in more than lambda.
+    RecipeError on an empty plan or on recipes that differ in more than
+    lambda (each recipe checked its own hyperparameters when it was made).
     """
     report = validate_triple(plan.triple)
     if report:
@@ -99,7 +99,6 @@ def assemble_vlrm(plan: AssemblyPlan, jobs: int | None = None) -> list[Checkpoin
         raise RecipeError("an assembly plan needs at least one recipe")
     first = plan.recipes[0]
     for recipe in plan.recipes:
-        recipe.validate()
         if replace(recipe, lam=first.lam) != first:
             raise RecipeError(
                 f"recipes {first.slug()} and {recipe.slug()} differ in more than lambda"
@@ -140,13 +139,13 @@ def assemble_vlrm(plan: AssemblyPlan, jobs: int | None = None) -> list[Checkpoin
             raise VlrmergeError(f"reward head name {name} collides with an lvlm tensor")
         tail[name] = rm.ckpt.tensors[name]
 
+    vocab = aligned.output_vocab()
     checkpoints = []
     for recipe, trans in zip(plan.recipes, merged_trans):
         merged = Checkpoint(
             tensors={**shared, **trans, **tail},
-            vocab=aligned.output_vocab(),
+            vocab=vocab,
             metadata=recorded_provenance(recipe, plan.provenance),
-            source_label="merged",
         )
         structure = check_merged_structure(merged, plan.triple)
         if structure:

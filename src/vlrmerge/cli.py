@@ -51,6 +51,11 @@ def _load_triple(pre, lvlm, rm, pre_vocab, lvlm_vocab, rm_vocab, manifest):
     inputs = {"pre": (pre, pre_vocab), "lvlm": (lvlm, lvlm_vocab), "rm": (rm, rm_vocab)}
     ckpts = {label: read_checkpoint(path, vocab) for label, (path, vocab) in inputs.items()}
     triple = classify_triple(ckpts["pre"], ckpts["lvlm"], ckpts["rm"], config)
+    report = validate_triple(triple)
+    if report:
+        for entry in report:
+            click.echo(f"validation: {entry}", err=True)
+        raise click.ClickException(f"triple validation failed with {len(report)} violation(s)")
     return triple, _hash_inputs(inputs)
 
 
@@ -98,9 +103,8 @@ def _with_options(options):
 def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest,
           method, lam, density, seed, out_path, jobs):
     """Merge a checkpoint triple into a vision-language reward model."""
-    recipe = MergeRecipe(MergeMethod(method), lam=lam, density=density, seed=seed)
     try:
-        recipe.validate()
+        recipe = MergeRecipe(MergeMethod(method), lam=lam, density=density, seed=seed)
     except RecipeError as exc:
         raise click.UsageError(str(exc)) from exc
     _echo_config("merge", {
@@ -112,11 +116,6 @@ def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         triple, provenance = _load_triple(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest
         )
-        report = validate_triple(triple)
-        if report:
-            for entry in report:
-                click.echo(f"validation: {entry}", err=True)
-            raise click.ClickException(f"triple validation failed with {len(report)} violation(s)")
         plan = AssemblyPlan(recipes=(recipe,), triple=triple, provenance=provenance)
         [merged] = assemble_vlrm(plan, jobs=jobs)
         write_merged(merged, out_path)
@@ -178,11 +177,6 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         triple, provenance = _load_triple(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest
         )
-        report = validate_triple(triple)
-        if report:
-            for entry in report:
-                click.echo(f"validation: {entry}", err=True)
-            raise click.ClickException(f"triple validation failed with {len(report)} violation(s)")
         dataset = load_pairwise_dataset(data_path)
         factory = _make_scorer_factory(scorer_cmd, replay_dir, record_dir, scorer_timeout)
         result = run_sweep(

@@ -21,20 +21,21 @@ from .errors import VocabError
 from .merging import MergeMethod
 
 
-@dataclass(frozen=True)
-class AlignedToken:
-    token: str
-    pre_row: int | None
-    lvlm_row: int | None
-    rm_row: int | None
-
-
 @dataclass
 class AlignedVocab:
-    rows: list[AlignedToken]
+    """The output tokens in order and, per model, each token's row in it.
+
+    Each ``*_rows`` array is int64 with one entry per output token: that
+    model's row for the token, or -1 when the model lacks it.
+    """
+
+    tokens: list[str]
+    pre_rows: np.ndarray
+    lvlm_rows: np.ndarray
+    rm_rows: np.ndarray
 
     def output_vocab(self) -> dict[str, int]:
-        return {entry.token: i for i, entry in enumerate(self.rows)}
+        return {token: i for i, token in enumerate(self.tokens)}
 
 
 def _check_rows(label: str, vocab: dict[str, int]) -> None:
@@ -55,27 +56,13 @@ def align_vocab(
     """
     for label, vocab in (("pre", pre_vocab), ("lvlm", lvlm_vocab), ("rm", rm_vocab)):
         _check_rows(label, vocab)
-    rows = []
-    for token in sorted(lvlm_vocab, key=lvlm_vocab.get):
-        rows.append(
-            AlignedToken(
-                token=token,
-                pre_row=pre_vocab.get(token),
-                lvlm_row=lvlm_vocab[token],
-                rm_row=rm_vocab.get(token),
-            )
-        )
-    for token in sorted(rm_vocab, key=rm_vocab.get):
-        if token not in lvlm_vocab:
-            rows.append(
-                AlignedToken(
-                    token=token,
-                    pre_row=pre_vocab.get(token),
-                    lvlm_row=None,
-                    rm_row=rm_vocab[token],
-                )
-            )
-    return AlignedVocab(rows=rows)
+    tokens = sorted(lvlm_vocab, key=lvlm_vocab.get)
+    tokens += [token for token in sorted(rm_vocab, key=rm_vocab.get) if token not in lvlm_vocab]
+
+    def rows(vocab: dict[str, int]) -> np.ndarray:
+        return np.fromiter((vocab.get(t, -1) for t in tokens), dtype=np.int64, count=len(tokens))
+
+    return AlignedVocab(tokens, rows(pre_vocab), rows(lvlm_vocab), rows(rm_vocab))
 
 
 def merge_embedding_rows(
@@ -92,35 +79,25 @@ def merge_embedding_rows(
             f"embedding width mismatch: pre {pre_emb.shape[1]}, "
             f"lvlm {width}, rm {rm_emb.shape[1]}"
         )
+    pre_idx, lv_idx, rm_idx = aligned.pre_rows, aligned.lvlm_rows, aligned.rm_rows
+    sources = (("pre", pre_idx, pre_emb), ("lvlm", lv_idx, lvlm_emb), ("rm", rm_idx, rm_emb))
+    for label, idx, source in sources:
+        if idx.size and (top := int(idx.max())) >= source.shape[0]:
+            raise VocabError(f"{label} row index {top} out of range ({source.shape[0]} rows)")
+    neither = (lv_idx < 0) & (rm_idx < 0)
+    if neither.any():
+        token = aligned.tokens[int(neither.argmax())]
+        raise VocabError(f"token {token!r} is in neither fine-tuned vocabulary")
     pre_emb = pre_emb.astype(np.float32, copy=False)
     lvlm_emb = lvlm_emb.astype(np.float32, copy=False)
     rm_emb = rm_emb.astype(np.float32, copy=False)
-
-    def row_index(source: np.ndarray, label: str, idx: int | None) -> int | None:
-        if idx is not None and idx >= source.shape[0]:
-            raise VocabError(f"{label} row index {idx} out of range ({source.shape[0]} rows)")
-        return idx
-
-    n = len(aligned.rows)
-    pre_idx = np.full(n, -1, dtype=np.int64)
-    lv_idx = np.full(n, -1, dtype=np.int64)
-    rm_idx = np.full(n, -1, dtype=np.int64)
-    for i, entry in enumerate(aligned.rows):
-        if entry.lvlm_row is None and entry.rm_row is None:
-            raise VocabError(f"token {entry.token!r} is in neither fine-tuned vocabulary")
-        if (p := row_index(pre_emb, "pre", entry.pre_row)) is not None:
-            pre_idx[i] = p
-        if (l := row_index(lvlm_emb, "lvlm", entry.lvlm_row)) is not None:
-            lv_idx[i] = l
-        if (r := row_index(rm_emb, "rm", entry.rm_row)) is not None:
-            rm_idx[i] = r
 
     use_pre = (pre_idx >= 0) & (method is not MergeMethod.LINEAR)
     both = ~use_pre & (lv_idx >= 0) & (rm_idx >= 0)
     only_lv = ~use_pre & (lv_idx >= 0) & (rm_idx < 0)
     only_rm = ~use_pre & (lv_idx < 0) & (rm_idx >= 0)
 
-    out = np.empty((n, width), dtype=np.float32)
+    out = np.empty((len(aligned.tokens), width), dtype=np.float32)
     out[use_pre] = pre_emb[pre_idx[use_pre]]
     out[only_lv] = lvlm_emb[lv_idx[only_lv]]
     out[only_rm] = rm_emb[rm_idx[only_rm]]

@@ -4,7 +4,7 @@
 fine-tuned models per a validated ``MergeRecipe``. It is the one-lambda form of
 ``_merge_per_lam``, the one implementation of every merge rule, which computes
 the part of the rule that does not depend on lambda once and applies each of
-several lambdas to it. ``merge_transformer`` validates the recipe and the
+several lambdas to it. ``merge_transformer`` checks each lambda and the
 tensor alignment once, then maps ``_merge_per_lam`` over the tensor names. A
 task vector is fine-tuned weights minus base weights. Five strategies are
 supported:
@@ -67,7 +67,8 @@ class MergeRecipe:
     density: float | None = None
     seed: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        # every recipe is checked once, when it is made
         problems = []
         if self.method is MergeMethod.LINEAR:
             if not 0.0 <= self.lam <= 1.0:
@@ -190,7 +191,7 @@ def merge_transformer(
     """Merge the shared transformer weights per the recipe, once per lam.
 
     ``lams`` defaults to the recipe's own lam; the result holds one map per
-    lam, in order. Validates the recipe at every lam and the tensor alignment
+    lam, in order. Checks the recipe at every lam and the tensor alignment
     once, then merges every name on ``jobs`` worker threads (None takes
     ``default_jobs()``). A worker computes each tensor's lam-independent part
     once, every lam's output from it, and packs each output as a Tensor of its
@@ -204,7 +205,7 @@ def merge_transformer(
         raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
     lams = (recipe.lam,) if lams is None else tuple(lams)
     for lam in lams:
-        replace(recipe, lam=lam).validate()
+        replace(recipe, lam=lam)  # building the recipe checks its lambda
     _check_aligned({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans})
 
     def merge_one(name: str) -> list[Tensor]:

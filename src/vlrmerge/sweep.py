@@ -11,7 +11,7 @@ import hashlib
 import json
 import logging
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -91,11 +91,7 @@ class SweepConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise VlrmergeError(f"{path}: sweep config must be a JSON object")
-        known = {
-            "method", "lambda_grid", "density_grid", "primary_size",
-            "tiebreak_size", "sampling_seed", "tie_rounding_decimals",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise VlrmergeError(f"{path}: unknown sweep config key(s): {sorted(unknown)}")
         if "method" not in raw:
@@ -104,20 +100,10 @@ class SweepConfig:
             method = MergeMethod(raw["method"])
         except ValueError:
             raise VlrmergeError(f"{path}: unknown method {raw['method']!r}") from None
-        # a JSON list becomes a tuple; validate() rejects any other value
-        lambda_grid, density_grid = (
-            tuple(grid) if isinstance(grid, list) else grid
-            for grid in (raw.get("lambda_grid"), raw.get("density_grid"))
-        )
-        return cls(
-            method=method,
-            lambda_grid=lambda_grid,
-            density_grid=density_grid,
-            primary_size=raw.get("primary_size", 400),
-            tiebreak_size=raw.get("tiebreak_size", 100),
-            sampling_seed=raw.get("sampling_seed", 0),
-            tie_rounding_decimals=raw.get("tie_rounding_decimals"),
-        )
+        # a JSON list becomes a tuple and an omitted key takes the field's
+        # default; validate() rejects any other value
+        values = {key: tuple(value) if isinstance(value, list) else value for key, value in raw.items()}
+        return cls(**{**values, "method": method})
 
 
 def _check_grid(label: str, grid) -> None:
@@ -151,8 +137,6 @@ def generate_grid(config: SweepConfig) -> list[MergeRecipe]:
             recipes.append(MergeRecipe(config.method, lam=lam))
     if not recipes:
         raise VlrmergeError("hyperparameter grid is empty")
-    for recipe in recipes:
-        recipe.validate()
     return recipes
 
 

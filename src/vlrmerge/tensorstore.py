@@ -102,7 +102,11 @@ class Tensor:
 
     @classmethod
     def from_f32(cls, name: str, values: np.ndarray, dtype: Dtype) -> "Tensor":
-        """Pack a float32 array into a tensor, narrowing with round-to-nearest-even."""
+        """Pack a float32 array into a tensor, narrowing with round-to-nearest-even.
+
+        Values beyond the F16 range saturate to +-infinity. Widening is exact,
+        so widen-then-narrow round-trips every F16 and BF16 bit pattern.
+        """
         values = np.asarray(values, dtype="<f4")
         if dtype is Dtype.F32:
             data = values.tobytes()
@@ -113,17 +117,6 @@ class Tensor:
         return cls(name=name, dtype=dtype, shape=values.shape, data=data)
 
 
-def cast_tensor(t: Tensor, target: Dtype) -> Tensor:
-    """Convert a tensor's storage dtype, keeping name and shape.
-
-    Narrowing rounds to nearest-even; values beyond the F16 range saturate to
-    +-infinity. Widening is exact, so widen-then-narrow round trips bit-exactly.
-    """
-    if t.dtype is target:
-        return t
-    return Tensor.from_f32(t.name, t.to_f32(), target)
-
-
 @dataclass
 class Checkpoint:
     """An ordered map of tensors plus an optional vocabulary map."""
@@ -131,7 +124,6 @@ class Checkpoint:
     tensors: dict[str, Tensor]
     vocab: dict[str, int] | None = None
     metadata: dict[str, str] = field(default_factory=dict)
-    source_label: str = field(default="", compare=False)
 
 
 def _parse_header(blob: bytes) -> dict:
@@ -264,7 +256,7 @@ def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> C
             vocab = read_vocab(candidate)
     else:
         vocab = read_vocab(vocab_path)
-    return Checkpoint(tensors=tensors, vocab=vocab, metadata=metadata, source_label=str(path))
+    return Checkpoint(tensors=tensors, vocab=vocab, metadata=metadata)
 
 
 @contextmanager

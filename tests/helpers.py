@@ -106,7 +106,6 @@ def toy_triple(
             "lm_head.weight": make_tensor("lm_head.weight", values(pre_vocab, hidden)),
         },
         vocab={t: i for i, t in enumerate(pre_tokens)},
-        source_label="pre",
     )
     lvlm = Checkpoint(
         tensors={
@@ -126,7 +125,6 @@ def toy_triple(
             "lm_head.weight": make_tensor("lm_head.weight", values(lvlm_vocab, hidden)),
         },
         vocab={t: i for i, t in enumerate(lvlm_tokens)},
-        source_label="lvlm",
     )
     rm = Checkpoint(
         tensors={
@@ -135,7 +133,6 @@ def toy_triple(
             "score.weight": make_tensor("score.weight", values(1, hidden)),
         },
         vocab={t: i for i, t in enumerate(rm_tokens)},
-        source_label="rm",
     )
 
     # embedding tensors must agree name-by-name in dtype/width; pre was built

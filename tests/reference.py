@@ -155,6 +155,34 @@ def merge_reference(method: str, pre, lvlm, rm, lam, density=None, seed=None, na
     raise ValueError(method)
 
 
+def embedding_rows(method: str, pre_vocab, lvlm_vocab, rm_vocab, pre_emb, lvlm_emb, rm_emb):
+    """The merged embedding matrix, one output token at a time.
+
+    Returns (tokens, rows). The output tokens are the lvlm vocabulary in row
+    order, then the rm-only tokens in rm row order. For each token the first
+    rule that applies wins: the base row if the base knows the token (not for
+    linear); the row of the one fine-tuned model that knows it; the mean of
+    the two fine-tuned rows.
+    """
+    tokens = sorted(lvlm_vocab, key=lambda t: lvlm_vocab[t])
+    for token in sorted(rm_vocab, key=lambda t: rm_vocab[t]):
+        if token not in lvlm_vocab:
+            tokens.append(token)
+    rows = []
+    for token in tokens:
+        if method != "linear" and token in pre_vocab:
+            row = [F(v) for v in pre_emb[pre_vocab[token]]]
+        elif token not in rm_vocab:
+            row = [F(v) for v in lvlm_emb[lvlm_vocab[token]]]
+        elif token not in lvlm_vocab:
+            row = [F(v) for v in rm_emb[rm_vocab[token]]]
+        else:
+            pairs = zip(lvlm_emb[lvlm_vocab[token]], rm_emb[rm_vocab[token]])
+            row = [F(F(F(a) + F(b)) * F(0.5)) for a, b in pairs]
+        rows.append(row)
+    return tokens, rows
+
+
 def assert_close(actual: np.ndarray, expected: list, rtol: float = 1e-6) -> None:
     """Elementwise |a - e| <= rtol * max(1, |e|)."""
     actual = np.asarray(actual, dtype=np.float64).ravel()

@@ -168,7 +168,10 @@ def test_criterion_5_embedding_rules():
     lvlm = np.array([[1.0, 1.0], [1.0, 3.0], [5.0, 5.0]], dtype=np.float32)
     rm = np.array([[2.0, 2.0], [3.0, 1.0], [7.0, 7.0]], dtype=np.float32)
     aligned = align_vocab(pre_vocab, lvlm_vocab, rm_vocab)
-    assert [r.token for r in aligned.rows] == ["base", "shared", "vision-only", "reward-only"]
+    assert aligned.tokens == ["base", "shared", "vision-only", "reward-only"]
+    assert aligned.pre_rows.tolist() == [0, -1, -1, -1]
+    assert aligned.lvlm_rows.tolist() == [0, 1, 2, -1]
+    assert aligned.rm_rows.tolist() == [0, 1, -1, 2]
 
     merged = merge_embedding_rows(aligned, pre, lvlm, rm, MergeMethod.TASK_ARITHMETIC)
     assert merged[0].tolist() == [9.0, 9.0]  # rule 1: base-model row wins

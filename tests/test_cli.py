@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from vlrmerge import Dtype, read_checkpoint
+from vlrmerge import Dtype, read_checkpoint, write_checkpoint
 from vlrmerge.cli import main
 
 from helpers import toy_triple, write_triple, write_pairwise_dataset, write_bon_dataset
@@ -124,6 +124,26 @@ class TestMergeCommand:
         ])
         assert result.exit_code != 0
         assert "name-set mismatch" in result.output
+
+
+@pytest.mark.parametrize("command", ["merge", "sweep"])
+def test_triple_violations_are_reported(runner, triple_files, tmp_path, command):
+    rm = read_checkpoint(triple_files["rm"])
+    del rm.tensors["model.norm.weight"]  # a transformer tensor the other two models have
+    write_checkpoint(rm, triple_files["rm"])
+    if command == "merge":
+        args = ["--method", "linear", "--lambda", "0.5", "--out", str(tmp_path / "x")]
+    else:
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"method": "linear", "lambda_grid": [0.5]}), encoding="utf-8")
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        args = ["--config", str(config), "--data", str(data),
+                "--scorer", STUB_CMD, "--out-dir", str(tmp_path / "out")]
+    result = runner.invoke(main, [command, *triple_args(triple_files), *args])
+    assert result.exit_code != 0
+    violations = [line for line in result.output.splitlines() if line.startswith("validation: ")]
+    assert any("name-set mismatch" in line for line in violations), result.output
+    assert f"triple validation failed with {len(violations)} violation(s)" in result.output
 
 
 class TestInspectCommand:

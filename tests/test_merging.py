@@ -422,8 +422,8 @@ class TestMergeTransformer:
             assert single[name].data == multi[name].data
 
     def test_recipe_validation_runs(self):
-        recipe = MergeRecipe(MergeMethod.TIES, lam=0.5)  # density missing
         with pytest.raises(RecipeError, match="--density is required"):
+            recipe = MergeRecipe(MergeMethod.TIES, lam=0.5)  # density missing
             merge_transformer(recipe, {"t": arr([1.0])}, {"t": arr([1.0])}, {"t": arr([1.0])})
 
     @pytest.mark.parametrize("jobs", [0, -3])
@@ -501,4 +501,4 @@ class TestRecipeValidation:
     ])
     def test_non_finite_lambda_rejected(self, method, extra, lam):
         with pytest.raises(RecipeError, match="lambda must be a finite number >= 0"):
-            MergeRecipe(method, lam=lam, **extra).validate()
+            MergeRecipe(method, lam=lam, **extra)

@@ -66,6 +66,10 @@ class TestGenerateGrid:
         config = SweepConfig.from_json(path)
         assert config.method is MergeMethod.TIES
         assert len(generate_grid(config)) == 2
+        assert config.density_grid == (0.4, 0.2)
+        defaults = SweepConfig(method=MergeMethod.TIES)
+        for name in ("primary_size", "tiebreak_size", "sampling_seed", "tie_rounding_decimals"):
+            assert getattr(config, name) == getattr(defaults, name), name
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "sweep.json"

@@ -10,7 +10,6 @@ from vlrmerge import (
     Dtype,
     Tensor,
     VocabError,
-    cast_tensor,
     read_checkpoint,
     read_metadata,
     read_vocab,
@@ -234,40 +233,45 @@ def bf16_reference(value: float) -> float:
 class TestCasts:
     def test_exact_value_survives_bf16(self):
         t = make_tensor("w", [1.0], Dtype.F32)
-        back = cast_tensor(cast_tensor(t, Dtype.BF16), Dtype.F32)
+        narrowed = Tensor.from_f32(t.name, t.to_f32(), Dtype.BF16)
+        back = Tensor.from_f32(t.name, narrowed.to_f32(), Dtype.F32)
         assert back.to_f32().tolist() == [1.0]
 
     def test_f16_narrowing_matches_soft_float(self):
         t = make_tensor("w", [0.1], Dtype.F32)
-        narrowed = cast_tensor(t, Dtype.F16)
+        narrowed = Tensor.from_f32(t.name, t.to_f32(), Dtype.F16)
         assert narrowed.to_f32().tolist() == [f16_reference(0.1)]
 
     def test_f16_narrowing_random_values_match_soft_float(self, rng):
         values = rng.uniform(-70000.0, 70000.0, size=256).astype(np.float32)
-        narrowed = cast_tensor(make_tensor("w", values), Dtype.F16).to_f32()
+        t = make_tensor("w", values)
+        narrowed = Tensor.from_f32(t.name, t.to_f32(), Dtype.F16).to_f32()
         expected = [f16_reference(float(v)) for v in values]
         assert narrowed.tolist() == expected
 
     def test_bf16_narrowing_random_values_match_reference(self, rng):
         values = rng.standard_normal(256).astype(np.float32) * 1e3
-        narrowed = cast_tensor(make_tensor("w", values), Dtype.BF16).to_f32()
+        t = make_tensor("w", values)
+        narrowed = Tensor.from_f32(t.name, t.to_f32(), Dtype.BF16).to_f32()
         expected = [bf16_reference(float(v)) for v in values]
         assert narrowed.tolist() == expected
 
     def test_f16_overflow_saturates_to_infinity(self):
         t = make_tensor("w", [1e6, -1e6], Dtype.F32)
-        assert cast_tensor(t, Dtype.F16).to_f32().tolist() == [np.inf, -np.inf]
+        assert Tensor.from_f32(t.name, t.to_f32(), Dtype.F16).to_f32().tolist() == [np.inf, -np.inf]
 
     def test_all_f16_bit_patterns_round_trip(self):
         bits = np.arange(65536, dtype=np.uint16)
         t = Tensor(name="w", dtype=Dtype.F16, shape=(65536,), data=bits.tobytes())
-        back = cast_tensor(cast_tensor(t, Dtype.F32), Dtype.F16)
+        widened = Tensor.from_f32(t.name, t.to_f32(), Dtype.F32)
+        back = Tensor.from_f32(t.name, widened.to_f32(), Dtype.F16)
         assert back.data == t.data
 
     def test_all_bf16_bit_patterns_round_trip(self):
         bits = np.arange(65536, dtype=np.uint16)
         t = Tensor(name="w", dtype=Dtype.BF16, shape=(65536,), data=bits.tobytes())
-        back = cast_tensor(cast_tensor(t, Dtype.F32), Dtype.BF16)
+        widened = Tensor.from_f32(t.name, t.to_f32(), Dtype.F32)
+        back = Tensor.from_f32(t.name, widened.to_f32(), Dtype.BF16)
         assert back.data == t.data
 
     def test_widening_is_injective_on_finite_values(self):
@@ -280,7 +284,7 @@ class TestCasts:
 
     def test_cast_preserves_name_and_shape(self, rng):
         t = make_tensor("layer.w", rng.standard_normal((3, 4)), Dtype.F32)
-        cast = cast_tensor(t, Dtype.BF16)
+        cast = Tensor.from_f32(t.name, t.to_f32(), Dtype.BF16)
         assert cast.name == t.name and cast.shape == t.shape
 
 
