@@ -4,6 +4,7 @@ import pytest
 from vlrmerge import (
     Checkpoint,
     ClassificationError,
+    Dtype,
     Role,
     Rule,
     classify_tensors,
@@ -82,6 +83,49 @@ class TestValidateTriple:
         triple.lvlm.ckpt.tensors[name] = make_tensor(name, np.zeros((8, 4)))
         report = validate_triple(triple)
         assert any(name in entry and "[8, 8]" in entry and "[8, 4]" in entry for entry in report)
+
+    def test_transformer_dtype_mismatch_reported(self, rng):
+        triple = classified_toy_triple(rng)
+        name = "model.layers.0.mlp.weight"
+        triple.rm.ckpt.tensors[name] = make_tensor(name, np.zeros((8, 8)), Dtype.BF16)
+        report = validate_triple(triple)
+        assert any(entry.startswith(f"transformer dtype mismatch for {name}") for entry in report)
+
+    def test_embedding_name_set_mismatch_reported(self, rng):
+        triple = classified_toy_triple(rng)
+        name = "model.embed_tokens.extra"
+        triple.rm.ckpt.tensors[name] = make_tensor(name, np.zeros((24, 8)))
+        triple.rm.cmap.assignments[name] = Role.EMBEDDING
+        report = validate_triple(triple)
+        assert any("embedding name-set mismatch" in entry and name in entry for entry in report)
+
+    def test_embedding_must_be_two_dimensional(self, rng):
+        triple = classified_toy_triple(rng)
+        name = "model.embed_tokens.weight"
+        triple.lvlm.ckpt.tensors[name] = make_tensor(name, np.zeros(24 * 8))
+        report = validate_triple(triple)
+        assert any(entry.startswith("lvlm: ") and name in entry and "must have 2 dimensions" in entry
+                   for entry in report)
+
+    def test_embedding_width_mismatch_reported(self, rng):
+        triple = classified_toy_triple(rng)
+        name = "model.embed_tokens.weight"
+        triple.rm.ckpt.tensors[name] = make_tensor(name, np.zeros((24, 9)))
+        report = validate_triple(triple)
+        assert any(entry.startswith(f"embedding width mismatch for {name}") for entry in report)
+
+    def test_embedding_dtype_mismatch_reported(self, rng):
+        triple = classified_toy_triple(rng)
+        name = "model.embed_tokens.weight"
+        triple.rm.ckpt.tensors[name] = make_tensor(name, np.zeros((24, 8)), Dtype.F16)
+        report = validate_triple(triple)
+        assert any(entry.startswith(f"embedding dtype mismatch for {name}") for entry in report)
+
+    def test_repeated_vocab_row_index_reported(self, rng):
+        triple = classified_toy_triple(rng)
+        triple.lvlm.ckpt.vocab["t1"] = 0
+        report = validate_triple(triple)
+        assert any(entry.startswith("lvlm: ") and "not unique" in entry for entry in report)
 
     def test_missing_role_reported(self, rng):
         triple = classified_toy_triple(rng)

@@ -182,6 +182,35 @@ class TestDatasets:
         with pytest.raises(DatasetError, match="duplicate id"):
             load_pairwise_dataset(path)
 
+    @pytest.mark.parametrize("loader", [load_pairwise_dataset, load_bon_dataset])
+    def test_empty_file_rejected(self, tmp_path, loader):
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="dataset is empty"):
+            loader(path)
+
+    @pytest.mark.parametrize("record,message", [
+        ({"id": "a", "instruction": "i"}, "missing field.*candidates"),
+        ({"id": "a", "instruction": "i", "candidates": []}, "candidates must be a non-empty list"),
+        ({"id": "a", "instruction": "i", "candidates": "c"}, "candidates must be a non-empty list"),
+        ({"id": "a", "instruction": "i", "candidates": [{"text": "c"}]},
+         "candidate #0 needs 'text' and 'correct'"),
+        ({"id": "a", "instruction": "i", "candidates": ["c"]},
+         "candidate #0 needs 'text' and 'correct'"),
+    ])
+    def test_malformed_bon_record_rejected(self, tmp_path, record, message):
+        path = tmp_path / "bon.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=message):
+            load_bon_dataset(path)
+
+    def test_bon_duplicate_id_rejected(self, tmp_path):
+        record = json.dumps({"id": "a", "instruction": "i", "candidates": [{"text": "c", "correct": True}]})
+        path = tmp_path / "bon.jsonl"
+        path.write_text(record + "\n" + record + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="bon.jsonl:2: duplicate id"):
+            load_bon_dataset(path)
+
     def test_bon_round_trip(self, tmp_path):
         path = write_bon_dataset(tmp_path / "bon.jsonl", 4, candidates=8)
         examples = load_bon_dataset(path)

@@ -57,6 +57,14 @@ class TestGenerateGrid:
         with pytest.raises(VlrmergeError, match="outside"):
             SweepConfig(MergeMethod.TASK_ARITHMETIC, lambda_grid=(0.5, 1.6))
 
+    @pytest.mark.parametrize("method,grids,message", [
+        (MergeMethod.LINEAR, {"lambda_grid": (0.5, 1.2)}, r"\[0, 1\]"),
+        (MergeMethod.TIES, {"density_grid": (0.4, 1.5)}, r"\(0, 1\]"),
+    ])
+    def test_grid_value_outside_the_method_range(self, method, grids, message):
+        with pytest.raises(VlrmergeError, match=message):
+            SweepConfig(method, **grids)
+
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(
