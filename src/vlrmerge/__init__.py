@@ -48,4 +48,4 @@ from .evaluation import (  # noqa: F401
     score_pairwise_bench,
 )
 from .scoring import RecordingScorer, ReplayScorer, StubScorer, SubprocessScorer  # noqa: F401
-from .sweep import SweepConfig, SweepResult, generate_grid, run_sweep, select_best  # noqa: F401
+from .sweep import SweepConfig, SweepEntry, SweepResult, generate_grid, run_sweep, select_best  # noqa: F401

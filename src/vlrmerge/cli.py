@@ -35,14 +35,16 @@ def _echo_config(name: str, resolved: dict) -> None:
     click.echo(f"{name} config: {json.dumps(resolved, sort_keys=True, default=str)}", err=True)
 
 
-def _hash_inputs(inputs: dict[str, tuple[str, str | None]]) -> dict[str, str]:
-    """Digest each checkpoint and the vocabulary file that was read with it."""
+def _hash_inputs(inputs: dict[str, tuple[str, str | None]], manifest: str | None) -> dict[str, str]:
+    """Digest each checkpoint, the vocabulary file read with it and any manifest file."""
     provenance = {}
     for label, (path, vocab) in inputs.items():
         provenance[f"input.{label}.sha256"] = file_digest(path)
         sidecar = Path(vocab) if vocab is not None else default_vocab_path(path)
         if sidecar.exists():
             provenance[f"input.{label}_vocab.sha256"] = file_digest(sidecar)
+    if manifest is not None:
+        provenance["input.manifest.sha256"] = file_digest(manifest)
     return provenance
 
 
@@ -56,7 +58,7 @@ def _load_triple(pre, lvlm, rm, pre_vocab, lvlm_vocab, rm_vocab, manifest):
         for entry in report:
             click.echo(f"validation: {entry}", err=True)
         raise click.ClickException(f"triple validation failed with {len(report)} violation(s)")
-    return triple, _hash_inputs(inputs)
+    return triple, _hash_inputs(inputs, manifest)
 
 
 @click.group()
@@ -127,19 +129,25 @@ def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
     click.echo(f"wrote {out_path} (+ vocabulary sidecar, {len(merged.vocab)} tokens)")
 
 
+def _scorer(command, replay_path, record_path, timeout):
+    """Rewards from a transcript at ``replay_path``, else from ``command``, recorded when asked."""
+    if replay_path is not None:
+        return ReplayScorer(replay_path)
+    scorer = SubprocessScorer(command, timeout_per_record=timeout)
+    if record_path is not None:
+        Path(record_path).parent.mkdir(parents=True, exist_ok=True)
+        Path(record_path).unlink(missing_ok=True)
+        scorer = RecordingScorer(scorer, record_path)
+    return scorer
+
+
 def _make_scorer_factory(scorer_cmd, replay_dir, record_dir, timeout):
+    def transcript(directory, recipe):
+        return None if directory is None else Path(directory) / f"transcript-{recipe.slug()}.jsonl"
+
     def factory(recipe, variant_path):
-        slug = recipe.slug()
-        if replay_dir is not None:
-            return ReplayScorer(Path(replay_dir) / f"transcript-{slug}.jsonl")
-        command = scorer_cmd.replace("{checkpoint}", str(variant_path))
-        scorer = SubprocessScorer(command, timeout_per_record=timeout)
-        if record_dir is not None:
-            transcript = Path(record_dir) / f"transcript-{slug}.jsonl"
-            transcript.parent.mkdir(parents=True, exist_ok=True)
-            transcript.unlink(missing_ok=True)
-            scorer = RecordingScorer(scorer, transcript)
-        return scorer
+        command = None if scorer_cmd is None else scorer_cmd.replace("{checkpoint}", str(variant_path))
+        return _scorer(command, transcript(replay_dir, recipe), transcript(record_dir, recipe), timeout)
     return factory
 
 
@@ -189,11 +197,10 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         click.echo(f"failed: {entry.recipe.slug()}: {entry.error}", err=True)
     if result.winner is None:
         raise click.ClickException("all recipes failed")
-    winner_entry = next(e for e in result.entries if e.recipe is result.winner)
-    click.echo(f"winner: {result.winner.slug()}")
-    click.echo(f"primary accuracy: {100.0 * winner_entry.primary_accuracy:.1f}")
-    if winner_entry.tiebreak_accuracy is not None:
-        click.echo(f"tiebreak accuracy: {100.0 * winner_entry.tiebreak_accuracy:.1f}")
+    click.echo(f"winner: {result.winner.recipe.slug()}")
+    click.echo(f"primary accuracy: {100.0 * result.winner.primary_accuracy:.1f}")
+    if result.winner.tiebreak_accuracy is not None:
+        click.echo(f"tiebreak accuracy: {100.0 * result.winner.tiebreak_accuracy:.1f}")
     click.echo(f"manifest: {Path(out_dir) / MANIFEST_NAME}")
 
 
@@ -216,14 +223,8 @@ def eval_cmd(mode, data_path, scorer_cmd, replay_path, record_path, scorer_timeo
         "mode": mode, "data": data_path, "scorer": scorer_cmd or f"replay:{replay_path}",
         "record": record_path, "out": out_path, "json": as_json,
     })
-    if replay_path is not None:
-        scorer = ReplayScorer(replay_path)
-    else:
-        scorer = SubprocessScorer(scorer_cmd, timeout_per_record=scorer_timeout)
-        if record_path is not None:
-            Path(record_path).unlink(missing_ok=True)
-            scorer = RecordingScorer(scorer, record_path)
     try:
+        scorer = _scorer(scorer_cmd, replay_path, record_path, scorer_timeout)
         if mode == "pairwise":
             report = evaluate_pairwise(load_pairwise_dataset(data_path), scorer)
             text = json.dumps(report.to_json(), indent=2, sort_keys=True) if as_json else report.render()

@@ -122,56 +122,41 @@ def validate_triple(triple: ModelTriple) -> list[str]:
     for kind, model in models.items():
         report.extend(_role_set_report(kind, model))
 
-    # transformer tensors must agree in name, shape and dtype across all three
-    name_sets = {kind: set(model.cmap.names(Role.TRANSFORMER)) for kind, model in models.items()}
-    union = sorted(name_sets["pre"] | name_sets["lvlm"] | name_sets["rm"])
-    for name in union:
-        holders = [kind for kind in ("pre", "lvlm", "rm") if name in name_sets[kind]]
-        if len(holders) != 3:
-            report.append(
-                f"transformer name-set mismatch: {name} (present in {', '.join(holders)} only)"
-            )
-    for name in sorted(name_sets["pre"] & name_sets["lvlm"] & name_sets["rm"]):
-        ref = triple.pre.ckpt.tensors[name]
-        for kind in ("lvlm", "rm"):
-            other = models[kind].ckpt.tensors[name]
-            if other.shape != ref.shape:
+    # the merged roles must hold the same names in all three models, each name
+    # with one dtype and shape; embeddings are merged row by row, so theirs
+    # must be 2-D with one width and may differ in row count
+    for role in (Role.TRANSFORMER, Role.EMBEDDING):
+        name_sets = {kind: set(model.cmap.names(role)) for kind, model in models.items()}
+        for name in sorted(set().union(*name_sets.values())):
+            holders = [kind for kind in models if name in name_sets[kind]]
+            if len(holders) != 3:
                 report.append(
-                    f"transformer shape mismatch for {name}: "
-                    f"pre {list(ref.shape)} vs {kind} {list(other.shape)}"
+                    f"{role.value} name-set mismatch: {name} (present in {', '.join(holders)} only)"
                 )
-            if other.dtype is not ref.dtype:
-                report.append(
-                    f"transformer dtype mismatch for {name}: "
-                    f"pre {ref.dtype.value} vs {kind} {other.dtype.value}"
-                )
-
-    # embedding matrices are merged row-by-row, so the three models must expose
-    # the same embedding tensor names with equal widths and dtypes
-    emb_sets = {kind: set(model.cmap.names(Role.EMBEDDING)) for kind, model in models.items()}
-    for name in sorted(emb_sets["pre"] | emb_sets["lvlm"] | emb_sets["rm"]):
-        holders = [kind for kind in ("pre", "lvlm", "rm") if name in emb_sets[kind]]
-        if len(holders) != 3:
-            report.append(
-                f"embedding name-set mismatch: {name} (present in {', '.join(holders)} only)"
-            )
-    for name in sorted(emb_sets["pre"] & emb_sets["lvlm"] & emb_sets["rm"]):
-        tensors = {kind: models[kind].ckpt.tensors[name] for kind in models}
-        for kind, t in tensors.items():
-            if len(t.shape) != 2:
-                report.append(
-                    f"{kind}: embedding tensor {name} must have 2 dimensions, "
-                    f"got shape {list(t.shape)}"
-                )
-        widths = {kind: t.shape[-1] if len(t.shape) == 2 else None for kind, t in tensors.items()}
-        if len(set(widths.values())) > 1:
-            report.append(f"embedding width mismatch for {name}: {widths}")
-        dtypes = {kind: t.dtype for kind, t in tensors.items()}
-        if len(set(dtypes.values())) > 1:
-            report.append(
-                f"embedding dtype mismatch for {name}: "
-                f"{ {k: d.value for k, d in dtypes.items()} }"
-            )
+                continue
+            ref = triple.pre.ckpt.tensors[name]
+            for kind, model in models.items():
+                t = model.ckpt.tensors[name]
+                if role is Role.TRANSFORMER and t.shape != ref.shape:
+                    report.append(
+                        f"transformer shape mismatch for {name}: "
+                        f"pre {list(ref.shape)} vs {kind} {list(t.shape)}"
+                    )
+                if role is Role.EMBEDDING and len(t.shape) != 2:
+                    report.append(
+                        f"{kind}: embedding tensor {name} must have 2 dimensions, "
+                        f"got shape {list(t.shape)}"
+                    )
+                if role is Role.EMBEDDING and t.shape[1:] != ref.shape[1:]:
+                    report.append(
+                        f"embedding width mismatch for {name}: "
+                        f"pre {list(ref.shape)} vs {kind} {list(t.shape)}"
+                    )
+                if t.dtype is not ref.dtype:
+                    report.append(
+                        f"{role.value} dtype mismatch for {name}: "
+                        f"pre {ref.dtype.value} vs {kind} {t.dtype.value}"
+                    )
 
     # each model needs a vocabulary sidecar consistent with its embedding rows
     for kind, model in models.items():
@@ -181,7 +166,7 @@ def validate_triple(triple: ModelTriple) -> list[str]:
         indices = list(model.ckpt.vocab.values())
         if len(set(indices)) != len(indices):
             report.append(f"{kind}: vocabulary row indices are not unique")
-        for name in sorted(emb_sets[kind]):
+        for name in sorted(model.cmap.names(Role.EMBEDDING)):
             t = model.ckpt.tensors[name]
             if len(t.shape) == 2 and indices and max(indices) >= t.shape[0]:
                 report.append(
@@ -252,18 +237,26 @@ def rules_from_config(entries: list[dict[str, str]]) -> list[Rule]:
     return rules
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object held in the file at ``path``; ``what`` names the file in errors."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise VlrmergeError(f"{path}: {what} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise VlrmergeError(f"{path}: {what} must be a JSON object")
+    return raw
+
+
 def load_manifest_config(path: str | Path | None = None) -> dict[str, list[Rule]]:
     """Load per-model-kind rule lists from a JSON config, or the shipped defaults."""
-    if path is None:
-        raw = DEFAULT_MANIFEST
-    else:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise VlrmergeError(f"{path}: manifest config must be a JSON object")
+    raw = DEFAULT_MANIFEST if path is None else read_json_object(path, "manifest config")
     config = {}
     for kind, entries in raw.items():
         if kind not in MODEL_KINDS:
             raise VlrmergeError(f"manifest config: unknown model kind {kind!r}")
+        if not isinstance(entries, list):
+            raise VlrmergeError(f"manifest config: rules for {kind!r} must be a list, got {entries!r}")
         config[kind] = rules_from_config(entries)
     return config
 

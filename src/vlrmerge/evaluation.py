@@ -134,76 +134,72 @@ class BoNExample:
     image_path: str | None = None
 
 
-def _records(path: str | Path):
+def _load_records(path: str | Path, fields: list[str], build) -> list:
+    """``build(record, "<path>:<line>")`` for each record of a JSONL file, in file order.
+
+    Each record needs ``fields`` and an id that no other record has as a string.
+    """
+    examples = []
+    seen = set()
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{line_no}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
+                raise DatasetError(f"{where}: invalid JSON: {exc.msg}") from exc
             if not isinstance(record, dict):
-                raise DatasetError(f"{path}:{line_no}: record must be a JSON object")
-            yield line_no, record
+                raise DatasetError(f"{where}: record must be a JSON object")
+            missing = [k for k in fields if k not in record]
+            if missing:
+                raise DatasetError(f"{where}: missing field(s) {', '.join(missing)}")
+            example_id = str(record["id"])
+            if example_id in seen:
+                raise DatasetError(f"{where}: duplicate id {example_id!r}")
+            seen.add(example_id)
+            examples.append(build(record, where))
+    if not examples:
+        raise DatasetError(f"{path}: dataset is empty")
+    return examples
 
 
-def _require(record: dict, keys: list[str], path, line_no: int) -> None:
-    missing = [k for k in keys if k not in record]
-    if missing:
-        raise DatasetError(f"{path}:{line_no}: missing field(s) {', '.join(missing)}")
+def _pairwise_example(record: dict, where: str) -> PairwiseExample:
+    return PairwiseExample(
+        id=str(record["id"]),
+        domain=str(record["domain"]),
+        instruction=str(record["instruction"]),
+        chosen_text=str(record["chosen_text"]),
+        rejected_text=str(record["rejected_text"]),
+        image_path=record.get("image_path"),
+    )
+
+
+def _bon_example(record: dict, where: str) -> BoNExample:
+    candidates = record["candidates"]
+    if not isinstance(candidates, list) or not candidates:
+        raise DatasetError(f"{where}: candidates must be a non-empty list")
+    parsed = []
+    for i, cand in enumerate(candidates):
+        if not isinstance(cand, dict) or "text" not in cand or "correct" not in cand:
+            raise DatasetError(f"{where}: candidate #{i} needs 'text' and 'correct'")
+        parsed.append((str(cand["text"]), bool(cand["correct"])))
+    return BoNExample(
+        id=str(record["id"]),
+        instruction=str(record["instruction"]),
+        candidates=tuple(parsed),
+        image_path=record.get("image_path"),
+    )
 
 
 def load_pairwise_dataset(path: str | Path) -> list[PairwiseExample]:
-    examples = []
-    seen = set()
-    for line_no, record in _records(path):
-        _require(record, ["id", "domain", "instruction", "chosen_text", "rejected_text"], path, line_no)
-        if record["id"] in seen:
-            raise DatasetError(f"{path}:{line_no}: duplicate id {record['id']!r}")
-        seen.add(record["id"])
-        examples.append(
-            PairwiseExample(
-                id=str(record["id"]),
-                domain=str(record["domain"]),
-                instruction=str(record["instruction"]),
-                chosen_text=str(record["chosen_text"]),
-                rejected_text=str(record["rejected_text"]),
-                image_path=record.get("image_path"),
-            )
-        )
-    if not examples:
-        raise DatasetError(f"{path}: dataset is empty")
-    return examples
+    fields = ["id", "domain", "instruction", "chosen_text", "rejected_text"]
+    return _load_records(path, fields, _pairwise_example)
 
 
 def load_bon_dataset(path: str | Path) -> list[BoNExample]:
-    examples = []
-    seen = set()
-    for line_no, record in _records(path):
-        _require(record, ["id", "instruction", "candidates"], path, line_no)
-        if record["id"] in seen:
-            raise DatasetError(f"{path}:{line_no}: duplicate id {record['id']!r}")
-        seen.add(record["id"])
-        candidates = record["candidates"]
-        if not isinstance(candidates, list) or not candidates:
-            raise DatasetError(f"{path}:{line_no}: candidates must be a non-empty list")
-        parsed = []
-        for i, cand in enumerate(candidates):
-            if not isinstance(cand, dict) or "text" not in cand or "correct" not in cand:
-                raise DatasetError(f"{path}:{line_no}: candidate #{i} needs 'text' and 'correct'")
-            parsed.append((str(cand["text"]), bool(cand["correct"])))
-        examples.append(
-            BoNExample(
-                id=str(record["id"]),
-                instruction=str(record["instruction"]),
-                candidates=tuple(parsed),
-                image_path=record.get("image_path"),
-            )
-        )
-    if not examples:
-        raise DatasetError(f"{path}: dataset is empty")
-    return examples
+    return _load_records(path, ["id", "instruction", "candidates"], _bon_example)
 
 
 def _check_unique_request_ids(requests: list[dict]) -> list[dict]:
@@ -215,26 +211,24 @@ def _check_unique_request_ids(requests: list[dict]) -> list[dict]:
     return requests
 
 
-def pairwise_requests(examples: list[PairwiseExample]) -> list[dict]:
+def _requests(examples: list, responses) -> list[dict]:
+    """One scorer request per ``(suffix, text)`` of ``responses(example)``, id ``<example id>#<suffix>``."""
     requests = []
     for ex in examples:
-        for side, text in (("chosen", ex.chosen_text), ("rejected", ex.rejected_text)):
-            req = {"id": f"{ex.id}#{side}", "instruction": ex.instruction, "response": text}
+        for suffix, text in responses(ex):
+            req = {"id": f"{ex.id}#{suffix}", "instruction": ex.instruction, "response": text}
             if ex.image_path is not None:
                 req["image_path"] = ex.image_path
             requests.append(req)
     return _check_unique_request_ids(requests)
+
+
+def pairwise_requests(examples: list[PairwiseExample]) -> list[dict]:
+    return _requests(examples, lambda ex: (("chosen", ex.chosen_text), ("rejected", ex.rejected_text)))
 
 
 def bon_requests(examples: list[BoNExample]) -> list[dict]:
-    requests = []
-    for ex in examples:
-        for i, (text, _) in enumerate(ex.candidates):
-            req = {"id": f"{ex.id}#{i}", "instruction": ex.instruction, "response": text}
-            if ex.image_path is not None:
-                req["image_path"] = ex.image_path
-            requests.append(req)
-    return _check_unique_request_ids(requests)
+    return _requests(examples, lambda ex: enumerate(text for text, _ in ex.candidates))
 
 
 def evaluate_pairwise(examples: list[PairwiseExample], scorer) -> BenchReport:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .assembly import AssemblyPlan, assemble_vlrm, recorded_provenance, write_merged
-from .components import ModelTriple, Role
+from .components import ModelTriple, Role, read_json_object
 from .errors import CheckpointFormatError, DatasetError, ScorerError, VlrmergeError
 from .evaluation import PairwiseExample, evaluate_pairwise
 from .merging import MergeMethod, MergeRecipe
@@ -57,6 +57,7 @@ class SweepConfig:
         self.validate()
 
     def validate(self) -> None:
+        """Check the sweep's own rules; making the grid checks each lambda and density."""
         _check_grid("lambda", self.lambda_grid)
         if self.density_grid is not None:
             _check_grid("density", self.density_grid)
@@ -68,13 +69,8 @@ class SweepConfig:
         if not self.lambda_grid:
             raise VlrmergeError("lambda grid is empty")
         for lam in self.lambda_grid:
-            if not 0.0 <= lam <= LAMBDA_CAP:
+            if lam > LAMBDA_CAP:
                 raise VlrmergeError(f"lambda {lam} outside [0, {LAMBDA_CAP}]")
-            if self.method is MergeMethod.LINEAR and lam > 1.0:
-                raise VlrmergeError(f"lambda {lam} outside [0, 1] for linear merging")
-        for d in self.density_grid or ():
-            if not 0.0 < d <= 1.0:
-                raise VlrmergeError(f"density {d} outside (0, 1]")
         for field in ("primary_size", "tiebreak_size", "sampling_seed", "tie_rounding_decimals"):
             value = getattr(self, field)
             if field == "tie_rounding_decimals" and value is None:
@@ -85,12 +81,11 @@ class SweepConfig:
             raise VlrmergeError("validation slice sizes must be positive")
         if not 0 <= self.sampling_seed < 2**64:
             raise VlrmergeError(f"sampling_seed must be in [0, 2**64), got {self.sampling_seed}")
+        generate_grid(self)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SweepConfig":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise VlrmergeError(f"{path}: sweep config must be a JSON object")
+        raw = read_json_object(path, "sweep config")
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise VlrmergeError(f"{path}: unknown sweep config key(s): {sorted(unknown)}")
@@ -135,8 +130,6 @@ def generate_grid(config: SweepConfig) -> list[MergeRecipe]:
                 recipes.append(MergeRecipe(config.method, lam=lam, density=d, seed=seed))
         else:
             recipes.append(MergeRecipe(config.method, lam=lam))
-    if not recipes:
-        raise VlrmergeError("hyperparameter grid is empty")
     return recipes
 
 
@@ -153,43 +146,41 @@ class SweepEntry:
 @dataclass
 class SweepResult:
     entries: list[SweepEntry]
-    winner: MergeRecipe | None
+    winner: SweepEntry | None  # one of ``entries``; None when no recipe scored
 
 
 def select_best(
-    entries: list[tuple[MergeRecipe, float]],
-    tiebreak_provider: Callable[[MergeRecipe], float],
+    entries: list[SweepEntry],
+    tiebreak: Callable[[SweepEntry], float],
     tie_rounding_decimals: int | None = None,
-) -> SweepResult:
-    """Pick the winner; the tie-break provider runs only for exact ties at the top.
+) -> SweepEntry | None:
+    """The winning entry among those whose status is ok; None when none is.
 
+    ``tiebreak`` runs only for exact ties at the top, once per tied entry, and
+    its value is written to that entry's ``tiebreak_accuracy``.
     ``tie_rounding_decimals`` switches tie detection from exact equality to
     equality after rounding.
     """
     if not entries:
         raise VlrmergeError("cannot select from an empty entry list")
+    scored = [entry for entry in entries if entry.status == "ok"]
+    if not scored:
+        return None
 
     def tie_key(acc: float) -> float:
         return acc if tie_rounding_decimals is None else round(acc, tie_rounding_decimals)
 
-    best_key = max(tie_key(acc) for _, acc in entries)
-    tied = [(recipe, acc) for recipe, acc in entries if tie_key(acc) == best_key]
-    result_entries = [SweepEntry(recipe=recipe, primary_accuracy=acc) for recipe, acc in entries]
-    by_recipe = {entry.recipe: entry for entry in result_entries}
-
+    best_key = max(tie_key(entry.primary_accuracy) for entry in scored)
+    tied = [entry for entry in scored if tie_key(entry.primary_accuracy) == best_key]
     if len(tied) == 1:
-        return SweepResult(entries=result_entries, winner=tied[0][0])
+        return tied[0]
 
-    tiebreak: dict[MergeRecipe, float] = {}
-    for recipe, _ in tied:
-        value = tiebreak_provider(recipe)
-        tiebreak[recipe] = value
-        by_recipe[recipe].tiebreak_accuracy = value
-    best_tb = max(tiebreak.values())
-    finalists = [recipe for recipe, _ in tied if tiebreak[recipe] == best_tb]
+    for entry in tied:
+        entry.tiebreak_accuracy = tiebreak(entry)
+    best_tb = max(entry.tiebreak_accuracy for entry in tied)
+    finalists = [entry for entry in tied if entry.tiebreak_accuracy == best_tb]
     # residual ties resolve by grid order: lambda ascending, then density descending
-    winner = min(finalists, key=lambda r: (r.lam, -(r.density if r.density is not None else 0.0)))
-    return SweepResult(entries=result_entries, winner=winner)
+    return min(finalists, key=lambda e: (e.recipe.lam, -(e.recipe.density or 0.0)))
 
 
 def sample_validation_slices(
@@ -305,11 +296,12 @@ def run_sweep(
             log.info("assembled %s", variants[recipe].name)
         del merged  # or the group's last checkpoint lives through the next merge
 
-    # grid values are distinct, so each recipe keys one entry; dicts keep grid order
-    entries: dict[MergeRecipe, SweepEntry] = {}
+    # grid values are distinct, so each recipe keys one scorer
+    entries: list[SweepEntry] = []
     scorers: dict[MergeRecipe, object] = {}
     for recipe, variant in variants.items():
-        entry = entries[recipe] = SweepEntry(recipe=recipe, variant_path=variant.name)
+        entry = SweepEntry(recipe=recipe, variant_path=variant.name)
+        entries.append(entry)
         scorers[recipe] = scorer_factory(recipe, variant)
         try:
             entry.primary_accuracy = evaluate_pairwise(primary_slice, scorers[recipe]).overall_accuracy
@@ -318,55 +310,35 @@ def run_sweep(
             entry.error = str(exc)
             log.warning("recipe %s failed: %s", recipe.slug(), exc)
 
-    def tiebreak_provider(recipe: MergeRecipe) -> float:
-        entry = entries[recipe]
-        entry.tiebreak_accuracy = evaluate_pairwise(tiebreak_slice, scorers[recipe]).overall_accuracy
-        return entry.tiebreak_accuracy
+    def tiebreak(entry: SweepEntry) -> float:
+        return evaluate_pairwise(tiebreak_slice, scorers[entry.recipe]).overall_accuracy
 
-    scoreable = [(e.recipe, e.primary_accuracy) for e in entries.values() if e.status == "ok"]
-    winner = None
-    if scoreable:
-        winner = select_best(scoreable, tiebreak_provider, config.tie_rounding_decimals).winner
-
-    result = SweepResult(entries=list(entries.values()), winner=winner)
+    result = SweepResult(entries, select_best(entries, tiebreak, config.tie_rounding_decimals))
     _write_manifest(out_dir / MANIFEST_NAME, result)
     return result
 
 
-def _recipe_fields(recipe: MergeRecipe) -> dict:
+def _manifest_record(kind: str, entry: SweepEntry) -> dict:
+    """The manifest fields an entry record and the winner record share."""
     return {
-        "method": recipe.method.value,
-        "lambda": recipe.lam,
-        "density": recipe.density,
-        "seed": recipe.seed,
+        "record": kind,
+        "method": entry.recipe.method.value,
+        "lambda": entry.recipe.lam,
+        "density": entry.recipe.density,
+        "seed": entry.recipe.seed,
+        "primary_accuracy": entry.primary_accuracy,
+        "tiebreak_accuracy": entry.tiebreak_accuracy,
     }
 
 
 def _write_manifest(path: Path, result: SweepResult) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for entry in result.entries:
-            record = {
-                "record": "entry",
-                **_recipe_fields(entry.recipe),
-                "status": entry.status,
-                "variant": entry.variant_path,
-                "primary_accuracy": entry.primary_accuracy,
-                "tiebreak_accuracy": entry.tiebreak_accuracy,
-            }
+            record = _manifest_record("entry", entry)
+            record["status"] = entry.status
+            record["variant"] = entry.variant_path
             if entry.error is not None:
                 record["error"] = entry.error
             f.write(json.dumps(record, sort_keys=True) + "\n")
         if result.winner is not None:
-            winner_entry = next(e for e in result.entries if e.recipe is result.winner)
-            f.write(
-                json.dumps(
-                    {
-                        "record": "winner",
-                        **_recipe_fields(result.winner),
-                        "primary_accuracy": winner_entry.primary_accuracy,
-                        "tiebreak_accuracy": winner_entry.tiebreak_accuracy,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            f.write(json.dumps(_manifest_record("winner", result.winner), sort_keys=True) + "\n")

@@ -189,15 +189,15 @@ def test_criterion_6_selection_tables():
     started = time.monotonic()
     for name, method, accuracies, winner_lam, tied in LAMBDA_TABLES:
         entries = lam_entries(method, accuracies)
-        starred = {r.slug() for r, _ in entries if r.lam == winner_lam}
-        result, calls = run_selection(entries, starred)
-        assert result.winner.lam == winner_lam, name
+        starred = {e.recipe.slug() for e in entries if e.recipe.lam == winner_lam}
+        best, calls = run_selection(entries, starred)
+        assert best.recipe.lam == winner_lam, name
         assert (calls == []) if tied is None else ({r.lam for r in calls} == tied), name
     for name, method, table, winner, tied in DENSITY_TABLES:
         entries = density_entries(method, table)
-        starred = {r.slug() for r, _ in entries if (r.lam, r.density) == winner}
-        result, calls = run_selection(entries, starred)
-        assert (result.winner.lam, result.winner.density) == winner, name
+        starred = {e.recipe.slug() for e in entries if (e.recipe.lam, e.recipe.density) == winner}
+        best, calls = run_selection(entries, starred)
+        assert (best.recipe.lam, best.recipe.density) == winner, name
         assert (calls == []) if tied is None else ({(r.lam, r.density) for r in calls} == tied), name
     report(6, "sweep selection fixtures (10 tables)", started, budget=1.0)
 

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from vlrmerge import Dtype, read_checkpoint, write_checkpoint
 from vlrmerge.cli import main
+from vlrmerge.components import DEFAULT_MANIFEST
 
 from helpers import toy_triple, write_triple, write_pairwise_dataset, write_bon_dataset
 
@@ -111,6 +112,18 @@ class TestMergeCommand:
         pre_sidecar = Path(f"{triple_files['pre']}.vocab").read_bytes()
         assert metadata["input.pre_vocab.sha256"] == hashlib.sha256(pre_sidecar).hexdigest()
 
+    def test_manifest_file_is_recorded(self, runner, triple_files, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(DEFAULT_MANIFEST), encoding="utf-8")
+        args = ["merge", *triple_args(triple_files), "--method", "linear", "--lambda", "0.5"]
+        builtin, from_file = tmp_path / "builtin.safetensors", tmp_path / "file.safetensors"
+        assert runner.invoke(main, [*args, "--out", str(builtin)]).exit_code == 0
+        result = runner.invoke(main, [*args, "--out", str(from_file), "--manifest", str(manifest)])
+        assert result.exit_code == 0, result.output
+        assert "input.manifest.sha256" not in read_checkpoint(builtin).metadata
+        digest = hashlib.sha256(manifest.read_bytes()).hexdigest()
+        assert read_checkpoint(from_file).metadata["input.manifest.sha256"] == digest
+
     def test_validation_failure_exits_nonzero_with_report(self, runner, triple_files, tmp_path, rng):
         # corrupt the rm checkpoint: drop one transformer tensor
         rm = read_checkpoint(triple_files["rm"])
@@ -144,6 +157,41 @@ def test_triple_violations_are_reported(runner, triple_files, tmp_path, command)
     violations = [line for line in result.output.splitlines() if line.startswith("validation: ")]
     assert any("name-set mismatch" in line for line in violations), result.output
     assert f"triple validation failed with {len(violations)} violation(s)" in result.output
+
+
+def assert_named_error(result, message):
+    """Exit status 1 with ``message``, and no exception escaped the command."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert message in result.output
+
+
+class TestMalformedJsonInputs:
+    def test_sweep_config_not_json(self, runner, triple_files, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text('{"method": "ties",', encoding="utf-8")
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        result = runner.invoke(main, [
+            "sweep", *triple_args(triple_files), "--config", str(config), "--data", str(data),
+            "--scorer", STUB_CMD, "--out-dir", str(tmp_path / "out"),
+        ])
+        assert_named_error(result, "sweep.json: sweep config is not valid JSON")
+
+    @pytest.mark.parametrize("command", ["merge", "inspect"])
+    @pytest.mark.parametrize("text,message", [
+        ("{broken", "manifest.json: manifest config is not valid JSON"),
+        ('{"pre": 5}', "manifest config: rules for 'pre' must be a list, got 5"),
+    ])
+    def test_manifest(self, runner, triple_files, tmp_path, command, text, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text, encoding="utf-8")
+        if command == "merge":
+            args = ["merge", *triple_args(triple_files), "--method", "linear", "--lambda", "0.5",
+                    "--out", str(tmp_path / "x")]
+        else:
+            args = ["inspect", str(triple_files["pre"]), "--kind", "pre"]
+        result = runner.invoke(main, [*args, "--manifest", str(manifest)])
+        assert_named_error(result, message)
 
 
 class TestInspectCommand:
@@ -242,6 +290,15 @@ class TestEvalCommand:
         ])
         assert result.exit_code != 0
         assert "pairs.jsonl:17" in result.output
+
+    def test_malformed_transcript_is_a_named_error(self, runner, tmp_path):
+        data = write_pairwise_dataset(tmp_path / "pairs.jsonl", 3)
+        transcript = tmp_path / "transcript.jsonl"
+        transcript.write_text('{"request": {}}\n', encoding="utf-8")
+        result = runner.invoke(main, [
+            "eval", "--mode", "pairwise", "--data", str(data), "--replay", str(transcript),
+        ])
+        assert_named_error(result, "transcript.jsonl:1: malformed transcript record")
 
     def test_scorer_and_replay_are_exclusive(self, runner, tmp_path):
         data = write_pairwise_dataset(tmp_path / "pairs.jsonl", 3)
@@ -390,6 +447,37 @@ class TestSweepCommand:
         assert metadata["input.lvlm_vocab.sha256"] == hashlib.sha256(other.read_bytes()).hexdigest()
         sidecar = Path(f"{variant}.vocab").read_text(encoding="utf-8").splitlines()
         assert sidecar[0] == tokens[0]
+
+    def test_rerun_with_other_manifest_rebuilds_variants(self, runner, triple_files, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "method": "ties", "lambda_grid": [0.5], "density_grid": [0.4],
+            "primary_size": 6, "tiebreak_size": 3,
+        }), encoding="utf-8")
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        out_dir = tmp_path / "sweep-out"
+        args = [
+            "sweep", *triple_args(triple_files), "--config", str(config), "--data", str(data),
+            "--scorer", STUB_CMD, "--out-dir", str(out_dir),
+        ]
+        first = tmp_path / "first.json"
+        first.write_text(json.dumps(DEFAULT_MANIFEST), encoding="utf-8")
+        assert runner.invoke(main, [*args, "--manifest", str(first)]).exit_code == 0
+        [variant] = out_dir.glob("variant-*.safetensors")
+        assert "vision_model.patch.weight" in read_checkpoint(variant).tensors
+        # the same rules, but the lvlm's patch weights count as its lm_head and are dropped
+        rules = {**DEFAULT_MANIFEST, "lvlm": [
+            {"pattern": "vision_model.patch*", "role": "lm_head"}, *DEFAULT_MANIFEST["lvlm"],
+        ]}
+        second = tmp_path / "second.json"
+        second.write_text(json.dumps(rules), encoding="utf-8")
+        result = runner.invoke(main, [*args, "--manifest", str(second)])
+        assert result.exit_code == 0, result.output
+        [rebuilt] = out_dir.glob("variant-*.safetensors")
+        merged = read_checkpoint(rebuilt)
+        assert "vision_model.patch.weight" not in merged.tensors
+        digest = hashlib.sha256(second.read_bytes()).hexdigest()
+        assert merged.metadata["input.manifest.sha256"] == digest
 
     def test_scorer_or_replay_required(self, runner, triple_files, tmp_path):
         config = tmp_path / "sweep.json"

@@ -211,6 +211,21 @@ class TestDatasets:
         with pytest.raises(DatasetError, match="bon.jsonl:2: duplicate id"):
             load_bon_dataset(path)
 
+    @pytest.mark.parametrize("loader,fields", [
+        (load_pairwise_dataset, {"domain": "d", "instruction": "i", "chosen_text": "c", "rejected_text": "r"}),
+        (load_bon_dataset, {"instruction": "i", "candidates": [{"text": "c", "correct": True}]}),
+    ])
+    def test_ids_are_compared_as_strings(self, tmp_path, loader, fields):
+        path = tmp_path / "data.jsonl"
+        lines = [json.dumps({"id": 1, **fields}), json.dumps({"id": "1", **fields})]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="data.jsonl:2: duplicate id '1'"):
+            loader(path)
+        # an id that is a JSON list or object is used by its string form
+        lines = [json.dumps({"id": [1, 2], **fields}), json.dumps({"id": {"k": 1}, **fields})]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert [ex.id for ex in loader(path)] == ["[1, 2]", "{'k': 1}"]
+
     def test_bon_round_trip(self, tmp_path):
         path = write_bon_dataset(tmp_path / "bon.jsonl", 4, candidates=8)
         examples = load_bon_dataset(path)

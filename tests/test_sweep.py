@@ -13,6 +13,7 @@ from vlrmerge import (
     RecordingScorer,
     StubScorer,
     SweepConfig,
+    SweepEntry,
     generate_grid,
     run_sweep,
     select_best,
@@ -117,7 +118,7 @@ class TestSweepConfigValidation:
 def lam_entries(method, accuracies):
     grid = generate_grid(SweepConfig(method, sampling_seed=1))
     assert len(grid) == len(accuracies)
-    return [(recipe, accuracies[i]) for i, recipe in enumerate(grid)]
+    return [SweepEntry(recipe, primary_accuracy=accuracies[i]) for i, recipe in enumerate(grid)]
 
 
 def density_entries(method, table):
@@ -126,7 +127,7 @@ def density_entries(method, table):
     densities = [0.8, 0.6, 0.4, 0.2]
     entries = []
     for recipe in grid:
-        entries.append((recipe, table[recipe.lam][densities.index(recipe.density)]))
+        entries.append(SweepEntry(recipe, primary_accuracy=table[recipe.lam][densities.index(recipe.density)]))
     return entries
 
 
@@ -213,12 +214,12 @@ DENSITY_TABLES = [
 def run_selection(entries, starred_slugs):
     calls = []
 
-    def provider(recipe):
-        calls.append(recipe)
-        return 1.0 if recipe.slug() in starred_slugs else 0.0
+    def provider(entry):
+        calls.append(entry.recipe)
+        return 1.0 if entry.recipe.slug() in starred_slugs else 0.0
 
-    result = select_best(entries, provider)
-    return result, calls
+    best = select_best(entries, provider)
+    return best, calls
 
 
 class TestRecordedSelectionTables:
@@ -226,9 +227,9 @@ class TestRecordedSelectionTables:
                              ids=[t[0] for t in LAMBDA_TABLES])
     def test_lambda_tables(self, name, method, accuracies, winner_lam, tied):
         entries = lam_entries(method, accuracies)
-        starred = {r.slug() for r, _ in entries if r.lam == winner_lam}
-        result, calls = run_selection(entries, starred)
-        assert result.winner.lam == winner_lam
+        starred = {e.recipe.slug() for e in entries if e.recipe.lam == winner_lam}
+        best, calls = run_selection(entries, starred)
+        assert best.recipe.lam == winner_lam
         if tied is None:
             assert calls == []
         else:
@@ -238,9 +239,9 @@ class TestRecordedSelectionTables:
                              ids=[t[0] for t in DENSITY_TABLES])
     def test_density_tables(self, name, method, table, winner, tied):
         entries = density_entries(method, table)
-        starred = {r.slug() for r, _ in entries if (r.lam, r.density) == winner}
-        result, calls = run_selection(entries, starred)
-        assert (result.winner.lam, result.winner.density) == winner
+        starred = {e.recipe.slug() for e in entries if (e.recipe.lam, e.recipe.density) == winner}
+        best, calls = run_selection(entries, starred)
+        assert (best.recipe.lam, best.recipe.density) == winner
         if tied is None:
             assert calls == []
         else:
@@ -249,51 +250,61 @@ class TestRecordedSelectionTables:
 
 class TestSelectBest:
     def test_single_entry_needs_no_tiebreak(self):
-        recipe = MergeRecipe(MergeMethod.LINEAR, lam=0.5)
-        result, calls = run_selection([(recipe, 0.4)], set())
-        assert result.winner is recipe and calls == []
+        entry = SweepEntry(MergeRecipe(MergeMethod.LINEAR, lam=0.5), primary_accuracy=0.4)
+        best, calls = run_selection([entry], set())
+        assert best is entry and calls == []
 
     def test_provider_untouched_when_max_is_unique(self):
         recipes = [MergeRecipe(MergeMethod.LINEAR, lam=l) for l in (0.0, 0.5, 1.0)]
-        entries = list(zip(recipes, [0.2, 0.9, 0.2]))
-        result, calls = run_selection(entries, set())
-        assert result.winner.lam == 0.5 and calls == []
+        entries = [SweepEntry(r, primary_accuracy=acc) for r, acc in zip(recipes, [0.2, 0.9, 0.2])]
+        best, calls = run_selection(entries, set())
+        assert best.recipe.lam == 0.5 and calls == []
 
     def test_residual_tie_resolves_by_grid_order(self):
         grid = generate_grid(SweepConfig(MergeMethod.TIES, lambda_grid=(0.5, 1.0), density_grid=(0.2, 0.8)))
-        entries = [(r, 0.5) for r in grid]
+        entries = [SweepEntry(r, primary_accuracy=0.5) for r in grid]
 
-        def flat_provider(recipe):
+        def flat_provider(entry):
             return 0.25
 
-        result = select_best(entries, flat_provider)
-        assert (result.winner.lam, result.winner.density) == (0.5, 0.8)
+        best = select_best(entries, flat_provider)
+        assert (best.recipe.lam, best.recipe.density) == (0.5, 0.8)
 
     def test_rounded_tie_mode(self):
         a = MergeRecipe(MergeMethod.LINEAR, lam=0.0)
         b = MergeRecipe(MergeMethod.LINEAR, lam=1.0)
-        entries = [(a, 0.5534), (b, 0.5530)]
+        entries = [SweepEntry(a, primary_accuracy=0.5534), SweepEntry(b, primary_accuracy=0.5530)]
         exact, calls_exact = run_selection(entries, set())
-        assert exact.winner is a and calls_exact == []
+        assert exact.recipe is a and calls_exact == []
         calls = []
 
-        def provider(recipe):
-            calls.append(recipe)
-            return 1.0 if recipe is b else 0.0
+        def provider(entry):
+            calls.append(entry.recipe)
+            return 1.0 if entry.recipe is b else 0.0
 
         rounded = select_best(entries, provider, tie_rounding_decimals=2)
-        assert rounded.winner is b and len(calls) == 2
+        assert rounded.recipe is b and len(calls) == 2
 
     def test_tiebreak_values_recorded_on_entries(self):
         a = MergeRecipe(MergeMethod.LINEAR, lam=0.0)
         b = MergeRecipe(MergeMethod.LINEAR, lam=1.0)
-        result, _ = run_selection([(a, 0.5), (b, 0.5)], {a.slug()})
-        values = {e.recipe.lam: e.tiebreak_accuracy for e in result.entries}
+        entries = [SweepEntry(a, primary_accuracy=0.5), SweepEntry(b, primary_accuracy=0.5)]
+        run_selection(entries, {a.slug()})
+        values = {e.recipe.lam: e.tiebreak_accuracy for e in entries}
         assert values == {0.0: 1.0, 1.0: 0.0}
 
     def test_empty_entries_rejected(self):
         with pytest.raises(VlrmergeError, match="empty"):
-            select_best([], lambda r: 0.0)
+            select_best([], lambda e: 0.0)
+
+    def test_only_ok_entries_are_ranked(self):
+        a = MergeRecipe(MergeMethod.LINEAR, lam=0.0)
+        b = MergeRecipe(MergeMethod.LINEAR, lam=1.0)
+        failed = SweepEntry(a, status="failed", error="scorer failed")
+        ok = SweepEntry(b, primary_accuracy=0.25)
+        best, calls = run_selection([failed, ok], set())
+        assert best is ok and calls == []
+        assert select_best([failed], lambda e: 0.0) is None
 
 
 class TestValidationSampling:
@@ -392,7 +403,7 @@ class TestRunSweep:
         statuses = {(e.recipe.lam, e.recipe.density): e.status for e in result.entries}
         assert statuses[(0.5, 0.2)] == "failed"
         assert result.winner is not None
-        assert (result.winner.lam, result.winner.density) != (0.5, 0.2)
+        assert (result.winner.recipe.lam, result.winner.recipe.density) != (0.5, 0.2)
 
     def test_all_failed_leaves_no_winner(self, rng, tmp_path):
         triple = classified_toy_triple(rng)
