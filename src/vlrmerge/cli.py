@@ -142,6 +142,9 @@ def _scorer(command, replay_path, record_path, timeout):
 
 
 def _make_scorer_factory(scorer_cmd, replay_dir, record_dir, timeout):
+    if scorer_cmd is not None:
+        SubprocessScorer(scorer_cmd)  # a command that does not parse fails before any merge
+
     def transcript(directory, recipe):
         return None if directory is None else Path(directory) / f"transcript-{recipe.slug()}.jsonl"
 
@@ -178,15 +181,16 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
             "method": config.method.value, "lambda_grid": list(config.lambda_grid),
             "density_grid": list(config.density_grid) if config.density_grid else None,
             "primary_size": config.primary_size, "tiebreak_size": config.tiebreak_size,
-            "sampling_seed": config.sampling_seed, "data": data_path,
+            "sampling_seed": config.sampling_seed,
+            "tie_rounding_decimals": config.tie_rounding_decimals, "data": data_path,
             "scorer": scorer_cmd or f"replay:{replay_dir}", "out_dir": out_dir,
             "manifest": manifest or "<builtin>", "jobs": jobs or default_jobs(),
         })
+        factory = _make_scorer_factory(scorer_cmd, replay_dir, record_dir, scorer_timeout)
         triple, provenance = _load_triple(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest
         )
         dataset = load_pairwise_dataset(data_path)
-        factory = _make_scorer_factory(scorer_cmd, replay_dir, record_dir, scorer_timeout)
         result = run_sweep(
             config, triple, dataset, factory, out_dir, provenance=provenance, jobs=jobs
         )

@@ -139,27 +139,31 @@ def _load_records(path: str | Path, fields: list[str], build) -> list:
 
     Each record needs ``fields`` and an id that no other record has as a string.
     """
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     examples = []
     seen = set()
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{where}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise DatasetError(f"{where}: record must be a JSON object")
-            missing = [k for k in fields if k not in record]
-            if missing:
-                raise DatasetError(f"{where}: missing field(s) {', '.join(missing)}")
-            example_id = str(record["id"])
-            if example_id in seen:
-                raise DatasetError(f"{where}: duplicate id {example_id!r}")
-            seen.add(example_id)
-            examples.append(build(record, where))
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{line_no}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{where}: invalid JSON: {exc.msg}") from exc
+        if not isinstance(record, dict):
+            raise DatasetError(f"{where}: record must be a JSON object")
+        missing = [k for k in fields if k not in record]
+        if missing:
+            raise DatasetError(f"{where}: missing field(s) {', '.join(missing)}")
+        example_id = str(record["id"])
+        if example_id in seen:
+            raise DatasetError(f"{where}: duplicate id {example_id!r}")
+        seen.add(example_id)
+        examples.append(build(record, where))
     if not examples:
         raise DatasetError(f"{path}: dataset is empty")
     return examples

@@ -17,7 +17,9 @@ supported:
                     -- random-drop task-vector entries with probability 1 - d
                        and rescale survivors by 1/d before combining
 
-All arithmetic runs in float32 regardless of storage dtype. Randomness is
+All arithmetic runs in float32 regardless of storage dtype: the inputs are
+widened into a workspace of reused buffers, and every step runs in place
+there. Randomness is
 counter-based: the value drawn for element ``i`` of a tensor is a pure function
 of (seed, origin tag, tensor name, i), so results do not depend on iteration
 order or worker count. Element ``i`` survives the drop when its draw, a 53-bit
@@ -29,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import queue
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -37,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import RecipeError, VlrmergeError
-from .tensorstore import Dtype, Tensor
+from .tensorstore import Dtype, Tensor, narrow, widen
 
 TensorMap = dict[str, np.ndarray]
 
@@ -122,11 +125,32 @@ def merge_tensor(
 ) -> np.ndarray:
     """Merge one same-shaped tensor of the three models per a validated recipe.
 
+    The inputs are float32 arrays or storage views (``Dtype.array_dtype``).
     Returns float32. ``name`` keys the DARE drop-mask random stream. ties and
     dare-ties scale the jointly merged delta by a single lam; dare-ties elects
     signs and takes the disjoint mean on the already-rescaled survivors.
     """
-    return next(_merge_per_lam(recipe, (recipe.lam,), name, pre, lvlm, rm))
+    space = _Workspace(pre.size)
+    merged = next(_merge_per_lam(recipe, (recipe.lam,), name, pre, lvlm, rm, space))
+    return merged.reshape(pre.shape)
+
+
+class _Workspace:
+    """One worker's float32, uint32 and bool buffers, reused from tensor to tensor.
+
+    Each slot is allocated on first use with room for ``capacity`` elements;
+    a request hands out the first ``n`` of them.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._slots: dict[str, np.ndarray] = {}
+
+    def get(self, slot: str, n: int, dtype=np.float32) -> np.ndarray:
+        buffer = self._slots.get(slot)
+        if buffer is None:
+            buffer = self._slots[slot] = np.empty(self.capacity, dtype=dtype)
+        return buffer[:n]
 
 
 def _merge_per_lam(
@@ -136,39 +160,56 @@ def _merge_per_lam(
     pre: np.ndarray,
     lvlm: np.ndarray,
     rm: np.ndarray,
+    space: _Workspace,
 ) -> Iterator[np.ndarray]:
     """``merge_tensor`` for each lam in ``lams`` in turn; ``recipe.lam`` is not used.
 
-    The part of the rule that does not depend on lam -- the widened pair for
-    linear, the merged task vector for the other methods -- is computed once,
-    before the first output is yielded.
+    The inputs are widened into ``space`` and every step runs in place there.
+    Each output is a flat float32 view into ``space`` that stays valid until
+    the next one is asked for. The part of the rule that does not depend on
+    lam -- the widened pair for linear, the merged task vector for the other
+    methods -- is computed once, before the first output is yielded.
     """
-    pre, lvlm, rm = _as_f32(pre), _as_f32(lvlm), _as_f32(rm)
+    n = pre.size
     method, density = recipe.method, recipe.density
+    lvlm = widen(np.ravel(lvlm), space.get("lvlm", n))
+    rm = widen(np.ravel(rm), space.get("rm", n))
     if method is MergeMethod.LINEAR:
         for lam in lams:
-            yield _linear_array(lvlm, rm, lam)
+            # exact identities at the endpoints, untouched by rounding
+            if lam == 1.0:
+                yield lvlm
+            elif lam == 0.0:
+                yield rm
+            else:
+                out, scaled = space.get("out", n), space.get("tmp", n)
+                np.multiply(lam, lvlm, out=out)
+                np.multiply(1.0 - lam, rm, out=scaled)
+                yield np.add(out, scaled, out=out)
         return
-    tau_l = lvlm - pre
-    tau_r = rm - pre
+    pre = widen(np.ravel(pre), space.get("pre", n))
+    # the task vectors, then the merged delta, overwrite the fine-tuned weights
+    delta = np.subtract(lvlm, pre, out=lvlm)
+    tau_r = np.subtract(rm, pre, out=rm)
     if method is MergeMethod.TASK_ARITHMETIC:
-        delta = tau_l + tau_r
+        np.add(delta, tau_r, out=delta)
     else:
         if method is MergeMethod.TIES:
-            a = _trim_array(tau_l, density)
-            b = _trim_array(tau_r, density)
+            _trim(delta, density, space)
+            _trim(tau_r, density, space)
         else:
-            a = _dare_array(tau_l, density, recipe.seed, "lvlm", name)
-            b = _dare_array(tau_r, density, recipe.seed, "rm", name)
+            _drop(delta, density, recipe.seed, "lvlm", name, space)
+            _drop(tau_r, density, recipe.seed, "rm", name, space)
         if method is MergeMethod.DARE_TASK_ARITHMETIC:
-            delta = a + b
+            np.add(delta, tau_r, out=delta)
         else:
-            delta = _disjoint_arrays(a, b, _elect_arrays(a, b))
-        del a, b
-    # the generator is suspended between lams: keep only pre and delta alive
-    del tau_l, tau_r
+            _disjoint_mean(delta, tau_r, space)
     for lam in lams:
-        yield _apply_delta(pre, delta, lam)
+        if lam == 0.0:
+            yield pre
+        else:
+            out = np.multiply(lam, delta, out=space.get("out", n))
+            yield np.add(pre, out, out=out)
 
 
 def default_jobs() -> int:
@@ -190,15 +231,17 @@ def merge_transformer(
 ) -> list[dict[str, Tensor]]:
     """Merge the shared transformer weights per the recipe, once per lam.
 
-    ``lams`` defaults to the recipe's own lam; the result holds one map per
-    lam, in order. Checks the recipe at every lam and the tensor alignment
-    once, then merges every name on ``jobs`` worker threads (None takes
-    ``default_jobs()``). A worker computes each tensor's lam-independent part
-    once, every lam's output from it, and packs each output as a Tensor of its
-    storage dtype, ``dtypes[name]`` (float32 when ``dtypes`` is None), so no
-    float32 copy of a whole output exists. The call takes the three input
-    maps over: each worker pops its tensor from them, so an input's memory is
-    freed once it is merged, and the maps are empty on return. Tensors are
+    The input maps hold float32 arrays or zero-copy storage views
+    (``Tensor.array``); they are only read. ``lams`` defaults to the recipe's
+    own lam; the result holds one map per lam, in order. Checks the recipe at
+    every lam and the tensor alignment once, then merges every name on
+    ``jobs`` worker threads (None takes ``default_jobs()``). Each worker
+    widens a tensor's three inputs into its own workspace, at most about
+    eight float32 copies of the largest tensor, runs the rule there, and
+    narrows every lam's output straight into that output's payload, of
+    storage dtype ``dtypes[name]`` (float32 when ``dtypes`` is None).
+    Workspaces are reused from tensor to tensor and freed when the call
+    returns, so its memory is the outputs plus jobs workspaces. Tensors are
     independent, so results are identical for any worker count.
     """
     if jobs is not None and jobs < 1:
@@ -207,45 +250,33 @@ def merge_transformer(
     for lam in lams:
         replace(recipe, lam=lam)  # building the recipe checks its lambda
     _check_aligned({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans})
+    capacity = max((arr.size for arr in pre_trans.values()), default=0)
+    idle: queue.SimpleQueue[_Workspace] = queue.SimpleQueue()
 
     def merge_one(name: str) -> list[Tensor]:
         dtype = Dtype.F32 if dtypes is None else dtypes[name]
-        inputs = [trans.pop(name) for trans in (pre_trans, lvlm_trans, rm_trans)]
-        outs = _merge_per_lam(recipe, lams, name, *inputs)
-        return [Tensor.from_f32(name, out, dtype) for out in outs]
+        shape = pre_trans[name].shape
+        try:
+            space = idle.get_nowait()
+        except queue.Empty:  # at most one workspace per worker is ever made
+            space = _Workspace(capacity)
+        try:
+            outs = _merge_per_lam(
+                recipe, lams, name, pre_trans[name], lvlm_trans[name], rm_trans[name], space
+            )
+            scratch = space.get("bits", capacity, np.uint32)
+            return [Tensor(name, dtype, shape, narrow(out, dtype, scratch)) for out in outs]
+        finally:
+            idle.put(space)
 
     names = list(pre_trans)
-    per_name: dict[str, list[Tensor]] = {}
     with ThreadPoolExecutor(max_workers=jobs or default_jobs()) as pool:
-        for name, outs in zip(names, pool.map(merge_one, names)):
-            # copy each payload as it arrives, on this thread: the outputs then
-            # outlive the call in this thread's heap, where consumed inputs were
-            # freed, and the workers' allocator arenas hold only temporaries
-            per_name[name] = [replace(out, data=bytes(memoryview(out.data))) for out in outs]
+        per_name = dict(zip(names, pool.map(merge_one, names)))
     return [{name: outs[i] for name, outs in per_name.items()} for i in range(len(lams))]
 
 
 # ---------------------------------------------------------------------------
-# per-array kernels (float32 in, float32 out)
-
-
-def _as_f32(arr: np.ndarray) -> np.ndarray:
-    return arr.astype(np.float32) if arr.dtype != np.float32 else arr
-
-
-def _linear_array(lvlm: np.ndarray, rm: np.ndarray, lam: float) -> np.ndarray:
-    # exact identities at the endpoints, untouched by rounding
-    if lam == 1.0:
-        return lvlm.copy()
-    if lam == 0.0:
-        return rm.copy()
-    return lam * lvlm + (1.0 - lam) * rm
-
-
-def _apply_delta(pre: np.ndarray, delta: np.ndarray, lam: float) -> np.ndarray:
-    if lam == 0.0:
-        return pre.copy()
-    return pre + lam * delta
+# in-place steps on flat float32 arrays, with temporaries from a workspace
 
 
 def retained_count(density: float, n: int) -> int:
@@ -260,61 +291,88 @@ def retained_count(density: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
-def _trim_array(arr: np.ndarray, density: float) -> np.ndarray:
+def _trim(arr: np.ndarray, density: float, space: _Workspace) -> None:
     """Keep the ``retained_count`` entries of largest magnitude, zero the rest.
 
     The kept set is the first k of a stable sort on descending magnitude:
     equal magnitudes at the cut are kept in ascending flat-index order, and
     NaN ranks after every number. It is found by selection, not by sorting.
     """
-    flat = arr.ravel()
-    k = retained_count(density, flat.size)
-    if k >= flat.size:
-        return arr.copy()
-    key = np.negative(np.abs(flat))
-    cut = np.partition(key, k - 1)[k - 1]
+    n = arr.size
+    k = retained_count(density, n)
+    if k >= n:
+        return
+    key, ranked = space.get("key", n), space.get("tmp", n)
+    np.negative(np.abs(arr, out=key), out=key)
+    np.copyto(ranked, key)
+    ranked.partition(k - 1)
+    cut = ranked[k - 1]
+    keep, at_cut = space.get("keep", n, bool), space.get("at_cut", n, bool)
     if np.isnan(cut):
         # fewer than k numbers: all of them, then the first NaNs
-        at_cut = np.isnan(key)
-        keep = ~at_cut
+        np.logical_not(np.isnan(key, out=at_cut), out=keep)
     else:
-        keep = key < cut
-        at_cut = key == cut
+        np.less(key, cut, out=keep)
+        np.equal(key, cut, out=at_cut)
     keep[np.flatnonzero(at_cut)[: k - np.count_nonzero(keep)]] = True
-    return _select(keep, flat).reshape(arr.shape)
+    _select(keep, arr)
 
 
-def _select(keep: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """``arr`` where ``keep``, +0.0 elsewhere: ``np.where`` by a bit mask.
+def _select(keep: np.ndarray, arr: np.ndarray) -> None:
+    """Zero ``arr`` (to +0.0) where not ``keep``, in place, by its bits.
 
-    Same bytes as ``np.where(keep, arr, 0)``, NaN payloads and -0.0 included,
-    without the per-element branch that makes ``np.where`` slow on an
-    irregular mask.
+    Same bytes as ``np.where(keep, arr, 0)``, NaN payloads and -0.0 included:
+    each entry's bit pattern is multiplied by 1 or 0 as an integer, without
+    the per-element branch that makes ``np.where`` slow on an irregular mask.
     """
-    bits = np.negative(keep.astype(np.uint32))
-    return (arr.view(np.uint32) & bits).view(np.float32)
+    bits = arr.view(np.uint32)
+    np.multiply(bits, keep, out=bits)
 
 
-def _elect_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per element, True where the positive total magnitude wins; ties elect +.
+def _drop(arr: np.ndarray, density: float, seed: int, origin: str, name: str, space: _Workspace) -> None:
+    """DARE in place: drop entries by the (seed, origin, name) stream, rescale survivors by 1/d."""
+    if density == 1.0:
+        return
+    keep = _keep_mask(stream_key(seed, origin, name), arr.size, density, space.get("keep", arr.size, bool))
+    np.multiply(arr, 1.0 / density, out=arr)
+    _select(keep, arr)
 
-    fmax/fmin skip NaN, so a NaN entry counts toward neither direction.
+
+_BLOCK = 1 << 16
+
+
+def _disjoint_mean(a: np.ndarray, b: np.ndarray, space: _Workspace) -> None:
+    """Write into ``a`` the mean of the nonzero entries of ``a`` and ``b`` that
+    match the elected sign, 0 where none do; ``b`` is overwritten.
+
+    The elected sign is + where the positive total magnitude wins, ties
+    included. fmax/fmin skip NaN, so a NaN entry counts toward neither
+    direction. Every step is elementwise, so the work runs ``_BLOCK``
+    elements at a time: the temporaries stay in cache, and the bytes do not
+    depend on the block size.
     """
     zero = np.float32(0.0)
-    pos = np.fmax(a, zero) + np.fmax(b, zero)
-    neg = np.fmin(a, zero) + np.fmin(b, zero)
-    return pos >= -neg
-
-
-def _disjoint_arrays(a: np.ndarray, b: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """Mean of the nonzero values that match the elected sign; 0 where none do."""
-    down = ~up
-    match_a = (up & (a > 0)) | (down & (a < 0))
-    match_b = (up & (b > 0)) | (down & (b < 0))
-    total = _select(match_a, a) + _select(match_b, b)
-    count = np.add(match_a, match_b, dtype=np.float32)
-    # where nothing matches, total is 0 and so is the mean
-    return total / np.maximum(count, np.float32(1.0))
+    for start in range(0, a.size, _BLOCK):
+        x, y = a[start : start + _BLOCK], b[start : start + _BLOCK]
+        n = x.size
+        pos, neg, tmp = space.get("key", n), space.get("out", n), space.get("tmp", n)
+        np.add(np.fmax(x, zero, out=pos), np.fmax(y, zero, out=tmp), out=pos)
+        np.add(np.fmin(x, zero, out=neg), np.fmin(y, zero, out=tmp), out=neg)
+        up = np.greater_equal(pos, np.negative(neg, out=neg), out=space.get("up", n, bool))
+        down = np.logical_not(up, out=space.get("down", n, bool))
+        count = pos
+        match, against = space.get("keep", n, bool), space.get("at_cut", n, bool)
+        for i, arr in enumerate((x, y)):
+            np.logical_and(up, np.greater(arr, zero, out=match), out=match)
+            np.logical_and(down, np.less(arr, zero, out=against), out=against)
+            np.logical_or(match, against, out=match)
+            if i == 0:
+                np.copyto(count, match)
+            else:
+                np.add(count, match, out=count)
+            _select(match, arr)
+        # where nothing matches, the total is 0 and so is the mean
+        np.divide(np.add(x, y, out=x), np.maximum(count, np.float32(1.0), out=count), out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +394,7 @@ def stream_key(seed: int, origin: str, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _keep_mask(key: int, n: int, density: float) -> np.ndarray:
+def _keep_mask(key: int, n: int, density: float, out: np.ndarray) -> np.ndarray:
     """Drop-mask decisions for flat indices 0..n-1 of one stream; True keeps.
 
     Draw i mixes ``key + i * gamma`` through the splitmix64 finalizer, so any
@@ -344,11 +402,11 @@ def _keep_mask(key: int, n: int, density: float) -> np.ndarray:
     bits m stand for the uniform m * 2**-53, which is kept when below density.
     The test is made on the integer, m < ceil(density * 2**53), which is exact
     because scaling by 2**53 is exact in float64. The draws are made
-    ``_MASK_CHUNK`` at a time, so no full-size integer temporary exists.
+    ``_MASK_CHUNK`` at a time, so no full-size integer temporary exists, and
+    the decisions are written to ``out``, a bool array of n elements.
     """
     limit = np.uint64(math.ceil(density * 2.0**53))
     steps = np.arange(min(n, _MASK_CHUNK), dtype=np.uint64) * _MIX_GAMMA
-    keep = np.empty(n, dtype=bool)
     with np.errstate(over="ignore"):
         for start in range(0, n, _MASK_CHUNK):
             stop = min(start + _MASK_CHUNK, n)
@@ -358,12 +416,6 @@ def _keep_mask(key: int, n: int, density: float) -> np.ndarray:
             z ^= z >> np.uint64(27)
             z *= _MIX_M2
             z ^= z >> np.uint64(31)
-            np.less(z >> np.uint64(11), limit, out=keep[start:stop])
-    return keep
+            np.less(z >> np.uint64(11), limit, out=out[start:stop])
+    return out
 
-
-def _dare_array(arr: np.ndarray, density: float, seed: int, origin: str, name: str) -> np.ndarray:
-    if density == 1.0:
-        return arr.copy()
-    keep = _keep_mask(stream_key(seed, origin, name), arr.size, density).reshape(arr.shape)
-    return _select(keep, arr * (1.0 / density))

@@ -50,7 +50,10 @@ class SubprocessScorer:
     """Runs a scorer command once per batch, feeding requests over stdin."""
 
     def __init__(self, command: str | list[str], timeout_per_record: float = 30.0):
-        self.command = shlex.split(command) if isinstance(command, str) else list(command)
+        try:
+            self.command = shlex.split(command) if isinstance(command, str) else list(command)
+        except ValueError as exc:
+            raise ScorerError(f"cannot parse scorer command {command!r}: {exc}") from exc
         self.timeout_per_record = timeout_per_record
 
     def score(self, requests: list[Request]) -> dict[str, float]:

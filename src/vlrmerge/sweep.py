@@ -216,10 +216,12 @@ def _inputs_digest(triple: ModelTriple, provenance: dict[str, str]) -> str:
 def _lambdas_per_merge(triple: ModelTriple) -> int:
     """How many variants one assembly may build: 3 for 16-bit weights, 2 for float32.
 
-    Each variant holds a narrowed copy of the transformer until it is written.
-    Together they take no more than one float32 copy plus one narrowed copy,
-    less than the three float32 inputs the merge frees as it goes, so a
-    sweep's peak does not grow with its lambda grid.
+    Each variant holds a narrowed copy of the transformer until it is written,
+    beside the inputs, which the sweep holds throughout. The cap keeps the
+    variants of one assembly to at most one float32 copy plus one narrowed
+    copy, so a sweep's peak does not grow with its lambda grid. Sharing more
+    lambdas would save little: each extra lambda costs a full output but only
+    one multiply-add and a narrowing of compute.
     """
     lvlm = triple.lvlm
     itemsize = max(

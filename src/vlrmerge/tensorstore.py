@@ -33,43 +33,82 @@ class Dtype(str, Enum):
     def itemsize(self) -> int:
         return 4 if self is Dtype.F32 else 2
 
-
-def _widen_f16(payload: bytes) -> np.ndarray:
-    return np.frombuffer(payload, dtype="<f2").astype(np.float32)
-
-
-def _widen_bf16(payload: bytes) -> np.ndarray:
-    bits = np.frombuffer(payload, dtype="<u2").astype(np.uint32) << np.uint32(16)
-    return bits.view(np.float32)
+    @property
+    def array_dtype(self) -> np.dtype:
+        """The numpy dtype of a storage view; numpy has no bfloat16, so BF16 is its uint16 bits."""
+        return _ARRAY_DTYPES[self]
 
 
-def _narrow_f16(values: np.ndarray) -> bytes:
-    # numpy's cast is round-to-nearest-even and saturates to +-inf; it also
-    # round-trips every F16 bit pattern (NaN payloads included).
-    with np.errstate(over="ignore"):
-        return values.astype("<f2").tobytes()
+_ARRAY_DTYPES = {Dtype.F32: np.dtype("<f4"), Dtype.F16: np.dtype("<f2"), Dtype.BF16: np.dtype("<u2")}
 
 
-def _narrow_bf16(values: np.ndarray) -> bytes:
-    bits = np.asarray(values, dtype="<f4").reshape(-1).view(np.uint32)
-    rounded = ((bits + ((bits >> np.uint32(16)) & np.uint32(1)) + np.uint32(0x7FFF))
-               >> np.uint32(16)).astype(np.uint16)
-    nan = (bits & np.uint32(0x7FFFFFFF)) > np.uint32(0x7F800000)
-    if nan.any():
+def widen(src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Widen a storage view (see ``Dtype.array_dtype``) to float32, into ``out`` if given.
+
+    Returns ``out``, or a new array of ``src``'s shape. Widening is exact for
+    every F16 and BF16 bit pattern.
+    """
+    if out is None:
+        out = np.empty(src.shape, dtype=np.float32)
+    if src.dtype == _ARRAY_DTYPES[Dtype.BF16]:
+        np.left_shift(src, 16, out=out.view(np.uint32), dtype=np.uint32)
+    elif src.dtype in (_ARRAY_DTYPES[Dtype.F32], _ARRAY_DTYPES[Dtype.F16]):
+        np.copyto(out, src)
+    else:
+        raise TypeError(f"cannot widen a {src.dtype} array: not a storage view")
+    return out
+
+
+def narrow(values: np.ndarray, dtype: Dtype, scratch: np.ndarray | None = None) -> memoryview:
+    """A new read-only payload of ``dtype`` holding the float32 ``values``, in flat order.
+
+    Narrowing rounds to nearest even; values beyond the F16 range saturate to
+    +-infinity, and a NaN stays a NaN with its sign and payload. Widening is
+    exact, so widen-then-narrow round-trips every F16 and BF16 bit pattern.
+    ``scratch``, a uint32 array of at least ``values.size`` elements, spares
+    the BF16 rounding an allocation.
+    """
+    values = np.ravel(np.asarray(values, dtype="<f4"))
+    out = np.empty(values.size, dtype=dtype.array_dtype)
+    if dtype is Dtype.BF16:
+        scratch = np.empty(values.size, np.uint32) if scratch is None else scratch[: values.size]
+        _round_bf16(values, out, scratch)
+    else:
+        # numpy's cast is round-to-nearest-even and saturates to +-inf; it also
+        # round-trips every F16 bit pattern (NaN payloads included)
+        with np.errstate(over="ignore"):
+            np.copyto(out, values, casting="same_kind")
+    return memoryview(out.view(np.uint8)).toreadonly()
+
+
+def _round_bf16(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    bits = values.view(np.uint32)
+    # (bits + lsb of the kept half + 0x7FFF) >> 16, wrapping as uint32 does
+    np.right_shift(bits, np.uint32(16), out=scratch)
+    np.bitwise_and(scratch, np.uint32(1), out=scratch)
+    np.add(scratch, bits, out=scratch)
+    np.add(scratch, np.uint32(0x7FFF), out=scratch)
+    np.right_shift(scratch, np.uint32(16), out=scratch)
+    np.copyto(out, scratch, casting="unsafe")
+    if values.size and np.isnan(values.max()):  # max propagates NaN
+        nan = np.isnan(values)
         top = (bits[nan] >> np.uint32(16)).astype(np.uint16)
         # keep the sign and payload, but never let a NaN collapse to infinity
-        rounded[nan] = np.where(top & np.uint16(0x007F), top, top | np.uint16(0x0040))
-    return rounded.tobytes()
+        out[nan] = np.where(top & np.uint16(0x007F), top, top | np.uint16(0x0040))
 
 
 @dataclass(frozen=True)
 class Tensor:
-    """A named, typed, shaped block of little-endian numeric data."""
+    """A named, typed, shaped block of little-endian numeric data.
+
+    ``data`` is a bytes-like object of byte items: a read-only ``memoryview``
+    for tensors read from a file or narrowed from float32, or ``bytes``.
+    """
 
     name: str
     dtype: Dtype
     shape: tuple[int, ...]
-    data: bytes
+    data: bytes | memoryview
 
     def __post_init__(self):
         if any(d < 0 for d in self.shape):
@@ -87,34 +126,19 @@ class Tensor:
     def numel(self) -> int:
         return math.prod(self.shape)
 
-    def to_f32(self) -> np.ndarray:
-        """Widen the payload to a float32 array of this tensor's shape.
+    def array(self) -> np.ndarray:
+        """A zero-copy view of the payload, shaped, of ``dtype.array_dtype``."""
+        return np.frombuffer(self.data, dtype=self.dtype.array_dtype).reshape(self.shape)
 
-        Widening is exact for every representable F16/BF16 value.
-        """
-        if self.dtype is Dtype.F32:
-            values = np.frombuffer(self.data, dtype="<f4").copy()
-        elif self.dtype is Dtype.F16:
-            values = _widen_f16(self.data)
-        else:
-            values = _widen_bf16(self.data)
-        return values.reshape(self.shape)
+    def to_f32(self) -> np.ndarray:
+        """Widen the payload to a new float32 array of this tensor's shape."""
+        return widen(self.array())
 
     @classmethod
     def from_f32(cls, name: str, values: np.ndarray, dtype: Dtype) -> "Tensor":
-        """Pack a float32 array into a tensor, narrowing with round-to-nearest-even.
-
-        Values beyond the F16 range saturate to +-infinity. Widening is exact,
-        so widen-then-narrow round-trips every F16 and BF16 bit pattern.
-        """
+        """Pack a float32 array into a tensor of ``dtype``; see ``narrow``."""
         values = np.asarray(values, dtype="<f4")
-        if dtype is Dtype.F32:
-            data = values.tobytes()
-        elif dtype is Dtype.F16:
-            data = _narrow_f16(values)
-        else:
-            data = _narrow_bf16(values)
-        return cls(name=name, dtype=dtype, shape=values.shape, data=data)
+        return cls(name=name, dtype=dtype, shape=values.shape, data=narrow(values, dtype))
 
 
 @dataclass
@@ -211,16 +235,32 @@ def read_metadata(path: str | Path) -> dict[str, str]:
     return _pop_metadata(path, header)
 
 
+def _read_whole(path: Path) -> memoryview:
+    """The file's bytes, read once into one buffer, as a read-only view."""
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        buffer = memoryview(np.empty(size, dtype=np.uint8))
+        filled = 0
+        # a single read returns at most about 2 GiB on Linux, so read until full
+        while filled < size and (count := f.readinto(buffer[filled:])):
+            filled += count
+    if filled < size:
+        raise CheckpointFormatError(f"{path}: file shrank from {size} to {filled} bytes while being read")
+    return buffer.toreadonly()
+
+
 def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> Checkpoint:
     """Load a checkpoint file, validating the header against the data region.
 
-    If ``vocab_path`` is not given and ``<path>.vocab`` exists, the sidecar is
-    loaded automatically.
+    The file is read once into one buffer; each tensor's ``data`` is a
+    read-only ``memoryview`` slice of it, so the buffer lives as long as any
+    of them. If ``vocab_path`` is not given and ``<path>.vocab`` exists, the
+    sidecar is loaded automatically.
     """
     path = Path(path)
-    raw = path.read_bytes()
+    raw = _read_whole(path)
     header_len = _header_length(path, raw[:8], len(raw))
-    header = _parse_header(raw[8 : 8 + header_len])
+    header = _parse_header(bytes(raw[8 : 8 + header_len]))
     metadata = _pop_metadata(path, header)
 
     data = raw[8 + header_len :]

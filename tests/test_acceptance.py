@@ -151,10 +151,9 @@ def test_criterion_4_dare_statistics():
     lvlm = {"w": rng.standard_normal(n).astype(np.float32)}
     rm = {"w": rng.standard_normal(n).astype(np.float32)}
     recipe = MergeRecipe(MergeMethod.DARE_TASK_ARITHMETIC, lam=0.7, density=d, seed=2024)
-    # merge_transformer empties its input maps, so each call gets copies
-    single = merge_transformer(recipe, dict(pre), dict(lvlm), dict(rm), jobs=1)[0]
+    single = merge_transformer(recipe, pre, lvlm, rm, jobs=1)[0]
     for workers in (2, 8):
-        multi = merge_transformer(recipe, dict(pre), dict(lvlm), dict(rm), jobs=workers)[0]
+        multi = merge_transformer(recipe, pre, lvlm, rm, jobs=workers)[0]
         assert multi["w"].data == single["w"].data
     report(4, "dare drop statistics and determinism", started, budget=10.0)
 

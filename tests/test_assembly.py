@@ -13,9 +13,9 @@ from vlrmerge import (
     assemble_vlrm,
     read_checkpoint,
 )
-from vlrmerge.assembly import _HASH_BLOCK, file_digest, write_merged
+from vlrmerge.assembly import _HASH_BLOCK, check_merged_structure, file_digest, write_merged
 from vlrmerge.merging import MergeMethod, MergeRecipe
-from vlrmerge.tensorstore import default_vocab_path, read_vocab
+from vlrmerge.tensorstore import Tensor, default_vocab_path, read_vocab
 
 from helpers import classified_toy_triple
 
@@ -181,6 +181,35 @@ class TestLambdaGroups:
     def test_empty_plan_rejected(self, rng):
         with pytest.raises(RecipeError, match="at least one recipe"):
             assemble_vlrm(AssemblyPlan((), classified_toy_triple(rng)), jobs=1)
+
+
+class TestStructureCheck:
+    """The copied tensors are compared by bytes, whatever buffer type holds them."""
+
+    @pytest.fixture
+    def reread(self, rng, tmp_path):
+        triple = classified_toy_triple(rng)
+        [merged] = assemble_vlrm(plan_for(triple, MergeMethod.LINEAR, lam=0.5), jobs=1)
+        path = tmp_path / "merged.safetensors"
+        write_merged(merged, path)
+        return triple, read_checkpoint(path)
+
+    def test_reread_checkpoint_passes(self, reread):
+        triple, loaded = reread
+        assert isinstance(loaded.tensors["score.weight"].data, memoryview)
+        assert check_merged_structure(loaded, triple) == []
+
+    @pytest.mark.parametrize("name,message", [
+        ("vision_model.patch.weight", "vision_encoder tensor vision_model.patch.weight is not byte-identical to the lvlm"),
+        ("score.weight", "reward head tensor score.weight is not byte-identical to the rm"),
+    ])
+    def test_one_flipped_byte_is_reported(self, reread, name, message):
+        triple, loaded = reread
+        tensor = loaded.tensors[name]
+        flipped = bytearray(tensor.data)
+        flipped[-1] ^= 1
+        loaded.tensors[name] = Tensor(name, tensor.dtype, tensor.shape, memoryview(flipped).toreadonly())
+        assert check_merged_structure(loaded, triple) == [message]
 
 
 def test_round_trip_through_disk(rng, tmp_path):

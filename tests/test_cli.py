@@ -300,6 +300,21 @@ class TestEvalCommand:
         ])
         assert_named_error(result, "transcript.jsonl:1: malformed transcript record")
 
+    def test_data_that_is_not_utf8_is_a_named_error(self, runner, tmp_path):
+        data = tmp_path / "pairs.jsonl"
+        data.write_bytes(b"\xff" + write_pairwise_dataset(tmp_path / "good.jsonl", 3).read_bytes())
+        result = runner.invoke(main, [
+            "eval", "--mode", "pairwise", "--data", str(data), "--scorer", STUB_CMD,
+        ])
+        assert_named_error(result, "pairs.jsonl: not UTF-8 text")
+
+    def test_scorer_command_that_does_not_parse_is_a_named_error(self, runner, tmp_path):
+        data = write_pairwise_dataset(tmp_path / "pairs.jsonl", 3)
+        result = runner.invoke(main, [
+            "eval", "--mode", "pairwise", "--data", str(data), "--scorer", 'a "b',
+        ])
+        assert_named_error(result, "cannot parse scorer command 'a \"b': No closing quotation")
+
     def test_scorer_and_replay_are_exclusive(self, runner, tmp_path):
         data = write_pairwise_dataset(tmp_path / "pairs.jsonl", 3)
         result = runner.invoke(main, ["eval", "--mode", "pairwise", "--data", str(data)])
@@ -409,6 +424,7 @@ class TestSweepCommand:
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({
             "method": "linear", "lambda_grid": [0.5], "primary_size": 6, "tiebreak_size": 3,
+            "tie_rounding_decimals": 2,
         }), encoding="utf-8")
         data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
         result = runner.invoke(main, [
@@ -421,6 +437,19 @@ class TestSweepCommand:
         echoed = json.loads(line[len("sweep config: "):])
         assert echoed["jobs"] == 3
         assert echoed["manifest"] == "<builtin>"
+        assert echoed["tie_rounding_decimals"] == 2
+
+    def test_scorer_command_that_does_not_parse_fails_before_merging(self, runner, triple_files, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"method": "linear", "lambda_grid": [0.5]}), encoding="utf-8")
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, [
+            "sweep", *triple_args(triple_files), "--config", str(config), "--data", str(data),
+            "--scorer", 'a "b {checkpoint}', "--out-dir", str(out_dir),
+        ])
+        assert_named_error(result, "cannot parse scorer command")
+        assert not out_dir.exists()
 
     def test_rerun_with_other_vocab_rebuilds_variants(self, runner, triple_files, tmp_path):
         config = tmp_path / "sweep.json"

@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -18,7 +20,7 @@ from vlrmerge import (
     merge_transformer,
     merging,
 )
-from vlrmerge.merging import _MASK_CHUNK, _trim_array, retained_count
+from vlrmerge.merging import _MASK_CHUNK, _trim, _Workspace, retained_count
 from vlrmerge.sweep import DEFAULT_DENSITY_GRID
 
 from helpers import drop_step, trim_step
@@ -39,6 +41,13 @@ def merge(method, pre, lvlm, rm, lam, density=None, seed=None, name="t"):
 
 def merge_map(recipe, pre, lvlm, rm):
     return merge_transformer(recipe, {"t": arr(pre)}, {"t": arr(lvlm)}, {"t": arr(rm)})[0]
+
+
+def trim_array(values, density):
+    """The in-place trim step, run on a copy of ``values``."""
+    out = np.array(values, dtype=np.float32)
+    _trim(out.reshape(-1), density, _Workspace(out.size))
+    return out
 
 
 def argsort_trim(values, density):
@@ -207,19 +216,19 @@ class TestTrim:
     @pytest.mark.parametrize("kind", ["bf16", "halves", "specials", "mostly-nan"])
     def test_bytes_match_stable_argsort(self, rng, kind, density):
         values = trim_inputs(kind, rng)
-        out = _trim_array(values, density)
+        out = trim_array(values, density)
         assert out.tobytes() == argsort_trim(values, density).tobytes()
 
     def test_cut_inside_nans_keeps_every_number_then_first_nans(self):
         values = arr([np.nan, 2.0, -np.nan, -0.0, np.nan, np.inf, np.nan])
         # k = 5: the three numbers, then the NaNs at flat indices 0 and 2
-        out = _trim_array(values, 5 / 7)
+        out = trim_array(values, 5 / 7)
         assert out.tobytes() == argsort_trim(values, 5 / 7).tobytes()
         assert out.tobytes() == values[[0, 1, 2, 3]].tobytes() + arr([0.0, np.inf, 0.0]).tobytes()
 
     def test_bytes_match_stable_argsort_on_2d_tensor(self, rng):
         values = trim_inputs("halves", rng).reshape(60, 50)
-        out = _trim_array(values, 0.4)
+        out = trim_array(values, 0.4)
         assert out.shape == values.shape
         assert out.tobytes() == argsort_trim(values, 0.4).tobytes()
 
@@ -249,6 +258,17 @@ class TestElectAndDisjointSpecialValues:
         # every pairing of NaN, +-inf, +-0.0, subnormals and equal magnitudes
         tau_l = np.repeat(SPECIALS, len(SPECIALS))
         tau_r = np.tile(SPECIALS, len(SPECIALS))
+        out = ties_untrimmed(tau_l, tau_r)
+        expected = ref.ties([0.0] * len(tau_l), tau_l.tolist(), tau_r.tolist(), 1.0, 1.0)
+        assert out.tobytes() == arr(expected).tobytes()
+
+    def test_bytes_do_not_depend_on_block_size(self, monkeypatch):
+        # the election and disjoint mean run in blocks; 7 splits the pairs
+        # into many blocks and leaves a partial one at the end
+        tau_l = np.repeat(SPECIALS, len(SPECIALS))
+        tau_r = np.tile(SPECIALS, len(SPECIALS))
+        assert tau_l.size % 7
+        monkeypatch.setattr(merging, "_BLOCK", 7)
         out = ties_untrimmed(tau_l, tau_r)
         expected = ref.ties([0.0] * len(tau_l), tau_l.tolist(), tau_r.tolist(), 1.0, 1.0)
         assert out.tobytes() == arr(expected).tobytes()
@@ -415,9 +435,8 @@ class TestMergeTransformer:
         maps = []
         for _ in range(3):
             maps.append({f"w{i}": rng.uniform(-1, 1, (4, 4)).astype(np.float32) for i in range(6)})
-        # merge_transformer empties its input maps, so each call gets copies
-        single = merge_transformer(recipe, *map(dict, maps), jobs=1)[0]
-        multi = merge_transformer(recipe, *map(dict, maps), jobs=4)[0]
+        single = merge_transformer(recipe, *maps, jobs=1)[0]
+        multi = merge_transformer(recipe, *maps, jobs=4)[0]
         for name in single:
             assert single[name].data == multi[name].data
 
@@ -446,9 +465,9 @@ class TestMergeTransformer:
         for _ in range(3):
             maps.append({f"w{i}": rng.uniform(-1, 1, (5, 7)).astype(np.float32) for i in range(4)})
         pre, lvlm, rm = maps
-        wide = merge_transformer(recipe, *map(dict, maps), jobs=2, lams=lams)
+        wide = merge_transformer(recipe, *maps, jobs=2, lams=lams)
         dtypes = {name: Dtype.BF16 for name in pre}
-        narrow = merge_transformer(recipe, *map(dict, maps), jobs=2, lams=lams, dtypes=dtypes)
+        narrow = merge_transformer(recipe, *maps, jobs=2, lams=lams, dtypes=dtypes)
         assert len(wide) == len(narrow) == len(lams)
         for lam, wide_map, narrow_map in zip(lams, wide, narrow):
             for name in pre:
@@ -456,13 +475,65 @@ class TestMergeTransformer:
                 assert wide_map[name] == Tensor.from_f32(name, expected, Dtype.F32)
                 assert narrow_map[name] == Tensor.from_f32(name, expected, Dtype.BF16)
 
-    def test_input_maps_are_emptied(self, rng):
-        # each input tensor is dropped once merged, so its memory can be freed
+    @pytest.mark.parametrize("dtype", [Dtype.F16, Dtype.BF16, Dtype.F32])
+    @pytest.mark.parametrize("method,extra", [
+        (MergeMethod.LINEAR, {}),
+        (MergeMethod.TASK_ARITHMETIC, {}),
+        (MergeMethod.TIES, {"density": 0.4}),
+        (MergeMethod.DARE_TASK_ARITHMETIC, {"density": 0.4, "seed": 9}),
+        (MergeMethod.DARE_TIES, {"density": 0.4, "seed": 9}),
+    ])
+    def test_storage_views_match_merge_tensor_on_widened_arrays(self, rng, method, extra, dtype):
+        recipe = MergeRecipe(method, lam=0.7, **extra)
+        shapes = {"w0": (5, 7), "w1": (3, 2), "w2": (11,)}
+        tensors = [
+            {name: Tensor.from_f32(name, rng.uniform(-1, 1, shape), dtype) for name, shape in shapes.items()}
+            for _ in range(3)
+        ]
+        views = [{name: t.array() for name, t in side.items()} for side in tensors]
+        assert views[0]["w0"].dtype == dtype.array_dtype
+        dtypes = dict.fromkeys(shapes, dtype)
+        merged = merge_transformer(recipe, *views, jobs=2, lams=(0.0, 0.7, 1.0), dtypes=dtypes)
+        for lam, out in zip((0.0, 0.7, 1.0), merged):
+            for name in shapes:
+                pre, lvlm, rm = (side[name].to_f32() for side in tensors)
+                expected = merge_tensor(replace(recipe, lam=lam), name, pre, lvlm, rm)
+                assert out[name] == Tensor.from_f32(name, expected, dtype)
+
+    def test_workspaces_are_never_shared_under_thread_churn(self, rng):
+        # more workers than cores and a short switch interval: a workspace
+        # handed to two workers at once would mix their tensors' values
+        recipe = MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=3)
+        sizes = [int(s) for s in rng.integers(1, 400, 40)]
+        maps = [{f"w{i}": rng.uniform(-1, 1, s).astype(np.float32) for i, s in enumerate(sizes)} for _ in range(3)]
+        single = merge_transformer(recipe, *maps, jobs=1)[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.monotonic()
+            for _ in range(5):
+                multi = merge_transformer(recipe, *maps, jobs=8)[0]
+                assert all(multi[name].data == single[name].data for name in single)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.monotonic() - started < 30
+
+    def test_input_maps_are_only_read(self, rng):
+        # the inputs are views of checkpoint buffers: the call must not change them
         recipe = MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.4)
         maps = [{f"w{i}": rng.uniform(-1, 1, (5, 7)).astype(np.float32) for i in range(4)} for _ in range(3)]
+        before = [dict(m) for m in maps]
+        copies = [{name: a.copy() for name, a in m.items()} for m in maps]
+        for m in maps:
+            for a in m.values():
+                a.flags.writeable = False
         merged = merge_transformer(recipe, *maps, jobs=2, lams=(0.5, 1.0))
-        assert maps == [{}, {}, {}]
         assert [sorted(m) for m in merged] == [["w0", "w1", "w2", "w3"]] * 2
+        for m, kept, copy in zip(maps, before, copies):
+            assert m.keys() == kept.keys()
+            for name in m:
+                assert m[name] is kept[name]
+                assert m[name].tobytes() == copy[name].tobytes()
 
     def test_every_lambda_is_validated(self):
         recipe = MergeRecipe(LINEAR, lam=0.5)

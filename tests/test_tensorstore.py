@@ -1,9 +1,11 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vlrmerge import tensorstore
 from vlrmerge import (
     Checkpoint,
     CheckpointFormatError,
@@ -92,6 +94,45 @@ class TestRoundTrip:
         (n,) = struct.unpack("<Q", raw[:8])
         declared = sum(len(t.data) for t in ckpt.tensors.values())
         assert len(raw) - 8 - n == declared
+
+
+class TestOneCopyRead:
+    def test_tensors_are_read_only_views_of_one_buffer(self, rng, tmp_path):
+        path = tmp_path / "ckpt.safetensors"
+        write_checkpoint(random_checkpoint(rng, 5), path)
+        tensors = read_checkpoint(path).tensors.values()
+        assert all(isinstance(t.data, memoryview) and t.data.readonly for t in tensors)
+        assert len({id(t.data.obj) for t in tensors}) == 1
+
+    def test_peak_memory_is_about_one_file(self, rng, tmp_path):
+        # 8 MiB of payload: a whole-file read plus copies would peak at 2-3 times it
+        values = rng.standard_normal((4, 1 << 19)).astype(np.float32)
+        tensors = {f"w{i}": Tensor.from_f32(f"w{i}", values[i], Dtype.F32) for i in range(4)}
+        path = tmp_path / "big.safetensors"
+        write_checkpoint(Checkpoint(tensors=tensors), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            ckpt = read_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size <= peak < 1.1 * size
+        assert ckpt.tensors["w3"].to_f32().tobytes() == values[3].tobytes()
+
+    def test_file_shrinking_while_read_is_a_named_error(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.safetensors"
+        write_checkpoint(random_checkpoint(rng, 2), path)
+        size = path.stat().st_size
+        real_fstat = tensorstore.os.fstat
+
+        class Grown:
+            def __init__(self, fd):
+                self.st_size = real_fstat(fd).st_size + 10
+
+        monkeypatch.setattr(tensorstore.os, "fstat", Grown)
+        with pytest.raises(CheckpointFormatError, match=f"shrank from {size + 10} to {size} bytes"):
+            read_checkpoint(path)
 
 
 class TestMalformed:
