@@ -98,12 +98,12 @@ def assemble_vlrm(plan: AssemblyPlan, jobs: int | None = None) -> list[Checkpoin
     """Produce one merged checkpoint per recipe of a validated triple's plan.
 
     The triple is validated and merged once for the whole plan: one
-    ``merge_transformer`` call for every lambda, handed zero-copy storage
-    views of the three transformers, so no float32 copy of a model is made
-    outside its workers' workspaces; then the embeddings, widened to float32
-    whole. Each checkpoint holds its own narrowed transformer, so memory grows
-    with the number of recipes; vision, adapter and reward head tensors are
-    the inputs' own objects.
+    ``merge_transformer`` call for every lambda, then one embedding merge,
+    each handed zero-copy storage views of the three models and returning
+    their storage dtype, so float32 exists only inside the merge kernels.
+    Each checkpoint holds its own merged transformer, so memory grows with
+    the number of recipes; the merged embeddings are shared, and vision,
+    adapter and reward head tensors are the inputs' own objects.
     Raises TripleValidationError when the triple is not mergeable and
     RecipeError on an empty plan or on recipes that differ in more than
     lambda (each recipe checked its own hyperparameters when it was made).
@@ -133,20 +133,16 @@ def assemble_vlrm(plan: AssemblyPlan, jobs: int | None = None) -> list[Checkpoin
         *({n: model.ckpt.tensors[n].array() for n in trans_names} for model in (pre, lvlm, rm)),
         jobs=jobs,
         lams=[recipe.lam for recipe in plan.recipes],
-        dtypes={n: lvlm.ckpt.tensors[n].dtype for n in trans_names},
     )
 
     aligned = align_vocab(pre.ckpt.vocab, lvlm.ckpt.vocab, rm.ckpt.vocab)
     tail: dict[str, Tensor] = {}
     for name in lvlm.cmap.names(Role.EMBEDDING):
         rows = merge_embedding_rows(
-            aligned,
-            pre.ckpt.tensors[name].to_f32(),
-            lvlm.ckpt.tensors[name].to_f32(),
-            rm.ckpt.tensors[name].to_f32(),
-            first.method,
+            aligned, *(model.ckpt.tensors[name].array() for model in (pre, lvlm, rm)), first.method
         )
-        tail[name] = Tensor.from_f32(name, rows, lvlm.ckpt.tensors[name].dtype)
+        payload = memoryview(rows.reshape(-1).view(np.uint8)).toreadonly()
+        tail[name] = Tensor(name, lvlm.ckpt.tensors[name].dtype, rows.shape, payload)
 
     for name in rm.cmap.names(Role.RM_HEAD):
         if name in shared or name in trans_names or name in tail:

@@ -7,6 +7,9 @@ For every output token the first applicable rule wins:
 2. token known to exactly one fine-tuned model -> that model's row
 3. token known to both fine-tuned models -> unweighted mean of the two rows
 
+The matrices are merged in their storage dtype: rows of rules 1 and 2 are
+copied as stored, and only rule 3 rows pass through float32.
+
 The output vocabulary is the LVLM vocabulary in order, followed by RM-only
 tokens in RM order.
 """
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VocabError
-from .merging import MergeMethod
+from .merging import _BLOCK, MergeMethod
+from .tensorstore import Dtype, narrow, widen
 
 
 @dataclass
@@ -72,7 +76,15 @@ def merge_embedding_rows(
     rm_emb: np.ndarray,
     method: MergeMethod,
 ) -> np.ndarray:
-    """Build the merged embedding matrix, one output row per aligned token."""
+    """Build the merged embedding matrix, one output row per aligned token.
+
+    The inputs are storage views of one dtype (``Dtype.of``), and so is the
+    output. Rows of rules 1 and 2 are copied as stored; the rule 3 rows alone
+    are widened to float32, averaged and narrowed, a block of rows at a time,
+    so no float32 copy of a whole matrix is made. The bytes are those of
+    widening every input, merging in float32 and narrowing the output, since
+    widening and narrowing round-trip every stored bit pattern.
+    """
     width = lvlm_emb.shape[1]
     if rm_emb.shape[1] != width or pre_emb.shape[1] != width:
         raise VocabError(
@@ -81,6 +93,11 @@ def merge_embedding_rows(
         )
     pre_idx, lv_idx, rm_idx = aligned.pre_rows, aligned.lvlm_rows, aligned.rm_rows
     sources = (("pre", pre_idx, pre_emb), ("lvlm", lv_idx, lvlm_emb), ("rm", rm_idx, rm_emb))
+    dtypes = [Dtype.of(source) for _, _, source in sources]
+    if len(set(dtypes)) > 1:
+        found = ", ".join(f"{label} {dtype.value}" for (label, _, _), dtype in zip(sources, dtypes))
+        raise VocabError(f"embedding dtype mismatch: {found}")
+    dtype = dtypes[0]
     for label, idx, source in sources:
         if idx.size and (top := int(idx.max())) >= source.shape[0]:
             raise VocabError(f"{label} row index {top} out of range ({source.shape[0]} rows)")
@@ -88,18 +105,27 @@ def merge_embedding_rows(
     if neither.any():
         token = aligned.tokens[int(neither.argmax())]
         raise VocabError(f"token {token!r} is in neither fine-tuned vocabulary")
-    pre_emb = pre_emb.astype(np.float32, copy=False)
-    lvlm_emb = lvlm_emb.astype(np.float32, copy=False)
-    rm_emb = rm_emb.astype(np.float32, copy=False)
 
     use_pre = (pre_idx >= 0) & (method is not MergeMethod.LINEAR)
     both = ~use_pre & (lv_idx >= 0) & (rm_idx >= 0)
     only_lv = ~use_pre & (lv_idx >= 0) & (rm_idx < 0)
     only_rm = ~use_pre & (lv_idx < 0) & (rm_idx >= 0)
 
-    out = np.empty((len(aligned.tokens), width), dtype=np.float32)
-    out[use_pre] = pre_emb[pre_idx[use_pre]]
-    out[only_lv] = lvlm_emb[lv_idx[only_lv]]
-    out[only_rm] = rm_emb[rm_idx[only_rm]]
-    out[both] = (lvlm_emb[lv_idx[both]] + rm_emb[rm_idx[both]]) * np.float32(0.5)
+    out = np.empty((len(aligned.tokens), width), dtype=dtype.array_dtype)
+    # each gather copies one block of rows, so no temporary outgrows a block
+    step = max(1, _BLOCK // max(width, 1))
+    for mask, (_, idx, source) in zip((use_pre, only_lv, only_rm), sources):
+        rows = np.flatnonzero(mask)
+        for start in range(0, rows.size, step):
+            at = rows[start : start + step]
+            out[at] = source[idx[at]]
+    rows = np.flatnonzero(both)
+    a, b = (np.empty((min(step, rows.size), width), np.float32) for _ in range(2))
+    scratch = np.empty(a.size, np.uint32)
+    for start in range(0, rows.size, step):
+        at = rows[start : start + step]
+        x = widen(lvlm_emb[lv_idx[at]], a[: at.size])
+        y = widen(rm_emb[rm_idx[at]], b[: at.size])
+        np.multiply(np.add(x, y, out=x), np.float32(0.5), out=x)
+        out[at] = np.frombuffer(narrow(x, dtype, scratch), dtype.array_dtype).reshape(x.shape)
     return out

@@ -17,13 +17,14 @@ supported:
                     -- random-drop task-vector entries with probability 1 - d
                        and rescale survivors by 1/d before combining
 
-All arithmetic runs in float32 regardless of storage dtype: the inputs are
-widened into a workspace of reused buffers, and every step runs in place
-there. Randomness is
-counter-based: the value drawn for element ``i`` of a tensor is a pure function
-of (seed, origin tag, tensor name, i), so results do not depend on iteration
-order or worker count. Element ``i`` survives the drop when its draw, a 53-bit
-uniform on [0, 1), is below d; the test is made on the draw's integer bits.
+The inputs are storage views and each output has its lvlm input's storage
+dtype; all arithmetic runs in float32 in between: the inputs are widened into
+a workspace of reused buffers, and every step runs in place there.
+Randomness is counter-based: the value drawn for element ``i`` of a tensor is
+a pure function of (seed, origin tag, tensor name, i), so results do not
+depend on iteration order or worker count. Element ``i`` survives the drop
+when its draw, a 53-bit uniform on [0, 1), is below d; the test is made on the
+draw's integer bits.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def merge_tensor(
 ) -> np.ndarray:
     """Merge one same-shaped tensor of the three models per a validated recipe.
 
-    The inputs are float32 arrays or storage views (``Dtype.array_dtype``).
+    The inputs are storage views (``Dtype.of``; float32 arrays included).
     Returns float32. ``name`` keys the DARE drop-mask random stream. ties and
     dare-ties scale the jointly merged delta by a single lam; dare-ties elects
     signs and takes the disjoint mean on the already-rescaled survivors.
@@ -227,22 +228,21 @@ def merge_transformer(
     rm_trans: TensorMap,
     jobs: int | None = None,
     lams: Sequence[float] | None = None,
-    dtypes: dict[str, Dtype] | None = None,
 ) -> list[dict[str, Tensor]]:
     """Merge the shared transformer weights per the recipe, once per lam.
 
-    The input maps hold float32 arrays or zero-copy storage views
-    (``Tensor.array``); they are only read. ``lams`` defaults to the recipe's
-    own lam; the result holds one map per lam, in order. Checks the recipe at
-    every lam and the tensor alignment once, then merges every name on
-    ``jobs`` worker threads (None takes ``default_jobs()``). Each worker
+    The input maps hold zero-copy storage views (``Tensor.array``; a float32
+    array is the F32 view); they are only read. ``lams`` defaults to the
+    recipe's own lam; the result holds one map per lam, in order. Checks the
+    recipe at every lam and the tensor alignment once, then merges every name
+    on ``jobs`` worker threads (None takes ``default_jobs()``). Each worker
     widens a tensor's three inputs into its own workspace, at most about
     eight float32 copies of the largest tensor, runs the rule there, and
-    narrows every lam's output straight into that output's payload, of
-    storage dtype ``dtypes[name]`` (float32 when ``dtypes`` is None).
-    Workspaces are reused from tensor to tensor and freed when the call
-    returns, so its memory is the outputs plus jobs workspaces. Tensors are
-    independent, so results are identical for any worker count.
+    narrows every lam's output straight into that output's payload, of the
+    storage dtype of the tensor's lvlm view (``Dtype.of``). Workspaces are
+    reused from tensor to tensor and freed when the call returns, so its
+    memory is the outputs plus jobs workspaces. Tensors are independent, so
+    results are identical for any worker count.
     """
     if jobs is not None and jobs < 1:
         raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
@@ -254,7 +254,7 @@ def merge_transformer(
     idle: queue.SimpleQueue[_Workspace] = queue.SimpleQueue()
 
     def merge_one(name: str) -> list[Tensor]:
-        dtype = Dtype.F32 if dtypes is None else dtypes[name]
+        dtype = Dtype.of(lvlm_trans[name])
         shape = pre_trans[name].shape
         try:
             space = idle.get_nowait()

@@ -75,8 +75,12 @@ class SubprocessScorer:
             raise ScorerError(
                 f"scorer exited with status {proc.returncode}: " + " | ".join(tail)
             )
+        try:
+            replies = proc.stdout.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScorerError(f"scorer output is not UTF-8 text: {exc.reason}") from exc
         rewards: dict[str, float] = {}
-        for line_no, line in enumerate(proc.stdout.decode("utf-8").splitlines(), start=1):
+        for line_no, line in enumerate(replies.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
@@ -115,20 +119,24 @@ class ReplayScorer:
         self.transcript_path = Path(transcript_path)
         self._rewards: dict[str, float] = {}
         self._requests: dict[str, Request] = {}
-        with open(self.transcript_path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    req, reward = record["request"], record["reward"]
-                    rid = req["id"]
-                except (json.JSONDecodeError, TypeError, KeyError) as exc:
-                    raise ScorerError(
-                        f"{self.transcript_path}:{line_no}: malformed transcript record"
-                    ) from exc
-                self._rewards[rid] = reward
-                self._requests[rid] = req
+        try:
+            with open(self.transcript_path, encoding="utf-8") as f:
+                lines = f.readlines()
+        except UnicodeDecodeError as exc:
+            raise ScorerError(f"{self.transcript_path}: not UTF-8 text: {exc.reason}") from exc
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                req, reward = record["request"], record["reward"]
+                rid = req["id"]
+            except (json.JSONDecodeError, TypeError, KeyError) as exc:
+                raise ScorerError(
+                    f"{self.transcript_path}:{line_no}: malformed transcript record"
+                ) from exc
+            self._rewards[rid] = reward
+            self._requests[rid] = req
 
     def score(self, requests: list[Request]) -> dict[str, float]:
         for req in requests:

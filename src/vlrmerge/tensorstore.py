@@ -38,24 +38,35 @@ class Dtype(str, Enum):
         """The numpy dtype of a storage view; numpy has no bfloat16, so BF16 is its uint16 bits."""
         return _ARRAY_DTYPES[self]
 
+    @staticmethod
+    def of(array: np.ndarray) -> "Dtype":
+        """The dtype whose storage view ``array`` is: the inverse of ``array_dtype``.
+
+        Raises TypeError for an array that is no storage view.
+        """
+        try:
+            return _STORAGE_DTYPES[array.dtype]
+        except KeyError:
+            raise TypeError(f"a {array.dtype} array is not a storage view") from None
+
 
 _ARRAY_DTYPES = {Dtype.F32: np.dtype("<f4"), Dtype.F16: np.dtype("<f2"), Dtype.BF16: np.dtype("<u2")}
+_STORAGE_DTYPES = {array_dtype: dtype for dtype, array_dtype in _ARRAY_DTYPES.items()}
 
 
 def widen(src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Widen a storage view (see ``Dtype.array_dtype``) to float32, into ``out`` if given.
+    """Widen a storage view (see ``Dtype.of``) to float32, into ``out`` if given.
 
     Returns ``out``, or a new array of ``src``'s shape. Widening is exact for
     every F16 and BF16 bit pattern.
     """
+    dtype = Dtype.of(src)
     if out is None:
         out = np.empty(src.shape, dtype=np.float32)
-    if src.dtype == _ARRAY_DTYPES[Dtype.BF16]:
+    if dtype is Dtype.BF16:
         np.left_shift(src, 16, out=out.view(np.uint32), dtype=np.uint32)
-    elif src.dtype in (_ARRAY_DTYPES[Dtype.F32], _ARRAY_DTYPES[Dtype.F16]):
-        np.copyto(out, src)
     else:
-        raise TypeError(f"cannot widen a {src.dtype} array: not a storage view")
+        np.copyto(out, src)
     return out
 
 
@@ -356,7 +367,10 @@ def default_vocab_path(ckpt_path: str | Path) -> Path:
 
 def read_vocab(path: str | Path) -> dict[str, int]:
     """Load a vocabulary sidecar: one token per line, line number = row index."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise VocabError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     if text.endswith("\n"):
         text = text[:-1]
     vocab: dict[str, int] = {}

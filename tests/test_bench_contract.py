@@ -18,7 +18,16 @@ import child  # noqa: E402
 import replay  # noqa: E402,F401
 import spans  # noqa: E402
 
-from vlrmerge import AssemblyPlan, MergeMethod, MergeRecipe, Role, assemble_vlrm, assembly, merging  # noqa: E402
+from vlrmerge import (  # noqa: E402
+    AssemblyPlan,
+    MergeMethod,
+    MergeRecipe,
+    Role,
+    align_vocab,
+    assemble_vlrm,
+    assembly,
+    merging,
+)
 
 from helpers import classified_toy_triple  # noqa: E402
 
@@ -52,7 +61,8 @@ def test_class_probe_call_form():
 
 
 def test_traced_assembly_hands_merge_transformer_sized_values(monkeypatch):
-    # the tracer's merge_call annotator sums ``.size`` over the second argument's values
+    # the tracer's merge_call annotator sums ``.size`` over the second argument's
+    # values, and its rows annotator reads ``shape[0]`` of the embedding merge's result
     seen = {}
     real = assembly.merge_transformer
 
@@ -75,3 +85,6 @@ def test_traced_assembly_hands_merge_transformer_sized_values(monkeypatch):
     [call] = [s for s in tracer.spans if s["name"] == "merging.merge_transformer"]
     assert "error" not in call
     assert call["method"] == "ties" and call["numel"] == sum(numel.values())
+    [rows] = [s for s in tracer.spans if s["name"] == "embeddings.merge_embedding_rows"]
+    vocabs = (model.ckpt.vocab for model in (triple.pre, triple.lvlm, triple.rm))
+    assert "error" not in rows and rows["rows"] == len(align_vocab(*vocabs).tokens)

@@ -112,6 +112,18 @@ class TestMergeCommand:
         pre_sidecar = Path(f"{triple_files['pre']}.vocab").read_bytes()
         assert metadata["input.pre_vocab.sha256"] == hashlib.sha256(pre_sidecar).hexdigest()
 
+    def test_vocab_that_is_not_utf8_is_a_named_error(self, runner, triple_files, tmp_path):
+        bad = tmp_path / "bad.vocab"
+        bad.write_bytes(b"\xff" + Path(f"{triple_files['lvlm']}.vocab").read_bytes())
+        out = tmp_path / "merged.safetensors"
+        result = runner.invoke(main, [
+            "merge", *triple_args(triple_files), "--lvlm-vocab", str(bad),
+            "--method", "linear", "--lambda", "0.5", "--out", str(out),
+        ])
+        assert_named_error(result, "bad.vocab: not UTF-8 text: invalid start byte")
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_manifest_file_is_recorded(self, runner, triple_files, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(DEFAULT_MANIFEST), encoding="utf-8")

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from vlrmerge import AlignedVocab, MergeMethod, VocabError, align_vocab, merge_embedding_rows
+from vlrmerge import AlignedVocab, Dtype, MergeMethod, VocabError, align_vocab, embeddings, merge_embedding_rows
+from vlrmerge.tensorstore import narrow, widen
 
 import reference as ref
 
@@ -191,3 +194,110 @@ class TestAgainstReference:
         assert aligned.output_vocab() == {token: i for i, token in enumerate(tokens)}
         assert out.dtype == np.float32
         assert out.tobytes() == np.asarray(rows, dtype=np.float32).reshape(len(tokens), 5).tobytes()
+
+
+# bit patterns of a NaN with a payload, a negative NaN with another one, -0.0, +inf and -inf
+SPECIAL_BITS = {
+    Dtype.BF16: [0x7FC5, 0xFF83, 0x8000, 0x7F80, 0xFF80],
+    Dtype.F16: [0x7E05, 0xFE03, 0x8000, 0x7C00, 0xFC00],
+    Dtype.F32: [0x7FC00005, 0xFFC00003, 0x80000000, 0x7F800000, 0xFF800000],
+}
+
+
+def storage_matrix(rng, rows: int, width: int, dtype: Dtype) -> np.ndarray:
+    """A storage view of ``dtype`` whose first five columns hold every special value in every row.
+
+    Each row rotates the specials, so a mean row pairs them in many ways
+    (NaN with a number, inf with -inf, -0.0 with -0.0, ...).
+    """
+    values = rng.standard_normal((rows, width)).astype(np.float32)
+    view = np.frombuffer(narrow(values, dtype), dtype.array_dtype).reshape(rows, width).copy()
+    bits = view.view(np.uint32 if dtype is Dtype.F32 else np.uint16)
+    specials = np.array(SPECIAL_BITS[dtype], dtype=bits.dtype)
+    for r in range(rows):
+        bits[r, :5] = np.roll(specials, r)
+    return view
+
+
+def widened_route(aligned, pre, lvlm, rm, method, dtype):
+    """Widen all three matrices whole, merge in float32, narrow the output."""
+    pre, lvlm, rm = widen(pre), widen(lvlm), widen(rm)
+    pre_idx, lv_idx, rm_idx = aligned.pre_rows, aligned.lvlm_rows, aligned.rm_rows
+    use_pre = (pre_idx >= 0) & (method is not MergeMethod.LINEAR)
+    both = ~use_pre & (lv_idx >= 0) & (rm_idx >= 0)
+    only_lv = ~use_pre & (lv_idx >= 0) & (rm_idx < 0)
+    only_rm = ~use_pre & (lv_idx < 0) & (rm_idx >= 0)
+    out = np.empty((len(aligned.tokens), lvlm.shape[1]), dtype=np.float32)
+    out[use_pre] = pre[pre_idx[use_pre]]
+    out[only_lv] = lvlm[lv_idx[only_lv]]
+    out[only_rm] = rm[rm_idx[only_rm]]
+    out[both] = (lvlm[lv_idx[both]] + rm[rm_idx[both]]) * np.float32(0.5)
+    return narrow(out, dtype)
+
+
+class TestStorageDtype:
+    @pytest.mark.parametrize("block", [None, 20])
+    @pytest.mark.parametrize("method", [MergeMethod.LINEAR, MergeMethod.TIES])
+    @pytest.mark.parametrize("dtype", [Dtype.F16, Dtype.BF16, Dtype.F32])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+    def test_same_bytes_as_widened_route(self, monkeypatch, dtype, method, block):
+        if block is not None:  # two rows of width 7 a block, so every rule spans many blocks
+            monkeypatch.setattr(embeddings, "_BLOCK", block)
+        rng = np.random.default_rng(7)
+        vocabs = random_vocabs(rng, 120, with_rm=True)
+        pre, lvlm, rm = (storage_matrix(rng, len(vocabs[k]) + 2, 7, dtype) for k in ("pre", "lvlm", "rm"))
+        aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
+        base = (aligned.pre_rows >= 0) & (method is not MergeMethod.LINEAR)
+        in_lv, in_rm = ~base & (aligned.lvlm_rows >= 0), ~base & (aligned.rm_rows >= 0)
+        # every rule fires (the base rule only for ties) and each rule spans many blocks
+        assert (in_lv & in_rm).sum() > 10 and (in_lv & ~in_rm).sum() > 10 and (~in_lv & in_rm).sum() > 10
+        assert base.sum() > 10 or method is MergeMethod.LINEAR
+        out = merge_embedding_rows(aligned, pre, lvlm, rm, method)
+        assert out.dtype == dtype.array_dtype
+        assert out.shape == (len(aligned.tokens), 7)
+        assert out.tobytes() == widened_route(aligned, pre, lvlm, rm, method, dtype).tobytes()
+
+    def test_copied_rows_keep_their_bits(self):
+        # one token per rule: the base row, the lvlm-only row, the mean row, the rm-only row
+        bits = np.array(SPECIAL_BITS[Dtype.BF16], dtype=np.uint16)
+        aligned = align_vocab({"p": 0}, {"p": 0, "l": 1, "b": 2}, {"p": 0, "r": 1, "b": 2})
+        pre = bits[None, :].copy()
+        lvlm = np.stack([bits, np.roll(bits, 1), np.full(5, 0x3F80, np.uint16)])  # 1.0
+        rm = np.stack([bits, np.roll(bits, 2), np.full(5, 0x4000, np.uint16)])  # 2.0
+        out = merge_embedding_rows(aligned, pre, lvlm, rm, MergeMethod.TIES)
+        assert out.dtype == np.uint16
+        assert out[0].tolist() == pre[0].tolist()
+        assert out[1].tolist() == lvlm[1].tolist()
+        assert out[2].tolist() == [0x3FC0] * 5  # bf16 1.5
+        assert out[3].tolist() == rm[1].tolist()
+
+    @pytest.mark.parametrize("odd", ["pre", "lvlm", "rm"])
+    def test_mixed_dtypes_rejected(self, odd):
+        aligned = align_vocab({"a": 0}, {"a": 0}, {"a": 0})
+        views = {label: np.zeros((1, 2), np.uint16) for label in ("pre", "lvlm", "rm")}
+        views[odd] = np.zeros((1, 2), np.float32)
+        with pytest.raises(VocabError, match=f"embedding dtype mismatch: .*{odd} F32"):
+            merge_embedding_rows(aligned, views["pre"], views["lvlm"], views["rm"], MergeMethod.LINEAR)
+
+    def test_non_storage_view_rejected(self):
+        aligned = align_vocab({"a": 0}, {"a": 0}, {"a": 0})
+        wide = np.zeros((1, 2), np.float64)
+        with pytest.raises(TypeError, match="not a storage view"):
+            merge_embedding_rows(aligned, wide, wide, wide, MergeMethod.LINEAR)
+
+    @pytest.mark.parametrize("method", [MergeMethod.LINEAR, MergeMethod.TIES])
+    def test_bf16_merge_peaks_below_two_output_matrices(self, rng, method):
+        rows, width = 4096, 512
+        vocab = {f"t{i}": i for i in range(rows)}
+        # half the rows shared with the base, so ties both copies and averages
+        aligned = align_vocab({f"t{i}": i for i in range(rows // 2)}, vocab, dict(vocab))
+        pre, lvlm, rm = (rng.integers(0, 0x7F00, (rows, width), dtype=np.uint16) for _ in range(3))
+        tracemalloc.start()
+        try:
+            out = merge_embedding_rows(aligned, pre, lvlm, rm, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = rows * width * 2
+        assert peak < 2 * output, f"peak {peak} bytes for a {output}-byte output"
+        assert out.dtype == np.uint16

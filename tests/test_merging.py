@@ -465,15 +465,12 @@ class TestMergeTransformer:
         for _ in range(3):
             maps.append({f"w{i}": rng.uniform(-1, 1, (5, 7)).astype(np.float32) for i in range(4)})
         pre, lvlm, rm = maps
-        wide = merge_transformer(recipe, *maps, jobs=2, lams=lams)
-        dtypes = {name: Dtype.BF16 for name in pre}
-        narrow = merge_transformer(recipe, *maps, jobs=2, lams=lams, dtypes=dtypes)
-        assert len(wide) == len(narrow) == len(lams)
-        for lam, wide_map, narrow_map in zip(lams, wide, narrow):
+        merged = merge_transformer(recipe, *maps, jobs=2, lams=lams)
+        assert len(merged) == len(lams)
+        for lam, out in zip(lams, merged):
             for name in pre:
                 expected = merge_tensor(replace(recipe, lam=lam), name, pre[name], lvlm[name], rm[name])
-                assert wide_map[name] == Tensor.from_f32(name, expected, Dtype.F32)
-                assert narrow_map[name] == Tensor.from_f32(name, expected, Dtype.BF16)
+                assert out[name] == Tensor.from_f32(name, expected, Dtype.F32)
 
     @pytest.mark.parametrize("dtype", [Dtype.F16, Dtype.BF16, Dtype.F32])
     @pytest.mark.parametrize("method,extra", [
@@ -492,8 +489,7 @@ class TestMergeTransformer:
         ]
         views = [{name: t.array() for name, t in side.items()} for side in tensors]
         assert views[0]["w0"].dtype == dtype.array_dtype
-        dtypes = dict.fromkeys(shapes, dtype)
-        merged = merge_transformer(recipe, *views, jobs=2, lams=(0.0, 0.7, 1.0), dtypes=dtypes)
+        merged = merge_transformer(recipe, *views, jobs=2, lams=(0.0, 0.7, 1.0))
         for lam, out in zip((0.0, 0.7, 1.0), merged):
             for name in shapes:
                 pre, lvlm, rm = (side[name].to_f32() for side in tensors)

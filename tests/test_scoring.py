@@ -132,6 +132,11 @@ class TestSubprocessScorer:
         with pytest.raises(ScorerError, match="non-finite"):
             SubprocessScorer(nan_scorer).score(requests())
 
+    def test_output_that_is_not_utf8_reported(self):
+        garbling = [sys.executable, "-c", "import sys; sys.stdin.read(); sys.stdout.buffer.write(b'\\xff\\n')"]
+        with pytest.raises(ScorerError, match="scorer output is not UTF-8 text: invalid start byte"):
+            SubprocessScorer(garbling).score(requests())
+
 
 class TestRecordReplay:
     def test_replay_reproduces_recorded_rewards(self, tmp_path):
@@ -158,4 +163,10 @@ class TestRecordReplay:
         transcript = tmp_path / "t.jsonl"
         transcript.write_text('{"request": {"id": "a"}, "reward": 1.0}\n{nope\n', encoding="utf-8")
         with pytest.raises(ScorerError, match="t.jsonl:2"):
+            ReplayScorer(transcript)
+
+    def test_transcript_that_is_not_utf8_reported(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_bytes(b'{"request": {"id": "a"}, "reward": 1.0}\n\xff\n')
+        with pytest.raises(ScorerError, match="t.jsonl: not UTF-8 text: invalid start byte"):
             ReplayScorer(transcript)

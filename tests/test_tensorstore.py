@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vlrmerge import tensorstore
+from vlrmerge.tensorstore import widen
 from vlrmerge import (
     Checkpoint,
     CheckpointFormatError,
@@ -323,6 +324,19 @@ class TestCasts:
             finite = widened[np.isfinite(widened)]
             assert len(np.unique(finite)) == len(finite) - 1  # +0.0 and -0.0 compare equal
 
+    @pytest.mark.parametrize("dtype", list(Dtype))
+    def test_dtype_of_inverts_array_dtype(self, dtype):
+        assert Dtype.of(np.zeros(3, dtype.array_dtype)) is dtype
+        assert Dtype.of(make_tensor("w", [1.0, 2.0], dtype).array()) is dtype
+
+    @pytest.mark.parametrize("array_dtype", [np.float64, np.int16, ">f4"])
+    def test_arrays_that_are_no_storage_view_rejected(self, array_dtype):
+        array = np.zeros(3, array_dtype)
+        with pytest.raises(TypeError, match="not a storage view"):
+            Dtype.of(array)
+        with pytest.raises(TypeError, match="not a storage view"):
+            widen(array)
+
     def test_cast_preserves_name_and_shape(self, rng):
         t = make_tensor("layer.w", rng.standard_normal((3, 4)), Dtype.F32)
         cast = Tensor.from_f32(t.name, t.to_f32(), Dtype.BF16)
@@ -340,6 +354,12 @@ class TestVocabSidecar:
         path = tmp_path / "v.vocab"
         path.write_text("a\nb\na\n", encoding="utf-8")
         with pytest.raises(VocabError, match="duplicate token 'a'"):
+            read_vocab(path)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "v.vocab"
+        path.write_bytes(b"a\n\xff\n")
+        with pytest.raises(VocabError, match="v.vocab: not UTF-8 text: invalid start byte"):
             read_vocab(path)
 
     def test_non_contiguous_indices_rejected(self, tmp_path):
