@@ -32,9 +32,9 @@ from .components import (  # noqa: F401
     load_manifest_config,
     validate_triple,
 )
-from .merging import MergeMethod, MergeRecipe, merge_tensor, merge_transformer  # noqa: F401
+from .merging import MergeMethod, MergeRecipe, merge_transformer  # noqa: F401
 from .embeddings import AlignedVocab, align_vocab, merge_embedding_rows  # noqa: F401
-from .assembly import AssemblyPlan, assemble_vlrm, check_merged_structure, write_merged  # noqa: F401
+from .assembly import assemble_vlrm, check_merged_structure, write_merged  # noqa: F401
 from .evaluation import (  # noqa: F401
     BenchReport,
     BoNInstance,

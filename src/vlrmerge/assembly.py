@@ -9,7 +9,8 @@ language-modeling head.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,18 +18,9 @@ import numpy as np
 from . import __version__
 from .components import ModelTriple, Role, validate_triple
 from .embeddings import align_vocab, merge_embedding_rows
-from .errors import RecipeError, TripleValidationError, VlrmergeError
+from .errors import RecipeError, TripleValidationError
 from .merging import MergeRecipe, merge_transformer
 from .tensorstore import Checkpoint, Tensor, write_checkpoint, write_vocab, default_vocab_path
-
-
-@dataclass
-class AssemblyPlan:
-    """Recipes that differ only in lambda, assembled from one triple."""
-
-    recipes: tuple[MergeRecipe, ...]
-    triple: ModelTriple
-    provenance: dict[str, str] = field(default_factory=dict)
 
 
 _HASH_BLOCK = 1 << 20
@@ -94,10 +86,15 @@ def check_merged_structure(merged: Checkpoint, triple: ModelTriple) -> list[str]
     return report
 
 
-def assemble_vlrm(plan: AssemblyPlan, jobs: int | None = None) -> list[Checkpoint]:
-    """Produce one merged checkpoint per recipe of a validated triple's plan.
+def assemble_vlrm(
+    recipes: Sequence[MergeRecipe],
+    triple: ModelTriple,
+    provenance: dict[str, str] | None = None,
+    jobs: int | None = None,
+) -> list[Checkpoint]:
+    """Produce one merged checkpoint per recipe, each recording ``provenance``.
 
-    The triple is validated and merged once for the whole plan: one
+    The triple is validated and merged once for all the recipes: one
     ``merge_transformer`` call for every lambda, then one embedding merge,
     each handed zero-copy storage views of the three models and returning
     their storage dtype, so float32 exists only inside the merge kernels.
@@ -105,24 +102,23 @@ def assemble_vlrm(plan: AssemblyPlan, jobs: int | None = None) -> list[Checkpoin
     the number of recipes; the merged embeddings are shared, and vision,
     adapter and reward head tensors are the inputs' own objects.
     Raises TripleValidationError when the triple is not mergeable and
-    RecipeError on an empty plan or on recipes that differ in more than
-    lambda (each recipe checked its own hyperparameters when it was made).
+    RecipeError on no recipes or on recipes that differ in more than lambda
+    (each recipe checked its own hyperparameters when it was made).
     """
-    report = validate_triple(plan.triple)
+    report = validate_triple(triple)
     if report:
         raise TripleValidationError(report)
-    if not plan.recipes:
-        raise RecipeError("an assembly plan needs at least one recipe")
-    first = plan.recipes[0]
-    for recipe in plan.recipes:
+    if not recipes:
+        raise RecipeError("an assembly needs at least one recipe")
+    first = recipes[0]
+    for recipe in recipes:
         if replace(recipe, lam=first.lam) != first:
             raise RecipeError(
                 f"recipes {first.slug()} and {recipe.slug()} differ in more than lambda"
             )
 
-    pre, lvlm, rm = plan.triple.pre, plan.triple.lvlm, plan.triple.rm
+    pre, lvlm, rm = triple.pre, triple.lvlm, triple.rm
     shared: dict[str, Tensor] = {}
-
     for role in (Role.VISION_ENCODER, Role.ADAPTER):
         for name in lvlm.cmap.names(role):
             shared[name] = lvlm.ckpt.tensors[name]
@@ -132,38 +128,29 @@ def assemble_vlrm(plan: AssemblyPlan, jobs: int | None = None) -> list[Checkpoin
         first,
         *({n: model.ckpt.tensors[n].array() for n in trans_names} for model in (pre, lvlm, rm)),
         jobs=jobs,
-        lams=[recipe.lam for recipe in plan.recipes],
+        lams=[recipe.lam for recipe in recipes],
     )
 
     aligned = align_vocab(pre.ckpt.vocab, lvlm.ckpt.vocab, rm.ckpt.vocab)
-    tail: dict[str, Tensor] = {}
     for name in lvlm.cmap.names(Role.EMBEDDING):
         rows = merge_embedding_rows(
             aligned, *(model.ckpt.tensors[name].array() for model in (pre, lvlm, rm)), first.method
         )
         payload = memoryview(rows.reshape(-1).view(np.uint8)).toreadonly()
-        tail[name] = Tensor(name, lvlm.ckpt.tensors[name].dtype, rows.shape, payload)
-
+        shared[name] = Tensor(name, lvlm.ckpt.tensors[name].dtype, rows.shape, payload)
+    # validate_triple keeps reward head names apart from every kept lvlm name
     for name in rm.cmap.names(Role.RM_HEAD):
-        if name in shared or name in trans_names or name in tail:
-            raise VlrmergeError(f"reward head name {name} collides with an lvlm tensor")
-        tail[name] = rm.ckpt.tensors[name]
+        shared[name] = rm.ckpt.tensors[name]
 
     vocab = aligned.output_vocab()
-    checkpoints = []
-    for recipe, trans in zip(plan.recipes, merged_trans):
-        merged = Checkpoint(
-            tensors={**shared, **trans, **tail},
+    return [
+        Checkpoint(
+            tensors={**shared, **trans},
             vocab=vocab,
-            metadata=recorded_provenance(recipe, plan.provenance),
+            metadata=recorded_provenance(recipe, provenance or {}),
         )
-        structure = check_merged_structure(merged, plan.triple)
-        if structure:
-            raise VlrmergeError(
-                "assembled checkpoint failed structural checks:\n  " + "\n  ".join(structure)
-            )
-        checkpoints.append(merged)
-    return checkpoints
+        for recipe, trans in zip(recipes, merged_trans)
+    ]
 
 
 def write_merged(merged: Checkpoint, path: str | Path) -> Path:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .assembly import AssemblyPlan, assemble_vlrm, file_digest, write_merged
+from .assembly import assemble_vlrm, file_digest, write_merged
 from .components import MODEL_KINDS, Role, classify_tensors, classify_triple, load_manifest_config, validate_triple
 from .errors import RecipeError, VlrmergeError
 from .evaluation import evaluate_bon, evaluate_pairwise, load_bon_dataset, load_pairwise_dataset
@@ -35,11 +36,11 @@ def _echo_config(name: str, resolved: dict) -> None:
     click.echo(f"{name} config: {json.dumps(resolved, sort_keys=True, default=str)}", err=True)
 
 
-def _hash_inputs(inputs: dict[str, tuple[str, str | None]], manifest: str | None) -> dict[str, str]:
-    """Digest each checkpoint, the vocabulary file read with it and any manifest file."""
+def _hash_inputs(inputs: dict[str, tuple[str, str | None]], ckpts: dict, manifest: str | None) -> dict[str, str]:
+    """Digest each checkpoint's bytes as read, the vocabulary file read with it and any manifest file."""
     provenance = {}
     for label, (path, vocab) in inputs.items():
-        provenance[f"input.{label}.sha256"] = file_digest(path)
+        provenance[f"input.{label}.sha256"] = hashlib.sha256(ckpts[label].file_bytes).hexdigest()
         sidecar = Path(vocab) if vocab is not None else default_vocab_path(path)
         if sidecar.exists():
             provenance[f"input.{label}_vocab.sha256"] = file_digest(sidecar)
@@ -58,7 +59,7 @@ def _load_triple(pre, lvlm, rm, pre_vocab, lvlm_vocab, rm_vocab, manifest):
         for entry in report:
             click.echo(f"validation: {entry}", err=True)
         raise click.ClickException(f"triple validation failed with {len(report)} violation(s)")
-    return triple, _hash_inputs(inputs, manifest)
+    return triple, _hash_inputs(inputs, ckpts, manifest)
 
 
 @click.group()
@@ -118,8 +119,7 @@ def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         triple, provenance = _load_triple(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest
         )
-        plan = AssemblyPlan(recipes=(recipe,), triple=triple, provenance=provenance)
-        [merged] = assemble_vlrm(plan, jobs=jobs)
+        [merged] = assemble_vlrm([recipe], triple, provenance, jobs=jobs)
         write_merged(merged, out_path)
     except (VlrmergeError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc

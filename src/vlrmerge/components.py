@@ -115,7 +115,9 @@ def _role_set_report(kind: str, model: ClassifiedModel) -> list[str]:
 def validate_triple(triple: ModelTriple) -> list[str]:
     """Check that the triple is mergeable; returns a list of violations (empty = pass).
 
-    Callers treat a non-empty report as fatal.
+    Every rule the merge relies on is checked here, the reward head's name
+    included, so a triple that passes assembles without error. Callers treat
+    a non-empty report as fatal, before any merge runs.
     """
     report: list[str] = []
     models = {"pre": triple.pre, "lvlm": triple.lvlm, "rm": triple.rm}
@@ -174,12 +176,19 @@ def validate_triple(triple: ModelTriple) -> list[str]:
                     f"embedding {name} with {t.shape[0]} rows"
                 )
 
-    # the reward head projects to a single scalar
+    # the reward head projects to a single scalar, and sits in the merged model
+    # beside every lvlm tensor but the language-modeling head
+    lvlm_roles = triple.lvlm.cmap.assignments
+    kept = (Role.VISION_ENCODER, Role.ADAPTER, Role.TRANSFORMER, Role.EMBEDDING)
     for name in sorted(triple.rm.cmap.names(Role.RM_HEAD)):
         t = triple.rm.ckpt.tensors[name]
         if t.shape and t.shape[0] != 1:
             report.append(
                 f"rm: head tensor {name} must have leading dimension 1, got {list(t.shape)}"
+            )
+        if lvlm_roles.get(name) in kept:
+            report.append(
+                f"rm: head tensor {name} has the name of an lvlm {lvlm_roles[name].value} tensor"
             )
     return report
 

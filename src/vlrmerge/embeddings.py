@@ -126,6 +126,8 @@ def merge_embedding_rows(
         at = rows[start : start + step]
         x = widen(lvlm_emb[lv_idx[at]], a[: at.size])
         y = widen(rm_emb[rm_idx[at]], b[: at.size])
-        np.multiply(np.add(x, y, out=x), np.float32(0.5), out=x)
+        # halves first: the sum of two finite rows may overflow, their mean cannot
+        half = np.float32(0.5)
+        np.add(np.multiply(x, half, out=x), np.multiply(y, half, out=y), out=x)
         out[at] = np.frombuffer(narrow(x, dtype, scratch), dtype.array_dtype).reshape(x.shape)
     return out

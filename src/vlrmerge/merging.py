@@ -1,13 +1,12 @@
 """The merge kernel for the shared transformer weights.
 
-``merge_tensor`` merges a single tensor of the base model and the two
-fine-tuned models per a validated ``MergeRecipe``. It is the one-lambda form of
-``_merge_per_lam``, the one implementation of every merge rule, which computes
-the part of the rule that does not depend on lambda once and applies each of
-several lambdas to it. ``merge_transformer`` checks each lambda and the
-tensor alignment once, then maps ``_merge_per_lam`` over the tensor names. A
-task vector is fine-tuned weights minus base weights. Five strategies are
-supported:
+``merge_transformer`` merges the shared transformer tensors of the base model
+and the two fine-tuned models per a validated ``MergeRecipe``, at one lambda
+or several. It checks each lambda and the tensor alignment once, then maps
+``_merge_per_lam``, the one implementation of every merge rule, over the
+tensor names; that generator computes the part of the rule that does not
+depend on lambda once and applies each lambda to it. A task vector is
+fine-tuned weights minus base weights. Five strategies are supported:
 
 * linear            -- elementwise weighted average of the two fine-tuned models
 * task-arithmetic   -- base weights plus the scaled sum of both task vectors
@@ -121,21 +120,6 @@ def _check_aligned(named_maps: dict[str, TensorMap]) -> None:
                 )
 
 
-def merge_tensor(
-    recipe: MergeRecipe, name: str, pre: np.ndarray, lvlm: np.ndarray, rm: np.ndarray
-) -> np.ndarray:
-    """Merge one same-shaped tensor of the three models per a validated recipe.
-
-    The inputs are storage views (``Dtype.of``; float32 arrays included).
-    Returns float32. ``name`` keys the DARE drop-mask random stream. ties and
-    dare-ties scale the jointly merged delta by a single lam; dare-ties elects
-    signs and takes the disjoint mean on the already-rescaled survivors.
-    """
-    space = _Workspace(pre.size)
-    merged = next(_merge_per_lam(recipe, (recipe.lam,), name, pre, lvlm, rm, space))
-    return merged.reshape(pre.shape)
-
-
 class _Workspace:
     """One worker's float32, uint32 and bool buffers, reused from tensor to tensor.
 
@@ -163,13 +147,16 @@ def _merge_per_lam(
     rm: np.ndarray,
     space: _Workspace,
 ) -> Iterator[np.ndarray]:
-    """``merge_tensor`` for each lam in ``lams`` in turn; ``recipe.lam`` is not used.
+    """Merge one same-shaped tensor at each lam in ``lams`` in turn; ``recipe.lam`` is not used.
 
-    The inputs are widened into ``space`` and every step runs in place there.
-    Each output is a flat float32 view into ``space`` that stays valid until
-    the next one is asked for. The part of the rule that does not depend on
-    lam -- the widened pair for linear, the merged task vector for the other
-    methods -- is computed once, before the first output is yielded.
+    ``name`` keys the DARE drop-mask random stream. ties and dare-ties scale
+    the jointly merged delta by lam; dare-ties elects signs and takes the
+    disjoint mean on the already-rescaled survivors. The inputs are widened
+    into ``space`` and every step runs in place there. Each output is a flat
+    float32 view into ``space`` that stays valid until the next one is asked
+    for. The part of the rule that does not depend on lam -- the widened
+    pair for linear, the merged task vector for the other methods -- is
+    computed once, before the first output is yielded.
     """
     n = pre.size
     method, density = recipe.method, recipe.density

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import AssemblyPlan, assemble_vlrm, recorded_provenance, write_merged
+from .assembly import assemble_vlrm, recorded_provenance, write_merged
 from .components import ModelTriple, Role, read_json_object
 from .errors import CheckpointFormatError, DatasetError, ScorerError, VlrmergeError
 from .evaluation import PairwiseExample, evaluate_pairwise
@@ -200,6 +200,11 @@ def sample_validation_slices(
 
 
 def _inputs_digest(triple: ModelTriple, provenance: dict[str, str]) -> str:
+    """A short digest naming the variants built from these inputs.
+
+    The input digests of ``provenance`` when it has all three; else each model's
+    vocabulary in row order and each tensor's name, dtype, shape, role and bytes.
+    """
     hashes = [provenance.get(f"input.{kind}.sha256") for kind in ("pre", "lvlm", "rm")]
     h = hashlib.sha256()
     if all(hashes):
@@ -207,9 +212,13 @@ def _inputs_digest(triple: ModelTriple, provenance: dict[str, str]) -> str:
             h.update(value.encode("ascii"))
     else:
         for model in (triple.pre, triple.lvlm, triple.rm):
+            vocab = model.ckpt.vocab
+            h.update(json.dumps(None if vocab is None else sorted(vocab, key=vocab.get)).encode("utf-8"))
             for name in sorted(model.ckpt.tensors):
-                h.update(name.encode("utf-8"))
-                h.update(model.ckpt.tensors[name].data)
+                t = model.ckpt.tensors[name]
+                role = model.cmap.assignments[name]
+                h.update(json.dumps([name, t.dtype.value, t.shape, role.value]).encode("utf-8"))
+                h.update(t.data)
     return h.hexdigest()[:12]
 
 
@@ -292,8 +301,7 @@ def run_sweep(
         else:
             missing.append(recipe)
     for group in _group_by_lambda(missing, _lambdas_per_merge(triple)):
-        plan = AssemblyPlan(recipes=tuple(group), triple=triple, provenance=provenance)
-        for recipe, merged in zip(group, assemble_vlrm(plan, jobs=jobs)):
+        for recipe, merged in zip(group, assemble_vlrm(group, triple, provenance, jobs=jobs)):
             write_merged(merged, variants[recipe])
             log.info("assembled %s", variants[recipe].name)
         del merged  # or the group's last checkpoint lives through the next merge

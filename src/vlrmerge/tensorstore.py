@@ -159,6 +159,8 @@ class Checkpoint:
     tensors: dict[str, Tensor]
     vocab: dict[str, int] | None = None
     metadata: dict[str, str] = field(default_factory=dict)
+    # set by read_checkpoint: the file's bytes, of which the tensors' payloads are slices
+    file_bytes: memoryview | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _parse_header(blob: bytes) -> dict:
@@ -263,10 +265,10 @@ def _read_whole(path: Path) -> memoryview:
 def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> Checkpoint:
     """Load a checkpoint file, validating the header against the data region.
 
-    The file is read once into one buffer; each tensor's ``data`` is a
-    read-only ``memoryview`` slice of it, so the buffer lives as long as any
-    of them. If ``vocab_path`` is not given and ``<path>.vocab`` exists, the
-    sidecar is loaded automatically.
+    The file is read once into one buffer, kept as ``file_bytes``; each
+    tensor's ``data`` is a read-only ``memoryview`` slice of it, so the
+    buffer lives as long as any of them. If ``vocab_path`` is not given and
+    ``<path>.vocab`` exists, the sidecar is loaded automatically.
     """
     path = Path(path)
     raw = _read_whole(path)
@@ -307,7 +309,9 @@ def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> C
             vocab = read_vocab(candidate)
     else:
         vocab = read_vocab(vocab_path)
-    return Checkpoint(tensors=tensors, vocab=vocab, metadata=metadata)
+    ckpt = Checkpoint(tensors=tensors, vocab=vocab, metadata=metadata)
+    ckpt.file_bytes = raw
+    return ckpt
 
 
 @contextmanager

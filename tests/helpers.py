@@ -13,7 +13,7 @@ from vlrmerge import (
     Tensor,
     classify_triple,
     load_manifest_config,
-    merge_tensor,
+    merge_transformer,
     write_checkpoint,
     write_vocab,
 )
@@ -24,8 +24,14 @@ def make_tensor(name: str, values, dtype: Dtype = Dtype.F32) -> Tensor:
     return Tensor.from_f32(name, np.asarray(values, dtype=np.float32), dtype)
 
 
+def merge_one(recipe: MergeRecipe, name: str, pre, lvlm, rm) -> np.ndarray:
+    """One tensor merged at the recipe's lambda by ``merge_transformer``, as a storage view."""
+    [merged] = merge_transformer(recipe, {name: pre}, {name: lvlm}, {name: rm}, jobs=1)
+    return merged[name].array()
+
+
 def trim_step(values, density: float) -> np.ndarray:
-    """The magnitude trim of one task vector, seen through ``merge_tensor``.
+    """The magnitude trim of one task vector, seen through ``merge_one``.
 
     ties with lam 1 and a zero base and zero rm: the lvlm task vector is the
     values themselves, and sign election and the disjoint mean pass every
@@ -34,11 +40,11 @@ def trim_step(values, density: float) -> np.ndarray:
     values = np.asarray(values, dtype=np.float32)
     zeros = np.zeros_like(values)
     recipe = MergeRecipe(MergeMethod.TIES, lam=1.0, density=density)
-    return merge_tensor(recipe, "t", zeros, values, zeros)
+    return merge_one(recipe, "t", zeros, values, zeros)
 
 
 def drop_step(values, density: float, seed: int, origin: str = "lvlm", name: str = "t") -> np.ndarray:
-    """The DARE drop-and-rescale of one task vector, seen through ``merge_tensor``.
+    """The DARE drop-and-rescale of one task vector, seen through ``merge_one``.
 
     dare-task-arithmetic with lam 1, a zero base and the other model zero: the
     values sit on the model whose ``origin`` stream draws the drop mask.
@@ -47,7 +53,7 @@ def drop_step(values, density: float, seed: int, origin: str = "lvlm", name: str
     zeros = np.zeros_like(values)
     lvlm, rm = (values, zeros) if origin == "lvlm" else (zeros, values)
     recipe = MergeRecipe(MergeMethod.DARE_TASK_ARITHMETIC, lam=1.0, density=density, seed=seed)
-    return merge_tensor(recipe, name, zeros, lvlm, rm)
+    return merge_one(recipe, name, zeros, lvlm, rm)
 
 
 def toy_triple(

@@ -178,7 +178,7 @@ def embedding_rows(method: str, pre_vocab, lvlm_vocab, rm_vocab, pre_emb, lvlm_e
             row = [F(v) for v in rm_emb[rm_vocab[token]]]
         else:
             pairs = zip(lvlm_emb[lvlm_vocab[token]], rm_emb[rm_vocab[token]])
-            row = [F(F(F(a) + F(b)) * F(0.5)) for a, b in pairs]
+            row = [F(F(F(a) * F(0.5)) + F(F(b) * F(0.5))) for a, b in pairs]
         rows.append(row)
     return tokens, rows
 

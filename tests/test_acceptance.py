@@ -24,7 +24,6 @@ from vlrmerge import (
     Tensor,
     align_vocab,
     merge_embedding_rows,
-    merge_tensor,
     merge_transformer,
     read_checkpoint,
     score_pairwise_bench,
@@ -37,6 +36,7 @@ from vlrmerge.tensorstore import default_vocab_path
 
 from helpers import (
     drop_step,
+    merge_one,
     toy_triple,
     trim_step,
     write_bon_dataset,
@@ -91,14 +91,14 @@ def test_criterion_1_merge_kernel_oracles():
 
 def test_criterion_2_identity_ladder(rng, tmp_path):
     started = time.monotonic()
-    from vlrmerge import AssemblyPlan, Role, assemble_vlrm
+    from vlrmerge import Role, assemble_vlrm
     from helpers import classified_toy_triple
 
     triple = classified_toy_triple(rng, trans_dtype=Dtype.BF16, emb_dtype=Dtype.BF16)
     trans_names = triple.lvlm.cmap.names(Role.TRANSFORMER)
 
     def merged_bytes(recipe):
-        [merged] = assemble_vlrm(AssemblyPlan(recipes=(recipe,), triple=triple), jobs=1)
+        [merged] = assemble_vlrm([recipe], triple, jobs=1)
         return {name: merged.tensors[name].data for name in trans_names}
 
     lvlm_bytes = {n: triple.lvlm.ckpt.tensors[n].data for n in trans_names}
@@ -132,7 +132,7 @@ def test_criterion_3_ties_structure(rng):
     tau_r = np.array([-0.4, 0.2, 0.1, 0.0], dtype=np.float32)
     assert trim_step(tau_l, 0.5).tolist() == pytest.approx([0.3, 0.0, 0.5, 0.0])
     assert trim_step(tau_r, 0.5).tolist() == pytest.approx([-0.4, 0.2, 0.0, 0.0])
-    out = merge_tensor(MergeRecipe(MergeMethod.TIES, lam=1.0, density=0.5), "t", pre, tau_l, tau_r)
+    out = merge_one(MergeRecipe(MergeMethod.TIES, lam=1.0, density=0.5), "t", pre, tau_l, tau_r)
     assert out.tolist() == pytest.approx([-0.4, 0.2, 0.5, 0.0])
     report(3, "ties trim/elect/mean structure", started)
 

@@ -19,7 +19,6 @@ import replay  # noqa: E402,F401
 import spans  # noqa: E402
 
 from vlrmerge import (  # noqa: E402
-    AssemblyPlan,
     MergeMethod,
     MergeRecipe,
     Role,
@@ -75,9 +74,8 @@ def test_traced_assembly_hands_merge_transformer_sized_values(monkeypatch):
     tracer = spans.Tracer("t")
     tracer.install()
     try:
-        plan = AssemblyPlan((MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.4),), triple)
         with tracer.span("cli.main"):
-            assemble_vlrm(plan, jobs=2)
+            assemble_vlrm([MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.4)], triple, jobs=2)
     finally:
         tracer.uninstall()
     numel = {name: triple.pre.ckpt.tensors[name].numel for name in triple.pre.cmap.names(Role.TRANSFORMER)}

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from vlrmerge import Dtype, read_checkpoint, write_checkpoint
+from vlrmerge import Checkpoint, Dtype, assembly, cli, read_checkpoint, write_checkpoint
 from vlrmerge.cli import main
 from vlrmerge.components import DEFAULT_MANIFEST
 
@@ -57,7 +58,7 @@ class TestMergeCommand:
         assert merged.metadata["recipe.seed"] == "7"
         assert merged.vocab is not None
 
-        from vlrmerge import AssemblyPlan, MergeMethod, MergeRecipe, assemble_vlrm, classify_triple, load_manifest_config
+        from vlrmerge import MergeMethod, MergeRecipe, assemble_vlrm, classify_triple, load_manifest_config
 
         triple = classify_triple(
             read_checkpoint(triple_files["pre"]),
@@ -66,7 +67,7 @@ class TestMergeCommand:
             load_manifest_config(),
         )
         recipe = MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=7)
-        [expected] = assemble_vlrm(AssemblyPlan(recipes=(recipe,), triple=triple), jobs=1)
+        [expected] = assemble_vlrm([recipe], triple, jobs=1)
         assert merged.tensors == expected.tensors
 
     def test_missing_density_is_usage_error(self, runner, triple_files, tmp_path):
@@ -112,6 +113,28 @@ class TestMergeCommand:
         pre_sidecar = Path(f"{triple_files['pre']}.vocab").read_bytes()
         assert metadata["input.pre_vocab.sha256"] == hashlib.sha256(pre_sidecar).hexdigest()
 
+    def test_recorded_digest_is_of_the_bytes_read(self, runner, triple_files, tmp_path, monkeypatch):
+        # each input is rewritten with other bytes as soon as it has been read
+        digests_read = {}
+        real_read = cli.read_checkpoint
+
+        def read_then_rewrite(path, vocab_path=None):
+            ckpt = real_read(path, vocab_path)
+            digests_read[Path(path)] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            write_checkpoint(Checkpoint(ckpt.tensors, metadata={"rewritten": "yes"}), path)
+            return ckpt
+
+        monkeypatch.setattr(cli, "read_checkpoint", read_then_rewrite)
+        out = tmp_path / "merged.safetensors"
+        result = runner.invoke(main, [
+            "merge", *triple_args(triple_files), "--method", "linear", "--lambda", "0.5", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        metadata = read_checkpoint(out).metadata
+        for label, path in triple_files.items():
+            assert metadata[f"input.{label}.sha256"] == digests_read[Path(path)]
+            assert digests_read[Path(path)] != hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
     def test_vocab_that_is_not_utf8_is_a_named_error(self, runner, triple_files, tmp_path):
         bad = tmp_path / "bad.vocab"
         bad.write_bytes(b"\xff" + Path(f"{triple_files['lvlm']}.vocab").read_bytes())
@@ -151,24 +174,50 @@ class TestMergeCommand:
         assert "name-set mismatch" in result.output
 
 
+def linear_args(command, tmp_path):
+    """The arguments after the triple's for a one-lambda linear ``merge`` or ``sweep``."""
+    if command == "merge":
+        return ["--method", "linear", "--lambda", "0.5", "--out", str(tmp_path / "x")]
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"method": "linear", "lambda_grid": [0.5], "primary_size": 8,
+                                  "tiebreak_size": 4}), encoding="utf-8")
+    data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+    return ["--config", str(config), "--data", str(data),
+            "--scorer", STUB_CMD, "--out-dir", str(tmp_path / "out")]
+
+
 @pytest.mark.parametrize("command", ["merge", "sweep"])
 def test_triple_violations_are_reported(runner, triple_files, tmp_path, command):
     rm = read_checkpoint(triple_files["rm"])
     del rm.tensors["model.norm.weight"]  # a transformer tensor the other two models have
     write_checkpoint(rm, triple_files["rm"])
-    if command == "merge":
-        args = ["--method", "linear", "--lambda", "0.5", "--out", str(tmp_path / "x")]
-    else:
-        config = tmp_path / "sweep.json"
-        config.write_text(json.dumps({"method": "linear", "lambda_grid": [0.5]}), encoding="utf-8")
-        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
-        args = ["--config", str(config), "--data", str(data),
-                "--scorer", STUB_CMD, "--out-dir", str(tmp_path / "out")]
-    result = runner.invoke(main, [command, *triple_args(triple_files), *args])
+    result = runner.invoke(main, [command, *triple_args(triple_files), *linear_args(command, tmp_path)])
     assert result.exit_code != 0
     violations = [line for line in result.output.splitlines() if line.startswith("validation: ")]
     assert any("name-set mismatch" in line for line in violations), result.output
     assert f"triple validation failed with {len(violations)} violation(s)" in result.output
+
+
+@pytest.mark.parametrize("command", ["merge", "sweep"])
+def test_reward_head_named_like_a_kept_lvlm_tensor_stops_before_any_merge(
+    runner, triple_files, tmp_path, monkeypatch, command
+):
+    # the lvlm gains a score.weight that the manifest keeps as an adapter tensor
+    lvlm = read_checkpoint(triple_files["lvlm"])
+    lvlm.tensors["score.weight"] = replace(lvlm.tensors["multi_modal_projector.weight"], name="score.weight")
+    write_checkpoint(lvlm, triple_files["lvlm"])
+    manifest = tmp_path / "manifest.json"
+    rules = {**DEFAULT_MANIFEST, "lvlm": [{"pattern": "score.*", "role": "adapter"}, *DEFAULT_MANIFEST["lvlm"]]}
+    manifest.write_text(json.dumps(rules), encoding="utf-8")
+    merges = []
+    monkeypatch.setattr(assembly, "merge_transformer", lambda *args, **kwargs: merges.append(args))
+    result = runner.invoke(main, [
+        command, *triple_args(triple_files), "--manifest", str(manifest), *linear_args(command, tmp_path),
+    ])
+    assert result.exit_code == 1, result.output
+    assert "validation: rm: head tensor score.weight has the name of an lvlm adapter tensor" in result.output
+    assert "triple validation failed with 1 violation(s)" in result.output
+    assert merges == []
 
 
 def assert_named_error(result, message):

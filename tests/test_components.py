@@ -11,7 +11,7 @@ from vlrmerge import (
     load_manifest_config,
     validate_triple,
 )
-from vlrmerge.assembly import AssemblyPlan, assemble_vlrm
+from vlrmerge.assembly import assemble_vlrm
 from vlrmerge.merging import MergeMethod, MergeRecipe
 
 from helpers import classified_toy_triple, make_tensor
@@ -148,6 +148,22 @@ class TestValidateTriple:
         report = validate_triple(triple)
         assert any("leading dimension 1" in entry for entry in report)
 
+    @pytest.mark.parametrize("role", [Role.VISION_ENCODER, Role.ADAPTER])
+    def test_reward_head_named_like_a_kept_lvlm_tensor_reported(self, rng, role):
+        triple = classified_toy_triple(rng)
+        triple.lvlm.ckpt.tensors["score.weight"] = make_tensor("score.weight", np.zeros((1, 8)))
+        triple.lvlm.cmap.assignments["score.weight"] = role
+        report = validate_triple(triple)
+        assert report == [f"rm: head tensor score.weight has the name of an lvlm {role.value} tensor"]
+
+    def test_reward_head_may_share_the_dropped_lm_head_name(self, rng):
+        triple = classified_toy_triple(rng)
+        del triple.lvlm.ckpt.tensors["lm_head.weight"]
+        del triple.lvlm.cmap.assignments["lm_head.weight"]
+        triple.lvlm.ckpt.tensors["score.weight"] = make_tensor("score.weight", np.zeros((24, 8)))
+        triple.lvlm.cmap.assignments["score.weight"] = Role.LM_HEAD
+        assert validate_triple(triple) == []
+
     def test_missing_vocab_reported(self, rng):
         triple = classified_toy_triple(rng)
         triple.rm.ckpt.vocab = None
@@ -177,7 +193,7 @@ class TestValidateTriple:
             )
             assert validate_triple(triple) == []
             for recipe in recipes:
-                [merged] = assemble_vlrm(AssemblyPlan(recipes=(recipe,), triple=triple), jobs=1)
+                [merged] = assemble_vlrm([recipe], triple, jobs=1)
                 assert merged.tensors
 
 

@@ -58,6 +58,15 @@ class TestMergeRules:
         )
         assert out[1].tolist() == [2.0, 2.0]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [Dtype.F32, Dtype.BF16])
+    def test_mean_of_rows_near_the_float32_maximum_does_not_overflow(self, dtype):
+        vocab = {"both": 0}
+        rows = np.frombuffer(narrow(emb([[3e38, -3e38]]), dtype), dtype.array_dtype).reshape(1, 2)
+        out = merge_embedding_rows(align_vocab({}, vocab, vocab), rows, rows, rows, MergeMethod.TIES)
+        assert out.tobytes() == rows.tobytes()
+        assert np.isfinite(widen(out)).all()
+
     def test_rule_two_single_model_row_verbatim(self):
         out = merge_embedding_rows(
             self.aligned, self.pre_emb, self.lvlm_emb, self.rm_emb, MergeMethod.TASK_ARITHMETIC
@@ -231,7 +240,7 @@ def widened_route(aligned, pre, lvlm, rm, method, dtype):
     out[use_pre] = pre[pre_idx[use_pre]]
     out[only_lv] = lvlm[lv_idx[only_lv]]
     out[only_rm] = rm[rm_idx[only_rm]]
-    out[both] = (lvlm[lv_idx[both]] + rm[rm_idx[both]]) * np.float32(0.5)
+    out[both] = lvlm[lv_idx[both]] * np.float32(0.5) + rm[rm_idx[both]] * np.float32(0.5)
     return narrow(out, dtype)
 
 

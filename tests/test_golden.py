@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vlrmerge import AssemblyPlan, Dtype, MergeMethod, MergeRecipe, assemble_vlrm, write_merged
+from vlrmerge import Dtype, MergeMethod, MergeRecipe, assemble_vlrm, write_merged
 from vlrmerge.tensorstore import default_vocab_path
 
 from helpers import classified_toy_triple
@@ -60,7 +60,7 @@ def sha256(path) -> str:
     [(method, 1) for method in RECIPES] + [("dare-ties", 4)],
 )
 def test_merged_bytes_match_golden(triple, tmp_path, method, jobs):
-    [merged] = assemble_vlrm(AssemblyPlan(recipes=(RECIPES[method],), triple=triple), jobs=jobs)
+    [merged] = assemble_vlrm([RECIPES[method]], triple, jobs=jobs)
     path = write_merged(merged, tmp_path / f"{method}.safetensors")
     assert sha256(path) == CHECKPOINT_SHA256[method]
     assert sha256(default_vocab_path(path)) == VOCAB_SHA256
@@ -70,7 +70,7 @@ def test_merged_bytes_match_golden(triple, tmp_path, method, jobs):
 def test_grouped_bytes_match_golden(triple, tmp_path, method):
     recipe = RECIPES[method]
     group = (replace(recipe, lam=0.0), recipe, replace(recipe, lam=0.25))
-    merged = assemble_vlrm(AssemblyPlan(recipes=group, triple=triple), jobs=2)[1]
+    merged = assemble_vlrm(group, triple, jobs=2)[1]
     path = write_merged(merged, tmp_path / f"{method}.safetensors")
     assert sha256(path) == CHECKPOINT_SHA256[method]
     assert sha256(default_vocab_path(path)) == VOCAB_SHA256

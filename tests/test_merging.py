@@ -16,14 +16,13 @@ from vlrmerge import (
     RecipeError,
     Tensor,
     VlrmergeError,
-    merge_tensor,
     merge_transformer,
     merging,
 )
 from vlrmerge.merging import _MASK_CHUNK, _trim, _Workspace, retained_count
 from vlrmerge.sweep import DEFAULT_DENSITY_GRID
 
-from helpers import drop_step, trim_step
+from helpers import drop_step, merge_one, trim_step
 
 LINEAR = MergeMethod.LINEAR
 TA = MergeMethod.TASK_ARITHMETIC
@@ -36,7 +35,7 @@ def arr(values):
 
 def merge(method, pre, lvlm, rm, lam, density=None, seed=None, name="t"):
     recipe = MergeRecipe(method, lam=lam, density=density, seed=seed)
-    return merge_tensor(recipe, name, arr(pre), arr(lvlm), arr(rm))
+    return merge_one(recipe, name, arr(pre), arr(lvlm), arr(rm))
 
 
 def merge_map(recipe, pre, lvlm, rm):
@@ -458,7 +457,7 @@ class TestMergeTransformer:
         (MergeMethod.DARE_TASK_ARITHMETIC, {"density": 0.4, "seed": 9}),
         (MergeMethod.DARE_TIES, {"density": 0.4, "seed": 9}),
     ])
-    def test_each_lambda_matches_merge_tensor(self, rng, method, extra):
+    def test_each_lambda_matches_single_lambda_merge(self, rng, method, extra):
         recipe = MergeRecipe(method, lam=0.7, **extra)
         lams = (0.0, 0.6, 1.0)
         maps = []
@@ -469,7 +468,7 @@ class TestMergeTransformer:
         assert len(merged) == len(lams)
         for lam, out in zip(lams, merged):
             for name in pre:
-                expected = merge_tensor(replace(recipe, lam=lam), name, pre[name], lvlm[name], rm[name])
+                expected = merge_one(replace(recipe, lam=lam), name, pre[name], lvlm[name], rm[name])
                 assert out[name] == Tensor.from_f32(name, expected, Dtype.F32)
 
     @pytest.mark.parametrize("dtype", [Dtype.F16, Dtype.BF16, Dtype.F32])
@@ -480,7 +479,7 @@ class TestMergeTransformer:
         (MergeMethod.DARE_TASK_ARITHMETIC, {"density": 0.4, "seed": 9}),
         (MergeMethod.DARE_TIES, {"density": 0.4, "seed": 9}),
     ])
-    def test_storage_views_match_merge_tensor_on_widened_arrays(self, rng, method, extra, dtype):
+    def test_storage_views_match_single_lambda_merge_on_widened_arrays(self, rng, method, extra, dtype):
         recipe = MergeRecipe(method, lam=0.7, **extra)
         shapes = {"w0": (5, 7), "w1": (3, 2), "w2": (11,)}
         tensors = [
@@ -493,7 +492,7 @@ class TestMergeTransformer:
         for lam, out in zip((0.0, 0.7, 1.0), merged):
             for name in shapes:
                 pre, lvlm, rm = (side[name].to_f32() for side in tensors)
-                expected = merge_tensor(replace(recipe, lam=lam), name, pre, lvlm, rm)
+                expected = merge_one(replace(recipe, lam=lam), name, pre, lvlm, rm)
                 assert out[name] == Tensor.from_f32(name, expected, dtype)
 
     def test_workspaces_are_never_shared_under_thread_churn(self, rng):

@@ -2,6 +2,7 @@ import builtins
 import json
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from vlrmerge import (
     MergeRecipe,
     ReplayScorer,
     RecordingScorer,
+    Role,
     StubScorer,
     SweepConfig,
     SweepEntry,
@@ -466,14 +468,14 @@ class TestRunSweep:
         in_flight, peak, jobs_seen = [0], [0], []
         real_assemble = sweep.assemble_vlrm
 
-        def counting_assemble(plan, jobs=None):
+        def counting_assemble(recipes, triple, provenance=None, jobs=None):
             with lock:
                 in_flight[0] += 1
                 peak[0] = max(peak[0], in_flight[0])
                 jobs_seen.append(jobs)
             try:
                 time.sleep(0.05)  # long enough for a concurrent recipe to start
-                return real_assemble(plan, jobs=jobs)
+                return real_assemble(recipes, triple, provenance, jobs=jobs)
             finally:
                 with lock:
                     in_flight[0] -= 1
@@ -567,6 +569,29 @@ class TestRunSweep:
         assert tensorstore.read_metadata(rebuilt) == assembly.recorded_provenance(
             generate_grid(config)[0], provenance
         )
+
+    @pytest.mark.parametrize("change", ["vocab-order", "dtype-label"])
+    def test_library_sweep_rebuilds_for_inputs_with_other_layout(self, rng, tmp_path, change):
+        # no input digests: the variant names come from the triple itself
+        triple = classified_toy_triple(rng, trans_dtype=Dtype.F16)
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
+        config = small_config(lambda_grid=(0.5,), density_grid=(0.4,))
+        out = tmp_path / "out"
+        [before] = run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1).entries
+        if change == "vocab-order":
+            vocab = triple.lvlm.ckpt.vocab
+            vocab["t0"], vocab["t1"] = vocab["t1"], vocab["t0"]
+        else:  # the same bytes, read as BF16
+            for model in (triple.pre, triple.lvlm, triple.rm):
+                for name in model.cmap.names(Role.TRANSFORMER):
+                    model.ckpt.tensors[name] = replace(model.ckpt.tensors[name], dtype=Dtype.BF16)
+        [after] = run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1).entries
+        assert after.variant_path != before.variant_path
+        rebuilt = tensorstore.read_checkpoint(out / after.variant_path)
+        if change == "vocab-order":
+            assert sorted(rebuilt.vocab, key=rebuilt.vocab.get)[:2] == ["t1", "t0"]
+        else:
+            assert rebuilt.tensors["model.norm.weight"].dtype is Dtype.BF16
 
     @pytest.mark.parametrize("mode,limit", [("wb", 2000), ("w", 20)])
     def test_interrupted_write_leaves_no_variant_and_is_rebuilt(
