@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
+import shlex
 import sys
 from pathlib import Path
 
@@ -31,9 +33,20 @@ def _setup_logging(verbose: int) -> None:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _echo_config(name: str, resolved: dict) -> None:
-    # every run states its fully resolved configuration before acting
-    click.echo(f"{name} config: {json.dumps(resolved, sort_keys=True, default=str)}", err=True)
+def _echo_config(name: str, **resolved) -> None:
+    # every run states its configuration before acting: the options click parsed, then what it resolved
+    config = {**click.get_current_context().params, **resolved}
+    click.echo(f"{name} config: {json.dumps(config, sort_keys=True, default=str)}", err=True)
+
+
+def _parse_scorer(ctx, param, command: str | None) -> list[str] | None:
+    """The ``--scorer`` command split into its argv, as a POSIX shell would."""
+    if command is None:
+        return None
+    try:
+        return shlex.split(command)
+    except ValueError as exc:
+        raise click.ClickException(f"cannot parse scorer command {command!r}: {exc}") from exc
 
 
 def _hash_inputs(inputs: dict[str, tuple[str, str | None]], ckpts: dict, manifest: str | None) -> dict[str, str]:
@@ -110,11 +123,7 @@ def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         recipe = MergeRecipe(MergeMethod(method), lam=lam, density=density, seed=seed)
     except RecipeError as exc:
         raise click.UsageError(str(exc)) from exc
-    _echo_config("merge", {
-        "pre": pre_path, "lvlm": lvlm_path, "rm": rm_path, "manifest": manifest or "<builtin>",
-        "method": method, "lambda": lam, "density": density, "seed": seed,
-        "out": out_path, "jobs": jobs or default_jobs(),
-    })
+    _echo_config("merge", manifest=manifest or "<builtin>", jobs=jobs or default_jobs())
     try:
         triple, provenance = _load_triple(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest
@@ -129,11 +138,11 @@ def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
     click.echo(f"wrote {out_path} (+ vocabulary sidecar, {len(merged.vocab)} tokens)")
 
 
-def _scorer(command, replay_path, record_path, timeout):
-    """Rewards from a transcript at ``replay_path``, else from ``command``, recorded when asked."""
+def _scorer(argv, replay_path, record_path, timeout):
+    """Rewards from a transcript at ``replay_path``, else from ``argv``, recorded when asked."""
     if replay_path is not None:
         return ReplayScorer(replay_path)
-    scorer = SubprocessScorer(command, timeout_per_record=timeout)
+    scorer = SubprocessScorer(argv, timeout_per_record=timeout)
     if record_path is not None:
         Path(record_path).parent.mkdir(parents=True, exist_ok=True)
         Path(record_path).unlink(missing_ok=True)
@@ -141,16 +150,14 @@ def _scorer(command, replay_path, record_path, timeout):
     return scorer
 
 
-def _make_scorer_factory(scorer_cmd, replay_dir, record_dir, timeout):
-    if scorer_cmd is not None:
-        SubprocessScorer(scorer_cmd)  # a command that does not parse fails before any merge
-
+def _make_scorer_factory(scorer_argv, replay_dir, record_dir, timeout):
     def transcript(directory, recipe):
         return None if directory is None else Path(directory) / f"transcript-{recipe.slug()}.jsonl"
 
     def factory(recipe, variant_path):
-        command = None if scorer_cmd is None else scorer_cmd.replace("{checkpoint}", str(variant_path))
-        return _scorer(command, transcript(replay_dir, recipe), transcript(record_dir, recipe), timeout)
+        # within each argument, so a path with spaces or quotes stays one argument
+        argv = None if scorer_argv is None else [a.replace("{checkpoint}", str(variant_path)) for a in scorer_argv]
+        return _scorer(argv, transcript(replay_dir, recipe), transcript(record_dir, recipe), timeout)
     return factory
 
 
@@ -159,7 +166,7 @@ def _make_scorer_factory(scorer_cmd, replay_dir, record_dir, timeout):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False),
               help="Pairwise validation set (JSONL).")
-@click.option("--scorer", "scorer_cmd", default=None,
+@click.option("--scorer", "scorer_argv", default=None, callback=_parse_scorer,
               help="Scorer command; '{checkpoint}' expands to the variant path.")
 @click.option("--replay-dir", type=click.Path(exists=True, file_okay=False), default=None,
               help="Serve rewards from recorded transcripts instead of a live scorer.")
@@ -170,23 +177,16 @@ def _make_scorer_factory(scorer_cmd, replay_dir, record_dir, timeout):
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--jobs", type=click.IntRange(min=1), default=None, help=JOBS_HELP)
 def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest,
-          config_path, data_path, scorer_cmd, replay_dir, record_dir, scorer_timeout,
+          config_path, data_path, scorer_argv, replay_dir, record_dir, scorer_timeout,
           out_dir, jobs):
     """Grid-search merge hyperparameters against a validation set."""
-    if (scorer_cmd is None) == (replay_dir is None):
-        raise click.UsageError("exactly one of --scorer or --replay-dir is required")
+    if (scorer_argv is None) == (replay_dir is None) or (replay_dir is not None and record_dir is not None):
+        raise click.UsageError("exactly one of --scorer or --replay-dir is required; --record-dir needs --scorer")
     try:
         config = SweepConfig.from_json(config_path)
-        _echo_config("sweep", {
-            "method": config.method.value, "lambda_grid": list(config.lambda_grid),
-            "density_grid": list(config.density_grid) if config.density_grid else None,
-            "primary_size": config.primary_size, "tiebreak_size": config.tiebreak_size,
-            "sampling_seed": config.sampling_seed,
-            "tie_rounding_decimals": config.tie_rounding_decimals, "data": data_path,
-            "scorer": scorer_cmd or f"replay:{replay_dir}", "out_dir": out_dir,
-            "manifest": manifest or "<builtin>", "jobs": jobs or default_jobs(),
-        })
-        factory = _make_scorer_factory(scorer_cmd, replay_dir, record_dir, scorer_timeout)
+        _echo_config("sweep", manifest=manifest or "<builtin>", jobs=jobs or default_jobs(),
+                     **dataclasses.asdict(config))
+        factory = _make_scorer_factory(scorer_argv, replay_dir, record_dir, scorer_timeout)
         triple, provenance = _load_triple(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest
         )
@@ -211,7 +211,7 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
 @main.command("eval")
 @click.option("--mode", required=True, type=click.Choice(["pairwise", "bon"]))
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--scorer", "scorer_cmd", default=None, help="Scorer command line.")
+@click.option("--scorer", "scorer_argv", default=None, callback=_parse_scorer, help="Scorer command line.")
 @click.option("--replay", "replay_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Serve rewards from a recorded transcript.")
 @click.option("--record", "record_path", type=click.Path(dir_okay=False), default=None,
@@ -219,16 +219,13 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
 @click.option("--scorer-timeout", type=float, default=30.0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON report instead of a table.")
-def eval_cmd(mode, data_path, scorer_cmd, replay_path, record_path, scorer_timeout, out_path, as_json):
+def eval_cmd(mode, data_path, scorer_argv, replay_path, record_path, scorer_timeout, out_path, as_json):
     """Score an evaluation file and aggregate accuracies."""
-    if (scorer_cmd is None) == (replay_path is None):
-        raise click.UsageError("exactly one of --scorer or --replay is required")
-    _echo_config("eval", {
-        "mode": mode, "data": data_path, "scorer": scorer_cmd or f"replay:{replay_path}",
-        "record": record_path, "out": out_path, "json": as_json,
-    })
+    if (scorer_argv is None) == (replay_path is None) or (replay_path is not None and record_path is not None):
+        raise click.UsageError("exactly one of --scorer or --replay is required; --record needs --scorer")
+    _echo_config("eval")
     try:
-        scorer = _scorer(scorer_cmd, replay_path, record_path, scorer_timeout)
+        scorer = _scorer(scorer_argv, replay_path, record_path, scorer_timeout)
         if mode == "pairwise":
             report = evaluate_pairwise(load_pairwise_dataset(data_path), scorer)
             text = json.dumps(report.to_json(), indent=2, sort_keys=True) if as_json else report.render()
@@ -251,41 +248,34 @@ def eval_cmd(mode, data_path, scorer_cmd, replay_path, record_path, scorer_timeo
 @click.option("--json", "as_json", is_flag=True)
 def inspect(ckpt_path, manifest, kind, as_json):
     """Print a checkpoint's tensor table, component roles and metadata."""
-    _echo_config("inspect", {"ckpt": ckpt_path, "manifest": manifest or "<builtin>", "kind": kind})
+    _echo_config("inspect", manifest=manifest or "<builtin>")
     try:
         ckpt = read_checkpoint(ckpt_path)
         rules = load_manifest_config(manifest)[kind]
         cmap = classify_tensors(ckpt, rules)
     except (VlrmergeError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
+    rows = [
+        {"name": t.name, "dtype": t.dtype.value, "shape": list(t.shape),
+         "bytes": len(t.data), "role": cmap.assignments[t.name].value}
+        for t in ckpt.tensors.values()
+    ]
     if as_json:
         payload = {
-            "tensors": [
-                {
-                    "name": t.name,
-                    "dtype": t.dtype.value,
-                    "shape": list(t.shape),
-                    "bytes": len(t.data),
-                    "role": cmap.assignments[t.name].value,
-                }
-                for t in ckpt.tensors.values()
-            ],
+            "tensors": rows,
             "role_counts": {role.value: count for role, count in cmap.counts().items()},
             "metadata": ckpt.metadata,
             "vocab_size": len(ckpt.vocab) if ckpt.vocab is not None else None,
         }
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
         return
-    rows = [
-        (t.name, t.dtype.value, "x".join(map(str, t.shape)) or "scalar",
-         str(len(t.data)), cmap.assignments[t.name].value)
-        for t in ckpt.tensors.values()
+    table = [("name", "dtype", "shape", "bytes", "role")] + [
+        (r["name"], r["dtype"], "x".join(map(str, r["shape"])) or "scalar", str(r["bytes"]), r["role"])
+        for r in rows
     ]
-    widths = [max(len(r[i]) for r in rows + [("name", "dtype", "shape", "bytes", "role")]) for i in range(5)]
-    header = ("name", "dtype", "shape", "bytes", "role")
-    click.echo("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        click.echo("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    widths = [max(len(line[i]) for line in table) for i in range(len(table[0]))]
+    for line in table:
+        click.echo("  ".join(c.ljust(w) for c, w in zip(line, widths)))
     counts = cmap.counts()
     summary = ", ".join(f"{role.value}={counts[role]}" for role in Role if counts[role])
     click.echo(f"roles: {summary}")

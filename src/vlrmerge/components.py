@@ -168,6 +168,8 @@ def validate_triple(triple: ModelTriple) -> list[str]:
         indices = list(model.ckpt.vocab.values())
         if len(set(indices)) != len(indices):
             report.append(f"{kind}: vocabulary row indices are not unique")
+        if indices and min(indices) < 0:
+            report.append(f"{kind}: vocabulary row index {min(indices)} is negative")
         for name in sorted(model.cmap.names(Role.EMBEDDING)):
             t = model.ckpt.tensors[name]
             if len(t.shape) == 2 and indices and max(indices) >= t.shape[0]:

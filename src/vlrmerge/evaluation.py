@@ -134,10 +134,19 @@ class BoNExample:
     image_path: str | None = None
 
 
-def _load_records(path: str | Path, fields: list[str], build) -> list:
+def _check_types(obj: dict, types: dict[str, type], where: str) -> None:
+    """Each key of ``types`` that ``obj`` has must hold a value of that type."""
+    for key, kind in types.items():
+        if key in obj and not isinstance(obj[key], kind):
+            expected = {str: "string", bool: "boolean"}[kind]
+            raise DatasetError(f"{where}: {key!r} must be a JSON {expected}, got {json.dumps(obj[key])}")
+
+
+def _load_records(path: str | Path, fields: dict[str, type], build) -> list:
     """``build(record, "<path>:<line>")`` for each record of a JSONL file, in file order.
 
-    Each record needs ``fields`` and an id that no other record has as a string.
+    Each record needs ``fields``, each of its type, any ``image_path`` as a
+    string, and an id that no other record has as a string.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -159,6 +168,7 @@ def _load_records(path: str | Path, fields: list[str], build) -> list:
         missing = [k for k in fields if k not in record]
         if missing:
             raise DatasetError(f"{where}: missing field(s) {', '.join(missing)}")
+        _check_types(record, {**fields, "image_path": str}, where)
         example_id = str(record["id"])
         if example_id in seen:
             raise DatasetError(f"{where}: duplicate id {example_id!r}")
@@ -172,10 +182,10 @@ def _load_records(path: str | Path, fields: list[str], build) -> list:
 def _pairwise_example(record: dict, where: str) -> PairwiseExample:
     return PairwiseExample(
         id=str(record["id"]),
-        domain=str(record["domain"]),
-        instruction=str(record["instruction"]),
-        chosen_text=str(record["chosen_text"]),
-        rejected_text=str(record["rejected_text"]),
+        domain=record["domain"],
+        instruction=record["instruction"],
+        chosen_text=record["chosen_text"],
+        rejected_text=record["rejected_text"],
         image_path=record.get("image_path"),
     )
 
@@ -188,22 +198,23 @@ def _bon_example(record: dict, where: str) -> BoNExample:
     for i, cand in enumerate(candidates):
         if not isinstance(cand, dict) or "text" not in cand or "correct" not in cand:
             raise DatasetError(f"{where}: candidate #{i} needs 'text' and 'correct'")
-        parsed.append((str(cand["text"]), bool(cand["correct"])))
+        _check_types(cand, {"text": str, "correct": bool}, f"{where}: candidate #{i}")
+        parsed.append((cand["text"], cand["correct"]))
     return BoNExample(
         id=str(record["id"]),
-        instruction=str(record["instruction"]),
+        instruction=record["instruction"],
         candidates=tuple(parsed),
         image_path=record.get("image_path"),
     )
 
 
 def load_pairwise_dataset(path: str | Path) -> list[PairwiseExample]:
-    fields = ["id", "domain", "instruction", "chosen_text", "rejected_text"]
+    fields = {"id": object, "domain": str, "instruction": str, "chosen_text": str, "rejected_text": str}
     return _load_records(path, fields, _pairwise_example)
 
 
 def load_bon_dataset(path: str | Path) -> list[BoNExample]:
-    return _load_records(path, ["id", "instruction", "candidates"], _bon_example)
+    return _load_records(path, {"id": object, "instruction": str, "candidates": object}, _bon_example)
 
 
 def _check_unique_request_ids(requests: list[dict]) -> list[dict]:

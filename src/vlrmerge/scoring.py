@@ -12,9 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import shlex
 import subprocess
 import threading
+from collections.abc import Sequence
 from pathlib import Path
 
 from .errors import ScorerError
@@ -47,13 +47,10 @@ def _validate_replies(requests: list[Request], rewards: dict[str, float], source
 
 
 class SubprocessScorer:
-    """Runs a scorer command once per batch, feeding requests over stdin."""
+    """Runs a scorer command, given as its argv, once per batch, feeding requests over stdin."""
 
-    def __init__(self, command: str | list[str], timeout_per_record: float = 30.0):
-        try:
-            self.command = shlex.split(command) if isinstance(command, str) else list(command)
-        except ValueError as exc:
-            raise ScorerError(f"cannot parse scorer command {command!r}: {exc}") from exc
+    def __init__(self, argv: Sequence[str], timeout_per_record: float = 30.0):
+        self.argv = list(argv)
         self.timeout_per_record = timeout_per_record
 
     def score(self, requests: list[Request]) -> dict[str, float]:
@@ -61,13 +58,13 @@ class SubprocessScorer:
         timeout = max(30.0, self.timeout_per_record * max(1, len(requests)))
         try:
             proc = subprocess.run(
-                self.command,
+                self.argv,
                 input=payload.encode("utf-8"),
                 capture_output=True,
                 timeout=timeout,
             )
         except FileNotFoundError as exc:
-            raise ScorerError(f"scorer command not found: {self.command[0]}") from exc
+            raise ScorerError(f"scorer command not found: {self.argv[0]}") from exc
         except subprocess.TimeoutExpired as exc:
             raise ScorerError(f"scorer timed out after {timeout:.0f}s") from exc
         if proc.returncode != 0:

@@ -218,6 +218,22 @@ def _parse_entry(name: str, entry: object, data_size: int) -> tuple[Dtype, tuple
     return dtype, tuple(shape), begin, end
 
 
+def _layout(path: Path, header: dict, data_size: int) -> dict[str, tuple[Dtype, tuple[int, ...], int, int]]:
+    """Each tensor's dtype, shape and data span, checked to tile a ``data_size``-byte data region."""
+    layout = {name: _parse_entry(name, entry, data_size) for name, entry in header.items()}
+    # tensors must tile the data region exactly: no overlaps, no gaps
+    cursor = 0
+    for begin, end, name in sorted((begin, end, name) for name, (_, _, begin, end) in layout.items()):
+        if begin < cursor:
+            raise CheckpointFormatError(f"{path}: tensor '{name}' overlaps the previous tensor's data")
+        if begin > cursor:
+            raise CheckpointFormatError(f"{path}: {begin - cursor} unaccounted bytes before tensor '{name}'")
+        cursor = end
+    if cursor != data_size:
+        raise CheckpointFormatError(f"{path}: {data_size - cursor} trailing bytes not covered by any tensor")
+    return layout
+
+
 def _header_length(path: Path, prefix: bytes, file_size: int) -> int:
     """The declared header length, checked against the file's size."""
     if len(prefix) < 8:
@@ -240,12 +256,15 @@ def _pop_metadata(path: Path, header: dict) -> dict[str, str]:
 
 
 def read_metadata(path: str | Path) -> dict[str, str]:
-    """The ``__metadata__`` of a checkpoint file, reading its header only."""
+    """The ``__metadata__`` of a checkpoint file, from its header alone, checked against the file's size."""
     path = Path(path)
     with open(path, "rb") as f:
-        header_len = _header_length(path, f.read(8), os.fstat(f.fileno()).st_size)
+        file_size = os.fstat(f.fileno()).st_size
+        header_len = _header_length(path, f.read(8), file_size)
         header = _parse_header(f.read(header_len))
-    return _pop_metadata(path, header)
+    metadata = _pop_metadata(path, header)
+    _layout(path, header, file_size - 8 - header_len)
+    return metadata
 
 
 def _read_whole(path: Path) -> memoryview:
@@ -277,30 +296,10 @@ def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> C
     metadata = _pop_metadata(path, header)
 
     data = raw[8 + header_len :]
-    spans = []
-    tensors: dict[str, Tensor] = {}
-    for name, entry in header.items():
-        dtype, shape, begin, end = _parse_entry(name, entry, len(data))
-        spans.append((begin, end, name))
-        tensors[name] = Tensor(name=name, dtype=dtype, shape=shape, data=data[begin:end])
-
-    # tensors must tile the data region exactly: no overlaps, no gaps
-    spans.sort()
-    cursor = 0
-    for begin, end, name in spans:
-        if begin < cursor:
-            raise CheckpointFormatError(
-                f"{path}: tensor '{name}' overlaps the previous tensor's data"
-            )
-        if begin > cursor:
-            raise CheckpointFormatError(
-                f"{path}: {begin - cursor} unaccounted bytes before tensor '{name}'"
-            )
-        cursor = end
-    if cursor != len(data):
-        raise CheckpointFormatError(
-            f"{path}: {len(data) - cursor} trailing bytes not covered by any tensor"
-        )
+    tensors = {
+        name: Tensor(name=name, dtype=dtype, shape=shape, data=data[begin:end])
+        for name, (dtype, shape, begin, end) in _layout(path, header, len(data)).items()
+    }
 
     vocab = None
     if vocab_path is None:

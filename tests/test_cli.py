@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -255,6 +256,24 @@ class TestMalformedJsonInputs:
         assert_named_error(result, message)
 
 
+@pytest.mark.parametrize("command", ["merge", "sweep", "eval", "inspect"])
+def test_echoed_config_names_every_option(runner, triple_files, tmp_path, command):
+    if command in ("merge", "sweep"):
+        args = [*triple_args(triple_files), *linear_args(command, tmp_path)]
+    elif command == "eval":
+        args = ["--mode", "pairwise", "--data", str(write_pairwise_dataset(tmp_path / "p.jsonl", 3)),
+                "--scorer", STUB_CMD]
+    else:
+        args = [str(triple_files["rm"]), "--kind", "rm"]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 0, result.output
+    line = next(l for l in result.stderr.splitlines() if l.startswith(f"{command} config: "))
+    echoed = json.loads(line[len(f"{command} config: "):])
+    assert {param.name for param in main.commands[command].params} <= set(echoed)
+    if command in ("sweep", "eval"):
+        assert echoed["scorer_argv"] == shlex.split(STUB_CMD)
+
+
 class TestInspectCommand:
     def test_merged_checkpoint_table(self, runner, triple_files, tmp_path):
         out = tmp_path / "merged.safetensors"
@@ -376,11 +395,18 @@ class TestEvalCommand:
         ])
         assert_named_error(result, "cannot parse scorer command 'a \"b': No closing quotation")
 
-    def test_scorer_and_replay_are_exclusive(self, runner, tmp_path):
+    @pytest.mark.parametrize("replay_and_record", [False, True], ids=["neither", "replay-and-record"])
+    def test_scorer_and_replay_are_exclusive(self, runner, tmp_path, replay_and_record):
         data = write_pairwise_dataset(tmp_path / "pairs.jsonl", 3)
-        result = runner.invoke(main, ["eval", "--mode", "pairwise", "--data", str(data)])
+        sources = []
+        if replay_and_record:
+            (tmp_path / "transcript.jsonl").write_text("", encoding="utf-8")
+            sources = ["--replay", str(tmp_path / "transcript.jsonl"), "--record", str(tmp_path / "record.jsonl")]
+        result = runner.invoke(main, ["eval", "--mode", "pairwise", "--data", str(data), *sources])
         assert result.exit_code == 2
         assert "exactly one of" in result.output
+        assert "--record needs --scorer" in result.output
+        assert not (tmp_path / "record.jsonl").exists()
 
     def test_json_flag(self, runner, tmp_path):
         data = write_pairwise_dataset(tmp_path / "pairs.jsonl", 6)
@@ -569,13 +595,52 @@ class TestSweepCommand:
         digest = hashlib.sha256(second.read_bytes()).hexdigest()
         assert merged.metadata["input.manifest.sha256"] == digest
 
-    def test_scorer_or_replay_required(self, runner, triple_files, tmp_path):
+    @pytest.mark.parametrize("replay_and_record", [False, True], ids=["neither", "replay-and-record"])
+    def test_scorer_or_replay_required(self, runner, triple_files, tmp_path, monkeypatch, replay_and_record):
+        reads = []
+        monkeypatch.setattr(cli, "read_checkpoint", lambda *args: reads.append(args))
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({"method": "linear"}), encoding="utf-8")
         data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        sources = []
+        if replay_and_record:
+            (tmp_path / "replay").mkdir()
+            sources = ["--replay-dir", str(tmp_path / "replay"), "--record-dir", str(tmp_path / "record")]
         result = runner.invoke(main, [
             "sweep", *triple_args(triple_files),
-            "--config", str(config), "--data", str(data), "--out-dir", str(tmp_path / "out"),
+            "--config", str(config), "--data", str(data), "--out-dir", str(tmp_path / "out"), *sources,
         ])
         assert result.exit_code == 2
         assert "exactly one of" in result.output
+        assert "--record-dir needs --scorer" in result.output
+        assert reads == []
+        assert not (tmp_path / "record").exists() and not (tmp_path / "out").exists()
+
+    def test_checkpoint_path_with_space_and_quote_is_one_argument(self, runner, triple_files, tmp_path):
+        # a scorer that fails unless its one argument names an existing file
+        script = tmp_path / "score.py"
+        script.write_text(
+            "import os, sys\n"
+            "if len(sys.argv) != 2 or not os.path.isfile(sys.argv[1]):\n"
+            "    sys.exit(f'not one existing file: {sys.argv[1:]}')\n"
+            "from vlrmerge.scoring import stub_scorer_loop\n"
+            "stub_scorer_loop(sys.stdin, sys.stdout)\n",
+            encoding="utf-8",
+        )
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "method": "ties", "lambda_grid": [0.5, 1.0], "density_grid": [0.4],
+            "primary_size": 6, "tiebreak_size": 3,
+        }), encoding="utf-8")
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        out_dir = tmp_path / "sweep out's"
+        result = runner.invoke(main, [
+            "sweep", *triple_args(triple_files), "--config", str(config), "--data", str(data),
+            "--scorer", f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{checkpoint}}",
+            "--out-dir", str(out_dir),
+        ])
+        assert result.exit_code == 0, result.output
+        records = [json.loads(line) for line in (out_dir / "sweep-manifest.jsonl").read_text().splitlines()]
+        entries = [r for r in records if r["record"] == "entry"]
+        assert len(entries) == 2
+        assert all(r["status"] == "ok" for r in entries), entries

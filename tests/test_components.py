@@ -11,7 +11,9 @@ from vlrmerge import (
     load_manifest_config,
     validate_triple,
 )
+from vlrmerge import assembly
 from vlrmerge.assembly import assemble_vlrm
+from vlrmerge.errors import TripleValidationError
 from vlrmerge.merging import MergeMethod, MergeRecipe
 
 from helpers import classified_toy_triple, make_tensor
@@ -175,6 +177,20 @@ class TestValidateTriple:
         triple.lvlm.ckpt.vocab["overflow-token"] = 9999
         report = validate_triple(triple)
         assert any("out of range" in entry for entry in report)
+
+    def test_negative_vocab_row_index_reported(self, rng):
+        triple = classified_toy_triple(rng)
+        triple.rm.ckpt.vocab["negative-token"] = -3
+        assert validate_triple(triple) == ["rm: vocabulary row index -3 is negative"]
+
+    def test_negative_vocab_row_index_stops_assembly_before_any_merge(self, rng, monkeypatch):
+        triple = classified_toy_triple(rng)
+        triple.lvlm.ckpt.vocab["negative-token"] = -1
+        merges = []
+        monkeypatch.setattr(assembly, "merge_transformer", lambda *args, **kwargs: merges.append(args))
+        with pytest.raises(TripleValidationError, match="lvlm: vocabulary row index -1 is negative"):
+            assemble_vlrm([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], triple, jobs=1)
+        assert merges == []
 
     def test_accepted_random_triples_merge_under_every_method(self, rng):
         recipes = [

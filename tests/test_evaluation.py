@@ -172,6 +172,20 @@ class TestDatasets:
         with pytest.raises(DatasetError, match="missing field.*instruction"):
             load_pairwise_dataset(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("domain", None), ("instruction", 7), ("chosen_text", None), ("rejected_text", ["r"]),
+        ("image_path", None),
+    ])
+    def test_non_string_text_field_rejected(self, tmp_path, field, value):
+        record = {
+            "id": "a", "domain": "d", "instruction": "i",
+            "chosen_text": "c", "rejected_text": "r", field: value,
+        }
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"pairs.jsonl:1: '{field}' must be a JSON string"):
+            load_pairwise_dataset(path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         record = json.dumps({
             "id": "a", "domain": "d", "instruction": "i",
@@ -197,6 +211,16 @@ class TestDatasets:
          "candidate #0 needs 'text' and 'correct'"),
         ({"id": "a", "instruction": "i", "candidates": ["c"]},
          "candidate #0 needs 'text' and 'correct'"),
+        ({"id": "a", "instruction": "i", "candidates": [{"text": "c", "correct": "false"}]},
+         "bon.jsonl:1: candidate #0: 'correct' must be a JSON boolean, got \"false\""),
+        ({"id": "a", "instruction": "i", "candidates": [{"text": "c", "correct": 1}]},
+         "bon.jsonl:1: candidate #0: 'correct' must be a JSON boolean, got 1"),
+        ({"id": "a", "instruction": "i", "candidates": [{"text": None, "correct": True}]},
+         "bon.jsonl:1: candidate #0: 'text' must be a JSON string, got null"),
+        ({"id": "a", "instruction": 5, "candidates": [{"text": "c", "correct": True}]},
+         "bon.jsonl:1: 'instruction' must be a JSON string, got 5"),
+        ({"id": "a", "instruction": "i", "candidates": [{"text": "c", "correct": True}], "image_path": 3},
+         "bon.jsonl:1: 'image_path' must be a JSON string, got 3"),
     ])
     def test_malformed_bon_record_rejected(self, tmp_path, record, message):
         path = tmp_path / "bon.jsonl"

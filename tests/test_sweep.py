@@ -570,6 +570,19 @@ class TestRunSweep:
             generate_grid(config)[0], provenance
         )
 
+    def test_variant_cut_short_is_rebuilt(self, rng, tmp_path):
+        triple = classified_toy_triple(rng)
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
+        config = small_config(lambda_grid=(0.5,), density_grid=(0.4,))
+        out = tmp_path / "out"
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        [variant] = out.glob("variant-*.safetensors")
+        built = variant.read_bytes()
+        # its header intact, its data region 64 bytes short
+        variant.write_bytes(built[:-64])
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        assert variant.read_bytes() == built
+
     @pytest.mark.parametrize("change", ["vocab-order", "dtype-label"])
     def test_library_sweep_rebuilds_for_inputs_with_other_layout(self, rng, tmp_path, change):
         # no input digests: the variant names come from the triple itself

@@ -233,9 +233,10 @@ class TestReadMetadata:
     def test_reads_the_header_only(self, tmp_path):
         header = {"__metadata__": {"k": "v"}, "w": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}}
         path = build_file(tmp_path / "x", header, b"\x00" * 10)
-        assert read_metadata(path) == {"k": "v"}
-        with pytest.raises(CheckpointFormatError, match="trailing bytes"):
-            read_checkpoint(path)
+        # the header is checked against the file's size, not against bytes read
+        for read in (read_metadata, read_checkpoint):
+            with pytest.raises(CheckpointFormatError, match="6 trailing bytes"):
+                read(path)
 
     @pytest.mark.parametrize("raw,message", [
         (b"\x01\x02", "too short"),
