@@ -6,6 +6,7 @@ from .errors import (  # noqa: F401
     CheckpointFormatError,
     ClassificationError,
     DatasetError,
+    InputChangedError,
     RecipeError,
     ScorerError,
     TripleValidationError,

@@ -9,7 +9,8 @@ language-modeling head.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,10 +18,21 @@ import numpy as np
 
 from . import __version__
 from .components import ModelTriple, Role, validate_triple
-from .embeddings import align_vocab, merge_embedding_rows
+from .embeddings import AlignedVocab, align_vocab, merge_embedding_rows
 from .errors import RecipeError, TripleValidationError
 from .merging import MergeRecipe, merge_transformer
-from .tensorstore import Checkpoint, Tensor, write_checkpoint, write_vocab, default_vocab_path
+from .tensorstore import (
+    Checkpoint,
+    CheckpointWriter,
+    Layout,
+    Tensor,
+    checkpoint_writer,
+    copy_payload,
+    default_vocab_path,
+    read_checkpoint,
+    write_checkpoint,  # noqa: F401  (the benchmark's tracer wraps it by this name)
+    write_vocab,
+)
 
 
 _HASH_BLOCK = 1 << 20
@@ -86,30 +98,59 @@ def check_merged_structure(merged: Checkpoint, triple: ModelTriple) -> list[str]
     return report
 
 
+def _output_layout(triple: ModelTriple, aligned: AlignedVocab) -> Layout:
+    """Each output tensor's dtype and shape: every lvlm tensor but the language-modeling head, then the reward head."""
+    lvlm, rm = triple.lvlm, triple.rm
+    layout = {}
+    for role in (Role.VISION_ENCODER, Role.ADAPTER, Role.TRANSFORMER):
+        for name in lvlm.cmap.names(role):
+            t = lvlm.ckpt.tensors[name]
+            layout[name] = (t.dtype, t.shape)
+    for name in lvlm.cmap.names(Role.EMBEDDING):
+        t = lvlm.ckpt.tensors[name]
+        layout[name] = (t.dtype, (len(aligned.tokens), *t.shape[1:]))
+    # validate_triple keeps reward head names apart from every kept lvlm name
+    for name in rm.cmap.names(Role.RM_HEAD):
+        t = rm.ckpt.tensors[name]
+        layout[name] = (t.dtype, t.shape)
+    return layout
+
+
 def assemble_vlrm(
     recipes: Sequence[MergeRecipe],
     triple: ModelTriple,
+    paths: Sequence[str | Path],
     provenance: dict[str, str] | None = None,
     jobs: int | None = None,
 ) -> list[Checkpoint]:
-    """Produce one merged checkpoint per recipe, each recording ``provenance``.
+    """Merge the triple once per recipe and write each result to its path.
 
-    The triple is validated and merged once for all the recipes: one
-    ``merge_transformer`` call for every lambda, then one embedding merge,
-    each handed zero-copy storage views of the three models and returning
-    their storage dtype, so float32 exists only inside the merge kernels.
-    Each checkpoint holds its own merged transformer, so memory grows with
-    the number of recipes; the merged embeddings are shared, and vision,
-    adapter and reward head tensors are the inputs' own objects.
+    Each output records ``provenance`` and its recipe, and is written as
+    ``write_merged`` writes: vocabulary sidecar first, then the checkpoint,
+    streamed into a temporary file that is moved onto its path only when
+    the whole group is done. The triple is validated and merged once for all
+    the recipes. One ``merge_transformer`` call covers every lambda; it
+    reads each transformer tensor when a worker merges it and writes each
+    lambda's output at its offset as soon as it is done. Then each embedding
+    is merged whole, from its three inputs, and written, and the vision,
+    adapter and reward head tensors are copied from their files a block at
+    a time; the language-modeling heads are never read. So memory holds the
+    workers' workspaces, or one embedding's inputs and output, but never a
+    whole model. Before anything is moved into place, every input file is
+    checked to be as it was when it was opened (InputChangedError if not).
+    Returns each written checkpoint opened header-only (``read_checkpoint``).
     Raises TripleValidationError when the triple is not mergeable and
-    RecipeError on no recipes or on recipes that differ in more than lambda
-    (each recipe checked its own hyperparameters when it was made).
+    RecipeError on no recipes, on recipes that differ in more than lambda
+    (each recipe checked its own hyperparameters when it was made) or on
+    a path count that is not the recipe count.
     """
     report = validate_triple(triple)
     if report:
         raise TripleValidationError(report)
     if not recipes:
         raise RecipeError("an assembly needs at least one recipe")
+    if len(paths) != len(recipes):
+        raise RecipeError(f"{len(recipes)} recipes need as many output paths, got {len(paths)}")
     first = recipes[0]
     for recipe in recipes:
         if replace(recipe, lam=first.lam) != first:
@@ -117,49 +158,56 @@ def assemble_vlrm(
                 f"recipes {first.slug()} and {recipe.slug()} differ in more than lambda"
             )
 
-    pre, lvlm, rm = triple.pre, triple.lvlm, triple.rm
-    shared: dict[str, Tensor] = {}
-    for role in (Role.VISION_ENCODER, Role.ADAPTER):
-        for name in lvlm.cmap.names(role):
-            shared[name] = lvlm.ckpt.tensors[name]
+    models = (triple.pre, triple.lvlm, triple.rm)
+    lvlm, rm = triple.lvlm, triple.rm
+    aligned = align_vocab(*(model.ckpt.vocab for model in models))
+    vocab, layout = aligned.output_vocab(), _output_layout(triple, aligned)
+    with ExitStack() as stack:
+        writers = [
+            stack.enter_context(
+                write_merged(path, vocab, layout, recorded_provenance(recipe, provenance or {}))
+            )
+            for recipe, path in zip(recipes, paths)
+        ]
 
-    trans_names = lvlm.cmap.names(Role.TRANSFORMER)
-    merged_trans = merge_transformer(
-        first,
-        *({n: model.ckpt.tensors[n].array() for n in trans_names} for model in (pre, lvlm, rm)),
-        jobs=jobs,
-        lams=[recipe.lam for recipe in recipes],
-    )
+        def write(lam_index: int, tensor: Tensor) -> None:
+            writers[lam_index].write(tensor.name, tensor.data)
 
-    aligned = align_vocab(pre.ckpt.vocab, lvlm.ckpt.vocab, rm.ckpt.vocab)
-    for name in lvlm.cmap.names(Role.EMBEDDING):
-        rows = merge_embedding_rows(
-            aligned, *(model.ckpt.tensors[name].array() for model in (pre, lvlm, rm)), first.method
+        trans_names = lvlm.cmap.names(Role.TRANSFORMER)
+        merge_transformer(
+            first,
+            *({n: model.ckpt.tensors[n] for n in trans_names} for model in models),
+            jobs=jobs,
+            lams=[recipe.lam for recipe in recipes],
+            sink=write,
         )
-        payload = memoryview(rows.reshape(-1).view(np.uint8)).toreadonly()
-        shared[name] = Tensor(name, lvlm.ckpt.tensors[name].dtype, rows.shape, payload)
-    # validate_triple keeps reward head names apart from every kept lvlm name
-    for name in rm.cmap.names(Role.RM_HEAD):
-        shared[name] = rm.ckpt.tensors[name]
-
-    vocab = aligned.output_vocab()
-    return [
-        Checkpoint(
-            tensors={**shared, **trans},
-            vocab=vocab,
-            metadata=recorded_provenance(recipe, provenance or {}),
-        )
-        for recipe, trans in zip(recipes, merged_trans)
-    ]
+        for name in lvlm.cmap.names(Role.EMBEDDING):
+            rows = merge_embedding_rows(
+                aligned, *(model.ckpt.tensors[name].load() for model in models), first.method
+            )
+            for writer in writers:
+                writer.write(name, rows)
+            del rows
+        for role, model in ((Role.VISION_ENCODER, lvlm), (Role.ADAPTER, lvlm), (Role.RM_HEAD, rm)):
+            for name in model.cmap.names(role):
+                copy_payload(model.ckpt.tensors[name], writers)
+        for model in models:
+            model.ckpt.check_unchanged()
+    return [read_checkpoint(path) for path in paths]
 
 
-def write_merged(merged: Checkpoint, path: str | Path) -> Path:
-    """Write the merged vocabulary sidecar, then the checkpoint.
+@contextmanager
+def write_merged(
+    path: str | Path, vocab: dict[str, int], layout: Layout, metadata: dict[str, str]
+) -> Iterator[CheckpointWriter]:
+    """Write the merged vocabulary sidecar, then open the checkpoint for streamed writes.
 
-    Each file is replaced atomically and the checkpoint comes last, so an
-    existing checkpoint at ``path`` means the whole variant was written.
+    Yields a ``CheckpointWriter`` on a temporary file beside ``path``, moved
+    onto ``path`` when the block ends without an exception (see
+    ``checkpoint_writer``). Each file is replaced atomically and the
+    checkpoint comes last, so an existing checkpoint at ``path`` means the
+    whole variant was written.
     """
-    path = Path(path)
-    write_vocab(merged.vocab, default_vocab_path(path))
-    write_checkpoint(merged, path)
-    return path
+    write_vocab(vocab, default_vocab_path(path))
+    with checkpoint_writer(path, layout, metadata) as writer:
+        yield writer

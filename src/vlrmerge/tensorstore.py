@@ -5,23 +5,33 @@ mapping tensor names to ``{"dtype", "shape", "data_offsets"}`` (offsets relative
 to the end of the header), then the raw data region. An optional
 ``"__metadata__"`` key carries string-to-string pairs. Vocabulary maps live in
 a sidecar text file, one token per line, line number = embedding row.
+
+A file is opened by reading its header alone; each tensor's payload is read
+from the file when it is used, never through a memory map, so a file cut
+short fails a read with a named error. A file is written through a
+``CheckpointWriter``: header first, then each payload at its offset.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
+import stat
 import struct
 import threading
+import weakref
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckpointFormatError, VocabError
+from .errors import CheckpointFormatError, InputChangedError, VocabError
 
 
 class Dtype(str, Enum):
@@ -108,38 +118,204 @@ def _round_bf16(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> Non
         out[nan] = np.where(top & np.uint16(0x007F), top, top | np.uint16(0x0040))
 
 
-@dataclass(frozen=True)
+_COPY_BLOCK = 1 << 20  # bytes per piece when a payload is copied or hashed from its file
+
+
+class FileStamp(NamedTuple):
+    """What tells one state of a file from another without reading it."""
+
+    size: int
+    mtime_ns: int
+    inode: int
+
+    @classmethod
+    def of(cls, st: os.stat_result) -> "FileStamp":
+        return cls(st.st_size, st.st_mtime_ns, st.st_ino)
+
+
+class CheckpointFile:
+    """A checkpoint file open for reading.
+
+    Every read goes through one descriptor, and ``stamp`` is the file's when
+    it was opened, so ``check_unchanged`` can tell whether it has since been
+    rewritten or replaced. The descriptor is closed by ``close``, or once
+    nothing refers to this object: once the checkpoint and all its tensors
+    are gone.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._whole: memoryview | None = None
+        self._lock = threading.Lock()
+        self.fd = os.open(path, os.O_RDONLY)
+        self.close = weakref.finalize(self, os.close, self.fd)
+        st = os.fstat(self.fd)
+        if stat.S_ISDIR(st.st_mode):
+            self.close()
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        self.stamp = FileStamp.of(st)
+
+    def view(self, offset: int, size: int) -> memoryview:
+        """``size`` bytes from ``offset``, a read-only slice of the whole file.
+
+        The first call reads the whole file once into one buffer; every call
+        slices it, and the buffer lives while any slice does.
+        """
+        with self._lock:
+            if self._whole is None:
+                buffer = np.empty(self.stamp.size, np.uint8)
+                self.read_into(buffer, 0)
+                self._whole = memoryview(buffer).toreadonly()
+        return self._whole[offset : offset + size]
+
+    def pread(self, size: int, offset: int) -> bytes:
+        """Up to ``size`` bytes from ``offset``; fewer only where the file ends."""
+        return os.pread(self.fd, size, offset)
+
+    def read_into(self, buffer, offset: int) -> None:
+        """Fill ``buffer``, a writable contiguous buffer, with the bytes from ``offset``.
+
+        A file that ends first, as one truncated after it was opened does,
+        is a CheckpointFormatError.
+        """
+        view = memoryview(buffer).cast("B")
+        filled = 0
+        while filled < len(view):
+            # a single read returns at most about 2 GiB on Linux, so read until full
+            count = os.preadv(self.fd, [view[filled:]], offset + filled)
+            if count == 0:
+                raise CheckpointFormatError(
+                    f"{self.path}: file ends at byte {offset + filled}, inside a tensor "
+                    f"its header places at bytes [{offset}, {offset + len(view)}); "
+                    "it was cut short after it was opened"
+                )
+            filled += count
+
+    def check_unchanged(self) -> None:
+        """Raise InputChangedError if the file at ``path``, or the one open here, is not as opened."""
+        try:
+            now = FileStamp.of(os.stat(self.path))
+        except FileNotFoundError:
+            now = None
+        if now != self.stamp or FileStamp.of(os.fstat(self.fd)) != self.stamp:
+            raise InputChangedError(
+                f"{self.path}: the file changed while it was being read (its size, "
+                "modification time or inode is not what it was when it was opened)"
+            )
+
+
 class Tensor:
     """A named, typed, shaped block of little-endian numeric data.
 
     ``data`` is a bytes-like object of byte items: a read-only ``memoryview``
-    for tensors read from a file or narrowed from float32, or ``bytes``.
+    for tensors read from a file or narrowed from float32, or ``bytes``. A
+    tensor of a checkpoint opened by ``read_checkpoint`` holds only its place
+    in the file. ``data`` is for callers that want payloads resident: the
+    first ``data`` asked of a file reads the whole file once into one buffer
+    (``CheckpointFile.view``), of which each tensor's ``data`` is a slice.
+    ``load`` and ``chunks`` read one payload without keeping it; they are
+    how the merge reads its inputs.
     """
 
-    name: str
-    dtype: Dtype
-    shape: tuple[int, ...]
-    data: bytes | memoryview
+    __slots__ = ("name", "dtype", "shape", "_data", "_place")
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        name: str,
+        dtype: Dtype,
+        shape: tuple[int, ...],
+        data: bytes | memoryview | None = None,
+        *,
+        place: tuple[CheckpointFile, int] | None = None,
+    ):
+        if (data is None) == (place is None):
+            raise ValueError("a tensor holds either its payload or the file and offset of it")
+        self.name, self.dtype, self.shape = name, dtype, tuple(shape)
+        self._data, self._place = data, place
         if any(d < 0 for d in self.shape):
             raise CheckpointFormatError(
                 f"tensor '{self.name}': negative dimension in shape {list(self.shape)}"
             )
-        expected = self.numel * self.dtype.itemsize
-        if len(self.data) != expected:
+        if data is not None and len(data) != self.nbytes:
             raise CheckpointFormatError(
-                f"tensor '{self.name}': payload is {len(self.data)} bytes, "
-                f"shape {list(self.shape)} with dtype {self.dtype.value} needs {expected}"
+                f"tensor '{self.name}': payload is {len(data)} bytes, "
+                f"shape {list(self.shape)} with dtype {self.dtype.value} needs {self.nbytes}"
             )
+
+    def __repr__(self) -> str:
+        return f"Tensor(name={self.name!r}, dtype={self.dtype.value}, shape={list(self.shape)})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return (self.name, self.dtype, self.shape) == (other.name, other.dtype, other.shape) and (
+            self.data == other.data
+        )
 
     @property
     def numel(self) -> int:
         return math.prod(self.shape)
 
+    @property
+    def size(self) -> int:
+        """``numel`` under numpy's name, so a tensor can stand where a storage view does."""
+        return self.numel
+
+    @property
+    def nbytes(self) -> int:
+        return self.numel * self.dtype.itemsize
+
+    @property
+    def data(self) -> bytes | memoryview:
+        if self._data is None:
+            file, offset = self._place
+            self._data = file.view(offset, self.nbytes)
+        return self._data
+
     def array(self) -> np.ndarray:
-        """A zero-copy view of the payload, shaped, of ``dtype.array_dtype``."""
+        """A zero-copy view of ``data``, shaped, of ``dtype.array_dtype``."""
         return np.frombuffer(self.data, dtype=self.dtype.array_dtype).reshape(self.shape)
+
+    def load(self, buffer: np.ndarray | None = None) -> np.ndarray:
+        """The payload as a shaped storage view (``Dtype.array_dtype``), not kept by the tensor.
+
+        A payload in memory is viewed without a copy. One in a file is read
+        into ``buffer``, a contiguous array of at least ``nbytes`` bytes whose
+        first ``nbytes`` it overwrites, or into a new array.
+        """
+        if self._data is not None:
+            return self.array()
+        if buffer is None:
+            raw = np.empty(self.nbytes, np.uint8)
+        else:
+            raw = buffer.reshape(-1).view(np.uint8)[: self.nbytes]
+            if raw.size < self.nbytes:
+                raise ValueError(
+                    f"a {buffer.nbytes}-byte buffer cannot hold the {self.nbytes} bytes of {self.name}"
+                )
+        file, offset = self._place
+        file.read_into(raw, offset)
+        return raw.view(self.dtype.array_dtype).reshape(self.shape)
+
+    def chunks(self, size: int = _COPY_BLOCK) -> Iterator[memoryview]:
+        """The payload in consecutive pieces of at most ``size`` bytes.
+
+        A payload in a file is read one piece at a time into one reused
+        buffer, so each piece is valid only until the next is asked for, and
+        nothing is kept.
+        """
+        if self._data is not None:
+            view = memoryview(self._data)
+            for start in range(0, len(view), size):
+                yield view[start : start + size]
+            return
+        file, offset = self._place
+        buffer = memoryview(bytearray(min(size, self.nbytes)))
+        for start in range(0, self.nbytes, size):
+            piece = buffer[: min(size, self.nbytes - start)]
+            file.read_into(piece, offset + start)
+            yield piece
 
     def to_f32(self) -> np.ndarray:
         """Widen the payload to a new float32 array of this tensor's shape."""
@@ -154,13 +330,21 @@ class Tensor:
 
 @dataclass
 class Checkpoint:
-    """An ordered map of tensors plus an optional vocabulary map."""
+    """An ordered map of tensors plus an optional vocabulary map.
+
+    ``file`` is set by ``read_checkpoint``: the open file its tensors read
+    their payloads from.
+    """
 
     tensors: dict[str, Tensor]
     vocab: dict[str, int] | None = None
     metadata: dict[str, str] = field(default_factory=dict)
-    # set by read_checkpoint: the file's bytes, of which the tensors' payloads are slices
-    file_bytes: memoryview | None = field(default=None, init=False, repr=False, compare=False)
+    file: CheckpointFile | None = field(default=None, repr=False, compare=False)
+
+    def check_unchanged(self) -> None:
+        """Raise InputChangedError if the file this checkpoint reads from changed since it was opened."""
+        if self.file is not None:
+            self.file.check_unchanged()
 
 
 def _parse_header(blob: bytes) -> dict:
@@ -255,50 +439,47 @@ def _pop_metadata(path: Path, header: dict) -> dict[str, str]:
     return dict(metadata)
 
 
+def _open(path: Path) -> tuple[CheckpointFile, int, dict[str, str], dict[str, tuple[Dtype, tuple[int, ...], int, int]]]:
+    """Open a checkpoint file and read its header alone.
+
+    Returns the open file, the byte at which its data region starts, its
+    metadata and each tensor's layout, the header checked against the
+    file's size.
+    """
+    file = CheckpointFile(path)
+    try:
+        size = file.stamp.size
+        header_len = _header_length(path, file.pread(8, 0), size)
+        header = _parse_header(file.pread(header_len, 8))
+        metadata = _pop_metadata(path, header)
+        return file, 8 + header_len, metadata, _layout(path, header, size - 8 - header_len)
+    except BaseException:
+        file.close()
+        raise
+
+
 def read_metadata(path: str | Path) -> dict[str, str]:
     """The ``__metadata__`` of a checkpoint file, from its header alone, checked against the file's size."""
-    path = Path(path)
-    with open(path, "rb") as f:
-        file_size = os.fstat(f.fileno()).st_size
-        header_len = _header_length(path, f.read(8), file_size)
-        header = _parse_header(f.read(header_len))
-    metadata = _pop_metadata(path, header)
-    _layout(path, header, file_size - 8 - header_len)
+    file, _, metadata, _ = _open(Path(path))
+    file.close()
     return metadata
 
 
-def _read_whole(path: Path) -> memoryview:
-    """The file's bytes, read once into one buffer, as a read-only view."""
-    with open(path, "rb", buffering=0) as f:
-        size = os.fstat(f.fileno()).st_size
-        buffer = memoryview(np.empty(size, dtype=np.uint8))
-        filled = 0
-        # a single read returns at most about 2 GiB on Linux, so read until full
-        while filled < size and (count := f.readinto(buffer[filled:])):
-            filled += count
-    if filled < size:
-        raise CheckpointFormatError(f"{path}: file shrank from {size} to {filled} bytes while being read")
-    return buffer.toreadonly()
-
-
 def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> Checkpoint:
-    """Load a checkpoint file, validating the header against the data region.
+    """Open a checkpoint file, reading and validating its header alone.
 
-    The file is read once into one buffer, kept as ``file_bytes``; each
-    tensor's ``data`` is a read-only ``memoryview`` slice of it, so the
-    buffer lives as long as any of them. If ``vocab_path`` is not given and
-    ``<path>.vocab`` exists, the sidecar is loaded automatically.
+    The header is checked against the file's size, the tensors tiling the
+    data region exactly, so a truncated file fails here. Each tensor holds
+    its place in the file and reads its payload when it is used (see
+    ``Tensor``); the checkpoint's ``file`` is the descriptor those reads go
+    through. If ``vocab_path`` is not given and ``<path>.vocab`` exists,
+    the sidecar is loaded automatically.
     """
     path = Path(path)
-    raw = _read_whole(path)
-    header_len = _header_length(path, raw[:8], len(raw))
-    header = _parse_header(bytes(raw[8 : 8 + header_len]))
-    metadata = _pop_metadata(path, header)
-
-    data = raw[8 + header_len :]
+    file, start, metadata, layout = _open(path)
     tensors = {
-        name: Tensor(name=name, dtype=dtype, shape=shape, data=data[begin:end])
-        for name, (dtype, shape, begin, end) in _layout(path, header, len(data)).items()
+        name: Tensor(name, dtype, shape, place=(file, start + begin))
+        for name, (dtype, shape, begin, _) in layout.items()
     }
 
     vocab = None
@@ -308,9 +489,7 @@ def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> C
             vocab = read_vocab(candidate)
     else:
         vocab = read_vocab(vocab_path)
-    ckpt = Checkpoint(tensors=tensors, vocab=vocab, metadata=metadata)
-    ckpt.file_bytes = raw
-    return ckpt
+    return Checkpoint(tensors=tensors, vocab=vocab, metadata=metadata, file=file)
 
 
 @contextmanager
@@ -333,35 +512,102 @@ def _replace_when_done(path: Path, mode: str, **kwargs):
         raise
 
 
+Layout = dict[str, tuple[Dtype, tuple[int, ...]]]
+
+
+class CheckpointWriter:
+    """A checkpoint file written payload by payload, at offsets fixed up front.
+
+    The header is built from ``layout`` (each tensor's dtype and shape) and
+    ``metadata``: keys sorted lexicographically, payloads packed in that
+    order with no gaps. It is written, and the file sized, when the writer
+    is made; each payload may then be written whole or in pieces, from any
+    thread, in any order. Made by ``checkpoint_writer``.
+    """
+
+    def __init__(self, fd: int, layout: Layout, metadata: dict[str, str]):
+        header: dict[str, object] = {}
+        if metadata:
+            header["__metadata__"] = {k: metadata[k] for k in sorted(metadata)}
+        self._spans: dict[str, tuple[int, int]] = {}
+        offset = 0
+        for name in sorted(layout):
+            dtype, shape = layout[name]
+            size = math.prod(shape) * dtype.itemsize
+            header[name] = {"dtype": dtype.value, "shape": list(shape), "data_offsets": [offset, offset + size]}
+            self._spans[name] = (offset, size)
+            offset += size
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        self._fd, self._start = fd, 8 + len(blob)
+        self._pwrite(struct.pack("<Q", len(blob)) + blob, 0)
+        os.ftruncate(fd, self._start + offset)
+        self._written = dict.fromkeys(self._spans, 0)
+        self._lock = threading.Lock()
+
+    def write(self, name: str, piece, at: int = 0) -> None:
+        """Write ``piece``, a contiguous buffer, into tensor ``name``'s payload from its byte ``at``."""
+        begin, size = self._spans[name]
+        view = memoryview(piece).cast("B")
+        if at < 0 or at + len(view) > size:
+            raise CheckpointFormatError(
+                f"tensor '{name}': {len(view)} bytes at byte {at} overrun its {size}-byte payload"
+            )
+        self._pwrite(view, self._start + begin + at)
+        with self._lock:
+            self._written[name] += len(view)
+
+    def _pwrite(self, data, offset: int) -> None:
+        view = memoryview(data)
+        while view:
+            count = os.pwrite(self._fd, view, offset)
+            view, offset = view[count:], offset + count
+
+    def check_complete(self) -> None:
+        """Raise CheckpointFormatError unless every payload byte has been written."""
+        short = [name for name, (_, size) in self._spans.items() if self._written[name] != size]
+        if short:
+            raise CheckpointFormatError(
+                f"{len(short)} tensor payload(s) not fully written, the first '{short[0]}'"
+            )
+
+
+@contextmanager
+def checkpoint_writer(path: str | Path, layout: Layout, metadata: dict[str, str]) -> Iterator[CheckpointWriter]:
+    """A CheckpointWriter on a temporary file beside ``path``.
+
+    When the block ends without an exception and every payload was written,
+    the file is moved onto ``path`` atomically; otherwise it is removed.
+    """
+    with _replace_when_done(Path(path), "wb", buffering=0) as f:
+        writer = CheckpointWriter(f.fileno(), layout, metadata)
+        yield writer
+        writer.check_complete()
+
+
+def copy_payload(tensor: Tensor, writers: Sequence[CheckpointWriter]) -> None:
+    """Write ``tensor``'s payload into each writer, reading it once, a piece at a time."""
+    at = 0
+    for piece in tensor.chunks():
+        for writer in writers:
+            writer.write(tensor.name, piece, at)
+        at += len(piece)
+
+
 def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write a checkpoint with a canonical header, replacing ``path`` atomically.
 
     Header keys are sorted lexicographically and the data region packs tensor
     payloads in that same order with no gaps, so re-writing a loaded file
-    reproduces it byte for byte.
+    reproduces it byte for byte. Payloads still in a file are copied from it
+    a piece at a time.
     """
-    path = Path(path)
-    header: dict[str, object] = {}
-    if ckpt.metadata:
-        header["__metadata__"] = {k: ckpt.metadata[k] for k in sorted(ckpt.metadata)}
-    offset = 0
-    ordered = sorted(ckpt.tensors)
-    for name in ordered:
-        t = ckpt.tensors[name]
+    for name, t in ckpt.tensors.items():
         if t.name != name:
             raise CheckpointFormatError(f"tensor keyed '{name}' carries name '{t.name}'")
-        header[name] = {
-            "dtype": t.dtype.value,
-            "shape": list(t.shape),
-            "data_offsets": [offset, offset + len(t.data)],
-        }
-        offset += len(t.data)
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    with _replace_when_done(path, "wb") as f:
-        f.write(struct.pack("<Q", len(header_bytes)))
-        f.write(header_bytes)
-        for name in ordered:
-            f.write(ckpt.tensors[name].data)
+    layout = {name: (t.dtype, t.shape) for name, t in ckpt.tensors.items()}
+    with checkpoint_writer(path, layout, ckpt.metadata) as writer:
+        for t in ckpt.tensors.values():
+            copy_payload(t, [writer])
 
 
 def default_vocab_path(ckpt_path: str | Path) -> Path:

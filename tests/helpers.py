@@ -1,5 +1,6 @@
 """Builders for synthetic model triples used across the tests."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from vlrmerge import (
     MergeMethod,
     MergeRecipe,
     Tensor,
+    assemble_vlrm,
     classify_triple,
     load_manifest_config,
     merge_transformer,
@@ -18,6 +20,15 @@ from vlrmerge import (
     write_vocab,
 )
 from vlrmerge.tensorstore import default_vocab_path
+
+
+_outputs = itertools.count()
+
+
+def assemble_in(directory: Path, recipes, triple, provenance=None, jobs=None) -> list[Checkpoint]:
+    """``assemble_vlrm`` into fresh files under ``directory``; the written checkpoints, opened."""
+    paths = [directory / f"merged-{next(_outputs)}.safetensors" for _ in recipes]
+    return assemble_vlrm(recipes, triple, paths, provenance, jobs=jobs)
 
 
 def make_tensor(name: str, values, dtype: Dtype = Dtype.F32) -> Tensor:

@@ -91,14 +91,14 @@ def test_criterion_1_merge_kernel_oracles():
 
 def test_criterion_2_identity_ladder(rng, tmp_path):
     started = time.monotonic()
-    from vlrmerge import Role, assemble_vlrm
-    from helpers import classified_toy_triple
+    from vlrmerge import Role
+    from helpers import assemble_in, classified_toy_triple
 
     triple = classified_toy_triple(rng, trans_dtype=Dtype.BF16, emb_dtype=Dtype.BF16)
     trans_names = triple.lvlm.cmap.names(Role.TRANSFORMER)
 
     def merged_bytes(recipe):
-        [merged] = assemble_vlrm([recipe], triple, jobs=1)
+        [merged] = assemble_in(tmp_path, [recipe], triple, jobs=1)
         return {name: merged.tensors[name].data for name in trans_names}
 
     lvlm_bytes = {n: triple.lvlm.ckpt.tensors[n].data for n in trans_names}

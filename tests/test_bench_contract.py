@@ -13,8 +13,9 @@ import numpy as np
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
-import check  # noqa: E402,F401
+import check  # noqa: E402
 import child  # noqa: E402
+import gen  # noqa: E402
 import replay  # noqa: E402,F401
 import spans  # noqa: E402
 
@@ -25,10 +26,17 @@ from vlrmerge import (  # noqa: E402
     align_vocab,
     assemble_vlrm,
     assembly,
+    classify_triple,
+    load_manifest_config,
     merging,
+    read_checkpoint,
 )
 
-from helpers import classified_toy_triple  # noqa: E402
+from helpers import toy_triple, write_triple  # noqa: E402
+
+# a gen.py triple small enough for a unit test, in the benchmark's layout and dtype
+TINY = gen.Scale(hidden=16, heads=2, kv_heads=1, intermediate=24, layers=2, cross_layers=(1,),
+                 base_vocab=24, vision_hidden=8, vision_layers=1, extra_tokens=3)
 
 
 def test_tracer_wraps_and_restores_every_name():
@@ -59,7 +67,7 @@ def test_class_probe_call_form():
     assert child.shape_class(names[0], shapes[0]) == "attention"
 
 
-def test_traced_assembly_hands_merge_transformer_sized_values(monkeypatch):
+def test_traced_assembly_hands_merge_transformer_sized_values(monkeypatch, tmp_path):
     # the tracer's merge_call annotator sums ``.size`` over the second argument's
     # values, and its rows annotator reads ``shape[0]`` of the embedding merge's result
     seen = {}
@@ -70,12 +78,14 @@ def test_traced_assembly_hands_merge_transformer_sized_values(monkeypatch):
         return real(recipe, pre, *args, **kwargs)
 
     monkeypatch.setattr(assembly, "merge_transformer", spy)
-    triple = classified_toy_triple(np.random.default_rng(0))
+    paths = write_triple(tmp_path, *toy_triple(np.random.default_rng(0)))
+    triple = classify_triple(*(read_checkpoint(paths[k]) for k in ("pre", "lvlm", "rm")), load_manifest_config())
     tracer = spans.Tracer("t")
     tracer.install()
     try:
         with tracer.span("cli.main"):
-            assemble_vlrm([MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.4)], triple, jobs=2)
+            recipe = MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.4)
+            assemble_vlrm([recipe], triple, [tmp_path / "merged.safetensors"], jobs=2)
     finally:
         tracer.uninstall()
     numel = {name: triple.pre.ckpt.tensors[name].numel for name in triple.pre.cmap.names(Role.TRANSFORMER)}
@@ -86,3 +96,28 @@ def test_traced_assembly_hands_merge_transformer_sized_values(monkeypatch):
     [rows] = [s for s in tracer.spans if s["name"] == "embeddings.merge_embedding_rows"]
     vocabs = (model.ckpt.vocab for model in (triple.pre, triple.lvlm, triple.rm))
     assert "error" not in rows and rows["rows"] == len(align_vocab(*vocabs).tokens)
+
+
+def test_streamed_output_passes_the_benchmark_checks(tmp_path):
+    # check.py re-reads a merged file with read_checkpoint and slices ``.data``;
+    # child.class_probes calls ``Tensor.to_f32()`` on the tensors read_checkpoint
+    # returns and hands float32 maps to merge_transformer with jobs=1
+    paths = gen.write_triple(tmp_path / "in", TINY, 0)
+    inputs = check.Inputs(paths)
+    out = tmp_path / "merged.safetensors"
+    recipe = MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.4)
+    tracer = spans.Tracer("t")
+    tracer.install()
+    try:
+        assemble_vlrm([recipe], inputs.triple, [out], jobs=2)
+    finally:
+        tracer.uninstall()
+    assert check.check_merged(inputs, out, "ties", 0.7, 0.4, None) == []
+    merged = read_checkpoint(out)
+    name = "model.embed_tokens.weight"
+    tensor = merged.tensors[name]
+    width = tensor.shape[1]
+    assert bytes(tensor.data[width * 2 : width * 4]) == tensor.array()[1].tobytes()
+    assert tensor.to_f32().shape == tensor.shape
+    probes = child.class_probes(tracer.merge_calls, {kind: str(path) for kind, path in paths.items()})
+    assert set(probes["ties"]) == {"attention", "mlp", "norm"}

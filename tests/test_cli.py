@@ -2,14 +2,13 @@ import hashlib
 import json
 import shlex
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from vlrmerge import Checkpoint, Dtype, assembly, cli, read_checkpoint, write_checkpoint
+from vlrmerge import Checkpoint, Dtype, Tensor, assembly, cli, merging, read_checkpoint, tensorstore, write_checkpoint
 from vlrmerge.cli import main
 from vlrmerge.components import DEFAULT_MANIFEST
 
@@ -68,7 +67,7 @@ class TestMergeCommand:
             load_manifest_config(),
         )
         recipe = MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=7)
-        [expected] = assemble_vlrm([recipe], triple, jobs=1)
+        [expected] = assemble_vlrm([recipe], triple, [tmp_path / "library.safetensors"], jobs=1)
         assert merged.tensors == expected.tensors
 
     def test_missing_density_is_usage_error(self, runner, triple_files, tmp_path):
@@ -114,18 +113,7 @@ class TestMergeCommand:
         pre_sidecar = Path(f"{triple_files['pre']}.vocab").read_bytes()
         assert metadata["input.pre_vocab.sha256"] == hashlib.sha256(pre_sidecar).hexdigest()
 
-    def test_recorded_digest_is_of_the_bytes_read(self, runner, triple_files, tmp_path, monkeypatch):
-        # each input is rewritten with other bytes as soon as it has been read
-        digests_read = {}
-        real_read = cli.read_checkpoint
-
-        def read_then_rewrite(path, vocab_path=None):
-            ckpt = real_read(path, vocab_path)
-            digests_read[Path(path)] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            write_checkpoint(Checkpoint(ckpt.tensors, metadata={"rewritten": "yes"}), path)
-            return ckpt
-
-        monkeypatch.setattr(cli, "read_checkpoint", read_then_rewrite)
+    def test_recorded_digests_are_of_the_whole_files(self, runner, triple_files, tmp_path):
         out = tmp_path / "merged.safetensors"
         result = runner.invoke(main, [
             "merge", *triple_args(triple_files), "--method", "linear", "--lambda", "0.5", "--out", str(out),
@@ -133,8 +121,65 @@ class TestMergeCommand:
         assert result.exit_code == 0, result.output
         metadata = read_checkpoint(out).metadata
         for label, path in triple_files.items():
-            assert metadata[f"input.{label}.sha256"] == digests_read[Path(path)]
-            assert digests_read[Path(path)] != hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            assert metadata[f"input.{label}.sha256"] == digest
+            assert f"{label} sha256: {digest}" in result.output
+
+    @pytest.mark.parametrize("when", ["opened", "hashed"])
+    @pytest.mark.parametrize("change", ["replaced", "grown"])
+    def test_input_changed_during_the_merge_is_a_named_error(
+        self, runner, triple_files, tmp_path, monkeypatch, when, change
+    ):
+        # the lvlm file changes right after it is opened, or right after it is hashed
+        lvlm = Path(triple_files["lvlm"])
+
+        def rewrite():
+            if change == "replaced":  # another file moved onto the path, as write_checkpoint does
+                ckpt = read_checkpoint(lvlm)
+                write_checkpoint(Checkpoint(ckpt.tensors, metadata={"rewritten": "yes"}), lvlm)
+            else:  # appended to in place
+                with open(lvlm, "ab") as f:
+                    f.write(b"\x00")
+
+        def changing(real):
+            def call(path, *args):
+                result = real(path, *args)
+                if Path(path) == lvlm:
+                    rewrite()
+                return result
+            return call
+
+        name = "read_checkpoint" if when == "opened" else "file_digest"
+        monkeypatch.setattr(cli, name, changing(getattr(cli, name)))
+        out = tmp_path / "out" / "merged.safetensors"
+        out.parent.mkdir()
+        result = runner.invoke(main, [
+            "merge", *triple_args(triple_files), "--method", "ties", "--lambda", "0.7", "--density", "0.4",
+            "--out", str(out), "--jobs", "2",
+        ])
+        assert_named_error(result, f"{lvlm}: the file changed while it was being read")
+        # no checkpoint and no temporary file; only the sidecar, written first, is left
+        assert sorted(p.name for p in out.parent.iterdir()) == ["merged.safetensors.vocab"]
+
+    def test_worker_failing_mid_write_leaves_no_output(self, runner, triple_files, tmp_path, monkeypatch):
+        real, merged = merging._merge_per_lam, []
+
+        def failing(recipe, lams, name, *args):
+            if len(merged) == 3:  # three tensors are already written
+                raise MemoryError("worker ran out of memory")
+            merged.append(name)
+            yield from real(recipe, lams, name, *args)
+
+        monkeypatch.setattr(merging, "_merge_per_lam", failing)
+        out = tmp_path / "out" / "merged.safetensors"
+        out.parent.mkdir()
+        result = runner.invoke(main, [
+            "merge", *triple_args(triple_files), "--method", "linear", "--lambda", "0.5",
+            "--out", str(out), "--jobs", "1",
+        ])
+        assert result.exit_code == 1 and isinstance(result.exception, MemoryError)
+        assert len(merged) == 3
+        assert sorted(p.name for p in out.parent.iterdir()) == ["merged.safetensors.vocab"]
 
     def test_vocab_that_is_not_utf8_is_a_named_error(self, runner, triple_files, tmp_path):
         bad = tmp_path / "bad.vocab"
@@ -205,7 +250,8 @@ def test_reward_head_named_like_a_kept_lvlm_tensor_stops_before_any_merge(
 ):
     # the lvlm gains a score.weight that the manifest keeps as an adapter tensor
     lvlm = read_checkpoint(triple_files["lvlm"])
-    lvlm.tensors["score.weight"] = replace(lvlm.tensors["multi_modal_projector.weight"], name="score.weight")
+    projector = lvlm.tensors["multi_modal_projector.weight"]
+    lvlm.tensors["score.weight"] = Tensor("score.weight", projector.dtype, projector.shape, projector.data)
     write_checkpoint(lvlm, triple_files["lvlm"])
     manifest = tmp_path / "manifest.json"
     rules = {**DEFAULT_MANIFEST, "lvlm": [{"pattern": "score.*", "role": "adapter"}, *DEFAULT_MANIFEST["lvlm"]]}
@@ -300,6 +346,28 @@ class TestInspectCommand:
         assert payload["role_counts"]["lm_head"] == 0
         assert payload["metadata"]["recipe.method"] == "linear"
 
+    def test_reads_the_header_only(self, runner, triple_files, monkeypatch):
+        ckpt = read_checkpoint(triple_files["lvlm"])
+        monkeypatch.setattr(tensorstore.CheckpointFile, "read_into", lambda *args: pytest.fail("a payload was read"))
+        result = runner.invoke(main, ["inspect", str(triple_files["lvlm"]), "--kind", "lvlm", "--json"])
+        assert result.exit_code == 0, result.output
+        rows = {row["name"]: row["bytes"] for row in json.loads(result.stdout)["tensors"]}
+        assert rows == {name: t.numel * t.dtype.itemsize for name, t in ckpt.tensors.items()}
+
+    @pytest.mark.parametrize("change,message", [
+        ("cut", "out-of-bounds data offsets"),
+        ("grown", "1 trailing bytes not covered by any tensor"),
+    ])
+    def test_file_of_another_size_is_a_named_error(self, runner, triple_files, change, message):
+        path = Path(triple_files["rm"])
+        if change == "cut":
+            tensorstore.os.truncate(path, path.stat().st_size - 1)
+        else:
+            with open(path, "ab") as f:
+                f.write(b"\x00")
+        result = runner.invoke(main, ["inspect", str(path), "--kind", "rm"])
+        assert_named_error(result, message)
+
     def test_unmatched_tensor_listed(self, runner, triple_files, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(
@@ -387,6 +455,15 @@ class TestEvalCommand:
             "eval", "--mode", "pairwise", "--data", str(data), "--scorer", STUB_CMD,
         ])
         assert_named_error(result, "pairs.jsonl: not UTF-8 text")
+
+    @pytest.mark.parametrize("command", ["", "   "])
+    def test_empty_scorer_command_is_a_named_error(self, runner, tmp_path, monkeypatch, command):
+        data = write_pairwise_dataset(tmp_path / "pairs.jsonl", 3)
+        monkeypatch.setattr(cli, "load_pairwise_dataset", lambda path: pytest.fail("the data was read"))
+        result = runner.invoke(main, [
+            "eval", "--mode", "pairwise", "--data", str(data), "--scorer", command,
+        ])
+        assert_named_error(result, f"scorer command {command!r} names no program")
 
     def test_scorer_command_that_does_not_parse_is_a_named_error(self, runner, tmp_path):
         data = write_pairwise_dataset(tmp_path / "pairs.jsonl", 3)
@@ -525,6 +602,20 @@ class TestSweepCommand:
         assert echoed["jobs"] == 3
         assert echoed["manifest"] == "<builtin>"
         assert echoed["tie_rounding_decimals"] == 2
+
+    @pytest.mark.parametrize("command", ["", " \t"])
+    def test_empty_scorer_command_fails_before_any_read(self, runner, triple_files, tmp_path, monkeypatch, command):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"method": "linear", "lambda_grid": [0.5]}), encoding="utf-8")
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        monkeypatch.setattr(cli, "read_checkpoint", lambda *args: pytest.fail("a checkpoint was read"))
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, [
+            "sweep", *triple_args(triple_files), "--config", str(config), "--data", str(data),
+            "--scorer", command, "--out-dir", str(out_dir),
+        ])
+        assert_named_error(result, f"scorer command {command!r} names no program")
+        assert not out_dir.exists()
 
     def test_scorer_command_that_does_not_parse_fails_before_merging(self, runner, triple_files, tmp_path):
         config = tmp_path / "sweep.json"

@@ -12,11 +12,10 @@ from vlrmerge import (
     validate_triple,
 )
 from vlrmerge import assembly
-from vlrmerge.assembly import assemble_vlrm
 from vlrmerge.errors import TripleValidationError
 from vlrmerge.merging import MergeMethod, MergeRecipe
 
-from helpers import classified_toy_triple, make_tensor
+from helpers import assemble_in, classified_toy_triple, make_tensor
 
 
 def ckpt_with(names):
@@ -183,16 +182,16 @@ class TestValidateTriple:
         triple.rm.ckpt.vocab["negative-token"] = -3
         assert validate_triple(triple) == ["rm: vocabulary row index -3 is negative"]
 
-    def test_negative_vocab_row_index_stops_assembly_before_any_merge(self, rng, monkeypatch):
+    def test_negative_vocab_row_index_stops_assembly_before_any_merge(self, rng, tmp_path, monkeypatch):
         triple = classified_toy_triple(rng)
         triple.lvlm.ckpt.vocab["negative-token"] = -1
         merges = []
         monkeypatch.setattr(assembly, "merge_transformer", lambda *args, **kwargs: merges.append(args))
         with pytest.raises(TripleValidationError, match="lvlm: vocabulary row index -1 is negative"):
-            assemble_vlrm([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], triple, jobs=1)
+            assemble_in(tmp_path, [MergeRecipe(MergeMethod.LINEAR, lam=0.5)], triple, jobs=1)
         assert merges == []
 
-    def test_accepted_random_triples_merge_under_every_method(self, rng):
+    def test_accepted_random_triples_merge_under_every_method(self, rng, tmp_path):
         recipes = [
             MergeRecipe(MergeMethod.LINEAR, lam=0.4),
             MergeRecipe(MergeMethod.TASK_ARITHMETIC, lam=0.9),
@@ -209,7 +208,7 @@ class TestValidateTriple:
             )
             assert validate_triple(triple) == []
             for recipe in recipes:
-                [merged] = assemble_vlrm([recipe], triple, jobs=1)
+                [merged] = assemble_in(tmp_path, [recipe], triple, jobs=1)
                 assert merged.tensors
 
 

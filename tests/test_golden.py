@@ -1,7 +1,7 @@
 """Golden digests of merged checkpoints: the byte-identity gate for refactors.
 
-A fixed bf16 toy triple is assembled with every merge method and written with
-``write_merged``; the sha256 of each checkpoint and of its vocabulary sidecar
+A fixed bf16 toy triple is assembled with every merge method, each output
+streamed to its file by ``assemble_vlrm``; the sha256 of each checkpoint and of its vocabulary sidecar
 is pinned below, both when the recipe is assembled alone and when it is one
 lambda of a group. A change that alters any output byte fails here. If the
 change is intended, re-pin the digests by hand and say why in the change log.
@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vlrmerge import Dtype, MergeMethod, MergeRecipe, assemble_vlrm, write_merged
+from vlrmerge import Dtype, MergeMethod, MergeRecipe, assemble_vlrm
 from vlrmerge.tensorstore import default_vocab_path
 
 from helpers import classified_toy_triple
@@ -60,8 +60,8 @@ def sha256(path) -> str:
     [(method, 1) for method in RECIPES] + [("dare-ties", 4)],
 )
 def test_merged_bytes_match_golden(triple, tmp_path, method, jobs):
-    [merged] = assemble_vlrm([RECIPES[method]], triple, jobs=jobs)
-    path = write_merged(merged, tmp_path / f"{method}.safetensors")
+    path = tmp_path / f"{method}.safetensors"
+    assemble_vlrm([RECIPES[method]], triple, [path], jobs=jobs)
     assert sha256(path) == CHECKPOINT_SHA256[method]
     assert sha256(default_vocab_path(path)) == VOCAB_SHA256
 
@@ -70,7 +70,8 @@ def test_merged_bytes_match_golden(triple, tmp_path, method, jobs):
 def test_grouped_bytes_match_golden(triple, tmp_path, method):
     recipe = RECIPES[method]
     group = (replace(recipe, lam=0.0), recipe, replace(recipe, lam=0.25))
-    merged = assemble_vlrm(group, triple, jobs=2)[1]
-    path = write_merged(merged, tmp_path / f"{method}.safetensors")
+    paths = [tmp_path / f"{method}-{i}.safetensors" for i in range(len(group))]
+    assemble_vlrm(group, triple, paths, jobs=2)
+    path = paths[1]
     assert sha256(path) == CHECKPOINT_SHA256[method]
     assert sha256(default_vocab_path(path)) == VOCAB_SHA256

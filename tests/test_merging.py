@@ -1,8 +1,9 @@
 import math
 import os
+import subprocess
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -544,17 +545,96 @@ class TestMergeTransformer:
         else:  # a platform without CPU affinity counts every CPU
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        sizes = []
+        asked = []
+        real_executor = merging._executor
 
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+        def recording_executor(workers):
+            asked.append(workers)
+            return real_executor(workers)
 
-        monkeypatch.setattr(merging, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(merging, "_executor", recording_executor)
         recipe = MergeRecipe(LINEAR, lam=0.5)
-        merge_transformer(recipe, {"t": arr([1.0])}, {"t": arr([1.0])}, {"t": arr([1.0])})
-        assert sizes == [3]
+        maps = [{f"t{i}": arr([1.0]) for i in range(5)} for _ in range(3)]
+        merge_transformer(recipe, *maps)
+        assert asked == [2, 2]  # two pool threads beside the calling thread
+
+
+class TestThreadPool:
+    """One pool serves every call in a process; a call keeps at most ``jobs`` tensors in flight."""
+
+    @staticmethod
+    def maps(n):
+        return [{f"t{i}": arr([float(i)]) for i in range(n)} for _ in range(3)]
+
+    def test_calls_share_one_pool_that_grows_on_demand(self):
+        recipe = MergeRecipe(LINEAR, lam=0.5)
+        merge_transformer(recipe, *self.maps(4), jobs=2)
+        pool = merging._pool
+        merge_transformer(recipe, *self.maps(4), jobs=2)
+        assert merging._pool is pool
+        wider = merging._pool_size + 2
+        merge_transformer(recipe, *self.maps(wider), jobs=wider)
+        assert merging._pool_size == wider - 1 and merging._pool is not pool
+        merge_transformer(recipe, *self.maps(4), jobs=2)
+        assert merging._pool_size == wider - 1
+
+    def test_one_job_runs_in_the_calling_thread(self, monkeypatch):
+        threads = set()
+        real = merging._merge_per_lam
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            yield from real(*args)
+
+        monkeypatch.setattr(merging, "_merge_per_lam", recording)
+        merge_transformer(MergeRecipe(LINEAR, lam=0.5), *self.maps(6), jobs=1)
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_at_most_jobs_tensors_in_flight(self, monkeypatch, jobs):
+        recipe = MergeRecipe(LINEAR, lam=0.5)
+        merge_transformer(recipe, *self.maps(4), jobs=4)  # the pool has room for more than jobs
+        lock, in_flight, peak = threading.Lock(), [0], [0]
+        real = merging._merge_per_lam
+
+        def slow_merge(*args):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            time.sleep(0.01)
+            try:
+                yield from real(*args)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(merging, "_merge_per_lam", slow_merge)
+        [merged] = merge_transformer(recipe, *self.maps(8), jobs=jobs)
+        assert sorted(merged) == sorted(f"t{i}" for i in range(8))
+        assert 1 <= peak[0] <= jobs
+
+    def test_a_failing_worker_stops_the_call_and_the_others(self, monkeypatch):
+        recipe = MergeRecipe(LINEAR, lam=0.5)
+        merged_names = []
+        real = merging._merge_per_lam
+
+        def failing_merge(recipe, lams, name, *args):
+            if name == "t1":
+                raise RuntimeError("worker failed")
+            merged_names.append(name)
+            yield from real(recipe, lams, name, *args)
+
+        monkeypatch.setattr(merging, "_merge_per_lam", failing_merge)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            merge_transformer(recipe, *self.maps(50), jobs=2)
+        assert len(merged_names) < 49  # the others took few tensors after the failure
+
+    def test_no_pool_or_thread_exists_after_import(self):
+        code = (
+            "import threading; from vlrmerge import merging; "
+            "assert merging._pool is None and threading.active_count() == 1"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestRecipeValidation:

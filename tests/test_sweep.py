@@ -2,12 +2,12 @@ import builtins
 import json
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 
 from vlrmerge import (
     Dtype,
+    Tensor,
     MergeMethod,
     MergeRecipe,
     ReplayScorer,
@@ -16,16 +16,18 @@ from vlrmerge import (
     StubScorer,
     SweepConfig,
     SweepEntry,
+    classify_triple,
     generate_grid,
+    load_manifest_config,
     run_sweep,
     select_best,
 )
-from vlrmerge.errors import DatasetError, ScorerError, VlrmergeError
+from vlrmerge.errors import CheckpointFormatError, DatasetError, ScorerError, VlrmergeError
 from vlrmerge.evaluation import load_pairwise_dataset
 from vlrmerge import assembly, sweep, tensorstore
 from vlrmerge.sweep import sample_validation_slices
 
-from helpers import classified_toy_triple, write_pairwise_dataset
+from helpers import classified_toy_triple, toy_triple, write_pairwise_dataset, write_triple
 
 
 class TestGenerateGrid:
@@ -468,14 +470,14 @@ class TestRunSweep:
         in_flight, peak, jobs_seen = [0], [0], []
         real_assemble = sweep.assemble_vlrm
 
-        def counting_assemble(recipes, triple, provenance=None, jobs=None):
+        def counting_assemble(recipes, triple, paths, provenance=None, jobs=None):
             with lock:
                 in_flight[0] += 1
                 peak[0] = max(peak[0], in_flight[0])
                 jobs_seen.append(jobs)
             try:
                 time.sleep(0.05)  # long enough for a concurrent recipe to start
-                return real_assemble(recipes, triple, provenance, jobs=jobs)
+                return real_assemble(recipes, triple, paths, provenance, jobs=jobs)
             finally:
                 with lock:
                     in_flight[0] -= 1
@@ -514,12 +516,10 @@ class TestRunSweep:
         run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
         assert calls == [(0.2, (1.0,))]
 
-    @pytest.mark.parametrize("trans_dtype,per_merge", [(Dtype.BF16, 3), (Dtype.F32, 2)])
-    def test_merges_hold_a_bounded_number_of_lambdas(
-        self, rng, tmp_path, monkeypatch, trans_dtype, per_merge
-    ):
-        # each merge holds one narrowed transformer per lambda until its variants
-        # are written, so an 11-lambda grid is built a few lambdas at a time
+    @pytest.mark.parametrize("trans_dtype", [Dtype.BF16, Dtype.F32])
+    def test_one_merge_takes_every_lambda(self, rng, tmp_path, monkeypatch, trans_dtype):
+        # each lambda's output tensor is written to its variant as soon as it is
+        # merged, so an 11-lambda grid is one merge whatever the storage dtype
         triple = classified_toy_triple(rng, trans_dtype=trans_dtype)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         config = SweepConfig(MergeMethod.TASK_ARITHMETIC, primary_size=8, tiebreak_size=4)
@@ -533,9 +533,8 @@ class TestRunSweep:
         monkeypatch.setattr(assembly, "merge_transformer", counting_merge)
         out = tmp_path / "out"
         run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
-        lams = list(config.lambda_grid)
-        assert calls == [tuple(lams[i:i + per_merge]) for i in range(0, len(lams), per_merge)]
-        assert len(list(out.glob("variant-*.safetensors"))) == len(lams)
+        assert calls == [tuple(config.lambda_grid)]
+        assert len(list(out.glob("variant-*.safetensors"))) == len(config.lambda_grid)
 
     def test_cached_variants_are_reused(self, rng, tmp_path, caplog):
         triple = classified_toy_triple(rng)
@@ -597,7 +596,8 @@ class TestRunSweep:
         else:  # the same bytes, read as BF16
             for model in (triple.pre, triple.lvlm, triple.rm):
                 for name in model.cmap.names(Role.TRANSFORMER):
-                    model.ckpt.tensors[name] = replace(model.ckpt.tensors[name], dtype=Dtype.BF16)
+                    t = model.ckpt.tensors[name]
+                    model.ckpt.tensors[name] = Tensor(name, Dtype.BF16, t.shape, t.data)
         [after] = run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1).entries
         assert after.variant_path != before.variant_path
         rebuilt = tensorstore.read_checkpoint(out / after.variant_path)
@@ -605,6 +605,25 @@ class TestRunSweep:
             assert sorted(rebuilt.vocab, key=rebuilt.vocab.get)[:2] == ["t1", "t0"]
         else:
             assert rebuilt.tensors["model.norm.weight"].dtype is Dtype.BF16
+
+    def test_library_sweep_of_opened_files_keeps_its_variant_names(self, rng, tmp_path):
+        # no input digests: the names come from the payloads, streamed from the files
+        pre, lvlm, rm = toy_triple(rng, trans_dtype=Dtype.BF16)
+        paths = write_triple(tmp_path, pre, lvlm, rm)
+        in_memory = classify_triple(pre, lvlm, rm, load_manifest_config())
+        opened = classify_triple(*(tensorstore.read_checkpoint(paths[k]) for k in ("pre", "lvlm", "rm")),
+                                 load_manifest_config())
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
+        results = {}
+        for label, triple in (("memory", in_memory), ("files", opened)):
+            out = tmp_path / label
+            run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=2)
+            results[label] = {p.name: p.read_bytes() for p in out.glob("variant-*")}
+        assert results["files"] == results["memory"]
+        # and the sweep kept no payload: every one is read from the file again
+        tensorstore.os.truncate(paths["lvlm"], 0)
+        with pytest.raises(CheckpointFormatError, match="cut short"):
+            opened.lvlm.ckpt.tensors["model.norm.weight"].data
 
     @pytest.mark.parametrize("mode,limit", [("wb", 2000), ("w", 20)])
     def test_interrupted_write_leaves_no_variant_and_is_rebuilt(
@@ -619,9 +638,22 @@ class TestRunSweep:
             f = builtins.open(file, open_mode, *args, **kwargs)
             return CutWrite(f, limit) if open_mode == mode else f
 
-        # the first checkpoint ("wb") or vocabulary sidecar ("w") write stops part-way
+        real_pwrite, left = tensorstore.os.pwrite, [limit]
+
+        def interrupted_pwrite(fd, data, offset):
+            if len(data) > left[0]:
+                real_pwrite(fd, data[: left[0]], offset)
+                raise KeyboardInterrupt("interrupted mid-write")
+            left[0] -= len(data)
+            return real_pwrite(fd, data, offset)
+
+        # the first checkpoint ("wb", written with pwrite) or vocabulary sidecar
+        # ("w") write stops part-way
         with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
-            patch.setattr(tensorstore, "open", interrupted_open, raising=False)
+            if mode == "wb":
+                patch.setattr(tensorstore.os, "pwrite", interrupted_pwrite)
+            else:
+                patch.setattr(tensorstore, "open", interrupted_open, raising=False)
             run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
         assert not list(out.glob("variant-*.safetensors"))
 

@@ -1,16 +1,17 @@
 import json
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from vlrmerge import tensorstore
-from vlrmerge.tensorstore import widen
+from vlrmerge.tensorstore import checkpoint_writer, widen
 from vlrmerge import (
     Checkpoint,
     CheckpointFormatError,
     Dtype,
+    InputChangedError,
     Tensor,
     VocabError,
     read_checkpoint,
@@ -106,7 +107,7 @@ class TestOneCopyRead:
         assert len({id(t.data.obj) for t in tensors}) == 1
 
     def test_peak_memory_is_about_one_file(self, rng, tmp_path):
-        # 8 MiB of payload: a whole-file read plus copies would peak at 2-3 times it
+        # 8 MiB of payload: the first ``data`` reads the file once; copies would peak at 2-3 times it
         values = rng.standard_normal((4, 1 << 19)).astype(np.float32)
         tensors = {f"w{i}": Tensor.from_f32(f"w{i}", values[i], Dtype.F32) for i in range(4)}
         path = tmp_path / "big.safetensors"
@@ -115,25 +116,116 @@ class TestOneCopyRead:
         tracemalloc.start()
         try:
             ckpt = read_checkpoint(path)
+            for t in ckpt.tensors.values():
+                t.data
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert size <= peak < 1.1 * size
         assert ckpt.tensors["w3"].to_f32().tobytes() == values[3].tobytes()
 
-    def test_file_shrinking_while_read_is_a_named_error(self, rng, tmp_path, monkeypatch):
+
+class TestHeaderOnlyRead:
+    def test_opening_reads_the_header_only(self, rng, tmp_path):
+        # 8 MiB of payload: opening allocates a sliver of it, and ``load`` one tensor
+        values = rng.standard_normal((4, 1 << 19)).astype(np.float32)
+        tensors = {f"w{i}": Tensor.from_f32(f"w{i}", values[i], Dtype.F32) for i in range(4)}
+        path = tmp_path / "big.safetensors"
+        write_checkpoint(Checkpoint(tensors=tensors), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            ckpt = read_checkpoint(path)
+            opened = tracemalloc.get_traced_memory()[1]
+            loaded = ckpt.tensors["w3"].load()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert opened < size / 100
+        assert peak < 1.1 * size / 4
+        assert loaded.tobytes() == values[3].tobytes()
+
+    def test_load_and_chunks_keep_nothing(self, rng, tmp_path):
+        ckpt = random_checkpoint(rng, 3)
+        path = tmp_path / "ckpt.safetensors"
+        write_checkpoint(ckpt, path)
+        opened = read_checkpoint(path).tensors
+        for name, t in opened.items():
+            assert t.load().tobytes() == bytes(ckpt.tensors[name].data)
+            assert b"".join(bytes(piece) for piece in t.chunks(7)) == bytes(ckpt.tensors[name].data)
+        # nothing was kept, so every payload is read again from the now empty file
+        path.write_bytes(b"")
+        for t in opened.values():
+            with pytest.raises(CheckpointFormatError, match="cut short after it was opened"):
+                t.data
+
+    def test_load_into_a_buffer(self, rng, tmp_path):
+        ckpt = random_checkpoint(rng, 4)
+        path = tmp_path / "ckpt.safetensors"
+        write_checkpoint(ckpt, path)
+        buffer = np.empty(64, np.float32)
+        for name, t in read_checkpoint(path).tensors.items():
+            view = t.load(buffer)
+            assert np.shares_memory(view, buffer)
+            assert view.shape == t.shape and view.tobytes() == bytes(ckpt.tensors[name].data)
+        with pytest.raises(ValueError, match="cannot hold"):
+            t.load(np.empty(0, np.float32))  # every tensor here holds at least one element
+
+    def test_file_cut_short_after_opening_is_a_named_error(self, rng, tmp_path):
         path = tmp_path / "ckpt.safetensors"
         write_checkpoint(random_checkpoint(rng, 2), path)
+        last = read_checkpoint(path).tensors["tensor.1"]
         size = path.stat().st_size
-        real_fstat = tensorstore.os.fstat
+        os.truncate(path, size - 2)
+        for read in (lambda: last.load(), lambda: list(last.chunks()), lambda: last.data):
+            with pytest.raises(CheckpointFormatError, match=f"file ends at byte {size - 2}"):
+                read()
 
-        class Grown:
-            def __init__(self, fd):
-                self.st_size = real_fstat(fd).st_size + 10
+    @pytest.mark.parametrize("change", ["rewritten", "replaced", "removed"])
+    def test_changed_file_is_a_named_error(self, rng, tmp_path, change):
+        path = tmp_path / "ckpt.safetensors"
+        write_checkpoint(random_checkpoint(rng, 2), path)
+        ckpt = read_checkpoint(path)
+        ckpt.check_unchanged()
+        if change == "rewritten":  # in place, one byte longer
+            with open(path, "ab") as f:
+                f.write(b"\x00")
+        elif change == "replaced":
+            write_checkpoint(random_checkpoint(rng, 2), path)
+        else:
+            path.unlink()
+        with pytest.raises(InputChangedError, match="changed while it was being read"):
+            ckpt.check_unchanged()
 
-        monkeypatch.setattr(tensorstore.os, "fstat", Grown)
-        with pytest.raises(CheckpointFormatError, match=f"shrank from {size + 10} to {size} bytes"):
-            read_checkpoint(path)
+    def test_directory_is_an_os_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            read_checkpoint(tmp_path)
+
+
+class TestStreamedWriter:
+    LAYOUT = {"b": (Dtype.F32, (3,)), "a": (Dtype.BF16, (2, 2))}
+
+    def test_pieces_in_any_order_give_write_checkpoint_bytes(self, rng, tmp_path):
+        tensors = {name: Tensor.from_f32(name, rng.standard_normal(shape), dtype)
+                   for name, (dtype, shape) in self.LAYOUT.items()}
+        write_checkpoint(Checkpoint(tensors=tensors, metadata={"k": "v"}), tmp_path / "whole")
+        with checkpoint_writer(tmp_path / "streamed", self.LAYOUT, {"k": "v"}) as writer:
+            writer.write("b", tensors["b"].data[4:], at=4)
+            writer.write("a", tensors["a"].data)
+            writer.write("b", tensors["b"].data[:4])
+        assert (tmp_path / "streamed").read_bytes() == (tmp_path / "whole").read_bytes()
+
+    def test_unwritten_payload_leaves_no_file(self, tmp_path):
+        with pytest.raises(CheckpointFormatError, match="1 tensor payload.s. not fully written, the first 'b'"):
+            with checkpoint_writer(tmp_path / "out", self.LAYOUT, {}) as writer:
+                writer.write("a", b"\x00" * 8)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overrun_is_rejected(self, tmp_path):
+        with pytest.raises(CheckpointFormatError, match="overrun its 8-byte payload"):
+            with checkpoint_writer(tmp_path / "out", self.LAYOUT, {}) as writer:
+                writer.write("a", b"\x00" * 4, at=6)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMalformed:
