@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterator, Sequence
 from contextlib import ExitStack, contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -125,74 +124,67 @@ def assemble_vlrm(
 ) -> list[Checkpoint]:
     """Merge the triple once per recipe and write each result to its path.
 
-    Each output records ``provenance`` and its recipe, and is written as
-    ``write_merged`` writes: vocabulary sidecar first, then the checkpoint,
-    streamed into a temporary file that is moved onto its path only when
-    the whole group is done. The triple is validated and merged once for all
-    the recipes. One ``merge_transformer`` call covers every lambda; it
-    reads each transformer tensor when a worker merges it and writes each
-    lambda's output at its offset as soon as it is done. Then each embedding
-    is merged whole, from its three inputs, and written, and the vision,
-    adapter and reward head tensors are copied from their files a block at
-    a time; the language-modeling heads are never read. So memory holds the
-    workers' workspaces, or one embedding's inputs and output, but never a
-    whole model. Before anything is moved into place, every input file is
-    checked to be as it was when it was opened (InputChangedError if not).
-    Returns each written checkpoint opened header-only (``read_checkpoint``).
-    Raises TripleValidationError when the triple is not mergeable and
-    RecipeError on no recipes, on recipes that differ in more than lambda
-    (each recipe checked its own hyperparameters when it was made) or on
-    a path count that is not the recipe count.
+    Validates the triple, aligns its vocabularies and builds the output
+    layout once. Then, for each group of recipes that share method, density
+    and seed (so differ only in lambda), in the order first seen: one
+    ``merge_transformer`` call covers every lambda of the group and writes
+    each output tensor at its offset as soon as it is done; each embedding
+    is merged whole and written; the vision, adapter and reward head tensors
+    are copied from their files a block at a time. The language-modeling
+    heads are never read, and memory holds the workers' workspaces or one
+    embedding's inputs and output, never a whole model. Each output is
+    written as ``write_merged`` writes and records ``provenance`` and its
+    recipe. When a group is done, every input file is checked to be as it
+    was opened (InputChangedError if not) and the group's files are moved
+    onto their paths, so a failure keeps the earlier groups' outputs.
+    Returns each written checkpoint opened header-only; no recipes write
+    nothing. Raises TripleValidationError when the triple is not mergeable
+    and RecipeError unless there is one distinct path per recipe.
     """
     report = validate_triple(triple)
     if report:
         raise TripleValidationError(report)
-    if not recipes:
-        raise RecipeError("an assembly needs at least one recipe")
     if len(paths) != len(recipes):
         raise RecipeError(f"{len(recipes)} recipes need as many output paths, got {len(paths)}")
-    first = recipes[0]
-    for recipe in recipes:
-        if replace(recipe, lam=first.lam) != first:
-            raise RecipeError(
-                f"recipes {first.slug()} and {recipe.slug()} differ in more than lambda"
-            )
+    groups: dict[tuple, list[tuple[MergeRecipe, str | Path]]] = {}
+    owners: dict[Path, MergeRecipe] = {}
+    for recipe, path in zip(recipes, paths):
+        owner = owners.setdefault(Path(path).resolve(), recipe)
+        if owner is not recipe:
+            raise RecipeError(f"recipes {owner.slug()} and {recipe.slug()} share the output path {path}")
+        groups.setdefault((recipe.method, recipe.density, recipe.seed), []).append((recipe, path))
+    if not groups:
+        return []
 
     models = (triple.pre, triple.lvlm, triple.rm)
     lvlm, rm = triple.lvlm, triple.rm
     aligned = align_vocab(*(model.ckpt.vocab for model in models))
     vocab, layout = aligned.output_vocab(), _output_layout(triple, aligned)
-    with ExitStack() as stack:
-        writers = [
-            stack.enter_context(
-                write_merged(path, vocab, layout, recorded_provenance(recipe, provenance or {}))
+    trans_names = lvlm.cmap.names(Role.TRANSFORMER)
+    for group in groups.values():
+        first = group[0][0]
+        with ExitStack() as stack:
+            writers = [
+                stack.enter_context(write_merged(path, vocab, layout, recorded_provenance(recipe, provenance or {})))
+                for recipe, path in group
+            ]
+            merge_transformer(
+                first,
+                *({n: model.ckpt.tensors[n] for n in trans_names} for model in models),
+                jobs=jobs,
+                lams=[recipe.lam for recipe, _ in group],
+                sink=lambda i, tensor: writers[i].write(tensor.name, tensor.data),
             )
-            for recipe, path in zip(recipes, paths)
-        ]
-
-        def write(lam_index: int, tensor: Tensor) -> None:
-            writers[lam_index].write(tensor.name, tensor.data)
-
-        trans_names = lvlm.cmap.names(Role.TRANSFORMER)
-        merge_transformer(
-            first,
-            *({n: model.ckpt.tensors[n] for n in trans_names} for model in models),
-            jobs=jobs,
-            lams=[recipe.lam for recipe in recipes],
-            sink=write,
-        )
-        for name in lvlm.cmap.names(Role.EMBEDDING):
-            rows = merge_embedding_rows(
-                aligned, *(model.ckpt.tensors[name].load() for model in models), first.method
-            )
-            for writer in writers:
-                writer.write(name, rows)
-            del rows
-        for role, model in ((Role.VISION_ENCODER, lvlm), (Role.ADAPTER, lvlm), (Role.RM_HEAD, rm)):
-            for name in model.cmap.names(role):
-                copy_payload(model.ckpt.tensors[name], writers)
-        for model in models:
-            model.ckpt.check_unchanged()
+            for name in lvlm.cmap.names(Role.EMBEDDING):
+                rows = merge_embedding_rows(aligned, *(m.ckpt.tensors[name].load() for m in models), first.method)
+                for writer in writers:
+                    writer.write(name, rows)
+                del rows
+            for role, model in ((Role.VISION_ENCODER, lvlm), (Role.ADAPTER, lvlm), (Role.RM_HEAD, rm)):
+                for name in model.cmap.names(role):
+                    copy_payload(model.ckpt.tensors[name], writers)
+            for model in models:
+                model.ckpt.check_unchanged()
     return [read_checkpoint(path) for path in paths]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -14,8 +15,9 @@ import click
 from . import __version__
 from .assembly import assemble_vlrm, file_digest
 from .assembly import write_merged  # noqa: F401  (the benchmark's tracer wraps it by this name)
-from .components import MODEL_KINDS, Role, classify_tensors, classify_triple, load_manifest_config, validate_triple
-from .errors import RecipeError, VlrmergeError
+from .components import MODEL_KINDS, Role, classify_tensors, classify_triple, load_manifest_config
+from .components import validate_triple  # noqa: F401  (the benchmark's tracer wraps it by this name)
+from .errors import RecipeError, TripleValidationError, VlrmergeError
 from .evaluation import evaluate_bon, evaluate_pairwise, load_bon_dataset, load_pairwise_dataset
 from .merging import MergeMethod, MergeRecipe, default_jobs
 from .scoring import RecordingScorer, ReplayScorer, SubprocessScorer, stub_scorer_loop
@@ -52,6 +54,22 @@ def _parse_scorer(ctx, param, command: str | None) -> list[str] | None:
     return argv
 
 
+def _check_timeout(ctx, param, seconds: float) -> float:
+    """``--scorer-timeout`` is a finite number of seconds above 0; anything else is a usage error."""
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise click.BadParameter(f"must be a finite number > 0, got {seconds}")
+    return seconds
+
+
+def _click_error(exc: Exception) -> click.ClickException:
+    """The command's failure for ``exc``; a triple's violations are echoed first, one per line."""
+    if not isinstance(exc, TripleValidationError):
+        return click.ClickException(str(exc))
+    for entry in exc.report:
+        click.echo(f"validation: {entry}", err=True)
+    return click.ClickException(f"triple validation failed with {len(exc.report)} violation(s)")
+
+
 def _hash_inputs(inputs: dict[str, tuple[str, str | None]], manifest: str | None) -> dict[str, str]:
     """Digest each checkpoint file, the vocabulary file read with it and any manifest file.
 
@@ -75,11 +93,6 @@ def _load_triple(pre, lvlm, rm, pre_vocab, lvlm_vocab, rm_vocab, manifest):
     inputs = {"pre": (pre, pre_vocab), "lvlm": (lvlm, lvlm_vocab), "rm": (rm, rm_vocab)}
     ckpts = {label: read_checkpoint(path, vocab) for label, (path, vocab) in inputs.items()}
     triple = classify_triple(ckpts["pre"], ckpts["lvlm"], ckpts["rm"], config)
-    report = validate_triple(triple)
-    if report:
-        for entry in report:
-            click.echo(f"validation: {entry}", err=True)
-        raise click.ClickException(f"triple validation failed with {len(report)} violation(s)")
     return triple, _hash_inputs(inputs, manifest)
 
 
@@ -138,7 +151,7 @@ def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         )
         [merged] = assemble_vlrm([recipe], triple, [out_path], provenance, jobs=jobs)
     except (VlrmergeError, OSError) as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise _click_error(exc) from exc
     click.echo(f"validation: ok ({len(merged.tensors)} tensors)")
     for label in ("pre", "lvlm", "rm"):
         click.echo(f"{label} sha256: {provenance[f'input.{label}.sha256']}")
@@ -179,7 +192,7 @@ def _make_scorer_factory(scorer_argv, replay_dir, record_dir, timeout):
               help="Serve rewards from recorded transcripts instead of a live scorer.")
 @click.option("--record-dir", type=click.Path(file_okay=False), default=None,
               help="Record one transcript per recipe while scoring live.")
-@click.option("--scorer-timeout", type=float, default=30.0, show_default=True,
+@click.option("--scorer-timeout", type=float, default=30.0, show_default=True, callback=_check_timeout,
               help="Seconds allowed per scored record.")
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--jobs", type=click.IntRange(min=1), default=None, help=JOBS_HELP)
@@ -202,7 +215,7 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
             config, triple, dataset, factory, out_dir, provenance=provenance, jobs=jobs
         )
     except (VlrmergeError, OSError) as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise _click_error(exc) from exc
     failed = [e for e in result.entries if e.status != "ok"]
     for entry in failed:
         click.echo(f"failed: {entry.recipe.slug()}: {entry.error}", err=True)
@@ -223,7 +236,7 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
               help="Serve rewards from a recorded transcript.")
 @click.option("--record", "record_path", type=click.Path(dir_okay=False), default=None,
               help="Record the scoring transcript to this file.")
-@click.option("--scorer-timeout", type=float, default=30.0, show_default=True)
+@click.option("--scorer-timeout", type=float, default=30.0, show_default=True, callback=_check_timeout)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON report instead of a table.")
 def eval_cmd(mode, data_path, scorer_argv, replay_path, record_path, scorer_timeout, out_path, as_json):

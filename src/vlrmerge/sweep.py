@@ -103,16 +103,18 @@ class SweepConfig:
 
 
 def _check_grid(label: str, grid) -> None:
-    """A grid is a sequence of distinct real numbers; a bool is not a number."""
+    """A grid is a sequence of real numbers that differ in their variant names; a bool is not a number."""
     if not isinstance(grid, (tuple, list)):
         raise VlrmergeError(f"{label} grid must be a list of numbers, got {grid!r}")
-    seen = set()
+    seen: dict[str, numbers.Real] = {}  # each value by its form in a variant name (MergeRecipe.slug)
     for value in grid:
         if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise VlrmergeError(f"{label} grid values must be numbers, got {value!r}")
-        if value in seen:
+        if value in seen.values():
             raise VlrmergeError(f"{label} grid repeats {value!r}")
-        seen.add(value)
+        named = seen.setdefault(f"{value:g}", value)
+        if named is not value:
+            raise VlrmergeError(f"{label} grid values {named!r} and {value!r} name one variant ({value:g})")
 
 
 def derive_recipe_seed(sampling_seed: int) -> int:
@@ -224,14 +226,6 @@ def _inputs_digest(triple: ModelTriple, provenance: dict[str, str]) -> str:
     return h.hexdigest()[:12]
 
 
-def _group_by_lambda(recipes: list[MergeRecipe]) -> list[list[MergeRecipe]]:
-    """Recipes that differ only in lambda, in the order given."""
-    groups: dict[tuple, list[MergeRecipe]] = {}
-    for recipe in recipes:
-        groups.setdefault((recipe.method, recipe.density, recipe.seed), []).append(recipe)
-    return list(groups.values())
-
-
 def _is_current(variant: Path, recipe: MergeRecipe, provenance: dict[str, str]) -> bool:
     """True when ``variant`` exists and records what this run would record.
 
@@ -261,12 +255,12 @@ def run_sweep(
 
     Variants are cached on disk keyed by (input digest, recipe), and a cached
     one is reused only when its recorded metadata is what this run would
-    record. Missing variants that differ only in lambda are assembled
-    together: one merge per (method, density, seed), every lambda's variant
-    streamed from it, so a lambda costs one tensor-sized output per worker,
-    not a model. Groups run one at a time, and ``jobs`` is the thread count
-    of each group's per-tensor merge. A recipe whose scorer fails is
-    recorded as failed and excluded from selection.
+    record. The missing variants are built by one ``assemble_vlrm`` call:
+    one merge per (method, density, seed), every lambda's variant streamed
+    from it, so a lambda costs one tensor-sized output per worker, not a
+    model, and ``jobs`` is the thread count of each per-tensor merge. A
+    recipe whose scorer fails is recorded as failed and excluded from
+    selection.
     """
     provenance = dict(provenance or {})
     out_dir = Path(out_dir)
@@ -284,10 +278,10 @@ def run_sweep(
             log.info("reusing cached %s", variant.name)
         else:
             missing.append(recipe)
-    for group in _group_by_lambda(missing):
-        assemble_vlrm(group, triple, [variants[r] for r in group], provenance, jobs=jobs)
-        for recipe in group:
-            log.info("assembled %s", variants[recipe].name)
+    # with nothing missing this still validates the triple
+    assemble_vlrm(missing, triple, [variants[r] for r in missing], provenance, jobs=jobs)
+    for recipe in missing:
+        log.info("assembled %s", variants[recipe].name)
 
     # grid values are distinct, so each recipe keys one scorer
     entries: list[SweepEntry] = []

@@ -14,6 +14,7 @@ from vlrmerge import (
     Role,
     TripleValidationError,
     assemble_vlrm,
+    assembly,
     classify_triple,
     load_manifest_config,
     merging,
@@ -170,19 +171,66 @@ class TestLambdaGroups:
             assert merged.metadata["recipe.lambda"] == repr(recipe.lam)
             assert merged.vocab == alone.vocab
 
-    @pytest.mark.parametrize("other", [
-        MergeRecipe(MergeMethod.TIES, lam=0.5, density=0.2),
-        MergeRecipe(MergeMethod.DARE_TIES, lam=0.5, density=0.4, seed=1),
-    ])
-    def test_recipes_differing_in_more_than_lambda_rejected(self, rng, tmp_path, other):
-        triple = classified_toy_triple(rng)
-        recipes = (MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.4), other)
-        with pytest.raises(RecipeError, match="differ in more than lambda"):
-            assemble_in(tmp_path, recipes, triple, jobs=1)
+    def test_one_call_over_shuffled_groups_matches_one_call_per_group(self, rng, tmp_path):
+        triple = opened_triple(tmp_path / "in", rng, trans_dtype=Dtype.BF16, emb_dtype=Dtype.BF16)
+        groups = [
+            [MergeRecipe(MergeMethod.TIES, lam=lam, density=0.4) for lam in (0.5, 1.0)],
+            [MergeRecipe(MergeMethod.TIES, lam=lam, density=0.2) for lam in (0.5, 1.0)],
+            [MergeRecipe(MergeMethod.DARE_TIES, lam=lam, density=0.4, seed=3) for lam in (0.7, 0.3)],
+            [MergeRecipe(MergeMethod.LINEAR, lam=0.3)],
+        ]
+        (tmp_path / "apart").mkdir()
+        (tmp_path / "together").mkdir()
+        for group in groups:
+            assemble_vlrm(group, triple, [tmp_path / "apart" / r.slug() for r in group], jobs=2)
+        recipes = [recipe for group in groups for recipe in group]
+        rng.shuffle(recipes)
+        merged = assemble_vlrm(recipes, triple, [tmp_path / "together" / r.slug() for r in recipes], jobs=2)
+        assert [m.metadata["recipe.lambda"] for m in merged] == [repr(r.lam) for r in recipes]
+        for recipe in recipes:
+            for name in (recipe.slug(), f"{recipe.slug()}.vocab"):
+                assert (tmp_path / "together" / name).read_bytes() == (tmp_path / "apart" / name).read_bytes()
 
-    def test_empty_plan_rejected(self, rng, tmp_path):
-        with pytest.raises(RecipeError, match="at least one recipe"):
-            assemble_in(tmp_path, [], classified_toy_triple(rng), jobs=1)
+    def test_failure_in_a_later_group_keeps_the_earlier_groups(self, rng, tmp_path, monkeypatch):
+        triple = opened_triple(tmp_path / "in", rng)
+        real, calls = assembly.merge_transformer, []
+
+        def failing(recipe, *args, **kwargs):
+            calls.append(recipe.density)
+            if len(calls) == 2:
+                raise RuntimeError("merge failed")
+            return real(recipe, *args, **kwargs)
+
+        monkeypatch.setattr(assembly, "merge_transformer", failing)
+        out = tmp_path / "out"
+        out.mkdir()
+        recipes = [MergeRecipe(MergeMethod.TIES, lam=lam, density=d) for d in (0.4, 0.2) for lam in (0.5, 1.0)]
+        with pytest.raises(RuntimeError, match="merge failed"):
+            assemble_vlrm(recipes, triple, [out / r.slug() for r in recipes], jobs=2)
+        assert calls == [0.4, 0.2]
+        # the first group is in place; the second left its sidecars and no temporary file
+        names = [r.slug() for r in recipes]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*names[:2], *(f"{n}.vocab" for n in names)])
+        monkeypatch.undo()
+        for recipe in recipes[:2]:
+            [alone] = assemble_in(tmp_path, [recipe], triple, jobs=1)
+            assert read_checkpoint(out / recipe.slug()).tensors == alone.tensors
+
+    def test_no_recipes_write_nothing_but_validate_the_triple(self, rng, tmp_path):
+        triple = classified_toy_triple(rng)
+        assert assemble_vlrm([], triple, [], jobs=1) == []
+        del triple.rm.ckpt.tensors["model.norm.weight"]
+        del triple.rm.cmap.assignments["model.norm.weight"]
+        with pytest.raises(TripleValidationError, match="name-set mismatch"):
+            assemble_vlrm([], triple, [], jobs=1)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_recipes_sharing_an_output_path_rejected(self, rng, tmp_path):
+        recipes = [MergeRecipe(MergeMethod.LINEAR, lam=lam) for lam in (0.2, 0.4)]
+        paths = [tmp_path / "x", tmp_path / "sub" / ".." / "x"]
+        with pytest.raises(RecipeError, match="recipes linear-l0.2 and linear-l0.4 share the output path"):
+            assemble_vlrm(recipes, classified_toy_triple(rng), paths, jobs=1)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStructureCheck:

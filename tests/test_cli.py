@@ -267,6 +267,50 @@ def test_reward_head_named_like_a_kept_lvlm_tensor_stops_before_any_merge(
     assert merges == []
 
 
+@pytest.mark.parametrize("run", ["merge", "cold-sweep", "warm-sweep", "resumed-sweep"])
+def test_each_command_validates_the_triple_once(runner, triple_files, tmp_path, monkeypatch, run):
+    if run == "merge":
+        args = ["merge", *triple_args(triple_files), *linear_args("merge", tmp_path)]
+    else:
+        config = tmp_path / "sweep.json"  # two densities: two merges
+        config.write_text(json.dumps({"method": "ties", "lambda_grid": [0.5, 1.0], "density_grid": [0.4, 0.2],
+                                      "primary_size": 8, "tiebreak_size": 4}), encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["sweep", *triple_args(triple_files), "--config", str(config),
+                "--data", str(write_pairwise_dataset(tmp_path / "valid.jsonl", 12)),
+                "--scorer", STUB_CMD, "--out-dir", str(out)]
+        if run != "cold-sweep":
+            assert runner.invoke(main, args).exit_code == 0
+        if run == "resumed-sweep":
+            next(out.glob("variant-ties-l1-d0.2-*.safetensors")).unlink()
+    calls, real = [], assembly.validate_triple
+
+    def counting(triple):
+        calls.append(triple)
+        return real(triple)
+
+    for module in (cli, assembly):  # every name the triple could be validated by
+        monkeypatch.setattr(module, "validate_triple", counting)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize("timeout", ["inf", "nan", "-5", "0"])
+def test_scorer_timeout_must_be_finite_and_positive(runner, triple_files, tmp_path, monkeypatch, command, timeout):
+    monkeypatch.setattr(cli, "read_checkpoint", lambda *args: pytest.fail("a checkpoint was read"))
+    monkeypatch.setattr(cli, "load_pairwise_dataset", lambda *args: pytest.fail("the data was read"))
+    if command == "eval":
+        data = write_pairwise_dataset(tmp_path / "pairs.jsonl", 3)
+        args = ["eval", "--mode", "pairwise", "--data", str(data), "--scorer", STUB_CMD]
+    else:
+        args = ["sweep", *triple_args(triple_files), *linear_args("sweep", tmp_path)]
+    result = runner.invoke(main, [*args, "--scorer-timeout", timeout])
+    assert result.exit_code == 2, result.output
+    assert f"must be a finite number > 0, got {float(timeout)}" in result.output
+
+
 def assert_named_error(result, message):
     """Exit status 1 with ``message``, and no exception escaped the command."""
     assert result.exit_code == 1, result.output
@@ -627,6 +671,19 @@ class TestSweepCommand:
             "--scorer", 'a "b {checkpoint}', "--out-dir", str(out_dir),
         ])
         assert_named_error(result, "cannot parse scorer command")
+        assert not out_dir.exists()
+
+    def test_grid_values_that_name_one_variant_fail_before_any_read(self, runner, triple_files, tmp_path, monkeypatch):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"method": "linear", "lambda_grid": [0.5, 0.5000001]}), encoding="utf-8")
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        monkeypatch.setattr(cli, "read_checkpoint", lambda *args: pytest.fail("a checkpoint was read"))
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, [
+            "sweep", *triple_args(triple_files), "--config", str(config), "--data", str(data),
+            "--scorer", STUB_CMD, "--out-dir", str(out_dir),
+        ])
+        assert_named_error(result, "lambda grid values 0.5 and 0.5000001 name one variant (0.5)")
         assert not out_dir.exists()
 
     def test_rerun_with_other_vocab_rebuilds_variants(self, runner, triple_files, tmp_path):

@@ -22,7 +22,7 @@ from vlrmerge import (
     run_sweep,
     select_best,
 )
-from vlrmerge.errors import CheckpointFormatError, DatasetError, ScorerError, VlrmergeError
+from vlrmerge.errors import CheckpointFormatError, DatasetError, ScorerError, TripleValidationError, VlrmergeError
 from vlrmerge.evaluation import load_pairwise_dataset
 from vlrmerge import assembly, sweep, tensorstore
 from vlrmerge.sweep import sample_validation_slices
@@ -96,6 +96,9 @@ class TestSweepConfigValidation:
         ({"lambda_grid": (0.5, 0.5)}, "lambda grid repeats 0.5"),
         ({"lambda_grid": (1, 0.5, 1.0)}, "lambda grid repeats 1.0"),
         ({"density_grid": (0.4, 0.2, 0.4)}, "density grid repeats 0.4"),
+        ({"lambda_grid": (0.0, -0.0)}, "lambda grid repeats -0.0"),
+        ({"lambda_grid": (0.5, 0.5000001)}, r"lambda grid values 0.5 and 0.5000001 name one variant \(0.5\)"),
+        ({"density_grid": (0.4, 0.2, 0.20000001)}, r"density grid values 0.2 and 0.20000001 name one variant \(0.2\)"),
     ])
     def test_repeated_grid_value_rejected(self, grids, message):
         with pytest.raises(VlrmergeError, match=message):
@@ -468,16 +471,16 @@ class TestRunSweep:
         config = small_config()
         lock = threading.Lock()
         in_flight, peak, jobs_seen = [0], [0], []
-        real_assemble = sweep.assemble_vlrm
+        real_merge = assembly.merge_transformer
 
-        def counting_assemble(recipes, triple, paths, provenance=None, jobs=None):
+        def counting_merge(recipe, *args, jobs=None, **kwargs):
             with lock:
                 in_flight[0] += 1
                 peak[0] = max(peak[0], in_flight[0])
                 jobs_seen.append(jobs)
             try:
-                time.sleep(0.05)  # long enough for a concurrent recipe to start
-                return real_assemble(recipes, triple, paths, provenance, jobs=jobs)
+                time.sleep(0.05)  # long enough for a concurrent merge to start
+                return real_merge(recipe, *args, jobs=jobs, **kwargs)
             finally:
                 with lock:
                     in_flight[0] -= 1
@@ -488,11 +491,48 @@ class TestRunSweep:
             scored.append(recipe)
             return StubScorer()
 
-        monkeypatch.setattr(sweep, "assemble_vlrm", counting_assemble)
+        monkeypatch.setattr(assembly, "merge_transformer", counting_merge)
         run_sweep(config, triple, dataset, factory, tmp_path / "out", jobs=4)
         assert peak[0] == 1
-        assert jobs_seen == [4] * 2  # one assembly per density
+        assert jobs_seen == [4] * 2  # one merge per density
         assert scored == generate_grid(config)
+
+    @pytest.mark.parametrize("lost,rebuilt", [
+        ("none", []),
+        ("variant-ties-l1-d0.2-*", ["ties-l1-d0.2"]),
+        ("variant-*", ["ties-l0.5-d0.4", "ties-l0.5-d0.2", "ties-l1-d0.4", "ties-l1-d0.2"]),
+    ], ids=["warm", "resumed", "cold"])
+    def test_one_assembly_per_sweep(self, rng, tmp_path, monkeypatch, lost, rebuilt):
+        triple = classified_toy_triple(rng)
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
+        out = tmp_path / "out"
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        for variant in out.glob(lost):
+            variant.unlink()
+        calls = []
+        real_assemble = sweep.assemble_vlrm
+
+        def counting_assemble(recipes, *args, **kwargs):
+            calls.append([recipe.slug() for recipe in recipes])
+            return real_assemble(recipes, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "assemble_vlrm", counting_assemble)
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        assert calls == [rebuilt]
+
+    def test_warm_sweep_still_validates_the_triple(self, rng, tmp_path):
+        triple = classified_toy_triple(rng)
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
+        # digests in the provenance name the variants, so the broken triple below finds them current
+        provenance = {f"input.{kind}.sha256": kind[0] * 64 for kind in ("pre", "lvlm", "rm")}
+        out = tmp_path / "out"
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
+        written = {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")}
+        del triple.rm.ckpt.tensors["model.norm.weight"]
+        del triple.rm.cmap.assignments["model.norm.weight"]
+        with pytest.raises(TripleValidationError, match="name-set mismatch"):
+            run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
+        assert {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")} == written
 
     def test_one_merge_per_density(self, rng, tmp_path, monkeypatch):
         triple = classified_toy_triple(rng)
