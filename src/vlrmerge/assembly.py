@@ -147,11 +147,11 @@ def assemble_vlrm(
     if len(paths) != len(recipes):
         raise RecipeError(f"{len(recipes)} recipes need as many output paths, got {len(paths)}")
     groups: dict[tuple, list[tuple[MergeRecipe, str | Path]]] = {}
-    owners: dict[Path, MergeRecipe] = {}
-    for recipe, path in zip(recipes, paths):
-        owner = owners.setdefault(Path(path).resolve(), recipe)
-        if owner is not recipe:
-            raise RecipeError(f"recipes {owner.slug()} and {recipe.slug()} share the output path {path}")
+    owners: dict[Path, int] = {}
+    for i, (recipe, path) in enumerate(zip(recipes, paths)):
+        owner = owners.setdefault(Path(path).resolve(), i)
+        if owner != i:
+            raise RecipeError(f"recipes {recipes[owner].slug()} and {recipe.slug()} share the output path {path}")
         groups.setdefault((recipe.method, recipe.density, recipe.seed), []).append((recipe, path))
     if not groups:
         return []

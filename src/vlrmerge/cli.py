@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
 import shlex
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ from .components import validate_triple  # noqa: F401  (the benchmark's tracer w
 from .errors import RecipeError, TripleValidationError, VlrmergeError
 from .evaluation import evaluate_bon, evaluate_pairwise, load_bon_dataset, load_pairwise_dataset
 from .merging import MergeMethod, MergeRecipe, default_jobs
-from .scoring import RecordingScorer, ReplayScorer, SubprocessScorer, stub_scorer_loop
+from .scoring import RecordingScorer, ReplayScorer, SubprocessScorer, check_timeout, stub_scorer_loop
 from .sweep import MANIFEST_NAME, SweepConfig, run_sweep
 from .tensorstore import default_vocab_path, read_checkpoint
 
@@ -56,9 +55,10 @@ def _parse_scorer(ctx, param, command: str | None) -> list[str] | None:
 
 def _check_timeout(ctx, param, seconds: float) -> float:
     """``--scorer-timeout`` is a finite number of seconds above 0; anything else is a usage error."""
-    if not (math.isfinite(seconds) and seconds > 0):
-        raise click.BadParameter(f"must be a finite number > 0, got {seconds}")
-    return seconds
+    try:
+        return check_timeout(seconds)
+    except VlrmergeError as exc:
+        raise click.BadParameter(str(exc)) from exc
 
 
 def _click_error(exc: Exception) -> click.ClickException:

@@ -259,10 +259,21 @@ def read_json_object(path: str | Path, what: str) -> dict:
     return raw
 
 
+class _KindRules(dict):
+    """Rule lists by model kind; a kind the config names no rules for is a VlrmergeError."""
+
+    def __missing__(self, kind: str) -> list[Rule]:
+        raise VlrmergeError(f"manifest config: no rules for {kind!r}")
+
+
 def load_manifest_config(path: str | Path | None = None) -> dict[str, list[Rule]]:
-    """Load per-model-kind rule lists from a JSON config, or the shipped defaults."""
+    """Load per-model-kind rule lists from a JSON config, or the shipped defaults.
+
+    A config need not name every kind; asking the result for one it does
+    not name raises VlrmergeError.
+    """
     raw = DEFAULT_MANIFEST if path is None else read_json_object(path, "manifest config")
-    config = {}
+    config = _KindRules()
     for kind, entries in raw.items():
         if kind not in MODEL_KINDS:
             raise VlrmergeError(f"manifest config: unknown model kind {kind!r}")

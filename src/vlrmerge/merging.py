@@ -33,7 +33,7 @@ import math
 import os
 import threading
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -217,36 +217,6 @@ def default_jobs() -> int:
         return os.cpu_count() or 1
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-_pool_lock = threading.Lock()
-
-
-def _executor(workers: int) -> ThreadPoolExecutor:
-    """The process's one thread pool, with room for at least ``workers`` threads.
-
-    It is made on first use, not at import, and replaced by a larger one when
-    a call asks for more threads than it has; work already handed to the old
-    pool still runs to its end.
-    """
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool is None or _pool_size < workers:
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            _pool, _pool_size = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="vlrmerge"), workers
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's threads, so it makes its own pool
-    global _pool, _pool_size, _pool_lock
-    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
 def merge_transformer(
     recipe: MergeRecipe,
     pre_trans: dict[str, Source],
@@ -264,13 +234,15 @@ def merge_transformer(
     ``lams`` defaults to the recipe's own lam. Checks the recipe at every lam
     and the tensor alignment once, then merges every name on ``jobs``
     workers (None takes ``default_jobs()``): the calling thread and
-    ``jobs - 1`` threads of the process's one pool, so at most ``jobs``
-    tensors are in flight. Each worker reads and widens a tensor's inputs
-    into its own workspace, at most about eight float32 copies of the
-    largest tensor, runs the rule there, and narrows each lam's output into
-    a new payload of the storage dtype of the tensor's lvlm input. With a ``sink``, the worker hands it each output at once as
-    ``sink(lam_index, tensor)`` and keeps none, and the call returns None;
-    without one, the outputs are returned, one map per lam, in order.
+    ``jobs - 1`` threads started for this call and joined before it
+    returns, on error too, so at most ``jobs`` tensors are in flight and a
+    call with one job or one tensor starts no thread. Each worker reads and
+    widens a tensor's inputs into its own workspace, at most about eight
+    float32 copies of the largest tensor, runs the rule there, and narrows
+    each lam's output into a new payload of the storage dtype of the
+    tensor's lvlm input. With a ``sink``, the worker hands it each output at
+    once as ``sink(lam_index, tensor)`` and keeps none, and the call returns
+    None; without one, the outputs are returned, one map per lam, in order.
     Workspaces are reused from tensor to tensor and freed when the call
     returns. Tensors are independent, so results are identical for any
     worker count.
@@ -311,16 +283,17 @@ def merge_transformer(
             stop.set()  # the other workers take no further tensor
             raise
 
-    # the calling thread is one of the workers, so jobs=1 hands nothing to the pool
+    # the calling thread is one of the workers, so jobs=1 starts no thread; the
+    # block joins the helpers before the call returns, on error too
     helpers = min(jobs or default_jobs(), len(names)) - 1
-    futures = [_executor(helpers).submit(work) for _ in range(helpers)]
-    try:
-        work()
-        for future in futures:
-            future.result()
-    finally:
-        stop.set()
-        wait(futures)  # no worker may outlive the call, on error too
+    with ThreadPoolExecutor(max(helpers, 1), thread_name_prefix="vlrmerge") as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        try:
+            work()
+            for future in futures:
+                future.result()
+        finally:
+            stop.set()
     if sink is not None:
         return None
     return [{name: outs[i] for name, outs in kept.items()} for i in range(len(lams))]

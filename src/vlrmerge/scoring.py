@@ -17,7 +17,7 @@ import threading
 from collections.abc import Sequence
 from pathlib import Path
 
-from .errors import ScorerError
+from .errors import ScorerError, VlrmergeError
 
 Request = dict  # {"id": str, "instruction": str, "response": str, "image_path"?: str}
 
@@ -46,12 +46,19 @@ def _validate_replies(requests: list[Request], rewards: dict[str, float], source
             raise ScorerError(f"{source}: non-finite or non-numeric reward for id {rid!r}")
 
 
+def check_timeout(seconds: float) -> float:
+    """``seconds`` if it is a finite number above 0; VlrmergeError otherwise."""
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise VlrmergeError(f"timeout per record must be a finite number > 0, got {seconds}")
+    return seconds
+
+
 class SubprocessScorer:
     """Runs a scorer command, given as its argv, once per batch, feeding requests over stdin."""
 
     def __init__(self, argv: Sequence[str], timeout_per_record: float = 30.0):
         self.argv = list(argv)
-        self.timeout_per_record = timeout_per_record
+        self.timeout_per_record = check_timeout(timeout_per_record)
 
     def score(self, requests: list[Request]) -> dict[str, float]:
         payload = "".join(json.dumps(req, sort_keys=True) + "\n" for req in requests)

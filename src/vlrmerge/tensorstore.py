@@ -145,8 +145,6 @@ class CheckpointFile:
 
     def __init__(self, path: Path):
         self.path = path
-        self._whole: memoryview | None = None
-        self._lock = threading.Lock()
         self.fd = os.open(path, os.O_RDONLY)
         self.close = weakref.finalize(self, os.close, self.fd)
         st = os.fstat(self.fd)
@@ -154,19 +152,6 @@ class CheckpointFile:
             self.close()
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         self.stamp = FileStamp.of(st)
-
-    def view(self, offset: int, size: int) -> memoryview:
-        """``size`` bytes from ``offset``, a read-only slice of the whole file.
-
-        The first call reads the whole file once into one buffer; every call
-        slices it, and the buffer lives while any slice does.
-        """
-        with self._lock:
-            if self._whole is None:
-                buffer = np.empty(self.stamp.size, np.uint8)
-                self.read_into(buffer, 0)
-                self._whole = memoryview(buffer).toreadonly()
-        return self._whole[offset : offset + size]
 
     def pread(self, size: int, offset: int) -> bytes:
         """Up to ``size`` bytes from ``offset``; fewer only where the file ends."""
@@ -210,11 +195,10 @@ class Tensor:
     ``data`` is a bytes-like object of byte items: a read-only ``memoryview``
     for tensors read from a file or narrowed from float32, or ``bytes``. A
     tensor of a checkpoint opened by ``read_checkpoint`` holds only its place
-    in the file. ``data`` is for callers that want payloads resident: the
-    first ``data`` asked of a file reads the whole file once into one buffer
-    (``CheckpointFile.view``), of which each tensor's ``data`` is a slice.
-    ``load`` and ``chunks`` read one payload without keeping it; they are
-    how the merge reads its inputs.
+    in the file. ``data`` is for callers that want a payload resident: the
+    first ``data`` asked of such a tensor reads its payload alone, through
+    ``load``, and the tensor keeps it. ``load`` and ``chunks`` read one
+    payload without keeping it; they are how the merge reads its inputs.
     """
 
     __slots__ = ("name", "dtype", "shape", "_data", "_place")
@@ -269,8 +253,7 @@ class Tensor:
     @property
     def data(self) -> bytes | memoryview:
         if self._data is None:
-            file, offset = self._place
-            self._data = file.view(offset, self.nbytes)
+            self._data = memoryview(self.load().reshape(-1).view(np.uint8)).toreadonly()
         return self._data
 
     def array(self) -> np.ndarray:

@@ -225,11 +225,13 @@ class TestLambdaGroups:
             assemble_vlrm([], triple, [], jobs=1)
         assert list(tmp_path.iterdir()) == []
 
-    def test_recipes_sharing_an_output_path_rejected(self, rng, tmp_path):
-        recipes = [MergeRecipe(MergeMethod.LINEAR, lam=lam) for lam in (0.2, 0.4)]
+    @pytest.mark.parametrize("twice", [False, True])
+    def test_recipes_sharing_an_output_path_rejected(self, rng, tmp_path, twice):
+        first = MergeRecipe(MergeMethod.LINEAR, lam=0.2)
+        second = first if twice else MergeRecipe(MergeMethod.LINEAR, lam=0.4)  # one recipe listed twice, or two
         paths = [tmp_path / "x", tmp_path / "sub" / ".." / "x"]
-        with pytest.raises(RecipeError, match="recipes linear-l0.2 and linear-l0.4 share the output path"):
-            assemble_vlrm(recipes, classified_toy_triple(rng), paths, jobs=1)
+        with pytest.raises(RecipeError, match=f"recipes linear-l0.2 and {second.slug()} share the output path"):
+            assemble_vlrm([first, second], classified_toy_triple(rng), paths, jobs=1)
         assert list(tmp_path.iterdir()) == []
 
 

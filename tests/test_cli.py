@@ -194,8 +194,9 @@ class TestMergeCommand:
         assert not out.exists()
 
     def test_manifest_file_is_recorded(self, runner, triple_files, tmp_path):
+        # a manifest need name only the kinds the command classifies: merge never asks for "merged"
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps(DEFAULT_MANIFEST), encoding="utf-8")
+        manifest.write_text(json.dumps({k: DEFAULT_MANIFEST[k] for k in ("pre", "lvlm", "rm")}), encoding="utf-8")
         args = ["merge", *triple_args(triple_files), "--method", "linear", "--lambda", "0.5"]
         builtin, from_file = tmp_path / "builtin.safetensors", tmp_path / "file.safetensors"
         assert runner.invoke(main, [*args, "--out", str(builtin)]).exit_code == 0
@@ -329,19 +330,20 @@ class TestMalformedJsonInputs:
         ])
         assert_named_error(result, "sweep.json: sweep config is not valid JSON")
 
-    @pytest.mark.parametrize("command", ["merge", "inspect"])
+    @pytest.mark.parametrize("command", ["merge", "sweep", "inspect"])
     @pytest.mark.parametrize("text,message", [
         ("{broken", "manifest.json: manifest config is not valid JSON"),
         ('{"pre": 5}', "manifest config: rules for 'pre' must be a list, got 5"),
+        (json.dumps({k: v for k, v in DEFAULT_MANIFEST.items() if k != "pre"}),
+         "manifest config: no rules for 'pre'"),
     ])
     def test_manifest(self, runner, triple_files, tmp_path, command, text, message):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(text, encoding="utf-8")
-        if command == "merge":
-            args = ["merge", *triple_args(triple_files), "--method", "linear", "--lambda", "0.5",
-                    "--out", str(tmp_path / "x")]
-        else:
+        if command == "inspect":
             args = ["inspect", str(triple_files["pre"]), "--kind", "pre"]
+        else:
+            args = [command, *triple_args(triple_files), *linear_args(command, tmp_path)]
         result = runner.invoke(main, [*args, "--manifest", str(manifest)])
         assert_named_error(result, message)
 

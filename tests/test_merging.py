@@ -1,6 +1,5 @@
 import math
 import os
-import subprocess
 import sys
 import threading
 import time
@@ -546,37 +545,46 @@ class TestMergeTransformer:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 3)
         asked = []
-        real_executor = merging._executor
+        real_executor = merging.ThreadPoolExecutor
 
-        def recording_executor(workers):
+        def recording_executor(workers, **kwargs):
             asked.append(workers)
-            return real_executor(workers)
+            return real_executor(workers, **kwargs)
 
-        monkeypatch.setattr(merging, "_executor", recording_executor)
+        monkeypatch.setattr(merging, "ThreadPoolExecutor", recording_executor)
         recipe = MergeRecipe(LINEAR, lam=0.5)
         maps = [{f"t{i}": arr([1.0]) for i in range(5)} for _ in range(3)]
         merge_transformer(recipe, *maps)
-        assert asked == [2, 2]  # two pool threads beside the calling thread
+        assert asked == [2]  # two helper threads beside the calling thread
 
 
-class TestThreadPool:
-    """One pool serves every call in a process; a call keeps at most ``jobs`` tensors in flight."""
+class TestWorkerThreads:
+    """Each call starts its own helper threads and joins them; at most ``jobs`` tensors are in flight."""
 
     @staticmethod
     def maps(n):
         return [{f"t{i}": arr([float(i)]) for i in range(n)} for _ in range(3)]
 
-    def test_calls_share_one_pool_that_grows_on_demand(self):
+    @staticmethod
+    def merge_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("vlrmerge")]
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
         recipe = MergeRecipe(LINEAR, lam=0.5)
-        merge_transformer(recipe, *self.maps(4), jobs=2)
-        pool = merging._pool
-        merge_transformer(recipe, *self.maps(4), jobs=2)
-        assert merging._pool is pool
-        wider = merging._pool_size + 2
-        merge_transformer(recipe, *self.maps(wider), jobs=wider)
-        assert merging._pool_size == wider - 1 and merging._pool is not pool
-        merge_transformer(recipe, *self.maps(4), jobs=2)
-        assert merging._pool_size == wider - 1
+        merge_transformer(recipe, *self.maps(8), jobs=4)
+        assert self.merge_threads() == []
+        real = merging._merge_per_lam
+
+        def failing_merge(recipe, lams, name, *args):
+            if name == "t5":
+                raise RuntimeError("worker failed")
+            time.sleep(0.001)
+            yield from real(recipe, lams, name, *args)
+
+        monkeypatch.setattr(merging, "_merge_per_lam", failing_merge)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            merge_transformer(recipe, *self.maps(8), jobs=4)
+        assert self.merge_threads() == []
 
     def test_one_job_runs_in_the_calling_thread(self, monkeypatch):
         threads = set()
@@ -593,7 +601,6 @@ class TestThreadPool:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_at_most_jobs_tensors_in_flight(self, monkeypatch, jobs):
         recipe = MergeRecipe(LINEAR, lam=0.5)
-        merge_transformer(recipe, *self.maps(4), jobs=4)  # the pool has room for more than jobs
         lock, in_flight, peak = threading.Lock(), [0], [0]
         real = merging._merge_per_lam
 
@@ -628,13 +635,6 @@ class TestThreadPool:
         with pytest.raises(RuntimeError, match="worker failed"):
             merge_transformer(recipe, *self.maps(50), jobs=2)
         assert len(merged_names) < 49  # the others took few tensors after the failure
-
-    def test_no_pool_or_thread_exists_after_import(self):
-        code = (
-            "import threading; from vlrmerge import merging; "
-            "assert merging._pool is None and threading.active_count() == 1"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestRecipeValidation:

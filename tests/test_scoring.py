@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from vlrmerge import RecordingScorer, ReplayScorer, StubScorer, SubprocessScorer
-from vlrmerge.errors import ScorerError
+from vlrmerge.errors import ScorerError, VlrmergeError
 from vlrmerge.scoring import stub_reward
 
 
@@ -111,6 +111,11 @@ class TestSubprocessScorer:
         failing = [sys.executable, "-c", "import sys; sys.stderr.write('boom\\n'); sys.exit(3)"]
         with pytest.raises(ScorerError, match="status 3.*boom"):
             SubprocessScorer(failing).score(requests())
+
+    @pytest.mark.parametrize("timeout", [float("inf"), float("nan"), -5.0, 0.0])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(VlrmergeError, match=f"must be a finite number > 0, got {timeout}"):
+            SubprocessScorer(["true"], timeout_per_record=timeout)
 
     def test_missing_command_reported(self):
         with pytest.raises(ScorerError, match="not found"):

@@ -99,15 +99,28 @@ class TestRoundTrip:
 
 
 class TestOneCopyRead:
-    def test_tensors_are_read_only_views_of_one_buffer(self, rng, tmp_path):
-        path = tmp_path / "ckpt.safetensors"
-        write_checkpoint(random_checkpoint(rng, 5), path)
-        tensors = read_checkpoint(path).tensors.values()
-        assert all(isinstance(t.data, memoryview) and t.data.readonly for t in tensors)
-        assert len({id(t.data.obj) for t in tensors}) == 1
+    def test_data_reads_its_own_payload_once_and_keeps_it(self, rng, tmp_path):
+        # 8 MiB of payload: one tensor's ``data`` reads a quarter of it, not the whole file
+        values = rng.standard_normal((4, 1 << 19)).astype(np.float32)
+        tensors = {f"w{i}": Tensor.from_f32(f"w{i}", values[i], Dtype.F32) for i in range(4)}
+        path = tmp_path / "big.safetensors"
+        write_checkpoint(Checkpoint(tensors=tensors), path)
+        size = path.stat().st_size
+        ckpt = read_checkpoint(path)
+        tracemalloc.start()
+        try:
+            data = ckpt.tensors["w2"].data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * size / 4
+        assert isinstance(data, memoryview) and data.readonly
+        assert bytes(data) == values[2].tobytes()
+        path.write_bytes(b"")  # kept: asked again, it is not read from the now empty file
+        assert ckpt.tensors["w2"].data is data
 
     def test_peak_memory_is_about_one_file(self, rng, tmp_path):
-        # 8 MiB of payload: the first ``data`` reads the file once; copies would peak at 2-3 times it
+        # 8 MiB of payload: each ``data`` reads its payload once; copies would peak at 2-3 times it
         values = rng.standard_normal((4, 1 << 19)).astype(np.float32)
         tensors = {f"w{i}": Tensor.from_f32(f"w{i}", values[i], Dtype.F32) for i in range(4)}
         path = tmp_path / "big.safetensors"
