@@ -9,6 +9,7 @@ language-modeling head.
 from __future__ import annotations
 
 import hashlib
+import mmap
 from collections.abc import Iterator, Sequence
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -38,12 +39,15 @@ _HASH_BLOCK = 1 << 20
 
 
 def file_digest(path: str | Path) -> str:
-    """sha256 of a file, read one block at a time so no whole copy is held."""
+    """sha256 of a file, read one block at a time so no whole copy is held.
+
+    The block is an anonymous mapping, unmapped when the digest is done, so
+    a file hashed on a helper thread leaves no block in that thread's
+    malloc arena.
+    """
     digest = hashlib.sha256()
-    block = bytearray(_HASH_BLOCK)
-    view = memoryview(block)
-    with open(path, "rb", buffering=0) as handle:
-        while size := handle.readinto(block):
+    with open(path, "rb", buffering=0) as handle, mmap.mmap(-1, _HASH_BLOCK) as block, memoryview(block) as view:
+        while size := handle.readinto(view):
             digest.update(view[:size])
     return digest.hexdigest()
 
@@ -125,21 +129,24 @@ def assemble_vlrm(
     """Merge the triple once per recipe and write each result to its path.
 
     Validates the triple, aligns its vocabularies and builds the output
-    layout once. Then, for each group of recipes that share method, density
-    and seed (so differ only in lambda), in the order first seen: one
-    ``merge_transformer`` call covers every lambda of the group and writes
-    each output tensor at its offset as soon as it is done; each embedding
-    is merged whole and written; the vision, adapter and reward head tensors
-    are copied from their files a block at a time. The language-modeling
-    heads are never read, and memory holds the workers' workspaces or one
-    embedding's inputs and output, never a whole model. Each output is
-    written as ``write_merged`` writes and records ``provenance`` and its
-    recipe. When a group is done, every input file is checked to be as it
-    was opened (InputChangedError if not) and the group's files are moved
-    onto their paths, so a failure keeps the earlier groups' outputs.
-    Returns each written checkpoint opened header-only; no recipes write
-    nothing. Raises TripleValidationError when the triple is not mergeable
-    and RecipeError unless there is one distinct path per recipe.
+    layout once. Then, for each group of recipes that share method and seed
+    (so differ only in lambda and density), in the order first seen: one
+    ``merge_transformer`` call covers every recipe of the group, reading
+    each input tensor once, and writes each output tensor at its offset as
+    soon as it is done; each embedding is merged once and written to every
+    output; the vision, adapter and reward head tensors are copied from
+    their files a block at a time into every output. A TIES or DARE sweep
+    over lambda and density is one group. The language-modeling heads are
+    never read, and memory holds the workers' workspaces or one embedding's
+    inputs and output, never a whole model. Each output is written as
+    ``write_merged`` writes and records ``provenance`` and its recipe. When
+    a group is done, every input file is checked to be as it was opened
+    (InputChangedError if not) and the group's files are moved onto their
+    paths, so a failure keeps the earlier groups' outputs and none of its
+    own group's. Returns each written checkpoint opened header-only; no
+    recipes write nothing. Raises TripleValidationError when the triple is
+    not mergeable and RecipeError unless there is one distinct path per
+    recipe.
     """
     report = validate_triple(triple)
     if report:
@@ -152,7 +159,7 @@ def assemble_vlrm(
         owner = owners.setdefault(Path(path).resolve(), i)
         if owner != i:
             raise RecipeError(f"recipes {recipes[owner].slug()} and {recipe.slug()} share the output path {path}")
-        groups.setdefault((recipe.method, recipe.density, recipe.seed), []).append((recipe, path))
+        groups.setdefault((recipe.method, recipe.seed), []).append((recipe, path))
     if not groups:
         return []
 
@@ -172,7 +179,7 @@ def assemble_vlrm(
                 first,
                 *({n: model.ckpt.tensors[n] for n in trans_names} for model in models),
                 jobs=jobs,
-                lams=[recipe.lam for recipe, _ in group],
+                variants=[recipe for recipe, _ in group],
                 sink=lambda i, tensor: writers[i].write(tensor.name, tensor.data),
             )
             for name in lvlm.cmap.names(Role.EMBEDDING):

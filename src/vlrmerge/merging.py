@@ -1,12 +1,14 @@
 """The merge kernel for the shared transformer weights.
 
 ``merge_transformer`` merges the shared transformer tensors of the base model
-and the two fine-tuned models per a validated ``MergeRecipe``, at one lambda
-or several. It checks each lambda and the tensor alignment once, then maps
+and the two fine-tuned models per validated ``MergeRecipe``s that share a
+method and seed: one recipe, or every lambda and density of a sweep. It
+checks the recipes and the tensor alignment once, then maps
 ``_merge_per_lam``, the one implementation of every merge rule, over the
-tensor names; that generator computes the part of the rule that does not
-depend on lambda once and applies each lambda to it. A task vector is
-fine-tuned weights minus base weights. Five strategies are supported:
+tensor names; that generator reads each tensor's inputs once, computes the
+part of the rule that does not depend on lambda once per density and
+applies each lambda to it. A task vector is fine-tuned weights minus base
+weights. Five strategies are supported:
 
 * linear            -- elementwise weighted average of the two fine-tuned models
 * task-arithmetic   -- base weights plus the scaled sum of both task vectors
@@ -34,7 +36,7 @@ import os
 import threading
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -138,75 +140,103 @@ class _Workspace:
 Source = np.ndarray | Tensor  # a storage view, or a tensor whose payload is read when it is merged
 
 
-def _widened(source: Source, out: np.ndarray, space: _Workspace) -> np.ndarray:
-    """``source`` widened into ``out``, flat; a tensor is first read into ``space``'s staging buffer."""
+def _staged(source: Source, slot: str, space: _Workspace) -> np.ndarray:
+    """``source``'s storage view; a tensor's payload is first read into ``space``'s ``slot``."""
     if isinstance(source, Tensor):
         # a float32 slot has room for the payload of any storage dtype
-        source = source.load(space.get("staging", source.size))
-    return widen(np.ravel(source), out)
+        return source.load(space.get(slot, source.size))
+    return source
+
+
+def _widened(source: Source, out: np.ndarray, space: _Workspace) -> np.ndarray:
+    """``source`` widened into ``out``, flat; a tensor is first read into ``space``'s staging buffer."""
+    return widen(np.ravel(_staged(source, "staging", space)), out)
 
 
 def _merge_per_lam(
-    recipe: MergeRecipe,
-    lams: Sequence[float],
+    variants: Sequence[MergeRecipe],
     name: str,
     pre: Source,
     lvlm: Source,
     rm: Source,
     space: _Workspace,
-) -> Iterator[np.ndarray]:
-    """Merge one same-shaped tensor at each lam in ``lams`` in turn; ``recipe.lam`` is not used.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Merge one same-shaped tensor for each recipe of ``variants``, which share method and seed.
 
-    ``name`` keys the DARE drop-mask random stream. ties and dare-ties scale
-    the jointly merged delta by lam; dare-ties elects signs and takes the
-    disjoint mean on the already-rescaled survivors. The inputs are widened
-    into ``space`` (linear never reads ``pre``) and every step runs in place
-    there. Each output is a flat float32 view into ``space`` that stays
-    valid until the next one is asked for. The part of the rule that does
-    not depend on lam -- the widened pair for linear, the merged task vector
-    for the other methods -- is computed once, before the first output is
-    yielded.
+    Yields ``(index into variants, output)`` once per recipe: grouped by
+    density in the order each density is first seen, and by lambda in list
+    order within a density. ``name`` keys the DARE drop-mask random stream.
+    ties and dare-ties scale the jointly merged delta by lam; dare-ties
+    elects signs and takes the disjoint mean on the already-rescaled
+    survivors. Each input is read and widened into ``space`` once (linear
+    never reads ``pre``) and every step runs in place there. Each output is
+    a flat float32 view into ``space`` that stays valid until the next one
+    is asked for. The part of the rule that does not depend on lam -- the
+    widened pair for linear, the merged task vector for the other methods --
+    is computed once per density, before that density's first output. The
+    task vectors are re-derived for each density from the fine-tuned
+    payloads, which stay in storage-dtype staging slots while more than one
+    density is merged, and ties ranks each task vector's magnitudes once,
+    for every density's cut.
     """
     n = pre.size
-    method, density = recipe.method, recipe.density
-    lvlm = _widened(lvlm, space.get("lvlm", n), space)
-    rm = _widened(rm, space.get("rm", n), space)
+    method, seed = variants[0].method, variants[0].seed
     if method is MergeMethod.LINEAR:
-        for lam in lams:
+        lvlm = _widened(lvlm, space.get("lvlm", n), space)
+        rm = _widened(rm, space.get("rm", n), space)
+        for i, recipe in enumerate(variants):
+            lam = recipe.lam
             # exact identities at the endpoints, untouched by rounding
             if lam == 1.0:
-                yield lvlm
+                yield i, lvlm
             elif lam == 0.0:
-                yield rm
+                yield i, rm
             else:
                 out, scaled = space.get("out", n), space.get("tmp", n)
                 np.multiply(lam, lvlm, out=out)
                 np.multiply(1.0 - lam, rm, out=scaled)
-                yield np.add(out, scaled, out=out)
+                yield i, np.add(out, scaled, out=out)
         return
+    by_density: dict[float | None, list[int]] = {}
+    for i, recipe in enumerate(variants):
+        by_density.setdefault(recipe.density, []).append(i)
     pre = _widened(pre, space.get("pre", n), space)
-    # the task vectors, then the merged delta, overwrite the fine-tuned weights
-    delta = np.subtract(lvlm, pre, out=lvlm)
-    tau_r = np.subtract(rm, pre, out=rm)
-    if method is MergeMethod.TASK_ARITHMETIC:
-        np.add(delta, tau_r, out=delta)
-    else:
-        if method is MergeMethod.TIES:
-            _trim(delta, density, space)
-            _trim(tau_r, density, space)
-        else:
-            _drop(delta, density, recipe.seed, "lvlm", name, space)
-            _drop(tau_r, density, recipe.seed, "rm", name, space)
-        if method is MergeMethod.DARE_TASK_ARITHMETIC:
+    if len(by_density) > 1:
+        # each density widens the fine-tuned payloads again, so each is read once into its own slot
+        lvlm, rm = _staged(lvlm, "staging", space), _staged(rm, "staging2", space)
+
+    def task_vectors() -> tuple[np.ndarray, np.ndarray]:
+        # the task vectors, then the merged delta, overwrite the fine-tuned weights
+        lvlm_w = _widened(lvlm, space.get("lvlm", n), space)
+        rm_w = _widened(rm, space.get("rm", n), space)
+        return np.subtract(lvlm_w, pre, out=lvlm_w), np.subtract(rm_w, pre, out=rm_w)
+
+    delta, tau_r = task_vectors()
+    if method is MergeMethod.TIES:
+        cuts = [_cuts(tau, by_density, space) for tau in (delta, tau_r)]
+    for j, (density, indices) in enumerate(by_density.items()):
+        if j:  # the previous density's steps overwrote both task vectors
+            delta, tau_r = task_vectors()
+        if method is MergeMethod.TASK_ARITHMETIC:
             np.add(delta, tau_r, out=delta)
         else:
-            _disjoint_mean(delta, tau_r, space)
-    for lam in lams:
-        if lam == 0.0:
-            yield pre
-        else:
-            out = np.multiply(lam, delta, out=space.get("out", n))
-            yield np.add(pre, out, out=out)
+            if method is MergeMethod.TIES:
+                _trim(delta, *cuts[0][j], space)
+                _trim(tau_r, *cuts[1][j], space)
+            else:
+                _drop(delta, density, seed, "lvlm", name, space)
+                _drop(tau_r, density, seed, "rm", name, space)
+            if method is MergeMethod.DARE_TASK_ARITHMETIC:
+                np.add(delta, tau_r, out=delta)
+            else:
+                _disjoint_mean(delta, tau_r, space)
+        for i in indices:
+            lam = variants[i].lam
+            if lam == 0.0:
+                yield i, pre
+            else:
+                out = np.multiply(lam, delta, out=space.get("out", n))
+                yield i, np.add(pre, out, out=out)
 
 
 def default_jobs() -> int:
@@ -223,40 +253,49 @@ def merge_transformer(
     lvlm_trans: dict[str, Source],
     rm_trans: dict[str, Source],
     jobs: int | None = None,
-    lams: Sequence[float] | None = None,
+    variants: Sequence[MergeRecipe] | None = None,
     sink: Callable[[int, Tensor], None] | None = None,
 ) -> list[dict[str, Tensor]] | None:
-    """Merge the shared transformer weights per the recipe, once per lam.
+    """Merge the shared transformer weights once per recipe of ``variants``.
 
     The input maps hold, per tensor name, a storage view (``Tensor.array``;
     a float32 array is the F32 view) or a ``Tensor``, whose payload is read
     from its file only when a worker merges it; inputs are only read.
-    ``lams`` defaults to the recipe's own lam. Checks the recipe at every lam
-    and the tensor alignment once, then merges every name on ``jobs``
-    workers (None takes ``default_jobs()``): the calling thread and
-    ``jobs - 1`` threads started for this call and joined before it
-    returns, on error too, so at most ``jobs`` tensors are in flight and a
-    call with one job or one tensor starts no thread. Each worker reads and
-    widens a tensor's inputs into its own workspace, at most about eight
-    float32 copies of the largest tensor, runs the rule there, and narrows
-    each lam's output into a new payload of the storage dtype of the
-    tensor's lvlm input. With a ``sink``, the worker hands it each output at
-    once as ``sink(lam_index, tensor)`` and keeps none, and the call returns
-    None; without one, the outputs are returned, one map per lam, in order.
-    Workspaces are reused from tensor to tensor and freed when the call
-    returns. Tensors are independent, so results are identical for any
-    worker count.
+    ``variants`` defaults to ``(recipe,)``; each must share ``recipe``'s
+    method and seed (RecipeError otherwise), and may differ in lambda and
+    density. Checks the recipes and the tensor alignment once, then merges
+    every name on ``jobs`` workers (None takes ``default_jobs()``): the
+    calling thread and ``jobs - 1`` threads started for this call and
+    joined before it returns, on error too, so at most ``jobs`` tensors are
+    in flight and a call with one job or one tensor starts no thread. Each
+    worker reads and widens a tensor's inputs into its own workspace once
+    for every variant, at most about eight float32 copies of the largest
+    tensor plus, when the variants span several densities, a second
+    staging slot; runs the rule there once per density (for ties, one
+    ranking of each task vector gives every density's cut); and narrows each
+    variant's output into a new payload of the storage dtype of the
+    tensor's lvlm input. With a ``sink``, the worker hands it each output
+    at once as ``sink(variant_index, tensor)`` and keeps none, and the call
+    returns None; without one, the outputs are returned, one map per
+    variant, in order. Workspaces are reused from tensor to tensor and
+    freed when the call returns. The bytes of each output are those of a
+    call with that recipe alone, for any worker count.
     """
     if jobs is not None and jobs < 1:
         raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
-    lams = (recipe.lam,) if lams is None else tuple(lams)
-    for lam in lams:
-        replace(recipe, lam=lam)  # building the recipe checks its lambda
+    variants = (recipe,) if variants is None else tuple(variants)
+    for variant in variants:
+        if (variant.method, variant.seed) != (recipe.method, recipe.seed):
+            raise RecipeError(f"recipe {variant.slug()} does not share the method and seed of {recipe.slug()}")
     _check_aligned({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans})
     capacity = max((source.size for source in pre_trans.values()), default=0)
     names = list(pre_trans)
-    kept: dict[str, list[Tensor]] = {name: [] for name in names}
-    emit = sink or (lambda i, tensor: kept[tensor.name].append(tensor))
+    kept: dict[str, list[Tensor | None]] = {name: [None] * len(variants) for name in names}
+
+    def keep(i: int, tensor: Tensor) -> None:
+        kept[tensor.name][i] = tensor
+
+    emit = sink or keep
     todo = iter(names)
     todo_lock = threading.Lock()
     stop = threading.Event()
@@ -265,9 +304,9 @@ def merge_transformer(
         lvlm = lvlm_trans[name]
         dtype = lvlm.dtype if isinstance(lvlm, Tensor) else Dtype.of(lvlm)
         shape = pre_trans[name].shape
-        outs = _merge_per_lam(recipe, lams, name, pre_trans[name], lvlm, rm_trans[name], space)
+        outs = _merge_per_lam(variants, name, pre_trans[name], lvlm, rm_trans[name], space)
         scratch = space.get("bits", capacity, np.uint32)
-        for i, out in enumerate(outs):
+        for i, out in outs:
             emit(i, Tensor(name, dtype, shape, narrow(out, dtype, scratch)))
 
     def work() -> None:
@@ -296,7 +335,7 @@ def merge_transformer(
             stop.set()
     if sink is not None:
         return None
-    return [{name: outs[i] for name, outs in kept.items()} for i in range(len(lams))]
+    return [{name: outs[i] for name, outs in kept.items()} for i in range(len(variants))]
 
 
 # ---------------------------------------------------------------------------
@@ -315,22 +354,40 @@ def retained_count(density: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
-def _trim(arr: np.ndarray, density: float, space: _Workspace) -> None:
-    """Keep the ``retained_count`` entries of largest magnitude, zero the rest.
+def _cuts(arr: np.ndarray, densities: Sequence[float], space: _Workspace) -> list[tuple[int, np.float32 | None]]:
+    """For each density, ``(k, cut)``: ``k = retained_count(density, n)`` and ``cut`` the
+    k-th smallest -|arr|, or None when k keeps every entry.
+
+    One ascending sort of -|arr| ranks every entry (NaN last), so every
+    density's cut is read from it. A single cut is found by selection
+    instead, which places the same value at k - 1 in less time.
+    """
+    n = arr.size
+    ks = [retained_count(density, n) for density in densities]
+    cuts = {k - 1 for k in ks if k < n}
+    if not cuts:
+        return [(k, None) for k in ks]
+    ranked = space.get("tmp", n)
+    np.negative(np.abs(arr, out=ranked), out=ranked)
+    if len(cuts) == 1:
+        ranked.partition(cuts.pop())
+    else:
+        ranked.sort()
+    return [(k, ranked[k - 1] if k < n else None) for k in ks]
+
+
+def _trim(arr: np.ndarray, k: int, cut: np.float32 | None, space: _Workspace) -> None:
+    """Keep the k entries of largest magnitude, zero the rest; ``(k, cut)`` is from ``_cuts``.
 
     The kept set is the first k of a stable sort on descending magnitude:
     equal magnitudes at the cut are kept in ascending flat-index order, and
-    NaN ranks after every number. It is found by selection, not by sorting.
+    NaN ranks after every number.
     """
     n = arr.size
-    k = retained_count(density, n)
     if k >= n:
         return
-    key, ranked = space.get("key", n), space.get("tmp", n)
+    key = space.get("key", n)
     np.negative(np.abs(arr, out=key), out=key)
-    np.copyto(ranked, key)
-    ranked.partition(k - 1)
-    cut = ranked[k - 1]
     keep, at_cut = space.get("keep", n, bool), space.get("at_cut", n, bool)
     if np.isnan(cut):
         # fewer than k numbers: all of them, then the first NaNs

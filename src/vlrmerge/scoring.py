@@ -117,12 +117,17 @@ class RecordingScorer:
 
 
 class ReplayScorer:
-    """Serves rewards from a recorded transcript; requests must match it."""
+    """Serves rewards from a recorded transcript; requests must match it.
+
+    An id may be recorded more than once only with the same request and
+    reward; two records that differ raise ScorerError naming both lines.
+    """
 
     def __init__(self, transcript_path: str | Path):
         self.transcript_path = Path(transcript_path)
         self._rewards: dict[str, float] = {}
         self._requests: dict[str, Request] = {}
+        first_line: dict[str, int] = {}
         try:
             with open(self.transcript_path, encoding="utf-8") as f:
                 lines = f.readlines()
@@ -139,6 +144,12 @@ class ReplayScorer:
                 raise ScorerError(
                     f"{self.transcript_path}:{line_no}: malformed transcript record"
                 ) from exc
+            seen = first_line.setdefault(rid, line_no)
+            if seen != line_no and (self._requests[rid], self._rewards[rid]) != (req, reward):
+                raise ScorerError(
+                    f"{self.transcript_path}: lines {seen} and {line_no} record id {rid!r} "
+                    "with a different request or reward"
+                )
             self._rewards[rid] = reward
             self._requests[rid] = req
 

@@ -256,11 +256,13 @@ def run_sweep(
     Variants are cached on disk keyed by (input digest, recipe), and a cached
     one is reused only when its recorded metadata is what this run would
     record. The missing variants are built by one ``assemble_vlrm`` call:
-    one merge per (method, density, seed), every lambda's variant streamed
-    from it, so a lambda costs one tensor-sized output per worker, not a
-    model, and ``jobs`` is the thread count of each per-tensor merge. A
-    recipe whose scorer fails is recorded as failed and excluded from
-    selection.
+    one merge for the whole grid, which reads each input tensor once and
+    streams every lambda's and density's variant from it, so a variant
+    costs one tensor-sized output per worker, not a model, and ``jobs`` is
+    the thread count of that per-tensor merge. The variants are moved into
+    place together when the merge ends, so an interrupted run keeps none of
+    them and the next run rebuilds every missing one. A recipe whose scorer
+    fails is recorded as failed and excluded from selection.
     """
     provenance = dict(provenance or {})
     out_dir = Path(out_dir)

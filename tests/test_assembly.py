@@ -196,7 +196,7 @@ class TestLambdaGroups:
         real, calls = assembly.merge_transformer, []
 
         def failing(recipe, *args, **kwargs):
-            calls.append(recipe.density)
+            calls.append(recipe.seed)
             if len(calls) == 2:
                 raise RuntimeError("merge failed")
             return real(recipe, *args, **kwargs)
@@ -204,10 +204,12 @@ class TestLambdaGroups:
         monkeypatch.setattr(assembly, "merge_transformer", failing)
         out = tmp_path / "out"
         out.mkdir()
-        recipes = [MergeRecipe(MergeMethod.TIES, lam=lam, density=d) for d in (0.4, 0.2) for lam in (0.5, 1.0)]
+        # the groups differ in seed: each is one merge over both lambdas
+        recipes = [MergeRecipe(MergeMethod.DARE_TIES, lam=lam, density=0.4, seed=seed)
+                   for seed in (3, 4) for lam in (0.5, 1.0)]
         with pytest.raises(RuntimeError, match="merge failed"):
             assemble_vlrm(recipes, triple, [out / r.slug() for r in recipes], jobs=2)
-        assert calls == [0.4, 0.2]
+        assert calls == [3, 4]
         # the first group is in place; the second left its sidecars and no temporary file
         names = [r.slug() for r in recipes]
         assert sorted(p.name for p in out.iterdir()) == sorted([*names[:2], *(f"{n}.vocab" for n in names)])
@@ -353,11 +355,11 @@ class TestStreamedAssembly:
         triple = opened_triple(tmp_path / "in", rng)
         real, merged = merging._merge_per_lam, []
 
-        def failing(recipe, lams, name, *args):
+        def failing(variants, name, *args):
             if len(merged) == 2:
                 raise RuntimeError("worker failed")
             merged.append(name)
-            yield from real(recipe, lams, name, *args)
+            yield from real(variants, name, *args)
 
         monkeypatch.setattr(merging, "_merge_per_lam", failing)
         out = tmp_path / "out"

@@ -31,6 +31,7 @@ from vlrmerge import (  # noqa: E402
     merging,
     read_checkpoint,
 )
+from vlrmerge.sweep import SweepConfig, generate_grid  # noqa: E402
 
 from helpers import toy_triple, write_triple  # noqa: E402
 
@@ -121,3 +122,34 @@ def test_streamed_output_passes_the_benchmark_checks(tmp_path):
     assert tensor.to_f32().shape == tensor.shape
     probes = child.class_probes(tracer.merge_calls, {kind: str(path) for kind, path in paths.items()})
     assert set(probes["ties"]) == {"attention", "mlp", "norm"}
+
+
+def test_traced_grid_sweep_is_one_merge_span_that_class_probes_rerun(monkeypatch, tmp_path):
+    # the default 3 lambda x 4 density TIES grid is one merge_transformer call, and the
+    # shape-class probes run on the recipe its span recorded
+    paths = gen.write_triple(tmp_path / "in", TINY, 0)
+    inputs = check.Inputs(paths)
+    recipes = generate_grid(SweepConfig(MergeMethod.TIES))
+    assert len(recipes) == 12
+    tracer = spans.Tracer("t")
+    tracer.install()
+    try:
+        with tracer.span("cli.main"):
+            assemble_vlrm(recipes, inputs.triple, [tmp_path / f"{r.slug()}.safetensors" for r in recipes], jobs=2)
+    finally:
+        tracer.uninstall()
+    [call] = [s for s in tracer.spans if s["name"] == "merging.merge_transformer"]
+    assert "error" not in call and call["method"] == "ties"
+    recorded, _ = tracer.merge_calls["ties"]
+    assert recorded == recipes[0]
+    probed = []
+    real = merging.merge_transformer
+
+    def spy(recipe, *args, **kwargs):
+        probed.append(recipe)
+        return real(recipe, *args, **kwargs)
+
+    monkeypatch.setattr(merging, "merge_transformer", spy)
+    probes = child.class_probes(tracer.merge_calls, {kind: str(path) for kind, path in paths.items()})
+    assert set(probes["ties"]) == {"attention", "mlp", "norm"}
+    assert probed == [recorded] * 3

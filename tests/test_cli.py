@@ -2,6 +2,7 @@ import hashlib
 import json
 import shlex
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,42 @@ class TestMergeCommand:
         recipe = MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=7)
         [expected] = assemble_vlrm([recipe], triple, [tmp_path / "library.safetensors"], jobs=1)
         assert merged.tensors == expected.tensors
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
+    def test_checkpoints_are_hashed_on_up_to_jobs_threads(self, runner, triple_files, tmp_path, monkeypatch, jobs):
+        threads = min(jobs, 3)
+        # the first ``threads`` checkpoint digests wait for each other, so fewer threads would time out
+        meet = threading.Barrier(threads, timeout=10)
+        checkpoints = {str(path) for path in triple_files.values()}
+        hashed, lock = {}, threading.Lock()
+        real = cli.file_digest
+
+        def recording(path):
+            if str(path) in checkpoints:
+                with lock:
+                    hashed[str(path)] = threading.get_ident()
+                    first = len(hashed) <= threads
+                if first:
+                    meet.wait()
+            return real(path)
+
+        monkeypatch.setattr(cli, "file_digest", recording)
+        out = tmp_path / "merged.safetensors"
+        result = runner.invoke(main, [
+            "merge", *triple_args(triple_files), "--method", "linear", "--lambda", "0.5",
+            "--out", str(out), "--jobs", str(jobs),
+        ])
+        assert result.exit_code == 0, result.output
+        assert set(hashed) == checkpoints
+        assert len(set(hashed.values())) == threads and threading.get_ident() in hashed.values()
+        assert not [t for t in threading.enumerate() if t.name.startswith("vlrmerge")]
+        metadata = read_checkpoint(out).metadata
+        for label, path in triple_files.items():
+            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            assert f"{label} sha256: {digest}" in result.output.splitlines()
+            assert metadata[f"input.{label}.sha256"] == digest
+            assert metadata[f"input.{label}_vocab.sha256"] == hashlib.sha256(
+                Path(f"{path}.vocab").read_bytes()).hexdigest()
 
     def test_missing_density_is_usage_error(self, runner, triple_files, tmp_path):
         result = runner.invoke(main, [
@@ -164,11 +201,11 @@ class TestMergeCommand:
     def test_worker_failing_mid_write_leaves_no_output(self, runner, triple_files, tmp_path, monkeypatch):
         real, merged = merging._merge_per_lam, []
 
-        def failing(recipe, lams, name, *args):
+        def failing(variants, name, *args):
             if len(merged) == 3:  # three tensors are already written
                 raise MemoryError("worker ran out of memory")
             merged.append(name)
-            yield from real(recipe, lams, name, *args)
+            yield from real(variants, name, *args)
 
         monkeypatch.setattr(merging, "_merge_per_lam", failing)
         out = tmp_path / "out" / "merged.safetensors"

@@ -10,6 +10,7 @@ import pytest
 
 import reference as ref
 from vlrmerge import (
+    Checkpoint,
     Dtype,
     MergeMethod,
     MergeRecipe,
@@ -18,8 +19,10 @@ from vlrmerge import (
     VlrmergeError,
     merge_transformer,
     merging,
+    read_checkpoint,
+    write_checkpoint,
 )
-from vlrmerge.merging import _MASK_CHUNK, _trim, _Workspace, retained_count
+from vlrmerge.merging import _MASK_CHUNK, _cuts, _trim, _Workspace, retained_count
 from vlrmerge.sweep import DEFAULT_DENSITY_GRID
 
 from helpers import drop_step, merge_one, trim_step
@@ -45,7 +48,9 @@ def merge_map(recipe, pre, lvlm, rm):
 def trim_array(values, density):
     """The in-place trim step, run on a copy of ``values``."""
     out = np.array(values, dtype=np.float32)
-    _trim(out.reshape(-1), density, _Workspace(out.size))
+    flat, space = out.reshape(-1), _Workspace(out.size)
+    [(k, cut)] = _cuts(flat, [density], space)
+    _trim(flat, k, cut, space)
     return out
 
 
@@ -464,7 +469,7 @@ class TestMergeTransformer:
         for _ in range(3):
             maps.append({f"w{i}": rng.uniform(-1, 1, (5, 7)).astype(np.float32) for i in range(4)})
         pre, lvlm, rm = maps
-        merged = merge_transformer(recipe, *maps, jobs=2, lams=lams)
+        merged = merge_transformer(recipe, *maps, jobs=2, variants=[replace(recipe, lam=lam) for lam in lams])
         assert len(merged) == len(lams)
         for lam, out in zip(lams, merged):
             for name in pre:
@@ -488,7 +493,8 @@ class TestMergeTransformer:
         ]
         views = [{name: t.array() for name, t in side.items()} for side in tensors]
         assert views[0]["w0"].dtype == dtype.array_dtype
-        merged = merge_transformer(recipe, *views, jobs=2, lams=(0.0, 0.7, 1.0))
+        variants = [replace(recipe, lam=lam) for lam in (0.0, 0.7, 1.0)]
+        merged = merge_transformer(recipe, *views, jobs=2, variants=variants)
         for lam, out in zip((0.0, 0.7, 1.0), merged):
             for name in shapes:
                 pre, lvlm, rm = (side[name].to_f32() for side in tensors)
@@ -522,7 +528,7 @@ class TestMergeTransformer:
         for m in maps:
             for a in m.values():
                 a.flags.writeable = False
-        merged = merge_transformer(recipe, *maps, jobs=2, lams=(0.5, 1.0))
+        merged = merge_transformer(recipe, *maps, jobs=2, variants=[replace(recipe, lam=lam) for lam in (0.5, 1.0)])
         assert [sorted(m) for m in merged] == [["w0", "w1", "w2", "w3"]] * 2
         for m, kept, copy in zip(maps, before, copies):
             assert m.keys() == kept.keys()
@@ -530,12 +536,15 @@ class TestMergeTransformer:
                 assert m[name] is kept[name]
                 assert m[name].tobytes() == copy[name].tobytes()
 
-    def test_every_lambda_is_validated(self):
-        recipe = MergeRecipe(LINEAR, lam=0.5)
-        with pytest.raises(RecipeError, match="lambda must be in"):
-            merge_transformer(
-                recipe, {"t": arr([1.0])}, {"t": arr([1.0])}, {"t": arr([1.0])}, lams=(0.5, 1.5)
-            )
+    @pytest.mark.parametrize("other", [
+        MergeRecipe(MergeMethod.DARE_TIES, lam=0.5, density=0.4, seed=4),
+        MergeRecipe(MergeMethod.DARE_TASK_ARITHMETIC, lam=0.5, density=0.4, seed=3),
+    ], ids=["seed", "method"])
+    def test_variants_must_share_method_and_seed(self, other):
+        recipe = MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.2, seed=3)
+        maps = [{"t": arr([1.0])} for _ in range(3)]
+        with pytest.raises(RecipeError, match=f"recipe {other.slug()} does not share the method and seed"):
+            merge_transformer(recipe, *maps, variants=[recipe, other])
 
     @pytest.mark.parametrize("affinity", [True, False])
     def test_default_jobs_are_the_usable_cpus(self, monkeypatch, affinity):
@@ -558,6 +567,82 @@ class TestMergeTransformer:
         assert asked == [2]  # two helper threads beside the calling thread
 
 
+def one_pass_inputs(rng, n=3000):
+    """Three float32 maps whose task vectors tie in magnitude at every grid cut and hold NaN and +-0.0."""
+    halves = lambda: (rng.integers(-6, 7, n) * 0.5).astype(np.float32)  # noqa: E731
+    pre, lvlm, rm = {}, {}, {}
+    pre["ties"] = halves()
+    lvlm["ties"], rm["ties"] = pre["ties"] + halves(), pre["ties"] + halves()
+    finite_or_nan = SPECIALS[~np.isinf(SPECIALS)]  # inf - inf would warn in dare-task-arithmetic's sum
+    for kind, share in (("specials", 0.2), ("mostly-nan", 0.85)):
+        pre[kind] = np.zeros(n, np.float32)
+        for side in (lvlm, rm):
+            side[kind] = rng.choice(finite_or_nan, n)
+            side[kind][rng.random(n) < share] = np.nan
+    for side in (pre, lvlm, rm):
+        side["small"] = arr([0.5, -0.0])  # k covers every entry at some densities, not at others
+        side["ties"] = side["ties"].reshape(60, 50)
+    return [pre, lvlm, rm]
+
+
+ONE_PASS_METHODS = [
+    (MergeMethod.TIES, None),
+    (MergeMethod.DARE_TIES, 11),
+    (MergeMethod.DARE_TASK_ARITHMETIC, 11),
+]
+
+
+class TestOnePass:
+    """One call over every lambda and density of a grid writes the bytes of one call per recipe."""
+
+    @staticmethod
+    def grid(method, seed, rng):
+        variants = [
+            MergeRecipe(method, lam=lam, density=d, seed=seed)
+            for lam in (0.0, 0.5, 1.0) for d in (0.8, 0.6, 0.4, 0.2, 1.0)
+        ]
+        rng.shuffle(variants)  # densities interleaved, so the outputs come back out of list order
+        return variants
+
+    def test_float32_inputs_tie_at_every_cut(self, rng):
+        pre, lvlm, rm = (side["ties"].ravel() for side in one_pass_inputs(rng))
+        for fine in (lvlm, rm):
+            ranked = np.sort(-np.abs(fine - pre))
+            for density in DEFAULT_DENSITY_GRID:
+                k = retained_count(density, ranked.size)
+                assert ranked[k - 1] == ranked[k]  # the cut splits a run of equal magnitudes
+
+    @pytest.mark.parametrize("method,seed", ONE_PASS_METHODS)
+    def test_float32_with_nan_zeros_and_ties_matches_one_call_per_recipe(self, rng, method, seed):
+        maps = one_pass_inputs(rng)
+        variants = self.grid(method, seed, rng)
+        together = merge_transformer(variants[0], *maps, jobs=2, variants=variants)
+        for variant, merged in zip(variants, together):
+            [alone] = merge_transformer(variant, *maps, jobs=1)
+            assert merged.keys() == alone.keys()
+            for name in alone:
+                assert merged[name].data == alone[name].data, (variant.slug(), name)
+
+    @pytest.mark.parametrize("method,seed", ONE_PASS_METHODS)
+    def test_bf16_files_match_one_call_per_recipe(self, rng, tmp_path, method, seed):
+        shapes = {"a": (40, 30), "b": (64,), "c": (3,)}
+        views = []
+        for kind in ("pre", "lvlm", "rm"):
+            tensors = {name: Tensor.from_f32(name, rng.standard_normal(shape) * 0.05, Dtype.BF16)
+                       for name, shape in shapes.items()}
+            write_checkpoint(Checkpoint(tensors), tmp_path / f"{kind}.safetensors")
+            views.append({name: t.array() for name, t in tensors.items()})
+        # opened header-only, so each payload is read into a worker's staging slots
+        opened = [read_checkpoint(tmp_path / f"{kind}.safetensors").tensors for kind in ("pre", "lvlm", "rm")]
+        variants = self.grid(method, seed, rng)
+        together = merge_transformer(variants[0], *opened, jobs=2, variants=variants)
+        for variant, merged in zip(variants, together):
+            [alone] = merge_transformer(variant, *views, jobs=1)
+            for name in shapes:
+                assert merged[name].dtype is Dtype.BF16
+                assert merged[name].data == alone[name].data, (variant.slug(), name)
+
+
 class TestWorkerThreads:
     """Each call starts its own helper threads and joins them; at most ``jobs`` tensors are in flight."""
 
@@ -575,11 +660,11 @@ class TestWorkerThreads:
         assert self.merge_threads() == []
         real = merging._merge_per_lam
 
-        def failing_merge(recipe, lams, name, *args):
+        def failing_merge(variants, name, *args):
             if name == "t5":
                 raise RuntimeError("worker failed")
             time.sleep(0.001)
-            yield from real(recipe, lams, name, *args)
+            yield from real(variants, name, *args)
 
         monkeypatch.setattr(merging, "_merge_per_lam", failing_merge)
         with pytest.raises(RuntimeError, match="worker failed"):
@@ -625,11 +710,11 @@ class TestWorkerThreads:
         merged_names = []
         real = merging._merge_per_lam
 
-        def failing_merge(recipe, lams, name, *args):
+        def failing_merge(variants, name, *args):
             if name == "t1":
                 raise RuntimeError("worker failed")
             merged_names.append(name)
-            yield from real(recipe, lams, name, *args)
+            yield from real(variants, name, *args)
 
         monkeypatch.setattr(merging, "_merge_per_lam", failing_merge)
         with pytest.raises(RuntimeError, match="worker failed"):

@@ -175,3 +175,24 @@ class TestRecordReplay:
         transcript.write_bytes(b'{"request": {"id": "a"}, "reward": 1.0}\n\xff\n')
         with pytest.raises(ScorerError, match="t.jsonl: not UTF-8 text: invalid start byte"):
             ReplayScorer(transcript)
+
+    @pytest.mark.parametrize("change", ["reward", "request"])
+    def test_conflicting_records_for_one_id_cited_by_both_lines(self, tmp_path, change):
+        transcript = tmp_path / "t.jsonl"
+        RecordingScorer(StubScorer(), transcript).score(requests())
+        lines = transcript.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        if change == "reward":
+            record["reward"] += 0.5
+        else:
+            record["request"]["response"] = "different text"
+        transcript.write_text("\n".join([*lines, "", json.dumps(record)]) + "\n", encoding="utf-8")
+        rid = record["request"]["id"]
+        with pytest.raises(ScorerError, match=f"t.jsonl: lines 1 and {len(lines) + 2} record id '{rid}' with a different"):
+            ReplayScorer(transcript)
+
+    def test_repeated_identical_record_is_accepted(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        recorded = RecordingScorer(StubScorer(), transcript).score(requests())
+        RecordingScorer(StubScorer(), transcript).score(requests())  # the same pairs, appended again
+        assert ReplayScorer(transcript).score(requests()) == recorded

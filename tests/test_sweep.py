@@ -494,7 +494,7 @@ class TestRunSweep:
         monkeypatch.setattr(assembly, "merge_transformer", counting_merge)
         run_sweep(config, triple, dataset, factory, tmp_path / "out", jobs=4)
         assert peak[0] == 1
-        assert jobs_seen == [4] * 2  # one merge per density
+        assert jobs_seen == [4]  # one merge for the whole grid
         assert scored == generate_grid(config)
 
     @pytest.mark.parametrize("lost,rebuilt", [
@@ -534,27 +534,28 @@ class TestRunSweep:
             run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
         assert {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")} == written
 
-    def test_one_merge_per_density(self, rng, tmp_path, monkeypatch):
+    def test_one_merge_per_pass(self, rng, tmp_path, monkeypatch):
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         calls = []
         real_merge = assembly.merge_transformer
 
         def counting_merge(recipe, *args, **kwargs):
-            calls.append((recipe.density, tuple(kwargs["lams"])))
+            calls.append([(v.lam, v.density) for v in kwargs["variants"]])
             return real_merge(recipe, *args, **kwargs)
 
         monkeypatch.setattr(assembly, "merge_transformer", counting_merge)
         out = tmp_path / "out"
         run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
-        assert calls == [(0.4, (0.5, 1.0)), (0.2, (0.5, 1.0))]
+        assert calls == [[(0.5, 0.4), (0.5, 0.2), (1.0, 0.4), (1.0, 0.2)]]  # every density, in grid order
         assert len(list(out.glob("variant-*.safetensors"))) == 4
 
-        # a resumed sweep merges only the densities that lost a variant
+        # a resumed sweep rebuilds every missing variant, of any density, in one merge
         calls.clear()
-        next(out.glob("variant-ties-l1-d0.2-*.safetensors")).unlink()
+        for lost in ("variant-ties-l1-d0.2-*.safetensors", "variant-ties-l0.5-d0.4-*.safetensors"):
+            next(out.glob(lost)).unlink()
         run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
-        assert calls == [(0.2, (1.0,))]
+        assert calls == [[(0.5, 0.4), (1.0, 0.2)]]
 
     @pytest.mark.parametrize("trans_dtype", [Dtype.BF16, Dtype.F32])
     def test_one_merge_takes_every_lambda(self, rng, tmp_path, monkeypatch, trans_dtype):
@@ -567,7 +568,7 @@ class TestRunSweep:
         real_merge = assembly.merge_transformer
 
         def counting_merge(recipe, *args, **kwargs):
-            calls.append(tuple(kwargs["lams"]))
+            calls.append(tuple(variant.lam for variant in kwargs["variants"]))
             return real_merge(recipe, *args, **kwargs)
 
         monkeypatch.setattr(assembly, "merge_transformer", counting_merge)
