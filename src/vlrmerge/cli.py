@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
+import re
 import shlex
 import sys
 import threading
@@ -23,12 +25,13 @@ from .evaluation import evaluate_bon, evaluate_pairwise, load_bon_dataset, load_
 from .merging import MergeMethod, MergeRecipe, default_jobs
 from .scoring import RecordingScorer, ReplayScorer, SubprocessScorer, check_timeout, stub_scorer_loop
 from .sweep import MANIFEST_NAME, SweepConfig, run_sweep
-from .tensorstore import default_vocab_path, read_checkpoint
+from .tensorstore import _replace_when_done, default_vocab_path, read_checkpoint
 
 log = logging.getLogger("vlrmerge")
 
 METHOD_CHOICES = [m.value for m in MergeMethod]
 JOBS_HELP = "Worker threads for per-tensor merging [default: the CPUs this process may use]."
+_HEX_DIGEST = re.compile("[0-9a-f]{64}")
 
 
 def _setup_logging(verbose: int) -> None:
@@ -72,26 +75,85 @@ def _click_error(exc: Exception) -> click.ClickException:
     return click.ClickException(f"triple validation failed with {len(exc.report)} violation(s)")
 
 
-def _digests(paths: list[str], jobs: int) -> list[str]:
-    """``file_digest`` of each path, in order, on ``min(jobs, len(paths))`` threads.
+def _stamp(st: os.stat_result) -> dict[str, int]:
+    """What tells one version of a file from another in a digest memo."""
+    return {"st_dev": st.st_dev, "st_ino": st.st_ino, "size": st.st_size,
+            "mtime_ns": st.st_mtime_ns, "ctime_ns": st.st_ctime_ns}
 
-    The calling thread is one of them and the others are joined before this
-    returns, on error too; one job hashes every file on the calling thread.
+
+def _memo_path(path: str | Path) -> Path:
+    """The digest memo beside an input checkpoint.
+
+    It holds the file's stamp and whole-file sha256, so an unchanged file is hashed once.
     """
-    digests: list[str | None] = [None] * len(paths)
-    todo = iter(enumerate(paths))
+    return Path(f"{path}.sha256.json")
+
+
+def _recalled_digest(path: str | Path) -> str | None:
+    """The sha256 that the digest memo beside ``path`` records, when it may be trusted; else None.
+
+    It is trusted when the file's stamp is the one recorded and the file's
+    ``ctime_ns`` is strictly older than the memo's own ``mtime_ns``, both
+    from the file system's clock (git's racy-git rule): a file changed in
+    the same clock tick as the memo was written could keep its stamp, and
+    ``ctime``, which ``utime`` cannot set, moves on any other change.
+    """
+    try:
+        with open(_memo_path(path), "rb") as f:
+            written = os.fstat(f.fileno()).st_mtime_ns
+            memo = json.loads(f.read())
+        st = os.stat(path)
+    except (OSError, ValueError, RecursionError) as exc:  # json raises RecursionError for deep nesting
+        log.debug("no usable digest memo for %s: %s", path, exc)
+        return None
+    digest = memo.get("sha256") if isinstance(memo, dict) else None
+    if not isinstance(digest, str) or not _HEX_DIGEST.fullmatch(digest) or memo.get("stamp") != _stamp(st):
+        log.debug("the digest memo for %s is of another file or version", path)
+        return None
+    if st.st_ctime_ns >= written:
+        log.debug("the digest memo for %s is not newer than the file's last change", path)
+        return None
+    return digest
+
+
+def _hash_and_remember(path: str | Path) -> str:
+    """``file_digest`` of ``path``, recorded in its digest memo if the file kept its stamp meanwhile.
+
+    A memo that cannot be written, say in a read-only directory, is skipped.
+    """
+    before = _stamp(os.stat(path))
+    digest = file_digest(path)  # looked up here, so the benchmark's tracer sees every call
+    after = _stamp(os.stat(path))
+    if after == before:
+        try:
+            with _replace_when_done(_memo_path(path), "w", encoding="utf-8") as f:
+                json.dump({"stamp": after, "sha256": digest}, f, sort_keys=True)
+        except OSError as exc:
+            log.debug("cannot write the digest memo for %s: %s", path, exc)
+    return digest
+
+
+def _digests(paths: list[str], jobs: int) -> list[str]:
+    """The whole-file sha256 of each path, in order: from its digest memo, else hashed.
+
+    The files whose memo cannot be trusted are hashed on
+    ``min(jobs, misses)`` threads. The calling thread is one of them and the
+    others are joined before this returns, on error too; one job hashes
+    every file on the calling thread.
+    """
+    digests = [_recalled_digest(path) for path in paths]
+    todo = iter([i for i, digest in enumerate(digests) if digest is None])
+    helpers = min(jobs, digests.count(None)) - 1
     todo_lock = threading.Lock()
 
     def work() -> None:
         while True:
             with todo_lock:
-                item = next(todo, None)
-            if item is None:
+                i = next(todo, None)
+            if i is None:
                 return
-            i, path = item
-            digests[i] = file_digest(path)  # looked up here, so the benchmark's tracer sees every call
+            digests[i] = _hash_and_remember(paths[i])
 
-    helpers = min(jobs, len(paths)) - 1
     with ThreadPoolExecutor(max(helpers, 1), thread_name_prefix="vlrmerge-hash") as pool:
         futures = [pool.submit(work) for _ in range(helpers)]
         work()
@@ -103,10 +165,12 @@ def _digests(paths: list[str], jobs: int) -> list[str]:
 def _hash_inputs(inputs: dict[str, tuple[str, str | None]], manifest: str | None, jobs: int) -> dict[str, str]:
     """Digest each checkpoint file, the vocabulary file read with it and any manifest file.
 
-    Each file is hashed in one streamed pass; the checkpoints on up to
-    ``jobs`` threads at once (see ``_digests``). A checkpoint that changes
-    after it was opened is caught when the merge ends (``assemble_vlrm``),
-    so its recorded digest is never of other bytes than were merged.
+    Each checkpoint's digest comes from its memo when the file is the
+    version the memo records, and is otherwise taken in one streamed pass,
+    on up to ``jobs`` threads at once (see ``_digests``); the other files
+    are always hashed. A checkpoint that changes after it was opened is
+    caught when the merge ends (``assemble_vlrm``), so its recorded digest
+    is never of other bytes than were merged.
     """
     digests = _digests([path for path, _ in inputs.values()], jobs)
     provenance = {}

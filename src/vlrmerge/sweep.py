@@ -23,7 +23,7 @@ from .components import ModelTriple, read_json_object
 from .errors import CheckpointFormatError, DatasetError, ScorerError, VlrmergeError
 from .evaluation import PairwiseExample, evaluate_pairwise
 from .merging import MergeMethod, MergeRecipe
-from .tensorstore import read_metadata
+from .tensorstore import _replace_when_done, default_vocab_path, read_metadata
 
 log = logging.getLogger(__name__)
 
@@ -227,12 +227,12 @@ def _inputs_digest(triple: ModelTriple, provenance: dict[str, str]) -> str:
 
 
 def _is_current(variant: Path, recipe: MergeRecipe, provenance: dict[str, str]) -> bool:
-    """True when ``variant`` exists and records what this run would record.
+    """True when ``variant`` and its vocabulary sidecar exist and it records what this run would record.
 
     Its inputs' digests and the tool version are in the recorded metadata, so
     a variant built from other inputs or by another version is rebuilt.
     """
-    if not variant.exists():
+    if not variant.exists() or not default_vocab_path(variant).exists():
         return False
     try:
         recorded = read_metadata(variant)
@@ -321,7 +321,11 @@ def _manifest_record(kind: str, entry: SweepEntry) -> dict:
 
 
 def _write_manifest(path: Path, result: SweepResult) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    """Write the manifest to a temporary file, moved onto ``path`` when whole.
+
+    So an interrupted write leaves the previous manifest as it was.
+    """
+    with _replace_when_done(path, "w", encoding="utf-8") as f:
         for entry in result.entries:
             record = _manifest_record("entry", entry)
             record["status"] = entry.status

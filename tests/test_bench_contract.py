@@ -5,10 +5,13 @@ up by, and its checker and replay planner import parts of the package. A
 rename that breaks them would otherwise show only when the benchmark runs.
 """
 
+import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+from click.testing import CliRunner
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -16,7 +19,8 @@ sys.path.insert(0, str(PERFBENCH))
 import check  # noqa: E402
 import child  # noqa: E402
 import gen  # noqa: E402
-import replay  # noqa: E402,F401
+import replay  # noqa: E402
+import run  # noqa: E402
 import spans  # noqa: E402
 
 from vlrmerge import (  # noqa: E402
@@ -31,6 +35,7 @@ from vlrmerge import (  # noqa: E402
     merging,
     read_checkpoint,
 )
+from vlrmerge.cli import main  # noqa: E402
 from vlrmerge.sweep import SweepConfig, generate_grid  # noqa: E402
 
 from helpers import toy_triple, write_triple  # noqa: E402
@@ -153,3 +158,39 @@ def test_traced_grid_sweep_is_one_merge_span_that_class_probes_rerun(monkeypatch
     probes = child.class_probes(tracer.merge_calls, {kind: str(path) for kind, path in paths.items()})
     assert set(probes["ties"]) == {"attention", "mlp", "norm"}
     assert probed == [recorded] * 3
+
+
+def test_commands_write_only_what_the_benchmark_checks_beside_their_outputs(tmp_path):
+    # every entry of a sweep's --out-dir is an output whose sha256 golden.json
+    # pins, so an extra file there fails every sweep and a directory there
+    # stops the run; the digest memos live beside the inputs instead
+    inputs = tmp_path / "in"
+    paths = gen.write_triple(inputs, TINY, 0)
+    gen.write_pairwise(inputs / "pairwise.jsonl", 0)
+    (inputs / "sweep.json").write_text(json.dumps({"method": "ties", "sampling_seed": 0}), encoding="utf-8")
+    replay.record_sweep_transcripts(inputs / "sweep.json", inputs / "pairwise.jsonl", inputs / "replay", 0)
+    triple_args = [arg for kind in ("pre", "lvlm", "rm") for arg in (f"--{kind}", str(paths[kind]))]
+    golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+    sweep_dir = tmp_path / "sweep"
+    for phase in ("cold", "warm"):
+        result = CliRunner().invoke(main, [
+            "sweep", *triple_args, "--config", str(inputs / "sweep.json"), "--data", str(inputs / "pairwise.jsonl"),
+            "--replay-dir", str(inputs / "replay"), "--out-dir", str(sweep_dir), "--jobs", "2",
+        ])
+        assert result.exit_code == 0, (phase, result.output)
+        names = sorted(p.name for p in sweep_dir.iterdir())
+        variants = [name for name in names if name.endswith(".safetensors")]
+        assert len(variants) == 12, phase
+        assert names == sorted([*variants, *(f"{v}.vocab" for v in variants), "sweep-manifest.jsonl"]), phase
+        outputs = run.sweep_step(phase).outputs(SimpleNamespace(sweep_dir=sweep_dir))
+        assert set(outputs) == set(golden["sweep-ties"]), phase
+
+    out = tmp_path / "merge" / "linear.safetensors"
+    out.parent.mkdir()
+    result = CliRunner().invoke(main, ["merge", *triple_args, "--method", "linear", "--lambda", "0.7",
+                                       "--out", str(out), "--jobs", "2"])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in out.parent.iterdir()) == ["linear.safetensors", "linear.safetensors.vocab"]
+    assert sorted(p.name for p in inputs.glob("*.sha256.json")) == [
+        f"{kind}.safetensors.sha256.json" for kind in ("lvlm", "pre", "rm")
+    ]

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import shlex
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +199,13 @@ class TestMergeCommand:
         assert_named_error(result, f"{lvlm}: the file changed while it was being read")
         # no checkpoint and no temporary file; only the sidecar, written first, is left
         assert sorted(p.name for p in out.parent.iterdir()) == ["merged.safetensors.vocab"]
+        if change == "replaced":  # still a checkpoint, so a later merge runs and records the new file
+            monkeypatch.undo()
+            again = tmp_path / "again.safetensors"
+            result = runner.invoke(main, [*merge_args(triple_files, "linear"), "--out", str(again)])
+            assert result.exit_code == 0, result.output
+            digest = hashlib.sha256(lvlm.read_bytes()).hexdigest()
+            assert read_checkpoint(again).metadata["input.lvlm.sha256"] == digest
 
     def test_worker_failing_mid_write_leaves_no_output(self, runner, triple_files, tmp_path, monkeypatch):
         real, merged = merging._merge_per_lam, []
@@ -256,6 +265,168 @@ class TestMergeCommand:
         ])
         assert result.exit_code != 0
         assert "name-set mismatch" in result.output
+
+
+def merge_args(paths, method):
+    return ["merge", *triple_args(paths), "--method", method, "--lambda", "0.5", "--jobs", "2"]
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def settle(paths):
+    """Wait until the file system's clock has passed each file's last change.
+
+    A digest memo written in the same clock tick as its file changed is not
+    trusted, so a test that expects a memo hit lets the clock move on first.
+    """
+    newest = max(os.stat(path).st_ctime_ns for path in paths)
+    probe = Path(paths[0]).with_name("clock-probe")
+    for _ in range(1000):
+        probe.write_bytes(b"")  # a new file each time, stamped by the file system's clock
+        written = probe.stat().st_mtime_ns
+        probe.unlink()
+        if written > newest:
+            return
+        time.sleep(0.001)
+    pytest.fail("the file system's clock did not move on within a second")
+
+
+def flip_last_byte(path):
+    """Rewrite a file's last byte in place and put its old times back: only its ctime tells."""
+    before = os.stat(path)
+    with open(path, "r+b") as f:
+        f.seek(-1, os.SEEK_END)
+        last = f.read(1)
+        f.seek(-1, os.SEEK_END)
+        f.write(bytes([last[0] ^ 0xFF]))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert (os.stat(path).st_size, os.stat(path).st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+
+def spy_on_hashing(monkeypatch) -> list[Path]:
+    """Record every path ``cli.file_digest`` is asked to hash."""
+    hashed, real = [], cli.file_digest
+
+    def recording(path):
+        hashed.append(Path(path))
+        return real(path)
+
+    monkeypatch.setattr(cli, "file_digest", recording)
+    return hashed
+
+
+class TestDigestMemo:
+    def test_second_merge_of_an_unchanged_triple_hashes_no_checkpoint(
+        self, runner, triple_files, tmp_path, monkeypatch
+    ):
+        checkpoints = list(triple_files.values())
+        settle(checkpoints)
+        first, second = tmp_path / "first.safetensors", tmp_path / "second.safetensors"
+        result = runner.invoke(main, [*merge_args(triple_files, "ties"), "--density", "0.4", "--out", str(first)])
+        assert result.exit_code == 0, result.output
+        hashed = spy_on_hashing(monkeypatch)
+        result = runner.invoke(main, [*merge_args(triple_files, "ties"), "--density", "0.4", "--out", str(second)])
+        assert result.exit_code == 0, result.output
+        assert hashed and not set(hashed) & set(checkpoints)  # the vocabularies are still hashed
+        assert read_checkpoint(second).metadata == read_checkpoint(first).metadata
+        assert second.read_bytes() == first.read_bytes()
+        for label, path in triple_files.items():
+            assert f"{label} sha256: {sha256_of(path)}" in result.output.splitlines()
+            memo = json.loads(Path(f"{path}.sha256.json").read_text(encoding="utf-8"))
+            assert memo["sha256"] == sha256_of(path)
+
+    @pytest.mark.parametrize("change", ["appended", "rewritten-same-size", "replaced", "racy-memo"])
+    def test_a_changed_file_is_hashed_again(self, triple_files, monkeypatch, change):
+        paths = [str(path) for path in triple_files.values()]
+        lvlm = Path(paths[1])
+        settle(paths)
+        assert cli._digests(paths, 2) == [sha256_of(path) for path in paths]
+        before = os.stat(lvlm)
+        if change == "appended":
+            with open(lvlm, "ab") as f:
+                f.write(b"\x00")
+        elif change == "rewritten-same-size":
+            flip_last_byte(lvlm)
+        elif change == "replaced":
+            other = lvlm.with_name("other")
+            other.write_bytes(lvlm.read_bytes()[:-1] + b"\x01")
+            os.replace(other, lvlm)
+        else:  # a memo written in the clock tick of the file's last change
+            memo = Path(f"{lvlm}.sha256.json")
+            os.utime(memo, ns=(before.st_atime_ns, before.st_ctime_ns))
+        hashed = spy_on_hashing(monkeypatch)
+        assert cli._digests(paths, 2) == [sha256_of(path) for path in paths]
+        assert hashed == [lvlm]
+
+    def test_a_change_just_before_the_memo_is_written_is_caught_by_ctime(self, triple_files, monkeypatch):
+        # the lvlm changes after its stamp is taken and before its memo is written,
+        # which is then newer than the change: only the recorded ctime differs
+        paths = [str(path) for path in triple_files.values()]
+        lvlm = Path(paths[1])
+        real = cli._replace_when_done
+
+        def changing_first(path, *args, **kwargs):
+            if path == Path(f"{lvlm}.sha256.json"):
+                flip_last_byte(lvlm)
+                settle([lvlm])
+            return real(path, *args, **kwargs)
+
+        settle(paths)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_replace_when_done", changing_first)
+            cli._digests(paths, 1)
+        hashed = spy_on_hashing(monkeypatch)
+        assert cli._digests(paths, 1) == [sha256_of(path) for path in paths]
+        assert hashed == [lvlm]
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"{not json", b"\xff\xfe", b"[" * 100_000, b"[1, 2]", b'{"sha256": 5}', "foreign"],
+        ids=["not-json", "not-utf8", "too-deep", "a-list", "no-digest", "foreign"],
+    )
+    def test_a_corrupt_or_foreign_memo_is_hashed_and_rewritten(self, triple_files, monkeypatch, content):
+        paths = [str(path) for path in triple_files.values()]
+        lvlm, rm = paths[1], paths[2]
+        settle(paths)
+        cli._digests(paths, 1)
+        memo = Path(f"{lvlm}.sha256.json")
+        # "foreign": the rm's memo, whole and valid, beside the lvlm
+        memo.write_bytes(Path(f"{rm}.sha256.json").read_bytes() if content == "foreign" else content)
+        hashed = spy_on_hashing(monkeypatch)
+        assert cli._digests(paths, 1) == [sha256_of(path) for path in paths]
+        assert hashed == [Path(lvlm)]
+        rewritten = json.loads(memo.read_text(encoding="utf-8"))
+        assert rewritten == {"sha256": sha256_of(lvlm), "stamp": cli._stamp(os.stat(lvlm))}
+
+    def test_a_memo_that_cannot_be_written_is_skipped(self, runner, triple_files, tmp_path, monkeypatch):
+        def unwritable(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "_replace_when_done", unwritable)
+        out = tmp_path / "out" / "merged.safetensors"
+        out.parent.mkdir()
+        result = runner.invoke(main, [*merge_args(triple_files, "linear"), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        metadata = read_checkpoint(out).metadata
+        for label, path in triple_files.items():
+            assert metadata[f"input.{label}.sha256"] == sha256_of(path)
+            assert not Path(f"{path}.sha256.json").exists()
+
+    def test_a_file_that_changes_while_it_is_hashed_gets_no_memo(self, triple_files, monkeypatch):
+        paths = [str(path) for path in triple_files.values()]
+        real = cli.file_digest
+
+        def appending(path):
+            digest = real(path)
+            with open(path, "ab") as f:
+                f.write(b"\x00")
+            return digest
+
+        monkeypatch.setattr(cli, "file_digest", appending)
+        cli._digests(paths, 2)
+        assert not [path for path in paths if Path(f"{path}.sha256.json").exists()]
 
 
 def linear_args(command, tmp_path):

@@ -623,6 +623,48 @@ class TestRunSweep:
         run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
         assert variant.read_bytes() == built
 
+    def test_variant_that_lost_its_vocabulary_sidecar_is_rebuilt(self, rng, tmp_path, monkeypatch):
+        triple = classified_toy_triple(rng)
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
+        out, clean = tmp_path / "out", tmp_path / "clean"
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        next(out.glob("variant-ties-l1-d0.2-*.safetensors.vocab")).unlink()
+        calls, real_assemble = [], sweep.assemble_vlrm
+
+        def counting_assemble(recipes, *args, **kwargs):
+            calls.append([recipe.slug() for recipe in recipes])
+            return real_assemble(recipes, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "assemble_vlrm", counting_assemble)
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        assert calls == [["ties-l1-d0.2"]]
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), clean, jobs=1)
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in clean.iterdir())
+        for path in clean.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes()
+
+    def test_interrupted_manifest_write_keeps_the_previous_manifest(self, rng, tmp_path, monkeypatch):
+        triple = classified_toy_triple(rng)
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
+        out = tmp_path / "out"
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        manifest = out / sweep.MANIFEST_NAME
+        previous = manifest.read_bytes()
+        real_record, written = sweep._manifest_record, []
+
+        def interrupted(kind, entry):
+            if len(written) == 2:  # two records are already written
+                raise KeyboardInterrupt("interrupted mid-write")
+            written.append(kind)
+            return real_record(kind, entry)
+
+        monkeypatch.setattr(sweep, "_manifest_record", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        assert written == ["entry", "entry"]
+        assert manifest.read_bytes() == previous
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
     @pytest.mark.parametrize("change", ["vocab-order", "dtype-label"])
     def test_library_sweep_rebuilds_for_inputs_with_other_layout(self, rng, tmp_path, change):
         # no input digests: the variant names come from the triple itself
