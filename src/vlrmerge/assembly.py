@@ -8,8 +8,6 @@ language-modeling head.
 
 from __future__ import annotations
 
-import hashlib
-import mmap
 from collections.abc import Iterator, Sequence
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -34,22 +32,6 @@ from .tensorstore import (
     write_vocab,
 )
 
-
-_HASH_BLOCK = 1 << 20
-
-
-def file_digest(path: str | Path) -> str:
-    """sha256 of a file, read one block at a time so no whole copy is held.
-
-    The block is an anonymous mapping, unmapped when the digest is done, so
-    a file hashed on a helper thread leaves no block in that thread's
-    malloc arena.
-    """
-    digest = hashlib.sha256()
-    with open(path, "rb", buffering=0) as handle, mmap.mmap(-1, _HASH_BLOCK) as block, memoryview(block) as view:
-        while size := handle.readinto(view):
-            digest.update(view[:size])
-    return digest.hexdigest()
 
 
 def recorded_provenance(recipe: MergeRecipe, provenance: dict[str, str]) -> dict[str, str]:

@@ -5,33 +5,29 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import os
-import re
 import shlex
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .assembly import assemble_vlrm, file_digest
+from .assembly import assemble_vlrm
 from .assembly import write_merged  # noqa: F401  (the benchmark's tracer wraps it by this name)
 from .components import MODEL_KINDS, Role, classify_tensors, classify_triple, load_manifest_config
 from .components import validate_triple  # noqa: F401  (the benchmark's tracer wraps it by this name)
 from .errors import RecipeError, TripleValidationError, VlrmergeError
 from .evaluation import evaluate_bon, evaluate_pairwise, load_bon_dataset, load_pairwise_dataset
-from .merging import MergeMethod, MergeRecipe, default_jobs
+from .merging import MergeMethod, MergeRecipe, default_jobs, run_workers
 from .scoring import RecordingScorer, ReplayScorer, SubprocessScorer, check_timeout, stub_scorer_loop
 from .sweep import MANIFEST_NAME, SweepConfig, run_sweep
-from .tensorstore import _replace_when_done, default_vocab_path, read_checkpoint
-
-log = logging.getLogger("vlrmerge")
+from .tensorstore import Checkpoint, default_vocab_path, file_digest, read_checkpoint
 
 METHOD_CHOICES = [m.value for m in MergeMethod]
-JOBS_HELP = "Worker threads for per-tensor merging [default: the CPUs this process may use]."
-_HEX_DIGEST = re.compile("[0-9a-f]{64}")
+JOBS_HELP = (
+    "Worker threads for per-tensor merging and for hashing the input checkpoints "
+    "[default: the CPUs this process may use]."
+)
 
 
 def _setup_logging(verbose: int) -> None:
@@ -75,108 +71,32 @@ def _click_error(exc: Exception) -> click.ClickException:
     return click.ClickException(f"triple validation failed with {len(exc.report)} violation(s)")
 
 
-def _stamp(st: os.stat_result) -> dict[str, int]:
-    """What tells one version of a file from another in a digest memo."""
-    return {"st_dev": st.st_dev, "st_ino": st.st_ino, "size": st.st_size,
-            "mtime_ns": st.st_mtime_ns, "ctime_ns": st.st_ctime_ns}
+def _hash_inputs(
+    ckpts: dict[str, Checkpoint], vocabs: dict[str, str | None], manifest: str | None, jobs: int
+) -> dict[str, str]:
+    """Digest each opened checkpoint's file, the vocabulary file read with it and any manifest file.
 
-
-def _memo_path(path: str | Path) -> Path:
-    """The digest memo beside an input checkpoint.
-
-    It holds the file's stamp and whole-file sha256, so an unchanged file is hashed once.
+    A checkpoint's digest comes from its digest memo when the memo records
+    the file as it was opened (``CheckpointFile.recalled_digest``). The
+    other checkpoints are each hashed in one streamed pass, on up to
+    ``jobs`` threads at once (``run_workers``), and remembered; the
+    vocabulary and manifest files are always hashed. A checkpoint that
+    changes after it was opened is caught when the merge ends
+    (``assemble_vlrm``), so its recorded digest is never of other bytes than
+    were merged.
     """
-    return Path(f"{path}.sha256.json")
+    files = [ckpt.file for ckpt in ckpts.values()]
+    digests = [file.recalled_digest() for file in files]
 
+    def hash_one(i: int, _) -> None:
+        digests[i] = file_digest(files[i].path)  # looked up here, so the benchmark's tracer sees every call
+        files[i].remember_digest(digests[i])
 
-def _recalled_digest(path: str | Path) -> str | None:
-    """The sha256 that the digest memo beside ``path`` records, when it may be trusted; else None.
-
-    It is trusted when the file's stamp is the one recorded and the file's
-    ``ctime_ns`` is strictly older than the memo's own ``mtime_ns``, both
-    from the file system's clock (git's racy-git rule): a file changed in
-    the same clock tick as the memo was written could keep its stamp, and
-    ``ctime``, which ``utime`` cannot set, moves on any other change.
-    """
-    try:
-        with open(_memo_path(path), "rb") as f:
-            written = os.fstat(f.fileno()).st_mtime_ns
-            memo = json.loads(f.read())
-        st = os.stat(path)
-    except (OSError, ValueError, RecursionError) as exc:  # json raises RecursionError for deep nesting
-        log.debug("no usable digest memo for %s: %s", path, exc)
-        return None
-    digest = memo.get("sha256") if isinstance(memo, dict) else None
-    if not isinstance(digest, str) or not _HEX_DIGEST.fullmatch(digest) or memo.get("stamp") != _stamp(st):
-        log.debug("the digest memo for %s is of another file or version", path)
-        return None
-    if st.st_ctime_ns >= written:
-        log.debug("the digest memo for %s is not newer than the file's last change", path)
-        return None
-    return digest
-
-
-def _hash_and_remember(path: str | Path) -> str:
-    """``file_digest`` of ``path``, recorded in its digest memo if the file kept its stamp meanwhile.
-
-    A memo that cannot be written, say in a read-only directory, is skipped.
-    """
-    before = _stamp(os.stat(path))
-    digest = file_digest(path)  # looked up here, so the benchmark's tracer sees every call
-    after = _stamp(os.stat(path))
-    if after == before:
-        try:
-            with _replace_when_done(_memo_path(path), "w", encoding="utf-8") as f:
-                json.dump({"stamp": after, "sha256": digest}, f, sort_keys=True)
-        except OSError as exc:
-            log.debug("cannot write the digest memo for %s: %s", path, exc)
-    return digest
-
-
-def _digests(paths: list[str], jobs: int) -> list[str]:
-    """The whole-file sha256 of each path, in order: from its digest memo, else hashed.
-
-    The files whose memo cannot be trusted are hashed on
-    ``min(jobs, misses)`` threads. The calling thread is one of them and the
-    others are joined before this returns, on error too; one job hashes
-    every file on the calling thread.
-    """
-    digests = [_recalled_digest(path) for path in paths]
-    todo = iter([i for i, digest in enumerate(digests) if digest is None])
-    helpers = min(jobs, digests.count(None)) - 1
-    todo_lock = threading.Lock()
-
-    def work() -> None:
-        while True:
-            with todo_lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            digests[i] = _hash_and_remember(paths[i])
-
-    with ThreadPoolExecutor(max(helpers, 1), thread_name_prefix="vlrmerge-hash") as pool:
-        futures = [pool.submit(work) for _ in range(helpers)]
-        work()
-        for future in futures:
-            future.result()
-    return digests
-
-
-def _hash_inputs(inputs: dict[str, tuple[str, str | None]], manifest: str | None, jobs: int) -> dict[str, str]:
-    """Digest each checkpoint file, the vocabulary file read with it and any manifest file.
-
-    Each checkpoint's digest comes from its memo when the file is the
-    version the memo records, and is otherwise taken in one streamed pass,
-    on up to ``jobs`` threads at once (see ``_digests``); the other files
-    are always hashed. A checkpoint that changes after it was opened is
-    caught when the merge ends (``assemble_vlrm``), so its recorded digest
-    is never of other bytes than were merged.
-    """
-    digests = _digests([path for path, _ in inputs.values()], jobs)
+    run_workers([i for i, digest in enumerate(digests) if digest is None], jobs, hash_one, lambda: None)
     provenance = {}
-    for (label, (path, vocab)), digest in zip(inputs.items(), digests):
+    for label, file, digest in zip(ckpts, files, digests):
         provenance[f"input.{label}.sha256"] = digest
-        sidecar = Path(vocab) if vocab is not None else default_vocab_path(path)
+        sidecar = Path(vocabs[label]) if vocabs[label] is not None else default_vocab_path(file.path)
         if sidecar.exists():
             provenance[f"input.{label}_vocab.sha256"] = file_digest(sidecar)
     if manifest is not None:
@@ -186,10 +106,10 @@ def _hash_inputs(inputs: dict[str, tuple[str, str | None]], manifest: str | None
 
 def _load_triple(pre, lvlm, rm, pre_vocab, lvlm_vocab, rm_vocab, manifest, jobs):
     config = load_manifest_config(manifest)
-    inputs = {"pre": (pre, pre_vocab), "lvlm": (lvlm, lvlm_vocab), "rm": (rm, rm_vocab)}
-    ckpts = {label: read_checkpoint(path, vocab) for label, (path, vocab) in inputs.items()}
+    paths, vocabs = {"pre": pre, "lvlm": lvlm, "rm": rm}, {"pre": pre_vocab, "lvlm": lvlm_vocab, "rm": rm_vocab}
+    ckpts = {label: read_checkpoint(path, vocabs[label]) for label, path in paths.items()}
     triple = classify_triple(ckpts["pre"], ckpts["lvlm"], ckpts["rm"], config)
-    return triple, _hash_inputs(inputs, manifest, jobs)
+    return triple, _hash_inputs(ckpts, vocabs, manifest, jobs)
 
 
 @click.group()

@@ -247,6 +247,47 @@ def default_jobs() -> int:
         return os.cpu_count() or 1
 
 
+def run_workers(
+    items: Sequence, jobs: int, work: Callable[[object, object], None], state: Callable[[], object]
+) -> None:
+    """Call ``work(item, own)`` for every item on up to ``jobs`` workers, each with its own ``own = state()``.
+
+    The calling thread is one worker; the others are the
+    ``min(jobs, len(items)) - 1`` threads started for this call and joined
+    before it returns, on error too, so one job or one item starts no
+    thread. Each worker takes the next item until none is left; once a
+    ``work`` call has raised, no worker takes another, and the error is
+    raised here.
+    """
+    todo = iter(items)
+    done = object()
+    todo_lock = threading.Lock()
+    stop = threading.Event()
+
+    def worker() -> None:
+        own = state()
+        try:
+            while not stop.is_set():
+                with todo_lock:
+                    item = next(todo, done)
+                if item is done:
+                    return
+                work(item, own)
+        except BaseException:
+            stop.set()  # the other workers take no further item
+            raise
+
+    helpers = min(jobs, len(items)) - 1
+    with ThreadPoolExecutor(max(helpers, 1), thread_name_prefix="vlrmerge") as pool:
+        futures = [pool.submit(worker) for _ in range(helpers)]
+        try:
+            worker()
+            for future in futures:
+                future.result()
+        finally:
+            stop.set()
+
+
 def merge_transformer(
     recipe: MergeRecipe,
     pre_trans: dict[str, Source],
@@ -264,10 +305,9 @@ def merge_transformer(
     ``variants`` defaults to ``(recipe,)``; each must share ``recipe``'s
     method and seed (RecipeError otherwise), and may differ in lambda and
     density. Checks the recipes and the tensor alignment once, then merges
-    every name on ``jobs`` workers (None takes ``default_jobs()``): the
-    calling thread and ``jobs - 1`` threads started for this call and
-    joined before it returns, on error too, so at most ``jobs`` tensors are
-    in flight and a call with one job or one tensor starts no thread. Each
+    every name on ``jobs`` workers (``run_workers``; None takes
+    ``default_jobs()``), so at most ``jobs`` tensors are in flight and a
+    call with one job or one tensor starts no thread. Each
     worker reads and widens a tensor's inputs into its own workspace once
     for every variant, at most about eight float32 copies of the largest
     tensor plus, when the variants span several densities, a second
@@ -296,9 +336,6 @@ def merge_transformer(
         kept[tensor.name][i] = tensor
 
     emit = sink or keep
-    todo = iter(names)
-    todo_lock = threading.Lock()
-    stop = threading.Event()
 
     def merge_one(name: str, space: _Workspace) -> None:
         lvlm = lvlm_trans[name]
@@ -309,30 +346,7 @@ def merge_transformer(
         for i, out in outs:
             emit(i, Tensor(name, dtype, shape, narrow(out, dtype, scratch)))
 
-    def work() -> None:
-        space = _Workspace(capacity)
-        try:
-            while not stop.is_set():
-                with todo_lock:
-                    name = next(todo, None)
-                if name is None:
-                    return
-                merge_one(name, space)
-        except BaseException:
-            stop.set()  # the other workers take no further tensor
-            raise
-
-    # the calling thread is one of the workers, so jobs=1 starts no thread; the
-    # block joins the helpers before the call returns, on error too
-    helpers = min(jobs or default_jobs(), len(names)) - 1
-    with ThreadPoolExecutor(max(helpers, 1), thread_name_prefix="vlrmerge") as pool:
-        futures = [pool.submit(work) for _ in range(helpers)]
-        try:
-            work()
-            for future in futures:
-                future.result()
-        finally:
-            stop.set()
+    run_workers(names, jobs or default_jobs(), merge_one, lambda: _Workspace(capacity))
     if sink is not None:
         return None
     return [{name: outs[i] for name, outs in kept.items()} for i in range(len(variants))]

@@ -15,9 +15,13 @@ short fails a read with a named error. A file is written through a
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
+import logging
 import math
+import mmap
 import os
+import re
 import stat
 import struct
 import threading
@@ -32,6 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CheckpointFormatError, InputChangedError, VocabError
+
+log = logging.getLogger(__name__)
 
 
 class Dtype(str, Enum):
@@ -119,28 +125,50 @@ def _round_bf16(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> Non
 
 
 _COPY_BLOCK = 1 << 20  # bytes per piece when a payload is copied or hashed from its file
+_HEX_DIGEST = re.compile("[0-9a-f]{64}")
+
+
+def file_digest(path: str | Path) -> str:
+    """sha256 of a file, read one block at a time so no whole copy is held.
+
+    The block is an anonymous mapping, unmapped when the digest is done, so
+    a file hashed on a helper thread leaves no block in that thread's
+    malloc arena.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb", buffering=0) as handle, mmap.mmap(-1, _COPY_BLOCK) as block, memoryview(block) as view:
+        while size := handle.readinto(view):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 class FileStamp(NamedTuple):
-    """What tells one state of a file from another without reading it."""
+    """What tells one version of a file from another without reading it.
 
+    ``utime`` can put a rewritten file's size and ``mtime`` back, but no
+    call sets ``ctime``: any write, ``chmod``, new link or rename moves it.
+    """
+
+    st_dev: int
+    st_ino: int
     size: int
     mtime_ns: int
-    inode: int
+    ctime_ns: int
 
     @classmethod
     def of(cls, st: os.stat_result) -> "FileStamp":
-        return cls(st.st_size, st.st_mtime_ns, st.st_ino)
+        return cls(st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
 class CheckpointFile:
     """A checkpoint file open for reading.
 
     Every read goes through one descriptor, and ``stamp`` is the file's when
-    it was opened, so ``check_unchanged`` can tell whether it has since been
-    rewritten or replaced. The descriptor is closed by ``close``, or once
-    nothing refers to this object: once the checkpoint and all its tensors
-    are gone.
+    it was opened: ``unchanged`` tells whether it has since been changed or
+    replaced, and the digest memo beside the file (``recalled_digest``,
+    ``remember_digest``) is of that version. The descriptor is closed by
+    ``close``, or once nothing refers to this object: once the checkpoint
+    and all its tensors are gone.
     """
 
     def __init__(self, path: Path):
@@ -152,6 +180,8 @@ class CheckpointFile:
             self.close()
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         self.stamp = FileStamp.of(st)
+        # holds the stamp and whole-file sha256 of a version, so an unchanged file is hashed once
+        self.memo_path = Path(f"{path}.sha256.json")
 
     def pread(self, size: int, offset: int) -> bytes:
         """Up to ``size`` bytes from ``offset``; fewer only where the file ends."""
@@ -176,17 +206,60 @@ class CheckpointFile:
                 )
             filled += count
 
-    def check_unchanged(self) -> None:
-        """Raise InputChangedError if the file at ``path``, or the one open here, is not as opened."""
+    def unchanged(self) -> bool:
+        """True while both the file at ``path`` and the one open here have the stamp taken at open."""
         try:
             now = FileStamp.of(os.stat(self.path))
         except FileNotFoundError:
-            now = None
-        if now != self.stamp or FileStamp.of(os.fstat(self.fd)) != self.stamp:
+            return False
+        return now == self.stamp and FileStamp.of(os.fstat(self.fd)) == self.stamp
+
+    def check_unchanged(self) -> None:
+        """Raise InputChangedError unless the file is ``unchanged``."""
+        if not self.unchanged():
             raise InputChangedError(
-                f"{self.path}: the file changed while it was being read (its size, "
-                "modification time or inode is not what it was when it was opened)"
+                f"{self.path}: the file changed while it was being read (its device, inode, size, "
+                "modification or change time is not what it was when it was opened)"
             )
+
+    def recalled_digest(self) -> str | None:
+        """The whole-file sha256 that the digest memo records, when it may be trusted; else None.
+
+        It is trusted when it records the stamp taken at open and that
+        stamp's ``ctime_ns`` is strictly older than the memo's own
+        ``mtime_ns``, both from the file system's clock (git's racy-git
+        rule): a file changed in the clock tick its memo was written in
+        could keep its stamp. A memo that cannot be read or parsed is not.
+        """
+        try:
+            with open(self.memo_path, "rb") as f:
+                written = os.fstat(f.fileno()).st_mtime_ns
+                memo = json.loads(f.read())
+        except (OSError, ValueError, RecursionError) as exc:  # json raises RecursionError for deep nesting
+            log.debug("no usable digest memo for %s: %s", self.path, exc)
+            return None
+        digest = memo.get("sha256") if isinstance(memo, dict) else None
+        if not (isinstance(digest, str) and _HEX_DIGEST.fullmatch(digest)) or memo.get("stamp") != self.stamp._asdict():
+            log.debug("the digest memo for %s is of another file or version", self.path)
+            return None
+        if self.stamp.ctime_ns >= written:
+            log.debug("the digest memo for %s is not newer than the file's last change", self.path)
+            return None
+        return digest
+
+    def remember_digest(self, digest: str) -> None:
+        """Record ``digest``, the sha256 of the file as opened, in the digest memo, atomically.
+
+        Nothing is recorded unless the file is ``unchanged``; a memo that
+        cannot be written, say in a read-only directory, is skipped.
+        """
+        if not self.unchanged():
+            return
+        try:
+            with _replace_when_done(self.memo_path, "w", encoding="utf-8") as f:
+                json.dump({"stamp": self.stamp._asdict(), "sha256": digest}, f, sort_keys=True)
+        except OSError as exc:
+            log.debug("cannot write the digest memo for %s: %s", self.path, exc)
 
 
 class Tensor:

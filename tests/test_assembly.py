@@ -21,9 +21,9 @@ from vlrmerge import (
     read_checkpoint,
     write_checkpoint,
 )
-from vlrmerge.assembly import _HASH_BLOCK, check_merged_structure, file_digest
+from vlrmerge.assembly import check_merged_structure
 from vlrmerge.merging import MergeMethod, MergeRecipe
-from vlrmerge.tensorstore import Tensor, default_vocab_path, read_vocab
+from vlrmerge.tensorstore import _COPY_BLOCK, Tensor, default_vocab_path, file_digest, read_vocab
 
 from helpers import assemble_in, classified_toy_triple, toy_triple, write_triple
 
@@ -377,7 +377,7 @@ class TestStreamedAssembly:
 
 
 class TestFileDigest:
-    @pytest.mark.parametrize("size", [0, 5, 3 * _HASH_BLOCK + 17])
+    @pytest.mark.parametrize("size", [0, 5, 3 * _COPY_BLOCK + 17])
     def test_matches_whole_file_sha256(self, rng, tmp_path, size):
         path = tmp_path / "blob.bin"
         path.write_bytes(rng.integers(0, 256, size, dtype=np.uint8).tobytes())

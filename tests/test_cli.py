@@ -109,6 +109,32 @@ class TestMergeCommand:
             assert metadata[f"input.{label}_vocab.sha256"] == hashlib.sha256(
                 Path(f"{path}.vocab").read_bytes()).hexdigest()
 
+    def test_hashing_stops_at_the_first_failure(self, runner, triple_files, tmp_path, monkeypatch):
+        # two workers take the pre and the lvlm; the pre fails while the lvlm is being hashed,
+        # and the lvlm's hash ends only once the pre's has failed, so no worker may take the rm
+        pre, lvlm = str(triple_files["pre"]), str(triple_files["lvlm"])
+        lvlm_started, pre_failed = threading.Event(), threading.Event()
+        hashed, real = [], cli.file_digest
+
+        def failing(path):
+            hashed.append(Path(path))
+            if str(path) == pre:
+                assert lvlm_started.wait(10)
+                pre_failed.set()
+                raise OSError(5, "Input/output error", pre)
+            if str(path) == lvlm:
+                lvlm_started.set()
+                assert pre_failed.wait(10)
+            return real(path)
+
+        monkeypatch.setattr(cli, "file_digest", failing)
+        out = tmp_path / "merged.safetensors"
+        result = runner.invoke(main, [*merge_args(triple_files, "linear"), "--out", str(out)])
+        assert_named_error(result, f"[Errno 5] Input/output error: '{pre}'")
+        assert sorted(hashed) == sorted(map(Path, (pre, lvlm)))
+        assert not [t for t in threading.enumerate() if t.name.startswith("vlrmerge")]
+        assert not out.exists()
+
     def test_missing_density_is_usage_error(self, runner, triple_files, tmp_path):
         result = runner.invoke(main, [
             "merge", *triple_args(triple_files),
@@ -165,20 +191,23 @@ class TestMergeCommand:
             assert f"{label} sha256: {digest}" in result.output
 
     @pytest.mark.parametrize("when", ["opened", "hashed"])
-    @pytest.mark.parametrize("change", ["replaced", "grown"])
+    @pytest.mark.parametrize("change", ["replaced", "grown", "rewritten-same-size"])
     def test_input_changed_during_the_merge_is_a_named_error(
         self, runner, triple_files, tmp_path, monkeypatch, when, change
     ):
         # the lvlm file changes right after it is opened, or right after it is hashed
         lvlm = Path(triple_files["lvlm"])
+        settle([lvlm])  # so the change moves the file's ctime
 
         def rewrite():
             if change == "replaced":  # another file moved onto the path, as write_checkpoint does
                 ckpt = read_checkpoint(lvlm)
                 write_checkpoint(Checkpoint(ckpt.tensors, metadata={"rewritten": "yes"}), lvlm)
-            else:  # appended to in place
+            elif change == "grown":  # appended to in place
                 with open(lvlm, "ab") as f:
                     f.write(b"\x00")
+            else:
+                flip_last_byte(lvlm)
 
         def changing(real):
             def call(path, *args):
@@ -305,6 +334,22 @@ def flip_last_byte(path):
     assert (os.stat(path).st_size, os.stat(path).st_mtime_ns) == (before.st_size, before.st_mtime_ns)
 
 
+def recorded_digests(paths, jobs):
+    """The digest ``merge`` records for each checkpoint file: opened, then recalled from its memo or hashed.
+
+    The files are opened without reading their headers, so one appended to is still opened.
+    """
+    ckpts = {label: Checkpoint({}, file=tensorstore.CheckpointFile(Path(path)))
+             for label, path in zip(("pre", "lvlm", "rm"), paths)}
+    provenance = cli._hash_inputs(ckpts, dict.fromkeys(ckpts), None, jobs)
+    return [provenance[f"input.{label}.sha256"] for label in ckpts]
+
+
+def checkpoints_hashed(hashed: list[Path]) -> list[Path]:
+    """The checkpoint files among the hashed paths; each one's vocabulary file is always hashed."""
+    return [path for path in hashed if path.suffix == ".safetensors"]
+
+
 def spy_on_hashing(monkeypatch) -> list[Path]:
     """Record every path ``cli.file_digest`` is asked to hash."""
     hashed, real = [], cli.file_digest
@@ -342,7 +387,7 @@ class TestDigestMemo:
         paths = [str(path) for path in triple_files.values()]
         lvlm = Path(paths[1])
         settle(paths)
-        assert cli._digests(paths, 2) == [sha256_of(path) for path in paths]
+        assert recorded_digests(paths, 2) == [sha256_of(path) for path in paths]
         before = os.stat(lvlm)
         if change == "appended":
             with open(lvlm, "ab") as f:
@@ -357,15 +402,15 @@ class TestDigestMemo:
             memo = Path(f"{lvlm}.sha256.json")
             os.utime(memo, ns=(before.st_atime_ns, before.st_ctime_ns))
         hashed = spy_on_hashing(monkeypatch)
-        assert cli._digests(paths, 2) == [sha256_of(path) for path in paths]
-        assert hashed == [lvlm]
+        assert recorded_digests(paths, 2) == [sha256_of(path) for path in paths]
+        assert checkpoints_hashed(hashed) == [lvlm]
 
     def test_a_change_just_before_the_memo_is_written_is_caught_by_ctime(self, triple_files, monkeypatch):
         # the lvlm changes after its stamp is taken and before its memo is written,
         # which is then newer than the change: only the recorded ctime differs
         paths = [str(path) for path in triple_files.values()]
         lvlm = Path(paths[1])
-        real = cli._replace_when_done
+        real = tensorstore._replace_when_done
 
         def changing_first(path, *args, **kwargs):
             if path == Path(f"{lvlm}.sha256.json"):
@@ -375,11 +420,11 @@ class TestDigestMemo:
 
         settle(paths)
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_replace_when_done", changing_first)
-            cli._digests(paths, 1)
+            patch.setattr(tensorstore, "_replace_when_done", changing_first)
+            recorded_digests(paths, 1)
         hashed = spy_on_hashing(monkeypatch)
-        assert cli._digests(paths, 1) == [sha256_of(path) for path in paths]
-        assert hashed == [lvlm]
+        assert recorded_digests(paths, 1) == [sha256_of(path) for path in paths]
+        assert checkpoints_hashed(hashed) == [lvlm]
 
     @pytest.mark.parametrize(
         "content",
@@ -390,21 +435,25 @@ class TestDigestMemo:
         paths = [str(path) for path in triple_files.values()]
         lvlm, rm = paths[1], paths[2]
         settle(paths)
-        cli._digests(paths, 1)
+        recorded_digests(paths, 1)
         memo = Path(f"{lvlm}.sha256.json")
         # "foreign": the rm's memo, whole and valid, beside the lvlm
         memo.write_bytes(Path(f"{rm}.sha256.json").read_bytes() if content == "foreign" else content)
         hashed = spy_on_hashing(monkeypatch)
-        assert cli._digests(paths, 1) == [sha256_of(path) for path in paths]
-        assert hashed == [Path(lvlm)]
+        assert recorded_digests(paths, 1) == [sha256_of(path) for path in paths]
+        assert checkpoints_hashed(hashed) == [Path(lvlm)]
         rewritten = json.loads(memo.read_text(encoding="utf-8"))
-        assert rewritten == {"sha256": sha256_of(lvlm), "stamp": cli._stamp(os.stat(lvlm))}
+        assert rewritten == {"sha256": sha256_of(lvlm), "stamp": tensorstore.FileStamp.of(os.stat(lvlm))._asdict()}
 
     def test_a_memo_that_cannot_be_written_is_skipped(self, runner, triple_files, tmp_path, monkeypatch):
-        def unwritable(path, *args, **kwargs):
-            raise PermissionError(13, "Permission denied", str(path))
+        real = tensorstore._replace_when_done
 
-        monkeypatch.setattr(cli, "_replace_when_done", unwritable)
+        def unwritable(path, *args, **kwargs):
+            if path.name.endswith(".sha256.json"):
+                raise PermissionError(13, "Permission denied", str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(tensorstore, "_replace_when_done", unwritable)
         out = tmp_path / "out" / "merged.safetensors"
         out.parent.mkdir()
         result = runner.invoke(main, [*merge_args(triple_files, "linear"), "--out", str(out)])
@@ -425,7 +474,7 @@ class TestDigestMemo:
             return digest
 
         monkeypatch.setattr(cli, "file_digest", appending)
-        cli._digests(paths, 2)
+        recorded_digests(paths, 2)
         assert not [path for path in paths if Path(f"{path}.sha256.json").exists()]
 
 
