@@ -119,7 +119,7 @@ def assemble_vlrm(
     output; the vision, adapter and reward head tensors are copied from
     their files a block at a time into every output. A TIES or DARE sweep
     over lambda and density is one group. The language-modeling heads are
-    never read, and memory holds the workers' workspaces or one embedding's
+    never read, and memory holds the workers' buffers or one embedding's
     inputs and output, never a whole model. Each output is written as
     ``write_merged`` writes and records ``provenance`` and its recipe. When
     a group is done, every input file is checked to be as it was opened

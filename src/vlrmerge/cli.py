@@ -7,6 +7,7 @@ import json
 import logging
 import shlex
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import click
@@ -92,7 +93,7 @@ def _hash_inputs(
         digests[i] = file_digest(files[i].path)  # looked up here, so the benchmark's tracer sees every call
         files[i].remember_digest(digests[i])
 
-    run_workers([i for i, digest in enumerate(digests) if digest is None], jobs, hash_one, lambda: None)
+    run_workers([i for i, digest in enumerate(digests) if digest is None], jobs, hash_one, nullcontext)
     provenance = {}
     for label, file, digest in zip(ckpts, files, digests):
         provenance[f"input.{label}.sha256"] = digest

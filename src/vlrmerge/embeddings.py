@@ -21,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VocabError
-from .merging import _BLOCK, MergeMethod
+from .merging import MergeMethod
 from .tensorstore import Dtype, narrow, widen
+
+_BLOCK = 1 << 16  # elements per block of rows widened at once
 
 
 @dataclass

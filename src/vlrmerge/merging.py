@@ -19,8 +19,11 @@ weights. Five strategies are supported:
                        and rescale survivors by 1/d before combining
 
 The inputs are storage views and each output has its lvlm input's storage
-dtype; all arithmetic runs in float32 in between: the inputs are widened into
-a workspace of reused buffers, and every step runs in place there.
+dtype; all arithmetic runs in float32 in between, a block of elements at a
+time: each worker widens a block of the staged inputs into its own
+block-sized buffers, runs every step in place there and narrows the block
+into each output. Only the TIES cut needs the whole tensor, in one float32
+ranking key.
 Randomness is counter-based: the value drawn for element ``i`` of a tensor is
 a pure function of (seed, origin tag, tensor name, i), so results do not
 depend on iteration order or worker count. Element ``i`` survives the drop
@@ -32,9 +35,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 import os
 import threading
+import traceback
 from collections.abc import Callable, Iterator, Sequence
+from contextlib import AbstractContextManager
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -119,38 +125,79 @@ def _check_aligned(named_maps: dict[str, dict]) -> None:
                 )
 
 
-class _Workspace:
-    """One worker's float32, uint32 and bool buffers, reused from tensor to tensor.
+# Elements per step of the merge kernel. Measured at two workers: smaller
+# blocks stay in a core's cache, but their many short numpy calls pass the
+# interpreter lock back and forth between the workers.
+_BLOCK = 1 << 17
 
-    Each slot is allocated on first use with room for ``capacity`` elements;
-    a request hands out the first ``n`` of them.
+# the block-sized slots of a worker's buffers; see _merge_per_lam
+_BLOCK_SLOTS = {
+    "pre": np.float32, "lvlm": np.float32, "rm": np.float32,  # widened inputs, then the task vectors
+    "out": np.float32, "tmp": np.float32, "neg": np.float32,
+    "bits": np.uint32,
+    "keep": np.bool_, "tied": np.bool_, "up": np.bool_,
+}
+
+
+class _Buffers:
+    """One worker's buffers, all cut from one anonymous mapping that is unmapped on exit.
+
+    ``staging`` gives the bytes of the slots that hold a tensor's pre, lvlm
+    and rm payloads in their storage dtype, and ``key`` the float32 elements
+    of TIES's ranking key; ``draws`` is the DARE mask's scratch (see
+    ``_keep_mask``), and every other slot has room for ``block``
+    elements. Arrays from numpy's allocator stay resident in malloc's arenas
+    once freed; the mapping gives its pages back when it is unmapped. Used
+    as a context manager: on exit, an error's finished frames are cleared of
+    the views they hold into the mapping, so that it can be unmapped.
     """
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._slots: dict[str, np.ndarray] = {}
+    def __init__(self, staging: Sequence[int], key: int, block: int):
+        draws = min(block, _MASK_CHUNK)
+        slots = {
+            **{f"staged_{role}": (np.uint8, size) for role, size in zip(("pre", "lvlm", "rm"), staging)},
+            "key": (np.float32, key),
+            **{slot: (dtype, block) for slot, dtype in _BLOCK_SLOTS.items()},
+            "draws": (np.uint64, 3 * draws),
+        }
+        offsets, size = {}, 0
+        for slot, (dtype, count) in slots.items():
+            offsets[slot] = size
+            size += -(-count * np.dtype(dtype).itemsize // 64) * 64  # each slot starts on a cache line
+        self.mapping = mmap.mmap(-1, max(size, 1))
+        self._slots = {
+            slot: np.frombuffer(self.mapping, dtype, count, offsets[slot]) for slot, (dtype, count) in slots.items()
+        }
+        self._slots["draws"] = self._slots["draws"].reshape(3, draws)
+        np.multiply(np.arange(draws, dtype=np.uint64), _MIX_GAMMA, out=self._slots["draws"][2])  # i * gamma
 
-    def get(self, slot: str, n: int, dtype=np.float32) -> np.ndarray:
-        buffer = self._slots.get(slot)
-        if buffer is None:
-            buffer = self._slots[slot] = np.empty(self.capacity, dtype=dtype)
-        return buffer[:n]
+    def get(self, slot: str, n: int | None = None) -> np.ndarray:
+        """The first ``n`` elements of ``slot`` (all of it when None)."""
+        return self._slots[slot][:n]
+
+    def __enter__(self) -> "_Buffers":
+        return self
+
+    def __exit__(self, kind, error, tb) -> None:
+        if tb is not None:
+            traceback.clear_frames(tb)
+        self._slots.clear()
+        self.mapping.close()
 
 
 Source = np.ndarray | Tensor  # a storage view, or a tensor whose payload is read when it is merged
 
 
-def _staged(source: Source, slot: str, space: _Workspace) -> np.ndarray:
-    """``source``'s storage view; a tensor's payload is first read into ``space``'s ``slot``."""
+def _staged(source: Source, role: str, space: _Buffers) -> np.ndarray:
+    """``source``'s flat storage view; a tensor's payload is first read into ``space``'s staging slot for ``role``."""
     if isinstance(source, Tensor):
-        # a float32 slot has room for the payload of any storage dtype
-        return source.load(space.get(slot, source.size))
-    return source
+        source = source.load(space.get(f"staged_{role}"))
+    return np.ravel(source)
 
 
-def _widened(source: Source, out: np.ndarray, space: _Workspace) -> np.ndarray:
-    """``source`` widened into ``out``, flat; a tensor is first read into ``space``'s staging buffer."""
-    return widen(np.ravel(_staged(source, "staging", space)), out)
+def _widened(view: np.ndarray, start: int, stop: int, slot: str, space: _Buffers) -> np.ndarray:
+    """Elements ``start:stop`` of the storage ``view``, widened into ``space``'s block ``slot``."""
+    return widen(view[start:stop], space.get(slot, stop - start))
 
 
 def _merge_per_lam(
@@ -159,84 +206,99 @@ def _merge_per_lam(
     pre: Source,
     lvlm: Source,
     rm: Source,
-    space: _Workspace,
+    space: _Buffers,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Merge one same-shaped tensor for each recipe of ``variants``, which share method and seed.
 
-    Yields ``(index into variants, output)`` once per recipe: grouped by
+    Yields ``(index into variants, payload)`` once per recipe: grouped by
     density in the order each density is first seen, and by lambda in list
-    order within a density. ``name`` keys the DARE drop-mask random stream.
+    order within a density. Each payload is a flat array of the storage
+    dtype of ``lvlm``, a row of one new array per density: one allocation,
+    which the allocator reuses for the next density, where freeing several
+    payload-sized arrays at once can trim the heap and fault it in again.
+    ``name`` keys the DARE drop-mask random stream.
     ties and dare-ties scale the jointly merged delta by lam; dare-ties
     elects signs and takes the disjoint mean on the already-rescaled
-    survivors. Each input is read and widened into ``space`` once (linear
-    never reads ``pre``) and every step runs in place there. Each output is
-    a flat float32 view into ``space`` that stays valid until the next one
-    is asked for. The part of the rule that does not depend on lam -- the
-    widened pair for linear, the merged task vector for the other methods --
-    is computed once per density, before that density's first output. The
-    task vectors are re-derived for each density from the fine-tuned
-    payloads, which stay in storage-dtype staging slots while more than one
-    density is merged, and ties ranks each task vector's magnitudes once,
-    for every density's cut.
+    survivors. A tensor's payloads are read once into ``space``'s staging
+    slots, in their storage dtype (linear never reads ``pre``). Then, once
+    per density, every step runs ``_BLOCK`` elements at a time in
+    ``space``'s block slots: widen, form the task vectors, trim or drop,
+    elect and take the disjoint mean, apply each lambda and narrow into
+    that lambda's payload. Only ties needs the whole tensor: it ranks each
+    task vector's magnitudes once in the full-size ``key`` slot, for every
+    density's cut, and trims each block with a running count of the
+    entries tied at the cut. No step crosses a block, so the bytes do not
+    depend on the block size, but for the sign and payload of a NaN summed
+    from two NaNs, which numpy takes from either one by the element's place
+    in its vectorized loop.
     """
     n = pre.size
     method, seed = variants[0].method, variants[0].seed
+    lvlm, rm = _staged(lvlm, "lvlm", space), _staged(rm, "rm", space)
+    dtype = Dtype.of(lvlm)
+    bits = space.get("bits")
     if method is MergeMethod.LINEAR:
-        lvlm = _widened(lvlm, space.get("lvlm", n), space)
-        rm = _widened(rm, space.get("rm", n), space)
-        for i, recipe in enumerate(variants):
-            lam = recipe.lam
-            # exact identities at the endpoints, untouched by rounding
-            if lam == 1.0:
-                yield i, lvlm
-            elif lam == 0.0:
-                yield i, rm
-            else:
-                out, scaled = space.get("out", n), space.get("tmp", n)
-                np.multiply(lam, lvlm, out=out)
-                np.multiply(1.0 - lam, rm, out=scaled)
-                yield i, np.add(out, scaled, out=out)
+        outs = np.empty((len(variants), n), dtype.array_dtype)
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            a = _widened(lvlm, start, stop, "lvlm", space)
+            b = _widened(rm, start, stop, "rm", space)
+            for recipe, out in zip(variants, outs):
+                lam = recipe.lam
+                # exact identities at the endpoints, untouched by rounding
+                if lam == 1.0:
+                    merged = a
+                elif lam == 0.0:
+                    merged = b
+                else:
+                    merged, scaled = space.get("out", a.size), space.get("tmp", a.size)
+                    np.multiply(lam, a, out=merged)
+                    np.multiply(1.0 - lam, b, out=scaled)
+                    np.add(merged, scaled, out=merged)
+                narrow(merged, dtype, bits, out=out[start:stop])
+        yield from enumerate(outs)
         return
     by_density: dict[float | None, list[int]] = {}
     for i, recipe in enumerate(variants):
         by_density.setdefault(recipe.density, []).append(i)
-    pre = _widened(pre, space.get("pre", n), space)
-    if len(by_density) > 1:
-        # each density widens the fine-tuned payloads again, so each is read once into its own slot
-        lvlm, rm = _staged(lvlm, "staging", space), _staged(rm, "staging2", space)
-
-    def task_vectors() -> tuple[np.ndarray, np.ndarray]:
-        # the task vectors, then the merged delta, overwrite the fine-tuned weights
-        lvlm_w = _widened(lvlm, space.get("lvlm", n), space)
-        rm_w = _widened(rm, space.get("rm", n), space)
-        return np.subtract(lvlm_w, pre, out=lvlm_w), np.subtract(rm_w, pre, out=rm_w)
-
-    delta, tau_r = task_vectors()
+    pre = _staged(pre, "pre", space)
     if method is MergeMethod.TIES:
-        cuts = [_cuts(tau, by_density, space) for tau in (delta, tau_r)]
+        cuts = [_cuts(_ranking_key(pre, fine, space), list(by_density), space) for fine in (lvlm, rm)]
+    elif method is not MergeMethod.TASK_ARITHMETIC:
+        streams = [stream_key(seed, origin, name) for origin in ("lvlm", "rm")]
     for j, (density, indices) in enumerate(by_density.items()):
-        if j:  # the previous density's steps overwrote both task vectors
-            delta, tau_r = task_vectors()
-        if method is MergeMethod.TASK_ARITHMETIC:
-            np.add(delta, tau_r, out=delta)
-        else:
-            if method is MergeMethod.TIES:
-                _trim(delta, *cuts[0][j], space)
-                _trim(tau_r, *cuts[1][j], space)
-            else:
-                _drop(delta, density, seed, "lvlm", name, space)
-                _drop(tau_r, density, seed, "rm", name, space)
-            if method is MergeMethod.DARE_TASK_ARITHMETIC:
+        outs = np.empty((len(indices), n), dtype.array_dtype)
+        if method is MergeMethod.TIES:
+            trims = [cuts[0][j], cuts[1][j]]  # per task vector: (threshold, entries tied at it still to keep), or None
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            base = _widened(pre, start, stop, "pre", space)
+            # the task vectors, then the merged delta, overwrite the widened fine-tuned weights
+            delta = np.subtract(_widened(lvlm, start, stop, "lvlm", space), base, out=space.get("lvlm", base.size))
+            tau_r = np.subtract(_widened(rm, start, stop, "rm", space), base, out=space.get("rm", base.size))
+            if method is MergeMethod.TASK_ARITHMETIC:
                 np.add(delta, tau_r, out=delta)
             else:
-                _disjoint_mean(delta, tau_r, space)
-        for i in indices:
-            lam = variants[i].lam
-            if lam == 0.0:
-                yield i, pre
-            else:
-                out = np.multiply(lam, delta, out=space.get("out", n))
-                yield i, np.add(pre, out, out=out)
+                if method is MergeMethod.TIES:
+                    for side, tau in enumerate((delta, tau_r)):
+                        if trims[side] is not None:
+                            trims[side] = _trim(tau, *trims[side], space)
+                else:
+                    for stream, tau in zip(streams, (delta, tau_r)):
+                        _drop(tau, density, stream, start, space)
+                if method is MergeMethod.DARE_TASK_ARITHMETIC:
+                    np.add(delta, tau_r, out=delta)
+                else:
+                    _disjoint_mean(delta, tau_r, space)
+            for i, out in zip(indices, outs):
+                lam = variants[i].lam
+                if lam == 0.0:
+                    merged = base
+                else:
+                    merged = np.multiply(lam, delta, out=space.get("out", base.size))
+                    np.add(base, merged, out=merged)
+                narrow(merged, dtype, bits, out=out[start:stop])
+        yield from zip(indices, outs)
 
 
 def default_jobs() -> int:
@@ -248,16 +310,17 @@ def default_jobs() -> int:
 
 
 def run_workers(
-    items: Sequence, jobs: int, work: Callable[[object, object], None], state: Callable[[], object]
+    items: Sequence, jobs: int, work: Callable[[object, object], None], state: Callable[[], AbstractContextManager]
 ) -> None:
-    """Call ``work(item, own)`` for every item on up to ``jobs`` workers, each with its own ``own = state()``.
+    """Call ``work(item, own)`` for every item on up to ``jobs`` workers, each with its own ``state()``.
 
-    The calling thread is one worker; the others are the
-    ``min(jobs, len(items)) - 1`` threads started for this call and joined
-    before it returns, on error too, so one job or one item starts no
-    thread. Each worker takes the next item until none is left; once a
-    ``work`` call has raised, no worker takes another, and the error is
-    raised here.
+    ``own`` is what entering the worker's ``state()`` gives; the worker
+    exits it when it ends, on error too. The calling thread is one worker;
+    the others are the ``min(jobs, len(items)) - 1`` threads started for
+    this call and joined before it returns, on error too, so one job or one
+    item starts no thread. Each worker takes the next item until none is
+    left; once a ``work`` call has raised, no worker takes another, and the
+    error is raised here.
     """
     todo = iter(items)
     done = object()
@@ -265,17 +328,17 @@ def run_workers(
     stop = threading.Event()
 
     def worker() -> None:
-        own = state()
-        try:
-            while not stop.is_set():
-                with todo_lock:
-                    item = next(todo, done)
-                if item is done:
-                    return
-                work(item, own)
-        except BaseException:
-            stop.set()  # the other workers take no further item
-            raise
+        with state() as own:
+            try:
+                while not stop.is_set():
+                    with todo_lock:
+                        item = next(todo, done)
+                    if item is done:
+                        return
+                    work(item, own)
+            except BaseException:
+                stop.set()  # the other workers take no further item
+                raise
 
     helpers = min(jobs, len(items)) - 1
     with ThreadPoolExecutor(max(helpers, 1), thread_name_prefix="vlrmerge") as pool:
@@ -307,19 +370,19 @@ def merge_transformer(
     density. Checks the recipes and the tensor alignment once, then merges
     every name on ``jobs`` workers (``run_workers``; None takes
     ``default_jobs()``), so at most ``jobs`` tensors are in flight and a
-    call with one job or one tensor starts no thread. Each
-    worker reads and widens a tensor's inputs into its own workspace once
-    for every variant, at most about eight float32 copies of the largest
-    tensor plus, when the variants span several densities, a second
-    staging slot; runs the rule there once per density (for ties, one
-    ranking of each task vector gives every density's cut); and narrows each
-    variant's output into a new payload of the storage dtype of the
-    tensor's lvlm input. With a ``sink``, the worker hands it each output
-    at once as ``sink(variant_index, tensor)`` and keeps none, and the call
-    returns None; without one, the outputs are returned, one map per
-    variant, in order. Workspaces are reused from tensor to tensor and
-    freed when the call returns. The bytes of each output are those of a
-    call with that recipe alone, for any worker count.
+    call with one job or one tensor starts no thread. Each worker reads a
+    tensor's payloads once into its own buffers, in their storage dtype,
+    and runs the rule there once per density, a block at a time (for ties,
+    one ranking of each task vector in a float32 key gives every density's
+    cut), narrowing each block into a new payload per variant, of the
+    storage dtype of the tensor's lvlm input. A worker's buffers are one
+    anonymous mapping, mapped when it starts and unmapped when it ends, on
+    error too: room for the three payloads of the largest tensor, for ties
+    its key, and a few blocks. With a ``sink``, the worker hands it each
+    output at once as ``sink(variant_index, tensor)`` and keeps none, and
+    the call returns None; without one, the outputs are returned, one map
+    per variant, in order. The bytes of each output are those of a call
+    with that recipe alone, for any worker count.
     """
     if jobs is not None and jobs < 1:
         raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
@@ -329,6 +392,14 @@ def merge_transformer(
             raise RecipeError(f"recipe {variant.slug()} does not share the method and seed of {recipe.slug()}")
     _check_aligned({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans})
     capacity = max((source.size for source in pre_trans.values()), default=0)
+    staging = [
+        max((source.nbytes for source in sources.values() if isinstance(source, Tensor)), default=0)
+        for sources in (pre_trans, lvlm_trans, rm_trans)
+    ]
+    if recipe.method is MergeMethod.LINEAR:
+        staging[0] = 0  # linear never reads the base model
+    key = capacity if recipe.method is MergeMethod.TIES else 0
+    block = max(min(_BLOCK, capacity), 1)
     names = list(pre_trans)
     kept: dict[str, list[Tensor | None]] = {name: [None] * len(variants) for name in names}
 
@@ -337,23 +408,20 @@ def merge_transformer(
 
     emit = sink or keep
 
-    def merge_one(name: str, space: _Workspace) -> None:
-        lvlm = lvlm_trans[name]
-        dtype = lvlm.dtype if isinstance(lvlm, Tensor) else Dtype.of(lvlm)
+    def merge_one(name: str, space: _Buffers) -> None:
         shape = pre_trans[name].shape
-        outs = _merge_per_lam(variants, name, pre_trans[name], lvlm, rm_trans[name], space)
-        scratch = space.get("bits", capacity, np.uint32)
-        for i, out in outs:
-            emit(i, Tensor(name, dtype, shape, narrow(out, dtype, scratch)))
+        for i, payload in _merge_per_lam(variants, name, pre_trans[name], lvlm_trans[name], rm_trans[name], space):
+            data = memoryview(payload.view(np.uint8)).toreadonly()
+            emit(i, Tensor(name, Dtype.of(payload), shape, data))
 
-    run_workers(names, jobs or default_jobs(), merge_one, lambda: _Workspace(capacity))
+    run_workers(names, jobs or default_jobs(), merge_one, lambda: _Buffers(staging, key, block))
     if sink is not None:
         return None
     return [{name: outs[i] for name, outs in kept.items()} for i in range(len(variants))]
 
 
 # ---------------------------------------------------------------------------
-# in-place steps on flat float32 arrays, with temporaries from a workspace
+# the steps of the merge rules, on flat float32 arrays, with scratch from a worker's buffers
 
 
 def retained_count(density: float, n: int) -> int:
@@ -368,49 +436,86 @@ def retained_count(density: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
-def _cuts(arr: np.ndarray, densities: Sequence[float], space: _Workspace) -> list[tuple[int, np.float32 | None]]:
-    """For each density, ``(k, cut)``: ``k = retained_count(density, n)`` and ``cut`` the
-    k-th smallest -|arr|, or None when k keeps every entry.
+def _ranking_key(pre: np.ndarray, fine: np.ndarray, space: _Buffers) -> np.ndarray:
+    """-|fine - pre|, the task vector's ranking key, written block by block into ``space``'s ``key`` slot."""
+    n = pre.size
+    key = space.get("key", n)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        block = widen(fine[start:stop], key[start:stop])
+        np.subtract(block, _widened(pre, start, stop, "pre", space), out=block)
+        bits = block.view(np.uint32)
+        np.bitwise_or(bits, np.uint32(0x80000000), out=bits)  # -|x| is x with its sign bit set
+    return key
 
-    One ascending sort of -|arr| ranks every entry (NaN last), so every
-    density's cut is read from it. A single cut is found by selection
-    instead, which places the same value at k - 1 in less time.
+
+def _cuts(key: np.ndarray, densities: Sequence[float], space: _Buffers) -> list[tuple[np.float32, int] | None]:
+    """For each density, the trim of the task vector whose ranking key is ``key``, reordered here.
+
+    The trim keeps k = retained_count(density, n) entries: the first k of a
+    stable sort on descending magnitude, NaN ranking after every number.
+    Each density's trim is ``(threshold, ties)``: every entry whose magnitude
+    is above ``threshold``, the k-th largest, is kept, and so are the first
+    ``ties`` entries in flat order whose magnitude equals it (NaN entries
+    when it is NaN). It is None when k keeps every entry. One ascending sort
+    of ``key`` ranks every entry, so every density's cut is read from it; a
+    single cut is placed by selection instead, in less time. The entries
+    that rank before the cut are then found by a binary search of the
+    sorted key, or counted a block at a time among the k - 1 that selection
+    put before it.
     """
-    n = arr.size
+    n = key.size
     ks = [retained_count(density, n) for density in densities]
     cuts = {k - 1 for k in ks if k < n}
-    if not cuts:
-        return [(k, None) for k in ks]
-    ranked = space.get("tmp", n)
-    np.negative(np.abs(arr, out=ranked), out=ranked)
-    if len(cuts) == 1:
-        ranked.partition(cuts.pop())
-    else:
-        ranked.sort()
-    return [(k, ranked[k - 1] if k < n else None) for k in ks]
+    sort = len(cuts) > 1
+    if sort:
+        key.sort()
+    elif cuts:
+        key.partition(cuts.pop())
+    trims = []
+    for k in ks:
+        if k == n:
+            trims.append(None)
+            continue
+        cut = key[k - 1]
+        if sort:
+            above = int(np.searchsorted(key, cut))  # NaN sorts, and is found, after every number
+        else:
+            below = np.float32(np.inf) if np.isnan(cut) else cut  # every number ranks before NaN
+            above = 0
+            for start in range(0, k - 1, _BLOCK):
+                ranked = key[start : min(start + _BLOCK, k - 1)]
+                above += np.count_nonzero(np.less(ranked, below, out=space.get("keep", ranked.size)))
+        trims.append((-cut, k - above))
+    return trims
 
 
-def _trim(arr: np.ndarray, k: int, cut: np.float32 | None, space: _Workspace) -> None:
-    """Keep the k entries of largest magnitude, zero the rest; ``(k, cut)`` is from ``_cuts``.
+def _trim(tau: np.ndarray, threshold: np.float32, ties: int, space: _Buffers) -> tuple[np.float32, int]:
+    """Zero the entries of the block ``tau`` that a trim ``(threshold, ties)`` from ``_cuts`` drops.
 
-    The kept set is the first k of a stable sort on descending magnitude:
-    equal magnitudes at the cut are kept in ascending flat-index order, and
-    NaN ranks after every number.
+    ``ties`` counts the entries tied at the threshold that are still to be
+    kept, in flat order; returns the trim for the next block, with the
+    ones kept here taken off.
     """
-    n = arr.size
-    if k >= n:
-        return
-    key = space.get("key", n)
-    np.negative(np.abs(arr, out=key), out=key)
-    keep, at_cut = space.get("keep", n, bool), space.get("at_cut", n, bool)
-    if np.isnan(cut):
+    m = tau.size
+    magnitude = np.abs(tau, out=space.get("tmp", m))
+    keep, tied = space.get("keep", m), space.get("tied", m)
+    if np.isnan(threshold):
         # fewer than k numbers: all of them, then the first NaNs
-        np.logical_not(np.isnan(key, out=at_cut), out=keep)
+        np.logical_not(np.isnan(magnitude, out=tied), out=keep)
     else:
-        np.less(key, cut, out=keep)
-        np.equal(key, cut, out=at_cut)
-    keep[np.flatnonzero(at_cut)[: k - np.count_nonzero(keep)]] = True
-    _select(keep, arr)
+        np.greater(magnitude, threshold, out=keep)
+        if ties:
+            np.equal(magnitude, threshold, out=tied)
+    if ties:
+        here = np.count_nonzero(tied)
+        if here <= ties:
+            np.logical_or(keep, tied, out=keep)
+        else:
+            keep[np.flatnonzero(tied)[:ties]] = True
+        ties -= min(here, ties)
+    _select(keep, tau)
+    return threshold, ties
 
 
 def _select(keep: np.ndarray, arr: np.ndarray) -> None:
@@ -424,50 +529,38 @@ def _select(keep: np.ndarray, arr: np.ndarray) -> None:
     np.multiply(bits, keep, out=bits)
 
 
-def _drop(arr: np.ndarray, density: float, seed: int, origin: str, name: str, space: _Workspace) -> None:
-    """DARE in place: drop entries by the (seed, origin, name) stream, rescale survivors by 1/d."""
+def _drop(tau: np.ndarray, density: float, stream: int, start: int, space: _Buffers) -> None:
+    """DARE on the block ``tau`` at flat offset ``start``: drop entries by ``stream``, rescale survivors by 1/d."""
     if density == 1.0:
         return
-    keep = _keep_mask(stream_key(seed, origin, name), arr.size, density, space.get("keep", arr.size, bool))
-    np.multiply(arr, 1.0 / density, out=arr)
-    _select(keep, arr)
+    keep = _keep_mask(stream, start, density, space.get("keep", tau.size), space.get("draws"))
+    np.multiply(tau, 1.0 / density, out=tau)
+    _select(keep, tau)
 
 
-_BLOCK = 1 << 16
-
-
-def _disjoint_mean(a: np.ndarray, b: np.ndarray, space: _Workspace) -> None:
-    """Write into ``a`` the mean of the nonzero entries of ``a`` and ``b`` that
-    match the elected sign, 0 where none do; ``b`` is overwritten.
+def _disjoint_mean(a: np.ndarray, b: np.ndarray, space: _Buffers) -> None:
+    """Write into the block ``a`` the mean of the nonzero entries of ``a`` and ``b``
+    that match the elected sign, 0 where none do; ``b`` is overwritten.
 
     The elected sign is + where the positive total magnitude wins, ties
     included. fmax/fmin skip NaN, so a NaN entry counts toward neither
-    direction. Every step is elementwise, so the work runs ``_BLOCK``
-    elements at a time: the temporaries stay in cache, and the bytes do not
-    depend on the block size.
+    direction. An entry matches when its product with the elected sign, a
+    sign flip or none, is above 0: never for 0 or NaN.
     """
     zero = np.float32(0.0)
-    for start in range(0, a.size, _BLOCK):
-        x, y = a[start : start + _BLOCK], b[start : start + _BLOCK]
-        n = x.size
-        pos, neg, tmp = space.get("key", n), space.get("out", n), space.get("tmp", n)
-        np.add(np.fmax(x, zero, out=pos), np.fmax(y, zero, out=tmp), out=pos)
-        np.add(np.fmin(x, zero, out=neg), np.fmin(y, zero, out=tmp), out=neg)
-        up = np.greater_equal(pos, np.negative(neg, out=neg), out=space.get("up", n, bool))
-        down = np.logical_not(up, out=space.get("down", n, bool))
-        count = pos
-        match, against = space.get("keep", n, bool), space.get("at_cut", n, bool)
-        for i, arr in enumerate((x, y)):
-            np.logical_and(up, np.greater(arr, zero, out=match), out=match)
-            np.logical_and(down, np.less(arr, zero, out=against), out=against)
-            np.logical_or(match, against, out=match)
-            if i == 0:
-                np.copyto(count, match)
-            else:
-                np.add(count, match, out=count)
-            _select(match, arr)
-        # where nothing matches, the total is 0 and so is the mean
-        np.divide(np.add(x, y, out=x), np.maximum(count, np.float32(1.0), out=count), out=x)
+    n = a.size
+    pos, neg, tmp = space.get("out", n), space.get("neg", n), space.get("tmp", n)
+    np.add(np.fmax(a, zero, out=pos), np.fmax(b, zero, out=tmp), out=pos)
+    np.add(np.fmin(a, zero, out=neg), np.fmin(b, zero, out=tmp), out=neg)
+    up = np.greater_equal(pos, np.negative(neg, out=neg), out=space.get("up", n))
+    sign = np.subtract(np.multiply(up, np.float32(2.0), out=neg), np.float32(1.0), out=neg)
+    matches = space.get("keep", n), space.get("tied", n)
+    for arr, match in zip((a, b), matches):
+        np.greater(np.multiply(arr, sign, out=tmp), zero, out=match)
+        _select(match, arr)
+    # where nothing matches, the total is 0 and so is the mean
+    count = np.add(*matches, out=pos, dtype=np.float32)
+    np.divide(np.add(a, b, out=a), np.maximum(count, np.float32(1.0), out=count), out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +570,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX_GAMMA = np.uint64(_GAMMA)
 _MIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_M2 = np.uint64(0x94D049BB133111EB)
-_MASK_CHUNK = 1 << 14
+_MASK_CHUNK = 1 << 15
 
 
 def stream_key(seed: int, origin: str, name: str) -> int:
@@ -489,28 +582,31 @@ def stream_key(seed: int, origin: str, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _keep_mask(key: int, n: int, density: float, out: np.ndarray) -> np.ndarray:
-    """Drop-mask decisions for flat indices 0..n-1 of one stream; True keeps.
+def _keep_mask(key: int, start: int, density: float, out: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Drop-mask decisions of one stream for the ``out.size`` flat indices from ``start``, into ``out``; True keeps.
 
     Draw i mixes ``key + i * gamma`` through the splitmix64 finalizer, so any
     element's decision can be made independently of the others. Its top 53
-    bits m stand for the uniform m * 2**-53, which is kept when below density.
-    The test is made on the integer, m < ceil(density * 2**53), which is exact
-    because scaling by 2**53 is exact in float64. The draws are made
-    ``_MASK_CHUNK`` at a time, so no full-size integer temporary exists, and
-    the decisions are written to ``out``, a bool array of n elements.
+    bits m stand for the uniform m * 2**-53, which is kept when below
+    density: m < ceil(density * 2**53), tested as the whole draw below that
+    limit shifted left by 11 bits. Scaling by 2**53 is exact in float64, and
+    the shifted limit fits 64 bits because it is below 2**53 whenever
+    density < 1 (density 1 draws no mask). The draws are made
+    ``_MASK_CHUNK`` at a time in ``draws``, a worker's uint64 slot of three
+    rows of at least min(out.size, _MASK_CHUNK): two for the draws, so no
+    integer temporary exists, and i * gamma for each i of a chunk.
     """
-    limit = np.uint64(math.ceil(density * 2.0**53))
-    steps = np.arange(min(n, _MASK_CHUNK), dtype=np.uint64) * _MIX_GAMMA
+    limit = np.uint64(math.ceil(density * 2.0**53) << 11)
+    z, shifted, steps = draws
     with np.errstate(over="ignore"):
-        for start in range(0, n, _MASK_CHUNK):
-            stop = min(start + _MASK_CHUNK, n)
-            z = steps[: stop - start] + np.uint64((key + start * _GAMMA) % 2**64)
-            z ^= z >> np.uint64(30)
-            z *= _MIX_M1
-            z ^= z >> np.uint64(27)
-            z *= _MIX_M2
-            z ^= z >> np.uint64(31)
-            np.less(z >> np.uint64(11), limit, out=out[start:stop])
+        for at in range(0, out.size, _MASK_CHUNK):
+            m = min(_MASK_CHUNK, out.size - at)
+            mixed, bits = z[:m], shifted[:m]
+            np.add(steps[:m], np.uint64((key + (start + at) * _GAMMA) % 2**64), out=mixed)
+            np.bitwise_xor(mixed, np.right_shift(mixed, np.uint64(30), out=bits), out=mixed)
+            np.multiply(mixed, _MIX_M1, out=mixed)
+            np.bitwise_xor(mixed, np.right_shift(mixed, np.uint64(27), out=bits), out=mixed)
+            np.multiply(mixed, _MIX_M2, out=mixed)
+            np.bitwise_xor(mixed, np.right_shift(mixed, np.uint64(31), out=bits), out=mixed)
+            np.less(mixed, limit, out=out[at : at + m])
     return out
-

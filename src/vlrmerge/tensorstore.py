@@ -86,17 +86,22 @@ def widen(src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def narrow(values: np.ndarray, dtype: Dtype, scratch: np.ndarray | None = None) -> memoryview:
-    """A new read-only payload of ``dtype`` holding the float32 ``values``, in flat order.
+def narrow(
+    values: np.ndarray, dtype: Dtype, scratch: np.ndarray | None = None, out: np.ndarray | None = None
+) -> memoryview:
+    """A read-only payload of ``dtype`` holding the float32 ``values``, in flat order.
 
     Narrowing rounds to nearest even; values beyond the F16 range saturate to
     +-infinity, and a NaN stays a NaN with its sign and payload. Widening is
     exact, so widen-then-narrow round-trips every F16 and BF16 bit pattern.
+    The payload is written to ``out``, a contiguous array of
+    ``dtype.array_dtype`` with ``values.size`` elements, or to a new one.
     ``scratch``, a uint32 array of at least ``values.size`` elements, spares
     the BF16 rounding an allocation.
     """
     values = np.ravel(np.asarray(values, dtype="<f4"))
-    out = np.empty(values.size, dtype=dtype.array_dtype)
+    if out is None:
+        out = np.empty(values.size, dtype=dtype.array_dtype)
     if dtype is Dtype.BF16:
         scratch = np.empty(values.size, np.uint32) if scratch is None else scratch[: values.size]
         _round_bf16(values, out, scratch)
@@ -115,8 +120,7 @@ def _round_bf16(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> Non
     np.bitwise_and(scratch, np.uint32(1), out=scratch)
     np.add(scratch, bits, out=scratch)
     np.add(scratch, np.uint32(0x7FFF), out=scratch)
-    np.right_shift(scratch, np.uint32(16), out=scratch)
-    np.copyto(out, scratch, casting="unsafe")
+    np.right_shift(scratch, np.uint32(16), out=out, casting="unsafe")
     if values.size and np.isnan(values.max()):  # max propagates NaN
         nan = np.isnan(values)
         top = (bits[nan] >> np.uint32(16)).astype(np.uint16)

@@ -22,7 +22,7 @@ from vlrmerge import (
     read_checkpoint,
     write_checkpoint,
 )
-from vlrmerge.merging import _MASK_CHUNK, _cuts, _trim, _Workspace, retained_count
+from vlrmerge.merging import _BLOCK, _MASK_CHUNK, _Buffers, _cuts, _keep_mask, _trim, retained_count
 from vlrmerge.sweep import DEFAULT_DENSITY_GRID
 
 from helpers import drop_step, merge_one, trim_step
@@ -46,11 +46,17 @@ def merge_map(recipe, pre, lvlm, rm):
 
 
 def trim_array(values, density):
-    """The in-place trim step, run on a copy of ``values``."""
+    """The trim step, run on a copy of ``values`` ``merging._BLOCK`` elements at a time."""
     out = np.array(values, dtype=np.float32)
-    flat, space = out.reshape(-1), _Workspace(out.size)
-    [(k, cut)] = _cuts(flat, [density], space)
-    _trim(flat, k, cut, space)
+    flat, block = out.reshape(-1), merging._BLOCK
+    with _Buffers((0, 0, 0), flat.size, block) as space:
+        key = space.get("key", flat.size)
+        np.negative(np.abs(flat, out=key), out=key)
+        [trim] = _cuts(key, [density], space)
+        del key  # no view into the buffers may outlive them
+        for start in range(0, flat.size, block):
+            if trim is not None:
+                trim = _trim(flat[start : start + block], *trim, space)
     return out
 
 
@@ -216,9 +222,12 @@ class TestTrim:
         assert retained_count(0.6, 5) == 3
         assert retained_count(0.5, 5) == 3
 
+    @pytest.mark.parametrize("block", [_BLOCK, 97])
     @pytest.mark.parametrize("density", DEFAULT_DENSITY_GRID + (1.0,))
     @pytest.mark.parametrize("kind", ["bf16", "halves", "specials", "mostly-nan"])
-    def test_bytes_match_stable_argsort(self, rng, kind, density):
+    def test_bytes_match_stable_argsort(self, rng, monkeypatch, kind, density, block):
+        # 97 splits the 3000 entries into blocks, so the ties at the cut are counted across them
+        monkeypatch.setattr(merging, "_BLOCK", block)
         values = trim_inputs(kind, rng)
         out = trim_array(values, density)
         assert out.tobytes() == argsort_trim(values, density).tobytes()
@@ -364,14 +373,21 @@ class TestDareSparsify:
         expected = ref.drop_and_rescale(values.tolist(), 0.3, 42, "rm", "w.0")
         assert out.tolist() == [float(v) for v in expected]
 
-    @pytest.mark.parametrize("density", [1 / 3, 0.5])
+    @pytest.mark.parametrize("density", [1 / 3, 0.5, 0.999999, 1e-9])
     def test_keep_decisions_across_mask_chunks(self, density):
         # several whole mask chunks and a partial one
         n = 5 * _MASK_CHUNK + 123
         out = drop_step(np.ones(n, dtype=np.float32), density, seed=5, origin="rm", name="w.big")
         kept = out != 0
+        expected = ref.keep_decisions(5, "rm", "w.big", n, density)
         # every decision, those on both sides of each chunk boundary included
-        assert kept.tolist() == ref.keep_decisions(5, "rm", "w.big", n, density)
+        assert kept.tolist() == expected
+        # a window that starts mid-chunk and crosses two chunk boundaries, drawn as a block is
+        start, size = _MASK_CHUNK // 2 + 7, 2 * _MASK_CHUNK + 5
+        key, window = ref.stream_key(5, "rm", "w.big"), np.empty(size, bool)
+        with _Buffers((0, 0, 0), 0, size) as space:
+            _keep_mask(key, start, density, window, space.get("draws"))
+        assert window.tolist() == expected[start : start + size]
 
     def test_keep_threshold_is_exact_at_a_draw(self):
         # element 0's draw is m * 2**-53; a density half a step above it keeps
@@ -585,6 +601,42 @@ def one_pass_inputs(rng, n=3000):
     return [pre, lvlm, rm]
 
 
+def same_bytes_but_nan(got, want):
+    """Equal float32 arrays bit for bit, except that a NaN may stand for a NaN.
+
+    numpy gives the sum of two NaNs the sign and payload of either one, by the
+    element's place in its vectorized loop, so in linear, task-arithmetic and
+    dare-task-arithmetic that NaN depends on where the blocks end.
+    """
+    same = got.view(np.uint32) == want.view(np.uint32)
+    return bool(np.all(same | (np.isnan(got) & np.isnan(want))))
+
+
+def straddling_ties(rng, n=10007, boundary=4099):
+    """Three float32 maps of one tensor: at density 0.4, each task vector's cut falls in a run of
+    equal magnitudes whose kept part crosses flat index ``boundary``."""
+    pre = (rng.integers(-6, 7, n) * 0.5).astype(np.float32)
+    k = retained_count(0.4, n)
+    sides = [pre]
+    for run_start in (boundary - 49, boundary - 9):
+        tau = np.full(n, 0.25, np.float32)
+        run = np.arange(run_start, run_start + 300)
+        tau[run] = 0.5
+        # k - 100 magnitudes above the run, so its first 100 entries are kept
+        tau[rng.choice(np.setdiff1d(np.arange(n), run), k - 100, replace=False)] = 1.0
+        sides.append(pre + tau * rng.choice(arr([-1.0, 1.0]), n))
+    return [{"straddle": side} for side in sides]
+
+
+ALL_METHODS = [
+    (MergeMethod.LINEAR, {}),
+    (MergeMethod.TASK_ARITHMETIC, {}),
+    (MergeMethod.TIES, {"density": 0.4}),
+    (MergeMethod.DARE_TASK_ARITHMETIC, {"density": 0.4, "seed": 9}),
+    (MergeMethod.DARE_TIES, {"density": 0.4, "seed": 9}),
+]
+
+
 ONE_PASS_METHODS = [
     (MergeMethod.TIES, None),
     (MergeMethod.DARE_TIES, 11),
@@ -641,6 +693,99 @@ class TestOnePass:
             for name in shapes:
                 assert merged[name].dtype is Dtype.BF16
                 assert merged[name].data == alone[name].data, (variant.slug(), name)
+
+    def test_straddling_ties_cross_the_boundary(self, rng):
+        pre, lvlm, rm = (side["straddle"] for side in straddling_ties(rng))
+        for fine in (lvlm, rm):
+            kept = argsort_trim(fine - pre, 0.4) != 0
+            tied = np.abs(fine - pre) == 0.5
+            assert kept[4098] and kept[4099] and tied[4098] and tied[4099]
+            assert tied.sum() > (kept & tied).sum() > 0  # the cut splits the run
+
+    @pytest.mark.parametrize("block", [7, 4099])
+    @pytest.mark.parametrize("method,extra", ALL_METHODS)
+    def test_bytes_do_not_depend_on_block_size(self, rng, monkeypatch, method, extra, block):
+        # neither block size divides a tensor's size, so every tensor ends in a partial block
+        maps = [{**side, **straddle} for side, straddle in zip(one_pass_inputs(rng), straddling_ties(rng))]
+        recipe = MergeRecipe(method, lam=0.7, **extra)
+        if method.needs_density:
+            grid = self.grid(method, recipe.seed, rng)
+        else:
+            grid = [replace(recipe, lam=lam) for lam in (0.0, 0.5, 1.0)]
+        for variants in ([recipe], grid):
+            expected = merge_transformer(recipe, *maps, jobs=2, variants=variants)
+            with monkeypatch.context() as patch:
+                patch.setattr(merging, "_BLOCK", block)
+                blocked = merge_transformer(recipe, *maps, jobs=2, variants=variants)
+            for variant, want, got in zip(variants, expected, blocked):
+                for name in want:
+                    assert same_bytes_but_nan(got[name].array(), want[name].array()), (variant.slug(), name)
+
+
+class TestWorkerBuffers:
+    """A worker's buffers are one mapping, bounded by the largest tensor, and unmapped when the call returns."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        made = []
+
+        class Recorded(merging._Buffers):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.size = len(self.mapping)
+                made.append(self)
+
+        monkeypatch.setattr(merging, "_Buffers", Recorded)
+        return made
+
+    @staticmethod
+    def bf16_files(rng, tmp_path, n):
+        shapes = {"big": (n,), "small": (3, 5)}
+        for kind in ("pre", "lvlm", "rm"):
+            tensors = {name: Tensor.from_f32(name, rng.standard_normal(shape) * 0.05, Dtype.BF16)
+                       for name, shape in shapes.items()}
+            write_checkpoint(Checkpoint(tensors), tmp_path / f"{kind}.safetensors")
+        # opened header-only, so each payload is staged in a worker's buffers
+        return [read_checkpoint(tmp_path / f"{kind}.safetensors").tensors for kind in ("pre", "lvlm", "rm")]
+
+    @pytest.mark.parametrize("method,extra", ALL_METHODS)
+    def test_mapping_holds_the_staged_payloads_and_blocks(self, rng, tmp_path, monkeypatch, method, extra):
+        n = 3 * _BLOCK + 5
+        opened = self.bf16_files(rng, tmp_path, n)
+        made = self.recorded(monkeypatch)
+        recipe = MergeRecipe(method, lam=0.7, **extra)
+        merge_transformer(recipe, *opened, jobs=2)
+        # three bf16 payloads, TIES's float32 ranking key, and block-sized slots
+        bound = 6 * n + (4 * n if method is TIES else 0) + 64 * _BLOCK
+        assert len(made) == 2
+        for buffers in made:
+            assert buffers.mapping.closed
+            assert buffers.size <= bound
+
+    @pytest.mark.parametrize("failing", ["kernel", "sink"])
+    def test_mapping_is_closed_after_a_worker_raises(self, rng, tmp_path, monkeypatch, failing):
+        opened = self.bf16_files(rng, tmp_path, 3 * _BLOCK + 5)
+        made = self.recorded(monkeypatch)
+        sink = None
+        if failing == "kernel":  # raised in the kernel's frame, which holds views into the buffers
+            real, calls = merging.narrow, []
+
+            def narrow(*args, **kwargs):
+                calls.append(len(calls))
+                if len(calls) == 2:
+                    raise MemoryError("no room")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(merging, "narrow", narrow)
+        else:  # raised while the kernel waits at a yield
+
+            def sink(i, tensor):
+                raise MemoryError("no room")
+
+        recipe = MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=9)
+        with pytest.raises(MemoryError, match="no room"):
+            merge_transformer(recipe, *opened, jobs=2, sink=sink)
+        assert made and all(buffers.mapping.closed for buffers in made)
 
 
 class TestWorkerThreads:
