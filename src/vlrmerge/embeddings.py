@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VocabError
+from .errors import NonFiniteWeightError, VocabError
 from .merging import MergeMethod
-from .tensorstore import Dtype, narrow, widen
+from .tensorstore import Dtype, first_non_finite, narrow, widen
 
 _BLOCK = 1 << 16  # elements per block of rows widened at once
 
@@ -85,7 +85,9 @@ def merge_embedding_rows(
     are widened to float32, averaged and narrowed, a block of rows at a time,
     so no float32 copy of a whole matrix is made. The bytes are those of
     widening every input, merging in float32 and narrowing the output, since
-    widening and narrowing round-trip every stored bit pattern.
+    widening and narrowing round-trip every stored bit pattern. First, a NaN
+    or infinity in a matrix the method reads (linear never reads ``pre``)
+    raises NonFiniteWeightError, naming the model and row.
     """
     width = lvlm_emb.shape[1]
     if rm_emb.shape[1] != width or pre_emb.shape[1] != width:
@@ -107,6 +109,12 @@ def merge_embedding_rows(
     if neither.any():
         token = aligned.tokens[int(neither.argmax())]
         raise VocabError(f"token {token!r} is in neither fine-tuned vocabulary")
+    # each gather copies one block of rows, so no temporary outgrows a block
+    step = max(1, _BLOCK // max(width, 1))
+    scratch = np.empty(step * max(width, 1), np.uint32)
+    for label, _, source in sources[1:] if method is MergeMethod.LINEAR else sources:
+        if (at := first_non_finite(source, scratch)) is not None:
+            raise NonFiniteWeightError(f"{label} embedding row {at // width} holds a non-finite weight")
 
     use_pre = (pre_idx >= 0) & (method is not MergeMethod.LINEAR)
     both = ~use_pre & (lv_idx >= 0) & (rm_idx >= 0)
@@ -114,8 +122,6 @@ def merge_embedding_rows(
     only_rm = ~use_pre & (lv_idx < 0) & (rm_idx >= 0)
 
     out = np.empty((len(aligned.tokens), width), dtype=dtype.array_dtype)
-    # each gather copies one block of rows, so no temporary outgrows a block
-    step = max(1, _BLOCK // max(width, 1))
     for mask, (_, idx, source) in zip((use_pre, only_lv, only_rm), sources):
         rows = np.flatnonzero(mask)
         for start in range(0, rows.size, step):
@@ -123,7 +129,6 @@ def merge_embedding_rows(
             out[at] = source[idx[at]]
     rows = np.flatnonzero(both)
     a, b = (np.empty((min(step, rows.size), width), np.float32) for _ in range(2))
-    scratch = np.empty(a.size, np.uint32)
     for start in range(0, rows.size, step):
         at = rows[start : start + step]
         x = widen(lvlm_emb[lv_idx[at]], a[: at.size])

@@ -13,6 +13,10 @@ class InputChangedError(VlrmergeError):
     """An input file changed while a merge was reading it."""
 
 
+class NonFiniteWeightError(VlrmergeError):
+    """An input weight that a merge reads is NaN or infinite."""
+
+
 class VocabError(VlrmergeError):
     """Vocabulary sidecar is malformed or inconsistent with its embedding."""
 

@@ -23,7 +23,8 @@ dtype; all arithmetic runs in float32 in between, a block of elements at a
 time: each worker widens a block of the staged inputs into its own
 block-sized buffers, runs every step in place there and narrows the block
 into each output. Only the TIES cut needs the whole tensor, in one float32
-ranking key.
+ranking key. A NaN or infinity in an input that a method reads is rejected
+with NonFiniteWeightError before any arithmetic reads that input.
 Randomness is counter-based: the value drawn for element ``i`` of a tensor is
 a pure function of (seed, origin tag, tensor name, i), so results do not
 depend on iteration order or worker count. Element ``i`` survives the drop
@@ -47,8 +48,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import RecipeError, VlrmergeError
-from .tensorstore import Dtype, Tensor, narrow, widen
+from .errors import NonFiniteWeightError, RecipeError, VlrmergeError
+from .tensorstore import Dtype, Tensor, first_non_finite, narrow, widen
 
 class MergeMethod(str, Enum):
     LINEAR = "linear"
@@ -188,11 +189,14 @@ class _Buffers:
 Source = np.ndarray | Tensor  # a storage view, or a tensor whose payload is read when it is merged
 
 
-def _staged(source: Source, role: str, space: _Buffers) -> np.ndarray:
+def _staged(source: Source, role: str, name: str, space: _Buffers) -> np.ndarray:
     """``source``'s flat storage view; a tensor's payload is first read into ``space``'s staging slot for ``role``."""
     if isinstance(source, Tensor):
         source = source.load(space.get(f"staged_{role}"))
-    return np.ravel(source)
+    view = np.ravel(source)
+    if (at := first_non_finite(view, space.get("bits"))) is not None:
+        raise NonFiniteWeightError(f"{role} tensor {name!r} holds a non-finite weight at flat index {at}")
+    return view
 
 
 def _widened(view: np.ndarray, start: int, stop: int, slot: str, space: _Buffers) -> np.ndarray:
@@ -220,7 +224,8 @@ def _merge_per_lam(
     ties and dare-ties scale the jointly merged delta by lam; dare-ties
     elects signs and takes the disjoint mean on the already-rescaled
     survivors. A tensor's payloads are read once into ``space``'s staging
-    slots, in their storage dtype (linear never reads ``pre``). Then, once
+    slots, in their storage dtype (linear never reads ``pre``), and checked
+    finite before any arithmetic reads them. Then, once
     per density, every step runs ``_BLOCK`` elements at a time in
     ``space``'s block slots: widen, form the task vectors, trim or drop,
     elect and take the disjoint mean, apply each lambda and narrow into
@@ -228,13 +233,11 @@ def _merge_per_lam(
     task vector's magnitudes once in the full-size ``key`` slot, for every
     density's cut, and trims each block with a running count of the
     entries tied at the cut. No step crosses a block, so the bytes do not
-    depend on the block size, but for the sign and payload of a NaN summed
-    from two NaNs, which numpy takes from either one by the element's place
-    in its vectorized loop.
+    depend on the block size.
     """
     n = pre.size
     method, seed = variants[0].method, variants[0].seed
-    lvlm, rm = _staged(lvlm, "lvlm", space), _staged(rm, "rm", space)
+    lvlm, rm = _staged(lvlm, "lvlm", name, space), _staged(rm, "rm", name, space)
     dtype = Dtype.of(lvlm)
     bits = space.get("bits")
     if method is MergeMethod.LINEAR:
@@ -261,7 +264,7 @@ def _merge_per_lam(
     by_density: dict[float | None, list[int]] = {}
     for i, recipe in enumerate(variants):
         by_density.setdefault(recipe.density, []).append(i)
-    pre = _staged(pre, "pre", space)
+    pre = _staged(pre, "pre", name, space)
     if method is MergeMethod.TIES:
         cuts = [_cuts(_ranking_key(pre, fine, space), list(by_density), space) for fine in (lvlm, rm)]
     elif method is not MergeMethod.TASK_ARITHMETIC:
@@ -372,9 +375,10 @@ def merge_transformer(
     ``default_jobs()``), so at most ``jobs`` tensors are in flight and a
     call with one job or one tensor starts no thread. Each worker reads a
     tensor's payloads once into its own buffers, in their storage dtype,
-    and runs the rule there once per density, a block at a time (for ties,
-    one ranking of each task vector in a float32 key gives every density's
-    cut), narrowing each block into a new payload per variant, of the
+    checks them finite (NonFiniteWeightError names the model, tensor and
+    flat index of the first NaN or infinity), and runs the rule there once
+    per density, a block at a time (for ties, one ranking of each task
+    vector in a float32 key gives every density's cut), narrowing each block into a new payload per variant, of the
     storage dtype of the tensor's lvlm input. A worker's buffers are one
     anonymous mapping, mapped when it starts and unmapped when it ends, on
     error too: room for the three payloads of the largest tensor, for ties
@@ -453,16 +457,15 @@ def _cuts(key: np.ndarray, densities: Sequence[float], space: _Buffers) -> list[
     """For each density, the trim of the task vector whose ranking key is ``key``, reordered here.
 
     The trim keeps k = retained_count(density, n) entries: the first k of a
-    stable sort on descending magnitude, NaN ranking after every number.
-    Each density's trim is ``(threshold, ties)``: every entry whose magnitude
-    is above ``threshold``, the k-th largest, is kept, and so are the first
-    ``ties`` entries in flat order whose magnitude equals it (NaN entries
-    when it is NaN). It is None when k keeps every entry. One ascending sort
-    of ``key`` ranks every entry, so every density's cut is read from it; a
-    single cut is placed by selection instead, in less time. The entries
-    that rank before the cut are then found by a binary search of the
-    sorted key, or counted a block at a time among the k - 1 that selection
-    put before it.
+    stable sort on descending magnitude. Each density's trim is
+    ``(threshold, ties)``: every entry whose magnitude is above
+    ``threshold``, the k-th largest, is kept, and so are the first ``ties``
+    entries in flat order whose magnitude equals it. It is None when k
+    keeps every entry. One ascending sort of ``key`` ranks every entry, so
+    every density's cut is read from it; a single cut is placed by
+    selection instead, in less time. The entries that rank before the cut
+    are then found by a binary search of the sorted key, or counted a block
+    at a time among the k - 1 that selection put before it.
     """
     n = key.size
     ks = [retained_count(density, n) for density in densities]
@@ -479,13 +482,12 @@ def _cuts(key: np.ndarray, densities: Sequence[float], space: _Buffers) -> list[
             continue
         cut = key[k - 1]
         if sort:
-            above = int(np.searchsorted(key, cut))  # NaN sorts, and is found, after every number
+            above = int(np.searchsorted(key, cut))
         else:
-            below = np.float32(np.inf) if np.isnan(cut) else cut  # every number ranks before NaN
             above = 0
             for start in range(0, k - 1, _BLOCK):
                 ranked = key[start : min(start + _BLOCK, k - 1)]
-                above += np.count_nonzero(np.less(ranked, below, out=space.get("keep", ranked.size)))
+                above += np.count_nonzero(np.less(ranked, cut, out=space.get("keep", ranked.size)))
         trims.append((-cut, k - above))
     return trims
 
@@ -500,14 +502,9 @@ def _trim(tau: np.ndarray, threshold: np.float32, ties: int, space: _Buffers) ->
     m = tau.size
     magnitude = np.abs(tau, out=space.get("tmp", m))
     keep, tied = space.get("keep", m), space.get("tied", m)
-    if np.isnan(threshold):
-        # fewer than k numbers: all of them, then the first NaNs
-        np.logical_not(np.isnan(magnitude, out=tied), out=keep)
-    else:
-        np.greater(magnitude, threshold, out=keep)
-        if ties:
-            np.equal(magnitude, threshold, out=tied)
+    np.greater(magnitude, threshold, out=keep)
     if ties:
+        np.equal(magnitude, threshold, out=tied)
         here = np.count_nonzero(tied)
         if here <= ties:
             np.logical_or(keep, tied, out=keep)
@@ -521,7 +518,7 @@ def _trim(tau: np.ndarray, threshold: np.float32, ties: int, space: _Buffers) ->
 def _select(keep: np.ndarray, arr: np.ndarray) -> None:
     """Zero ``arr`` (to +0.0) where not ``keep``, in place, by its bits.
 
-    Same bytes as ``np.where(keep, arr, 0)``, NaN payloads and -0.0 included:
+    Same bytes as ``np.where(keep, arr, 0)``, -0.0 included:
     each entry's bit pattern is multiplied by 1 or 0 as an integer, without
     the per-element branch that makes ``np.where`` slow on an irregular mask.
     """
@@ -543,9 +540,8 @@ def _disjoint_mean(a: np.ndarray, b: np.ndarray, space: _Buffers) -> None:
     that match the elected sign, 0 where none do; ``b`` is overwritten.
 
     The elected sign is + where the positive total magnitude wins, ties
-    included. fmax/fmin skip NaN, so a NaN entry counts toward neither
-    direction. An entry matches when its product with the elected sign, a
-    sign flip or none, is above 0: never for 0 or NaN.
+    included. An entry matches when its product with the elected sign, a
+    sign flip or none, is above 0: never for 0.
     """
     zero = np.float32(0.0)
     n = a.size

@@ -68,6 +68,8 @@ class Dtype(str, Enum):
 
 _ARRAY_DTYPES = {Dtype.F32: np.dtype("<f4"), Dtype.F16: np.dtype("<f2"), Dtype.BF16: np.dtype("<u2")}
 _STORAGE_DTYPES = {array_dtype: dtype for dtype, array_dtype in _ARRAY_DTYPES.items()}
+# a value is NaN or +-inf when its exponent bits are all ones
+_EXPONENT = {Dtype.F32: np.uint32(0x7F800000), Dtype.F16: np.uint16(0x7C00), Dtype.BF16: np.uint16(0x7F80)}
 
 
 def widen(src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -126,6 +128,18 @@ def _round_bf16(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> Non
         top = (bits[nan] >> np.uint32(16)).astype(np.uint16)
         # keep the sign and payload, but never let a NaN collapse to infinity
         out[nan] = np.where(top & np.uint16(0x007F), top, top | np.uint16(0x0040))
+
+
+def first_non_finite(view: np.ndarray, scratch: np.ndarray) -> int | None:
+    """The flat index of the first NaN or +-inf in the storage ``view``, or None; ``scratch`` is non-empty uint32."""
+    exponent = _EXPONENT[Dtype.of(view)]
+    bits, scratch = np.ravel(view).view(exponent.dtype), scratch.view(exponent.dtype)
+    for start in range(0, bits.size, scratch.size):
+        block = bits[start : start + scratch.size]
+        masked = np.bitwise_and(block, exponent, out=scratch[: block.size])
+        if masked.max() == exponent:
+            return start + int(np.argmax(masked == exponent))
+    return None
 
 
 _COPY_BLOCK = 1 << 20  # bytes per piece when a payload is copied or hashed from its file

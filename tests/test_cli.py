@@ -15,7 +15,7 @@ from vlrmerge import Checkpoint, Dtype, Tensor, assembly, cli, merging, read_che
 from vlrmerge.cli import main
 from vlrmerge.components import DEFAULT_MANIFEST
 
-from helpers import toy_triple, write_triple, write_pairwise_dataset, write_bon_dataset
+from helpers import make_tensor, toy_triple, write_triple, write_pairwise_dataset, write_bon_dataset
 
 STUB_CMD = f"{sys.executable} -m vlrmerge stub-scorer"
 
@@ -254,6 +254,22 @@ class TestMergeCommand:
         ])
         assert result.exit_code == 1 and isinstance(result.exception, MemoryError)
         assert len(merged) == 3
+        assert sorted(p.name for p in out.parent.iterdir()) == ["merged.safetensors.vocab"]
+
+    def test_non_finite_weight_is_a_named_error_and_leaves_no_output(self, runner, rng, tmp_path):
+        pre, lvlm, rm = toy_triple(rng, trans_dtype=Dtype.BF16)
+        name = "model.layers.1.mlp.weight"
+        values = lvlm.tensors[name].to_f32()
+        values.flat[13] = np.nan
+        lvlm.tensors[name] = make_tensor(name, values, Dtype.BF16)
+        paths = write_triple(tmp_path, pre, lvlm, rm)
+        out = tmp_path / "out" / "merged.safetensors"
+        out.parent.mkdir()
+        result = runner.invoke(main, [*merge_args(paths, "task-arithmetic"), "--out", str(out)])
+        message = f"lvlm tensor '{name}' holds a non-finite weight at flat index 13"
+        assert_named_error(result, message)
+        assert result.output.count("non-finite") == 1
+        # no checkpoint and no temporary file; only the sidecar, written first, is left
         assert sorted(p.name for p in out.parent.iterdir()) == ["merged.safetensors.vocab"]
 
     def test_vocab_that_is_not_utf8_is_a_named_error(self, runner, triple_files, tmp_path):

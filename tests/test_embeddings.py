@@ -3,7 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vlrmerge import AlignedVocab, Dtype, MergeMethod, VocabError, align_vocab, embeddings, merge_embedding_rows
+from vlrmerge import (
+    AlignedVocab,
+    Dtype,
+    MergeMethod,
+    NonFiniteWeightError,
+    VocabError,
+    align_vocab,
+    embeddings,
+    merge_embedding_rows,
+)
 from vlrmerge.tensorstore import narrow, widen
 
 import reference as ref
@@ -205,11 +214,17 @@ class TestAgainstReference:
         assert out.tobytes() == np.asarray(rows, dtype=np.float32).reshape(len(tokens), 5).tobytes()
 
 
-# bit patterns of a NaN with a payload, a negative NaN with another one, -0.0, +inf and -inf
+# bit patterns of -0.0, the smallest subnormal, a negative subnormal, the largest subnormal and the lowest number
 SPECIAL_BITS = {
-    Dtype.BF16: [0x7FC5, 0xFF83, 0x8000, 0x7F80, 0xFF80],
-    Dtype.F16: [0x7E05, 0xFE03, 0x8000, 0x7C00, 0xFC00],
-    Dtype.F32: [0x7FC00005, 0xFFC00003, 0x80000000, 0x7F800000, 0xFF800000],
+    Dtype.BF16: [0x8000, 0x0001, 0x8005, 0x007F, 0xFF7F],
+    Dtype.F16: [0x8000, 0x0001, 0x8005, 0x03FF, 0xFBFF],
+    Dtype.F32: [0x80000000, 0x00000001, 0x80000005, 0x007FFFFF, 0xFF7FFFFF],
+}
+# bit patterns of a NaN with a payload, +inf and -inf
+NON_FINITE_BITS = {
+    Dtype.BF16: [0x7FC5, 0x7F80, 0xFF80],
+    Dtype.F16: [0x7E05, 0x7C00, 0xFC00],
+    Dtype.F32: [0x7FC00005, 0x7F800000, 0xFF800000],
 }
 
 
@@ -217,7 +232,7 @@ def storage_matrix(rng, rows: int, width: int, dtype: Dtype) -> np.ndarray:
     """A storage view of ``dtype`` whose first five columns hold every special value in every row.
 
     Each row rotates the specials, so a mean row pairs them in many ways
-    (NaN with a number, inf with -inf, -0.0 with -0.0, ...).
+    (a subnormal with -0.0, -0.0 with -0.0, the lowest number with a subnormal, ...).
     """
     values = rng.standard_normal((rows, width)).astype(np.float32)
     view = np.frombuffer(narrow(values, dtype), dtype.array_dtype).reshape(rows, width).copy()
@@ -248,7 +263,6 @@ class TestStorageDtype:
     @pytest.mark.parametrize("block", [None, 20])
     @pytest.mark.parametrize("method", [MergeMethod.LINEAR, MergeMethod.TIES])
     @pytest.mark.parametrize("dtype", [Dtype.F16, Dtype.BF16, Dtype.F32])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
     def test_same_bytes_as_widened_route(self, monkeypatch, dtype, method, block):
         if block is not None:  # two rows of width 7 a block, so every rule spans many blocks
             monkeypatch.setattr(embeddings, "_BLOCK", block)
@@ -310,3 +324,31 @@ class TestStorageDtype:
         output = rows * width * 2
         assert peak < 2 * output, f"peak {peak} bytes for a {output}-byte output"
         assert out.dtype == np.uint16
+
+
+class TestNonFiniteRows:
+    """A NaN or infinity in a matrix the merge reads is a NonFiniteWeightError naming the model and row."""
+
+    @staticmethod
+    def matrices(rng, vocabs, dtype):
+        return {k: storage_matrix(rng, len(vocabs[k]) + 2, 7, dtype) for k in ("pre", "lvlm", "rm")}
+
+    @pytest.mark.parametrize("model", ["pre", "lvlm", "rm"])
+    @pytest.mark.parametrize("dtype", [Dtype.F16, Dtype.BF16, Dtype.F32])
+    def test_rejected_by_model_and_row(self, rng, dtype, model):
+        vocabs = random_vocabs(rng, 40, with_rm=True)
+        aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
+        for pattern in NON_FINITE_BITS[dtype]:
+            views = self.matrices(rng, vocabs, dtype)
+            bits = views[model].view(np.uint32 if dtype is Dtype.F32 else np.uint16)
+            bits[3, 6] = bits[5, 0] = pattern  # the error names the first
+            with pytest.raises(NonFiniteWeightError, match=f"^{model} embedding row 3 holds a non-finite weight$"):
+                merge_embedding_rows(aligned, *views.values(), MergeMethod.TIES)
+
+    def test_linear_never_reads_the_base_matrix(self, rng):
+        vocabs = random_vocabs(rng, 40, with_rm=True)
+        aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
+        views = self.matrices(rng, vocabs, Dtype.BF16)
+        finite = merge_embedding_rows(aligned, *views.values(), MergeMethod.LINEAR)
+        views["pre"][:] = NON_FINITE_BITS[Dtype.BF16][0]
+        assert merge_embedding_rows(aligned, *views.values(), MergeMethod.LINEAR).tobytes() == finite.tobytes()

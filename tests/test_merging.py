@@ -14,6 +14,7 @@ from vlrmerge import (
     Dtype,
     MergeMethod,
     MergeRecipe,
+    NonFiniteWeightError,
     RecipeError,
     Tensor,
     VlrmergeError,
@@ -22,7 +23,7 @@ from vlrmerge import (
     read_checkpoint,
     write_checkpoint,
 )
-from vlrmerge.merging import _BLOCK, _MASK_CHUNK, _Buffers, _cuts, _keep_mask, _trim, retained_count
+from vlrmerge.merging import _BLOCK, _MASK_CHUNK, _Buffers, _cuts, _disjoint_mean, _keep_mask, _trim, retained_count
 from vlrmerge.sweep import DEFAULT_DENSITY_GRID
 
 from helpers import drop_step, merge_one, trim_step
@@ -62,7 +63,7 @@ def trim_array(values, density):
 
 def argsort_trim(values, density):
     """The trim as a full stable sort on descending magnitude: the rule the
-    selection-based kernel must reproduce, tie and NaN order included."""
+    selection-based kernel must reproduce, tie order included."""
     flat = np.asarray(values, dtype=np.float32).ravel()
     k = retained_count(density, flat.size)
     keep = np.argsort(-np.abs(flat), kind="stable")[:k]
@@ -77,10 +78,9 @@ def bf16_rounded(values):
     return bits.view(np.float32)
 
 
-SPECIALS = np.array(
-    [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45, 0.5, -0.5, 1.0, -1.0],
-    dtype=np.float32,
-)
+# +-inf stays: no input weight may hold one, but a task vector can, where
+# the float32 difference of two finite weights overflows
+SPECIALS = np.array([np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45, 0.5, -0.5, 1.0, -1.0], dtype=np.float32)
 
 
 def trim_inputs(kind, rng, n=3000):
@@ -88,18 +88,23 @@ def trim_inputs(kind, rng, n=3000):
         return bf16_rounded(rng.standard_normal(n).astype(np.float32) * np.float32(0.01))
     if kind == "halves":
         return (rng.integers(-6, 7, n) * 0.5).astype(np.float32)
-    if kind == "specials":
-        return rng.choice(SPECIALS, n)
-    # mostly NaN: for every density below 1 the cut falls inside the NaNs
-    values = rng.choice(SPECIALS, n)
-    values[rng.random(n) < 0.85] = np.nan
-    return values
+    return rng.choice(SPECIALS, n)
 
 
 def ties_untrimmed(tau_l, tau_r):
     """ties at density 1 and lam 1 on a zero base: the disjoint mean under the elected sign."""
     zeros = np.zeros(len(tau_l), dtype=np.float32)
     return merge(TIES, zeros, tau_l, tau_r, 1.0, density=1.0)
+
+
+def disjoint_array(tau_l, tau_r):
+    """The sign election and disjoint mean of two task vectors, run ``merging._BLOCK`` elements at a time."""
+    a, b = (np.array(tau, dtype=np.float32) for tau in (tau_l, tau_r))  # copies: both are overwritten
+    block = merging._BLOCK
+    with _Buffers((0, 0, 0), 0, block) as space:
+        for start in range(0, a.size, block):
+            _disjoint_mean(a[start : start + block], b[start : start + block], space)
+    return a
 
 
 class TestTaskVector:
@@ -224,20 +229,13 @@ class TestTrim:
 
     @pytest.mark.parametrize("block", [_BLOCK, 97])
     @pytest.mark.parametrize("density", DEFAULT_DENSITY_GRID + (1.0,))
-    @pytest.mark.parametrize("kind", ["bf16", "halves", "specials", "mostly-nan"])
+    @pytest.mark.parametrize("kind", ["bf16", "halves", "specials"])
     def test_bytes_match_stable_argsort(self, rng, monkeypatch, kind, density, block):
         # 97 splits the 3000 entries into blocks, so the ties at the cut are counted across them
         monkeypatch.setattr(merging, "_BLOCK", block)
         values = trim_inputs(kind, rng)
         out = trim_array(values, density)
         assert out.tobytes() == argsort_trim(values, density).tobytes()
-
-    def test_cut_inside_nans_keeps_every_number_then_first_nans(self):
-        values = arr([np.nan, 2.0, -np.nan, -0.0, np.nan, np.inf, np.nan])
-        # k = 5: the three numbers, then the NaNs at flat indices 0 and 2
-        out = trim_array(values, 5 / 7)
-        assert out.tobytes() == argsort_trim(values, 5 / 7).tobytes()
-        assert out.tobytes() == values[[0, 1, 2, 3]].tobytes() + arr([0.0, np.inf, 0.0]).tobytes()
 
     def test_bytes_match_stable_argsort_on_2d_tensor(self, rng):
         values = trim_inputs("halves", rng).reshape(60, 50)
@@ -267,24 +265,22 @@ class TestElectSign:
 
 
 class TestElectAndDisjointSpecialValues:
+    # every pairing of +-inf, +-0.0, subnormals and equal magnitudes; the
+    # steps are called directly, since the merge rejects an infinite input
+    TAU_L, TAU_R = np.repeat(SPECIALS, len(SPECIALS)), np.tile(SPECIALS, len(SPECIALS))
+
+    def expected(self):
+        # density 1 trims nothing, and lam 1 on a zero base leaves the merged delta as it is
+        return arr(ref.ties([0.0] * self.TAU_L.size, self.TAU_L.tolist(), self.TAU_R.tolist(), 1.0, 1.0))
+
     def test_bytes_match_scalar_loop_on_every_pair(self):
-        # every pairing of NaN, +-inf, +-0.0, subnormals and equal magnitudes
-        tau_l = np.repeat(SPECIALS, len(SPECIALS))
-        tau_r = np.tile(SPECIALS, len(SPECIALS))
-        out = ties_untrimmed(tau_l, tau_r)
-        expected = ref.ties([0.0] * len(tau_l), tau_l.tolist(), tau_r.tolist(), 1.0, 1.0)
-        assert out.tobytes() == arr(expected).tobytes()
+        assert disjoint_array(self.TAU_L, self.TAU_R).tobytes() == self.expected().tobytes()
 
     def test_bytes_do_not_depend_on_block_size(self, monkeypatch):
-        # the election and disjoint mean run in blocks; 7 splits the pairs
-        # into many blocks and leaves a partial one at the end
-        tau_l = np.repeat(SPECIALS, len(SPECIALS))
-        tau_r = np.tile(SPECIALS, len(SPECIALS))
-        assert tau_l.size % 7
+        # 7 splits the pairs into many blocks and leaves a partial one at the end
+        assert self.TAU_L.size % 7
         monkeypatch.setattr(merging, "_BLOCK", 7)
-        out = ties_untrimmed(tau_l, tau_r)
-        expected = ref.ties([0.0] * len(tau_l), tau_l.tolist(), tau_r.tolist(), 1.0, 1.0)
-        assert out.tobytes() == arr(expected).tobytes()
+        assert disjoint_array(self.TAU_L, self.TAU_R).tobytes() == self.expected().tobytes()
 
 
 class TestDisjointMerge:
@@ -584,32 +580,17 @@ class TestMergeTransformer:
 
 
 def one_pass_inputs(rng, n=3000):
-    """Three float32 maps whose task vectors tie in magnitude at every grid cut and hold NaN and +-0.0."""
+    """Three float32 maps whose task vectors tie in magnitude at every grid cut and hold +-0.0 and subnormals."""
     halves = lambda: (rng.integers(-6, 7, n) * 0.5).astype(np.float32)  # noqa: E731
     pre, lvlm, rm = {}, {}, {}
     pre["ties"] = halves()
     lvlm["ties"], rm["ties"] = pre["ties"] + halves(), pre["ties"] + halves()
-    finite_or_nan = SPECIALS[~np.isinf(SPECIALS)]  # inf - inf would warn in dare-task-arithmetic's sum
-    for kind, share in (("specials", 0.2), ("mostly-nan", 0.85)):
-        pre[kind] = np.zeros(n, np.float32)
-        for side in (lvlm, rm):
-            side[kind] = rng.choice(finite_or_nan, n)
-            side[kind][rng.random(n) < share] = np.nan
+    pre["specials"] = np.zeros(n, np.float32)
+    lvlm["specials"], rm["specials"] = (rng.choice(SPECIALS[np.isfinite(SPECIALS)], n) for _ in range(2))
     for side in (pre, lvlm, rm):
         side["small"] = arr([0.5, -0.0])  # k covers every entry at some densities, not at others
         side["ties"] = side["ties"].reshape(60, 50)
     return [pre, lvlm, rm]
-
-
-def same_bytes_but_nan(got, want):
-    """Equal float32 arrays bit for bit, except that a NaN may stand for a NaN.
-
-    numpy gives the sum of two NaNs the sign and payload of either one, by the
-    element's place in its vectorized loop, so in linear, task-arithmetic and
-    dare-task-arithmetic that NaN depends on where the blocks end.
-    """
-    same = got.view(np.uint32) == want.view(np.uint32)
-    return bool(np.all(same | (np.isnan(got) & np.isnan(want))))
 
 
 def straddling_ties(rng, n=10007, boundary=4099):
@@ -665,7 +646,7 @@ class TestOnePass:
                 assert ranked[k - 1] == ranked[k]  # the cut splits a run of equal magnitudes
 
     @pytest.mark.parametrize("method,seed", ONE_PASS_METHODS)
-    def test_float32_with_nan_zeros_and_ties_matches_one_call_per_recipe(self, rng, method, seed):
+    def test_float32_with_zeros_subnormals_and_ties_matches_one_call_per_recipe(self, rng, method, seed):
         maps = one_pass_inputs(rng)
         variants = self.grid(method, seed, rng)
         together = merge_transformer(variants[0], *maps, jobs=2, variants=variants)
@@ -719,7 +700,7 @@ class TestOnePass:
                 blocked = merge_transformer(recipe, *maps, jobs=2, variants=variants)
             for variant, want, got in zip(variants, expected, blocked):
                 for name in want:
-                    assert same_bytes_but_nan(got[name].array(), want[name].array()), (variant.slug(), name)
+                    assert got[name].data == want[name].data, (variant.slug(), name)
 
 
 class TestWorkerBuffers:
@@ -878,3 +859,61 @@ class TestRecipeValidation:
     def test_non_finite_lambda_rejected(self, method, extra, lam):
         with pytest.raises(RecipeError, match="lambda must be a finite number >= 0"):
             MergeRecipe(method, lam=lam, **extra)
+
+
+# each method with each model it reads: linear never reads pre
+READ_BY_METHOD = [
+    pytest.param(method, extra, model, id=f"{method.value}-{model}")
+    for method, extra in ALL_METHODS
+    for model in ("pre", "lvlm", "rm")
+    if not (method is LINEAR and model == "pre")
+]
+
+
+class TestNonFiniteWeights:
+    """A NaN or infinity in an input a method reads is a NonFiniteWeightError, raised before any arithmetic on it."""
+
+    SHAPES = {"a": (3, 5), "b": (40,)}
+
+    def maps(self, rng, model, value):
+        maps = {
+            kind: {name: rng.uniform(-1, 1, shape).astype(np.float32) for name, shape in self.SHAPES.items()}
+            for kind in ("pre", "lvlm", "rm")
+        }
+        maps[model]["b"][[29, 33]] = value  # the error names the first
+        return [maps[kind] for kind in ("pre", "lvlm", "rm")]
+
+    @staticmethod
+    def bf16_files(tmp_path, maps):
+        opened = []
+        for kind, side in zip(("pre", "lvlm", "rm"), maps):
+            write_checkpoint(Checkpoint({n: Tensor.from_f32(n, a, Dtype.BF16) for n, a in side.items()}),
+                             tmp_path / f"{kind}.safetensors")
+            # opened header-only, so each payload is checked where a worker stages it
+            opened.append(read_checkpoint(tmp_path / f"{kind}.safetensors").tensors)
+        return opened
+
+    # a RuntimeWarning before the error would fail the test: the suite turns warnings into errors
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("method,extra,model", READ_BY_METHOD)
+    @pytest.mark.parametrize("storage", ["f32-views", "bf16-files"])
+    def test_rejected_by_model_tensor_and_index(self, rng, tmp_path, storage, method, extra, model, value):
+        maps = self.maps(rng, model, value)
+        if storage == "bf16-files":
+            maps = self.bf16_files(tmp_path, maps)
+        recipe = MergeRecipe(method, lam=0.7, **extra)
+        message = f"^{model} tensor 'b' holds a non-finite weight at flat index 29$"
+        with pytest.raises(NonFiniteWeightError, match=message):
+            merge_transformer(recipe, *maps, jobs=2)
+
+    def test_opposite_infinite_task_vectors_under_task_arithmetic(self):
+        # +inf and -inf task vectors at one position: their sum used to warn "invalid value"
+        with pytest.raises(NonFiniteWeightError, match="^lvlm tensor 't' holds a non-finite weight at flat index 1$"):
+            merge_map(MergeRecipe(TA, lam=0.5), [0.0, 1.0], [0.5, np.inf], [0.5, -np.inf])
+
+    def test_linear_never_reads_pre(self, rng):
+        pre, lvlm, rm = self.maps(rng, "pre", np.nan)
+        recipe = MergeRecipe(LINEAR, lam=0.7)
+        [merged] = merge_transformer(recipe, pre, lvlm, rm, jobs=2)
+        [finite] = merge_transformer(recipe, {n: np.zeros_like(a) for n, a in pre.items()}, lvlm, rm, jobs=2)
+        assert all(merged[name].data == finite[name].data for name in self.SHAPES)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vlrmerge.tensorstore import checkpoint_writer, widen
+from vlrmerge.tensorstore import checkpoint_writer, first_non_finite, widen
 from vlrmerge import (
     Checkpoint,
     CheckpointFormatError,
@@ -447,6 +447,29 @@ class TestCasts:
         t = make_tensor("layer.w", rng.standard_normal((3, 4)), Dtype.F32)
         cast = Tensor.from_f32(t.name, t.to_f32(), Dtype.BF16)
         assert cast.name == t.name and cast.shape == t.shape
+
+
+class TestFirstNonFinite:
+    @pytest.mark.parametrize("dtype", [Dtype.F16, Dtype.BF16])
+    def test_finds_every_nan_and_infinity_of_a_16_bit_dtype(self, dtype):
+        view = np.arange(1 << 16, dtype=np.uint16).view(dtype.array_dtype)
+        expected = np.flatnonzero(~np.isfinite(widen(view))).tolist()
+        found, start, scratch = [], 0, np.empty(1000, np.uint32)  # blocks of 2000 elements
+        while (at := first_non_finite(view[start:], scratch)) is not None:
+            found.append(start + at)
+            start += at + 1
+        mantissa_bits = 10 if dtype is Dtype.F16 else 7
+        assert found == expected and len(found) == 2 << mantissa_bits  # both signs, every mantissa
+
+    def test_float32_bits_across_blocks(self):
+        finite = np.array([0x7F7FFFFF, 0xFF7FFFFF, 0x00000001, 0x80000000, 0x3F800000], np.uint32)
+        scratch = np.empty(4, np.uint32)
+        for bad in (0x7F800000, 0xFF800000, 0x7FC00000, 0x7F800001, 0xFFFFFFFF):
+            bits = np.resize(finite, (3, 7))
+            bits[2, 3] = bits[2, 5] = bad
+            assert first_non_finite(bits.view(np.float32), scratch) == 17
+        assert first_non_finite(finite.view(np.float32), scratch) is None
+        assert first_non_finite(np.empty(0, np.float32), scratch) is None
 
 
 class TestVocabSidecar:
