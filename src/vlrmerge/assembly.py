@@ -3,7 +3,7 @@
 The output keeps the LVLM's vision encoder and adapter verbatim, merges the
 shared transformer per the recipe, merges the embedding matrices row-by-row,
 takes the reward head verbatim from the text reward model, and drops the
-language-modeling head.
+language-modeling head: the make-up that ``components.MAKEUP`` states.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .components import ModelTriple, Role, validate_triple
+from .components import MAKEUP, ModelTriple, Role, validate_triple
 from .embeddings import AlignedVocab, align_vocab, merge_embedding_rows
 from .errors import RecipeError, TripleValidationError
 from .merging import MergeRecipe, merge_transformer
@@ -59,45 +59,30 @@ def _same_payload(merged: Tensor, source: Tensor) -> bool:
 
 
 def check_merged_structure(merged: Checkpoint, triple: ModelTriple) -> list[str]:
-    """Structural validation of an assembled checkpoint against its sources."""
+    """Structural validation of an assembled checkpoint against its sources and ``MAKEUP``."""
     report = []
-    lvlm = triple.lvlm
-    rm = triple.rm
-    for role in (Role.VISION_ENCODER, Role.ADAPTER):
-        for name in lvlm.cmap.names(role):
+    kept = set()
+    for role, kind, is_merged in MAKEUP:
+        model = getattr(triple, kind)
+        for name in model.cmap.names(role):
+            kept.add(name)
             if name not in merged.tensors:
                 report.append(f"missing {role.value} tensor {name}")
-            elif not _same_payload(merged.tensors[name], lvlm.ckpt.tensors[name]):
-                report.append(f"{role.value} tensor {name} is not byte-identical to the lvlm")
-    for name in rm.cmap.names(Role.RM_HEAD):
-        if name not in merged.tensors:
-            report.append(f"missing reward head tensor {name}")
-        elif not _same_payload(merged.tensors[name], rm.ckpt.tensors[name]):
-            report.append(f"reward head tensor {name} is not byte-identical to the rm")
-    for name in lvlm.cmap.names(Role.LM_HEAD):
-        if name in merged.tensors and name not in rm.cmap.names(Role.RM_HEAD):
-            report.append(f"language-modeling head tensor {name} must be dropped")
-    for name in lvlm.cmap.names(Role.TRANSFORMER):
-        if name not in merged.tensors:
-            report.append(f"missing transformer tensor {name}")
+            elif not is_merged and not _same_payload(merged.tensors[name], model.ckpt.tensors[name]):
+                report.append(f"{role.value} tensor {name} is not byte-identical to the {kind}")
+    report.extend(f"tensor {name} must be dropped" for name in merged.tensors if name not in kept)
     return report
 
 
 def _output_layout(triple: ModelTriple, aligned: AlignedVocab) -> Layout:
-    """Each output tensor's dtype and shape: every lvlm tensor but the language-modeling head, then the reward head."""
-    lvlm, rm = triple.lvlm, triple.rm
+    """Each output tensor's dtype and shape, in ``MAKEUP`` order; an embedding has a row per aligned token."""
     layout = {}
-    for role in (Role.VISION_ENCODER, Role.ADAPTER, Role.TRANSFORMER):
-        for name in lvlm.cmap.names(role):
-            t = lvlm.ckpt.tensors[name]
-            layout[name] = (t.dtype, t.shape)
-    for name in lvlm.cmap.names(Role.EMBEDDING):
-        t = lvlm.ckpt.tensors[name]
-        layout[name] = (t.dtype, (len(aligned.tokens), *t.shape[1:]))
-    # validate_triple keeps reward head names apart from every kept lvlm name
-    for name in rm.cmap.names(Role.RM_HEAD):
-        t = rm.ckpt.tensors[name]
-        layout[name] = (t.dtype, t.shape)
+    # validate_triple keeps reward head names apart from every name taken from the lvlm
+    for role, kind, _ in MAKEUP:
+        model = getattr(triple, kind)
+        for name in model.cmap.names(role):
+            t = model.ckpt.tensors[name]
+            layout[name] = (t.dtype, (len(aligned.tokens), *t.shape[1:]) if role is Role.EMBEDDING else t.shape)
     return layout
 
 
@@ -146,10 +131,9 @@ def assemble_vlrm(
         return []
 
     models = (triple.pre, triple.lvlm, triple.rm)
-    lvlm, rm = triple.lvlm, triple.rm
     aligned = align_vocab(*(model.ckpt.vocab for model in models))
     vocab, layout = aligned.output_vocab(), _output_layout(triple, aligned)
-    trans_names = lvlm.cmap.names(Role.TRANSFORMER)
+    trans_names = triple.lvlm.cmap.names(Role.TRANSFORMER)
     for group in groups.values():
         first = group[0][0]
         with ExitStack() as stack:
@@ -164,14 +148,16 @@ def assemble_vlrm(
                 variants=[recipe for recipe, _ in group],
                 sink=lambda i, tensor: writers[i].write(tensor.name, tensor.data),
             )
-            for name in lvlm.cmap.names(Role.EMBEDDING):
+            for name in triple.lvlm.cmap.names(Role.EMBEDDING):
                 rows = merge_embedding_rows(aligned, *(m.ckpt.tensors[name].load() for m in models), first.method)
                 for writer in writers:
                     writer.write(name, rows)
                 del rows
-            for role, model in ((Role.VISION_ENCODER, lvlm), (Role.ADAPTER, lvlm), (Role.RM_HEAD, rm)):
-                for name in model.cmap.names(role):
-                    copy_payload(model.ckpt.tensors[name], writers)
+            for role, kind, is_merged in MAKEUP:
+                if not is_merged:
+                    model = getattr(triple, kind)
+                    for name in model.cmap.names(role):
+                        copy_payload(model.ckpt.tensors[name], writers)
             for model in models:
                 model.ckpt.check_unchanged()
     return [read_checkpoint(path) for path in paths]

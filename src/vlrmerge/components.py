@@ -1,20 +1,26 @@
-"""Classification of checkpoint tensors into model component roles.
+"""Classification of checkpoint tensors into model component roles, and the input rules.
 
 Every tensor of the three input models (shared pre-trained base, the
 vision-language model built on it, and the text reward model built on it) is
 assigned exactly one role via an ordered, first-match-wins list of glob rules.
+
+Each input rule has one implementation here, returning every problem it finds:
+``validate_triple`` reports them all and each merge entry point raises the first.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ClassificationError, VlrmergeError
-from .tensorstore import Checkpoint
+from .tensorstore import Checkpoint, Dtype, Tensor
 
 
 class Role(str, Enum):
@@ -112,6 +118,73 @@ def _role_set_report(kind: str, model: ClassifiedModel) -> list[str]:
     return report
 
 
+def alignment_problems(tensors: dict[str, Mapping], role: Role = Role.TRANSFORMER) -> list[str]:
+    """The alignment rule: each model kind in ``tensors`` holds the same names of ``role``.
+
+    A transformer name has one shape, the first kind's; an embedding name's
+    ``Tensor``s pass ``embedding_problems``, as their row counts may differ.
+    """
+    problems = []
+    (first, ref), *others = tensors.items()
+    for name in sorted(set().union(*tensors.values())):
+        holders = [kind for kind, named in tensors.items() if name in named]
+        if len(holders) != len(tensors):
+            problems.append(f"{role.value} name-set mismatch: {name} (present in {', '.join(holders)} only)")
+        elif role is Role.EMBEDDING:
+            problems.extend(embedding_problems({kind: (ts[name].dtype, ts[name].shape) for kind, ts in tensors.items()}))
+        else:
+            problems.extend(
+                f"{role.value} shape mismatch for {name}: {first} {list(ref[name].shape)} vs {kind} {list(ts[name].shape)}"
+                for kind, ts in others
+                if ts[name].shape != ref[name].shape
+            )
+    return problems
+
+
+def vocab_row_problems(kind: str, rows: Collection[int], n_rows: int | None = None) -> list[str]:
+    """The vocabulary row rule: a model's row indices are distinct, non-negative and below its embedding's ``n_rows``."""
+    ordered = np.sort(rows if isinstance(rows, np.ndarray) else np.fromiter(rows, np.int64, len(rows)))
+    problems = []
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        problems.append(f"{kind}: vocabulary row index {repeated[0]} is not unique")
+    if ordered.size and ordered[0] < 0:
+        problems.append(f"{kind}: vocabulary row index {ordered[0]} is negative")
+    if ordered.size and n_rows is not None and ordered[-1] >= n_rows:
+        problems.append(
+            f"{kind}: vocabulary row index {ordered[-1]} out of range for an embedding with {n_rows} rows"
+        )
+    return problems
+
+
+def embedding_problems(matrices: dict[str, tuple[Dtype, tuple[int, ...]]]) -> list[str]:
+    """The embedding matrix rule: the (dtype, shape) of each kind's matrix is 2-D, of one width and one dtype."""
+    problems = [
+        f"{kind}: embedding matrix must have 2 dimensions, got shape {list(shape)}"
+        for kind, (_, shape) in matrices.items()
+        if len(shape) != 2
+    ]
+    if not problems and len({shape[1] for _, shape in matrices.values()}) > 1:
+        found = ", ".join(f"{kind} {list(shape)}" for kind, (_, shape) in matrices.items())
+        problems.append(f"embedding width mismatch: {found}")
+    if len({dtype for dtype, _ in matrices.values()}) > 1:
+        found = ", ".join(f"{kind} {dtype.value}" for kind, (dtype, _) in matrices.items())
+        problems.append(f"embedding dtype mismatch: {found}")
+    return problems
+
+
+# The merged model's make-up, in output order: each role it holds, the model
+# kind whose tensors of that role give its names (and, when not merged from all
+# three models, its bytes), and whether they are merged. All else is dropped.
+MAKEUP: tuple[tuple[Role, str, bool], ...] = (
+    (Role.VISION_ENCODER, "lvlm", False),
+    (Role.ADAPTER, "lvlm", False),
+    (Role.TRANSFORMER, "lvlm", True),
+    (Role.EMBEDDING, "lvlm", True),
+    (Role.RM_HEAD, "rm", False),
+)
+
+
 def validate_triple(triple: ModelTriple) -> list[str]:
     """Check that the triple is mergeable; returns a list of violations (empty = pass).
 
@@ -124,71 +197,42 @@ def validate_triple(triple: ModelTriple) -> list[str]:
     for kind, model in models.items():
         report.extend(_role_set_report(kind, model))
 
-    # the merged roles must hold the same names in all three models, each name
-    # with one dtype and shape; embeddings are merged row by row, so theirs
-    # must be 2-D with one width and may differ in row count
-    for role in (Role.TRANSFORMER, Role.EMBEDDING):
-        name_sets = {kind: set(model.cmap.names(role)) for kind, model in models.items()}
-        for name in sorted(set().union(*name_sets.values())):
-            holders = [kind for kind in models if name in name_sets[kind]]
-            if len(holders) != 3:
+    def tensors(role: Role) -> dict[str, dict[str, Tensor]]:
+        return {kind: {n: model.ckpt.tensors[n] for n in model.cmap.names(role)} for kind, model in models.items()}
+
+    trans = tensors(Role.TRANSFORMER)
+    report.extend(alignment_problems(trans))
+    # merge_transformer merges mixed storage dtypes, but a triple keeps one per tensor
+    for name, ref in trans["pre"].items():
+        for kind in ("lvlm", "rm"):
+            t = trans[kind].get(name)
+            if t is not None and t.dtype is not ref.dtype:
                 report.append(
-                    f"{role.value} name-set mismatch: {name} (present in {', '.join(holders)} only)"
+                    f"transformer dtype mismatch for {name}: pre {ref.dtype.value} vs {kind} {t.dtype.value}"
                 )
-                continue
-            ref = triple.pre.ckpt.tensors[name]
-            for kind, model in models.items():
-                t = model.ckpt.tensors[name]
-                if role is Role.TRANSFORMER and t.shape != ref.shape:
-                    report.append(
-                        f"transformer shape mismatch for {name}: "
-                        f"pre {list(ref.shape)} vs {kind} {list(t.shape)}"
-                    )
-                if role is Role.EMBEDDING and len(t.shape) != 2:
-                    report.append(
-                        f"{kind}: embedding tensor {name} must have 2 dimensions, "
-                        f"got shape {list(t.shape)}"
-                    )
-                if role is Role.EMBEDDING and t.shape[1:] != ref.shape[1:]:
-                    report.append(
-                        f"embedding width mismatch for {name}: "
-                        f"pre {list(ref.shape)} vs {kind} {list(t.shape)}"
-                    )
-                if t.dtype is not ref.dtype:
-                    report.append(
-                        f"{role.value} dtype mismatch for {name}: "
-                        f"pre {ref.dtype.value} vs {kind} {t.dtype.value}"
-                    )
+
+    emb = tensors(Role.EMBEDDING)
+    report.extend(alignment_problems(emb, Role.EMBEDDING))
 
     # each model needs a vocabulary sidecar consistent with its embedding rows
     for kind, model in models.items():
         if model.ckpt.vocab is None:
             report.append(f"{kind}: missing vocabulary sidecar (required for embedding merge)")
             continue
-        indices = list(model.ckpt.vocab.values())
-        if len(set(indices)) != len(indices):
-            report.append(f"{kind}: vocabulary row indices are not unique")
-        if indices and min(indices) < 0:
-            report.append(f"{kind}: vocabulary row index {min(indices)} is negative")
-        for name in sorted(model.cmap.names(Role.EMBEDDING)):
-            t = model.ckpt.tensors[name]
-            if len(t.shape) == 2 and indices and max(indices) >= t.shape[0]:
-                report.append(
-                    f"{kind}: vocabulary row index {max(indices)} out of range for "
-                    f"embedding {name} with {t.shape[0]} rows"
-                )
+        n_rows = min((t.shape[0] for t in emb[kind].values() if len(t.shape) == 2), default=None)
+        report.extend(vocab_row_problems(kind, model.ckpt.vocab.values(), n_rows))
 
     # the reward head projects to a single scalar, and sits in the merged model
-    # beside every lvlm tensor but the language-modeling head
+    # beside every tensor it takes from the lvlm
     lvlm_roles = triple.lvlm.cmap.assignments
-    kept = (Role.VISION_ENCODER, Role.ADAPTER, Role.TRANSFORMER, Role.EMBEDDING)
+    from_lvlm = {role for role, kind, _ in MAKEUP if kind == "lvlm"}
     for name in sorted(triple.rm.cmap.names(Role.RM_HEAD)):
         t = triple.rm.ckpt.tensors[name]
         if t.shape and t.shape[0] != 1:
             report.append(
                 f"rm: head tensor {name} must have leading dimension 1, got {list(t.shape)}"
             )
-        if lvlm_roles.get(name) in kept:
+        if lvlm_roles.get(name) in from_lvlm:
             report.append(
                 f"rm: head tensor {name} has the name of an lvlm {lvlm_roles[name].value} tensor"
             )

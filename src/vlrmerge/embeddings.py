@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .components import embedding_problems, vocab_row_problems
 from .errors import NonFiniteWeightError, VocabError
 from .merging import MergeMethod
 from .tensorstore import Dtype, first_non_finite, narrow, widen
@@ -44,14 +45,6 @@ class AlignedVocab:
         return {token: i for i, token in enumerate(self.tokens)}
 
 
-def _check_rows(label: str, vocab: dict[str, int]) -> None:
-    indices = list(vocab.values())
-    if len(set(indices)) != len(indices):
-        raise VocabError(f"{label} vocabulary maps multiple tokens to the same row")
-    if any(i < 0 for i in indices):
-        raise VocabError(f"{label} vocabulary contains a negative row index")
-
-
 def align_vocab(
     pre_vocab: dict[str, int], lvlm_vocab: dict[str, int], rm_vocab: dict[str, int]
 ) -> AlignedVocab:
@@ -61,7 +54,8 @@ def align_vocab(
     the base model are excluded from the output.
     """
     for label, vocab in (("pre", pre_vocab), ("lvlm", lvlm_vocab), ("rm", rm_vocab)):
-        _check_rows(label, vocab)
+        if problems := vocab_row_problems(label, vocab.values()):
+            raise VocabError(problems[0])
     tokens = sorted(lvlm_vocab, key=lvlm_vocab.get)
     tokens += [token for token in sorted(rm_vocab, key=rm_vocab.get) if token not in lvlm_vocab]
 
@@ -85,26 +79,21 @@ def merge_embedding_rows(
     are widened to float32, averaged and narrowed, a block of rows at a time,
     so no float32 copy of a whole matrix is made. The bytes are those of
     widening every input, merging in float32 and narrowing the output, since
-    widening and narrowing round-trip every stored bit pattern. First, a NaN
-    or infinity in a matrix the method reads (linear never reads ``pre``)
-    raises NonFiniteWeightError, naming the model and row.
+    widening and narrowing round-trip every stored bit pattern. First, the
+    matrices must be 2-D, of one width and dtype, with every aligned row
+    inside its matrix (VocabError, with ``validate_triple``'s message for the
+    same fault), and a NaN or infinity in a matrix the method reads (linear
+    never reads ``pre``) raises NonFiniteWeightError, naming the model and row.
     """
-    width = lvlm_emb.shape[1]
-    if rm_emb.shape[1] != width or pre_emb.shape[1] != width:
-        raise VocabError(
-            f"embedding width mismatch: pre {pre_emb.shape[1]}, "
-            f"lvlm {width}, rm {rm_emb.shape[1]}"
-        )
     pre_idx, lv_idx, rm_idx = aligned.pre_rows, aligned.lvlm_rows, aligned.rm_rows
     sources = (("pre", pre_idx, pre_emb), ("lvlm", lv_idx, lvlm_emb), ("rm", rm_idx, rm_emb))
-    dtypes = [Dtype.of(source) for _, _, source in sources]
-    if len(set(dtypes)) > 1:
-        found = ", ".join(f"{label} {dtype.value}" for (label, _, _), dtype in zip(sources, dtypes))
-        raise VocabError(f"embedding dtype mismatch: {found}")
-    dtype = dtypes[0]
-    for label, idx, source in sources:
-        if idx.size and (top := int(idx.max())) >= source.shape[0]:
-            raise VocabError(f"{label} row index {top} out of range ({source.shape[0]} rows)")
+    matrices = {label: (Dtype.of(source), source.shape) for label, _, source in sources}
+    problems = embedding_problems(matrices) or [
+        problem for label, idx, source in sources for problem in vocab_row_problems(label, idx[idx >= 0], len(source))
+    ]
+    if problems:
+        raise VocabError(problems[0])
+    dtype, width = Dtype.of(lvlm_emb), lvlm_emb.shape[1]
     neither = (lv_idx < 0) & (rm_idx < 0)
     if neither.any():
         token = aligned.tokens[int(neither.argmax())]

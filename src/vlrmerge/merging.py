@@ -48,6 +48,7 @@ from enum import Enum
 
 import numpy as np
 
+from .components import alignment_problems
 from .errors import NonFiniteWeightError, RecipeError, VlrmergeError
 from .tensorstore import Dtype, Tensor, first_non_finite, narrow, widen
 
@@ -106,24 +107,6 @@ class MergeRecipe:
         if self.seed is not None:
             parts.append(f"s{self.seed}")
         return "-".join(parts)
-
-
-def _check_aligned(named_maps: dict[str, dict]) -> None:
-    items = list(named_maps.items())
-    first_label, first = items[0]
-    names = set(first)
-    for label, other in items[1:]:
-        if set(other) != names:
-            missing = sorted(names ^ set(other))
-            raise VlrmergeError(
-                f"tensor name mismatch between {first_label} and {label}: {missing[:5]}"
-            )
-        for name in names:
-            if first[name].shape != other[name].shape:
-                raise VlrmergeError(
-                    f"shape mismatch for {name}: {first_label} {first[name].shape} "
-                    f"vs {label} {other[name].shape}"
-                )
 
 
 # Elements per step of the merge kernel. Measured at two workers: smaller
@@ -370,8 +353,9 @@ def merge_transformer(
     from its file only when a worker merges it; inputs are only read.
     ``variants`` defaults to ``(recipe,)``; each must share ``recipe``'s
     method and seed (RecipeError otherwise), and may differ in lambda and
-    density. Checks the recipes and the tensor alignment once, then merges
-    every name on ``jobs`` workers (``run_workers``; None takes
+    density. Checks the recipes and the tensor alignment once (the first
+    problem ``components.alignment_problems`` finds is a VlrmergeError), then
+    merges every name on ``jobs`` workers (``run_workers``; None takes
     ``default_jobs()``), so at most ``jobs`` tensors are in flight and a
     call with one job or one tensor starts no thread. Each worker reads a
     tensor's payloads once into its own buffers, in their storage dtype,
@@ -394,7 +378,8 @@ def merge_transformer(
     for variant in variants:
         if (variant.method, variant.seed) != (recipe.method, recipe.seed):
             raise RecipeError(f"recipe {variant.slug()} does not share the method and seed of {recipe.slug()}")
-    _check_aligned({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans})
+    if problems := alignment_problems({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans}):
+        raise VlrmergeError(problems[0])
     capacity = max((source.size for source in pre_trans.values()), default=0)
     staging = [
         max((source.nbytes for source in sources.values() if isinstance(source, Tensor)), default=0)

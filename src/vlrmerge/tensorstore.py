@@ -688,18 +688,36 @@ def default_vocab_path(ckpt_path: str | Path) -> Path:
     return Path(str(ckpt_path) + ".vocab")
 
 
+def _check_token(token: str, where: str) -> None:
+    """The sidecar's token rule, for its reader and its writer: a token holds no line break."""
+    if "\n" in token or "\r" in token:
+        raise VocabError(f"{where}: token {token!r} contains a line break")
+
+
 def read_vocab(path: str | Path) -> dict[str, int]:
-    """Load a vocabulary sidecar: one token per line, line number = row index."""
+    """Load a vocabulary sidecar: one token per line, line number = row index.
+
+    Lines end in LF, and CRLF reads as LF. Any other carriage return is a
+    VocabError naming the line: a reader that ended a line there would
+    shift every later row.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as f:
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise VocabError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    if "\r" in text:  # a two-character replace scans far slower than this test, even with no match
+        text = text.replace("\r\n", "\n")
     if text.endswith("\n"):
         text = text[:-1]
     vocab: dict[str, int] = {}
     if text == "":
         return vocab
-    for row, token in enumerate(text.split("\n")):
+    tokens = text.split("\n")
+    if "\r" in text:
+        for row, token in enumerate(tokens):
+            _check_token(token, f"{path}: line {row + 1}")
+    for row, token in enumerate(tokens):
         if token in vocab:
             raise VocabError(f"{path}: duplicate token {token!r} at line {row + 1}")
         vocab[token] = row
@@ -713,8 +731,7 @@ def write_vocab(vocab: dict[str, int], path: str | Path) -> None:
     if indices != list(range(len(rows))):
         raise VocabError("vocabulary row indices must be exactly 0..n-1 with no duplicates")
     for token, _ in rows:
-        if "\n" in token or "\r" in token:
-            raise VocabError(f"token {token!r} contains a line break")
+        _check_token(token, str(path))
     with _replace_when_done(Path(path), "w", encoding="utf-8") as f:
         for token, _ in rows:
             f.write(token)

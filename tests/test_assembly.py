@@ -254,7 +254,7 @@ class TestStructureCheck:
 
     @pytest.mark.parametrize("name,message", [
         ("vision_model.patch.weight", "vision_encoder tensor vision_model.patch.weight is not byte-identical to the lvlm"),
-        ("score.weight", "reward head tensor score.weight is not byte-identical to the rm"),
+        ("score.weight", "rm_head tensor score.weight is not byte-identical to the rm"),
     ])
     def test_one_flipped_byte_is_reported(self, reread, name, message):
         triple, loaded = reread
@@ -263,6 +263,11 @@ class TestStructureCheck:
         flipped[-1] ^= 1
         loaded.tensors[name] = Tensor(name, tensor.dtype, tensor.shape, memoryview(flipped).toreadonly())
         assert check_merged_structure(loaded, triple) == [message]
+
+    def test_kept_language_modeling_head_is_reported(self, reread):
+        triple, loaded = reread
+        loaded.tensors["lm_head.weight"] = triple.lvlm.ckpt.tensors["lm_head.weight"]
+        assert check_merged_structure(loaded, triple) == ["tensor lm_head.weight must be dropped"]
 
 
 def test_round_trip_through_disk(rng, tmp_path):

@@ -7,8 +7,13 @@ from vlrmerge import (
     Dtype,
     Role,
     Rule,
+    VlrmergeError,
+    VocabError,
+    align_vocab,
     classify_tensors,
     load_manifest_config,
+    merge_embedding_rows,
+    merge_transformer,
     validate_triple,
 )
 from vlrmerge import assembly
@@ -70,21 +75,6 @@ class TestValidateTriple:
     def test_toy_triple_passes(self, rng):
         assert validate_triple(classified_toy_triple(rng)) == []
 
-    def test_missing_transformer_tensor_reported(self, rng):
-        triple = classified_toy_triple(rng)
-        name = "model.layers.1.mlp.weight"
-        del triple.rm.ckpt.tensors[name]
-        del triple.rm.cmap.assignments[name]
-        report = validate_triple(triple)
-        assert any("transformer name-set mismatch" in entry and name in entry for entry in report)
-
-    def test_shape_mismatch_reported_with_both_shapes(self, rng):
-        triple = classified_toy_triple(rng)
-        name = "model.layers.0.self_attn.weight"
-        triple.lvlm.ckpt.tensors[name] = make_tensor(name, np.zeros((8, 4)))
-        report = validate_triple(triple)
-        assert any(name in entry and "[8, 8]" in entry and "[8, 4]" in entry for entry in report)
-
     def test_transformer_dtype_mismatch_reported(self, rng):
         triple = classified_toy_triple(rng)
         name = "model.layers.0.mlp.weight"
@@ -99,34 +89,6 @@ class TestValidateTriple:
         triple.rm.cmap.assignments[name] = Role.EMBEDDING
         report = validate_triple(triple)
         assert any("embedding name-set mismatch" in entry and name in entry for entry in report)
-
-    def test_embedding_must_be_two_dimensional(self, rng):
-        triple = classified_toy_triple(rng)
-        name = "model.embed_tokens.weight"
-        triple.lvlm.ckpt.tensors[name] = make_tensor(name, np.zeros(24 * 8))
-        report = validate_triple(triple)
-        assert any(entry.startswith("lvlm: ") and name in entry and "must have 2 dimensions" in entry
-                   for entry in report)
-
-    def test_embedding_width_mismatch_reported(self, rng):
-        triple = classified_toy_triple(rng)
-        name = "model.embed_tokens.weight"
-        triple.rm.ckpt.tensors[name] = make_tensor(name, np.zeros((24, 9)))
-        report = validate_triple(triple)
-        assert any(entry.startswith(f"embedding width mismatch for {name}") for entry in report)
-
-    def test_embedding_dtype_mismatch_reported(self, rng):
-        triple = classified_toy_triple(rng)
-        name = "model.embed_tokens.weight"
-        triple.rm.ckpt.tensors[name] = make_tensor(name, np.zeros((24, 8)), Dtype.F16)
-        report = validate_triple(triple)
-        assert any(entry.startswith(f"embedding dtype mismatch for {name}") for entry in report)
-
-    def test_repeated_vocab_row_index_reported(self, rng):
-        triple = classified_toy_triple(rng)
-        triple.lvlm.ckpt.vocab["t1"] = 0
-        report = validate_triple(triple)
-        assert any(entry.startswith("lvlm: ") and "not unique" in entry for entry in report)
 
     def test_missing_role_reported(self, rng):
         triple = classified_toy_triple(rng)
@@ -171,17 +133,6 @@ class TestValidateTriple:
         report = validate_triple(triple)
         assert any("rm: missing vocabulary sidecar" in entry for entry in report)
 
-    def test_vocab_index_out_of_range_reported(self, rng):
-        triple = classified_toy_triple(rng)
-        triple.lvlm.ckpt.vocab["overflow-token"] = 9999
-        report = validate_triple(triple)
-        assert any("out of range" in entry for entry in report)
-
-    def test_negative_vocab_row_index_reported(self, rng):
-        triple = classified_toy_triple(rng)
-        triple.rm.ckpt.vocab["negative-token"] = -3
-        assert validate_triple(triple) == ["rm: vocabulary row index -3 is negative"]
-
     def test_negative_vocab_row_index_stops_assembly_before_any_merge(self, rng, tmp_path, monkeypatch):
         triple = classified_toy_triple(rng)
         triple.lvlm.ckpt.vocab["negative-token"] = -1
@@ -210,6 +161,105 @@ class TestValidateTriple:
             for recipe in recipes:
                 [merged] = assemble_in(tmp_path, [recipe], triple, jobs=1)
                 assert merged.tensors
+
+
+EMBEDDING = "model.embed_tokens.weight"
+
+
+def replace_tensor(model, name, values, dtype=Dtype.F32):
+    model.ckpt.tensors[name] = make_tensor(name, values, dtype)
+
+
+def drop_tensor(model, name):
+    del model.ckpt.tensors[name]
+    del model.cmap.assignments[name]
+
+
+def merge_transformer_of(triple):
+    """``merge_transformer`` on the triple's transformer tensors, as ``assemble_vlrm`` calls it."""
+    models = (triple.pre, triple.lvlm, triple.rm)
+    maps = ({n: m.ckpt.tensors[n] for n in m.cmap.names(Role.TRANSFORMER)} for m in models)
+    merge_transformer(MergeRecipe(MergeMethod.LINEAR, lam=0.5), *maps, jobs=1)
+
+
+def merge_embedding_of(triple):
+    """``align_vocab``, then ``merge_embedding_rows`` on the triple's embedding, in ``assemble_vlrm``'s order."""
+    models = (triple.pre, triple.lvlm, triple.rm)
+    aligned = align_vocab(*(m.ckpt.vocab for m in models))
+    merge_embedding_rows(aligned, *(m.ckpt.tensors[EMBEDDING].array() for m in models), MergeMethod.TIES)
+
+
+class TestSharedRules:
+    """Each input rule has one implementation: validate_triple reports what the merge entry raises."""
+
+    @staticmethod
+    def both_say(triple, message, entry, error):
+        assert validate_triple(triple) == [message]
+        with pytest.raises(VlrmergeError) as raised:
+            entry(triple)
+        assert raised.type is error
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("breach,message", [
+        pytest.param(
+            lambda t: drop_tensor(t.rm, "model.layers.1.mlp.weight"),
+            "transformer name-set mismatch: model.layers.1.mlp.weight (present in pre, lvlm only)",
+            id="name-missing-from-rm",
+        ),
+        pytest.param(
+            lambda t: replace_tensor(t.lvlm, "model.layers.0.self_attn.weight", np.zeros((8, 4))),
+            "transformer shape mismatch for model.layers.0.self_attn.weight: pre [8, 8] vs lvlm [8, 4]",
+            id="shape-mismatch",
+        ),
+    ])
+    def test_transformer_alignment(self, rng, breach, message):
+        triple = classified_toy_triple(rng)
+        breach(triple)
+        self.both_say(triple, message, merge_transformer_of, VlrmergeError)
+
+    @pytest.mark.parametrize("breach,message", [
+        pytest.param(
+            lambda t: t.lvlm.ckpt.vocab.update(t1=0),
+            "lvlm: vocabulary row index 0 is not unique",
+            id="duplicate-row",
+        ),
+        pytest.param(
+            lambda t: t.rm.ckpt.vocab.update({"negative-token": -3}),
+            "rm: vocabulary row index -3 is negative",
+            id="negative-row",
+        ),
+        pytest.param(
+            lambda t: t.lvlm.ckpt.vocab.update({"overflow-token": 24}),
+            "lvlm: vocabulary row index 24 out of range for an embedding with 24 rows",
+            id="row-past-the-last",
+        ),
+    ])
+    def test_vocabulary_rows(self, rng, breach, message):
+        triple = classified_toy_triple(rng)
+        breach(triple)
+        self.both_say(triple, message, merge_embedding_of, VocabError)
+
+    @pytest.mark.parametrize("breach,message", [
+        pytest.param(
+            lambda t: replace_tensor(t.lvlm, EMBEDDING, np.zeros(24 * 8)),
+            "lvlm: embedding matrix must have 2 dimensions, got shape [192]",
+            id="one-dimensional",
+        ),
+        pytest.param(
+            lambda t: replace_tensor(t.rm, EMBEDDING, np.zeros((24, 7))),
+            "embedding width mismatch: pre [16, 8], lvlm [24, 8], rm [24, 7]",
+            id="narrower",
+        ),
+        pytest.param(
+            lambda t: replace_tensor(t.rm, EMBEDDING, np.zeros((24, 8)), Dtype.F16),
+            "embedding dtype mismatch: pre F32, lvlm F32, rm F16",
+            id="mixed-dtypes",
+        ),
+    ])
+    def test_embedding_matrices(self, rng, breach, message):
+        triple = classified_toy_triple(rng)
+        breach(triple)
+        self.both_say(triple, message, merge_embedding_of, VocabError)
 
 
 def test_default_manifest_loads():

@@ -47,7 +47,7 @@ class TestAlignVocab:
         assert aligned.tokens == ["first", "second"]
 
     def test_duplicate_row_index_rejected(self):
-        with pytest.raises(VocabError, match="same row"):
+        with pytest.raises(VocabError, match="^lvlm: vocabulary row index 0 is not unique$"):
             align_vocab({}, {"a": 0, "b": 0}, {})
 
 

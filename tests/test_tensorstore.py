@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import tracemalloc
 
@@ -490,6 +491,25 @@ class TestVocabSidecar:
         path.write_bytes(b"a\n\xff\n")
         with pytest.raises(VocabError, match="v.vocab: not UTF-8 text: invalid start byte"):
             read_vocab(path)
+
+    def test_carriage_return_inside_a_token_rejected(self, tmp_path):
+        path = tmp_path / "v.vocab"
+        path.write_bytes(b"a\nb\rc\nd\n")
+        with pytest.raises(VocabError, match=r"v\.vocab: line 2: token 'b\\rc' contains a line break$"):
+            read_vocab(path)
+
+    def test_crlf_file_reads_as_its_lf_twin(self, tmp_path):
+        lf, crlf = tmp_path / "lf.vocab", tmp_path / "crlf.vocab"
+        lf.write_bytes(b"a\nb\n\nc\n")
+        crlf.write_bytes(b"a\r\nb\r\n\r\nc\r\n")
+        assert read_vocab(crlf) == read_vocab(lf) == {"a": 0, "b": 1, "": 2, "c": 3}
+
+    @pytest.mark.parametrize("brk", ["\n", "\r"])
+    def test_line_break_inside_a_token_not_written(self, tmp_path, brk):
+        path = tmp_path / "v.vocab"
+        with pytest.raises(VocabError, match=rf"v\.vocab: token {re.escape(repr(f'x{brk}y'))} contains a line break$"):
+            write_vocab({"a": 0, f"x{brk}y": 1}, path)
+        assert not path.exists()
 
     def test_non_contiguous_indices_rejected(self, tmp_path):
         with pytest.raises(VocabError, match="0..n-1"):
