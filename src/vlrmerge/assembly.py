@@ -27,7 +27,6 @@ from .tensorstore import (
     checkpoint_writer,
     copy_payload,
     default_vocab_path,
-    read_checkpoint,
     write_checkpoint,  # noqa: F401  (the benchmark's tracer wraps it by this name)
     write_vocab,
 )
@@ -63,12 +62,11 @@ def check_merged_structure(merged: Checkpoint, triple: ModelTriple) -> list[str]
     report = []
     kept = set()
     for role, kind, is_merged in MAKEUP:
-        model = getattr(triple, kind)
-        for name in model.cmap.names(role):
+        for name, source in triple.tensors(role)[kind].items():
             kept.add(name)
             if name not in merged.tensors:
                 report.append(f"missing {role.value} tensor {name}")
-            elif not is_merged and not _same_payload(merged.tensors[name], model.ckpt.tensors[name]):
+            elif not is_merged and not _same_payload(merged.tensors[name], source):
                 report.append(f"{role.value} tensor {name} is not byte-identical to the {kind}")
     report.extend(f"tensor {name} must be dropped" for name in merged.tensors if name not in kept)
     return report
@@ -79,9 +77,7 @@ def _output_layout(triple: ModelTriple, aligned: AlignedVocab) -> Layout:
     layout = {}
     # validate_triple keeps reward head names apart from every name taken from the lvlm
     for role, kind, _ in MAKEUP:
-        model = getattr(triple, kind)
-        for name in model.cmap.names(role):
-            t = model.ckpt.tensors[name]
+        for name, t in triple.tensors(role)[kind].items():
             layout[name] = (t.dtype, (len(aligned.tokens), *t.shape[1:]) if role is Role.EMBEDDING else t.shape)
     return layout
 
@@ -92,7 +88,7 @@ def assemble_vlrm(
     paths: Sequence[str | Path],
     provenance: dict[str, str] | None = None,
     jobs: int | None = None,
-) -> list[Checkpoint]:
+) -> None:
     """Merge the triple once per recipe and write each result to its path.
 
     Validates the triple, aligns its vocabularies and builds the output
@@ -110,8 +106,7 @@ def assemble_vlrm(
     a group is done, every input file is checked to be as it was opened
     (InputChangedError if not) and the group's files are moved onto their
     paths, so a failure keeps the earlier groups' outputs and none of its
-    own group's. Returns each written checkpoint opened header-only; no
-    recipes write nothing. Raises TripleValidationError when the triple is
+    own group's. No recipes write nothing. Raises TripleValidationError when the triple is
     not mergeable and RecipeError unless there is one distinct path per
     recipe.
     """
@@ -128,12 +123,12 @@ def assemble_vlrm(
             raise RecipeError(f"recipes {recipes[owner].slug()} and {recipe.slug()} share the output path {path}")
         groups.setdefault((recipe.method, recipe.seed), []).append((recipe, path))
     if not groups:
-        return []
+        return
 
     models = (triple.pre, triple.lvlm, triple.rm)
     aligned = align_vocab(*(model.ckpt.vocab for model in models))
     vocab, layout = aligned.output_vocab(), _output_layout(triple, aligned)
-    trans_names = triple.lvlm.cmap.names(Role.TRANSFORMER)
+    trans, emb = triple.tensors(Role.TRANSFORMER), triple.tensors(Role.EMBEDDING)
     for group in groups.values():
         first = group[0][0]
         with ExitStack() as stack:
@@ -143,24 +138,22 @@ def assemble_vlrm(
             ]
             merge_transformer(
                 first,
-                *({n: model.ckpt.tensors[n] for n in trans_names} for model in models),
+                *trans.values(),
                 jobs=jobs,
                 variants=[recipe for recipe, _ in group],
                 sink=lambda i, tensor: writers[i].write(tensor.name, tensor.data),
             )
-            for name in triple.lvlm.cmap.names(Role.EMBEDDING):
-                rows = merge_embedding_rows(aligned, *(m.ckpt.tensors[name].load() for m in models), first.method)
+            for name in emb["lvlm"]:
+                rows = merge_embedding_rows(aligned, *(ts[name].load() for ts in emb.values()), first.method)
                 for writer in writers:
                     writer.write(name, rows)
                 del rows
             for role, kind, is_merged in MAKEUP:
                 if not is_merged:
-                    model = getattr(triple, kind)
-                    for name in model.cmap.names(role):
-                        copy_payload(model.ckpt.tensors[name], writers)
+                    for source in triple.tensors(role)[kind].values():
+                        copy_payload(source, writers)
             for model in models:
                 model.ckpt.check_unchanged()
-    return [read_checkpoint(path) for path in paths]
 
 
 @contextmanager

@@ -22,7 +22,7 @@ from .evaluation import evaluate_bon, evaluate_pairwise, load_bon_dataset, load_
 from .merging import MergeMethod, MergeRecipe, default_jobs, run_workers
 from .scoring import RecordingScorer, ReplayScorer, SubprocessScorer, check_timeout, stub_scorer_loop
 from .sweep import MANIFEST_NAME, SweepConfig, run_sweep
-from .tensorstore import Checkpoint, default_vocab_path, file_digest, read_checkpoint
+from .tensorstore import Checkpoint, file_digest, read_checkpoint
 
 METHOD_CHOICES = [m.value for m in MergeMethod]
 JOBS_HELP = (
@@ -72,19 +72,17 @@ def _click_error(exc: Exception) -> click.ClickException:
     return click.ClickException(f"triple validation failed with {len(exc.report)} violation(s)")
 
 
-def _hash_inputs(
-    ckpts: dict[str, Checkpoint], vocabs: dict[str, str | None], manifest: str | None, jobs: int
-) -> dict[str, str]:
-    """Digest each opened checkpoint's file, the vocabulary file read with it and any manifest file.
+def _hash_inputs(ckpts: dict[str, Checkpoint], jobs: int) -> dict[str, str]:
+    """Digest each opened checkpoint's file and the vocabulary sidecar parsed with it.
 
     A checkpoint's digest comes from its digest memo when the memo records
     the file as it was opened (``CheckpointFile.recalled_digest``). The
     other checkpoints are each hashed in one streamed pass, on up to
-    ``jobs`` threads at once (``run_workers``), and remembered; the
-    vocabulary and manifest files are always hashed. A checkpoint that
-    changes after it was opened is caught when the merge ends
-    (``assemble_vlrm``), so its recorded digest is never of other bytes than
-    were merged.
+    ``jobs`` threads at once (``run_workers``), and remembered. A sidecar's
+    digest is of the bytes that were parsed (``Checkpoint.vocab_sha256``).
+    A checkpoint that changes after it was opened is caught when the merge
+    ends (``assemble_vlrm``), so its recorded digest is never of other bytes
+    than were merged.
     """
     files = [ckpt.file for ckpt in ckpts.values()]
     digests = [file.recalled_digest() for file in files]
@@ -95,22 +93,23 @@ def _hash_inputs(
 
     run_workers([i for i, digest in enumerate(digests) if digest is None], jobs, hash_one, nullcontext)
     provenance = {}
-    for label, file, digest in zip(ckpts, files, digests):
+    for (label, ckpt), digest in zip(ckpts.items(), digests):
         provenance[f"input.{label}.sha256"] = digest
-        sidecar = Path(vocabs[label]) if vocabs[label] is not None else default_vocab_path(file.path)
-        if sidecar.exists():
-            provenance[f"input.{label}_vocab.sha256"] = file_digest(sidecar)
-    if manifest is not None:
-        provenance["input.manifest.sha256"] = file_digest(manifest)
+        if ckpt.vocab_sha256 is not None:
+            provenance[f"input.{label}_vocab.sha256"] = ckpt.vocab_sha256
     return provenance
 
 
 def _load_triple(pre, lvlm, rm, pre_vocab, lvlm_vocab, rm_vocab, manifest, jobs):
+    """The classified triple, and the digests of the inputs as they were parsed."""
     config = load_manifest_config(manifest)
     paths, vocabs = {"pre": pre, "lvlm": lvlm, "rm": rm}, {"pre": pre_vocab, "lvlm": lvlm_vocab, "rm": rm_vocab}
     ckpts = {label: read_checkpoint(path, vocabs[label]) for label, path in paths.items()}
     triple = classify_triple(ckpts["pre"], ckpts["lvlm"], ckpts["rm"], config)
-    return triple, _hash_inputs(ckpts, vocabs, manifest, jobs)
+    provenance = _hash_inputs(ckpts, jobs)
+    if config.sha256 is not None:
+        provenance["input.manifest.sha256"] = config.sha256
+    return triple, provenance
 
 
 @click.group()
@@ -167,7 +166,8 @@ def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         triple, provenance = _load_triple(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest, jobs
         )
-        [merged] = assemble_vlrm([recipe], triple, [out_path], provenance, jobs=jobs)
+        assemble_vlrm([recipe], triple, [out_path], provenance, jobs=jobs)
+        merged = read_checkpoint(out_path)
     except (VlrmergeError, OSError) as exc:
         raise _click_error(exc) from exc
     click.echo(f"validation: ok ({len(merged.tensors)} tensors)")

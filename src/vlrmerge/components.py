@@ -10,6 +10,7 @@ Each input rule has one implementation here, returning every problem it finds:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from collections.abc import Collection, Mapping
@@ -32,14 +33,30 @@ class Role(str, Enum):
     RM_HEAD = "rm_head"
 
 
-# which roles each model kind must contain, and nothing else
-REQUIRED_ROLES = {
-    "pre": frozenset({Role.EMBEDDING, Role.TRANSFORMER, Role.LM_HEAD}),
-    "lvlm": frozenset(
-        {Role.VISION_ENCODER, Role.ADAPTER, Role.EMBEDDING, Role.TRANSFORMER, Role.LM_HEAD}
-    ),
-    "rm": frozenset({Role.EMBEDDING, Role.TRANSFORMER, Role.RM_HEAD}),
+INPUT_KINDS = ("pre", "lvlm", "rm")
+MODEL_KINDS = (*INPUT_KINDS, "merged")
+
+# Each role: the model kinds that hold it (no other may), and what the merged model does with it, in its
+# output order: "copy" it from its one holder, "merge" it under the lvlm's names, or "drop" it.
+ROLES: dict[Role, tuple[tuple[str, ...], str]] = {
+    Role.VISION_ENCODER: (("lvlm",), "copy"),
+    Role.ADAPTER: (("lvlm",), "copy"),
+    Role.TRANSFORMER: (INPUT_KINDS, "merge"),
+    Role.EMBEDDING: (INPUT_KINDS, "merge"),
+    Role.RM_HEAD: (("rm",), "copy"),
+    Role.LM_HEAD: (("pre", "lvlm"), "drop"),
 }
+
+# which roles each model kind must contain, and nothing else
+REQUIRED_ROLES = {kind: frozenset(r for r, (holders, _) in ROLES.items() if kind in holders) for kind in INPUT_KINDS}
+
+# The merged model's make-up, in output order: each role it holds, the model
+# kind whose tensors of that role give its names (and, unless merged, its
+# bytes), and whether they are merged.
+MAKEUP: tuple[tuple[Role, str, bool], ...] = tuple(
+    (role, "lvlm" if fate == "merge" else holders[0], fate == "merge")
+    for role, (holders, fate) in ROLES.items() if fate != "drop"
+)
 
 
 def _compile_pattern(pattern: str) -> re.Pattern:
@@ -104,6 +121,11 @@ class ModelTriple:
     pre: ClassifiedModel
     lvlm: ClassifiedModel
     rm: ClassifiedModel
+
+    def tensors(self, role: Role) -> dict[str, dict[str, Tensor]]:
+        """The one join of the three models by name: each kind's tensors of ``role``, keyed by name."""
+        models = {kind: getattr(self, kind) for kind in INPUT_KINDS}
+        return {kind: {n: m.ckpt.tensors[n] for n in m.cmap.names(role)} for kind, m in models.items()}
 
 
 def _role_set_report(kind: str, model: ClassifiedModel) -> list[str]:
@@ -173,18 +195,6 @@ def embedding_problems(matrices: dict[str, tuple[Dtype, tuple[int, ...]]]) -> li
     return problems
 
 
-# The merged model's make-up, in output order: each role it holds, the model
-# kind whose tensors of that role give its names (and, when not merged from all
-# three models, its bytes), and whether they are merged. All else is dropped.
-MAKEUP: tuple[tuple[Role, str, bool], ...] = (
-    (Role.VISION_ENCODER, "lvlm", False),
-    (Role.ADAPTER, "lvlm", False),
-    (Role.TRANSFORMER, "lvlm", True),
-    (Role.EMBEDDING, "lvlm", True),
-    (Role.RM_HEAD, "rm", False),
-)
-
-
 def validate_triple(triple: ModelTriple) -> list[str]:
     """Check that the triple is mergeable; returns a list of violations (empty = pass).
 
@@ -197,10 +207,7 @@ def validate_triple(triple: ModelTriple) -> list[str]:
     for kind, model in models.items():
         report.extend(_role_set_report(kind, model))
 
-    def tensors(role: Role) -> dict[str, dict[str, Tensor]]:
-        return {kind: {n: model.ckpt.tensors[n] for n in model.cmap.names(role)} for kind, model in models.items()}
-
-    trans = tensors(Role.TRANSFORMER)
+    trans = triple.tensors(Role.TRANSFORMER)
     report.extend(alignment_problems(trans))
     # merge_transformer merges mixed storage dtypes, but a triple keeps one per tensor
     for name, ref in trans["pre"].items():
@@ -211,7 +218,7 @@ def validate_triple(triple: ModelTriple) -> list[str]:
                     f"transformer dtype mismatch for {name}: pre {ref.dtype.value} vs {kind} {t.dtype.value}"
                 )
 
-    emb = tensors(Role.EMBEDDING)
+    emb = triple.tensors(Role.EMBEDDING)
     report.extend(alignment_problems(emb, Role.EMBEDDING))
 
     # each model needs a vocabulary sidecar consistent with its embedding rows
@@ -226,8 +233,7 @@ def validate_triple(triple: ModelTriple) -> list[str]:
     # beside every tensor it takes from the lvlm
     lvlm_roles = triple.lvlm.cmap.assignments
     from_lvlm = {role for role, kind, _ in MAKEUP if kind == "lvlm"}
-    for name in sorted(triple.rm.cmap.names(Role.RM_HEAD)):
-        t = triple.rm.ckpt.tensors[name]
+    for name, t in sorted(triple.tensors(Role.RM_HEAD)["rm"].items()):
         if t.shape and t.shape[0] != 1:
             report.append(
                 f"rm: head tensor {name} must have leading dimension 1, got {list(t.shape)}"
@@ -261,17 +267,7 @@ DEFAULT_MANIFEST: dict[str, list[dict[str, str]]] = {
         {"pattern": "score.*", "role": "rm_head"},
         {"pattern": "model.*", "role": "transformer"},
     ],
-    "merged": [
-        {"pattern": "vision_model.*", "role": "vision_encoder"},
-        {"pattern": "multi_modal_projector.*", "role": "adapter"},
-        {"pattern": "model.layers.*cross_attn*", "role": "adapter"},
-        {"pattern": "model.embed_tokens.*", "role": "embedding"},
-        {"pattern": "score.*", "role": "rm_head"},
-        {"pattern": "model.*", "role": "transformer"},
-    ],
 }
-
-MODEL_KINDS = ("pre", "lvlm", "rm", "merged")
 
 
 def rules_from_config(entries: list[dict[str, str]]) -> list[Rule]:
@@ -292,19 +288,28 @@ def rules_from_config(entries: list[dict[str, str]]) -> list[Rule]:
     return rules
 
 
-def read_json_object(path: str | Path, what: str) -> dict:
-    """The JSON object held in the file at ``path``; ``what`` names the file in errors."""
+def read_json_object(path: str | Path, what: str) -> tuple[dict, str]:
+    """The JSON object held in the file at ``path``, and the sha256 of the bytes it was parsed from.
+
+    ``what`` names the file in errors.
+    """
+    data = Path(path).read_bytes()
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise VlrmergeError(f"{path}: {what} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise VlrmergeError(f"{path}: {what} must be a JSON object")
-    return raw
+    return raw, hashlib.sha256(data).hexdigest()
 
 
 class _KindRules(dict):
-    """Rule lists by model kind; a kind the config names no rules for is a VlrmergeError."""
+    """Rule lists by model kind; a kind the config names no rules for is a VlrmergeError.
+
+    ``sha256`` is the digest of the config file's bytes, None for the shipped defaults.
+    """
+
+    sha256: str | None = None
 
     def __missing__(self, kind: str) -> list[Rule]:
         raise VlrmergeError(f"manifest config: no rules for {kind!r}")
@@ -313,17 +318,23 @@ class _KindRules(dict):
 def load_manifest_config(path: str | Path | None = None) -> dict[str, list[Rule]]:
     """Load per-model-kind rule lists from a JSON config, or the shipped defaults.
 
-    A config need not name every kind; asking the result for one it does
-    not name raises VlrmergeError.
+    A config names input kinds, not necessarily all; asking the result for a
+    kind without rules raises VlrmergeError. The "merged" rules are derived:
+    each source kind's rules for the roles ``MAKEUP`` takes from it.
     """
-    raw = DEFAULT_MANIFEST if path is None else read_json_object(path, "manifest config")
     config = _KindRules()
+    raw, config.sha256 = (DEFAULT_MANIFEST, None) if path is None else read_json_object(path, "manifest config")
     for kind, entries in raw.items():
-        if kind not in MODEL_KINDS:
-            raise VlrmergeError(f"manifest config: unknown model kind {kind!r}")
+        if kind not in INPUT_KINDS:
+            raise VlrmergeError(
+                f"manifest config: unknown model kind {kind!r} (the merged rules come from the lvlm and rm rules)"
+            )
         if not isinstance(entries, list):
             raise VlrmergeError(f"manifest config: rules for {kind!r} must be a list, got {entries!r}")
         config[kind] = rules_from_config(entries)
+    sources = {kind: {role for role, k, _ in MAKEUP if k == kind} for _, kind, _ in MAKEUP}  # lvlm, then rm
+    if sources.keys() <= config.keys():
+        config["merged"] = [rule for kind, roles in sources.items() for rule in config[kind] if rule.role in roles]
     return config
 
 

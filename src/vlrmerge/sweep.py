@@ -86,7 +86,7 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SweepConfig":
-        raw = read_json_object(path, "sweep config")
+        raw, _ = read_json_object(path, "sweep config")
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise VlrmergeError(f"{path}: unknown sweep config key(s): {sorted(unknown)}")

@@ -406,14 +406,16 @@ class Tensor:
 class Checkpoint:
     """An ordered map of tensors plus an optional vocabulary map.
 
-    ``file`` is set by ``read_checkpoint``: the open file its tensors read
-    their payloads from.
+    ``file`` and ``vocab_sha256`` are set by ``read_checkpoint``: the open
+    file its tensors read their payloads from, and the sha256 of the
+    sidecar bytes ``vocab`` was parsed from.
     """
 
     tensors: dict[str, Tensor]
     vocab: dict[str, int] | None = None
     metadata: dict[str, str] = field(default_factory=dict)
     file: CheckpointFile | None = field(default=None, repr=False, compare=False)
+    vocab_sha256: str | None = field(default=None, repr=False, compare=False)
 
     def check_unchanged(self) -> None:
         """Raise InputChangedError if the file this checkpoint reads from changed since it was opened."""
@@ -547,7 +549,8 @@ def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> C
     its place in the file and reads its payload when it is used (see
     ``Tensor``); the checkpoint's ``file`` is the descriptor those reads go
     through. If ``vocab_path`` is not given and ``<path>.vocab`` exists,
-    the sidecar is loaded automatically.
+    the sidecar is loaded automatically, and the digest of the bytes read
+    is kept as ``vocab_sha256``.
     """
     path = Path(path)
     file, start, metadata, layout = _open(path)
@@ -556,14 +559,13 @@ def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> C
         for name, (dtype, shape, begin, _) in layout.items()
     }
 
-    vocab = None
-    if vocab_path is None:
-        candidate = default_vocab_path(path)
-        if candidate.exists():
-            vocab = read_vocab(candidate)
-    else:
-        vocab = read_vocab(vocab_path)
-    return Checkpoint(tensors=tensors, vocab=vocab, metadata=metadata, file=file)
+    if vocab_path is None and default_vocab_path(path).exists():
+        vocab_path = default_vocab_path(path)
+    vocab = digest = None
+    if vocab_path is not None:
+        data = Path(vocab_path).read_bytes()
+        vocab, digest = _parse_vocab(data, vocab_path), hashlib.sha256(data).hexdigest()
+    return Checkpoint(tensors=tensors, vocab=vocab, metadata=metadata, file=file, vocab_sha256=digest)
 
 
 @contextmanager
@@ -699,20 +701,25 @@ def read_vocab(path: str | Path) -> dict[str, int]:
 
     Lines end in LF, and CRLF reads as LF. Any other carriage return is a
     VocabError naming the line: a reader that ended a line there would
-    shift every later row.
+    shift every later row. An empty file holds no token; a single empty
+    line holds the empty token.
     """
+    return _parse_vocab(Path(path).read_bytes(), path)
+
+
+def _parse_vocab(data: bytes, path: str | Path) -> dict[str, int]:
+    """The vocabulary sidecar ``data`` read from ``path`` holds; see ``read_vocab``."""
     try:
-        with open(path, encoding="utf-8", newline="") as f:
-            text = f.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise VocabError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    vocab: dict[str, int] = {}
+    if text == "":
+        return vocab
     if "\r" in text:  # a two-character replace scans far slower than this test, even with no match
         text = text.replace("\r\n", "\n")
     if text.endswith("\n"):
         text = text[:-1]
-    vocab: dict[str, int] = {}
-    if text == "":
-        return vocab
     tokens = text.split("\n")
     if "\r" in text:
         for row, token in enumerate(tokens):

@@ -16,6 +16,7 @@ from vlrmerge import (
     classify_triple,
     load_manifest_config,
     merge_transformer,
+    read_checkpoint,
     write_checkpoint,
     write_vocab,
 )
@@ -28,7 +29,8 @@ _outputs = itertools.count()
 def assemble_in(directory: Path, recipes, triple, provenance=None, jobs=None) -> list[Checkpoint]:
     """``assemble_vlrm`` into fresh files under ``directory``; the written checkpoints, opened."""
     paths = [directory / f"merged-{next(_outputs)}.safetensors" for _ in recipes]
-    return assemble_vlrm(recipes, triple, paths, provenance, jobs=jobs)
+    assemble_vlrm(recipes, triple, paths, provenance, jobs=jobs)
+    return [read_checkpoint(path) for path in paths]
 
 
 def make_tensor(name: str, values, dtype: Dtype = Dtype.F32) -> Tensor:
@@ -170,6 +172,24 @@ def write_triple(tmp_path: Path, pre: Checkpoint, lvlm: Checkpoint, rm: Checkpoi
         write_vocab(ckpt.vocab, default_vocab_path(path))
         paths[label] = path
     return paths
+
+
+def inspected_and_source_roles(paths: dict, out: Path) -> tuple[dict, dict]:
+    """Each tensor of the merged checkpoint ``out`` and its role: by ``inspect --json``, and by its source.
+
+    The source role is the one the built-in rules of the model that holds
+    the name give it: the lvlm, or else the rm. ``paths`` are the inputs.
+    """
+    from click.testing import CliRunner
+
+    from vlrmerge.cli import main
+
+    result = CliRunner().invoke(main, ["inspect", str(out), "--json"])
+    assert result.exit_code == 0, result.output
+    inspected = {row["name"]: row["role"] for row in json.loads(result.stdout)["tensors"]}
+    triple = classify_triple(*(read_checkpoint(paths[kind]) for kind in ("pre", "lvlm", "rm")), load_manifest_config())
+    lvlm, rm = triple.lvlm.cmap.assignments, triple.rm.cmap.assignments
+    return inspected, {name: (lvlm[name] if name in lvlm else rm[name]).value for name in inspected}
 
 
 def write_pairwise_dataset(path: Path, n: int, domains=("general", "hallucination", "reasoning")):

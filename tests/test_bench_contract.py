@@ -38,7 +38,7 @@ from vlrmerge import (  # noqa: E402
 from vlrmerge.cli import main  # noqa: E402
 from vlrmerge.sweep import SweepConfig, generate_grid  # noqa: E402
 
-from helpers import toy_triple, write_triple  # noqa: E402
+from helpers import inspected_and_source_roles, toy_triple, write_triple  # noqa: E402
 
 # a gen.py triple small enough for a unit test, in the benchmark's layout and dtype
 TINY = gen.Scale(hidden=16, heads=2, kv_heads=1, intermediate=24, layers=2, cross_layers=(1,),
@@ -127,6 +127,18 @@ def test_streamed_output_passes_the_benchmark_checks(tmp_path):
     assert tensor.to_f32().shape == tensor.shape
     probes = child.class_probes(tracer.merge_calls, {kind: str(path) for kind, path in paths.items()})
     assert set(probes["ties"]) == {"attention", "mlp", "norm"}
+
+
+def test_inspect_gives_each_merged_tensor_its_source_role(tmp_path):
+    # merge-dense's third command inspects a merged output with the built-in rules
+    paths = gen.write_triple(tmp_path / "in", TINY, 0)
+    out = tmp_path / "merged.safetensors"
+    result = CliRunner().invoke(main, ["merge", *(arg for kind in ("pre", "lvlm", "rm") for arg in (f"--{kind}", str(paths[kind]))),
+                                       "--method", "linear", "--lambda", "0.7", "--out", str(out), "--jobs", "2"])
+    assert result.exit_code == 0, result.output
+    inspected, source = inspected_and_source_roles(paths, out)
+    assert inspected == source
+    assert set(inspected.values()) == {"vision_encoder", "adapter", "embedding", "transformer", "rm_head"}
 
 
 def test_traced_grid_sweep_is_one_merge_span_that_class_probes_rerun(monkeypatch, tmp_path):

@@ -15,7 +15,14 @@ from vlrmerge import Checkpoint, Dtype, Tensor, assembly, cli, merging, read_che
 from vlrmerge.cli import main
 from vlrmerge.components import DEFAULT_MANIFEST
 
-from helpers import make_tensor, toy_triple, write_triple, write_pairwise_dataset, write_bon_dataset
+from helpers import (
+    inspected_and_source_roles,
+    make_tensor,
+    toy_triple,
+    write_bon_dataset,
+    write_pairwise_dataset,
+    write_triple,
+)
 
 STUB_CMD = f"{sys.executable} -m vlrmerge stub-scorer"
 
@@ -70,8 +77,8 @@ class TestMergeCommand:
             load_manifest_config(),
         )
         recipe = MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=7)
-        [expected] = assemble_vlrm([recipe], triple, [tmp_path / "library.safetensors"], jobs=1)
-        assert merged.tensors == expected.tensors
+        assemble_vlrm([recipe], triple, [tmp_path / "library.safetensors"], jobs=1)
+        assert merged.tensors == read_checkpoint(tmp_path / "library.safetensors").tensors
 
     @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
     def test_checkpoints_are_hashed_on_up_to_jobs_threads(self, runner, triple_files, tmp_path, monkeypatch, jobs):
@@ -177,6 +184,41 @@ class TestMergeCommand:
         assert metadata["input.lvlm_vocab.sha256"] == hashlib.sha256(other.read_bytes()).hexdigest()
         pre_sidecar = Path(f"{triple_files['pre']}.vocab").read_bytes()
         assert metadata["input.pre_vocab.sha256"] == hashlib.sha256(pre_sidecar).hexdigest()
+
+    @pytest.mark.parametrize("reader,key", [
+        ("read_checkpoint", "input.lvlm_vocab.sha256"),
+        ("load_manifest_config", "input.manifest.sha256"),
+    ])
+    def test_recorded_digests_are_of_the_bytes_parsed(self, runner, triple_files, tmp_path, monkeypatch, reader, key):
+        # the lvlm sidecar, or the manifest, is rewritten right after it is parsed
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(DEFAULT_MANIFEST), encoding="utf-8")
+        sidecar = Path(f"{triple_files['lvlm']}.vocab")
+        tokens = sidecar.read_text(encoding="utf-8").split("\n")[:2]
+        target = sidecar if reader == "read_checkpoint" else manifest
+        parsed = target.read_bytes()
+        real = getattr(cli, reader)
+
+        def rewriting(path, *args):
+            result = real(path, *args)
+            if reader == "load_manifest_config" or Path(path) == triple_files["lvlm"]:
+                if target is sidecar:  # the first two rows swap places
+                    first, second, rest = parsed.split(b"\n", 2)
+                    target.write_bytes(b"\n".join([second, first, rest]))
+                else:
+                    target.write_text(json.dumps(DEFAULT_MANIFEST, indent=1), encoding="utf-8")
+            return result
+
+        monkeypatch.setattr(cli, reader, rewriting)
+        out = tmp_path / "merged.safetensors"
+        result = runner.invoke(main, [
+            *merge_args(triple_files, "linear"), "--manifest", str(manifest), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert target.read_bytes() != parsed
+        assert read_checkpoint(out).metadata[key] == hashlib.sha256(parsed).hexdigest()
+        # the merged vocabulary follows the lvlm sidecar as it was parsed
+        assert [read_checkpoint(out).vocab[token] for token in tokens] == [0, 1]
 
     def test_recorded_digests_are_of_the_whole_files(self, runner, triple_files, tmp_path):
         out = tmp_path / "merged.safetensors"
@@ -357,13 +399,8 @@ def recorded_digests(paths, jobs):
     """
     ckpts = {label: Checkpoint({}, file=tensorstore.CheckpointFile(Path(path)))
              for label, path in zip(("pre", "lvlm", "rm"), paths)}
-    provenance = cli._hash_inputs(ckpts, dict.fromkeys(ckpts), None, jobs)
+    provenance = cli._hash_inputs(ckpts, jobs)
     return [provenance[f"input.{label}.sha256"] for label in ckpts]
-
-
-def checkpoints_hashed(hashed: list[Path]) -> list[Path]:
-    """The checkpoint files among the hashed paths; each one's vocabulary file is always hashed."""
-    return [path for path in hashed if path.suffix == ".safetensors"]
 
 
 def spy_on_hashing(monkeypatch) -> list[Path]:
@@ -390,7 +427,7 @@ class TestDigestMemo:
         hashed = spy_on_hashing(monkeypatch)
         result = runner.invoke(main, [*merge_args(triple_files, "ties"), "--density", "0.4", "--out", str(second)])
         assert result.exit_code == 0, result.output
-        assert hashed and not set(hashed) & set(checkpoints)  # the vocabularies are still hashed
+        assert hashed == []  # each sidecar's digest is of the bytes parsed, not of a second read
         assert read_checkpoint(second).metadata == read_checkpoint(first).metadata
         assert second.read_bytes() == first.read_bytes()
         for label, path in triple_files.items():
@@ -419,7 +456,7 @@ class TestDigestMemo:
             os.utime(memo, ns=(before.st_atime_ns, before.st_ctime_ns))
         hashed = spy_on_hashing(monkeypatch)
         assert recorded_digests(paths, 2) == [sha256_of(path) for path in paths]
-        assert checkpoints_hashed(hashed) == [lvlm]
+        assert hashed == [lvlm]
 
     def test_a_change_just_before_the_memo_is_written_is_caught_by_ctime(self, triple_files, monkeypatch):
         # the lvlm changes after its stamp is taken and before its memo is written,
@@ -440,7 +477,7 @@ class TestDigestMemo:
             recorded_digests(paths, 1)
         hashed = spy_on_hashing(monkeypatch)
         assert recorded_digests(paths, 1) == [sha256_of(path) for path in paths]
-        assert checkpoints_hashed(hashed) == [lvlm]
+        assert hashed == [lvlm]
 
     @pytest.mark.parametrize(
         "content",
@@ -457,7 +494,7 @@ class TestDigestMemo:
         memo.write_bytes(Path(f"{rm}.sha256.json").read_bytes() if content == "foreign" else content)
         hashed = spy_on_hashing(monkeypatch)
         assert recorded_digests(paths, 1) == [sha256_of(path) for path in paths]
-        assert checkpoints_hashed(hashed) == [Path(lvlm)]
+        assert hashed == [Path(lvlm)]
         rewritten = json.loads(memo.read_text(encoding="utf-8"))
         assert rewritten == {"sha256": sha256_of(lvlm), "stamp": tensorstore.FileStamp.of(os.stat(lvlm))._asdict()}
 
@@ -664,6 +701,42 @@ class TestInspectCommand:
         assert payload["role_counts"]["rm_head"] == 1
         assert payload["role_counts"]["lm_head"] == 0
         assert payload["metadata"]["recipe.method"] == "linear"
+
+    def test_merged_roles_are_the_source_models_roles(self, runner, triple_files, tmp_path):
+        out = tmp_path / "merged.safetensors"
+        result = runner.invoke(main, [*merge_args(triple_files, "linear"), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        inspected, source = inspected_and_source_roles(triple_files, out)
+        assert inspected == source
+        assert set(inspected.values()) == {"vision_encoder", "adapter", "embedding", "transformer", "rm_head"}
+
+    def test_merged_rules_come_from_the_lvlm_and_rm_rules(self, runner, triple_files, tmp_path):
+        out = tmp_path / "merged.safetensors"
+        assert runner.invoke(main, [*merge_args(triple_files, "linear"), "--out", str(out)]).exit_code == 0
+        builtin = runner.invoke(main, ["inspect", str(out), "--json"])
+        assert builtin.exit_code == 0, builtin.output
+        # a manifest names input kinds only; this one counts the lvlm's projector in its vision encoder
+        manifest = tmp_path / "manifest.json"
+        rules = {
+            "lvlm": [{"pattern": "multi_modal_projector.*", "role": "vision_encoder"}, *DEFAULT_MANIFEST["lvlm"]],
+            "rm": DEFAULT_MANIFEST["rm"],
+        }
+        manifest.write_text(json.dumps(rules), encoding="utf-8")
+        result = runner.invoke(main, ["inspect", str(out), "--json", "--manifest", str(manifest)])
+        assert result.exit_code == 0, result.output
+
+        def roles(result):
+            return {row["name"]: row["role"] for row in json.loads(result.stdout)["tensors"]}
+
+        assert roles(result) == {**roles(builtin), "multi_modal_projector.weight": "vision_encoder"}
+
+    def test_manifest_naming_merged_rules_is_a_named_error(self, runner, triple_files, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        rules = {**DEFAULT_MANIFEST, "merged": [{"pattern": "*", "role": "transformer"}]}
+        manifest.write_text(json.dumps(rules), encoding="utf-8")
+        result = runner.invoke(main, ["inspect", str(triple_files["lvlm"]), "--manifest", str(manifest)])
+        message = "manifest config: unknown model kind 'merged' (the merged rules come from the lvlm and rm rules)"
+        assert_named_error(result, message)
 
     def test_reads_the_header_only(self, runner, triple_files, monkeypatch):
         ckpt = read_checkpoint(triple_files["lvlm"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from vlrmerge import (
     validate_triple,
 )
 from vlrmerge import assembly
+from vlrmerge.components import DEFAULT_MANIFEST, MAKEUP, REQUIRED_ROLES
 from vlrmerge.errors import TripleValidationError
 from vlrmerge.merging import MergeMethod, MergeRecipe
 
@@ -177,16 +180,14 @@ def drop_tensor(model, name):
 
 def merge_transformer_of(triple):
     """``merge_transformer`` on the triple's transformer tensors, as ``assemble_vlrm`` calls it."""
-    models = (triple.pre, triple.lvlm, triple.rm)
-    maps = ({n: m.ckpt.tensors[n] for n in m.cmap.names(Role.TRANSFORMER)} for m in models)
-    merge_transformer(MergeRecipe(MergeMethod.LINEAR, lam=0.5), *maps, jobs=1)
+    merge_transformer(MergeRecipe(MergeMethod.LINEAR, lam=0.5), *triple.tensors(Role.TRANSFORMER).values(), jobs=1)
 
 
 def merge_embedding_of(triple):
     """``align_vocab``, then ``merge_embedding_rows`` on the triple's embedding, in ``assemble_vlrm``'s order."""
-    models = (triple.pre, triple.lvlm, triple.rm)
-    aligned = align_vocab(*(m.ckpt.vocab for m in models))
-    merge_embedding_rows(aligned, *(m.ckpt.tensors[EMBEDDING].array() for m in models), MergeMethod.TIES)
+    aligned = align_vocab(*(m.ckpt.vocab for m in (triple.pre, triple.lvlm, triple.rm)))
+    emb = triple.tensors(Role.EMBEDDING)
+    merge_embedding_rows(aligned, *(ts[EMBEDDING].load() for ts in emb.values()), MergeMethod.TIES)
 
 
 class TestSharedRules:
@@ -262,9 +263,42 @@ class TestSharedRules:
         self.both_say(triple, message, merge_embedding_of, VocabError)
 
 
+def test_role_table_gives_the_required_roles_and_the_makeup():
+    assert REQUIRED_ROLES == {
+        "pre": {Role.EMBEDDING, Role.TRANSFORMER, Role.LM_HEAD},
+        "lvlm": {Role.VISION_ENCODER, Role.ADAPTER, Role.EMBEDDING, Role.TRANSFORMER, Role.LM_HEAD},
+        "rm": {Role.EMBEDDING, Role.TRANSFORMER, Role.RM_HEAD},
+    }
+    assert MAKEUP == (
+        (Role.VISION_ENCODER, "lvlm", False),
+        (Role.ADAPTER, "lvlm", False),
+        (Role.TRANSFORMER, "lvlm", True),
+        (Role.EMBEDDING, "lvlm", True),
+        (Role.RM_HEAD, "rm", False),
+    )
+
+
 def test_default_manifest_loads():
+    assert set(DEFAULT_MANIFEST) == {"pre", "lvlm", "rm"}
     config = load_manifest_config()
     assert set(config) == {"pre", "lvlm", "rm", "merged"}
+    # the lvlm's rules for what the merged model takes from it, then the rm's
+    assert [(rule.pattern, rule.role) for rule in config["merged"]] == [
+        ("vision_model.*", Role.VISION_ENCODER),
+        ("multi_modal_projector.*", Role.ADAPTER),
+        ("model.layers.*cross_attn*", Role.ADAPTER),
+        ("model.embed_tokens.*", Role.EMBEDDING),
+        ("model.*", Role.TRANSFORMER),
+        ("score.*", Role.RM_HEAD),
+    ]
+
+
+def test_merged_rules_need_the_lvlm_and_rm_rules(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"pre": DEFAULT_MANIFEST["pre"], "lvlm": DEFAULT_MANIFEST["lvlm"]}), encoding="utf-8")
+    config = load_manifest_config(path)
+    with pytest.raises(VlrmergeError, match="no rules for 'merged'"):
+        config["merged"]
 
 
 def test_manifest_config_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -480,6 +481,17 @@ class TestVocabSidecar:
         write_vocab(vocab, path)
         assert read_vocab(path) == vocab
 
+    @pytest.mark.parametrize("vocab", [{"": 0}, {"a": 0, "": 1}], ids=["alone", "last"])
+    def test_empty_token_round_trip(self, tmp_path, vocab):
+        path = tmp_path / "v.vocab"
+        write_vocab(vocab, path)
+        assert read_vocab(path) == vocab
+
+    def test_empty_file_holds_no_token(self, tmp_path):
+        path = tmp_path / "v.vocab"
+        path.write_bytes(b"")
+        assert read_vocab(path) == {}
+
     def test_duplicate_token_rejected(self, tmp_path):
         path = tmp_path / "v.vocab"
         path.write_text("a\nb\na\n", encoding="utf-8")
@@ -520,7 +532,11 @@ class TestVocabSidecar:
         path = tmp_path / "m.safetensors"
         write_checkpoint(ckpt, path)
         write_vocab({"x": 0}, tmp_path / "m.safetensors.vocab")
-        assert read_checkpoint(path).vocab == {"x": 0}
+        opened = read_checkpoint(path)
+        assert opened.vocab == {"x": 0}
+        assert opened.vocab_sha256 == hashlib.sha256(b"x\n").hexdigest()
+        assert read_checkpoint(path, tmp_path / "m.safetensors.vocab").vocab_sha256 == opened.vocab_sha256
+        assert read_checkpoint(path.rename(tmp_path / "alone.safetensors")).vocab_sha256 is None
 
 
 def test_tensor_invariant_rejects_wrong_payload_size():
