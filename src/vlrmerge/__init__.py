@@ -7,6 +7,7 @@ from .errors import (  # noqa: F401
     ClassificationError,
     DatasetError,
     InputChangedError,
+    InsufficientMemoryError,
     NonFiniteWeightError,
     RecipeError,
     ScorerError,

@@ -8,17 +8,26 @@ language-modeling head: the make-up that ``components.MAKEUP`` states.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from contextlib import ExitStack, contextmanager
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import ExitStack, contextmanager, nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .components import MAKEUP, ModelTriple, Role, validate_triple
-from .embeddings import AlignedVocab, align_vocab, merge_embedding_rows
-from .errors import RecipeError, TripleValidationError
-from .merging import MergeRecipe, merge_transformer
+from .embeddings import AlignedVocab, align_vocab, block_rows, check_embedding_rows, merge_embedding_rows, unread_rows
+from .errors import InsufficientMemoryError, RecipeError, TripleValidationError
+from .merging import (
+    MergeMethod,
+    MergeRecipe,
+    available_memory,
+    default_jobs,
+    merge_transformer,
+    run_workers,
+    worker_footprint,
+)
 from .tensorstore import (
     Checkpoint,
     CheckpointWriter,
@@ -82,6 +91,60 @@ def _output_layout(triple: ModelTriple, aligned: AlignedVocab) -> Layout:
     return layout
 
 
+def _check_memory(groups: Sequence[list], trans: dict[str, dict[str, Tensor]], jobs: int) -> None:
+    """Raise InsufficientMemoryError when the merge's estimated peak exceeds what this process may use.
+
+    The estimate comes from the headers alone: ``jobs`` (at most one per
+    transformer tensor) times the largest ``worker_footprint`` of any group.
+    The embedding blocks and copies after it hold a few blocks per worker,
+    less than a merge worker's block slots alone.
+    """
+    workers = min(jobs, max(len(trans["pre"]), 1))
+    per_worker = max(worker_footprint(group[0][0].method, len(group), *trans.values()) for group in groups)
+    have = available_memory()
+    if have is not None and workers * per_worker > have:
+        raise InsufficientMemoryError(workers * per_worker, have, workers)
+
+
+def _merge_block(
+    aligned: AlignedVocab, sources: list[Tensor], method: MergeMethod, rows: range, writers: list[CheckpointWriter]
+) -> None:
+    """Merge the output rows ``rows`` of the embedding ``sources`` and write them at their offset into every writer."""
+    block = merge_embedding_rows(aligned, *sources, method, rows)
+    for writer in writers:
+        writer.write(sources[1].name, block, rows.start * block.shape[1] * block.itemsize)
+
+
+def _pieces(
+    method: MergeMethod, aligned: AlignedVocab, triple: ModelTriple, writers: list[CheckpointWriter]
+) -> list[Callable[[], None]]:
+    """The work that follows the transformer merge, in pieces for the workers.
+
+    Each embedding's output rows a block at a time (``block_rows``), the
+    finite check of the input rows no block reads (``unread_rows``), in
+    blocks too, and each tensor the output copies verbatim.
+    """
+    pieces, checks = [], []
+    emb = triple.tensors(Role.EMBEDDING)
+    for name in emb["lvlm"]:
+        sources = [ts[name] for ts in emb.values()]
+        step = block_rows(sources[1].shape[1])
+        for start in range(0, len(aligned.tokens), step):
+            rows = range(start, min(start + step, len(aligned.tokens)))
+            pieces.append(partial(_merge_block, aligned, sources, method, rows, writers))
+        n_rows = {kind: ts[name].shape[0] for kind, ts in emb.items()}
+        for kind, unread in unread_rows(aligned, method, n_rows).items():
+            for start in range(0, unread.size, step):
+                checks.append(partial(check_embedding_rows, kind, emb[kind][name], unread[start : start + step]))
+    copies = [
+        partial(copy_payload, source, writers)
+        for role, kind, is_merged in MAKEUP
+        if not is_merged
+        for source in triple.tensors(role)[kind].values()
+    ]
+    return pieces + checks + copies
+
+
 def assemble_vlrm(
     recipes: Sequence[MergeRecipe],
     triple: ModelTriple,
@@ -92,23 +155,28 @@ def assemble_vlrm(
     """Merge the triple once per recipe and write each result to its path.
 
     Validates the triple, aligns its vocabularies and builds the output
-    layout once. Then, for each group of recipes that share method and seed
-    (so differ only in lambda and density), in the order first seen: one
-    ``merge_transformer`` call covers every recipe of the group, reading
+    layout once, and checks from the headers alone that the merge fits the
+    memory this process may use (InsufficientMemoryError, before any
+    payload is read). Then, for each group of recipes that share method and
+    seed (so differ only in lambda and density), in the order first seen:
+    one ``merge_transformer`` call covers every recipe of the group, reading
     each input tensor once, and writes each output tensor at its offset as
-    soon as it is done; each embedding is merged once and written to every
-    output; the vision, adapter and reward head tensors are copied from
-    their files a block at a time into every output. A TIES or DARE sweep
-    over lambda and density is one group. The language-modeling heads are
-    never read, and memory holds the workers' buffers or one embedding's
-    inputs and output, never a whole model. Each output is written as
-    ``write_merged`` writes and records ``provenance`` and its recipe. When
-    a group is done, every input file is checked to be as it was opened
-    (InputChangedError if not) and the group's files are moved onto their
-    paths, so a failure keeps the earlier groups' outputs and none of its
-    own group's. No recipes write nothing. Raises TripleValidationError when the triple is
-    not mergeable and RecipeError unless there is one distinct path per
-    recipe.
+    soon as it is done. Then one ``run_workers`` call on the same ``jobs``
+    workers merges each embedding a block of output rows at a time, reading
+    only the input rows the block takes and writing the block into every
+    output at its offset, checks the input rows no block reads, and copies
+    the vision, adapter and reward head tensors from their files a piece at
+    a time into every output. A TIES or DARE sweep over lambda and density
+    is one group. The language-modeling heads are never read (nor, for
+    linear, the base embedding), and memory holds the workers' buffers or
+    their blocks, never a whole model or a whole embedding matrix. Each
+    output is written as ``write_merged`` writes and records ``provenance``
+    and its recipe. When a group is done, every input file is checked to be
+    as it was opened (InputChangedError if not) and the group's files are
+    moved onto their paths, so a failure keeps the earlier groups' outputs
+    and none of its own group's. No recipes write nothing. Raises
+    TripleValidationError when the triple is not mergeable and RecipeError
+    unless there is one distinct path per recipe.
     """
     report = validate_triple(triple)
     if report:
@@ -124,11 +192,13 @@ def assemble_vlrm(
         groups.setdefault((recipe.method, recipe.seed), []).append((recipe, path))
     if not groups:
         return
+    workers = jobs or default_jobs()  # merge_transformer rejects a jobs below 1
 
     models = (triple.pre, triple.lvlm, triple.rm)
+    trans = triple.tensors(Role.TRANSFORMER)
+    _check_memory(list(groups.values()), trans, workers)
     aligned = align_vocab(*(model.ckpt.vocab for model in models))
     vocab, layout = aligned.output_vocab(), _output_layout(triple, aligned)
-    trans, emb = triple.tensors(Role.TRANSFORMER), triple.tensors(Role.EMBEDDING)
     for group in groups.values():
         first = group[0][0]
         with ExitStack() as stack:
@@ -143,15 +213,7 @@ def assemble_vlrm(
                 variants=[recipe for recipe, _ in group],
                 sink=lambda i, tensor: writers[i].write(tensor.name, tensor.data),
             )
-            for name in emb["lvlm"]:
-                rows = merge_embedding_rows(aligned, *(ts[name].load() for ts in emb.values()), first.method)
-                for writer in writers:
-                    writer.write(name, rows)
-                del rows
-            for role, kind, is_merged in MAKEUP:
-                if not is_merged:
-                    for source in triple.tensors(role)[kind].values():
-                        copy_payload(source, writers)
+            run_workers(_pieces(first.method, aligned, triple, writers), workers, lambda piece, _: piece(), nullcontext)
             for model in models:
                 model.ckpt.check_unchanged()
 

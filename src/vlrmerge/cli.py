@@ -26,7 +26,8 @@ from .tensorstore import Checkpoint, file_digest, read_checkpoint
 
 METHOD_CHOICES = [m.value for m in MergeMethod]
 JOBS_HELP = (
-    "Worker threads for per-tensor merging and for hashing the input checkpoints "
+    "Worker threads for merging (transformer tensors, embedding row blocks, copies) "
+    "and for hashing the input checkpoints "
     "[default: the CPUs this process may use]."
 )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections.abc import Collection, Mapping
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -73,9 +73,10 @@ class Rule:
 
 @dataclass
 class ComponentMap:
-    """Total assignment of tensor names to roles."""
+    """Total assignment of tensor names to roles, and the rules that made it (none when built by hand)."""
 
     assignments: dict[str, Role]
+    rules: tuple[Rule, ...] = ()
 
     def names(self, role: Role) -> list[str]:
         return [name for name, r in self.assignments.items() if r is role]
@@ -95,19 +96,36 @@ def classify_tensors(ckpt: Checkpoint, rules: list[Rule] | tuple[Rule, ...]) -> 
     """
     if not rules:
         raise VlrmergeError("classification rule list is empty")
-    compiled = [(_compile_pattern(rule.pattern), rule.role) for rule in rules]
+    compiled = _compiled(rules)
     assignments: dict[str, Role] = {}
     unmatched: list[str] = []
     for name in ckpt.tensors:
-        for regex, role in compiled:
-            if regex.match(name):
-                assignments[name] = role
-                break
-        else:
+        role = _role_of(name, compiled)
+        if role is None:
             unmatched.append(name)
+        else:
+            assignments[name] = role
     if unmatched:
         raise ClassificationError(unmatched)
-    return ComponentMap(assignments=assignments)
+    return ComponentMap(assignments=assignments, rules=tuple(rules))
+
+
+def _compiled(rules: Sequence[Rule]) -> list[tuple[re.Pattern, Role]]:
+    return [(_compile_pattern(rule.pattern), rule.role) for rule in rules]
+
+
+def _role_of(name: str, compiled: list[tuple[re.Pattern, Role]]) -> Role | None:
+    """The role of the first compiled rule that matches ``name``, or None."""
+    return next((role for regex, role in compiled if regex.match(name)), None)
+
+
+# the model kinds the merged model takes tensors from, in MAKEUP order (lvlm, then rm), with the roles it takes
+_SOURCES = {kind: {role for role, k, _ in MAKEUP if k == kind} for _, kind, _ in MAKEUP}
+
+
+def merged_rules(rules: Mapping[str, Sequence[Rule]]) -> list[Rule]:
+    """The merged model's rules: each source kind's rules (``rules[kind]``) for the roles ``MAKEUP`` takes from it."""
+    return [rule for kind, roles in _SOURCES.items() for rule in rules[kind] if rule.role in roles]
 
 
 @dataclass
@@ -230,17 +248,22 @@ def validate_triple(triple: ModelTriple) -> list[str]:
         report.extend(vocab_row_problems(kind, model.ckpt.vocab.values(), n_rows))
 
     # the reward head projects to a single scalar, and sits in the merged model
-    # beside every tensor it takes from the lvlm
+    # beside every tensor it takes from the lvlm, where the merged rules read it back as the reward head
     lvlm_roles = triple.lvlm.cmap.assignments
-    from_lvlm = {role for role, kind, _ in MAKEUP if kind == "lvlm"}
+    merged = _compiled(merged_rules({kind: getattr(triple, kind).cmap.rules for kind in _SOURCES}))
     for name, t in sorted(triple.tensors(Role.RM_HEAD)["rm"].items()):
         if t.shape and t.shape[0] != 1:
             report.append(
                 f"rm: head tensor {name} must have leading dimension 1, got {list(t.shape)}"
             )
-        if lvlm_roles.get(name) in from_lvlm:
+        if lvlm_roles.get(name) in _SOURCES["lvlm"]:
             report.append(
                 f"rm: head tensor {name} has the name of an lvlm {lvlm_roles[name].value} tensor"
+            )
+        elif (role := _role_of(name, merged)) not in (None, Role.RM_HEAD):
+            report.append(
+                f"rm: head tensor {name} is classified {role.value} by the merged model's rules "
+                "(an lvlm rule matches it before the rm's)"
             )
     return report
 
@@ -332,9 +355,8 @@ def load_manifest_config(path: str | Path | None = None) -> dict[str, list[Rule]
         if not isinstance(entries, list):
             raise VlrmergeError(f"manifest config: rules for {kind!r} must be a list, got {entries!r}")
         config[kind] = rules_from_config(entries)
-    sources = {kind: {role for role, k, _ in MAKEUP if k == kind} for _, kind, _ in MAKEUP}  # lvlm, then rm
-    if sources.keys() <= config.keys():
-        config["merged"] = [rule for kind, roles in sources.items() for rule in config[kind] if rule.role in roles]
+    if _SOURCES.keys() <= config.keys():
+        config["merged"] = merged_rules(config)
     return config
 
 

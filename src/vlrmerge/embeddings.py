@@ -8,7 +8,9 @@ For every output token the first applicable rule wins:
 3. token known to both fine-tuned models -> unweighted mean of the two rows
 
 The matrices are merged in their storage dtype: rows of rules 1 and 2 are
-copied as stored, and only rule 3 rows pass through float32.
+copied as stored, and only rule 3 rows pass through float32. A range of
+output rows can be merged alone, reading from the inputs only the rows it
+takes, so a matrix is merged in row blocks on any number of workers.
 
 The output vocabulary is the LVLM vocabulary in order, followed by RM-only
 tokens in RM order.
@@ -22,10 +24,8 @@ import numpy as np
 
 from .components import embedding_problems, vocab_row_problems
 from .errors import NonFiniteWeightError, VocabError
-from .merging import MergeMethod
-from .tensorstore import Dtype, first_non_finite, narrow, widen
-
-_BLOCK = 1 << 16  # elements per block of rows widened at once
+from .merging import _BLOCK, MergeMethod, Source  # a block of rows holds about the kernel's _BLOCK elements
+from .tensorstore import Dtype, Tensor, first_non_finite, narrow, widen
 
 
 @dataclass
@@ -65,65 +65,143 @@ def align_vocab(
     return AlignedVocab(tokens, rows(pre_vocab), rows(lvlm_vocab), rows(rm_vocab))
 
 
+def block_rows(width: int) -> int:
+    """The rows of an embedding of ``width`` columns in one block: about ``_BLOCK`` elements, at least one row."""
+    return max(1, _BLOCK // max(width, 1))
+
+
+def _matrix(source: Source) -> tuple[Dtype, tuple[int, ...]]:
+    """The dtype and shape of a storage view or a tensor, without reading a payload."""
+    return (source.dtype, source.shape) if isinstance(source, Tensor) else (Dtype.of(source), source.shape)
+
+
+def _rules(pre_idx: np.ndarray, lv_idx: np.ndarray, rm_idx: np.ndarray, method: MergeMethod) -> tuple[np.ndarray, ...]:
+    """Per output row, whether it is the base row (rule 1), the lvlm's or rm's alone (rule 2) or their mean (rule 3)."""
+    use_pre = (pre_idx >= 0) & (method is not MergeMethod.LINEAR)
+    lv, rm = ~use_pre & (lv_idx >= 0), ~use_pre & (rm_idx >= 0)
+    return use_pre, lv & ~rm, rm & ~lv, lv & rm
+
+
+def _checked_rows(label: str, source: Source, rows: np.ndarray, buffer: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of ``label``'s matrix, gathered into ``buffer`` and checked finite; ``scratch`` is uint32."""
+    if isinstance(source, Tensor):
+        block = source.load_rows(rows, buffer)
+    else:  # the rows were checked in range before, so clipping changes none
+        block = np.take(source, rows, axis=0, out=buffer[: rows.size], mode="clip")
+    if (at := first_non_finite(block, scratch)) is not None:
+        raise NonFiniteWeightError(f"{label} embedding row {rows[at // block.shape[1]]} holds a non-finite weight")
+    return block
+
+
+def check_embedding_rows(label: str, source: Source, rows: np.ndarray) -> None:
+    """Raise NonFiniteWeightError if a row ``rows`` of ``label``'s 2-D embedding ``source`` holds a NaN or infinity.
+
+    The error names the model and the first such row in ``rows``. The rows
+    are read and checked a block at a time, so memory holds one block
+    whatever their number.
+    """
+    if not len(rows):
+        return
+    dtype, (_, width) = _matrix(source)
+    step = min(block_rows(width), len(rows))
+    buffer, scratch = np.empty((step, width), dtype.array_dtype), np.empty(max(step * width, 1), np.uint32)
+    for start in range(0, len(rows), step):
+        _checked_rows(label, source, rows[start : start + step], buffer, scratch)
+
+
+def unread_rows(aligned: AlignedVocab, method: MergeMethod, n_rows: dict[str, int]) -> dict[str, np.ndarray]:
+    """For each matrix ``method`` reads, the rows no output row is taken from; ``n_rows`` gives each one's row count.
+
+    ``merge_embedding_rows`` checks the rows it takes; checking these as well
+    (``check_embedding_rows``) covers every row of every matrix the method
+    reads, as the whole-matrix call does. ``linear`` never reads ``pre``.
+    """
+    use_pre, only_lv, only_rm, both = _rules(aligned.pre_rows, aligned.lvlm_rows, aligned.rm_rows, method)
+    taken = {
+        "pre": aligned.pre_rows[use_pre],
+        "lvlm": aligned.lvlm_rows[only_lv | both],
+        "rm": aligned.rm_rows[only_rm | both],
+    }
+    if method is MergeMethod.LINEAR:
+        del taken["pre"]
+    unread = {}
+    for label, rows in taken.items():
+        free = np.ones(n_rows[label], bool)
+        free[rows] = False
+        unread[label] = np.flatnonzero(free)
+    return unread
+
+
 def merge_embedding_rows(
     aligned: AlignedVocab,
-    pre_emb: np.ndarray,
-    lvlm_emb: np.ndarray,
-    rm_emb: np.ndarray,
+    pre_emb: Source,
+    lvlm_emb: Source,
+    rm_emb: Source,
     method: MergeMethod,
+    rows: range | None = None,
 ) -> np.ndarray:
-    """Build the merged embedding matrix, one output row per aligned token.
+    """Build the output rows ``rows`` (a contiguous range; all when None) of the merged embedding matrix.
 
-    The inputs are storage views of one dtype (``Dtype.of``), and so is the
-    output. Rows of rules 1 and 2 are copied as stored; the rule 3 rows alone
-    are widened to float32, averaged and narrowed, a block of rows at a time,
-    so no float32 copy of a whole matrix is made. The bytes are those of
-    widening every input, merging in float32 and narrowing the output, since
-    widening and narrowing round-trip every stored bit pattern. First, the
-    matrices must be 2-D, of one width and dtype, with every aligned row
-    inside its matrix (VocabError, with ``validate_triple``'s message for the
-    same fault), and a NaN or infinity in a matrix the method reads (linear
-    never reads ``pre``) raises NonFiniteWeightError, naming the model and row.
+    The inputs are storage views of one dtype (``Dtype.of``) or 2-D
+    ``Tensor``s of one dtype, as ``merging.Source`` allows, and the output
+    is of that dtype, one row per output token of ``rows``. Each input row
+    an output row takes is read (from a tensor's file, only those rows, see
+    ``Tensor.load_rows``) and checked finite a block at a time: rows of
+    rules 1 and 2 are copied as stored, and the rule 3 rows alone are widened
+    to float32, averaged and narrowed, so no float32 copy of a whole matrix
+    is made and memory beyond the output is a few blocks. The bytes are
+    those of widening every input, merging in float32 and narrowing the
+    output, since widening and narrowing round-trip every stored bit
+    pattern, and do not depend on how the output rows are split. First, the
+    matrices must be 2-D, of one width and dtype, with every aligned row of
+    ``rows`` inside its matrix (VocabError, with ``validate_triple``'s
+    message for the same fault). A NaN or infinity in a row read raises
+    NonFiniteWeightError, naming the model and row, before any arithmetic
+    reads it. The whole-matrix call (``rows`` None) first checks every row
+    of every matrix the method reads (linear never reads ``pre``) in row
+    order; a caller that splits the rows checks the rest with
+    ``unread_rows`` and ``check_embedding_rows``.
     """
-    pre_idx, lv_idx, rm_idx = aligned.pre_rows, aligned.lvlm_rows, aligned.rm_rows
+    out_rows = range(len(aligned.tokens)) if rows is None else rows
+    span = slice(out_rows.start, out_rows.stop)
+    pre_idx, lv_idx, rm_idx = aligned.pre_rows[span], aligned.lvlm_rows[span], aligned.rm_rows[span]
     sources = (("pre", pre_idx, pre_emb), ("lvlm", lv_idx, lvlm_emb), ("rm", rm_idx, rm_emb))
-    matrices = {label: (Dtype.of(source), source.shape) for label, _, source in sources}
+    matrices = {label: _matrix(source) for label, _, source in sources}
     problems = embedding_problems(matrices) or [
-        problem for label, idx, source in sources for problem in vocab_row_problems(label, idx[idx >= 0], len(source))
+        problem
+        for label, idx, _ in sources
+        for problem in vocab_row_problems(label, idx[idx >= 0], matrices[label][1][0])
     ]
     if problems:
         raise VocabError(problems[0])
-    dtype, width = Dtype.of(lvlm_emb), lvlm_emb.shape[1]
+    dtype, (_, width) = matrices["lvlm"]
     neither = (lv_idx < 0) & (rm_idx < 0)
     if neither.any():
-        token = aligned.tokens[int(neither.argmax())]
+        token = aligned.tokens[out_rows.start + int(neither.argmax())]
         raise VocabError(f"token {token!r} is in neither fine-tuned vocabulary")
-    # each gather copies one block of rows, so no temporary outgrows a block
-    step = max(1, _BLOCK // max(width, 1))
-    scratch = np.empty(step * max(width, 1), np.uint32)
-    for label, _, source in sources[1:] if method is MergeMethod.LINEAR else sources:
-        if (at := first_non_finite(source, scratch)) is not None:
-            raise NonFiniteWeightError(f"{label} embedding row {at // width} holds a non-finite weight")
+    if rows is None:
+        for label, _, source in sources[1:] if method is MergeMethod.LINEAR else sources:
+            check_embedding_rows(label, source, np.arange(matrices[label][1][0]))
 
-    use_pre = (pre_idx >= 0) & (method is not MergeMethod.LINEAR)
-    both = ~use_pre & (lv_idx >= 0) & (rm_idx >= 0)
-    only_lv = ~use_pre & (lv_idx >= 0) & (rm_idx < 0)
-    only_rm = ~use_pre & (lv_idx < 0) & (rm_idx >= 0)
-
-    out = np.empty((len(aligned.tokens), width), dtype=dtype.array_dtype)
-    for mask, (_, idx, source) in zip((use_pre, only_lv, only_rm), sources):
-        rows = np.flatnonzero(mask)
-        for start in range(0, rows.size, step):
-            at = rows[start : start + step]
-            out[at] = source[idx[at]]
-    rows = np.flatnonzero(both)
-    a, b = (np.empty((min(step, rows.size), width), np.float32) for _ in range(2))
-    for start in range(0, rows.size, step):
-        at = rows[start : start + step]
-        x = widen(lvlm_emb[lv_idx[at]], a[: at.size])
-        y = widen(rm_emb[rm_idx[at]], b[: at.size])
+    # each gather reads one block of rows, so no temporary outgrows a block
+    step = block_rows(width)
+    held = min(step, len(out_rows))
+    buffer, scratch = np.empty((held, width), dtype.array_dtype), np.empty(max(held * width, 1), np.uint32)
+    out = np.empty((len(out_rows), width), dtype.array_dtype)
+    use_pre, only_lv, only_rm, both = _rules(pre_idx, lv_idx, rm_idx, method)
+    for mask, (label, idx, source) in zip((use_pre, only_lv, only_rm), sources):
+        taken = np.flatnonzero(mask)
+        for start in range(0, taken.size, step):
+            at = taken[start : start + step]
+            out[at] = _checked_rows(label, source, idx[at], buffer, scratch)
+    taken = np.flatnonzero(both)
+    a, b = (np.empty((min(step, taken.size), width), np.float32) for _ in range(2))
+    half = np.float32(0.5)
+    for start in range(0, taken.size, step):
+        at = taken[start : start + step]
+        x = widen(_checked_rows("lvlm", lvlm_emb, lv_idx[at], buffer, scratch), a[: at.size])
+        y = widen(_checked_rows("rm", rm_emb, rm_idx[at], buffer, scratch), b[: at.size])
         # halves first: the sum of two finite rows may overflow, their mean cannot
-        half = np.float32(0.5)
         np.add(np.multiply(x, half, out=x), np.multiply(y, half, out=y), out=x)
         out[at] = np.frombuffer(narrow(x, dtype, scratch), dtype.array_dtype).reshape(x.shape)
     return out

@@ -13,6 +13,19 @@ class InputChangedError(VlrmergeError):
     """An input file changed while a merge was reading it."""
 
 
+class InsufficientMemoryError(VlrmergeError):
+    """A merge's estimated peak, ``needed`` bytes, exceeds the ``available`` bytes this process may use."""
+
+    def __init__(self, needed: int, available: int, workers: int):
+        self.needed, self.available = needed, available
+        mib = 1 << 20
+        super().__init__(
+            f"the merge needs about {needed / mib:.1f} MiB ({workers} workers at {needed / workers / mib:.1f} MiB "
+            f"each, for the largest transformer tensor), but this process may use only {available / mib:.1f} MiB; "
+            "use fewer --jobs or recipes"
+        )
+
+
 class NonFiniteWeightError(VlrmergeError):
     """An input weight that a merge reads is NaN or infinite."""
 

@@ -45,6 +45,7 @@ from contextlib import AbstractContextManager
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -137,23 +138,29 @@ class _Buffers:
     """
 
     def __init__(self, staging: Sequence[int], key: int, block: int):
+        slots, size = self.layout(staging, key, block)
+        self.mapping = mmap.mmap(-1, max(size, 1))
+        self._slots = {
+            slot: np.frombuffer(self.mapping, dtype, count, offset) for slot, (dtype, count, offset) in slots.items()
+        }
         draws = min(block, _MASK_CHUNK)
+        self._slots["draws"] = self._slots["draws"].reshape(3, draws)
+        np.multiply(np.arange(draws, dtype=np.uint64), _MIX_GAMMA, out=self._slots["draws"][2])  # i * gamma
+
+    @staticmethod
+    def layout(staging: Sequence[int], key: int, block: int) -> tuple[dict[str, tuple[type, int, int]], int]:
+        """Each slot's dtype, element count and byte offset in the mapping, and the mapping's size in bytes."""
         slots = {
             **{f"staged_{role}": (np.uint8, size) for role, size in zip(("pre", "lvlm", "rm"), staging)},
             "key": (np.float32, key),
             **{slot: (dtype, block) for slot, dtype in _BLOCK_SLOTS.items()},
-            "draws": (np.uint64, 3 * draws),
+            "draws": (np.uint64, 3 * min(block, _MASK_CHUNK)),
         }
-        offsets, size = {}, 0
+        placed, size = {}, 0
         for slot, (dtype, count) in slots.items():
-            offsets[slot] = size
+            placed[slot] = (dtype, count, size)
             size += -(-count * np.dtype(dtype).itemsize // 64) * 64  # each slot starts on a cache line
-        self.mapping = mmap.mmap(-1, max(size, 1))
-        self._slots = {
-            slot: np.frombuffer(self.mapping, dtype, count, offsets[slot]) for slot, (dtype, count) in slots.items()
-        }
-        self._slots["draws"] = self._slots["draws"].reshape(3, draws)
-        np.multiply(np.arange(draws, dtype=np.uint64), _MIX_GAMMA, out=self._slots["draws"][2])  # i * gamma
+        return placed, size
 
     def get(self, slot: str, n: int | None = None) -> np.ndarray:
         """The first ``n`` elements of ``slot`` (all of it when None)."""
@@ -337,6 +344,69 @@ def run_workers(
             stop.set()
 
 
+def _buffer_sizes(
+    method: MergeMethod, pre_trans: dict[str, Source], lvlm_trans: dict[str, Source], rm_trans: dict[str, Source]
+) -> tuple[list[int], int, int]:
+    """A merge worker's ``_Buffers`` sizes for these maps: staging bytes per model, key and block elements."""
+    capacity = max((source.size for source in pre_trans.values()), default=0)
+    staging = [
+        max((source.nbytes for source in sources.values() if isinstance(source, Tensor)), default=0)
+        for sources in (pre_trans, lvlm_trans, rm_trans)
+    ]
+    if method is MergeMethod.LINEAR:
+        staging[0] = 0  # linear never reads the base model
+    key = capacity if method is MergeMethod.TIES else 0
+    return staging, key, max(min(_BLOCK, capacity), 1)
+
+
+def worker_footprint(
+    method: MergeMethod,
+    variants: int,
+    pre_trans: dict[str, Source],
+    lvlm_trans: dict[str, Source],
+    rm_trans: dict[str, Source],
+) -> int:
+    """The most bytes one ``merge_transformer`` worker holds for these maps, from their shapes alone.
+
+    That is its buffers (the staged payloads of the largest tensor, the ties
+    key and the block slots) and the ``variants`` output payloads it fills
+    for the largest tensor.
+    """
+    largest = max((source.nbytes for source in lvlm_trans.values()), default=0)
+    return _Buffers.layout(*_buffer_sizes(method, pre_trans, lvlm_trans, rm_trans))[1] + variants * largest
+
+
+def available_memory() -> int | None:
+    """The bytes this process may still take, or None when the system does not say; only reads.
+
+    The least of ``MemAvailable`` in /proc/meminfo and, for this process's
+    cgroup v2 group and each group above it that sets a limit,
+    ``memory.max`` minus ``memory.current``.
+    """
+    figures, groups = [], []
+    try:
+        with open("/proc/meminfo", encoding="ascii") as f:
+            figures += [int(line.split()[1]) * 1024 for line in f if line.startswith("MemAvailable:")]
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open("/proc/self/cgroup", encoding="utf-8") as f:
+            groups = [line[3:].strip() for line in f if line.startswith("0::")]
+    except OSError:
+        pass
+    root = Path("/sys/fs/cgroup")
+    for group in (root / g.strip("/") for g in groups):
+        while group != root:
+            try:
+                limit = (group / "memory.max").read_text(encoding="ascii").strip()
+                if limit != "max":
+                    figures.append(int(limit) - int((group / "memory.current").read_text(encoding="ascii")))
+            except (OSError, ValueError):
+                pass
+            group = group.parent
+    return min(figures, default=None)
+
+
 def merge_transformer(
     recipe: MergeRecipe,
     pre_trans: dict[str, Source],
@@ -380,15 +450,7 @@ def merge_transformer(
             raise RecipeError(f"recipe {variant.slug()} does not share the method and seed of {recipe.slug()}")
     if problems := alignment_problems({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans}):
         raise VlrmergeError(problems[0])
-    capacity = max((source.size for source in pre_trans.values()), default=0)
-    staging = [
-        max((source.nbytes for source in sources.values() if isinstance(source, Tensor)), default=0)
-        for sources in (pre_trans, lvlm_trans, rm_trans)
-    ]
-    if recipe.method is MergeMethod.LINEAR:
-        staging[0] = 0  # linear never reads the base model
-    key = capacity if recipe.method is MergeMethod.TIES else 0
-    block = max(min(_BLOCK, capacity), 1)
+    sizes = _buffer_sizes(recipe.method, pre_trans, lvlm_trans, rm_trans)
     names = list(pre_trans)
     kept: dict[str, list[Tensor | None]] = {name: [None] * len(variants) for name in names}
 
@@ -403,7 +465,7 @@ def merge_transformer(
             data = memoryview(payload.view(np.uint8)).toreadonly()
             emit(i, Tensor(name, Dtype.of(payload), shape, data))
 
-    run_workers(names, jobs or default_jobs(), merge_one, lambda: _Buffers(staging, key, block))
+    run_workers(names, jobs or default_jobs(), merge_one, lambda: _Buffers(*sizes))
     if sink is not None:
         return None
     return [{name: outs[i] for name, outs in kept.items()} for i in range(len(variants))]

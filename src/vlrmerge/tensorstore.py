@@ -360,17 +360,46 @@ class Tensor:
         """
         if self._data is not None:
             return self.array()
-        if buffer is None:
-            raw = np.empty(self.nbytes, np.uint8)
-        else:
-            raw = buffer.reshape(-1).view(np.uint8)[: self.nbytes]
-            if raw.size < self.nbytes:
-                raise ValueError(
-                    f"a {buffer.nbytes}-byte buffer cannot hold the {self.nbytes} bytes of {self.name}"
-                )
+        raw = self._raw(buffer, self.nbytes)
         file, offset = self._place
         file.read_into(raw, offset)
         return raw.view(self.dtype.array_dtype).reshape(self.shape)
+
+    def load_rows(self, rows: np.ndarray, buffer: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``rows`` of the 2-D payload, in that order, as a ``(len(rows), width)`` storage view, not kept.
+
+        A payload in a file is read with one ``read_into`` per run of
+        consecutive rows in ``rows``, so no other row is read; one in memory
+        is gathered from its view. The rows go into ``buffer``, as for
+        ``load``, or into a new array. A row outside the payload is an
+        IndexError.
+        """
+        rows = np.asarray(rows, np.int64)
+        if len(self.shape) != 2:
+            raise ValueError(f"{self.name} has shape {list(self.shape)}, not rows")
+        if rows.size and not 0 <= rows.min() <= rows.max() < self.shape[0]:
+            raise IndexError(f"rows {rows.min()}..{rows.max()} are not all inside the {self.shape[0]} of {self.name}")
+        row_bytes = self.shape[1] * self.dtype.itemsize
+        raw = self._raw(buffer, rows.size * row_bytes)
+        out = raw.view(self.dtype.array_dtype).reshape(rows.size, self.shape[1])
+        if self._data is not None:
+            np.take(self.array(), rows, axis=0, out=out, mode="clip")  # in range, checked above
+            return out
+        file, offset = self._place
+        bounds = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), rows.size]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if start < stop:
+                file.read_into(raw[start * row_bytes : stop * row_bytes], offset + int(rows[start]) * row_bytes)
+        return out
+
+    def _raw(self, buffer: np.ndarray | None, nbytes: int) -> np.ndarray:
+        """The first ``nbytes`` bytes of ``buffer``, a contiguous array, or a new array of them."""
+        if buffer is None:
+            return np.empty(nbytes, np.uint8)
+        raw = buffer.reshape(-1).view(np.uint8)[:nbytes]
+        if raw.size < nbytes:
+            raise ValueError(f"a {buffer.nbytes}-byte buffer cannot hold the {nbytes} bytes asked of {self.name}")
+        return raw
 
     def chunks(self, size: int = _COPY_BLOCK) -> Iterator[memoryview]:
         """The payload in consecutive pieces of at most ``size`` bytes.

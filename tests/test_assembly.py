@@ -10,22 +10,27 @@ import reference as ref
 from vlrmerge import (
     CheckpointFormatError,
     Dtype,
+    InsufficientMemoryError,
+    NonFiniteWeightError,
     RecipeError,
     Role,
     TripleValidationError,
     assemble_vlrm,
+    align_vocab,
     assembly,
     classify_triple,
+    embeddings,
     load_manifest_config,
+    merge_embedding_rows,
     merging,
     read_checkpoint,
     write_checkpoint,
 )
 from vlrmerge.assembly import check_merged_structure
 from vlrmerge.merging import MergeMethod, MergeRecipe
-from vlrmerge.tensorstore import _COPY_BLOCK, Tensor, default_vocab_path, file_digest, read_vocab
+from vlrmerge.tensorstore import _COPY_BLOCK, CheckpointFile, Tensor, default_vocab_path, file_digest, read_vocab
 
-from helpers import assemble_in, classified_toy_triple, toy_triple, write_triple
+from helpers import assemble_in, classified_toy_triple, make_tensor, toy_triple, write_triple
 
 
 class TestComposition:
@@ -379,6 +384,160 @@ class TestStreamedAssembly:
         with pytest.raises(RecipeError, match="2 recipes need as many output paths, got 1"):
             recipes = [MergeRecipe(MergeMethod.LINEAR, lam=lam) for lam in (0.2, 0.4)]
             assemble_vlrm(recipes, classified_toy_triple(rng), [tmp_path / "x"], jobs=1)
+
+
+EMB = "model.embed_tokens.weight"
+EVERY_METHOD = [
+    MergeRecipe(MergeMethod.LINEAR, lam=0.3),
+    MergeRecipe(MergeMethod.TASK_ARITHMETIC, lam=0.7),
+    MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.4),
+    MergeRecipe(MergeMethod.DARE_TASK_ARITHMETIC, lam=0.7, density=0.4, seed=3),
+    MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=3),
+]
+
+
+def spy_reads(monkeypatch) -> list[tuple]:
+    """Record (path, offset, bytes) of every ``CheckpointFile.read_into`` call from now on."""
+    real, reads = CheckpointFile.read_into, []
+
+    def spy(self, buffer, offset):
+        reads.append((self.path, offset, memoryview(buffer).nbytes))
+        return real(self, buffer, offset)
+
+    monkeypatch.setattr(CheckpointFile, "read_into", spy)
+    return reads
+
+
+class TestEmbeddingBlocks:
+    """The embedding is merged a block of output rows at a time, on the workers, from the rows each block takes."""
+
+    @staticmethod
+    def permuted_triple(directory, rng):
+        """An opened bf16 toy triple whose rm embedding rows are shuffled against its vocabulary order."""
+        pre, lvlm, rm = toy_triple(rng, lvlm_vocab=40, shared_vocab=30, rm_extra=9, pre_vocab=25,
+                                   trans_dtype=Dtype.BF16, emb_dtype=Dtype.BF16)
+        perm = rng.permutation(len(rm.vocab))
+        rm.vocab = {token: int(perm[row]) for token, row in rm.vocab.items()}
+        stored = rm.tensors[EMB].array()
+        shuffled = np.empty_like(stored)
+        shuffled[perm] = stored
+        rm.tensors[EMB] = Tensor(EMB, Dtype.BF16, stored.shape, shuffled.tobytes())
+        directory.mkdir()
+        return open_triple(write_triple(directory, pre, lvlm, rm))
+
+    @pytest.mark.parametrize("recipe", EVERY_METHOD, ids=lambda r: r.method.value)
+    def test_blocks_give_the_whole_matrix_merge_for_any_block_size_and_jobs(self, tmp_path, monkeypatch, recipe):
+        triple = self.permuted_triple(tmp_path / "in", np.random.default_rng(3))
+        emb = triple.tensors(Role.EMBEDDING)
+        aligned = align_vocab(*(m.ckpt.vocab for m in (triple.pre, triple.lvlm, triple.rm)))
+        whole = merge_embedding_rows(aligned, *(ts[EMB].load() for ts in emb.values()), recipe.method)
+        default = tmp_path / "default"
+        assemble_vlrm([recipe], triple, [default], jobs=2)
+        real, calls = assembly.merge_embedding_rows, []
+
+        def spy(*args):
+            rows = real(*args)
+            calls.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(assembly, "merge_embedding_rows", spy)
+        monkeypatch.setattr(embeddings, "_BLOCK", 24)  # three rows of width 8: blocks cut the runs of rows
+        outs = [tmp_path / f"small-j{jobs}" for jobs in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            assemble_vlrm([recipe], triple, [out], jobs=jobs)
+        # each of the two calls merges the 49 output rows in 17 blocks
+        assert sum(calls) == 2 * len(aligned.tokens) and len(calls) == 2 * -(-len(aligned.tokens) // 3)
+        assert read_checkpoint(default).tensors[EMB].data == whole.tobytes()
+        assert outs[0].read_bytes() == outs[1].read_bytes() == default.read_bytes()
+
+    @pytest.mark.parametrize("recipe", [EVERY_METHOD[0], EVERY_METHOD[2]], ids=lambda r: r.method.value)
+    def test_linear_reads_no_byte_of_the_base_embedding(self, tmp_path, monkeypatch, recipe):
+        triple = self.permuted_triple(tmp_path / "in", np.random.default_rng(4))
+        base = triple.pre.ckpt.tensors[EMB]
+        file, start = base._place
+        reads = spy_reads(monkeypatch)
+        assemble_vlrm([recipe], triple, [tmp_path / "out"], jobs=2)
+        hits = [(offset, size) for path, offset, size in reads
+                if path == file.path and offset < start + base.nbytes and offset + size > start]
+        if recipe.method is MergeMethod.LINEAR:
+            assert hits == []
+        else:  # the base rows are read, each read inside the matrix
+            assert hits and all(start <= offset and offset + size <= start + base.nbytes for offset, size in hits)
+        lvlm = triple.lvlm.ckpt.tensors[EMB]
+        assert any(path == lvlm._place[0].path and lvlm._place[1] <= offset < lvlm._place[1] + lvlm.nbytes
+                   for path, offset, _ in reads)
+
+    @pytest.mark.parametrize("method", [MergeMethod.LINEAR, MergeMethod.TASK_ARITHMETIC])
+    def test_a_non_finite_row_no_block_reads_is_still_rejected(self, tmp_path, method):
+        # lvlm row 2 is a token the base knows, so only linear takes it; pre row 24 no output row takes
+        pre, lvlm, rm = toy_triple(np.random.default_rng(5), lvlm_vocab=40, shared_vocab=30, rm_extra=9, pre_vocab=25)
+        for ckpt, row in ((lvlm, 2), (pre, 24)):
+            values = ckpt.tensors[EMB].to_f32()
+            values[row, 5] = np.inf
+            ckpt.tensors[EMB] = make_tensor(EMB, values)
+        pre.vocab.pop("t24")
+        (tmp_path / "in").mkdir()
+        triple = open_triple(write_triple(tmp_path / "in", pre, lvlm, rm))
+        recipe = MergeRecipe(method, lam=0.5)
+        rows = "lvlm embedding row 2" if method is MergeMethod.LINEAR else "(lvlm embedding row 2|pre embedding row 24)"
+        with pytest.raises(NonFiniteWeightError, match=f"^{rows} holds a non-finite weight$"):
+            assemble_vlrm([recipe], triple, [tmp_path / "out"], jobs=2)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_worker_holds_a_whole_embedding_matrix(self, tmp_path, jobs):
+        # 4,160 output rows of width 2,048: 65 blocks of 64 rows, a 16 MiB bf16 matrix per model
+        width, rng = 2048, np.random.default_rng(6)
+        pre, lvlm, rm = toy_triple(rng, lvlm_vocab=4096, shared_vocab=3000, rm_extra=64, pre_vocab=2048)
+        for ckpt in (pre, lvlm, rm):
+            bits = rng.integers(0, 0x7F00, (len(ckpt.vocab), width), dtype=np.uint16)
+            ckpt.tensors[EMB] = Tensor(EMB, Dtype.BF16, bits.shape, bits.tobytes())
+        (tmp_path / "in").mkdir()
+        paths = write_triple(tmp_path / "in", pre, lvlm, rm)
+        out, recipe = tmp_path / "merged.safetensors", MergeRecipe(MergeMethod.TASK_ARITHMETIC, lam=0.5)
+        assemble_vlrm([recipe], open_triple(paths), [out], jobs=jobs)  # the pool and lazy imports exist
+        tracemalloc.start()
+        try:
+            assemble_vlrm([recipe], open_triple(paths), [out], jobs=jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = read_checkpoint(out).tensors[EMB].nbytes
+        assert matrix >= 32 * 2 * embeddings._BLOCK
+        assert peak < matrix / 2, f"peak {peak} bytes beside a {matrix}-byte embedding"
+
+
+class TestMemoryPreflight:
+    def test_a_merge_that_does_not_fit_fails_before_any_payload_read(self, rng, tmp_path, monkeypatch):
+        triple = opened_triple(tmp_path / "in", rng)
+        recipes = [MergeRecipe(MergeMethod.TIES, lam=lam, density=0.4) for lam in (0.5, 1.0)]
+        trans = triple.tensors(Role.TRANSFORMER)
+        workers = min(2, len(trans["pre"]))
+        need = workers * merging.worker_footprint(MergeMethod.TIES, 2, *trans.values())
+        reads = spy_reads(monkeypatch)
+        monkeypatch.setattr(assembly, "available_memory", lambda: need - 1)
+        paths = [tmp_path / f"v{i}" for i in range(2)]
+        numbers = r"needs about [\d.]+ MiB \(2 workers at .*only [\d.]+ MiB"
+        with pytest.raises(InsufficientMemoryError, match=numbers) as raised:
+            assemble_vlrm(recipes, triple, paths, jobs=2)
+        assert (raised.value.needed, raised.value.available) == (need, need - 1)
+        assert reads == [] and list(tmp_path.iterdir()) == [tmp_path / "in"]
+        monkeypatch.setattr(assembly, "available_memory", lambda: need)
+        assemble_vlrm(recipes, triple, paths, jobs=2)
+        assert reads
+
+    def test_the_footprint_counts_the_staging_key_blocks_and_outputs(self, rng):
+        pre, lvlm, rm = ({"w": rng.standard_normal((300, 500)).astype(np.float32)} for _ in range(3))
+        n = 300 * 500
+        slots = merging._Buffers.layout([0, 0, 0], n, merging._BLOCK)[1]
+        # storage views are staged nowhere; ties adds a float32 key, and each variant an output payload
+        assert merging.worker_footprint(MergeMethod.TIES, 3, pre, lvlm, rm) == slots + 3 * 4 * n
+        assert merging.worker_footprint(MergeMethod.LINEAR, 1, pre, lvlm, rm) == (
+            merging._Buffers.layout([0, 0, 0], 0, merging._BLOCK)[1] + 4 * n)
+
+    def test_available_memory_is_read_from_the_system(self):
+        have = merging.available_memory()
+        assert have is None or have > 0
 
 
 class TestFileDigest:

@@ -314,6 +314,16 @@ class TestMergeCommand:
         # no checkpoint and no temporary file; only the sidecar, written first, is left
         assert sorted(p.name for p in out.parent.iterdir()) == ["merged.safetensors.vocab"]
 
+    def test_merge_that_does_not_fit_in_memory_is_a_named_error_and_writes_nothing(
+        self, runner, triple_files, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(assembly, "available_memory", lambda: 1 << 10)
+        out = tmp_path / "out" / "merged.safetensors"
+        out.parent.mkdir()
+        result = runner.invoke(main, [*merge_args(triple_files, "linear"), "--out", str(out)])
+        assert_named_error(result, "but this process may use only 0.0 MiB; use fewer --jobs or recipes")
+        assert list(out.parent.iterdir()) == []
+
     def test_vocab_that_is_not_utf8_is_a_named_error(self, runner, triple_files, tmp_path):
         bad = tmp_path / "bad.vocab"
         bad.write_bytes(b"\xff" + Path(f"{triple_files['lvlm']}.vocab").read_bytes())

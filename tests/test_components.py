@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vlrmerge import (
     VocabError,
     align_vocab,
     classify_tensors,
+    classify_triple,
     load_manifest_config,
     merge_embedding_rows,
     merge_transformer,
@@ -23,7 +25,7 @@ from vlrmerge.components import DEFAULT_MANIFEST, MAKEUP, REQUIRED_ROLES
 from vlrmerge.errors import TripleValidationError
 from vlrmerge.merging import MergeMethod, MergeRecipe
 
-from helpers import assemble_in, classified_toy_triple, make_tensor
+from helpers import assemble_in, classified_toy_triple, make_tensor, toy_triple
 
 
 def ckpt_with(names):
@@ -121,6 +123,27 @@ class TestValidateTriple:
         triple.lvlm.cmap.assignments["score.weight"] = role
         report = validate_triple(triple)
         assert report == [f"rm: head tensor score.weight has the name of an lvlm {role.value} tensor"]
+
+    def test_reward_head_the_merged_rules_give_another_role_reported(self, rng, tmp_path):
+        # the rm's own rules name its head first, but every lvlm rule comes before it in the merged rules
+        rules = dict(DEFAULT_MANIFEST, rm=[
+            {"pattern": "model.embed_tokens.*", "role": "embedding"},
+            {"pattern": "model.score.*", "role": "rm_head"},
+            {"pattern": "model.*", "role": "transformer"},
+        ])
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(rules), encoding="utf-8")
+        pre, lvlm, rm = toy_triple(rng)
+        rm.tensors["model.score.weight"] = rm.tensors.pop("score.weight")
+        triple = classify_triple(pre, lvlm, rm, load_manifest_config(path))
+        assert triple.rm.cmap.assignments["model.score.weight"] is Role.RM_HEAD
+        message = (
+            "rm: head tensor model.score.weight is classified transformer by the merged model's rules "
+            "(an lvlm rule matches it before the rm's)"
+        )
+        assert validate_triple(triple) == [message]
+        with pytest.raises(TripleValidationError, match=re.escape(message)):
+            assemble_in(tmp_path, [MergeRecipe(MergeMethod.LINEAR, lam=0.5)], triple, jobs=1)
 
     def test_reward_head_may_share_the_dropped_lm_head_name(self, rng):
         triple = classified_toy_triple(rng)

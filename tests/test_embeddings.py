@@ -13,6 +13,7 @@ from vlrmerge import (
     embeddings,
     merge_embedding_rows,
 )
+from vlrmerge.embeddings import check_embedding_rows, unread_rows
 from vlrmerge.tensorstore import narrow, widen
 
 import reference as ref
@@ -352,3 +353,50 @@ class TestNonFiniteRows:
         finite = merge_embedding_rows(aligned, *views.values(), MergeMethod.LINEAR)
         views["pre"][:] = NON_FINITE_BITS[Dtype.BF16][0]
         assert merge_embedding_rows(aligned, *views.values(), MergeMethod.LINEAR).tobytes() == finite.tobytes()
+
+
+class TestRowRanges:
+    """A range of output rows merges alone to the same bytes as inside the whole matrix."""
+
+    @pytest.mark.parametrize("method", list(MergeMethod))
+    def test_any_split_gives_the_whole_matrix(self, rng, monkeypatch, method):
+        vocabs = random_vocabs(rng, 120, with_rm=True)
+        views = {k: storage_matrix(rng, len(vocabs[k]) + 2, 7, Dtype.BF16) for k in ("pre", "lvlm", "rm")}
+        aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
+        whole = merge_embedding_rows(aligned, *views.values(), method)
+        monkeypatch.setattr(embeddings, "_BLOCK", 20)  # two rows a block inside each range
+        bounds = [0, 1, 2, 17, 50, 51, len(aligned.tokens)]
+        ranges = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+        parts = [merge_embedding_rows(aligned, *views.values(), method, rows) for rows in ranges]
+        assert [len(part) for part in parts] == [len(rows) for rows in ranges]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("method", [MergeMethod.LINEAR, MergeMethod.TIES])
+    def test_ranges_and_unread_rows_check_every_row_the_method_reads(self, rng, method):
+        vocabs = random_vocabs(rng, 40, with_rm=True)
+        aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
+        views = {k: storage_matrix(rng, len(vocabs[k]) + 2, 7, Dtype.BF16) for k in ("pre", "lvlm", "rm")}
+        unread = unread_rows(aligned, method, {k: len(v) for k, v in views.items()})
+        assert set(unread) == ({"lvlm", "rm"} if method is MergeMethod.LINEAR else {"pre", "lvlm", "rm"})
+        # each padding row is read by no output row
+        assert all({len(views[k]) - 2, len(views[k]) - 1} <= set(rows.tolist()) for k, rows in unread.items())
+        for label, view in views.items():
+            for row in range(len(view)):
+                bad = dict(views, **{label: view.copy()})
+                bad[label][row, 3] = NON_FINITE_BITS[Dtype.BF16][1]
+                if label not in unread:  # linear never reads the base matrix
+                    merge_embedding_rows(aligned, *bad.values(), method)
+                    continue
+                with pytest.raises(NonFiniteWeightError, match=f"^{label} embedding row {row} holds"):
+                    merge_embedding_rows(aligned, *bad.values(), method)
+                with pytest.raises(NonFiniteWeightError, match=f"^{label} embedding row {row} holds"):
+                    for start in range(len(aligned.tokens)):
+                        merge_embedding_rows(aligned, *bad.values(), method, range(start, start + 1))
+                    check_embedding_rows(label, bad[label], unread[label])
+
+    def test_check_names_the_first_bad_row_in_the_order_given(self, rng):
+        view = storage_matrix(rng, 9, 7, Dtype.F16)
+        view.view(np.uint16)[3, 6] = view.view(np.uint16)[5, 0] = NON_FINITE_BITS[Dtype.F16][0]
+        check_embedding_rows("rm", view, np.array([0, 1, 2]))
+        with pytest.raises(NonFiniteWeightError, match="^rm embedding row 5 holds"):
+            check_embedding_rows("rm", view, np.array([8, 5, 3]))

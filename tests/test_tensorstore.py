@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vlrmerge.tensorstore import checkpoint_writer, first_non_finite, widen
+from vlrmerge.tensorstore import CheckpointFile, checkpoint_writer, first_non_finite, widen
 from vlrmerge import (
     Checkpoint,
     CheckpointFormatError,
@@ -185,6 +185,37 @@ class TestHeaderOnlyRead:
             assert view.shape == t.shape and view.tobytes() == bytes(ckpt.tensors[name].data)
         with pytest.raises(ValueError, match="cannot hold"):
             t.load(np.empty(0, np.float32))  # every tensor here holds at least one element
+
+    @pytest.mark.parametrize("dtype", [Dtype.BF16, Dtype.F32])
+    def test_load_rows_reads_one_run_at_a_time(self, rng, tmp_path, monkeypatch, dtype):
+        values = rng.standard_normal((20, 3)).astype(np.float32)
+        tensor = Tensor.from_f32("emb", values, dtype)
+        path = tmp_path / "emb.safetensors"
+        write_checkpoint(Checkpoint(tensors={"emb": tensor}), path)
+        opened = read_checkpoint(path).tensors["emb"]
+        real, reads = CheckpointFile.read_into, []
+
+        def spy(self, buffer, offset):
+            reads.append((offset, memoryview(buffer).nbytes))
+            return real(self, buffer, offset)
+
+        monkeypatch.setattr(CheckpointFile, "read_into", spy)
+        rows = np.array([4, 5, 6, 2, 3, 19, 0])  # runs 4-6, 2-3, 19 and 0
+        buffer = np.empty(64, np.float32)
+        for source in (opened, tensor):  # in a file, in memory
+            reads.clear()
+            got = source.load_rows(rows, buffer)
+            assert np.shares_memory(got, buffer)
+            assert got.tobytes() == tensor.array()[rows].tobytes()
+        row = 3 * dtype.itemsize
+        first = opened._place[1]
+        assert reads == []  # the tensor in memory reads no file
+        opened.load_rows(rows)
+        assert [(offset - first) // row for offset, _ in reads] == [4, 2, 19, 0]
+        assert [size // row for _, size in reads] == [3, 2, 1, 1]
+        assert opened.load_rows(np.array([], np.int64)).shape == (0, 3)
+        with pytest.raises(IndexError, match="not all inside the 20"):
+            opened.load_rows(np.array([3, 20]))
 
     def test_file_cut_short_after_opening_is_a_named_error(self, rng, tmp_path):
         path = tmp_path / "ckpt.safetensors"
