@@ -8,6 +8,7 @@ language-modeling head: the make-up that ``components.MAKEUP`` states.
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import ExitStack, contextmanager, nullcontext
 from functools import partial
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from .components import MAKEUP, ModelTriple, Role, validate_triple
 from .embeddings import AlignedVocab, align_vocab, block_rows, check_embedding_rows, merge_embedding_rows, unread_rows
-from .errors import InsufficientMemoryError, RecipeError, TripleValidationError
+from .errors import InsufficientMemoryError, RecipeError, TripleValidationError, VlrmergeError
 from .merging import (
     MergeMethod,
     MergeRecipe,
@@ -40,6 +41,7 @@ from .tensorstore import (
     write_vocab,
 )
 
+log = logging.getLogger(__name__)
 
 
 def recorded_provenance(recipe: MergeRecipe, provenance: dict[str, str]) -> dict[str, str]:
@@ -91,19 +93,37 @@ def _output_layout(triple: ModelTriple, aligned: AlignedVocab) -> Layout:
     return layout
 
 
-def _check_memory(groups: Sequence[list], trans: dict[str, dict[str, Tensor]], jobs: int) -> None:
-    """Raise InsufficientMemoryError when the merge's estimated peak exceeds what this process may use.
+def check_memory(recipes: Sequence[MergeRecipe], triple: ModelTriple, jobs: int | None = None) -> int:
+    """The workers a merge of ``recipes`` on ``triple`` may run on, from the headers alone.
 
-    The estimate comes from the headers alone: ``jobs`` (at most one per
-    transformer tensor) times the largest ``worker_footprint`` of any group.
-    The embedding blocks and copies after it hold a few blocks per worker,
-    less than a merge worker's block slots alone.
+    That is ``jobs`` (None takes ``default_jobs()``), lowered when fewer
+    fit the memory this process may use (``available_memory``), at the
+    largest ``worker_footprint`` of any group of recipes that share method
+    and seed each. The transformer merge runs at most one worker per
+    tensor, so only those count; the embedding blocks and copies hold less
+    per worker. Raises InsufficientMemoryError when not even one worker
+    fits, and VlrmergeError for a ``jobs`` below 1. The output bytes do not
+    depend on the worker count.
     """
-    workers = min(jobs, max(len(trans["pre"]), 1))
-    per_worker = max(worker_footprint(group[0][0].method, len(group), *trans.values()) for group in groups)
-    have = available_memory()
-    if have is not None and workers * per_worker > have:
-        raise InsufficientMemoryError(workers * per_worker, have, workers)
+    if jobs is not None and jobs < 1:
+        raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
+    jobs = jobs or default_jobs()
+    trans = triple.tensors(Role.TRANSFORMER)
+    groups: dict[tuple, list[MergeRecipe]] = {}
+    for recipe in recipes:
+        groups.setdefault((recipe.method, recipe.seed), []).append(recipe)
+    if not groups or (have := available_memory()) is None:
+        return jobs
+    per_worker = max(worker_footprint(group, *trans.values()) for group in groups.values())
+    fit = have // per_worker
+    if fit < 1:
+        raise InsufficientMemoryError(per_worker, have)
+    if fit < min(jobs, len(trans["pre"])):
+        mib = 1 << 20
+        log.warning("running %d of %d workers: each needs about %.1f MiB and this process may use %.1f MiB",
+                    fit, jobs, per_worker / mib, have / mib)
+        return fit
+    return jobs
 
 
 def _merge_block(
@@ -155,13 +175,14 @@ def assemble_vlrm(
     """Merge the triple once per recipe and write each result to its path.
 
     Validates the triple, aligns its vocabularies and builds the output
-    layout once, and checks from the headers alone that the merge fits the
-    memory this process may use (InsufficientMemoryError, before any
-    payload is read). Then, for each group of recipes that share method and
-    seed (so differ only in lambda and density), in the order first seen:
+    layout once, and, before any payload is read, lowers ``jobs`` to the
+    workers that fit the memory this process may use (``check_memory``;
+    InsufficientMemoryError when none does). Then, for each group of
+    recipes that share method and seed (so differ only in lambda and
+    density), in the order first seen:
     one ``merge_transformer`` call covers every recipe of the group, reading
     each input tensor once, and writes each output tensor at its offset as
-    soon as it is done. Then one ``run_workers`` call on the same ``jobs``
+    soon as it is done. Then one ``run_workers`` call on the same
     workers merges each embedding a block of output rows at a time, reading
     only the input rows the block takes and writing the block into every
     output at its offset, checks the input rows no block reads, and copies
@@ -192,11 +213,10 @@ def assemble_vlrm(
         groups.setdefault((recipe.method, recipe.seed), []).append((recipe, path))
     if not groups:
         return
-    workers = jobs or default_jobs()  # merge_transformer rejects a jobs below 1
+    workers = check_memory(recipes, triple, jobs)
 
     models = (triple.pre, triple.lvlm, triple.rm)
     trans = triple.tensors(Role.TRANSFORMER)
-    _check_memory(list(groups.values()), trans, workers)
     aligned = align_vocab(*(model.ckpt.vocab for model in models))
     vocab, layout = aligned.output_vocab(), _output_layout(triple, aligned)
     for group in groups.values():
@@ -209,7 +229,7 @@ def assemble_vlrm(
             merge_transformer(
                 first,
                 *trans.values(),
-                jobs=jobs,
+                jobs=workers,
                 variants=[recipe for recipe, _ in group],
                 sink=lambda i, tensor: writers[i].write(tensor.name, tensor.data),
             )

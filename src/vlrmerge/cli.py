@@ -13,7 +13,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .assembly import assemble_vlrm
+from .assembly import assemble_vlrm, check_memory
 from .assembly import write_merged  # noqa: F401  (the benchmark's tracer wraps it by this name)
 from .components import MODEL_KINDS, Role, classify_tensors, classify_triple, load_manifest_config
 from .components import validate_triple  # noqa: F401  (the benchmark's tracer wraps it by this name)
@@ -21,7 +21,7 @@ from .errors import RecipeError, TripleValidationError, VlrmergeError
 from .evaluation import evaluate_bon, evaluate_pairwise, load_bon_dataset, load_pairwise_dataset
 from .merging import MergeMethod, MergeRecipe, default_jobs, run_workers
 from .scoring import RecordingScorer, ReplayScorer, SubprocessScorer, check_timeout, stub_scorer_loop
-from .sweep import MANIFEST_NAME, SweepConfig, run_sweep
+from .sweep import MANIFEST_NAME, SweepConfig, generate_grid, run_sweep
 from .tensorstore import Checkpoint, file_digest, read_checkpoint
 
 METHOD_CHOICES = [m.value for m in MergeMethod]
@@ -101,16 +101,22 @@ def _hash_inputs(ckpts: dict[str, Checkpoint], jobs: int) -> dict[str, str]:
     return provenance
 
 
-def _load_triple(pre, lvlm, rm, pre_vocab, lvlm_vocab, rm_vocab, manifest, jobs):
-    """The classified triple, and the digests of the inputs as they were parsed."""
+def _load_triple(pre, lvlm, rm, pre_vocab, lvlm_vocab, rm_vocab, manifest, recipes, jobs):
+    """The classified triple, the digests of the inputs as they were parsed, and the workers that fit.
+
+    Before hashing reads the inputs, ``check_memory`` lowers ``jobs`` to the
+    workers that fit ``recipes``, from the headers, so a merge that cannot
+    fit reads nothing.
+    """
     config = load_manifest_config(manifest)
     paths, vocabs = {"pre": pre, "lvlm": lvlm, "rm": rm}, {"pre": pre_vocab, "lvlm": lvlm_vocab, "rm": rm_vocab}
     ckpts = {label: read_checkpoint(path, vocabs[label]) for label, path in paths.items()}
     triple = classify_triple(ckpts["pre"], ckpts["lvlm"], ckpts["rm"], config)
+    workers = check_memory(recipes, triple, jobs)
     provenance = _hash_inputs(ckpts, jobs)
     if config.sha256 is not None:
         provenance["input.manifest.sha256"] = config.sha256
-    return triple, provenance
+    return triple, provenance, workers
 
 
 @click.group()
@@ -164,8 +170,8 @@ def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
     jobs = jobs or default_jobs()
     _echo_config("merge", manifest=manifest or "<builtin>", jobs=jobs)
     try:
-        triple, provenance = _load_triple(
-            pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest, jobs
+        triple, provenance, jobs = _load_triple(
+            pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest, [recipe], jobs
         )
         assemble_vlrm([recipe], triple, [out_path], provenance, jobs=jobs)
         merged = read_checkpoint(out_path)
@@ -226,8 +232,9 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         jobs = jobs or default_jobs()
         _echo_config("sweep", manifest=manifest or "<builtin>", jobs=jobs, **dataclasses.asdict(config))
         factory = _make_scorer_factory(scorer_argv, replay_dir, record_dir, scorer_timeout)
-        triple, provenance = _load_triple(
-            pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest, jobs
+        # cached variants are known only from the digests, so check that one variant fits before hashing
+        triple, provenance, jobs = _load_triple(
+            pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest, generate_grid(config)[:1], jobs
         )
         dataset = load_pairwise_dataset(data_path)
         result = run_sweep(

@@ -14,15 +14,14 @@ class InputChangedError(VlrmergeError):
 
 
 class InsufficientMemoryError(VlrmergeError):
-    """A merge's estimated peak, ``needed`` bytes, exceeds the ``available`` bytes this process may use."""
+    """One merge worker's estimated peak, ``needed`` bytes, exceeds the ``available`` bytes this process may use."""
 
-    def __init__(self, needed: int, available: int, workers: int):
+    def __init__(self, needed: int, available: int):
         self.needed, self.available = needed, available
         mib = 1 << 20
         super().__init__(
-            f"the merge needs about {needed / mib:.1f} MiB ({workers} workers at {needed / workers / mib:.1f} MiB "
-            f"each, for the largest transformer tensor), but this process may use only {available / mib:.1f} MiB; "
-            "use fewer --jobs or recipes"
+            f"one merge worker needs about {needed / mib:.1f} MiB (its buffers and outputs for the largest "
+            f"transformer tensor), but this process may use only {available / mib:.1f} MiB"
         )
 
 

@@ -40,6 +40,7 @@ import mmap
 import os
 import threading
 import traceback
+from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import AbstractContextManager
 from concurrent.futures import ThreadPoolExecutor
@@ -311,27 +312,35 @@ def run_workers(
     exits it when it ends, on error too. The calling thread is one worker;
     the others are the ``min(jobs, len(items)) - 1`` threads started for
     this call and joined before it returns, on error too, so one job or one
-    item starts no thread. Each worker takes the next item until none is
-    left; once a ``work`` call has raised, no worker takes another, and the
-    error is raised here.
+    item starts no thread. Each worker takes the next item, in order, until
+    none is left; once a ``work`` call has raised, no worker takes another.
+    When all have ended, the error of the first item in ``items`` whose
+    call raised is raised here. Every item before it was taken, so that is
+    the error a single worker would raise, whatever the worker count.
     """
-    todo = iter(items)
-    done = object()
+    todo = enumerate(items)
+    done = (len(items), None)
     todo_lock = threading.Lock()
     stop = threading.Event()
+    errors: list[tuple[int, BaseException]] = []
 
     def worker() -> None:
-        with state() as own:
-            try:
+        at = -1  # a failing state() comes before every item
+        try:
+            with state() as own:
                 while not stop.is_set():
                     with todo_lock:
-                        item = next(todo, done)
-                    if item is done:
+                        at, item = next(todo, done)
+                    if at == len(items):
                         return
-                    work(item, own)
-            except BaseException:
-                stop.set()  # the other workers take no further item
-                raise
+                    try:
+                        work(item, own)
+                    except BaseException:
+                        stop.set()  # the other workers take no further item, even while this one exits its state
+                        raise
+        except BaseException as error:
+            stop.set()
+            errors.append((at, error))
 
     helpers = min(jobs, len(items)) - 1
     with ThreadPoolExecutor(max(helpers, 1), thread_name_prefix="vlrmerge") as pool:
@@ -339,9 +348,11 @@ def run_workers(
         try:
             worker()
             for future in futures:
-                future.result()
+                future.result()  # None: a worker keeps its error in errors
         finally:
-            stop.set()
+            stop.set()  # an interrupt while waiting stops the helpers too
+    if errors:
+        raise min(errors, key=lambda entry: entry[0])[1]
 
 
 def _buffer_sizes(
@@ -359,9 +370,17 @@ def _buffer_sizes(
     return staging, key, max(min(_BLOCK, capacity), 1)
 
 
+def _outputs_held(variants: Sequence[MergeRecipe]) -> int:
+    """The most output payloads of one tensor ``_merge_per_lam`` holds at once for ``variants``.
+
+    That is one density's, plus the next density's while it is allocated.
+    """
+    per_density = list(Counter(recipe.density for recipe in variants).values())  # in first-seen order
+    return max(map(sum, zip(per_density, per_density[1:])), default=per_density[0])
+
+
 def worker_footprint(
-    method: MergeMethod,
-    variants: int,
+    variants: Sequence[MergeRecipe],
     pre_trans: dict[str, Source],
     lvlm_trans: dict[str, Source],
     rm_trans: dict[str, Source],
@@ -369,41 +388,62 @@ def worker_footprint(
     """The most bytes one ``merge_transformer`` worker holds for these maps, from their shapes alone.
 
     That is its buffers (the staged payloads of the largest tensor, the ties
-    key and the block slots) and the ``variants`` output payloads it fills
-    for the largest tensor.
+    key and the block slots) and the output payloads of the largest tensor
+    that it holds at once for ``variants``, which share a method.
     """
     largest = max((source.nbytes for source in lvlm_trans.values()), default=0)
-    return _Buffers.layout(*_buffer_sizes(method, pre_trans, lvlm_trans, rm_trans))[1] + variants * largest
+    sizes = _buffer_sizes(variants[0].method, pre_trans, lvlm_trans, rm_trans)
+    return _Buffers.layout(*sizes)[1] + _outputs_held(variants) * largest
 
 
-def available_memory() -> int | None:
+def _cgroup_free(group: Path) -> int | None:
+    """``memory.max`` minus ``memory.current`` plus the file cache of the cgroup v2 ``group``, or None without a limit.
+
+    The file cache is ``active_file`` plus ``inactive_file`` in its
+    ``memory.stat``: ``memory.current`` counts those pages, but the kernel
+    takes them back when the group needs the memory, as ``MemAvailable``
+    counts them free.
+    """
+    try:
+        limit = (group / "memory.max").read_text(encoding="ascii").strip()
+        if limit == "max":
+            return None
+        free = int(limit) - int((group / "memory.current").read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return None
+    try:
+        with open(group / "memory.stat", encoding="ascii") as f:
+            free += sum(int(line.split()[1]) for line in f if line.split()[0] in ("active_file", "inactive_file"))
+    except (OSError, ValueError, IndexError):
+        pass
+    return max(free, 0)
+
+
+def available_memory(root: Path = Path("/")) -> int | None:
     """The bytes this process may still take, or None when the system does not say; only reads.
 
     The least of ``MemAvailable`` in /proc/meminfo and, for this process's
-    cgroup v2 group and each group above it that sets a limit,
-    ``memory.max`` minus ``memory.current``.
+    cgroup v2 group and each group above it that sets a limit, that group's
+    free memory (``_cgroup_free``). ``root`` is the directory that holds
+    ``proc`` and ``sys``.
     """
     figures, groups = [], []
     try:
-        with open("/proc/meminfo", encoding="ascii") as f:
+        with open(root / "proc/meminfo", encoding="ascii") as f:
             figures += [int(line.split()[1]) * 1024 for line in f if line.startswith("MemAvailable:")]
     except (OSError, ValueError, IndexError):
         pass
     try:
-        with open("/proc/self/cgroup", encoding="utf-8") as f:
+        with open(root / "proc/self/cgroup", encoding="utf-8") as f:
             groups = [line[3:].strip() for line in f if line.startswith("0::")]
     except OSError:
         pass
-    root = Path("/sys/fs/cgroup")
-    for group in (root / g.strip("/") for g in groups):
-        while group != root:
-            try:
-                limit = (group / "memory.max").read_text(encoding="ascii").strip()
-                if limit != "max":
-                    figures.append(int(limit) - int((group / "memory.current").read_text(encoding="ascii")))
-            except (OSError, ValueError):
-                pass
-            group = group.parent
+    top = root / "sys/fs/cgroup"
+    for group in (top / g.strip("/") for g in groups):
+        # up to and including the top: in a cgroup namespace the top is the container's own group
+        for level in (group, *group.parents[: len(group.relative_to(top).parts)]):
+            if (free := _cgroup_free(level)) is not None:
+                figures.append(free)
     return min(figures, default=None)
 
 

@@ -314,15 +314,27 @@ class TestMergeCommand:
         # no checkpoint and no temporary file; only the sidecar, written first, is left
         assert sorted(p.name for p in out.parent.iterdir()) == ["merged.safetensors.vocab"]
 
-    def test_merge_that_does_not_fit_in_memory_is_a_named_error_and_writes_nothing(
-        self, runner, triple_files, tmp_path, monkeypatch
+    @pytest.mark.parametrize("command", ["merge", "sweep"])
+    def test_merge_that_does_not_fit_in_memory_is_a_named_error_and_reads_and_writes_nothing(
+        self, runner, triple_files, tmp_path, monkeypatch, command
     ):
         monkeypatch.setattr(assembly, "available_memory", lambda: 1 << 10)
-        out = tmp_path / "out" / "merged.safetensors"
-        out.parent.mkdir()
-        result = runner.invoke(main, [*merge_args(triple_files, "linear"), "--out", str(out)])
-        assert_named_error(result, "but this process may use only 0.0 MiB; use fewer --jobs or recipes")
-        assert list(out.parent.iterdir()) == []
+        hashed = spy_on_hashing(monkeypatch)
+        monkeypatch.setattr(tensorstore.CheckpointFile, "read_into", lambda *args: pytest.fail("a payload was read"))
+        result = runner.invoke(main, [command, *triple_args(triple_files), *linear_args(command, tmp_path)])
+        assert_named_error(result, "transformer tensor), but this process may use only 0.0 MiB")
+        # merge writes to x and its sidecar, sweep into out
+        assert hashed == [] and not list(tmp_path.glob("x*")) and not (tmp_path / "out").exists()
+
+    def test_a_merge_that_fits_fewer_workers_runs_on_them_and_warns_once(
+        self, runner, triple_files, tmp_path, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(assembly, "worker_footprint", lambda *args: 1000)
+        monkeypatch.setattr(assembly, "available_memory", lambda: 1999)
+        result = runner.invoke(main, [*merge_args(triple_files, "linear"), "--jobs", "2", "--out", str(tmp_path / "m")])
+        assert result.exit_code == 0, result.output
+        assert [r.getMessage() for r in caplog.records if r.name == "vlrmerge.assembly"] == [
+            "running 1 of 2 workers: each needs about 0.0 MiB and this process may use 0.0 MiB"]
 
     def test_vocab_that_is_not_utf8_is_a_named_error(self, runner, triple_files, tmp_path):
         bad = tmp_path / "bad.vocab"

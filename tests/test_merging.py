@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -847,6 +848,25 @@ class TestWorkerThreads:
             merge_transformer(recipe, *self.maps(50), jobs=2)
         assert len(merged_names) < 49  # the others took few tensors after the failure
 
+
+    @pytest.mark.parametrize("jobs", [1, 2, 8])
+    def test_the_first_failing_item_is_reported_whatever_the_worker_count(self, jobs):
+        def work(item, _):
+            if item == 1:
+                time.sleep(0.05)  # the later items fail first on the other workers
+                raise RuntimeError("item 1 failed")
+            if item > 1:
+                raise RuntimeError(f"item {item} failed")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                with pytest.raises(RuntimeError, match="^item 1 failed$"):
+                    merging.run_workers(range(64), jobs, work, nullcontext)
+        finally:
+            sys.setswitchinterval(interval)
+        assert self.merge_threads() == []
 
 class TestRecipeValidation:
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
