@@ -14,13 +14,13 @@ class InputChangedError(VlrmergeError):
 
 
 class InsufficientMemoryError(VlrmergeError):
-    """One merge worker's estimated peak, ``needed`` bytes, exceeds the ``available`` bytes this process may use."""
+    """One merge worker's buffers, ``needed`` bytes, exceed the ``available`` bytes this process may use."""
 
     def __init__(self, needed: int, available: int):
         self.needed, self.available = needed, available
         mib = 1 << 20
         super().__init__(
-            f"one merge worker needs about {needed / mib:.1f} MiB (its buffers and outputs for the largest "
+            f"one merge worker needs about {needed / mib:.1f} MiB (its buffers, outputs included, for the largest "
             f"transformer tensor), but this process may use only {available / mib:.1f} MiB"
         )
 

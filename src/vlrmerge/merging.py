@@ -129,17 +129,18 @@ class _Buffers:
     """One worker's buffers, all cut from one anonymous mapping that is unmapped on exit.
 
     ``staging`` gives the bytes of the slots that hold a tensor's pre, lvlm
-    and rm payloads in their storage dtype, and ``key`` the float32 elements
-    of TIES's ranking key; ``draws`` is the DARE mask's scratch (see
-    ``_keep_mask``), and every other slot has room for ``block``
+    and rm payloads in their storage dtype, ``outputs`` the bytes of the
+    slot that holds one density's output payloads, and ``key`` the float32
+    elements of TIES's ranking key; ``draws`` is the DARE mask's scratch
+    (see ``_keep_mask``), and every other slot has room for ``block``
     elements. Arrays from numpy's allocator stay resident in malloc's arenas
     once freed; the mapping gives its pages back when it is unmapped. Used
     as a context manager: on exit, an error's finished frames are cleared of
     the views they hold into the mapping, so that it can be unmapped.
     """
 
-    def __init__(self, staging: Sequence[int], key: int, block: int):
-        slots, size = self.layout(staging, key, block)
+    def __init__(self, staging: Sequence[int], key: int, block: int, outputs: int):
+        slots, size = self.layout(staging, key, block, outputs)
         self.mapping = mmap.mmap(-1, max(size, 1))
         self._slots = {
             slot: np.frombuffer(self.mapping, dtype, count, offset) for slot, (dtype, count, offset) in slots.items()
@@ -149,10 +150,13 @@ class _Buffers:
         np.multiply(np.arange(draws, dtype=np.uint64), _MIX_GAMMA, out=self._slots["draws"][2])  # i * gamma
 
     @staticmethod
-    def layout(staging: Sequence[int], key: int, block: int) -> tuple[dict[str, tuple[type, int, int]], int]:
+    def layout(
+        staging: Sequence[int], key: int, block: int, outputs: int
+    ) -> tuple[dict[str, tuple[type, int, int]], int]:
         """Each slot's dtype, element count and byte offset in the mapping, and the mapping's size in bytes."""
         slots = {
             **{f"staged_{role}": (np.uint8, size) for role, size in zip(("pre", "lvlm", "rm"), staging)},
+            "outputs": (np.uint8, outputs),
             "key": (np.float32, key),
             **{slot: (dtype, block) for slot, dtype in _BLOCK_SLOTS.items()},
             "draws": (np.uint64, 3 * min(block, _MASK_CHUNK)),
@@ -195,6 +199,23 @@ def _widened(view: np.ndarray, start: int, stop: int, slot: str, space: _Buffers
     return widen(view[start:stop], space.get(slot, stop - start))
 
 
+def _narrowed(
+    merged: np.ndarray, out: np.ndarray, recipe: MergeRecipe, name: str, start: int, space: _Buffers
+) -> None:
+    """Narrow the float32 block ``merged`` into ``out``, elements ``start:`` of ``recipe``'s payload of ``name``.
+
+    A narrowed weight that is NaN or infinite, from arithmetic that
+    overflowed or from rounding past the storage dtype's largest value, is a
+    NonFiniteWeightError naming the recipe, the tensor and the flat index.
+    """
+    bits = space.get("bits")
+    narrow(merged, Dtype.of(out), bits, out=out)
+    if (at := first_non_finite(out, bits)) is not None:
+        raise NonFiniteWeightError(
+            f"{recipe.slug()} tensor {name!r} merges to a non-finite weight at flat index {start + at}"
+        )
+
+
 def _merge_per_lam(
     variants: Sequence[MergeRecipe],
     name: str,
@@ -208,90 +229,83 @@ def _merge_per_lam(
     Yields ``(index into variants, payload)`` once per recipe: grouped by
     density in the order each density is first seen, and by lambda in list
     order within a density. Each payload is a flat array of the storage
-    dtype of ``lvlm``, a row of one new array per density: one allocation,
-    which the allocator reuses for the next density, where freeing several
-    payload-sized arrays at once can trim the heap and fault it in again.
+    dtype of ``lvlm``, a row of ``space``'s ``outputs`` slot, which the next
+    density overwrites: a payload is valid until the generator resumes.
     ``name`` keys the DARE drop-mask random stream.
     ties and dare-ties scale the jointly merged delta by lam; dare-ties
     elects signs and takes the disjoint mean on the already-rescaled
     survivors. A tensor's payloads are read once into ``space``'s staging
     slots, in their storage dtype (linear never reads ``pre``), and checked
-    finite before any arithmetic reads them. Then, once
-    per density, every step runs ``_BLOCK`` elements at a time in
-    ``space``'s block slots: widen, form the task vectors, trim or drop,
-    elect and take the disjoint mean, apply each lambda and narrow into
-    that lambda's payload. Only ties needs the whole tensor: it ranks each
-    task vector's magnitudes once in the full-size ``key`` slot, for every
-    density's cut, and trims each block with a running count of the
-    entries tied at the cut. No step crosses a block, so the bytes do not
-    depend on the block size.
+    finite before any arithmetic reads them. Then, once per density, every
+    step runs ``_BLOCK`` elements at a time in ``space``'s block slots:
+    widen, form the task vectors, trim or drop, elect and take the disjoint
+    mean, apply each lambda and narrow into that lambda's payload, which is
+    checked finite (``_narrowed``). An overflow on the way warns of nothing:
+    it is trimmed or dropped, or reaches the payload and is raised there.
+    Only ties needs the whole tensor: it ranks each task vector's
+    magnitudes once in the full-size ``key`` slot, for every density's cut,
+    and trims each block with a running count of the entries tied at the
+    cut. No step crosses a block, so the bytes do not depend on the block
+    size.
     """
     n = pre.size
     method, seed = variants[0].method, variants[0].seed
     lvlm, rm = _staged(lvlm, "lvlm", name, space), _staged(rm, "rm", name, space)
     dtype = Dtype.of(lvlm)
-    bits = space.get("bits")
-    if method is MergeMethod.LINEAR:
-        outs = np.empty((len(variants), n), dtype.array_dtype)
-        for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            a = _widened(lvlm, start, stop, "lvlm", space)
-            b = _widened(rm, start, stop, "rm", space)
-            for recipe, out in zip(variants, outs):
-                lam = recipe.lam
-                # exact identities at the endpoints, untouched by rounding
-                if lam == 1.0:
-                    merged = a
-                elif lam == 0.0:
-                    merged = b
-                else:
-                    merged, scaled = space.get("out", a.size), space.get("tmp", a.size)
-                    np.multiply(lam, a, out=merged)
-                    np.multiply(1.0 - lam, b, out=scaled)
-                    np.add(merged, scaled, out=merged)
-                narrow(merged, dtype, bits, out=out[start:stop])
-        yield from enumerate(outs)
-        return
     by_density: dict[float | None, list[int]] = {}
     for i, recipe in enumerate(variants):
         by_density.setdefault(recipe.density, []).append(i)
-    pre = _staged(pre, "pre", name, space)
+    if method is not MergeMethod.LINEAR:
+        pre = _staged(pre, "pre", name, space)
     if method is MergeMethod.TIES:
-        cuts = [_cuts(_ranking_key(pre, fine, space), list(by_density), space) for fine in (lvlm, rm)]
-    elif method is not MergeMethod.TASK_ARITHMETIC:
+        with np.errstate(over="ignore"):
+            cuts = [_cuts(_ranking_key(pre, fine, space), list(by_density), space) for fine in (lvlm, rm)]
+    elif method.needs_seed:
         streams = [stream_key(seed, origin, name) for origin in ("lvlm", "rm")]
     for j, (density, indices) in enumerate(by_density.items()):
-        outs = np.empty((len(indices), n), dtype.array_dtype)
+        outs = space.get("outputs", len(indices) * n * dtype.itemsize).view(dtype.array_dtype)
+        outs = outs.reshape(len(indices), n)
         if method is MergeMethod.TIES:
             trims = [cuts[0][j], cuts[1][j]]  # per task vector: (threshold, entries tied at it still to keep), or None
-        for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            base = _widened(pre, start, stop, "pre", space)
-            # the task vectors, then the merged delta, overwrite the widened fine-tuned weights
-            delta = np.subtract(_widened(lvlm, start, stop, "lvlm", space), base, out=space.get("lvlm", base.size))
-            tau_r = np.subtract(_widened(rm, start, stop, "rm", space), base, out=space.get("rm", base.size))
-            if method is MergeMethod.TASK_ARITHMETIC:
-                np.add(delta, tau_r, out=delta)
-            else:
-                if method is MergeMethod.TIES:
-                    for side, tau in enumerate((delta, tau_r)):
-                        if trims[side] is not None:
-                            trims[side] = _trim(tau, *trims[side], space)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, _BLOCK):
+                stop = min(start + _BLOCK, n)
+                m = stop - start
+                if method is MergeMethod.LINEAR:
+                    a = _widened(lvlm, start, stop, "lvlm", space)
+                    b = _widened(rm, start, stop, "rm", space)
                 else:
-                    for stream, tau in zip(streams, (delta, tau_r)):
-                        _drop(tau, density, stream, start, space)
-                if method is MergeMethod.DARE_TASK_ARITHMETIC:
-                    np.add(delta, tau_r, out=delta)
-                else:
-                    _disjoint_mean(delta, tau_r, space)
-            for i, out in zip(indices, outs):
-                lam = variants[i].lam
-                if lam == 0.0:
-                    merged = base
-                else:
-                    merged = np.multiply(lam, delta, out=space.get("out", base.size))
-                    np.add(base, merged, out=merged)
-                narrow(merged, dtype, bits, out=out[start:stop])
+                    base = _widened(pre, start, stop, "pre", space)
+                    # the task vectors, then the merged delta, overwrite the widened fine-tuned weights
+                    widened = _widened(lvlm, start, stop, "lvlm", space), _widened(rm, start, stop, "rm", space)
+                    delta, tau_r = (np.subtract(tau, base, out=tau) for tau in widened)
+                    if method is MergeMethod.TASK_ARITHMETIC:
+                        np.add(delta, tau_r, out=delta)
+                    else:
+                        if method is MergeMethod.TIES:
+                            for side, tau in enumerate((delta, tau_r)):
+                                if trims[side] is not None:
+                                    trims[side] = _trim(tau, *trims[side], space)
+                        else:
+                            for stream, tau in zip(streams, (delta, tau_r)):
+                                _drop(tau, density, stream, start, space)
+                        if method is MergeMethod.DARE_TASK_ARITHMETIC:
+                            np.add(delta, tau_r, out=delta)
+                        else:
+                            _disjoint_mean(delta, tau_r, space)
+                for i, out in zip(indices, outs):
+                    lam = variants[i].lam
+                    if method is MergeMethod.LINEAR and lam in (0.0, 1.0):
+                        merged = a if lam == 1.0 else b  # exact identities at the endpoints, untouched by rounding
+                    elif method is MergeMethod.LINEAR:
+                        merged = np.multiply(lam, a, out=space.get("out", m))
+                        np.add(merged, np.multiply(1.0 - lam, b, out=space.get("tmp", m)), out=merged)
+                    elif lam == 0.0:
+                        merged = base
+                    else:
+                        merged = np.multiply(lam, delta, out=space.get("out", m))
+                        np.add(base, merged, out=merged)
+                    _narrowed(merged, out[start:stop], variants[i], name, start, space)
         yield from zip(indices, outs)
 
 
@@ -356,27 +370,28 @@ def run_workers(
 
 
 def _buffer_sizes(
-    method: MergeMethod, pre_trans: dict[str, Source], lvlm_trans: dict[str, Source], rm_trans: dict[str, Source]
-) -> tuple[list[int], int, int]:
-    """A merge worker's ``_Buffers`` sizes for these maps: staging bytes per model, key and block elements."""
+    variants: Sequence[MergeRecipe],
+    pre_trans: dict[str, Source],
+    lvlm_trans: dict[str, Source],
+    rm_trans: dict[str, Source],
+) -> tuple[list[int], int, int, int]:
+    """A merge worker's ``_Buffers`` sizes for ``variants`` on these maps.
+
+    Staging bytes per model, key and block elements, and output bytes: the
+    most variants that share a density, times the largest lvlm payload.
+    """
     capacity = max((source.size for source in pre_trans.values()), default=0)
     staging = [
         max((source.nbytes for source in sources.values() if isinstance(source, Tensor)), default=0)
         for sources in (pre_trans, lvlm_trans, rm_trans)
     ]
+    method = variants[0].method
     if method is MergeMethod.LINEAR:
         staging[0] = 0  # linear never reads the base model
     key = capacity if method is MergeMethod.TIES else 0
-    return staging, key, max(min(_BLOCK, capacity), 1)
-
-
-def _outputs_held(variants: Sequence[MergeRecipe]) -> int:
-    """The most output payloads of one tensor ``_merge_per_lam`` holds at once for ``variants``.
-
-    That is one density's, plus the next density's while it is allocated.
-    """
-    per_density = list(Counter(recipe.density for recipe in variants).values())  # in first-seen order
-    return max(map(sum, zip(per_density, per_density[1:])), default=per_density[0])
+    largest = max((source.nbytes for source in lvlm_trans.values()), default=0)
+    shared = max(Counter(recipe.density for recipe in variants).values())  # the most variants of one density
+    return staging, key, max(min(_BLOCK, capacity), 1), shared * largest
 
 
 def worker_footprint(
@@ -385,15 +400,12 @@ def worker_footprint(
     lvlm_trans: dict[str, Source],
     rm_trans: dict[str, Source],
 ) -> int:
-    """The most bytes one ``merge_transformer`` worker holds for these maps, from their shapes alone.
+    """The bytes each ``merge_transformer`` worker maps for ``variants`` on these maps, from their shapes alone.
 
-    That is its buffers (the staged payloads of the largest tensor, the ties
-    key and the block slots) and the output payloads of the largest tensor
-    that it holds at once for ``variants``, which share a method.
+    That is the size of its ``_Buffers``: the staged payloads of the largest
+    tensor, the ties key, the block slots and one density's output payloads.
     """
-    largest = max((source.nbytes for source in lvlm_trans.values()), default=0)
-    sizes = _buffer_sizes(variants[0].method, pre_trans, lvlm_trans, rm_trans)
-    return _Buffers.layout(*sizes)[1] + _outputs_held(variants) * largest
+    return _Buffers.layout(*_buffer_sizes(variants, pre_trans, lvlm_trans, rm_trans))[1]
 
 
 def _cgroup_free(group: Path) -> int | None:
@@ -472,15 +484,21 @@ def merge_transformer(
     checks them finite (NonFiniteWeightError names the model, tensor and
     flat index of the first NaN or infinity), and runs the rule there once
     per density, a block at a time (for ties, one ranking of each task
-    vector in a float32 key gives every density's cut), narrowing each block into a new payload per variant, of the
-    storage dtype of the tensor's lvlm input. A worker's buffers are one
-    anonymous mapping, mapped when it starts and unmapped when it ends, on
-    error too: room for the three payloads of the largest tensor, for ties
-    its key, and a few blocks. With a ``sink``, the worker hands it each
-    output at once as ``sink(variant_index, tensor)`` and keeps none, and
-    the call returns None; without one, the outputs are returned, one map
-    per variant, in order. The bytes of each output are those of a call
-    with that recipe alone, for any worker count.
+    vector in a float32 key gives every density's cut), narrowing each
+    block into each variant's payload, of the storage dtype of the tensor's
+    lvlm input, and checking it finite (NonFiniteWeightError names the
+    variant's slug, the tensor and the flat index). A worker's buffers are
+    one anonymous mapping of ``worker_footprint`` bytes, mapped when it
+    starts and unmapped when it ends, on error too: room for the three
+    payloads of the largest tensor, for ties its key, a few blocks and one
+    density's payloads of the largest tensor, which the next density
+    overwrites. With a ``sink``, the worker hands it each output at once as
+    ``sink(variant_index, tensor)``, the tensor's payload a view of those
+    buffers that is valid until the sink returns (a ``tensor.data`` kept
+    past that raises ValueError when read), and the call returns None;
+    without one, a copy of each output is returned, one map per variant, in
+    order. The bytes of each output are those of a call with that recipe
+    alone, for any worker count.
     """
     if jobs is not None and jobs < 1:
         raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
@@ -490,12 +508,12 @@ def merge_transformer(
             raise RecipeError(f"recipe {variant.slug()} does not share the method and seed of {recipe.slug()}")
     if problems := alignment_problems({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans}):
         raise VlrmergeError(problems[0])
-    sizes = _buffer_sizes(recipe.method, pre_trans, lvlm_trans, rm_trans)
+    sizes = _buffer_sizes(variants, pre_trans, lvlm_trans, rm_trans)
     names = list(pre_trans)
     kept: dict[str, list[Tensor | None]] = {name: [None] * len(variants) for name in names}
 
     def keep(i: int, tensor: Tensor) -> None:
-        kept[tensor.name][i] = tensor
+        kept[tensor.name][i] = Tensor(tensor.name, tensor.dtype, tensor.shape, bytes(tensor.data))
 
     emit = sink or keep
 
@@ -504,6 +522,7 @@ def merge_transformer(
         for i, payload in _merge_per_lam(variants, name, pre_trans[name], lvlm_trans[name], rm_trans[name], space):
             data = memoryview(payload.view(np.uint8)).toreadonly()
             emit(i, Tensor(name, Dtype.of(payload), shape, data))
+            data.release()  # the next density overwrites the payload: a view kept past emit raises, never misreads
 
     run_workers(names, jobs or default_jobs(), merge_one, lambda: _Buffers(*sizes))
     if sink is not None:

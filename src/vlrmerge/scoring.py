@@ -72,6 +72,8 @@ class SubprocessScorer:
             )
         except FileNotFoundError as exc:
             raise ScorerError(f"scorer command not found: {self.argv[0]}") from exc
+        except OSError as exc:  # a command that is not executable, or a directory
+            raise ScorerError(f"scorer command cannot start: {self.argv[0]}: {exc.strerror or exc}") from exc
         except subprocess.TimeoutExpired as exc:
             raise ScorerError(f"scorer timed out after {timeout:.0f}s") from exc
         if proc.returncode != 0:

@@ -2,6 +2,7 @@ import hashlib
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -578,19 +579,23 @@ class TestMemoryPreflight:
     def test_the_footprint_counts_the_staging_key_blocks_and_outputs(self, rng):
         pre, lvlm, rm = ({"w": rng.standard_normal((300, 500)).astype(np.float32)} for _ in range(3))
         n = 300 * 500
-        slots = merging._Buffers.layout([0, 0, 0], n, merging._BLOCK)[1]
+        slots = merging._Buffers.layout([0, 0, 0], n, merging._BLOCK, 0)[1]
         ties = [MergeRecipe(MergeMethod.TIES, lam=lam, density=0.4) for lam in (0.3, 0.6, 0.9)]
-        # storage views are staged nowhere; ties adds a float32 key, and each variant an output payload
+        # storage views are staged nowhere; ties adds a float32 key, and each variant of a density an output payload
         assert merging.worker_footprint(ties, pre, lvlm, rm) == slots + 3 * 4 * n
+        # lambda outer, density inner, as generate_grid orders a sweep: still three payloads, one density's
+        grid = [replace(recipe, density=d) for recipe in ties for d in (0.8, 0.6, 0.4, 0.2)]
+        assert merging.worker_footprint(grid, pre, lvlm, rm) == slots + 3 * 4 * n
         linear = [MergeRecipe(MergeMethod.LINEAR, lam=0.5)]
         assert merging.worker_footprint(linear, pre, lvlm, rm) == (
-            merging._Buffers.layout([0, 0, 0], 0, merging._BLOCK)[1] + 4 * n)
+            merging._Buffers.layout([0, 0, 0], 0, merging._BLOCK, 0)[1] + 4 * n)
 
-    @pytest.mark.parametrize("densities,held", [([0.4], 3), ([0.8, 0.6, 0.4, 0.2], 6), ([0.8, 0.2], 6)])
-    def test_a_worker_holds_the_outputs_of_two_densities_at_most(self, rng, densities, held):
+    @pytest.mark.parametrize("method,seed", [(MergeMethod.TIES, None), (MergeMethod.DARE_TIES, 3),
+                                             (MergeMethod.DARE_TASK_ARITHMETIC, 3)])
+    def test_a_sink_merge_allocates_no_output_payload_outside_the_mapping(self, rng, method, seed):
         # lambda outer, density inner, as generate_grid orders a sweep
-        recipes = [MergeRecipe(MergeMethod.TIES, lam=lam, density=d) for lam in (0.5, 0.7, 1.0) for d in densities]
-        assert merging._outputs_held(recipes) == held
+        recipes = [MergeRecipe(method, lam=lam, density=d, seed=seed)
+                   for lam in (0.5, 0.7, 1.0) for d in (0.8, 0.6, 0.4, 0.2)]
         maps = [{"w": rng.standard_normal(1 << 18).astype(np.float32)} for _ in range(3)]
         payload = maps[1]["w"].nbytes
         merging.merge_transformer(recipes[0], *maps, jobs=1, variants=recipes, sink=lambda i, t: None)
@@ -600,8 +605,8 @@ class TestMemoryPreflight:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the worker's buffers are a mapping, which tracemalloc does not see: the peak is the outputs
-        assert (held - 0.5) * payload < peak < (held + 0.5) * payload
+        # the worker's buffers, outputs included, are a mapping, which tracemalloc does not see
+        assert peak < 0.5 * payload
 
     def test_available_memory_is_read_from_the_system(self):
         have = merging.available_memory()

@@ -314,6 +314,23 @@ class TestMergeCommand:
         # no checkpoint and no temporary file; only the sidecar, written first, is left
         assert sorted(p.name for p in out.parent.iterdir()) == ["merged.safetensors.vocab"]
 
+    def test_finite_weights_that_merge_to_infinity_are_a_named_error_and_leave_no_output(self, runner, rng, tmp_path):
+        pre, lvlm, rm = toy_triple(rng, trans_dtype=Dtype.BF16)
+        name = "model.layers.1.mlp.weight"
+        for ckpt, value in ((pre, -3e38), (lvlm, 3e38), (rm, 3e38)):
+            values = ckpt.tensors[name].to_f32()
+            values.flat[13] = value  # each task vector is 6e38, above the float32 maximum
+            ckpt.tensors[name] = make_tensor(name, values, Dtype.BF16)
+        paths = write_triple(tmp_path, pre, lvlm, rm)
+        out = tmp_path / "out" / "merged.safetensors"
+        out.parent.mkdir()
+        result = runner.invoke(main, [*merge_args(paths, "task-arithmetic"), "--out", str(out)])
+        message = f"task-arithmetic-l0.5 tensor '{name}' merges to a non-finite weight at flat index 13"
+        assert_named_error(result, message)
+        assert "Warning" not in result.output
+        # no checkpoint and no temporary file; only the sidecar, written first, is left
+        assert sorted(p.name for p in out.parent.iterdir()) == ["merged.safetensors.vocab"]
+
     @pytest.mark.parametrize("command", ["merge", "sweep"])
     def test_merge_that_does_not_fit_in_memory_is_a_named_error_and_reads_and_writes_nothing(
         self, runner, triple_files, tmp_path, monkeypatch, command
@@ -644,6 +661,14 @@ def test_scorer_timeout_must_be_finite_and_positive(runner, triple_files, tmp_pa
     assert f"must be a finite number > 0, got {float(timeout)}" in result.output
 
 
+def not_executable(directory):
+    """A scorer script that no one may execute."""
+    command = directory / "noexec.sh"
+    command.write_text("#!/bin/sh\n", encoding="utf-8")
+    command.chmod(0o644)
+    return command
+
+
 def assert_named_error(result, message):
     """Exit status 1 with ``message``, and no exception escaped the command."""
     assert result.exit_code == 1, result.output
@@ -879,6 +904,12 @@ class TestEvalCommand:
         ])
         assert_named_error(result, f"scorer command {command!r} names no program")
 
+    def test_scorer_command_that_cannot_start_is_a_named_error(self, runner, tmp_path):
+        data = write_pairwise_dataset(tmp_path / "pairs.jsonl", 3)
+        command = not_executable(tmp_path)
+        result = runner.invoke(main, ["eval", "--mode", "pairwise", "--data", str(data), "--scorer", str(command)])
+        assert_named_error(result, f"scorer command cannot start: {command}: Permission denied")
+
     def test_scorer_command_that_does_not_parse_is_a_named_error(self, runner, tmp_path):
         data = write_pairwise_dataset(tmp_path / "pairs.jsonl", 3)
         result = runner.invoke(main, [
@@ -930,6 +961,22 @@ class TestSweepCommand:
         assert "winner:" in result.output
         manifest = (out_dir / "sweep-manifest.jsonl").read_text().splitlines()
         assert len([l for l in manifest if '"record": "entry"' in l]) == 2
+
+    def test_a_scorer_that_cannot_start_fails_every_recipe_and_is_recorded(self, runner, triple_files, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"method": "linear", "lambda_grid": [0.5, 1.0], "primary_size": 6,
+                                      "tiebreak_size": 3}), encoding="utf-8")
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        command, out_dir = not_executable(tmp_path), tmp_path / "sweep-out"
+        result = runner.invoke(main, [
+            "sweep", *triple_args(triple_files), "--config", str(config), "--data", str(data),
+            "--scorer", str(command), "--out-dir", str(out_dir),
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.output.rstrip().endswith("Error: all recipes failed")
+        entries = [json.loads(line) for line in (out_dir / "sweep-manifest.jsonl").read_text().splitlines()]
+        message = f"scorer command cannot start: {command}: Permission denied"
+        assert [(e["status"], e["error"]) for e in entries] == [("failed", message)] * 2
 
     def test_empty_grid_config_is_an_error(self, runner, triple_files, tmp_path):
         config = tmp_path / "sweep.json"

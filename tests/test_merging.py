@@ -51,7 +51,7 @@ def trim_array(values, density):
     """The trim step, run on a copy of ``values`` ``merging._BLOCK`` elements at a time."""
     out = np.array(values, dtype=np.float32)
     flat, block = out.reshape(-1), merging._BLOCK
-    with _Buffers((0, 0, 0), flat.size, block) as space:
+    with _Buffers((0, 0, 0), flat.size, block, 0) as space:
         key = space.get("key", flat.size)
         np.negative(np.abs(flat, out=key), out=key)
         [trim] = _cuts(key, [density], space)
@@ -102,7 +102,7 @@ def disjoint_array(tau_l, tau_r):
     """The sign election and disjoint mean of two task vectors, run ``merging._BLOCK`` elements at a time."""
     a, b = (np.array(tau, dtype=np.float32) for tau in (tau_l, tau_r))  # copies: both are overwritten
     block = merging._BLOCK
-    with _Buffers((0, 0, 0), 0, block) as space:
+    with _Buffers((0, 0, 0), 0, block, 0) as space:
         for start in range(0, a.size, block):
             _disjoint_mean(a[start : start + block], b[start : start + block], space)
     return a
@@ -382,7 +382,7 @@ class TestDareSparsify:
         # a window that starts mid-chunk and crosses two chunk boundaries, drawn as a block is
         start, size = _MASK_CHUNK // 2 + 7, 2 * _MASK_CHUNK + 5
         key, window = ref.stream_key(5, "rm", "w.big"), np.empty(size, bool)
-        with _Buffers((0, 0, 0), 0, size) as space:
+        with _Buffers((0, 0, 0), 0, size, 0) as space:
             _keep_mask(key, start, density, window, space.get("draws"))
         assert window.tolist() == expected[start : start + size]
 
@@ -737,12 +737,47 @@ class TestWorkerBuffers:
         made = self.recorded(monkeypatch)
         recipe = MergeRecipe(method, lam=0.7, **extra)
         merge_transformer(recipe, *opened, jobs=2)
-        # three bf16 payloads, TIES's float32 ranking key, and block-sized slots
-        bound = 6 * n + (4 * n if method is TIES else 0) + 64 * _BLOCK
+        # three staged bf16 payloads, one bf16 output payload, TIES's float32 ranking key, and block-sized slots
+        bound = 6 * n + 2 * n + (4 * n if method is TIES else 0) + 40 * _BLOCK
         assert len(made) == 2
         for buffers in made:
             assert buffers.mapping.closed
             assert buffers.size <= bound
+
+    @pytest.mark.parametrize("storage", ["bf16-files", "f32-views"])
+    @pytest.mark.parametrize("method,extra", ALL_METHODS)
+    def test_each_mapping_is_the_footprint(self, rng, tmp_path, monkeypatch, method, extra, storage):
+        opened = self.bf16_files(rng, tmp_path, 3 * _BLOCK + 5)
+        if storage == "f32-views":
+            opened = [{name: t.to_f32() for name, t in side.items()} for side in opened]
+        recipe = MergeRecipe(method, lam=0.7, **extra)
+        if method.needs_density:  # a 3 lambda x 4 density grid
+            variants = [replace(recipe, lam=lam, density=d) for lam in (0.5, 0.7, 1.0) for d in DEFAULT_DENSITY_GRID]
+        else:
+            variants = [replace(recipe, lam=lam / 10) for lam in range(11)]
+        made = self.recorded(monkeypatch)
+        merge_transformer(recipe, *opened, jobs=2, variants=variants, sink=lambda i, tensor: None)
+        assert len(made) == 2
+        assert [buffers.size for buffers in made] == [merging.worker_footprint(variants, *opened)] * 2
+
+    def test_a_payload_kept_past_the_sink_cannot_be_read(self, rng):
+        # the next density's payloads overwrite the last: a kept view must fail, not read them
+        maps = [{"t": rng.standard_normal(300).astype(np.float32)} for _ in range(3)]
+        recipe = MergeRecipe(TIES, lam=0.5, density=0.4)
+        variants = [replace(recipe, lam=lam, density=d) for lam in (0.5, 1.0) for d in (0.4, 0.8)]
+        kept, copies = [], []
+
+        def sink(i, tensor):
+            kept.append(tensor.data)
+            copies.append((i, bytes(tensor.data)))
+
+        merge_transformer(recipe, *maps, jobs=1, variants=variants, sink=sink)
+        assert len(kept) == 4
+        for data in kept:
+            with pytest.raises(ValueError, match="released memoryview"):
+                bytes(data)
+        merged = merge_transformer(recipe, *maps, jobs=1, variants=variants)
+        assert sorted(copies) == [(i, bytes(out["t"].data)) for i, out in enumerate(merged)]
 
     @pytest.mark.parametrize("failing", ["kernel", "sink"])
     def test_mapping_is_closed_after_a_worker_raises(self, rng, tmp_path, monkeypatch, failing):
@@ -937,3 +972,58 @@ class TestNonFiniteWeights:
         [merged] = merge_transformer(recipe, pre, lvlm, rm, jobs=2)
         [finite] = merge_transformer(recipe, {n: np.zeros_like(a) for n, a in pre.items()}, lvlm, rm, jobs=2)
         assert all(merged[name].data == finite[name].data for name in self.SHAPES)
+
+
+BF16_MAX = float(np.uint32(0x7F7F0000).view(np.float32))
+
+
+class TestNonFiniteOutputs:
+    """A finite input that merges to a NaN or infinity is a NonFiniteWeightError naming the variant, the tensor
+    and the flat index; no RuntimeWarning comes first, which the suite would turn into an error."""
+
+    @staticmethod
+    def message(recipe, index):
+        return f"^{recipe.slug()} tensor 't' merges to a non-finite weight at flat index {index}$"
+
+    def test_task_arithmetic_sum_of_task_vectors_overflows(self):
+        recipe = MergeRecipe(TA, lam=1.0)
+        with pytest.raises(NonFiniteWeightError, match=self.message(recipe, 2)):
+            merge_map(recipe, [0.0] * 4, [1.0, 1.0, 2e38, 2e38], [1.0, 1.0, 2e38, 2e38])
+
+    def test_a_finite_float32_sum_that_rounds_past_the_bf16_maximum(self):
+        # 0x7F7F0000 plus 1.5 * 2**119 is finite in float32, but above the midpoint to 0x7F80, +inf in BF16
+        recipe = MergeRecipe(TA, lam=1.0)
+        pre, lvlm, rm = ({"t": Tensor.from_f32("t", arr(values), Dtype.BF16).array()} for values in (
+            [0.0, 0.0, 0.0], [1.0, BF16_MAX, 1.0], [1.0, 1.5 * 2.0**119, 1.0]))
+        assert np.isfinite(np.float32(BF16_MAX) + np.float32(1.5 * 2.0**119))
+        with pytest.raises(NonFiniteWeightError, match=self.message(recipe, 1)):
+            merge_transformer(recipe, pre, lvlm, rm)
+
+    def test_ties_task_vector_overflows(self):
+        # |lvlm - pre| is above the float32 maximum: an infinite task vector, kept by the trim as the largest
+        recipe = MergeRecipe(TIES, lam=0.5, density=0.5)
+        with pytest.raises(NonFiniteWeightError, match=self.message(recipe, 3)):
+            merge_map(recipe, [0.0, 0.0, 0.0, -3e38], [0.5, 0.0, 0.0, 3e38], [0.0, 0.0, 0.0, -3e38])
+
+    @pytest.mark.parametrize("method", [MergeMethod.DARE_TASK_ARITHMETIC, MergeMethod.DARE_TIES])
+    def test_dare_rescaled_task_vector_overflows(self, method):
+        # |tau| / d is above the float32 maximum wherever an entry survives: under dare-task-arithmetic
+        # +inf and -inf meet at a position both keep, and their sum is NaN
+        n, recipe = 64, MergeRecipe(method, lam=0.7, density=0.4, seed=1)
+        lvlm, rm = [3e38] * n, [-3e38 if method is MergeMethod.DARE_TASK_ARITHMETIC else 3e38] * n
+        kept = [ref.keep_decisions(1, origin, "t", n, 0.4) for origin in ("lvlm", "rm")]
+        if method is MergeMethod.DARE_TASK_ARITHMETIC:
+            assert any(a and b for a, b in zip(*kept))
+        first = next(i for i, (a, b) in enumerate(zip(*kept)) if a or b)
+        with pytest.raises(NonFiniteWeightError, match=self.message(recipe, first)):
+            merge_map(recipe, [0.0] * n, lvlm, rm)
+
+    def test_the_error_names_the_variant_of_a_grid_and_the_index_past_the_first_block(self, monkeypatch):
+        monkeypatch.setattr(merging, "_BLOCK", 7)
+        recipe = MergeRecipe(TA, lam=0.0)
+        lvlm = np.ones(20, np.float32)
+        lvlm[16] = 3e38
+        variants = [replace(recipe, lam=lam) for lam in (0.0, 0.5, 1.0)]  # the summed task vectors overflow
+        with pytest.raises(NonFiniteWeightError, match=self.message(variants[1], 16)):
+            merge_transformer(recipe, {"t": np.zeros(20, np.float32)}, {"t": lvlm}, {"t": lvlm.copy()},
+                              variants=variants, jobs=1)

@@ -121,6 +121,17 @@ class TestSubprocessScorer:
         with pytest.raises(ScorerError, match="not found"):
             SubprocessScorer(["/nonexistent/scorer"]).score(requests())
 
+    @pytest.mark.parametrize("kind", ["not-executable", "directory"])
+    def test_command_that_cannot_start_reported(self, tmp_path, kind):
+        command = tmp_path / "scorer.sh"
+        if kind == "directory":
+            command.mkdir()
+        else:
+            command.write_text("#!/bin/sh\n", encoding="utf-8")
+            command.chmod(0o644)
+        with pytest.raises(ScorerError, match=f"^scorer command cannot start: {command}: Permission denied$"):
+            SubprocessScorer([str(command)]).score(requests())
+
     def test_non_finite_reward_rejected(self):
         nan_scorer = [
             sys.executable,
