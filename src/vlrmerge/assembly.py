@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -18,11 +18,20 @@ import numpy as np
 
 from . import __version__
 from .components import MAKEUP, ModelTriple, Role, validate_triple
-from .embeddings import AlignedVocab, align_vocab, block_rows, check_embedding_rows, merge_embedding_rows, unread_rows
+from .embeddings import (
+    AlignedVocab,
+    align_vocab,
+    block_rows,
+    block_slots,
+    check_embedding_rows,
+    merge_embedding_rows,
+    unread_rows,
+)
 from .errors import InsufficientMemoryError, RecipeError, TripleValidationError, VlrmergeError
 from .merging import (
     MergeMethod,
     MergeRecipe,
+    _Buffers,
     available_memory,
     default_jobs,
     merge_transformer,
@@ -30,6 +39,7 @@ from .merging import (
     worker_footprint,
 )
 from .tensorstore import (
+    _COPY_BLOCK,
     Checkpoint,
     CheckpointWriter,
     Layout,
@@ -127,28 +137,41 @@ def check_memory(recipes: Sequence[MergeRecipe], triple: ModelTriple, jobs: int 
 
 
 def _merge_block(
-    aligned: AlignedVocab, sources: list[Tensor], method: MergeMethod, rows: range, writers: list[CheckpointWriter]
+    aligned: AlignedVocab,
+    sources: list[Tensor],
+    method: MergeMethod,
+    rows: range,
+    writers: list[CheckpointWriter],
+    space: _Buffers,
 ) -> None:
     """Merge the output rows ``rows`` of the embedding ``sources`` and write them at their offset into every writer."""
-    block = merge_embedding_rows(aligned, *sources, method, rows)
+    block = merge_embedding_rows(aligned, *sources, method, rows, space)
     for writer in writers:
         writer.write(sources[1].name, block, rows.start * block.shape[1] * block.itemsize)
 
 
+def _copy(source: Tensor, writers: list[CheckpointWriter], space: _Buffers) -> None:
+    """Copy ``source`` into every writer, a piece at a time in ``space``'s ``chunk`` slot."""
+    copy_payload(source, writers, space.get("chunk"))
+
+
 def _pieces(
     method: MergeMethod, aligned: AlignedVocab, triple: ModelTriple, writers: list[CheckpointWriter]
-) -> list[Callable[[], None]]:
-    """The work that follows the transformer merge, in pieces for the workers.
+) -> tuple[list[Callable[[_Buffers], None]], dict]:
+    """The work that follows the transformer merge, in pieces for the workers, and the slots of a worker's buffers.
 
     Each embedding's output rows a block at a time (``block_rows``), the
     finite check of the input rows no block reads (``unread_rows``), in
-    blocks too, and each tensor the output copies verbatim.
+    blocks too, and each tensor the output copies verbatim. Each piece is
+    called with its worker's buffers: room for one block of any embedding
+    (``block_slots``) and one piece of a copy.
     """
-    pieces, checks = [], []
+    pieces, checks, shapes = [], [], []
     emb = triple.tensors(Role.EMBEDDING)
     for name in emb["lvlm"]:
         sources = [ts[name] for ts in emb.values()]
         step = block_rows(sources[1].shape[1])
+        shapes += [(len(aligned.tokens), sources[1].shape[1])] + [source.shape for source in sources]
         for start in range(0, len(aligned.tokens), step):
             rows = range(start, min(start + step, len(aligned.tokens)))
             pieces.append(partial(_merge_block, aligned, sources, method, rows, writers))
@@ -157,12 +180,12 @@ def _pieces(
             for start in range(0, unread.size, step):
                 checks.append(partial(check_embedding_rows, kind, emb[kind][name], unread[start : start + step]))
     copies = [
-        partial(copy_payload, source, writers)
+        partial(_copy, source, writers)
         for role, kind, is_merged in MAKEUP
         if not is_merged
         for source in triple.tensors(role)[kind].values()
     ]
-    return pieces + checks + copies
+    return pieces + checks + copies, {**block_slots(shapes), "chunk": (np.uint8, _COPY_BLOCK)}
 
 
 def assemble_vlrm(
@@ -231,9 +254,10 @@ def assemble_vlrm(
                 *trans.values(),
                 jobs=workers,
                 variants=[recipe for recipe, _ in group],
-                sink=lambda i, tensor: writers[i].write(tensor.name, tensor.data),
+                sink=lambda i, name, block, at: writers[i].write(name, block, at),
             )
-            run_workers(_pieces(first.method, aligned, triple, writers), workers, lambda piece, _: piece(), nullcontext)
+            pieces, slots = _pieces(first.method, aligned, triple, writers)
+            run_workers(pieces, workers, lambda piece, space: piece(space), lambda: _Buffers(slots))
             for model in models:
                 model.ckpt.check_unchanged()
 

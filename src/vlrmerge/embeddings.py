@@ -18,13 +18,14 @@ tokens in RM order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .components import embedding_problems, vocab_row_problems
 from .errors import NonFiniteWeightError, VocabError
-from .merging import _BLOCK, MergeMethod, Source  # a block of rows holds about the kernel's _BLOCK elements
+from .merging import _BLOCK, MergeMethod, Slots, Source, _Buffers  # a block of rows holds about the kernel's _BLOCK elements
 from .tensorstore import Dtype, Tensor, first_non_finite, narrow, widen
 
 
@@ -70,6 +71,33 @@ def block_rows(width: int) -> int:
     return max(1, _BLOCK // max(width, 1))
 
 
+def block_slots(shapes: Iterable[tuple[int, int]]) -> Slots:
+    """The slots of a worker's buffers for blocks of the embedding matrices of these ``(rows, width)`` shapes.
+
+    Each is a block's bytes: ``rows`` and ``out`` hold a block of rows in
+    its storage dtype (the rows gathered from an input, the merged output
+    rows) and ``a`` and ``b`` the float32 rows averaged; ``bits`` is the
+    finite check's uint32 scratch.
+    """
+    elements = max((min(block_rows(width), rows) * width for rows, width in shapes), default=0)
+    return {
+        **{slot: (np.uint8, 4 * elements) for slot in ("rows", "out", "a", "b")},
+        "bits": (np.uint32, max(elements, 1)),
+    }
+
+
+def _array(space: _Buffers | None, slot: str, shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
+    """An array of ``shape`` and ``dtype``: cut from ``space``'s byte ``slot`` (see ``block_slots``), or new."""
+    if space is None:
+        return np.empty(shape, dtype)
+    return space.get(slot, shape[0] * shape[1] * np.dtype(dtype).itemsize).view(dtype).reshape(shape)
+
+
+def _scratch(space: _Buffers | None, held: int, width: int) -> np.ndarray:
+    """The finite check's uint32 scratch for ``held`` rows of ``width``: ``space``'s ``bits`` slot, or new."""
+    return np.empty(max(held * width, 1), np.uint32) if space is None else space.get("bits")
+
+
 def _matrix(source: Source) -> tuple[Dtype, tuple[int, ...]]:
     """The dtype and shape of a storage view or a tensor, without reading a payload."""
     return (source.dtype, source.shape) if isinstance(source, Tensor) else (Dtype.of(source), source.shape)
@@ -93,18 +121,19 @@ def _checked_rows(label: str, source: Source, rows: np.ndarray, buffer: np.ndarr
     return block
 
 
-def check_embedding_rows(label: str, source: Source, rows: np.ndarray) -> None:
+def check_embedding_rows(label: str, source: Source, rows: np.ndarray, space: _Buffers | None = None) -> None:
     """Raise NonFiniteWeightError if a row ``rows`` of ``label``'s 2-D embedding ``source`` holds a NaN or infinity.
 
     The error names the model and the first such row in ``rows``. The rows
-    are read and checked a block at a time, so memory holds one block
-    whatever their number.
+    are read and checked a block at a time, in ``space`` (buffers of
+    ``block_slots``) if given, so memory holds one block whatever their
+    number.
     """
     if not len(rows):
         return
     dtype, (_, width) = _matrix(source)
     step = min(block_rows(width), len(rows))
-    buffer, scratch = np.empty((step, width), dtype.array_dtype), np.empty(max(step * width, 1), np.uint32)
+    buffer, scratch = _array(space, "rows", (step, width), dtype.array_dtype), _scratch(space, step, width)
     for start in range(0, len(rows), step):
         _checked_rows(label, source, rows[start : start + step], buffer, scratch)
 
@@ -139,6 +168,7 @@ def merge_embedding_rows(
     rm_emb: Source,
     method: MergeMethod,
     rows: range | None = None,
+    space: _Buffers | None = None,
 ) -> np.ndarray:
     """Build the output rows ``rows`` (a contiguous range; all when None) of the merged embedding matrix.
 
@@ -160,7 +190,10 @@ def merge_embedding_rows(
     reads it. The whole-matrix call (``rows`` None) first checks every row
     of every matrix the method reads (linear never reads ``pre``) in row
     order; a caller that splits the rows checks the rest with
-    ``unread_rows`` and ``check_embedding_rows``.
+    ``unread_rows`` and ``check_embedding_rows``. With ``space``, a worker's
+    buffers of ``block_slots`` for at least ``len(rows)`` rows, every block
+    array is cut from it, the returned rows too, which the worker's next
+    use of ``space`` overwrites.
     """
     out_rows = range(len(aligned.tokens)) if rows is None else rows
     span = slice(out_rows.start, out_rows.stop)
@@ -186,8 +219,8 @@ def merge_embedding_rows(
     # each gather reads one block of rows, so no temporary outgrows a block
     step = block_rows(width)
     held = min(step, len(out_rows))
-    buffer, scratch = np.empty((held, width), dtype.array_dtype), np.empty(max(held * width, 1), np.uint32)
-    out = np.empty((len(out_rows), width), dtype.array_dtype)
+    buffer, scratch = _array(space, "rows", (held, width), dtype.array_dtype), _scratch(space, held, width)
+    out = _array(space, "out", (len(out_rows), width), dtype.array_dtype)
     use_pre, only_lv, only_rm, both = _rules(pre_idx, lv_idx, rm_idx, method)
     for mask, (label, idx, source) in zip((use_pre, only_lv, only_rm), sources):
         taken = np.flatnonzero(mask)
@@ -195,7 +228,7 @@ def merge_embedding_rows(
             at = taken[start : start + step]
             out[at] = _checked_rows(label, source, idx[at], buffer, scratch)
     taken = np.flatnonzero(both)
-    a, b = (np.empty((min(step, taken.size), width), np.float32) for _ in range(2))
+    a, b = (_array(space, slot, (min(step, taken.size), width), np.float32) for slot in ("a", "b"))
     half = np.float32(0.5)
     for start in range(0, taken.size, step):
         at = taken[start : start + step]
@@ -203,5 +236,6 @@ def merge_embedding_rows(
         y = widen(_checked_rows("rm", rm_emb, rm_idx[at], buffer, scratch), b[: at.size])
         # halves first: the sum of two finite rows may overflow, their mean cannot
         np.add(np.multiply(x, half, out=x), np.multiply(y, half, out=y), out=x)
-        out[at] = np.frombuffer(narrow(x, dtype, scratch), dtype.array_dtype).reshape(x.shape)
+        narrow(x, dtype, scratch, out=buffer[: at.size].reshape(-1))
+        out[at] = buffer[: at.size]
     return out

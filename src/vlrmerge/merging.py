@@ -18,13 +18,14 @@ weights. Five strategies are supported:
                     -- random-drop task-vector entries with probability 1 - d
                        and rescale survivors by 1/d before combining
 
-The inputs are storage views and each output has its lvlm input's storage
-dtype; all arithmetic runs in float32 in between, a block of elements at a
-time: each worker widens a block of the staged inputs into its own
-block-sized buffers, runs every step in place there and narrows the block
-into each output. Only the TIES cut needs the whole tensor, in one float32
-ranking key. A NaN or infinity in an input that a method reads is rejected
-with NonFiniteWeightError before any arithmetic reads that input.
+The inputs are storage views or tensors read from their files, and each
+output has its lvlm input's storage dtype; all arithmetic runs in float32 in
+between, a block of elements at a time: each worker reads a block of each
+input into its own block-sized buffers, widens it, runs every step in place
+there and narrows the block into each output block. Only the TIES cut needs
+the whole tensor, in one ranking key of magnitude bit patterns. A NaN or
+infinity in an input that a method reads is rejected with
+NonFiniteWeightError before any arithmetic reads that input's block.
 Randomness is counter-based: the value drawn for element ``i`` of a tensor is
 a pure function of (seed, origin tag, tensor name, i), so results do not
 depend on iteration order or worker count. Element ``i`` survives the drop
@@ -40,7 +41,6 @@ import mmap
 import os
 import threading
 import traceback
-from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import AbstractContextManager
 from concurrent.futures import ThreadPoolExecutor
@@ -116,51 +116,55 @@ class MergeRecipe:
 # interpreter lock back and forth between the workers.
 _BLOCK = 1 << 17
 
-# the block-sized slots of a worker's buffers; see _merge_per_lam
-_BLOCK_SLOTS = {
-    "pre": np.float32, "lvlm": np.float32, "rm": np.float32,  # widened inputs, then the task vectors
-    "out": np.float32, "tmp": np.float32, "neg": np.float32,
-    "bits": np.uint32,
-    "keep": np.bool_, "tied": np.bool_, "up": np.bool_,
-}
+Slots = dict[str, tuple[type, int]]  # each slot's dtype and element count
+
+
+def _kernel_slots(key: int, block: int, grid: bool) -> Slots:
+    """The slots of a merge worker's buffers; see ``_merge_per_lam``.
+
+    ``key`` uint32 elements for TIES's ranking key, and room for ``block``
+    elements in every other slot: ``storage`` holds a block in its storage
+    dtype, each input block as it is read and then each output block as it
+    is narrowed. ``tau_l`` and ``tau_r`` are empty unless the variants span
+    several densities (``grid``). ``draws`` is the DARE mask's scratch (see
+    ``_keep_mask``).
+    """
+    floats = ("pre", "lvlm", "rm", "out", "tmp", "neg")  # the widened inputs, the results and scratch
+    return {
+        "key": (np.uint32, key),
+        **{slot: (np.float32, block) for slot in floats},
+        **{slot: (np.float32, block if grid else 0) for slot in ("tau_l", "tau_r")},
+        "storage": (np.uint8, 4 * block),
+        "bits": (np.uint32, block),
+        **{slot: (np.bool_, block) for slot in ("keep", "tied", "up")},
+        "draws": (np.uint64, 3 * min(block, _MASK_CHUNK)),
+    }
 
 
 class _Buffers:
     """One worker's buffers, all cut from one anonymous mapping that is unmapped on exit.
 
-    ``staging`` gives the bytes of the slots that hold a tensor's pre, lvlm
-    and rm payloads in their storage dtype, ``outputs`` the bytes of the
-    slot that holds one density's output payloads, and ``key`` the float32
-    elements of TIES's ranking key; ``draws`` is the DARE mask's scratch
-    (see ``_keep_mask``), and every other slot has room for ``block``
-    elements. Arrays from numpy's allocator stay resident in malloc's arenas
-    once freed; the mapping gives its pages back when it is unmapped. Used
-    as a context manager: on exit, an error's finished frames are cleared of
-    the views they hold into the mapping, so that it can be unmapped.
+    ``slots`` gives each slot's dtype and element count; a ``draws`` slot is
+    the DARE mask's (see ``_keep_mask``). Arrays from numpy's allocator stay
+    resident in malloc's arenas once freed; the mapping gives its pages back
+    when it is unmapped. Used as a context manager: on exit, an error's
+    finished frames are cleared of the views they hold into the mapping, so
+    that it can be unmapped.
     """
 
-    def __init__(self, staging: Sequence[int], key: int, block: int, outputs: int):
-        slots, size = self.layout(staging, key, block, outputs)
+    def __init__(self, slots: Slots):
+        placed, size = self.layout(slots)
         self.mapping = mmap.mmap(-1, max(size, 1))
         self._slots = {
-            slot: np.frombuffer(self.mapping, dtype, count, offset) for slot, (dtype, count, offset) in slots.items()
+            slot: np.frombuffer(self.mapping, dtype, count, offset) for slot, (dtype, count, offset) in placed.items()
         }
-        draws = min(block, _MASK_CHUNK)
-        self._slots["draws"] = self._slots["draws"].reshape(3, draws)
-        np.multiply(np.arange(draws, dtype=np.uint64), _MIX_GAMMA, out=self._slots["draws"][2])  # i * gamma
+        if "draws" in self._slots:  # two rows for the draws, then i * gamma for each i of a chunk
+            draws = self._slots["draws"] = self._slots["draws"].reshape(3, -1)
+            np.multiply(np.arange(draws.shape[1], dtype=np.uint64), _MIX_GAMMA, out=draws[2])
 
     @staticmethod
-    def layout(
-        staging: Sequence[int], key: int, block: int, outputs: int
-    ) -> tuple[dict[str, tuple[type, int, int]], int]:
+    def layout(slots: Slots) -> tuple[dict[str, tuple[type, int, int]], int]:
         """Each slot's dtype, element count and byte offset in the mapping, and the mapping's size in bytes."""
-        slots = {
-            **{f"staged_{role}": (np.uint8, size) for role, size in zip(("pre", "lvlm", "rm"), staging)},
-            "outputs": (np.uint8, outputs),
-            "key": (np.float32, key),
-            **{slot: (dtype, block) for slot, dtype in _BLOCK_SLOTS.items()},
-            "draws": (np.uint64, 3 * min(block, _MASK_CHUNK)),
-        }
         placed, size = {}, 0
         for slot, (dtype, count) in slots.items():
             placed[slot] = (dtype, count, size)
@@ -184,36 +188,44 @@ class _Buffers:
 Source = np.ndarray | Tensor  # a storage view, or a tensor whose payload is read when it is merged
 
 
-def _staged(source: Source, role: str, name: str, space: _Buffers) -> np.ndarray:
-    """``source``'s flat storage view; a tensor's payload is first read into ``space``'s staging slot for ``role``."""
-    if isinstance(source, Tensor):
-        source = source.load(space.get(f"staged_{role}"))
-    view = np.ravel(source)
+def _storage_dtype(source: Source) -> Dtype:
+    """The storage dtype of a storage view or a tensor, without reading a payload."""
+    return source.dtype if isinstance(source, Tensor) else Dtype.of(source)
+
+
+def _widened(source: Source, role: str, name: str, start: int, out: np.ndarray, space: _Buffers) -> np.ndarray:
+    """Flat elements ``start:start + out.size`` of ``source``, checked finite, then widened into the float32 ``out``.
+
+    ``source`` is a flat storage view, or a tensor whose elements are read
+    from its file, with one read, into ``space``'s ``storage`` slot. A NaN or
+    infinity is a NonFiniteWeightError naming ``role``, the tensor and the
+    flat index, raised before any arithmetic reads the block.
+    """
+    stop = start + out.size
+    view = source.load_range(start, stop, space.get("storage")) if isinstance(source, Tensor) else source[start:stop]
     if (at := first_non_finite(view, space.get("bits"))) is not None:
-        raise NonFiniteWeightError(f"{role} tensor {name!r} holds a non-finite weight at flat index {at}")
-    return view
-
-
-def _widened(view: np.ndarray, start: int, stop: int, slot: str, space: _Buffers) -> np.ndarray:
-    """Elements ``start:stop`` of the storage ``view``, widened into ``space``'s block ``slot``."""
-    return widen(view[start:stop], space.get(slot, stop - start))
+        raise NonFiniteWeightError(f"{role} tensor {name!r} holds a non-finite weight at flat index {start + at}")
+    return widen(view, out)
 
 
 def _narrowed(
-    merged: np.ndarray, out: np.ndarray, recipe: MergeRecipe, name: str, start: int, space: _Buffers
-) -> None:
-    """Narrow the float32 block ``merged`` into ``out``, elements ``start:`` of ``recipe``'s payload of ``name``.
+    merged: np.ndarray, dtype: Dtype, recipe: MergeRecipe, name: str, start: int, space: _Buffers
+) -> np.ndarray:
+    """The float32 block ``merged``, elements ``start:`` of ``recipe``'s output of ``name``, narrowed to ``dtype``.
 
-    A narrowed weight that is NaN or infinite, from arithmetic that
-    overflowed or from rounding past the storage dtype's largest value, is a
+    The block is written to ``space``'s ``storage`` slot. A narrowed weight
+    that is NaN or infinite, from arithmetic that overflowed or from
+    rounding past the storage dtype's largest value, is a
     NonFiniteWeightError naming the recipe, the tensor and the flat index.
     """
     bits = space.get("bits")
-    narrow(merged, Dtype.of(out), bits, out=out)
+    out = space.get("storage", merged.size * dtype.itemsize).view(dtype.array_dtype)
+    narrow(merged, dtype, bits, out=out)
     if (at := first_non_finite(out, bits)) is not None:
         raise NonFiniteWeightError(
             f"{recipe.slug()} tensor {name!r} merges to a non-finite weight at flat index {start + at}"
         )
+    return out
 
 
 def _merge_per_lam(
@@ -223,69 +235,67 @@ def _merge_per_lam(
     lvlm: Source,
     rm: Source,
     space: _Buffers,
-) -> Iterator[tuple[int, np.ndarray]]:
+) -> Iterator[tuple[int, int, np.ndarray]]:
     """Merge one same-shaped tensor for each recipe of ``variants``, which share method and seed.
 
-    Yields ``(index into variants, payload)`` once per recipe: grouped by
-    density in the order each density is first seen, and by lambda in list
-    order within a density. Each payload is a flat array of the storage
-    dtype of ``lvlm``, a row of ``space``'s ``outputs`` slot, which the next
-    density overwrites: a payload is valid until the generator resumes.
-    ``name`` keys the DARE drop-mask random stream.
-    ties and dare-ties scale the jointly merged delta by lam; dare-ties
-    elects signs and takes the disjoint mean on the already-rescaled
-    survivors. A tensor's payloads are read once into ``space``'s staging
-    slots, in their storage dtype (linear never reads ``pre``), and checked
-    finite before any arithmetic reads them. Then, once per density, every
-    step runs ``_BLOCK`` elements at a time in ``space``'s block slots:
-    widen, form the task vectors, trim or drop, elect and take the disjoint
-    mean, apply each lambda and narrow into that lambda's payload, which is
-    checked finite (``_narrowed``). An overflow on the way warns of nothing:
-    it is trimmed or dropped, or reaches the payload and is raised there.
-    Only ties needs the whole tensor: it ranks each task vector's
-    magnitudes once in the full-size ``key`` slot, for every density's cut,
-    and trims each block with a running count of the entries tied at the
-    cut. No step crosses a block, so the bytes do not depend on the block
-    size.
+    Yields ``(index into variants, start, block)`` once per recipe and
+    block of ``_BLOCK`` elements, in block order: ``block`` holds flat
+    elements ``start:`` of that recipe's output, in the storage dtype of
+    ``lvlm``, in ``space``'s ``storage`` slot, which the next read or
+    output overwrites: it is valid until the generator resumes. Within a
+    block the recipes come grouped by density, in the order each density is
+    first seen, and by lambda in list order within a density. ``name`` keys
+    the DARE drop-mask random stream. ties and dare-ties scale the jointly
+    merged delta by lam; dare-ties elects signs and takes the disjoint mean
+    on the already-rescaled survivors. Each block of each input is read
+    once (linear never reads ``pre``), checked finite and widened into
+    ``space``'s block slots (``_widened``). Then, once per density, in the
+    block slots: form the task vectors, trim or drop, elect and take the
+    disjoint mean, apply each lambda and narrow (``_narrowed``). With
+    several densities the task vectors go to the ``tau_l`` and ``tau_r``
+    slots, so that the widened inputs serve every density; with one they
+    overwrite the widened fine-tuned weights. An overflow on the way warns
+    of nothing: it is trimmed or dropped, or reaches an output and is
+    raised there. Only ties needs the whole tensor: it first ranks each
+    task vector's magnitudes once in the full-size ``key`` slot
+    (``_ranking_key``, which reads ``pre`` and that fine-tuned model block
+    by block), for every density's cut, and trims each block with a running
+    count of the entries tied at the cut. No step crosses a block, so the
+    bytes do not depend on the block size.
     """
     n = pre.size
     method, seed = variants[0].method, variants[0].seed
-    lvlm, rm = _staged(lvlm, "lvlm", name, space), _staged(rm, "rm", name, space)
-    dtype = Dtype.of(lvlm)
+    dtype = _storage_dtype(lvlm)
+    pre, lvlm, rm = (source if isinstance(source, Tensor) else np.ravel(source) for source in (pre, lvlm, rm))
     by_density: dict[float | None, list[int]] = {}
     for i, recipe in enumerate(variants):
         by_density.setdefault(recipe.density, []).append(i)
-    if method is not MergeMethod.LINEAR:
-        pre = _staged(pre, "pre", name, space)
+    taus = ("lvlm", "rm") if len(by_density) == 1 else ("tau_l", "tau_r")
     if method is MergeMethod.TIES:
         with np.errstate(over="ignore"):
-            cuts = [_cuts(_ranking_key(pre, fine, space), list(by_density), space) for fine in (lvlm, rm)]
+            cuts = [_cuts(_ranking_key(pre, fine, role, name, space), list(by_density), space)
+                    for role, fine in (("lvlm", lvlm), ("rm", rm))]
+        trims = [list(pair) for pair in zip(*cuts)]  # per density, per task vector: (threshold, tied still kept) or None
     elif method.needs_seed:
         streams = [stream_key(seed, origin, name) for origin in ("lvlm", "rm")]
-    for j, (density, indices) in enumerate(by_density.items()):
-        outs = space.get("outputs", len(indices) * n * dtype.itemsize).view(dtype.array_dtype)
-        outs = outs.reshape(len(indices), n)
-        if method is MergeMethod.TIES:
-            trims = [cuts[0][j], cuts[1][j]]  # per task vector: (threshold, entries tied at it still to keep), or None
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n, _BLOCK):
-                stop = min(start + _BLOCK, n)
-                m = stop - start
-                if method is MergeMethod.LINEAR:
-                    a = _widened(lvlm, start, stop, "lvlm", space)
-                    b = _widened(rm, start, stop, "rm", space)
-                else:
-                    base = _widened(pre, start, stop, "pre", space)
-                    # the task vectors, then the merged delta, overwrite the widened fine-tuned weights
-                    widened = _widened(lvlm, start, stop, "lvlm", space), _widened(rm, start, stop, "rm", space)
-                    delta, tau_r = (np.subtract(tau, base, out=tau) for tau in widened)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - start)
+            a = _widened(lvlm, "lvlm", name, start, space.get("lvlm", m), space)
+            b = _widened(rm, "rm", name, start, space.get("rm", m), space)
+            if method is not MergeMethod.LINEAR:
+                base = _widened(pre, "pre", name, start, space.get("pre", m), space)
+            for j, (density, indices) in enumerate(by_density.items()):
+                if method is not MergeMethod.LINEAR:
+                    # the task vectors, then the merged delta
+                    delta, tau_r = (np.subtract(fine, base, out=space.get(slot, m)) for fine, slot in zip((a, b), taus))
                     if method is MergeMethod.TASK_ARITHMETIC:
                         np.add(delta, tau_r, out=delta)
                     else:
                         if method is MergeMethod.TIES:
                             for side, tau in enumerate((delta, tau_r)):
-                                if trims[side] is not None:
-                                    trims[side] = _trim(tau, *trims[side], space)
+                                if trims[j][side] is not None:
+                                    trims[j][side] = _trim(tau, *trims[j][side], space)
                         else:
                             for stream, tau in zip(streams, (delta, tau_r)):
                                 _drop(tau, density, stream, start, space)
@@ -293,7 +303,7 @@ def _merge_per_lam(
                             np.add(delta, tau_r, out=delta)
                         else:
                             _disjoint_mean(delta, tau_r, space)
-                for i, out in zip(indices, outs):
+                for i in indices:
                     lam = variants[i].lam
                     if method is MergeMethod.LINEAR and lam in (0.0, 1.0):
                         merged = a if lam == 1.0 else b  # exact identities at the endpoints, untouched by rounding
@@ -305,8 +315,7 @@ def _merge_per_lam(
                     else:
                         merged = np.multiply(lam, delta, out=space.get("out", m))
                         np.add(base, merged, out=merged)
-                    _narrowed(merged, out[start:stop], variants[i], name, start, space)
-        yield from zip(indices, outs)
+                    yield i, start, _narrowed(merged, dtype, variants[i], name, start, space)
 
 
 def default_jobs() -> int:
@@ -369,29 +378,16 @@ def run_workers(
         raise min(errors, key=lambda entry: entry[0])[1]
 
 
-def _buffer_sizes(
-    variants: Sequence[MergeRecipe],
-    pre_trans: dict[str, Source],
-    lvlm_trans: dict[str, Source],
-    rm_trans: dict[str, Source],
-) -> tuple[list[int], int, int, int]:
-    """A merge worker's ``_Buffers`` sizes for ``variants`` on these maps.
+def _buffer_sizes(variants: Sequence[MergeRecipe], pre_trans: dict[str, Source]) -> tuple[int, int, bool]:
+    """A merge worker's ``_kernel_slots`` sizes for ``variants`` on tensors of ``pre_trans``'s sizes.
 
-    Staging bytes per model, key and block elements, and output bytes: the
-    most variants that share a density, times the largest lvlm payload.
+    The ties key's elements (the largest tensor's), the block's and whether
+    the variants span several densities.
     """
     capacity = max((source.size for source in pre_trans.values()), default=0)
-    staging = [
-        max((source.nbytes for source in sources.values() if isinstance(source, Tensor)), default=0)
-        for sources in (pre_trans, lvlm_trans, rm_trans)
-    ]
-    method = variants[0].method
-    if method is MergeMethod.LINEAR:
-        staging[0] = 0  # linear never reads the base model
-    key = capacity if method is MergeMethod.TIES else 0
-    largest = max((source.nbytes for source in lvlm_trans.values()), default=0)
-    shared = max(Counter(recipe.density for recipe in variants).values())  # the most variants of one density
-    return staging, key, max(min(_BLOCK, capacity), 1), shared * largest
+    key = capacity if variants[0].method is MergeMethod.TIES else 0
+    grid = len({recipe.density for recipe in variants}) > 1
+    return key, max(min(_BLOCK, capacity), 1), grid
 
 
 def worker_footprint(
@@ -402,10 +398,10 @@ def worker_footprint(
 ) -> int:
     """The bytes each ``merge_transformer`` worker maps for ``variants`` on these maps, from their shapes alone.
 
-    That is the size of its ``_Buffers``: the staged payloads of the largest
-    tensor, the ties key, the block slots and one density's output payloads.
+    That is the size of its ``_Buffers``: the block slots, two more for a
+    grid of densities, and for ties the ranking key of the largest tensor.
     """
-    return _Buffers.layout(*_buffer_sizes(variants, pre_trans, lvlm_trans, rm_trans))[1]
+    return _Buffers.layout(_kernel_slots(*_buffer_sizes(variants, pre_trans)))[1]
 
 
 def _cgroup_free(group: Path) -> int | None:
@@ -466,68 +462,76 @@ def merge_transformer(
     rm_trans: dict[str, Source],
     jobs: int | None = None,
     variants: Sequence[MergeRecipe] | None = None,
-    sink: Callable[[int, Tensor], None] | None = None,
+    sink: Callable[[int, str, memoryview, int], None] | None = None,
 ) -> list[dict[str, Tensor]] | None:
     """Merge the shared transformer weights once per recipe of ``variants``.
 
     The input maps hold, per tensor name, a storage view (``Tensor.array``;
     a float32 array is the F32 view) or a ``Tensor``, whose payload is read
-    from its file only when a worker merges it; inputs are only read.
-    ``variants`` defaults to ``(recipe,)``; each must share ``recipe``'s
-    method and seed (RecipeError otherwise), and may differ in lambda and
-    density. Checks the recipes and the tensor alignment once (the first
-    problem ``components.alignment_problems`` finds is a VlrmergeError), then
-    merges every name on ``jobs`` workers (``run_workers``; None takes
+    from its file, a block at a time, only when a worker merges it; inputs
+    are only read. ``variants`` defaults to ``(recipe,)``; it must not be
+    empty, and each must share ``recipe``'s method and seed (RecipeError
+    otherwise), and may differ in lambda and density. Checks the recipes
+    and the tensor alignment once (the first problem
+    ``components.alignment_problems`` finds is a VlrmergeError), then merges
+    every name on ``jobs`` workers (``run_workers``; None takes
     ``default_jobs()``), so at most ``jobs`` tensors are in flight and a
     call with one job or one tensor starts no thread. Each worker reads a
-    tensor's payloads once into its own buffers, in their storage dtype,
-    checks them finite (NonFiniteWeightError names the model, tensor and
-    flat index of the first NaN or infinity), and runs the rule there once
-    per density, a block at a time (for ties, one ranking of each task
-    vector in a float32 key gives every density's cut), narrowing each
-    block into each variant's payload, of the storage dtype of the tensor's
-    lvlm input, and checking it finite (NonFiniteWeightError names the
-    variant's slug, the tensor and the flat index). A worker's buffers are
-    one anonymous mapping of ``worker_footprint`` bytes, mapped when it
-    starts and unmapped when it ends, on error too: room for the three
-    payloads of the largest tensor, for ties its key, a few blocks and one
-    density's payloads of the largest tensor, which the next density
-    overwrites. With a ``sink``, the worker hands it each output at once as
-    ``sink(variant_index, tensor)``, the tensor's payload a view of those
-    buffers that is valid until the sink returns (a ``tensor.data`` kept
-    past that raises ValueError when read), and the call returns None;
-    without one, a copy of each output is returned, one map per variant, in
-    order. The bytes of each output are those of a call with that recipe
-    alone, for any worker count.
+    tensor's inputs a block at a time into its own buffers, checks each
+    block finite (NonFiniteWeightError names the model, tensor and flat
+    index of the first NaN or infinity), and runs the rule on it once per
+    density (for ties, one ranking of each task vector in a key of the
+    tensor's size gives every density's cut), narrowing it into each
+    variant's output block, of the storage dtype of the tensor's lvlm input,
+    and checking that finite (NonFiniteWeightError names the variant's slug,
+    the tensor and the flat index). A worker's buffers are one anonymous
+    mapping of ``worker_footprint`` bytes, mapped when it starts and
+    unmapped when it ends, on error too: a few blocks, and for ties the key
+    of the largest tensor. With a ``sink``, the worker hands it each output
+    block at once as ``sink(variant_index, name, block, at)``: ``block`` is
+    a read-only byte view of those buffers, the payload's bytes from byte
+    ``at``, valid until the sink returns (a view kept past that raises
+    ValueError when read); the blocks of each variant's payload tile it
+    once, and the call returns None. Without one, a copy of each output is
+    returned, one map per variant, in order. The bytes of each output are
+    those of a call with that recipe alone, for any worker count.
     """
     if jobs is not None and jobs < 1:
         raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
     variants = (recipe,) if variants is None else tuple(variants)
+    if not variants:
+        raise RecipeError("no variant was given: variants must hold at least one recipe")
     for variant in variants:
         if (variant.method, variant.seed) != (recipe.method, recipe.seed):
             raise RecipeError(f"recipe {variant.slug()} does not share the method and seed of {recipe.slug()}")
     if problems := alignment_problems({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans}):
         raise VlrmergeError(problems[0])
-    sizes = _buffer_sizes(variants, pre_trans, lvlm_trans, rm_trans)
+    slots = _kernel_slots(*_buffer_sizes(variants, pre_trans))
     names = list(pre_trans)
-    kept: dict[str, list[Tensor | None]] = {name: [None] * len(variants) for name in names}
+    kept: dict[str, list[bytearray]] = {}
+    if sink is None:
+        nbytes = {name: pre_trans[name].size * _storage_dtype(lvlm_trans[name]).itemsize for name in names}
+        kept = {name: [bytearray(nbytes[name]) for _ in variants] for name in names}
 
-    def keep(i: int, tensor: Tensor) -> None:
-        kept[tensor.name][i] = Tensor(tensor.name, tensor.dtype, tensor.shape, bytes(tensor.data))
+    def keep(i: int, name: str, block: memoryview, at: int) -> None:
+        kept[name][i][at : at + len(block)] = block
 
     emit = sink or keep
 
     def merge_one(name: str, space: _Buffers) -> None:
-        shape = pre_trans[name].shape
-        for i, payload in _merge_per_lam(variants, name, pre_trans[name], lvlm_trans[name], rm_trans[name], space):
-            data = memoryview(payload.view(np.uint8)).toreadonly()
-            emit(i, Tensor(name, Dtype.of(payload), shape, data))
-            data.release()  # the next density overwrites the payload: a view kept past emit raises, never misreads
+        for i, start, block in _merge_per_lam(variants, name, pre_trans[name], lvlm_trans[name], rm_trans[name], space):
+            data = memoryview(block.view(np.uint8)).toreadonly()
+            emit(i, name, data, start * block.itemsize)
+            data.release()  # the next block overwrites this one: a view kept past emit raises, never misreads
 
-    run_workers(names, jobs or default_jobs(), merge_one, lambda: _Buffers(*sizes))
+    run_workers(names, jobs or default_jobs(), merge_one, lambda: _Buffers(slots))
     if sink is not None:
         return None
-    return [{name: outs[i] for name, outs in kept.items()} for i in range(len(variants))]
+    dtypes = {name: _storage_dtype(lvlm_trans[name]) for name in names}
+    return [
+        {name: Tensor(name, dtypes[name], pre_trans[name].shape, bytes(outs[i])) for name, outs in kept.items()}
+        for i in range(len(variants))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -546,16 +550,22 @@ def retained_count(density: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
-def _ranking_key(pre: np.ndarray, fine: np.ndarray, space: _Buffers) -> np.ndarray:
-    """-|fine - pre|, the task vector's ranking key, written block by block into ``space``'s ``key`` slot."""
+def _ranking_key(pre: Source, fine: Source, role: str, name: str, space: _Buffers) -> np.ndarray:
+    """|fine - pre| as uint32 bit patterns, the ranking key of ``role``'s task vector, in ``space``'s ``key`` slot.
+
+    Both inputs are read block by block (``_widened``), and each block is
+    checked finite before it is subtracted. A non-negative float32 orders as
+    its bit pattern does, and a task vector is never NaN, so the key ranks
+    the magnitudes as integers.
+    """
     n = pre.size
     key = space.get("key", n)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        block = widen(fine[start:stop], key[start:stop])
-        np.subtract(block, _widened(pre, start, stop, "pre", space), out=block)
-        bits = block.view(np.uint32)
-        np.bitwise_or(bits, np.uint32(0x80000000), out=bits)  # -|x| is x with its sign bit set
+        base = _widened(pre, "pre", name, start, space.get("pre", stop - start), space)
+        block = _widened(fine, role, name, start, key[start:stop].view(np.float32), space)
+        np.subtract(block, base, out=block)
+        np.bitwise_and(key[start:stop], np.uint32(0x7FFFFFFF), out=key[start:stop])  # |x| is x without its sign bit
     return key
 
 
@@ -568,14 +578,14 @@ def _cuts(key: np.ndarray, densities: Sequence[float], space: _Buffers) -> list[
     ``threshold``, the k-th largest, is kept, and so are the first ``ties``
     entries in flat order whose magnitude equals it. It is None when k
     keeps every entry. One ascending sort of ``key`` ranks every entry, so
-    every density's cut is read from it; a single cut is placed by
-    selection instead, in less time. The entries that rank before the cut
+    every density's cut, at n - k, is read from it; a single cut is placed
+    by selection instead, in less time. The entries that rank above the cut
     are then found by a binary search of the sorted key, or counted a block
-    at a time among the k - 1 that selection put before it.
+    at a time among the k - 1 that selection put after it.
     """
     n = key.size
     ks = [retained_count(density, n) for density in densities]
-    cuts = {k - 1 for k in ks if k < n}
+    cuts = {n - k for k in ks if k < n}
     sort = len(cuts) > 1
     if sort:
         key.sort()
@@ -586,15 +596,15 @@ def _cuts(key: np.ndarray, densities: Sequence[float], space: _Buffers) -> list[
         if k == n:
             trims.append(None)
             continue
-        cut = key[k - 1]
+        cut = key[n - k]
         if sort:
-            above = int(np.searchsorted(key, cut))
+            above = n - int(np.searchsorted(key, cut, side="right"))
         else:
             above = 0
-            for start in range(0, k - 1, _BLOCK):
-                ranked = key[start : min(start + _BLOCK, k - 1)]
-                above += np.count_nonzero(np.less(ranked, cut, out=space.get("keep", ranked.size)))
-        trims.append((-cut, k - above))
+            for start in range(n - k + 1, n, _BLOCK):
+                ranked = key[start : min(start + _BLOCK, n)]
+                above += np.count_nonzero(np.greater(ranked, cut, out=space.get("keep", ranked.size)))
+        trims.append((cut.view(np.float32), k - above))
     return trims
 
 

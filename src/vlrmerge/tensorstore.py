@@ -288,8 +288,9 @@ class Tensor:
     tensor of a checkpoint opened by ``read_checkpoint`` holds only its place
     in the file. ``data`` is for callers that want a payload resident: the
     first ``data`` asked of such a tensor reads its payload alone, through
-    ``load``, and the tensor keeps it. ``load`` and ``chunks`` read one
-    payload without keeping it; they are how the merge reads its inputs.
+    ``load``, and the tensor keeps it. ``load``, ``load_range``,
+    ``load_rows`` and ``chunks`` read a payload, or part of one, without
+    keeping it; they are how the merge reads its inputs.
     """
 
     __slots__ = ("name", "dtype", "shape", "_data", "_place")
@@ -365,6 +366,22 @@ class Tensor:
         file.read_into(raw, offset)
         return raw.view(self.dtype.array_dtype).reshape(self.shape)
 
+    def load_range(self, start: int, stop: int, buffer: np.ndarray | None = None) -> np.ndarray:
+        """Flat elements ``start:stop`` of the payload as a 1-D storage view, not kept.
+
+        A payload in memory is viewed without a copy. One in a file is read
+        with one ``read_into`` into ``buffer``, as for ``load``, or into a
+        new array. A range outside the payload is an IndexError.
+        """
+        if not 0 <= start <= stop <= self.numel:
+            raise IndexError(f"elements [{start}, {stop}) are not inside the {self.numel} of {self.name}")
+        if self._data is not None:
+            return self.array().reshape(-1)[start:stop]
+        raw = self._raw(buffer, (stop - start) * self.dtype.itemsize)
+        file, offset = self._place
+        file.read_into(raw, offset + start * self.dtype.itemsize)
+        return raw.view(self.dtype.array_dtype)
+
     def load_rows(self, rows: np.ndarray, buffer: np.ndarray | None = None) -> np.ndarray:
         """Rows ``rows`` of the 2-D payload, in that order, as a ``(len(rows), width)`` storage view, not kept.
 
@@ -401,12 +418,13 @@ class Tensor:
             raise ValueError(f"a {buffer.nbytes}-byte buffer cannot hold the {nbytes} bytes asked of {self.name}")
         return raw
 
-    def chunks(self, size: int = _COPY_BLOCK) -> Iterator[memoryview]:
+    def chunks(self, size: int = _COPY_BLOCK, buffer: np.ndarray | None = None) -> Iterator[memoryview]:
         """The payload in consecutive pieces of at most ``size`` bytes.
 
         A payload in a file is read one piece at a time into one reused
-        buffer, so each piece is valid only until the next is asked for, and
-        nothing is kept.
+        buffer, the first bytes of ``buffer`` (a contiguous array of at least
+        ``min(size, nbytes)`` bytes) or a new one, so each piece is valid only
+        until the next is asked for, and nothing is kept.
         """
         if self._data is not None:
             view = memoryview(self._data)
@@ -414,9 +432,9 @@ class Tensor:
                 yield view[start : start + size]
             return
         file, offset = self._place
-        buffer = memoryview(bytearray(min(size, self.nbytes)))
+        pieces = memoryview(self._raw(buffer, min(size, self.nbytes)))
         for start in range(0, self.nbytes, size):
-            piece = buffer[: min(size, self.nbytes - start)]
+            piece = pieces[: min(size, self.nbytes - start)]
             file.read_into(piece, offset + start)
             yield piece
 
@@ -689,10 +707,10 @@ def checkpoint_writer(path: str | Path, layout: Layout, metadata: dict[str, str]
         writer.check_complete()
 
 
-def copy_payload(tensor: Tensor, writers: Sequence[CheckpointWriter]) -> None:
-    """Write ``tensor``'s payload into each writer, reading it once, a piece at a time."""
+def copy_payload(tensor: Tensor, writers: Sequence[CheckpointWriter], buffer: np.ndarray | None = None) -> None:
+    """Write ``tensor``'s payload into each writer, reading it once, a piece at a time into ``buffer`` if given."""
     at = 0
-    for piece in tensor.chunks():
+    for piece in tensor.chunks(buffer=buffer):
         for writer in writers:
             writer.write(tensor.name, piece, at)
         at += len(piece)
@@ -762,13 +780,13 @@ def _parse_vocab(data: bytes, path: str | Path) -> dict[str, int]:
 
 def write_vocab(vocab: dict[str, int], path: str | Path) -> None:
     """Write a vocabulary sidecar, ordering tokens by row index, replacing ``path`` atomically."""
-    rows = sorted(vocab.items(), key=lambda item: item[1])
-    indices = [idx for _, idx in rows]
-    if indices != list(range(len(rows))):
+    tokens = sorted(vocab, key=vocab.__getitem__)
+    if list(map(vocab.__getitem__, tokens)) != list(range(len(tokens))):
         raise VocabError("vocabulary row indices must be exactly 0..n-1 with no duplicates")
-    for token, _ in rows:
-        _check_token(token, str(path))
+    text = "\n".join(tokens)
+    # n tokens free of line breaks join to n - 1 LFs and no CR; only a break needs the token named
+    if "\r" in text or text.count("\n") != len(tokens) - 1:
+        for token in tokens:
+            _check_token(token, str(path))
     with _replace_when_done(Path(path), "w", encoding="utf-8") as f:
-        for token, _ in rows:
-            f.write(token)
-            f.write("\n")
+        f.write(text + "\n" if tokens else "")

@@ -576,19 +576,18 @@ class TestMemoryPreflight:
             assemble_vlrm([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], opened_triple(tmp_path / "in", rng),
                           [tmp_path / "out"], jobs=jobs)
 
-    def test_the_footprint_counts_the_staging_key_blocks_and_outputs(self, rng):
+    def test_the_footprint_counts_the_block_slots_and_the_ties_key(self, rng):
         pre, lvlm, rm = ({"w": rng.standard_normal((300, 500)).astype(np.float32)} for _ in range(3))
         n = 300 * 500
-        slots = merging._Buffers.layout([0, 0, 0], n, merging._BLOCK, 0)[1]
+        slots = merging._Buffers.layout(merging._kernel_slots(0, merging._BLOCK, False))[1]
         ties = [MergeRecipe(MergeMethod.TIES, lam=lam, density=0.4) for lam in (0.3, 0.6, 0.9)]
-        # storage views are staged nowhere; ties adds a float32 key, and each variant of a density an output payload
-        assert merging.worker_footprint(ties, pre, lvlm, rm) == slots + 3 * 4 * n
-        # lambda outer, density inner, as generate_grid orders a sweep: still three payloads, one density's
+        # no payload is staged and no output kept; ties adds a uint32 key of the largest tensor
+        assert merging.worker_footprint(ties, pre, lvlm, rm) == slots + 4 * n
+        # lambda outer, density inner, as generate_grid orders a sweep: two float32 block slots more
         grid = [replace(recipe, density=d) for recipe in ties for d in (0.8, 0.6, 0.4, 0.2)]
-        assert merging.worker_footprint(grid, pre, lvlm, rm) == slots + 3 * 4 * n
+        assert merging.worker_footprint(grid, pre, lvlm, rm) == slots + 4 * n + 2 * 4 * merging._BLOCK
         linear = [MergeRecipe(MergeMethod.LINEAR, lam=0.5)]
-        assert merging.worker_footprint(linear, pre, lvlm, rm) == (
-            merging._Buffers.layout([0, 0, 0], 0, merging._BLOCK, 0)[1] + 4 * n)
+        assert merging.worker_footprint(linear, pre, lvlm, rm) == slots
 
     @pytest.mark.parametrize("method,seed", [(MergeMethod.TIES, None), (MergeMethod.DARE_TIES, 3),
                                              (MergeMethod.DARE_TASK_ARITHMETIC, 3)])
@@ -598,14 +597,14 @@ class TestMemoryPreflight:
                    for lam in (0.5, 0.7, 1.0) for d in (0.8, 0.6, 0.4, 0.2)]
         maps = [{"w": rng.standard_normal(1 << 18).astype(np.float32)} for _ in range(3)]
         payload = maps[1]["w"].nbytes
-        merging.merge_transformer(recipes[0], *maps, jobs=1, variants=recipes, sink=lambda i, t: None)
+        merging.merge_transformer(recipes[0], *maps, jobs=1, variants=recipes, sink=lambda *block: None)
         tracemalloc.start()
         try:
-            merging.merge_transformer(recipes[0], *maps, jobs=1, variants=recipes, sink=lambda i, t: None)
+            merging.merge_transformer(recipes[0], *maps, jobs=1, variants=recipes, sink=lambda *block: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the worker's buffers, outputs included, are a mapping, which tracemalloc does not see
+        # the worker's buffers, output blocks included, are a mapping, which tracemalloc does not see
         assert peak < 0.5 * payload
 
     def test_available_memory_is_read_from_the_system(self):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shlex
+import subprocess
 import sys
 import threading
 import time
@@ -391,6 +392,40 @@ class TestMergeCommand:
         ])
         assert result.exit_code != 0
         assert "name-set mismatch" in result.output
+
+
+# run in a fresh interpreter: the growth of its peak resident set over the command, in KiB. The peak is
+# VmHWM, this image's own: ru_maxrss after an exec starts at the resident set of the process that forked it
+PEAK_GROWTH = """
+import sys
+from vlrmerge import cli
+
+def peak_kib():
+    with open("/proc/self/status", encoding="ascii") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+before = peak_kib()
+cli.main(sys.argv[1:], standalone_mode=False)
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak resident set from /proc")
+def test_ties_merge_workers_hold_blocks_and_the_key_not_payloads(rng, tmp_path):
+    # two 2**21-element bf16 transformer tensors, one per worker. Each worker maps TIES's 8 MiB
+    # ranking key and about 5 MiB of block slots: the command grows the peak by about 27 MiB.
+    # Staging the three 4 MiB payloads and the 4 MiB output as well took 58 MiB.
+    pre, lvlm, rm = toy_triple(rng, layers=1, trans_dtype=Dtype.BF16)
+    for ckpt in (pre, lvlm, rm):
+        for name in ("model.layers.0.self_attn.weight", "model.layers.0.mlp.weight"):
+            ckpt.tensors[name] = make_tensor(name, rng.standard_normal((1024, 2048)) * 0.02, Dtype.BF16)
+    paths = write_triple(tmp_path, pre, lvlm, rm)
+    out = tmp_path / "merged.safetensors"
+    argv = [*merge_args(paths, "ties"), "--density", "0.4", "--out", str(out)]
+    child = subprocess.run([sys.executable, "-c", PEAK_GROWTH, *argv], capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0 and out.exists(), child.stderr
+    growth_mib = int(child.stdout.splitlines()[-1]) / 1024
+    assert growth_mib < 40, f"the merge grew the peak resident set by {growth_mib:.1f} MiB"
 
 
 def merge_args(paths, method):

@@ -12,6 +12,7 @@ from vlrmerge import (
     align_vocab,
     embeddings,
     merge_embedding_rows,
+    merging,
 )
 from vlrmerge.embeddings import check_embedding_rows, unread_rows
 from vlrmerge.tensorstore import narrow, widen
@@ -369,6 +370,29 @@ class TestRowRanges:
         ranges = [range(a, b) for a, b in zip(bounds, bounds[1:])]
         parts = [merge_embedding_rows(aligned, *views.values(), method, rows) for rows in ranges]
         assert [len(part) for part in parts] == [len(rows) for rows in ranges]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("dtype", [Dtype.BF16, Dtype.F32])
+    @pytest.mark.parametrize("method", list(MergeMethod))
+    def test_blocks_in_one_worker_mapping_give_the_whole_matrix(self, rng, monkeypatch, method, dtype):
+        vocabs = random_vocabs(rng, 120, with_rm=True)
+        views = {k: storage_matrix(rng, len(vocabs[k]) + 2, 7, dtype) for k in ("pre", "lvlm", "rm")}
+        aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
+        whole = merge_embedding_rows(aligned, *views.values(), method)
+        monkeypatch.setattr(embeddings, "_BLOCK", 20)  # two rows a block
+        step = embeddings.block_rows(7)
+        slots = embeddings.block_slots([view.shape for view in views.values()] + [(len(aligned.tokens), 7)])
+        parts = []
+        with merging._Buffers(slots) as space:
+            mapping = space.mapping
+            n = len(aligned.tokens)
+            for start in range(0, n, step):
+                block = merge_embedding_rows(aligned, *views.values(), method, range(start, min(start + step, n)), space)
+                assert np.shares_memory(block, np.frombuffer(mapping, np.uint8))
+                parts.append(block.copy())  # the next block overwrites it
+                del block  # no view into the mapping may outlive it
+            for label, rows in unread_rows(aligned, method, {k: len(v) for k, v in views.items()}).items():
+                check_embedding_rows(label, views[label], rows[:step], space)
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("method", [MergeMethod.LINEAR, MergeMethod.TIES])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import sys
@@ -24,7 +25,17 @@ from vlrmerge import (
     read_checkpoint,
     write_checkpoint,
 )
-from vlrmerge.merging import _BLOCK, _MASK_CHUNK, _Buffers, _cuts, _disjoint_mean, _keep_mask, _trim, retained_count
+from vlrmerge.merging import (
+    _BLOCK,
+    _MASK_CHUNK,
+    _Buffers,
+    _cuts,
+    _disjoint_mean,
+    _keep_mask,
+    _kernel_slots,
+    _trim,
+    retained_count,
+)
 from vlrmerge.sweep import DEFAULT_DENSITY_GRID
 
 from helpers import drop_step, merge_one, trim_step
@@ -51,9 +62,9 @@ def trim_array(values, density):
     """The trim step, run on a copy of ``values`` ``merging._BLOCK`` elements at a time."""
     out = np.array(values, dtype=np.float32)
     flat, block = out.reshape(-1), merging._BLOCK
-    with _Buffers((0, 0, 0), flat.size, block, 0) as space:
+    with _Buffers(_kernel_slots(flat.size, block, False)) as space:
         key = space.get("key", flat.size)
-        np.negative(np.abs(flat, out=key), out=key)
+        np.abs(flat, out=key.view(np.float32))
         [trim] = _cuts(key, [density], space)
         del key  # no view into the buffers may outlive them
         for start in range(0, flat.size, block):
@@ -102,7 +113,7 @@ def disjoint_array(tau_l, tau_r):
     """The sign election and disjoint mean of two task vectors, run ``merging._BLOCK`` elements at a time."""
     a, b = (np.array(tau, dtype=np.float32) for tau in (tau_l, tau_r))  # copies: both are overwritten
     block = merging._BLOCK
-    with _Buffers((0, 0, 0), 0, block, 0) as space:
+    with _Buffers(_kernel_slots(0, block, False)) as space:
         for start in range(0, a.size, block):
             _disjoint_mean(a[start : start + block], b[start : start + block], space)
     return a
@@ -382,7 +393,7 @@ class TestDareSparsify:
         # a window that starts mid-chunk and crosses two chunk boundaries, drawn as a block is
         start, size = _MASK_CHUNK // 2 + 7, 2 * _MASK_CHUNK + 5
         key, window = ref.stream_key(5, "rm", "w.big"), np.empty(size, bool)
-        with _Buffers((0, 0, 0), 0, size, 0) as space:
+        with _Buffers(_kernel_slots(0, size, False)) as space:
             _keep_mask(key, start, density, window, space.get("draws"))
         assert window.tolist() == expected[start : start + size]
 
@@ -548,6 +559,11 @@ class TestMergeTransformer:
             for name in m:
                 assert m[name] is kept[name]
                 assert m[name].tobytes() == copy[name].tobytes()
+
+    def test_no_variant_rejected(self):
+        maps = [{"t": arr([1.0])} for _ in range(3)]
+        with pytest.raises(RecipeError, match="^no variant was given"):
+            merge_transformer(MergeRecipe(LINEAR, lam=0.5), *maps, variants=[])
 
     @pytest.mark.parametrize("other", [
         MergeRecipe(MergeMethod.DARE_TIES, lam=0.5, density=0.4, seed=4),
@@ -730,15 +746,22 @@ class TestWorkerBuffers:
         # opened header-only, so each payload is staged in a worker's buffers
         return [read_checkpoint(tmp_path / f"{kind}.safetensors").tensors for kind in ("pre", "lvlm", "rm")]
 
+    @staticmethod
+    def grid(recipe):
+        """A 3 lambda x 4 density grid for a method that takes a density, else eleven lambdas."""
+        if recipe.method.needs_density:
+            return [replace(recipe, lam=lam, density=d) for lam in (0.5, 0.7, 1.0) for d in DEFAULT_DENSITY_GRID]
+        return [replace(recipe, lam=lam / 10) for lam in range(11)]
+
     @pytest.mark.parametrize("method,extra", ALL_METHODS)
-    def test_mapping_holds_the_staged_payloads_and_blocks(self, rng, tmp_path, monkeypatch, method, extra):
+    def test_mapping_holds_the_block_slots_and_the_ties_key(self, rng, tmp_path, monkeypatch, method, extra):
         n = 3 * _BLOCK + 5
         opened = self.bf16_files(rng, tmp_path, n)
         made = self.recorded(monkeypatch)
         recipe = MergeRecipe(method, lam=0.7, **extra)
         merge_transformer(recipe, *opened, jobs=2)
-        # three staged bf16 payloads, one bf16 output payload, TIES's float32 ranking key, and block-sized slots
-        bound = 6 * n + 2 * n + (4 * n if method is TIES else 0) + 40 * _BLOCK
+        # no payload is staged and no output kept: block-sized slots, and TIES's uint32 ranking key
+        bound = (4 * n if method is TIES else 0) + 42 * _BLOCK
         assert len(made) == 2
         for buffers in made:
             assert buffers.mapping.closed
@@ -746,38 +769,67 @@ class TestWorkerBuffers:
 
     @pytest.mark.parametrize("storage", ["bf16-files", "f32-views"])
     @pytest.mark.parametrize("method,extra", ALL_METHODS)
-    def test_each_mapping_is_the_footprint(self, rng, tmp_path, monkeypatch, method, extra, storage):
+    def test_each_mapping_is_the_footprint_and_the_blocks_tile_each_payload(
+        self, rng, tmp_path, monkeypatch, method, extra, storage
+    ):
         opened = self.bf16_files(rng, tmp_path, 3 * _BLOCK + 5)
         if storage == "f32-views":
             opened = [{name: t.to_f32() for name, t in side.items()} for side in opened]
         recipe = MergeRecipe(method, lam=0.7, **extra)
-        if method.needs_density:  # a 3 lambda x 4 density grid
-            variants = [replace(recipe, lam=lam, density=d) for lam in (0.5, 0.7, 1.0) for d in DEFAULT_DENSITY_GRID]
-        else:
-            variants = [replace(recipe, lam=lam / 10) for lam in range(11)]
+        variants = self.grid(recipe)
         made = self.recorded(monkeypatch)
-        merge_transformer(recipe, *opened, jobs=2, variants=variants, sink=lambda i, tensor: None)
+        lock, spans, copies = threading.Lock(), {}, {}
+
+        def sink(i, name, block, at):
+            with lock:
+                spans.setdefault((i, name), []).append((at, len(block)))
+                copies.setdefault((i, name), bytearray(opened[1][name].nbytes))[at : at + len(block)] = block
+
+        merge_transformer(recipe, *opened, jobs=2, variants=variants, sink=sink)
         assert len(made) == 2
         assert [buffers.size for buffers in made] == [merging.worker_footprint(variants, *opened)] * 2
+        kept = merge_transformer(recipe, *opened, jobs=2, variants=variants)
+        assert spans.keys() == {(i, name) for i in range(len(variants)) for name in opened[0]}
+        for (i, name), pieces in spans.items():
+            payload = kept[i][name].data
+            # in order, each from where the last ended, none longer than a block, together the whole payload
+            assert [at for at, _ in pieces] == list(itertools.accumulate((size for _, size in pieces[:-1]), initial=0))
+            assert max(size for _, size in pieces) <= _BLOCK * kept[i][name].dtype.itemsize
+            assert sum(size for _, size in pieces) == len(payload)
+            assert copies[i, name] == payload, (variants[i].slug(), name)
 
-    def test_a_payload_kept_past_the_sink_cannot_be_read(self, rng):
-        # the next density's payloads overwrite the last: a kept view must fail, not read them
+    def test_a_block_kept_past_the_sink_cannot_be_read(self, rng, monkeypatch):
+        # the next block overwrites the last: a kept view must fail, not read it
+        monkeypatch.setattr(merging, "_BLOCK", 64)
         maps = [{"t": rng.standard_normal(300).astype(np.float32)} for _ in range(3)]
         recipe = MergeRecipe(TIES, lam=0.5, density=0.4)
         variants = [replace(recipe, lam=lam, density=d) for lam in (0.5, 1.0) for d in (0.4, 0.8)]
-        kept, copies = [], []
+        kept, copies = [], [bytearray(300 * 4) for _ in variants]
 
-        def sink(i, tensor):
-            kept.append(tensor.data)
-            copies.append((i, bytes(tensor.data)))
+        def sink(i, name, block, at):
+            kept.append(block)
+            copies[i][at : at + len(block)] = block
 
         merge_transformer(recipe, *maps, jobs=1, variants=variants, sink=sink)
-        assert len(kept) == 4
-        for data in kept:
+        assert len(kept) == 4 * 5  # five blocks of each of the four variants
+        for block in kept:
             with pytest.raises(ValueError, match="released memoryview"):
-                bytes(data)
+                bytes(block)
         merged = merge_transformer(recipe, *maps, jobs=1, variants=variants)
-        assert sorted(copies) == [(i, bytes(out["t"].data)) for i, out in enumerate(merged)]
+        assert [bytes(copy) for copy in copies] == [bytes(out["t"].data) for out in merged]
+
+    @pytest.mark.parametrize("method,extra", ALL_METHODS)
+    def test_the_footprint_does_not_grow_with_the_largest_tensor_but_by_the_ties_key(self, method, extra):
+        recipe = MergeRecipe(method, lam=0.7, **extra)
+        for variants in ([recipe], self.grid(recipe)):
+            footprints = []
+            for n in (16 * _BLOCK, 128 * _BLOCK):
+                # read-only views of one zero: the footprint reads the shapes alone
+                maps = [{"big": np.broadcast_to(np.float32(0), (n,)), "small": np.zeros(5, np.float32)}
+                        for _ in range(3)]
+                footprints.append(merging.worker_footprint(variants, *maps))
+            # eight times the elements: only TIES's key grows, by its four bytes per element
+            assert footprints[1] - footprints[0] == (4 * 112 * _BLOCK if method is TIES else 0)
 
     @pytest.mark.parametrize("failing", ["kernel", "sink"])
     def test_mapping_is_closed_after_a_worker_raises(self, rng, tmp_path, monkeypatch, failing):
@@ -796,7 +848,7 @@ class TestWorkerBuffers:
             monkeypatch.setattr(merging, "narrow", narrow)
         else:  # raised while the kernel waits at a yield
 
-            def sink(i, tensor):
+            def sink(i, name, block, at):
                 raise MemoryError("no room")
 
         recipe = MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=9)
@@ -960,6 +1012,25 @@ class TestNonFiniteWeights:
         message = f"^{model} tensor 'b' holds a non-finite weight at flat index 29$"
         with pytest.raises(NonFiniteWeightError, match=message):
             merge_transformer(recipe, *maps, jobs=2)
+
+    @pytest.mark.parametrize("method,extra,model", READ_BY_METHOD)
+    def test_one_value_past_the_first_block_is_named_alike_at_any_worker_count(
+        self, rng, tmp_path, monkeypatch, method, extra, model
+    ):
+        # blocks of 7: index 29 of "b" is read in its fifth block, from the file, after the other tensor's blocks
+        monkeypatch.setattr(merging, "_BLOCK", 7)
+        maps = self.maps(rng, model, np.nan)
+        maps[("pre", "lvlm", "rm").index(model)]["b"][33] = 0.5  # the NaN at 29 is the only one
+        opened = self.bf16_files(tmp_path, maps)
+        recipe = MergeRecipe(method, lam=0.7, **extra)
+        if method.needs_density:
+            variants = [replace(recipe, lam=lam, density=d) for lam in (0.5, 1.0) for d in (0.4, 0.8)]
+        else:
+            variants = [replace(recipe, lam=lam) for lam in (0.5, 1.0)]
+        message = f"^{model} tensor 'b' holds a non-finite weight at flat index 29$"
+        for jobs in (1, 2):
+            with pytest.raises(NonFiniteWeightError, match=message):
+                merge_transformer(recipe, *opened, jobs=jobs, variants=variants)
 
     def test_opposite_infinite_task_vectors_under_task_arithmetic(self):
         # +inf and -inf task vectors at one position: their sum used to warn "invalid value"

@@ -217,6 +217,43 @@ class TestHeaderOnlyRead:
         with pytest.raises(IndexError, match="not all inside the 20"):
             opened.load_rows(np.array([3, 20]))
 
+    @pytest.mark.parametrize("dtype", [Dtype.BF16, Dtype.F32])
+    def test_load_range_reads_a_flat_range_with_one_read(self, rng, tmp_path, monkeypatch, dtype):
+        tensor = Tensor.from_f32("w", rng.standard_normal((6, 5)).astype(np.float32), dtype)
+        path = tmp_path / "w.safetensors"
+        write_checkpoint(Checkpoint(tensors={"w": tensor}), path)
+        opened = read_checkpoint(path).tensors["w"]
+        reads = []
+        real = CheckpointFile.read_into
+        monkeypatch.setattr(CheckpointFile, "read_into",
+                            lambda self, buffer, offset: reads.append(offset) or real(self, buffer, offset))
+        buffer = np.empty(64, np.float32)
+        flat = tensor.array().reshape(-1)
+        for start, stop in ((0, 30), (7, 23), (29, 30)):
+            reads.clear()
+            got = opened.load_range(start, stop, buffer)
+            assert np.shares_memory(got, buffer) and got.dtype == dtype.array_dtype
+            assert got.tobytes() == flat[start:stop].tobytes()
+            assert reads == [opened._place[1] + start * dtype.itemsize]
+            in_memory = tensor.load_range(start, stop, buffer)
+            assert np.shares_memory(in_memory, flat) and in_memory.tobytes() == got.tobytes()
+        assert opened.load_range(12, 12).size == 0
+        for start, stop in ((-1, 3), (4, 3), (0, 31)):
+            with pytest.raises(IndexError, match="not inside the 30 of w"):
+                opened.load_range(start, stop)
+
+    def test_chunks_reuse_a_given_buffer(self, rng, tmp_path):
+        ckpt = random_checkpoint(rng, 3)
+        path = tmp_path / "ckpt.safetensors"
+        write_checkpoint(ckpt, path)
+        buffer = np.empty(16, np.uint8)
+        for name, t in read_checkpoint(path).tensors.items():
+            pieces = []
+            for piece in t.chunks(7, buffer):
+                assert np.shares_memory(np.frombuffer(piece, np.uint8), buffer)
+                pieces.append(bytes(piece))
+            assert b"".join(pieces) == bytes(ckpt.tensors[name].data)
+
     def test_file_cut_short_after_opening_is_a_named_error(self, rng, tmp_path):
         path = tmp_path / "ckpt.safetensors"
         write_checkpoint(random_checkpoint(rng, 2), path)
@@ -553,6 +590,20 @@ class TestVocabSidecar:
         with pytest.raises(VocabError, match=rf"v\.vocab: token {re.escape(repr(f'x{brk}y'))} contains a line break$"):
             write_vocab({"a": 0, f"x{brk}y": 1}, path)
         assert not path.exists()
+
+    def test_bytes_are_one_line_per_token_in_row_order(self, tmp_path):
+        # rows given out of order; unicode, an empty token and a token of spaces
+        vocab = {"\u00e9t\u00e9": 2, "": 0, "\u2581the": 1, "  ": 4, "\U0001f600": 3}
+        path = tmp_path / "v.vocab"
+        write_vocab(vocab, path)
+        tokens = sorted(vocab, key=vocab.get)
+        assert path.read_bytes() == b"".join(token.encode("utf-8") + b"\n" for token in tokens)
+        write_vocab({}, path)
+        assert path.read_bytes() == b""
+
+    def test_a_duplicate_row_is_rejected_before_any_token_check(self, tmp_path):
+        with pytest.raises(VocabError, match="0..n-1"):
+            write_vocab({"a": 0, "b\n": 0}, tmp_path / "v.vocab")
 
     def test_non_contiguous_indices_rejected(self, tmp_path):
         with pytest.raises(VocabError, match="0..n-1"):
