@@ -31,6 +31,7 @@ from .errors import InsufficientMemoryError, RecipeError, TripleValidationError,
 from .merging import (
     MergeMethod,
     MergeRecipe,
+    Slots,
     _Buffers,
     available_memory,
     default_jobs,
@@ -157,7 +158,7 @@ def _copy(source: Tensor, writers: list[CheckpointWriter], space: _Buffers) -> N
 
 def _pieces(
     method: MergeMethod, aligned: AlignedVocab, triple: ModelTriple, writers: list[CheckpointWriter]
-) -> tuple[list[Callable[[_Buffers], None]], dict]:
+) -> tuple[list[Callable[[_Buffers], None]], Slots]:
     """The work that follows the transformer merge, in pieces for the workers, and the slots of a worker's buffers.
 
     Each embedding's output rows a block at a time (``block_rows``), the
@@ -204,23 +205,24 @@ def assemble_vlrm(
     recipes that share method and seed (so differ only in lambda and
     density), in the order first seen:
     one ``merge_transformer`` call covers every recipe of the group, reading
-    each input tensor once, and writes each output tensor at its offset as
-    soon as it is done. Then one ``run_workers`` call on the same
+    each input tensor a block at a time, and writes each output block at its
+    offset as soon as it is done. Then one ``run_workers`` call on the same
     workers merges each embedding a block of output rows at a time, reading
     only the input rows the block takes and writing the block into every
     output at its offset, checks the input rows no block reads, and copies
     the vision, adapter and reward head tensors from their files a piece at
     a time into every output. A TIES or DARE sweep over lambda and density
     is one group. The language-modeling heads are never read (nor, for
-    linear, the base embedding), and memory holds the workers' buffers or
-    their blocks, never a whole model or a whole embedding matrix. Each
-    output is written as ``write_merged`` writes and records ``provenance``
-    and its recipe. When a group is done, every input file is checked to be
-    as it was opened (InputChangedError if not) and the group's files are
-    moved onto their paths, so a failure keeps the earlier groups' outputs
-    and none of its own group's. No recipes write nothing. Raises
-    TripleValidationError when the triple is not mergeable and RecipeError
-    unless there is one distinct path per recipe.
+    linear, the base embedding), and memory holds each worker's buffers:
+    blocks, and for ties a ranking key of one tensor's size, never a whole
+    payload or a whole model. Each output is written as ``write_merged``
+    writes and records ``provenance`` and its recipe. When a group is done,
+    every input file is checked to be as it was opened (InputChangedError
+    if not) and the group's files are moved onto their paths, so a failure
+    keeps the earlier groups' outputs and none of its own group's. No
+    recipes write nothing. Raises TripleValidationError when the triple is
+    not mergeable and RecipeError unless there is one distinct path per
+    recipe.
     """
     report = validate_triple(triple)
     if report:

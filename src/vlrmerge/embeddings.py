@@ -25,7 +25,8 @@ import numpy as np
 
 from .components import embedding_problems, vocab_row_problems
 from .errors import NonFiniteWeightError, VocabError
-from .merging import _BLOCK, MergeMethod, Slots, Source, _Buffers  # a block of rows holds about the kernel's _BLOCK elements
+# a block of rows holds about the kernel's _BLOCK elements
+from .merging import _BLOCK, MergeMethod, Slots, Source, _Buffers, _storage_dtype
 from .tensorstore import Dtype, Tensor, first_non_finite, narrow, widen
 
 
@@ -100,7 +101,7 @@ def _scratch(space: _Buffers | None, held: int, width: int) -> np.ndarray:
 
 def _matrix(source: Source) -> tuple[Dtype, tuple[int, ...]]:
     """The dtype and shape of a storage view or a tensor, without reading a payload."""
-    return (source.dtype, source.shape) if isinstance(source, Tensor) else (Dtype.of(source), source.shape)
+    return _storage_dtype(source), source.shape
 
 
 def _rules(pre_idx: np.ndarray, lv_idx: np.ndarray, rm_idx: np.ndarray, method: MergeMethod) -> tuple[np.ndarray, ...]:

@@ -20,8 +20,8 @@ class InsufficientMemoryError(VlrmergeError):
         self.needed, self.available = needed, available
         mib = 1 << 20
         super().__init__(
-            f"one merge worker needs about {needed / mib:.1f} MiB (its buffers, outputs included, for the largest "
-            f"transformer tensor), but this process may use only {available / mib:.1f} MiB"
+            f"one merge worker needs about {needed / mib:.1f} MiB (its block buffers, and for ties the ranking key "
+            f"of the largest transformer tensor), but this process may use only {available / mib:.1f} MiB"
         )
 
 

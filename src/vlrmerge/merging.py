@@ -275,7 +275,8 @@ def _merge_per_lam(
         with np.errstate(over="ignore"):
             cuts = [_cuts(_ranking_key(pre, fine, role, name, space), list(by_density), space)
                     for role, fine in (("lvlm", lvlm), ("rm", rm))]
-        trims = [list(pair) for pair in zip(*cuts)]  # per density, per task vector: (threshold, tied still kept) or None
+        # per density, per task vector: (threshold, entries tied at it still to keep), or None
+        trims = [list(pair) for pair in zip(*cuts)]
     elif method.needs_seed:
         streams = [stream_key(seed, origin, name) for origin in ("lvlm", "rm")]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -386,8 +386,8 @@ class TestRowRanges:
         with merging._Buffers(slots) as space:
             mapping = space.mapping
             n = len(aligned.tokens)
-            for start in range(0, n, step):
-                block = merge_embedding_rows(aligned, *views.values(), method, range(start, min(start + step, n)), space)
+            for rows in (range(start, min(start + step, n)) for start in range(0, n, step)):
+                block = merge_embedding_rows(aligned, *views.values(), method, rows, space)
                 assert np.shares_memory(block, np.frombuffer(mapping, np.uint8))
                 parts.append(block.copy())  # the next block overwrites it
                 del block  # no view into the mapping may outlive it
