@@ -1017,7 +1017,7 @@ class TestNonFiniteWeights:
     def test_one_value_past_the_first_block_is_named_alike_at_any_worker_count(
         self, rng, tmp_path, monkeypatch, method, extra, model
     ):
-        # blocks of 7: index 29 of "b" is read in its fifth block, from the file, after the other tensor's blocks
+        # blocks of 7: index 29 of "b" lies in its fifth block, read from the file
         monkeypatch.setattr(merging, "_BLOCK", 7)
         maps = self.maps(rng, model, np.nan)
         maps[("pre", "lvlm", "rm").index(model)]["b"][33] = 0.5  # the NaN at 29 is the only one
