@@ -414,7 +414,7 @@ print(peak_kib() - before)
 def test_ties_merge_workers_hold_blocks_and_the_key_not_payloads(rng, tmp_path):
     # two 2**21-element bf16 transformer tensors, one per worker. Each worker maps TIES's 8 MiB
     # ranking key and about 5 MiB of block slots: the command grows the peak by about 27 MiB.
-    # Staging the three 4 MiB payloads and the 4 MiB output as well took 58 MiB.
+    # A worker that also held the three 4 MiB input payloads and the 4 MiB output would grow it by 58.
     pre, lvlm, rm = toy_triple(rng, layers=1, trans_dtype=Dtype.BF16)
     for ckpt in (pre, lvlm, rm):
         for name in ("model.layers.0.self_attn.weight", "model.layers.0.mlp.weight"):
