@@ -22,7 +22,6 @@ from .embeddings import (
     AlignedVocab,
     align_vocab,
     block_rows,
-    block_slots,
     check_embedding_rows,
     merge_embedding_rows,
     unread_rows,
@@ -33,6 +32,7 @@ from .merging import (
     MergeRecipe,
     Slots,
     _Buffers,
+    _kernel_slots,
     available_memory,
     default_jobs,
     merge_transformer,
@@ -40,7 +40,6 @@ from .merging import (
     worker_footprint,
 )
 from .tensorstore import (
-    _COPY_BLOCK,
     Checkpoint,
     CheckpointWriter,
     Layout,
@@ -111,10 +110,11 @@ def check_memory(recipes: Sequence[MergeRecipe], triple: ModelTriple, jobs: int 
     fit the memory this process may use (``available_memory``), at the
     largest ``worker_footprint`` of any group of recipes that share method
     and seed each. The transformer merge runs at most one worker per
-    tensor, so only those count; the embedding blocks and copies hold less
-    per worker. Raises InsufficientMemoryError when not even one worker
-    fits, and VlrmergeError for a ``jobs`` below 1. The output bytes do not
-    depend on the worker count.
+    tensor, so only those count; the embedding blocks and copies map no
+    more per worker while no embedding block outgrows the largest
+    transformer tensor. Raises InsufficientMemoryError when not even one
+    worker fits, and VlrmergeError for a ``jobs`` below 1. The output bytes
+    do not depend on the worker count.
     """
     if jobs is not None and jobs < 1:
         raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
@@ -152,8 +152,8 @@ def _merge_block(
 
 
 def _copy(source: Tensor, writers: list[CheckpointWriter], space: _Buffers) -> None:
-    """Copy ``source`` into every writer, a piece at a time in ``space``'s ``chunk`` slot."""
-    copy_payload(source, writers, space.get("chunk"))
+    """Copy ``source`` into every writer, a piece at a time in ``space``'s ``storage`` slot."""
+    copy_payload(source, writers, space.get("storage"))
 
 
 def _pieces(
@@ -164,15 +164,17 @@ def _pieces(
     Each embedding's output rows a block at a time (``block_rows``), the
     finite check of the input rows no block reads (``unread_rows``), in
     blocks too, and each tensor the output copies verbatim. Each piece is
-    called with its worker's buffers: room for one block of any embedding
-    (``block_slots``) and one piece of a copy.
+    called with its worker's buffers, the merge kernel's slots for the
+    largest block of any embedding: a copy moves in pieces of the
+    ``storage`` slot.
     """
-    pieces, checks, shapes = [], [], []
+    pieces, checks, block = [], [], 1
     emb = triple.tensors(Role.EMBEDDING)
     for name in emb["lvlm"]:
         sources = [ts[name] for ts in emb.values()]
-        step = block_rows(sources[1].shape[1])
-        shapes += [(len(aligned.tokens), sources[1].shape[1])] + [source.shape for source in sources]
+        width = sources[1].shape[1]
+        step = block_rows(width)
+        block = max(block, min(step, max(len(aligned.tokens), *(source.shape[0] for source in sources))) * width)
         for start in range(0, len(aligned.tokens), step):
             rows = range(start, min(start + step, len(aligned.tokens)))
             pieces.append(partial(_merge_block, aligned, sources, method, rows, writers))
@@ -186,7 +188,7 @@ def _pieces(
         if not is_merged
         for source in triple.tensors(role)[kind].values()
     ]
-    return pieces + checks + copies, {**block_slots(shapes), "chunk": (np.uint8, _COPY_BLOCK)}
+    return pieces + checks + copies, _kernel_slots(0, block, False)
 
 
 def assemble_vlrm(

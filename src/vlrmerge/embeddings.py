@@ -18,7 +18,7 @@ tokens in RM order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +26,8 @@ import numpy as np
 from .components import embedding_problems, vocab_row_problems
 from .errors import NonFiniteWeightError, VocabError
 # a block of rows holds about the kernel's _BLOCK elements
-from .merging import _BLOCK, MergeMethod, Slots, Source, _Buffers, _storage_dtype
-from .tensorstore import Dtype, Tensor, first_non_finite, narrow, widen
+from .merging import _BLOCK, MergeMethod, _Buffers
+from .tensorstore import Dtype, Tensor, as_tensor, first_non_finite, narrow, widen
 
 
 @dataclass
@@ -72,36 +72,23 @@ def block_rows(width: int) -> int:
     return max(1, _BLOCK // max(width, 1))
 
 
-def block_slots(shapes: Iterable[tuple[int, int]]) -> Slots:
-    """The slots of a worker's buffers for blocks of the embedding matrices of these ``(rows, width)`` shapes.
+def _array(space: _Buffers | None, slot: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """An array of ``shape`` and ``dtype``: cut from the bytes of ``space``'s ``slot``, or new.
 
-    Each is a block's bytes: ``rows`` and ``out`` hold a block of rows in
-    its storage dtype (the rows gathered from an input, the merged output
-    rows) and ``a`` and ``b`` the float32 rows averaged; ``bits`` is the
-    finite check's uint32 scratch.
+    ``space`` is a worker's ``merging._kernel_slots`` for a block of at least
+    ``shape``'s elements: gathered rows go in ``storage``, merged rows in
+    ``out``, the float32 rows averaged in ``lvlm`` and ``rm``, scratch in ``bits``.
     """
-    elements = max((min(block_rows(width), rows) * width for rows, width in shapes), default=0)
-    return {
-        **{slot: (np.uint8, 4 * elements) for slot in ("rows", "out", "a", "b")},
-        "bits": (np.uint32, max(elements, 1)),
-    }
-
-
-def _array(space: _Buffers | None, slot: str, shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
-    """An array of ``shape`` and ``dtype``: cut from ``space``'s byte ``slot`` (see ``block_slots``), or new."""
     if space is None:
         return np.empty(shape, dtype)
-    return space.get(slot, shape[0] * shape[1] * np.dtype(dtype).itemsize).view(dtype).reshape(shape)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    return space.get(slot).view(np.uint8)[:nbytes].view(dtype).reshape(shape)
 
 
-def _scratch(space: _Buffers | None, held: int, width: int) -> np.ndarray:
-    """The finite check's uint32 scratch for ``held`` rows of ``width``: ``space``'s ``bits`` slot, or new."""
-    return np.empty(max(held * width, 1), np.uint32) if space is None else space.get("bits")
-
-
-def _matrix(source: Source) -> tuple[Dtype, tuple[int, ...]]:
-    """The dtype and shape of a storage view or a tensor, without reading a payload."""
-    return _storage_dtype(source), source.shape
+def _gather_arrays(space: _Buffers | None, held: int, width: int, dtype: Dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A gather's arrays for ``held`` rows of ``width``: the rows, in ``dtype``, and the finite check's scratch."""
+    rows = _array(space, "storage", (held, width), dtype.array_dtype)
+    return rows, _array(space, "bits", (max(held * width, 1),), np.uint32)
 
 
 def _rules(pre_idx: np.ndarray, lv_idx: np.ndarray, rm_idx: np.ndarray, method: MergeMethod) -> tuple[np.ndarray, ...]:
@@ -111,30 +98,25 @@ def _rules(pre_idx: np.ndarray, lv_idx: np.ndarray, rm_idx: np.ndarray, method: 
     return use_pre, lv & ~rm, rm & ~lv, lv & rm
 
 
-def _checked_rows(label: str, source: Source, rows: np.ndarray, buffer: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _checked_rows(label: str, source: Tensor, rows: np.ndarray, buffer: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Rows ``rows`` of ``label``'s matrix, gathered into ``buffer`` and checked finite; ``scratch`` is uint32."""
-    if isinstance(source, Tensor):
-        block = source.load_rows(rows, buffer)
-    else:  # the rows were checked in range before, so clipping changes none
-        block = np.take(source, rows, axis=0, out=buffer[: rows.size], mode="clip")
+    block = source.load_rows(rows, buffer)
     if (at := first_non_finite(block, scratch)) is not None:
         raise NonFiniteWeightError(f"{label} embedding row {rows[at // block.shape[1]]} holds a non-finite weight")
     return block
 
 
-def check_embedding_rows(label: str, source: Source, rows: np.ndarray, space: _Buffers | None = None) -> None:
+def check_embedding_rows(label: str, source: np.ndarray | Tensor, rows: np.ndarray, space: _Buffers | None = None) -> None:
     """Raise NonFiniteWeightError if a row ``rows`` of ``label``'s 2-D embedding ``source`` holds a NaN or infinity.
 
     The error names the model and the first such row in ``rows``. The rows
-    are read and checked a block at a time, in ``space`` (buffers of
-    ``block_slots``) if given, so memory holds one block whatever their
-    number.
+    are read and checked a block at a time, in ``space`` (see ``_array``) if
+    given, so memory holds one block whatever their number.
     """
-    if not len(rows):
-        return
-    dtype, (_, width) = _matrix(source)
-    step = min(block_rows(width), len(rows))
-    buffer, scratch = _array(space, "rows", (step, width), dtype.array_dtype), _scratch(space, step, width)
+    source = as_tensor(label, source)
+    _, width = source.shape
+    step = max(min(block_rows(width), len(rows)), 1)
+    buffer, scratch = _gather_arrays(space, step, width, source.dtype)
     for start in range(0, len(rows), step):
         _checked_rows(label, source, rows[start : start + step], buffer, scratch)
 
@@ -164,43 +146,51 @@ def unread_rows(aligned: AlignedVocab, method: MergeMethod, n_rows: dict[str, in
 
 def merge_embedding_rows(
     aligned: AlignedVocab,
-    pre_emb: Source,
-    lvlm_emb: Source,
-    rm_emb: Source,
+    pre_emb: np.ndarray | Tensor,
+    lvlm_emb: np.ndarray | Tensor,
+    rm_emb: np.ndarray | Tensor,
     method: MergeMethod,
     rows: range | None = None,
     space: _Buffers | None = None,
 ) -> np.ndarray:
-    """Build the output rows ``rows`` (a contiguous range; all when None) of the merged embedding matrix.
+    """Build the output rows ``rows`` (a range of step 1; all when None) of the merged embedding matrix.
 
-    The inputs are storage views of one dtype (``Dtype.of``) or 2-D
-    ``Tensor``s of one dtype, as ``merging.Source`` allows, and the output
-    is of that dtype, one row per output token of ``rows``. Each input row
-    an output row takes is read (from a tensor's file, only those rows, see
-    ``Tensor.load_rows``) and checked finite a block at a time: rows of
+    The inputs are storage views (``Dtype.of``) or 2-D ``Tensor``s of one
+    dtype, each view made an in-memory ``Tensor`` first (``as_tensor``), and
+    the output is of that dtype, one row per output token of ``rows``. Each
+    input row an output row takes is read (from a tensor's file, only those
+    rows, see ``Tensor.load_rows``) and checked finite a block at a time: rows of
     rules 1 and 2 are copied as stored, and the rule 3 rows alone are widened
     to float32, averaged and narrowed, so no float32 copy of a whole matrix
     is made and memory beyond the output is a few blocks. The bytes are
     those of widening every input, merging in float32 and narrowing the
     output, since widening and narrowing round-trip every stored bit
-    pattern, and do not depend on how the output rows are split. First, the
-    matrices must be 2-D, of one width and dtype, with every aligned row of
-    ``rows`` inside its matrix (VocabError, with ``validate_triple``'s
-    message for the same fault). A NaN or infinity in a row read raises
+    pattern, and do not depend on how the output rows are split. First,
+    ``rows`` must lie inside the output rows, with step 1 (a VocabError names
+    it and the output vocabulary's size), and the matrices must be 2-D, of
+    one width and dtype, with every aligned row of ``rows`` inside its
+    matrix (VocabError, with ``validate_triple``'s message for the same
+    fault). A NaN or infinity in a row read raises
     NonFiniteWeightError, naming the model and row, before any arithmetic
     reads it. The whole-matrix call (``rows`` None) first checks every row
     of every matrix the method reads (linear never reads ``pre``) in row
     order; a caller that splits the rows checks the rest with
     ``unread_rows`` and ``check_embedding_rows``. With ``space``, a worker's
-    buffers of ``block_slots`` for at least ``len(rows)`` rows, every block
-    array is cut from it, the returned rows too, which the worker's next
-    use of ``space`` overwrites.
+    buffers for a block of at least ``len(rows)`` rows (see ``_array``),
+    every block array is cut from it, the returned rows too, which the
+    worker's next use of ``space`` overwrites.
     """
-    out_rows = range(len(aligned.tokens)) if rows is None else rows
+    n = len(aligned.tokens)
+    out_rows = range(n) if rows is None else rows
+    if out_rows.step != 1 or not 0 <= out_rows.start <= out_rows.stop <= n:
+        raise VocabError(f"rows {out_rows} are not a range of step 1 inside the {n} rows of the output vocabulary")
     span = slice(out_rows.start, out_rows.stop)
     pre_idx, lv_idx, rm_idx = aligned.pre_rows[span], aligned.lvlm_rows[span], aligned.rm_rows[span]
+    pre_emb, lvlm_emb, rm_emb = (
+        as_tensor(label, source) for label, source in (("pre", pre_emb), ("lvlm", lvlm_emb), ("rm", rm_emb))
+    )
     sources = (("pre", pre_idx, pre_emb), ("lvlm", lv_idx, lvlm_emb), ("rm", rm_idx, rm_emb))
-    matrices = {label: _matrix(source) for label, _, source in sources}
+    matrices = {label: (source.dtype, source.shape) for label, _, source in sources}
     problems = embedding_problems(matrices) or [
         problem
         for label, idx, _ in sources
@@ -220,7 +210,7 @@ def merge_embedding_rows(
     # each gather reads one block of rows, so no temporary outgrows a block
     step = block_rows(width)
     held = min(step, len(out_rows))
-    buffer, scratch = _array(space, "rows", (held, width), dtype.array_dtype), _scratch(space, held, width)
+    buffer, scratch = _gather_arrays(space, held, width, dtype)
     out = _array(space, "out", (len(out_rows), width), dtype.array_dtype)
     use_pre, only_lv, only_rm, both = _rules(pre_idx, lv_idx, rm_idx, method)
     for mask, (label, idx, source) in zip((use_pre, only_lv, only_rm), sources):
@@ -229,7 +219,7 @@ def merge_embedding_rows(
             at = taken[start : start + step]
             out[at] = _checked_rows(label, source, idx[at], buffer, scratch)
     taken = np.flatnonzero(both)
-    a, b = (_array(space, slot, (min(step, taken.size), width), np.float32) for slot in ("a", "b"))
+    a, b = (_array(space, slot, (min(step, taken.size), width), np.float32) for slot in ("lvlm", "rm"))
     half = np.float32(0.5)
     for start in range(0, taken.size, step):
         at = taken[start : start + step]

@@ -18,7 +18,7 @@ weights. Five strategies are supported:
                     -- random-drop task-vector entries with probability 1 - d
                        and rescale survivors by 1/d before combining
 
-The inputs are storage views or tensors read from their files, and each
+The inputs are tensors, in memory or read from their files, and each
 output has its lvlm input's storage dtype; all arithmetic runs in float32 in
 between, a block of elements at a time: each worker reads a block of each
 input into its own block-sized buffers, widens it, runs every step in place
@@ -52,7 +52,7 @@ import numpy as np
 
 from .components import alignment_problems
 from .errors import NonFiniteWeightError, RecipeError, VlrmergeError
-from .tensorstore import Dtype, Tensor, first_non_finite, narrow, widen
+from .tensorstore import Dtype, Tensor, as_tensor, first_non_finite, narrow, widen
 
 class MergeMethod(str, Enum):
     LINEAR = "linear"
@@ -127,7 +127,8 @@ def _kernel_slots(key: int, block: int, grid: bool) -> Slots:
     dtype, each input block as it is read and then each output block as it
     is narrowed. ``tau_l`` and ``tau_r`` are empty unless the variants span
     several densities (``grid``). ``draws`` is the DARE mask's scratch (see
-    ``_keep_mask``).
+    ``_keep_mask``). The embedding blocks and the copies that follow the
+    merge use the same slots (see ``embeddings._array``).
     """
     floats = ("pre", "lvlm", "rm", "out", "tmp", "neg")  # the widened inputs, the results and scratch
     return {
@@ -185,24 +186,15 @@ class _Buffers:
         self.mapping.close()
 
 
-Source = np.ndarray | Tensor  # a storage view, or a tensor whose payload is read when it is merged
-
-
-def _storage_dtype(source: Source) -> Dtype:
-    """The storage dtype of a storage view or a tensor, without reading a payload."""
-    return source.dtype if isinstance(source, Tensor) else Dtype.of(source)
-
-
-def _widened(source: Source, role: str, name: str, start: int, out: np.ndarray, space: _Buffers) -> np.ndarray:
+def _widened(source: Tensor, role: str, name: str, start: int, out: np.ndarray, space: _Buffers) -> np.ndarray:
     """Flat elements ``start:start + out.size`` of ``source``, checked finite, then widened into the float32 ``out``.
 
-    ``source`` is a flat storage view, or a tensor whose elements are read
-    from its file, with one read, into ``space``'s ``storage`` slot. A NaN or
-    infinity is a NonFiniteWeightError naming ``role``, the tensor and the
-    flat index, raised before any arithmetic reads the block.
+    The elements are viewed in memory or read from the tensor's file, with
+    one read, into ``space``'s ``storage`` slot (``Tensor.load_range``). A
+    NaN or infinity is a NonFiniteWeightError naming ``role``, the tensor
+    and the flat index, raised before any arithmetic reads the block.
     """
-    stop = start + out.size
-    view = source.load_range(start, stop, space.get("storage")) if isinstance(source, Tensor) else source[start:stop]
+    view = source.load_range(start, start + out.size, space.get("storage"))
     if (at := first_non_finite(view, space.get("bits"))) is not None:
         raise NonFiniteWeightError(f"{role} tensor {name!r} holds a non-finite weight at flat index {start + at}")
     return widen(view, out)
@@ -231,9 +223,9 @@ def _narrowed(
 def _merge_per_lam(
     variants: Sequence[MergeRecipe],
     name: str,
-    pre: Source,
-    lvlm: Source,
-    rm: Source,
+    pre: Tensor,
+    lvlm: Tensor,
+    rm: Tensor,
     space: _Buffers,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Merge one same-shaped tensor for each recipe of ``variants``, which share method and seed.
@@ -263,10 +255,8 @@ def _merge_per_lam(
     count of the entries tied at the cut. No step crosses a block, so the
     bytes do not depend on the block size.
     """
-    n = pre.size
+    n, dtype = pre.numel, lvlm.dtype
     method, seed = variants[0].method, variants[0].seed
-    dtype = _storage_dtype(lvlm)
-    pre, lvlm, rm = (source if isinstance(source, Tensor) else np.ravel(source) for source in (pre, lvlm, rm))
     by_density: dict[float | None, list[int]] = {}
     for i, recipe in enumerate(variants):
         by_density.setdefault(recipe.density, []).append(i)
@@ -379,7 +369,7 @@ def run_workers(
         raise min(errors, key=lambda entry: entry[0])[1]
 
 
-def _buffer_sizes(variants: Sequence[MergeRecipe], pre_trans: dict[str, Source]) -> tuple[int, int, bool]:
+def _buffer_sizes(variants: Sequence[MergeRecipe], pre_trans: dict[str, np.ndarray | Tensor]) -> tuple[int, int, bool]:
     """A merge worker's ``_kernel_slots`` sizes for ``variants`` on tensors of ``pre_trans``'s sizes.
 
     The ties key's elements (the largest tensor's), the block's and whether
@@ -393,9 +383,9 @@ def _buffer_sizes(variants: Sequence[MergeRecipe], pre_trans: dict[str, Source])
 
 def worker_footprint(
     variants: Sequence[MergeRecipe],
-    pre_trans: dict[str, Source],
-    lvlm_trans: dict[str, Source],
-    rm_trans: dict[str, Source],
+    pre_trans: dict[str, np.ndarray | Tensor],
+    lvlm_trans: dict[str, np.ndarray | Tensor],
+    rm_trans: dict[str, np.ndarray | Tensor],
 ) -> int:
     """The bytes each ``merge_transformer`` worker maps for ``variants`` on these maps, from their shapes alone.
 
@@ -458,9 +448,9 @@ def available_memory(root: Path = Path("/")) -> int | None:
 
 def merge_transformer(
     recipe: MergeRecipe,
-    pre_trans: dict[str, Source],
-    lvlm_trans: dict[str, Source],
-    rm_trans: dict[str, Source],
+    pre_trans: dict[str, np.ndarray | Tensor],
+    lvlm_trans: dict[str, np.ndarray | Tensor],
+    rm_trans: dict[str, np.ndarray | Tensor],
     jobs: int | None = None,
     variants: Sequence[MergeRecipe] | None = None,
     sink: Callable[[int, str, memoryview, int], None] | None = None,
@@ -468,9 +458,10 @@ def merge_transformer(
     """Merge the shared transformer weights once per recipe of ``variants``.
 
     The input maps hold, per tensor name, a storage view (``Tensor.array``;
-    a float32 array is the F32 view) or a ``Tensor``, whose payload is read
-    from its file, a block at a time, only when a worker merges it; inputs
-    are only read. ``variants`` defaults to ``(recipe,)``; it must not be
+    a float32 array is the F32 view), made an in-memory ``Tensor`` first
+    (``as_tensor``), or a ``Tensor``, whose payload is read from its file, a
+    block at a time (``Tensor.load_range``), only when a worker merges it;
+    inputs are only read. ``variants`` defaults to ``(recipe,)``; it must not be
     empty, and each must share ``recipe``'s method and seed (RecipeError
     otherwise), and may differ in lambda and density. Checks the recipes
     and the tensor alignment once (the first problem
@@ -505,14 +496,14 @@ def merge_transformer(
     for variant in variants:
         if (variant.method, variant.seed) != (recipe.method, recipe.seed):
             raise RecipeError(f"recipe {variant.slug()} does not share the method and seed of {recipe.slug()}")
+    pre_trans, lvlm_trans, rm_trans = (
+        {name: as_tensor(name, source) for name, source in side.items()} for side in (pre_trans, lvlm_trans, rm_trans)
+    )
     if problems := alignment_problems({"pre": pre_trans, "lvlm": lvlm_trans, "rm": rm_trans}):
         raise VlrmergeError(problems[0])
     slots = _kernel_slots(*_buffer_sizes(variants, pre_trans))
     names = list(pre_trans)
-    kept: dict[str, list[bytearray]] = {}
-    if sink is None:
-        nbytes = {name: pre_trans[name].size * _storage_dtype(lvlm_trans[name]).itemsize for name in names}
-        kept = {name: [bytearray(nbytes[name]) for _ in variants] for name in names}
+    kept = {} if sink is not None else {name: [bytearray(lvlm_trans[name].nbytes) for _ in variants] for name in names}
 
     def keep(i: int, name: str, block: memoryview, at: int) -> None:
         kept[name][i][at : at + len(block)] = block
@@ -528,9 +519,8 @@ def merge_transformer(
     run_workers(names, jobs or default_jobs(), merge_one, lambda: _Buffers(slots))
     if sink is not None:
         return None
-    dtypes = {name: _storage_dtype(lvlm_trans[name]) for name in names}
     return [
-        {name: Tensor(name, dtypes[name], pre_trans[name].shape, bytes(outs[i])) for name, outs in kept.items()}
+        {name: Tensor(name, lvlm_trans[name].dtype, lvlm_trans[name].shape, bytes(outs[i])) for name, outs in kept.items()}
         for i in range(len(variants))
     ]
 
@@ -551,7 +541,7 @@ def retained_count(density: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
-def _ranking_key(pre: Source, fine: Source, role: str, name: str, space: _Buffers) -> np.ndarray:
+def _ranking_key(pre: Tensor, fine: Tensor, role: str, name: str, space: _Buffers) -> np.ndarray:
     """|fine - pre| as uint32 bit patterns, the ranking key of ``role``'s task vector, in ``space``'s ``key`` slot.
 
     Both inputs are read block by block (``_widened``), and each block is
@@ -559,7 +549,7 @@ def _ranking_key(pre: Source, fine: Source, role: str, name: str, space: _Buffer
     its bit pattern does, and a task vector is never NaN, so the key ranks
     the magnitudes as integers.
     """
-    n = pre.size
+    n = pre.numel
     key = space.get("key", n)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)

@@ -353,25 +353,16 @@ class Tensor:
         return np.frombuffer(self.data, dtype=self.dtype.array_dtype).reshape(self.shape)
 
     def load(self, buffer: np.ndarray | None = None) -> np.ndarray:
-        """The payload as a shaped storage view (``Dtype.array_dtype``), not kept by the tensor.
-
-        A payload in memory is viewed without a copy. One in a file is read
-        into ``buffer``, a contiguous array of at least ``nbytes`` bytes whose
-        first ``nbytes`` it overwrites, or into a new array.
-        """
-        if self._data is not None:
-            return self.array()
-        raw = self._raw(buffer, self.nbytes)
-        file, offset = self._place
-        file.read_into(raw, offset)
-        return raw.view(self.dtype.array_dtype).reshape(self.shape)
+        """The payload as a shaped storage view (``Dtype.array_dtype``), not kept: ``load_range`` of every element."""
+        return self.load_range(0, self.numel, buffer).reshape(self.shape)
 
     def load_range(self, start: int, stop: int, buffer: np.ndarray | None = None) -> np.ndarray:
         """Flat elements ``start:stop`` of the payload as a 1-D storage view, not kept.
 
         A payload in memory is viewed without a copy. One in a file is read
-        with one ``read_into`` into ``buffer``, as for ``load``, or into a
-        new array. A range outside the payload is an IndexError.
+        with one ``read_into`` into ``buffer``, a contiguous array whose first
+        bytes it overwrites (ValueError if it is too small), or into a new
+        array. A range outside the payload is an IndexError.
         """
         if not 0 <= start <= stop <= self.numel:
             raise IndexError(f"elements [{start}, {stop}) are not inside the {self.numel} of {self.name}")
@@ -388,7 +379,7 @@ class Tensor:
         A payload in a file is read with one ``read_into`` per run of
         consecutive rows in ``rows``, so no other row is read; one in memory
         is gathered from its view. The rows go into ``buffer``, as for
-        ``load``, or into a new array. A row outside the payload is an
+        ``load_range``, or into a new array. A row outside the payload is an
         IndexError.
         """
         rows = np.asarray(rows, np.int64)
@@ -419,24 +410,17 @@ class Tensor:
         return raw
 
     def chunks(self, size: int = _COPY_BLOCK, buffer: np.ndarray | None = None) -> Iterator[memoryview]:
-        """The payload in consecutive pieces of at most ``size`` bytes.
+        """The payload in consecutive pieces of whole elements, at most ``size`` bytes (at least one element).
 
-        A payload in a file is read one piece at a time into one reused
-        buffer, the first bytes of ``buffer`` (a contiguous array of at least
-        ``min(size, nbytes)`` bytes) or a new one, so each piece is valid only
-        until the next is asked for, and nothing is kept.
+        Each piece is read by ``load_range``. A payload in a file is read into
+        one reused buffer, the first bytes of ``buffer`` or a new one, so each
+        piece is valid only until the next is asked for, and nothing is kept.
         """
-        if self._data is not None:
-            view = memoryview(self._data)
-            for start in range(0, len(view), size):
-                yield view[start : start + size]
-            return
-        file, offset = self._place
-        pieces = memoryview(self._raw(buffer, min(size, self.nbytes)))
-        for start in range(0, self.nbytes, size):
-            piece = pieces[: min(size, self.nbytes - start)]
-            file.read_into(piece, offset + start)
-            yield piece
+        step = max(size // self.dtype.itemsize, 1)
+        if buffer is None and self._data is None:
+            buffer = np.empty(min(step, self.numel) * self.dtype.itemsize, np.uint8)
+        for start in range(0, self.numel, step):
+            yield memoryview(self.load_range(start, min(start + step, self.numel), buffer).view(np.uint8))
 
     def to_f32(self) -> np.ndarray:
         """Widen the payload to a new float32 array of this tensor's shape."""
@@ -447,6 +431,17 @@ class Tensor:
         """Pack a float32 array into a tensor of ``dtype``; see ``narrow``."""
         values = np.asarray(values, dtype="<f4")
         return cls(name=name, dtype=dtype, shape=values.shape, data=narrow(values, dtype))
+
+
+def as_tensor(name: str, source: np.ndarray | Tensor) -> Tensor:
+    """``source`` if a ``Tensor``, else a tensor ``name`` of the storage view ``source``, copied only if not contiguous.
+
+    An array that is no storage view is a TypeError (``Dtype.of``).
+    """
+    if isinstance(source, Tensor):
+        return source
+    dtype, flat = Dtype.of(source), np.ascontiguousarray(source).reshape(-1)
+    return Tensor(name, dtype, source.shape, memoryview(flat.view(np.uint8)).toreadonly())
 
 
 @dataclass
@@ -708,9 +703,9 @@ def checkpoint_writer(path: str | Path, layout: Layout, metadata: dict[str, str]
 
 
 def copy_payload(tensor: Tensor, writers: Sequence[CheckpointWriter], buffer: np.ndarray | None = None) -> None:
-    """Write ``tensor``'s payload into each writer, reading it once, a piece at a time into ``buffer`` if given."""
+    """Write ``tensor``'s payload into each writer, read once in pieces of ``buffer``'s size, or of ``_COPY_BLOCK``."""
     at = 0
-    for piece in tensor.chunks(buffer=buffer):
+    for piece in tensor.chunks(_COPY_BLOCK if buffer is None else buffer.nbytes, buffer):
         for writer in writers:
             writer.write(tensor.name, piece, at)
         at += len(piece)

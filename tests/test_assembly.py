@@ -30,6 +30,7 @@ from vlrmerge import (
 )
 from vlrmerge.assembly import check_merged_structure
 from vlrmerge.merging import MergeMethod, MergeRecipe
+from vlrmerge.sweep import DEFAULT_DENSITY_GRID
 from vlrmerge.tensorstore import _COPY_BLOCK, CheckpointFile, Tensor, default_vocab_path, file_digest, read_vocab
 
 from helpers import assemble_in, classified_toy_triple, make_tensor, toy_triple, write_triple
@@ -646,3 +647,70 @@ class TestFileDigest:
         path = tmp_path / "blob.bin"
         path.write_bytes(rng.integers(0, 256, size, dtype=np.uint8).tobytes())
         assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def recipes_of(grid):
+    """One linear recipe, or the default 3 lambda x 4 density TIES grid."""
+    if grid == "linear":
+        return [MergeRecipe(MergeMethod.LINEAR, lam=0.5)]
+    return [MergeRecipe(MergeMethod.TIES, lam=lam, density=d) for lam in (0.5, 0.7, 1.0) for d in DEFAULT_DENSITY_GRID]
+
+
+class TestOneBufferTable:
+    """Every worker mapping of an assembly holds the merge kernel's one table of slots, ``_kernel_slots``."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        """The tables ``_kernel_slots`` makes, and the slots and bytes of each ``_Buffers`` mapped, in order."""
+        tables, mappings = [], []
+        kernel_slots, init = merging._kernel_slots, merging._Buffers.__init__
+
+        def table(*args):
+            tables.append(kernel_slots(*args))
+            return tables[-1]
+
+        def mapped(self, slots):
+            init(self, slots)
+            mappings.append((slots, len(self.mapping)))
+
+        for module in (merging, assembly):
+            monkeypatch.setattr(module, "_kernel_slots", table)
+        monkeypatch.setattr(merging._Buffers, "__init__", mapped)
+        return tables, mappings
+
+    @pytest.mark.parametrize("hidden", [8, 32])
+    @pytest.mark.parametrize("grid", ["linear", "ties-3x4"])
+    def test_every_mapping_is_a_kernel_table(self, tmp_path, monkeypatch, grid, hidden):
+        triple = opened_triple(tmp_path / "in", np.random.default_rng(8), hidden=hidden,
+                               trans_dtype=Dtype.BF16, emb_dtype=Dtype.BF16)
+        recipes = recipes_of(grid)
+        tables, mappings = self.spied(monkeypatch)
+        assemble_vlrm(recipes, triple, [tmp_path / recipe.slug() for recipe in recipes], jobs=2)
+        # two workers merge the transformer, then two merge the embedding blocks and copy the rest
+        assert len(mappings) == 4
+        assert all(any(slots is table for table in tables) for slots, _ in mappings)
+        trans = triple.tensors(Role.TRANSFORMER)
+        footprint = merging.worker_footprint(recipes, *trans.values())
+        assert [size for _, size in mappings[:2]] == [footprint] * 2
+        block = mappings[2][0]["out"][1]  # the elements of the largest embedding block
+        largest = max(t.numel for t in trans["pre"].values())
+        # hidden 32 holds 28 rows of 32 in a block, against 32 x 32 transformer matrices; hidden 8 does not
+        assert (largest >= block) == (hidden == 32)
+        if largest >= block:  # check_memory's "the embedding blocks and copies map no more"
+            assert all(size <= footprint for _, size in mappings[2:])
+
+    @pytest.mark.parametrize("grid", ["linear", "ties-3x4"])
+    @pytest.mark.parametrize("rows,width,largest", [
+        (2064, 512, 1408 * 512),  # vocabulary rows, hidden width and MLP matrix of merge-sparse,
+        (22656, 512, 1408 * 512),  # merge-dense,
+        (1040, 384, 1024 * 384),  # sweep-ties,
+        (128264, 4096, 14336 * 4096),  # and the paper's Llama-3.2-Vision vocabulary on Llama-3.1-8B
+    ], ids=["merge-sparse", "merge-dense", "sweep-ties", "paper"])
+    def test_benchmark_and_paper_shapes_keep_the_embedding_mapping_within_the_footprint(
+        self, grid, rows, width, largest
+    ):
+        block = min(embeddings.block_rows(width), rows) * width
+        assert block <= merging._BLOCK <= largest
+        embedding = merging._Buffers.layout(merging._kernel_slots(0, block, False))[1]
+        trans = {"w": np.broadcast_to(np.float32(0), (largest,))}  # a size, with no payload behind it
+        assert embedding <= merging.worker_footprint(recipes_of(grid), trans, trans, trans)

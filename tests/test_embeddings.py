@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from vlrmerge import (
     AlignedVocab,
+    Checkpoint,
     Dtype,
     MergeMethod,
     NonFiniteWeightError,
@@ -13,9 +15,11 @@ from vlrmerge import (
     embeddings,
     merge_embedding_rows,
     merging,
+    read_checkpoint,
+    write_checkpoint,
 )
 from vlrmerge.embeddings import check_embedding_rows, unread_rows
-from vlrmerge.tensorstore import narrow, widen
+from vlrmerge.tensorstore import Tensor, narrow, widen
 
 import reference as ref
 
@@ -381,7 +385,7 @@ class TestRowRanges:
         whole = merge_embedding_rows(aligned, *views.values(), method)
         monkeypatch.setattr(embeddings, "_BLOCK", 20)  # two rows a block
         step = embeddings.block_rows(7)
-        slots = embeddings.block_slots([view.shape for view in views.values()] + [(len(aligned.tokens), 7)])
+        slots = merging._kernel_slots(0, step * 7, False)  # the kernel's slots, for a block of two rows
         parts = []
         with merging._Buffers(slots) as space:
             mapping = space.mapping
@@ -424,3 +428,49 @@ class TestRowRanges:
         check_embedding_rows("rm", view, np.array([0, 1, 2]))
         with pytest.raises(NonFiniteWeightError, match="^rm embedding row 5 holds"):
             check_embedding_rows("rm", view, np.array([8, 5, 3]))
+
+    @pytest.mark.parametrize("rows", [range(4, 7), range(5, 6), range(-1, 2), range(0, 4, 2), range(3, 2)], ids=str)
+    def test_rows_outside_the_output_or_of_another_step_rejected_before_any_read(self, monkeypatch, rows):
+        aligned = align_vocab({"t0": 0}, {f"t{i}": i for i in range(5)}, {"t0": 0, "t1": 1})
+        views = [np.ones((n, 3), np.float32) for n in (1, 5, 2)]
+
+        def read(*args):
+            raise AssertionError("a row was read")
+
+        monkeypatch.setattr(Tensor, "load_rows", read)
+        message = f"rows {rows} are not a range of step 1 inside the 5 rows of the output vocabulary"
+        with pytest.raises(VocabError, match=f"^{re.escape(message)}$"):
+            merge_embedding_rows(aligned, *views, MergeMethod.TIES, rows)
+        assert merge_embedding_rows(aligned, *views, MergeMethod.TIES, range(5, 5)).shape == (0, 3)
+
+
+class TestEntryConversion:
+    """A storage view is merged as the in-memory tensor of its bytes, whatever its strides."""
+
+    @staticmethod
+    def strided(rng, rows, dtype, layout):
+        """A ``(rows, 7)`` storage view that is not contiguous: a transposed or a column-strided matrix."""
+        if layout == "transposed":
+            return storage_matrix(rng, 7, rows, dtype).T
+        return storage_matrix(rng, rows, 14, dtype)[:, ::2]
+
+    @pytest.mark.parametrize("layout", ["transposed", "strided"])
+    @pytest.mark.parametrize("dtype", [Dtype.F32, Dtype.BF16])
+    def test_a_strided_view_merges_as_its_contiguous_copy_and_its_file(self, rng, tmp_path, dtype, layout):
+        vocabs = random_vocabs(rng, 60, with_rm=True)
+        aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
+        views = {k: self.strided(rng, len(vocabs[k]) + 2, dtype, layout) for k in ("pre", "lvlm", "rm")}
+        assert not any(view.flags.c_contiguous for view in views.values())
+        copies = {k: np.ascontiguousarray(view) for k, view in views.items()}
+        path = tmp_path / "emb.safetensors"
+        write_checkpoint(Checkpoint({k: Tensor(k, dtype, c.shape, c.tobytes()) for k, c in copies.items()}), path)
+        opened = [read_checkpoint(path).tensors[k] for k in ("pre", "lvlm", "rm")]
+        for method in (MergeMethod.LINEAR, MergeMethod.TIES):
+            for rows in (None, range(3, len(aligned.tokens) - 4)):
+                want = merge_embedding_rows(aligned, *copies.values(), method, rows).tobytes()
+                assert merge_embedding_rows(aligned, *views.values(), method, rows).tobytes() == want
+                assert merge_embedding_rows(aligned, *opened, method, rows).tobytes() == want
+        bad = self.strided(rng, 9, dtype, layout)
+        bad.view(np.uint32 if dtype is Dtype.F32 else np.uint16)[6, 2] = NON_FINITE_BITS[dtype][1]
+        with pytest.raises(NonFiniteWeightError, match="^rm embedding row 6 holds"):
+            check_embedding_rows("rm", bad, np.arange(9))

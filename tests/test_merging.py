@@ -37,6 +37,7 @@ from vlrmerge.merging import (
     retained_count,
 )
 from vlrmerge.sweep import DEFAULT_DENSITY_GRID
+from vlrmerge.tensorstore import narrow
 
 from helpers import drop_step, merge_one, trim_step
 
@@ -524,6 +525,38 @@ class TestMergeTransformer:
                 pre, lvlm, rm = (side[name].to_f32() for side in tensors)
                 expected = merge_one(replace(recipe, lam=lam), name, pre, lvlm, rm)
                 assert out[name] == Tensor.from_f32(name, expected, dtype)
+
+    @pytest.mark.parametrize("dtype", [Dtype.F32, Dtype.BF16])
+    @pytest.mark.parametrize("method,extra", [
+        (MergeMethod.LINEAR, {}),
+        (MergeMethod.TIES, {"density": 0.4}),
+        (MergeMethod.DARE_TIES, {"density": 0.4, "seed": 9}),
+    ])
+    def test_a_strided_view_merges_as_its_contiguous_copy_and_its_file(self, rng, tmp_path, method, extra, dtype):
+        recipe = MergeRecipe(method, lam=0.7, **extra)
+
+        def stored(*shape):
+            return np.frombuffer(narrow(rng.uniform(-1, 1, shape), dtype), dtype.array_dtype).reshape(shape)
+
+        # a transposed matrix and a vector of every other element: neither is contiguous
+        views = [{"w": stored(9, 6).T, "v": stored(2 * _BLOCK + 6)[::2]} for _ in range(3)]
+        assert not any(view.flags.c_contiguous for side in views for view in side.values())
+        copies = [{name: np.ascontiguousarray(view) for name, view in side.items()} for side in views]
+        opened = []
+        for kind, side in zip(("pre", "lvlm", "rm"), copies):
+            tensors = {name: Tensor(name, dtype, c.shape, c.tobytes()) for name, c in side.items()}
+            write_checkpoint(Checkpoint(tensors), tmp_path / kind)
+            opened.append(read_checkpoint(tmp_path / kind).tensors)
+        want = merge_transformer(recipe, *copies, jobs=2)[0]
+        for inputs in (views, opened):
+            got = merge_transformer(recipe, *inputs, jobs=2)[0]
+            assert {name: t.data for name, t in got.items()} == {name: t.data for name, t in want.items()}
+
+    def test_a_float64_array_is_a_type_error(self):
+        maps = [{"w": np.zeros(4, np.float32)} for _ in range(3)]
+        maps[2]["w"] = np.zeros(4, np.float64)
+        with pytest.raises(TypeError, match="a float64 array is not a storage view"):
+            merge_transformer(MergeRecipe(LINEAR, lam=0.5), *maps, jobs=1)
 
     def test_workspaces_are_never_shared_under_thread_churn(self, rng):
         # more workers than cores and a short switch interval: a workspace
