@@ -9,35 +9,27 @@ language-modeling head: the make-up that ``components.MAKEUP`` states.
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import ExitStack, contextmanager
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .components import MAKEUP, ModelTriple, Role, validate_triple
-from .embeddings import (
-    AlignedVocab,
-    align_vocab,
-    block_rows,
-    check_embedding_rows,
-    merge_embedding_rows,
-    unread_rows,
-)
+from .embeddings import AlignedVocab, align_vocab, check_embedding_rows, merge_embedding_rows, unread_rows
 from .errors import InsufficientMemoryError, RecipeError, TripleValidationError, VlrmergeError
 from .merging import (
     MergeMethod,
     MergeRecipe,
-    Slots,
+    _buffer_sizes,
     _Buffers,
     _kernel_slots,
     available_memory,
+    check_variants,
     default_jobs,
     merge_transformer,
     run_workers,
-    worker_footprint,
 )
 from .tensorstore import (
     Checkpoint,
@@ -67,17 +59,6 @@ def recorded_provenance(recipe: MergeRecipe, provenance: dict[str, str]) -> dict
     return meta
 
 
-def _same_payload(merged: Tensor, source: Tensor) -> bool:
-    """True when both tensors hold the same bytes; the same object always does.
-
-    The bytes are compared as numpy arrays: ``==`` on memoryviews compares
-    item by item in Python, about 17 times slower than on ``bytes``.
-    """
-    if merged is source:
-        return True
-    return np.array_equal(np.frombuffer(merged.data, np.uint8), np.frombuffer(source.data, np.uint8))
-
-
 def check_merged_structure(merged: Checkpoint, triple: ModelTriple) -> list[str]:
     """Structural validation of an assembled checkpoint against its sources and ``MAKEUP``."""
     report = []
@@ -87,7 +68,7 @@ def check_merged_structure(merged: Checkpoint, triple: ModelTriple) -> list[str]
             kept.add(name)
             if name not in merged.tensors:
                 report.append(f"missing {role.value} tensor {name}")
-            elif not is_merged and not _same_payload(merged.tensors[name], source):
+            elif not is_merged and merged.tensors[name] != source:
                 report.append(f"{role.value} tensor {name} is not byte-identical to the {kind}")
     report.extend(f"tensor {name} must be dropped" for name in merged.tensors if name not in kept)
     return report
@@ -103,33 +84,36 @@ def _output_layout(triple: ModelTriple, aligned: AlignedVocab) -> Layout:
     return layout
 
 
+def _worker_sizes(recipes: Sequence[MergeRecipe], triple: ModelTriple) -> tuple[int, int, bool]:
+    """The ``_kernel_slots`` sizes of every worker of an assembly: the kernel's, a block holding an embedding row."""
+    emb = triple.tensors(Role.EMBEDDING)
+    row = max((math.prod(t.shape[1:]) for ts in emb.values() for t in ts.values()), default=0)
+    return _buffer_sizes(recipes, triple.tensors(Role.TRANSFORMER)["pre"], row)
+
+
 def check_memory(recipes: Sequence[MergeRecipe], triple: ModelTriple, jobs: int | None = None) -> int:
     """The workers a merge of ``recipes`` on ``triple`` may run on, from the headers alone.
 
-    That is ``jobs`` (None takes ``default_jobs()``), lowered when fewer
-    fit the memory this process may use (``available_memory``), at the
-    largest ``worker_footprint`` of any group of recipes that share method
-    and seed each. The transformer merge runs at most one worker per
-    tensor, so only those count; the embedding blocks and copies map no
-    more per worker while no embedding block outgrows the largest
-    transformer tensor. Raises InsufficientMemoryError when not even one
-    worker fits, and VlrmergeError for a ``jobs`` below 1. The output bytes
-    do not depend on the worker count.
+    The recipes must be one merge (``check_variants``: RecipeError
+    otherwise). The workers are ``jobs`` (None takes ``default_jobs()``),
+    lowered when fewer fit the memory this process may use
+    (``available_memory``), each mapping the one table of buffers that
+    every worker of the assembly maps (``_worker_sizes``). Raises
+    InsufficientMemoryError when not even one worker fits, and
+    VlrmergeError for a ``jobs`` below 1. The output bytes do not depend
+    on the worker count.
     """
     if jobs is not None and jobs < 1:
         raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
+    check_variants(recipes)
     jobs = jobs or default_jobs()
-    trans = triple.tensors(Role.TRANSFORMER)
-    groups: dict[tuple, list[MergeRecipe]] = {}
-    for recipe in recipes:
-        groups.setdefault((recipe.method, recipe.seed), []).append(recipe)
-    if not groups or (have := available_memory()) is None:
+    if (have := available_memory()) is None:
         return jobs
-    per_worker = max(worker_footprint(group, *trans.values()) for group in groups.values())
+    per_worker = _Buffers.layout(_kernel_slots(*_worker_sizes(recipes, triple)))[1]
     fit = have // per_worker
     if fit < 1:
         raise InsufficientMemoryError(per_worker, have)
-    if fit < min(jobs, len(trans["pre"])):
+    if fit < jobs:
         mib = 1 << 20
         log.warning("running %d of %d workers: each needs about %.1f MiB and this process may use %.1f MiB",
                     fit, jobs, per_worker / mib, have / mib)
@@ -157,24 +141,21 @@ def _copy(source: Tensor, writers: list[CheckpointWriter], space: _Buffers) -> N
 
 
 def _pieces(
-    method: MergeMethod, aligned: AlignedVocab, triple: ModelTriple, writers: list[CheckpointWriter]
-) -> tuple[list[Callable[[_Buffers], None]], Slots]:
-    """The work that follows the transformer merge, in pieces for the workers, and the slots of a worker's buffers.
+    method: MergeMethod, aligned: AlignedVocab, triple: ModelTriple, writers: list[CheckpointWriter], block: int
+) -> list[Callable[[_Buffers], None]]:
+    """The work that follows the transformer merge, in pieces for workers whose slots hold ``block`` elements.
 
-    Each embedding's output rows a block at a time (``block_rows``), the
-    finite check of the input rows no block reads (``unread_rows``), in
-    blocks too, and each tensor the output copies verbatim. Each piece is
-    called with its worker's buffers, the merge kernel's slots for the
-    largest block of any embedding: a copy moves in pieces of the
-    ``storage`` slot.
+    Each embedding's output rows, ``block // width`` at a time and at least
+    one, the finite check of the input rows no block reads
+    (``unread_rows``), in blocks too, and each tensor the output copies
+    verbatim. Each piece is called with its worker's buffers: a copy moves
+    in pieces of the ``storage`` slot.
     """
-    pieces, checks, block = [], [], 1
+    pieces, checks = [], []
     emb = triple.tensors(Role.EMBEDDING)
     for name in emb["lvlm"]:
         sources = [ts[name] for ts in emb.values()]
-        width = sources[1].shape[1]
-        step = block_rows(width)
-        block = max(block, min(step, max(len(aligned.tokens), *(source.shape[0] for source in sources))) * width)
+        step = max(block // sources[1].shape[1], 1)
         for start in range(0, len(aligned.tokens), step):
             rows = range(start, min(start + step, len(aligned.tokens)))
             pieces.append(partial(_merge_block, aligned, sources, method, rows, writers))
@@ -188,7 +169,7 @@ def _pieces(
         if not is_merged
         for source in triple.tensors(role)[kind].values()
     ]
-    return pieces + checks + copies, _kernel_slots(0, block, False)
+    return pieces + checks + copies
 
 
 def assemble_vlrm(
@@ -198,72 +179,67 @@ def assemble_vlrm(
     provenance: dict[str, str] | None = None,
     jobs: int | None = None,
 ) -> None:
-    """Merge the triple once per recipe and write each result to its path.
+    """Merge the triple once for ``recipes``, which are one merge, and write each result to its path.
 
     Validates the triple, aligns its vocabularies and builds the output
-    layout once, and, before any payload is read, lowers ``jobs`` to the
-    workers that fit the memory this process may use (``check_memory``;
-    InsufficientMemoryError when none does). Then, for each group of
-    recipes that share method and seed (so differ only in lambda and
-    density), in the order first seen:
-    one ``merge_transformer`` call covers every recipe of the group, reading
-    each input tensor a block at a time, and writes each output block at its
-    offset as soon as it is done. Then one ``run_workers`` call on the same
-    workers merges each embedding a block of output rows at a time, reading
-    only the input rows the block takes and writing the block into every
-    output at its offset, checks the input rows no block reads, and copies
-    the vision, adapter and reward head tensors from their files a piece at
-    a time into every output. A TIES or DARE sweep over lambda and density
-    is one group. The language-modeling heads are never read (nor, for
-    linear, the base embedding), and memory holds each worker's buffers:
-    blocks, and for ties a ranking key of one tensor's size, never a whole
-    payload or a whole model. Each output is written as ``write_merged``
-    writes and records ``provenance`` and its recipe. When a group is done,
-    every input file is checked to be as it was opened (InputChangedError
-    if not) and the group's files are moved onto their paths, so a failure
-    keeps the earlier groups' outputs and none of its own group's. No
-    recipes write nothing. Raises TripleValidationError when the triple is
-    not mergeable and RecipeError unless there is one distinct path per
-    recipe.
+    layout once, and, before any file is written or any payload is read,
+    lowers ``jobs`` to the workers that fit the memory this process may use
+    (``check_memory``: RecipeError unless the recipes share method and seed,
+    so differ only in lambda and density, and InsufficientMemoryError when
+    no worker fits). Then one ``merge_transformer`` call covers every
+    recipe, reading each input tensor a block at a time, and writes each
+    output block at its offset as soon as it is done. Then one
+    ``run_workers`` call on the same workers merges each embedding a block
+    of output rows at a time, reading only the input rows the block takes
+    and writing the block into every output at its offset, checks the input
+    rows no block reads, and copies the vision, adapter and reward head
+    tensors from their files a piece at a time into every output. The
+    language-modeling heads are never read (nor, for linear, the base
+    embedding), and memory holds each worker's buffers, one table for both
+    calls: blocks, and for ties a ranking key of one tensor's size, never a
+    whole payload or a whole model. Each output is written as
+    ``write_merged`` writes and records ``provenance`` and its recipe. When
+    the merge is done, every input file is checked to be as it was opened
+    (InputChangedError if not) and the files are moved onto their paths, so
+    a failure keeps none of them. No recipes write nothing. Raises
+    TripleValidationError when the triple is not mergeable and RecipeError
+    unless there is one distinct path per recipe.
     """
     report = validate_triple(triple)
     if report:
         raise TripleValidationError(report)
     if len(paths) != len(recipes):
         raise RecipeError(f"{len(recipes)} recipes need as many output paths, got {len(paths)}")
-    groups: dict[tuple, list[tuple[MergeRecipe, str | Path]]] = {}
     owners: dict[Path, int] = {}
     for i, (recipe, path) in enumerate(zip(recipes, paths)):
         owner = owners.setdefault(Path(path).resolve(), i)
         if owner != i:
             raise RecipeError(f"recipes {recipes[owner].slug()} and {recipe.slug()} share the output path {path}")
-        groups.setdefault((recipe.method, recipe.seed), []).append((recipe, path))
-    if not groups:
+    if not recipes:
         return
     workers = check_memory(recipes, triple, jobs)
+    key, block, grid = _worker_sizes(recipes, triple)
+    slots = _kernel_slots(key, block, grid)
 
     models = (triple.pre, triple.lvlm, triple.rm)
-    trans = triple.tensors(Role.TRANSFORMER)
     aligned = align_vocab(*(model.ckpt.vocab for model in models))
     vocab, layout = aligned.output_vocab(), _output_layout(triple, aligned)
-    for group in groups.values():
-        first = group[0][0]
-        with ExitStack() as stack:
-            writers = [
-                stack.enter_context(write_merged(path, vocab, layout, recorded_provenance(recipe, provenance or {})))
-                for recipe, path in group
-            ]
-            merge_transformer(
-                first,
-                *trans.values(),
-                jobs=workers,
-                variants=[recipe for recipe, _ in group],
-                sink=lambda i, name, block, at: writers[i].write(name, block, at),
-            )
-            pieces, slots = _pieces(first.method, aligned, triple, writers)
-            run_workers(pieces, workers, lambda piece, space: piece(space), lambda: _Buffers(slots))
-            for model in models:
-                model.ckpt.check_unchanged()
+    with ExitStack() as stack:
+        writers = [
+            stack.enter_context(write_merged(path, vocab, layout, recorded_provenance(recipe, provenance or {})))
+            for recipe, path in zip(recipes, paths)
+        ]
+        merge_transformer(
+            recipes[0],
+            *triple.tensors(Role.TRANSFORMER).values(),
+            jobs=workers,
+            variants=recipes,
+            sink=lambda i, name, block, at: writers[i].write(name, block, at),
+        )
+        pieces = _pieces(recipes[0].method, aligned, triple, writers, block)
+        run_workers(pieces, workers, lambda piece, space: piece(space), lambda: _Buffers(slots))
+        for model in models:
+            model.ckpt.check_unchanged()
 
 
 @contextmanager

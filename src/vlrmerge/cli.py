@@ -232,9 +232,8 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         jobs = jobs or default_jobs()
         _echo_config("sweep", manifest=manifest or "<builtin>", jobs=jobs, **dataclasses.asdict(config))
         factory = _make_scorer_factory(scorer_argv, replay_dir, record_dir, scorer_timeout)
-        # cached variants are known only from the digests, so check that one variant fits before hashing
         triple, provenance, jobs = _load_triple(
-            pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest, generate_grid(config)[:1], jobs
+            pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest, generate_grid(config), jobs
         )
         dataset = load_pairwise_dataset(data_path)
         result = run_sweep(

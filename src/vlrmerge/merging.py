@@ -369,16 +369,29 @@ def run_workers(
         raise min(errors, key=lambda entry: entry[0])[1]
 
 
-def _buffer_sizes(variants: Sequence[MergeRecipe], pre_trans: dict[str, np.ndarray | Tensor]) -> tuple[int, int, bool]:
-    """A merge worker's ``_kernel_slots`` sizes for ``variants`` on tensors of ``pre_trans``'s sizes.
+def check_variants(variants: Sequence[MergeRecipe], recipe: MergeRecipe | None = None) -> None:
+    """RecipeError unless ``variants`` are one merge: some, of the method and seed of ``recipe`` (or the first)."""
+    if not variants:
+        raise RecipeError("no variant was given: variants must hold at least one recipe")
+    recipe = recipe or variants[0]
+    for variant in variants:
+        if (variant.method, variant.seed) != (recipe.method, recipe.seed):
+            raise RecipeError(f"recipe {variant.slug()} does not share the method and seed of {recipe.slug()}")
 
-    The ties key's elements (the largest tensor's), the block's and whether
-    the variants span several densities.
+
+def _buffer_sizes(
+    variants: Sequence[MergeRecipe], pre_trans: dict[str, np.ndarray | Tensor], row: int = 0
+) -> tuple[int, int, bool]:
+    """A worker's ``_kernel_slots`` sizes for ``variants`` on tensors of ``pre_trans``'s sizes.
+
+    The ties key's elements (the largest tensor's), the block's (``_BLOCK``,
+    or the largest tensor's, but at least ``row``) and whether the variants
+    span several densities.
     """
     capacity = max((source.size for source in pre_trans.values()), default=0)
     key = capacity if variants[0].method is MergeMethod.TIES else 0
     grid = len({recipe.density for recipe in variants}) > 1
-    return key, max(min(_BLOCK, capacity), 1), grid
+    return key, max(min(_BLOCK, capacity), row, 1), grid
 
 
 def worker_footprint(
@@ -462,8 +475,8 @@ def merge_transformer(
     (``as_tensor``), or a ``Tensor``, whose payload is read from its file, a
     block at a time (``Tensor.load_range``), only when a worker merges it;
     inputs are only read. ``variants`` defaults to ``(recipe,)``; it must not be
-    empty, and each must share ``recipe``'s method and seed (RecipeError
-    otherwise), and may differ in lambda and density. Checks the recipes
+    empty, and each must share ``recipe``'s method and seed (``check_variants``
+    raises RecipeError otherwise), and may differ in lambda and density. Checks the recipes
     and the tensor alignment once (the first problem
     ``components.alignment_problems`` finds is a VlrmergeError), then merges
     every name on ``jobs`` workers (``run_workers``; None takes
@@ -491,11 +504,7 @@ def merge_transformer(
     if jobs is not None and jobs < 1:
         raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
     variants = (recipe,) if variants is None else tuple(variants)
-    if not variants:
-        raise RecipeError("no variant was given: variants must hold at least one recipe")
-    for variant in variants:
-        if (variant.method, variant.seed) != (recipe.method, recipe.seed):
-            raise RecipeError(f"recipe {variant.slug()} does not share the method and seed of {recipe.slug()}")
+    check_variants(variants, recipe)
     pre_trans, lvlm_trans, rm_trans = (
         {name: as_tensor(name, source) for name, source in side.items()} for side in (pre_trans, lvlm_trans, rm_trans)
     )
@@ -647,22 +656,21 @@ def _disjoint_mean(a: np.ndarray, b: np.ndarray, space: _Buffers) -> None:
     that match the elected sign, 0 where none do; ``b`` is overwritten.
 
     The elected sign is + where the positive total magnitude wins, ties
-    included. An entry matches when its product with the elected sign, a
-    sign flip or none, is above 0: never for 0.
+    included: exactly where a >= -b, for zeros and infinities of either sign
+    too. An entry matches when its product with the elected sign, a sign
+    flip or none, is above 0: never for 0.
     """
     zero = np.float32(0.0)
     n = a.size
-    pos, neg, tmp = space.get("out", n), space.get("neg", n), space.get("tmp", n)
-    np.add(np.fmax(a, zero, out=pos), np.fmax(b, zero, out=tmp), out=pos)
-    np.add(np.fmin(a, zero, out=neg), np.fmin(b, zero, out=tmp), out=neg)
-    up = np.greater_equal(pos, np.negative(neg, out=neg), out=space.get("up", n))
+    neg, tmp = space.get("neg", n), space.get("tmp", n)
+    up = np.greater_equal(a, np.negative(b, out=neg), out=space.get("up", n))
     sign = np.subtract(np.multiply(up, np.float32(2.0), out=neg), np.float32(1.0), out=neg)
     matches = space.get("keep", n), space.get("tied", n)
     for arr, match in zip((a, b), matches):
         np.greater(np.multiply(arr, sign, out=tmp), zero, out=match)
         _select(match, arr)
     # where nothing matches, the total is 0 and so is the mean
-    count = np.add(*matches, out=pos, dtype=np.float32)
+    count = np.add(*matches, out=space.get("out", n), dtype=np.float32)
     np.divide(np.add(a, b, out=a), np.maximum(count, np.float32(1.0), out=count), out=a)
 
 

@@ -31,7 +31,15 @@ from vlrmerge import (
 from vlrmerge.assembly import check_merged_structure
 from vlrmerge.merging import MergeMethod, MergeRecipe
 from vlrmerge.sweep import DEFAULT_DENSITY_GRID
-from vlrmerge.tensorstore import _COPY_BLOCK, CheckpointFile, Tensor, default_vocab_path, file_digest, read_vocab
+from vlrmerge.tensorstore import (
+    _COPY_BLOCK,
+    CheckpointFile,
+    CheckpointWriter,
+    Tensor,
+    default_vocab_path,
+    file_digest,
+    read_vocab,
+)
 
 from helpers import assemble_in, classified_toy_triple, make_tensor, toy_triple, write_triple
 
@@ -179,53 +187,21 @@ class TestLambdaGroups:
             assert merged.metadata["recipe.lambda"] == repr(recipe.lam)
             assert merged.vocab == alone.vocab
 
-    def test_one_call_over_shuffled_groups_matches_one_call_per_group(self, rng, tmp_path):
-        triple = opened_triple(tmp_path / "in", rng, trans_dtype=Dtype.BF16, emb_dtype=Dtype.BF16)
-        groups = [
-            [MergeRecipe(MergeMethod.TIES, lam=lam, density=0.4) for lam in (0.5, 1.0)],
-            [MergeRecipe(MergeMethod.TIES, lam=lam, density=0.2) for lam in (0.5, 1.0)],
-            [MergeRecipe(MergeMethod.DARE_TIES, lam=lam, density=0.4, seed=3) for lam in (0.7, 0.3)],
-            [MergeRecipe(MergeMethod.LINEAR, lam=0.3)],
-        ]
-        (tmp_path / "apart").mkdir()
-        (tmp_path / "together").mkdir()
-        for group in groups:
-            assemble_vlrm(group, triple, [tmp_path / "apart" / r.slug() for r in group], jobs=2)
-        recipes = [recipe for group in groups for recipe in group]
-        rng.shuffle(recipes)
-        assemble_vlrm(recipes, triple, [tmp_path / "together" / r.slug() for r in recipes], jobs=2)
-        for recipe in recipes:
-            assert read_checkpoint(tmp_path / "together" / recipe.slug()).metadata["recipe.lambda"] == repr(recipe.lam)
-        for recipe in recipes:
-            for name in (recipe.slug(), f"{recipe.slug()}.vocab"):
-                assert (tmp_path / "together" / name).read_bytes() == (tmp_path / "apart" / name).read_bytes()
-
-    def test_failure_in_a_later_group_keeps_the_earlier_groups(self, rng, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("other", [
+        MergeRecipe(MergeMethod.DARE_TIES, lam=0.5, density=0.4, seed=4),
+        MergeRecipe(MergeMethod.DARE_TASK_ARITHMETIC, lam=0.5, density=0.4, seed=3),
+    ], ids=["seed", "method"])
+    def test_recipes_of_another_method_or_seed_rejected_before_any_write_or_read(
+        self, rng, tmp_path, monkeypatch, other
+    ):
         triple = opened_triple(tmp_path / "in", rng)
-        real, calls = assembly.merge_transformer, []
-
-        def failing(recipe, *args, **kwargs):
-            calls.append(recipe.seed)
-            if len(calls) == 2:
-                raise RuntimeError("merge failed")
-            return real(recipe, *args, **kwargs)
-
-        monkeypatch.setattr(assembly, "merge_transformer", failing)
+        reads = spy_reads(monkeypatch)
         out = tmp_path / "out"
         out.mkdir()
-        # the groups differ in seed: each is one merge over both lambdas
-        recipes = [MergeRecipe(MergeMethod.DARE_TIES, lam=lam, density=0.4, seed=seed)
-                   for seed in (3, 4) for lam in (0.5, 1.0)]
-        with pytest.raises(RuntimeError, match="merge failed"):
+        recipes = [MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=3), other]
+        with pytest.raises(RecipeError, match=f"recipe {other.slug()} does not share the method and seed of"):
             assemble_vlrm(recipes, triple, [out / r.slug() for r in recipes], jobs=2)
-        assert calls == [3, 4]
-        # the first group is in place; the second left its sidecars and no temporary file
-        names = [r.slug() for r in recipes]
-        assert sorted(p.name for p in out.iterdir()) == sorted([*names[:2], *(f"{n}.vocab" for n in names)])
-        monkeypatch.undo()
-        for recipe in recipes[:2]:
-            [alone] = assemble_in(tmp_path, [recipe], triple, jobs=1)
-            assert read_checkpoint(out / recipe.slug()).tensors == alone.tensors
+        assert reads == [] and list(out.iterdir()) == []
 
     def test_no_recipes_write_nothing_but_validate_the_triple(self, rng, tmp_path):
         triple = classified_toy_triple(rng)
@@ -272,6 +248,14 @@ class TestStructureCheck:
         flipped[-1] ^= 1
         loaded.tensors[name] = Tensor(name, tensor.dtype, tensor.shape, memoryview(flipped).toreadonly())
         assert check_merged_structure(loaded, triple) == [message]
+
+    @pytest.mark.parametrize("dtype,shape", [(Dtype.BF16, (8, 8)), (Dtype.F16, (16, 4))], ids=["dtype", "shape"])
+    def test_the_same_bytes_of_another_dtype_or_shape_are_reported(self, reread, dtype, shape):
+        triple, loaded = reread
+        name = "vision_model.patch.weight"  # f16, 8 x 8
+        loaded.tensors[name] = Tensor(name, dtype, shape, loaded.tensors[name].data)
+        assert check_merged_structure(loaded, triple) == [
+            f"vision_encoder tensor {name} is not byte-identical to the lvlm"]
 
     def test_kept_language_modeling_head_is_reported(self, reread):
         triple, loaded = reread
@@ -444,7 +428,7 @@ class TestEmbeddingBlocks:
             return rows
 
         monkeypatch.setattr(assembly, "merge_embedding_rows", spy)
-        monkeypatch.setattr(embeddings, "_BLOCK", 24)  # three rows of width 8: blocks cut the runs of rows
+        monkeypatch.setattr(merging, "_BLOCK", 24)  # three rows of width 8: blocks cut the runs of rows
         outs = [tmp_path / f"small-j{jobs}" for jobs in (1, 2)]
         for jobs, out in zip((1, 2), outs):
             assemble_vlrm([recipe], triple, [out], jobs=jobs)
@@ -692,10 +676,8 @@ class TestOneBufferTable:
         trans = triple.tensors(Role.TRANSFORMER)
         footprint = merging.worker_footprint(recipes, *trans.values())
         assert [size for _, size in mappings[:2]] == [footprint] * 2
-        block = mappings[2][0]["out"][1]  # the elements of the largest embedding block
+        block = mappings[2][0]["out"][1]  # the elements of the table's block
         largest = max(t.numel for t in trans["pre"].values())
-        # hidden 32 holds 28 rows of 32 in a block, against 32 x 32 transformer matrices; hidden 8 does not
-        assert (largest >= block) == (hidden == 32)
         if largest >= block:  # check_memory's "the embedding blocks and copies map no more"
             assert all(size <= footprint for _, size in mappings[2:])
 
@@ -714,3 +696,44 @@ class TestOneBufferTable:
         embedding = merging._Buffers.layout(merging._kernel_slots(0, block, False))[1]
         trans = {"w": np.broadcast_to(np.float32(0), (largest,))}  # a size, with no payload behind it
         assert embedding <= merging.worker_footprint(recipes_of(grid), trans, trans, trans)
+
+    @staticmethod
+    def counted(monkeypatch, recipes, triple) -> int:
+        """The bytes a worker maps by ``check_memory``'s count: what it needs when no memory is left."""
+        monkeypatch.setattr(assembly, "available_memory", lambda: 0)
+        with pytest.raises(InsufficientMemoryError) as raised:
+            assembly.check_memory(recipes, triple, 2)
+        monkeypatch.setattr(assembly, "available_memory", lambda: None)
+        return raised.value.needed
+
+    @pytest.mark.parametrize("grid", ["linear", "ties-3x4"])
+    @pytest.mark.parametrize("width", [8, 100], ids=["hidden-8", "row-past-the-largest-tensor"])
+    def test_no_mapping_outgrows_what_check_memory_counts(self, tmp_path, monkeypatch, grid, width):
+        # 8 x 8 transformer matrices against 28 vocabulary rows of 8, or of 100 elements
+        rng = np.random.default_rng(9)
+        models = toy_triple(rng, trans_dtype=Dtype.BF16, emb_dtype=Dtype.BF16)
+        for ckpt in models:
+            rows = ckpt.tensors[EMB].shape[0]
+            ckpt.tensors[EMB] = make_tensor(EMB, rng.uniform(-2.0, 2.0, (rows, width)), Dtype.BF16)
+        (tmp_path / "in").mkdir()
+        triple = open_triple(write_triple(tmp_path / "in", *models))
+        recipes = recipes_of(grid)
+        per_worker = self.counted(monkeypatch, recipes, triple)
+        _, mappings = self.spied(monkeypatch)
+        assemble_vlrm(recipes, triple, [tmp_path / recipe.slug() for recipe in recipes], jobs=2)
+        assert len(mappings) == 4
+        assert all(size <= per_worker for _, size in mappings)
+
+    def test_a_small_vocabulary_copies_each_tensor_in_one_write(self, tmp_path, monkeypatch):
+        # 28 vocabulary rows of 64 against 64 x 64 transformer matrices; each f16 vision tensor is 8 KiB
+        triple = opened_triple(tmp_path / "in", np.random.default_rng(10), hidden=64)
+        writes, real = [], CheckpointWriter.write
+
+        def spy(self, name, piece, at=0):
+            writes.append((name, memoryview(piece).nbytes))
+            return real(self, name, piece, at)
+
+        monkeypatch.setattr(CheckpointWriter, "write", spy)
+        assemble_vlrm([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], triple, [tmp_path / "out"], jobs=2)
+        for name in triple.lvlm.cmap.names(Role.VISION_ENCODER):
+            assert [size for written, size in writes if written == name] == [8 << 10]

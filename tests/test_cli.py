@@ -12,7 +12,24 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from vlrmerge import Checkpoint, Dtype, Tensor, assembly, cli, merging, read_checkpoint, tensorstore, write_checkpoint
+from vlrmerge import (
+    Checkpoint,
+    Dtype,
+    InsufficientMemoryError,
+    MergeMethod,
+    MergeRecipe,
+    SweepConfig,
+    Tensor,
+    assembly,
+    classify_triple,
+    cli,
+    generate_grid,
+    load_manifest_config,
+    merging,
+    read_checkpoint,
+    tensorstore,
+    write_checkpoint,
+)
 from vlrmerge.cli import main
 from vlrmerge.components import DEFAULT_MANIFEST
 
@@ -347,12 +364,14 @@ class TestMergeCommand:
     def test_a_merge_that_fits_fewer_workers_runs_on_them_and_warns_once(
         self, runner, triple_files, tmp_path, monkeypatch, caplog
     ):
-        monkeypatch.setattr(assembly, "worker_footprint", lambda *args: 1000)
-        monkeypatch.setattr(assembly, "available_memory", lambda: 1999)
+        need = counted_per_worker(triple_files, [MergeRecipe(MergeMethod.LINEAR, lam=0.5)])
+        monkeypatch.setattr(assembly, "available_memory", lambda: 2 * need - 1)
         result = runner.invoke(main, [*merge_args(triple_files, "linear"), "--jobs", "2", "--out", str(tmp_path / "m")])
         assert result.exit_code == 0, result.output
+        mib = 1 << 20
         assert [r.getMessage() for r in caplog.records if r.name == "vlrmerge.assembly"] == [
-            "running 1 of 2 workers: each needs about 0.0 MiB and this process may use 0.0 MiB"]
+            f"running 1 of 2 workers: each needs about {need / mib:.1f} MiB and this process may use "
+            f"{(2 * need - 1) / mib:.1f} MiB"]
 
     def test_vocab_that_is_not_utf8_is_a_named_error(self, runner, triple_files, tmp_path):
         bad = tmp_path / "bad.vocab"
@@ -426,6 +445,15 @@ def test_ties_merge_workers_hold_blocks_and_the_key_not_payloads(rng, tmp_path):
     assert child.returncode == 0 and out.exists(), child.stderr
     growth_mib = int(child.stdout.splitlines()[-1]) / 1024
     assert growth_mib < 40, f"the merge grew the peak resident set by {growth_mib:.1f} MiB"
+
+
+def counted_per_worker(paths, recipes) -> int:
+    """The bytes per worker ``check_memory`` counts for ``recipes`` on the triple at ``paths``, from the headers."""
+    triple = classify_triple(*(read_checkpoint(paths[k]) for k in ("pre", "lvlm", "rm")), load_manifest_config())
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(InsufficientMemoryError) as raised:
+        patch.setattr(assembly, "available_memory", lambda: 0)
+        assembly.check_memory(recipes, triple, 2)
+    return raised.value.needed
 
 
 def merge_args(paths, method):
@@ -996,6 +1024,24 @@ class TestSweepCommand:
         assert "winner:" in result.output
         manifest = (out_dir / "sweep-manifest.jsonl").read_text().splitlines()
         assert len([l for l in manifest if '"record": "entry"' in l]) == 2
+
+    def test_a_grid_that_does_not_fit_fails_before_any_input_is_hashed(self, runner, triple_files, tmp_path, monkeypatch):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"method": "ties", "lambda_grid": [0.5, 1.0], "density_grid": [0.4, 0.2],
+                                      "primary_size": 6, "tiebreak_size": 3}), encoding="utf-8")
+        grid = generate_grid(SweepConfig.from_json(config))
+        # one variant fits; the grid's two densities need two more block slots a worker
+        need = counted_per_worker(triple_files, grid)
+        assert counted_per_worker(triple_files, grid[:1]) < need
+        monkeypatch.setattr(assembly, "available_memory", lambda: need - 1)
+        hashed = spy_on_hashing(monkeypatch)
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        result = runner.invoke(main, [
+            "sweep", *triple_args(triple_files), "--config", str(config), "--data", str(data),
+            "--scorer", STUB_CMD, "--out-dir", str(tmp_path / "out"),
+        ])
+        assert_named_error(result, "but this process may use only")
+        assert hashed == [] and not list(tmp_path.glob("*.sha256.json")) and not (tmp_path / "out").exists()
 
     def test_a_scorer_that_cannot_start_fails_every_recipe_and_is_recorded(self, runner, triple_files, tmp_path):
         config = tmp_path / "sweep.json"

@@ -295,6 +295,22 @@ class TestElectAndDisjointSpecialValues:
         monkeypatch.setattr(merging, "_BLOCK", 7)
         assert disjoint_array(self.TAU_L, self.TAU_R).tobytes() == self.expected().tobytes()
 
+    def test_the_sign_elected_by_a_at_least_minus_b_is_that_of_the_summed_magnitudes(self):
+        # the positive parts' sum against the negative parts', on every pairing of zeros of either sign,
+        # exact cancellations, sums past float32's range and infinities: every sign case of the two
+        values = np.float32([0.0, 1.5, 3e38, np.inf, 2.0**-149])
+        values = np.concatenate([values, -values])
+        a, b = np.repeat(values, values.size), np.tile(values, values.size)
+        assert set(zip(np.signbit(a), np.signbit(b))) == {(False, False), (False, True), (True, False), (True, True)}
+        zero = np.float32(0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            summed = np.fmax(a, zero) + np.fmax(b, zero), np.fmin(a, zero) + np.fmin(b, zero)
+            sign = np.where(summed[0] >= -summed[1], np.float32(1.0), np.float32(-1.0))
+            keep_a, keep_b = a * sign > 0, b * sign > 0
+            total = np.where(keep_a, a, zero) + np.where(keep_b, b, zero)
+            expected = total / np.maximum(keep_a.astype(np.float32) + keep_b, np.float32(1.0))
+            assert disjoint_array(a, b).tobytes() == expected.tobytes()
+
 
 class TestDisjointMerge:
     def test_singleton_mean(self):

@@ -285,6 +285,27 @@ class TestHeaderOnlyRead:
             read_checkpoint(tmp_path)
 
 
+class TestEquality:
+    def test_a_tensor_equals_itself_without_reading_its_payload(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.safetensors"
+        write_checkpoint(random_checkpoint(rng, 3), path)
+        opened = read_checkpoint(path).tensors
+        monkeypatch.setattr(CheckpointFile, "read_into", lambda *args: pytest.fail("a payload was read"))
+        for t in opened.values():
+            assert t == t and not t != t
+
+    def test_name_dtype_shape_and_payload_bytes_are_compared_whatever_holds_them(self, rng):
+        payload = rng.standard_normal(6).astype(np.float32).tobytes()
+        t = Tensor("t", Dtype.F32, (6,), memoryview(payload).toreadonly())
+        flipped = bytearray(payload)
+        flipped[-1] ^= 1
+        assert t == Tensor("t", Dtype.F32, (6,), payload)
+        for other in (Tensor("t", Dtype.F32, (6,), bytes(flipped)), Tensor("u", Dtype.F32, (6,), payload),
+                      Tensor("t", Dtype.F32, (2, 3), payload), Tensor("t", Dtype.BF16, (12,), payload)):
+            assert t != other and other != t
+        assert Tensor("e", Dtype.F16, (0,), b"") == Tensor("e", Dtype.F16, (0,), memoryview(b""))
+
+
 class TestStreamedWriter:
     LAYOUT = {"b": (Dtype.F32, (3,)), "a": (Dtype.BF16, (2, 2))}
 
