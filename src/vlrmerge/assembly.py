@@ -178,7 +178,7 @@ def assemble_vlrm(
     paths: Sequence[str | Path],
     provenance: dict[str, str] | None = None,
     jobs: int | None = None,
-) -> None:
+) -> tuple[Layout, dict[str, int]]:
     """Merge the triple once for ``recipes``, which are one merge, and write each result to its path.
 
     Validates the triple, aligns its vocabularies and builds the output
@@ -201,9 +201,10 @@ def assemble_vlrm(
     ``write_merged`` writes and records ``provenance`` and its recipe. When
     the merge is done, every input file is checked to be as it was opened
     (InputChangedError if not) and the files are moved onto their paths, so
-    a failure keeps none of them. No recipes write nothing. Raises
-    TripleValidationError when the triple is not mergeable and RecipeError
-    unless there is one distinct path per recipe.
+    a failure keeps none of them. Returns the layout and vocabulary every
+    output has; no recipes write nothing, align nothing and return two
+    empty maps. Raises TripleValidationError when the triple is not
+    mergeable and RecipeError unless there is one distinct path per recipe.
     """
     report = validate_triple(triple)
     if report:
@@ -216,7 +217,7 @@ def assemble_vlrm(
         if owner != i:
             raise RecipeError(f"recipes {recipes[owner].slug()} and {recipe.slug()} share the output path {path}")
     if not recipes:
-        return
+        return {}, {}
     workers = check_memory(recipes, triple, jobs)
     key, block, grid = _worker_sizes(recipes, triple)
     slots = _kernel_slots(key, block, grid)
@@ -240,6 +241,7 @@ def assemble_vlrm(
         run_workers(pieces, workers, lambda piece, space: piece(space), lambda: _Buffers(slots))
         for model in models:
             model.ckpt.check_unchanged()
+    return layout, vocab
 
 
 @contextmanager

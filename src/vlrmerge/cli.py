@@ -173,14 +173,13 @@ def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         triple, provenance, jobs = _load_triple(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest, [recipe], jobs
         )
-        assemble_vlrm([recipe], triple, [out_path], provenance, jobs=jobs)
-        merged = read_checkpoint(out_path)
+        layout, vocab = assemble_vlrm([recipe], triple, [out_path], provenance, jobs=jobs)
     except (VlrmergeError, OSError) as exc:
         raise _click_error(exc) from exc
-    click.echo(f"validation: ok ({len(merged.tensors)} tensors)")
+    click.echo(f"validation: ok ({len(layout)} tensors)")
     for label in ("pre", "lvlm", "rm"):
         click.echo(f"{label} sha256: {provenance[f'input.{label}.sha256']}")
-    click.echo(f"wrote {out_path} (+ vocabulary sidecar, {len(merged.vocab)} tokens)")
+    click.echo(f"wrote {out_path} (+ vocabulary sidecar, {len(vocab)} tokens)")
 
 
 def _scorer(argv, replay_path, record_path, timeout):
@@ -232,10 +231,10 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         jobs = jobs or default_jobs()
         _echo_config("sweep", manifest=manifest or "<builtin>", jobs=jobs, **dataclasses.asdict(config))
         factory = _make_scorer_factory(scorer_argv, replay_dir, record_dir, scorer_timeout)
+        dataset = load_pairwise_dataset(data_path)
         triple, provenance, jobs = _load_triple(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest, generate_grid(config), jobs
         )
-        dataset = load_pairwise_dataset(data_path)
         result = run_sweep(
             config, triple, dataset, factory, out_dir, provenance=provenance, jobs=jobs
         )

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import merging
 from .components import embedding_problems, vocab_row_problems
 from .errors import NonFiniteWeightError, VocabError
-# a block of rows holds about the kernel's _BLOCK elements
-from .merging import _BLOCK, MergeMethod, _Buffers
+from .merging import MergeMethod, _Buffers
 from .tensorstore import Dtype, Tensor, as_tensor, first_non_finite, narrow, widen
 
 
@@ -67,11 +67,6 @@ def align_vocab(
     return AlignedVocab(tokens, rows(pre_vocab), rows(lvlm_vocab), rows(rm_vocab))
 
 
-def block_rows(width: int) -> int:
-    """The rows of an embedding of ``width`` columns in one block: about ``_BLOCK`` elements, at least one row."""
-    return max(1, _BLOCK // max(width, 1))
-
-
 def _array(space: _Buffers | None, slot: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     """An array of ``shape`` and ``dtype``: cut from the bytes of ``space``'s ``slot``, or new.
 
@@ -85,10 +80,16 @@ def _array(space: _Buffers | None, slot: str, shape: tuple[int, ...], dtype: np.
     return space.get(slot).view(np.uint8)[:nbytes].view(dtype).reshape(shape)
 
 
-def _gather_arrays(space: _Buffers | None, held: int, width: int, dtype: Dtype) -> tuple[np.ndarray, np.ndarray]:
-    """A gather's arrays for ``held`` rows of ``width``: the rows, in ``dtype``, and the finite check's scratch."""
+def _gather_arrays(space: _Buffers | None, n: int, width: int, dtype: Dtype) -> tuple[int, np.ndarray, np.ndarray]:
+    """The rows of ``width`` a block holds, at least one, and a gather's arrays for up to ``n`` of them.
+
+    The block is ``space``'s, or ``merging._BLOCK`` elements without one; the
+    arrays are the rows, in ``dtype``, and the finite check's scratch.
+    """
+    step = max(1, (merging._BLOCK if space is None else space.get("out").size) // max(width, 1))
+    held = min(step, n)
     rows = _array(space, "storage", (held, width), dtype.array_dtype)
-    return rows, _array(space, "bits", (max(held * width, 1),), np.uint32)
+    return step, rows, _array(space, "bits", (max(held * width, 1),), np.uint32)
 
 
 def _rules(pre_idx: np.ndarray, lv_idx: np.ndarray, rm_idx: np.ndarray, method: MergeMethod) -> tuple[np.ndarray, ...]:
@@ -115,8 +116,7 @@ def check_embedding_rows(label: str, source: np.ndarray | Tensor, rows: np.ndarr
     """
     source = as_tensor(label, source)
     _, width = source.shape
-    step = max(min(block_rows(width), len(rows)), 1)
-    buffer, scratch = _gather_arrays(space, step, width, source.dtype)
+    step, buffer, scratch = _gather_arrays(space, len(rows), width, source.dtype)
     for start in range(0, len(rows), step):
         _checked_rows(label, source, rows[start : start + step], buffer, scratch)
 
@@ -208,9 +208,7 @@ def merge_embedding_rows(
             check_embedding_rows(label, source, np.arange(matrices[label][1][0]))
 
     # each gather reads one block of rows, so no temporary outgrows a block
-    step = block_rows(width)
-    held = min(step, len(out_rows))
-    buffer, scratch = _gather_arrays(space, held, width, dtype)
+    step, buffer, scratch = _gather_arrays(space, len(out_rows), width, dtype)
     out = _array(space, "out", (len(out_rows), width), dtype.array_dtype)
     use_pre, only_lv, only_rm, both = _rules(pre_idx, lv_idx, rm_idx, method)
     for mask, (label, idx, source) in zip((use_pre, only_lv, only_rm), sources):

@@ -202,27 +202,14 @@ def sample_validation_slices(
     return primary, tiebreak
 
 
-def _inputs_digest(triple: ModelTriple, provenance: dict[str, str]) -> str:
-    """A short digest naming the variants built from these inputs.
-
-    The input digests of ``provenance`` when it has all three; else each model's
-    vocabulary in row order and each tensor's name, dtype, shape, role and bytes.
-    """
-    hashes = [provenance.get(f"input.{kind}.sha256") for kind in ("pre", "lvlm", "rm")]
+def _inputs_digest(provenance: dict[str, str]) -> str:
+    """A short digest of the input file digests in ``provenance``; a missing one is a VlrmergeError naming it."""
     h = hashlib.sha256()
-    if all(hashes):
-        for value in hashes:
-            h.update(value.encode("ascii"))
-    else:
-        for model in (triple.pre, triple.lvlm, triple.rm):
-            vocab = model.ckpt.vocab
-            h.update(json.dumps(None if vocab is None else sorted(vocab, key=vocab.get)).encode("utf-8"))
-            for name in sorted(model.ckpt.tensors):
-                t = model.ckpt.tensors[name]
-                role = model.cmap.assignments[name]
-                h.update(json.dumps([name, t.dtype.value, t.shape, role.value]).encode("utf-8"))
-                for piece in t.chunks():  # a file's payload is streamed, not kept
-                    h.update(piece)
+    for kind in ("pre", "lvlm", "rm"):
+        key = f"input.{kind}.sha256"
+        if not provenance.get(key):
+            raise VlrmergeError(f"the sweep's provenance lacks {key}, the {kind} checkpoint's file digest")
+        h.update(provenance[key].encode("ascii"))
     return h.hexdigest()[:12]
 
 
@@ -248,14 +235,17 @@ def run_sweep(
     dataset: list[PairwiseExample],
     scorer_factory: Callable[[MergeRecipe, Path], object],
     out_dir: str | Path,
-    provenance: dict[str, str] | None = None,
+    provenance: dict[str, str],
     jobs: int | None = None,
 ) -> SweepResult:
     """Build the missing variants, score every grid point in grid order, select the winner.
 
-    Variants are cached on disk keyed by (input digest, recipe), and a cached
-    one is reused only when its recorded metadata is what this run would
-    record. The missing variants are built by one ``assemble_vlrm`` call:
+    ``provenance``, recorded in every variant, must hold the input
+    checkpoints' file digests (``input.{pre,lvlm,rm}.sha256``, as
+    ``tensorstore.file_digest`` gives them), which name the variants: a
+    missing one is a VlrmergeError before ``out_dir`` is made. A cached
+    variant is reused only when its recorded metadata is what this run
+    would record. The missing variants are built by one ``assemble_vlrm`` call:
     one merge for the whole grid, which reads each input tensor a block at
     a time and streams every lambda's and density's variant from each
     block, so a variant costs one output block per worker, not a model or a
@@ -265,14 +255,13 @@ def run_sweep(
     them and the next run rebuilds every missing one. A recipe whose scorer
     fails is recorded as failed and excluded from selection.
     """
-    provenance = dict(provenance or {})
+    digest = _inputs_digest(provenance)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = generate_grid(config)
     primary_slice, tiebreak_slice = sample_validation_slices(
         dataset, config.sampling_seed, config.primary_size, config.tiebreak_size
     )
-    digest = _inputs_digest(triple, provenance)
     variants = {r: out_dir / f"variant-{r.slug()}-{digest}.safetensors" for r in grid}
 
     missing = []

@@ -21,7 +21,6 @@ from vlrmerge import (
     align_vocab,
     assembly,
     classify_triple,
-    embeddings,
     load_manifest_config,
     merge_embedding_rows,
     merging,
@@ -492,7 +491,7 @@ class TestEmbeddingBlocks:
         finally:
             tracemalloc.stop()
         matrix = read_checkpoint(out).tensors[EMB].nbytes
-        assert matrix >= 32 * 2 * embeddings._BLOCK
+        assert matrix >= 32 * 2 * merging._BLOCK
         assert peak < matrix / 2, f"peak {peak} bytes beside a {matrix}-byte embedding"
 
 
@@ -691,7 +690,7 @@ class TestOneBufferTable:
     def test_benchmark_and_paper_shapes_keep_the_embedding_mapping_within_the_footprint(
         self, grid, rows, width, largest
     ):
-        block = min(embeddings.block_rows(width), rows) * width
+        block = min(max(1, merging._BLOCK // width), rows) * width
         assert block <= merging._BLOCK <= largest
         embedding = merging._Buffers.layout(merging._kernel_slots(0, block, False))[1]
         trans = {"w": np.broadcast_to(np.float32(0), (largest,))}  # a size, with no payload behind it

@@ -5,6 +5,7 @@ up by, and its checker and replay planner import parts of the package. A
 rename that breaks them would otherwise show only when the benchmark runs.
 """
 
+import ast
 import json
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ import replay  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
 
+import vlrmerge  # noqa: E402
 from vlrmerge import (  # noqa: E402
     MergeMethod,
     MergeRecipe,
@@ -57,6 +59,27 @@ def test_tracer_wraps_and_restores_every_name():
         tracer.uninstall()
     for owner, attr, original in originals:
         assert getattr(owner, attr) is original, attr
+
+
+def test_every_import_kept_for_the_tracer_is_one_it_wraps():
+    # an import kept only so the tracer can wrap it by that name goes once no wrap names it
+    marker = "the benchmark's tracer wraps it by this name"
+    kept = []
+    for source in sorted(Path(vlrmerge.__file__).parent.glob("*.py")):
+        lines = source.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom):
+                kept += [(source.stem, alias.asname or alias.name) for alias in node.names
+                         if marker in lines[alias.lineno - 1]]
+    tracer = spans.Tracer("t")
+    tracer.install()
+    try:
+        wrapped = {(owner.__name__.rpartition(".")[2], attr) for owner, attr, _ in tracer._originals}
+    finally:
+        tracer.uninstall()
+    assert kept
+    for module, name in kept:
+        assert (module, name) in wrapped, f"vlrmerge.{module} imports {name} for a wrap the tracer no longer makes"
 
 
 def test_class_probe_call_form():

@@ -74,6 +74,24 @@ class TestMergeCommand:
         name = "model.layers.0.self_attn.weight"
         assert merged.tensors[name].data == lvlm.tensors[name].data
 
+    def test_counts_are_printed_from_what_was_written_without_reading_it_back(
+        self, runner, triple_files, tmp_path, monkeypatch
+    ):
+        out, opened, real = tmp_path / "merged.safetensors", [], cli.read_checkpoint
+
+        def recording(path, *args):
+            opened.append(Path(path))
+            return real(path, *args)
+
+        monkeypatch.setattr(cli, "read_checkpoint", recording)
+        result = runner.invoke(main, [*merge_args(triple_files, "linear"), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert opened == [Path(triple_files[kind]) for kind in ("pre", "lvlm", "rm")]
+        merged = read_checkpoint(out)
+        lines = result.output.splitlines()
+        assert f"validation: ok ({len(merged.tensors)} tensors)" in lines
+        assert f"wrote {out} (+ vocabulary sidecar, {len(merged.vocab)} tokens)" in lines
+
     def test_dare_ties_merge_matches_library_assembly(self, runner, triple_files, tmp_path):
         out = tmp_path / "merged.safetensors"
         result = runner.invoke(main, [
@@ -1041,6 +1059,19 @@ class TestSweepCommand:
             "--scorer", STUB_CMD, "--out-dir", str(tmp_path / "out"),
         ])
         assert_named_error(result, "but this process may use only")
+        assert hashed == [] and not list(tmp_path.glob("*.sha256.json")) and not (tmp_path / "out").exists()
+
+    def test_a_malformed_dataset_fails_before_any_input_is_hashed(self, runner, triple_files, tmp_path, monkeypatch):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"method": "linear", "lambda_grid": [0.5]}), encoding="utf-8")
+        data = tmp_path / "valid.jsonl"
+        data.write_text("{oops\n", encoding="utf-8")
+        hashed = spy_on_hashing(monkeypatch)
+        result = runner.invoke(main, [
+            "sweep", *triple_args(triple_files), "--config", str(config), "--data", str(data),
+            "--scorer", STUB_CMD, "--out-dir", str(tmp_path / "out"),
+        ])
+        assert_named_error(result, "valid.jsonl:1")
         assert hashed == [] and not list(tmp_path.glob("*.sha256.json")) and not (tmp_path / "out").exists()
 
     def test_a_scorer_that_cannot_start_fails_every_recipe_and_is_recorded(self, runner, triple_files, tmp_path):

@@ -271,7 +271,7 @@ class TestStorageDtype:
     @pytest.mark.parametrize("dtype", [Dtype.F16, Dtype.BF16, Dtype.F32])
     def test_same_bytes_as_widened_route(self, monkeypatch, dtype, method, block):
         if block is not None:  # two rows of width 7 a block, so every rule spans many blocks
-            monkeypatch.setattr(embeddings, "_BLOCK", block)
+            monkeypatch.setattr(merging, "_BLOCK", block)
         rng = np.random.default_rng(7)
         vocabs = random_vocabs(rng, 120, with_rm=True)
         pre, lvlm, rm = (storage_matrix(rng, len(vocabs[k]) + 2, 7, dtype) for k in ("pre", "lvlm", "rm"))
@@ -369,12 +369,30 @@ class TestRowRanges:
         views = {k: storage_matrix(rng, len(vocabs[k]) + 2, 7, Dtype.BF16) for k in ("pre", "lvlm", "rm")}
         aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
         whole = merge_embedding_rows(aligned, *views.values(), method)
-        monkeypatch.setattr(embeddings, "_BLOCK", 20)  # two rows a block inside each range
+        monkeypatch.setattr(merging, "_BLOCK", 20)  # two rows a block inside each range
         bounds = [0, 1, 2, 17, 50, 51, len(aligned.tokens)]
         ranges = [range(a, b) for a, b in zip(bounds, bounds[1:])]
         parts = [merge_embedding_rows(aligned, *views.values(), method, rows) for rows in ranges]
         assert [len(part) for part in parts] == [len(rows) for rows in ranges]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    def test_the_kernel_block_alone_sets_a_library_calls_blocks(self, rng, monkeypatch):
+        vocabs = random_vocabs(rng, 120, with_rm=True)
+        views = {k: storage_matrix(rng, len(vocabs[k]) + 2, 7, Dtype.BF16) for k in ("pre", "lvlm", "rm")}
+        aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
+        gathered, real = [], embeddings._checked_rows
+
+        def counting(label, source, rows, buffer, scratch):
+            gathered.append(len(rows))
+            return real(label, source, rows, buffer, scratch)
+
+        monkeypatch.setattr(embeddings, "_checked_rows", counting)
+        whole = merge_embedding_rows(aligned, *views.values(), MergeMethod.TIES)
+        assert max(gathered) > 2
+        gathered.clear()
+        monkeypatch.setattr(merging, "_BLOCK", 20)  # two rows of width 7 a block, in the checks and the gathers
+        assert merge_embedding_rows(aligned, *views.values(), MergeMethod.TIES).tobytes() == whole.tobytes()
+        assert max(gathered) == 2
 
     @pytest.mark.parametrize("dtype", [Dtype.BF16, Dtype.F32])
     @pytest.mark.parametrize("method", list(MergeMethod))
@@ -383,8 +401,8 @@ class TestRowRanges:
         views = {k: storage_matrix(rng, len(vocabs[k]) + 2, 7, dtype) for k in ("pre", "lvlm", "rm")}
         aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
         whole = merge_embedding_rows(aligned, *views.values(), method)
-        monkeypatch.setattr(embeddings, "_BLOCK", 20)  # two rows a block
-        step = embeddings.block_rows(7)
+        monkeypatch.setattr(merging, "_BLOCK", 20)  # two rows a block
+        step = merging._BLOCK // 7
         slots = merging._kernel_slots(0, step * 7, False)  # the kernel's slots, for a block of two rows
         parts = []
         with merging._Buffers(slots) as space:

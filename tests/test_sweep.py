@@ -7,12 +7,10 @@ import pytest
 
 from vlrmerge import (
     Dtype,
-    Tensor,
     MergeMethod,
     MergeRecipe,
     ReplayScorer,
     RecordingScorer,
-    Role,
     StubScorer,
     SweepConfig,
     SweepEntry,
@@ -22,7 +20,7 @@ from vlrmerge import (
     run_sweep,
     select_best,
 )
-from vlrmerge.errors import CheckpointFormatError, DatasetError, ScorerError, TripleValidationError, VlrmergeError
+from vlrmerge.errors import DatasetError, ScorerError, TripleValidationError, VlrmergeError
 from vlrmerge.evaluation import load_pairwise_dataset
 from vlrmerge import assembly, sweep, tensorstore
 from vlrmerge.sweep import sample_validation_slices
@@ -367,6 +365,10 @@ class FailFor:
         raise ScorerError("synthetic failure")
 
 
+# the input file digests a sweep names its variants by, as the CLI records them
+DIGESTS = {f"input.{kind}.sha256": kind[0] * 64 for kind in ("pre", "lvlm", "rm")}
+
+
 def small_config(**overrides):
     defaults = dict(
         lambda_grid=(0.5, 1.0),
@@ -385,7 +387,7 @@ class TestRunSweep:
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         config = small_config()
         result = run_sweep(
-            config, triple, dataset, lambda recipe, path: StubScorer(), tmp_path / "out", jobs=1
+            config, triple, dataset, lambda recipe, path: StubScorer(), tmp_path / "out", DIGESTS, jobs=1
         )
         manifest = (tmp_path / "out" / "sweep-manifest.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in manifest]
@@ -406,7 +408,7 @@ class TestRunSweep:
                 return FailFor(None, 0.2)
             return StubScorer()
 
-        result = run_sweep(small_config(), triple, dataset, factory, tmp_path / "out", jobs=1)
+        result = run_sweep(small_config(), triple, dataset, factory, tmp_path / "out", DIGESTS, jobs=1)
         statuses = {(e.recipe.lam, e.recipe.density): e.status for e in result.entries}
         assert statuses[(0.5, 0.2)] == "failed"
         assert result.winner is not None
@@ -416,7 +418,7 @@ class TestRunSweep:
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         result = run_sweep(
-            small_config(), triple, dataset, lambda r, p: FailFor(None, None), tmp_path / "out", jobs=1
+            small_config(), triple, dataset, lambda r, p: FailFor(None, None), tmp_path / "out", DIGESTS, jobs=1
         )
         assert result.winner is None
         assert all(e.status == "failed" for e in result.entries)
@@ -431,12 +433,12 @@ class TestRunSweep:
         def recording_factory(recipe, path):
             return RecordingScorer(StubScorer(), transcripts / f"{recipe.slug()}.jsonl")
 
-        run_sweep(config, triple, dataset, recording_factory, tmp_path / "run1", jobs=1)
+        run_sweep(config, triple, dataset, recording_factory, tmp_path / "run1", DIGESTS, jobs=1)
 
         def replay_factory(recipe, path):
             return ReplayScorer(transcripts / f"{recipe.slug()}.jsonl")
 
-        run_sweep(config, triple, dataset, replay_factory, tmp_path / "run2", jobs=1)
+        run_sweep(config, triple, dataset, replay_factory, tmp_path / "run2", DIGESTS, jobs=1)
         first = (tmp_path / "run1" / "sweep-manifest.jsonl").read_bytes()
         second = (tmp_path / "run2" / "sweep-manifest.jsonl").read_bytes()
         assert first == second
@@ -446,7 +448,7 @@ class TestRunSweep:
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 500))
         config = SweepConfig(MergeMethod.LINEAR)  # default grid and 400/100 split
         result = run_sweep(
-            config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "out", jobs=2
+            config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "out", DIGESTS, jobs=2
         )
         manifest = (tmp_path / "out" / "sweep-manifest.jsonl").read_text().splitlines()
         entries = [json.loads(l) for l in manifest if '"record": "entry"' in l]
@@ -457,8 +459,8 @@ class TestRunSweep:
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         config = small_config()
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "a", jobs=1)
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "b", jobs=4)
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "a", DIGESTS, jobs=1)
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "b", DIGESTS, jobs=4)
         assert (tmp_path / "a" / "sweep-manifest.jsonl").read_bytes() == (
             tmp_path / "b" / "sweep-manifest.jsonl"
         ).read_bytes()
@@ -492,7 +494,7 @@ class TestRunSweep:
             return StubScorer()
 
         monkeypatch.setattr(assembly, "merge_transformer", counting_merge)
-        run_sweep(config, triple, dataset, factory, tmp_path / "out", jobs=4)
+        run_sweep(config, triple, dataset, factory, tmp_path / "out", DIGESTS, jobs=4)
         assert peak[0] == 1
         assert jobs_seen == [4]  # one merge for the whole grid
         assert scored == generate_grid(config)
@@ -506,7 +508,7 @@ class TestRunSweep:
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         out = tmp_path / "out"
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         for variant in out.glob(lost):
             variant.unlink()
         calls = []
@@ -517,14 +519,14 @@ class TestRunSweep:
             return real_assemble(recipes, *args, **kwargs)
 
         monkeypatch.setattr(sweep, "assemble_vlrm", counting_assemble)
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert calls == [rebuilt]
 
     def test_warm_sweep_still_validates_the_triple(self, rng, tmp_path):
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         # digests in the provenance name the variants, so the broken triple below finds them current
-        provenance = {f"input.{kind}.sha256": kind[0] * 64 for kind in ("pre", "lvlm", "rm")}
+        provenance = DIGESTS
         out = tmp_path / "out"
         run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
         written = {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")}
@@ -546,7 +548,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(assembly, "merge_transformer", counting_merge)
         out = tmp_path / "out"
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert calls == [[(0.5, 0.4), (0.5, 0.2), (1.0, 0.4), (1.0, 0.2)]]  # every density, in grid order
         assert len(list(out.glob("variant-*.safetensors"))) == 4
 
@@ -554,7 +556,7 @@ class TestRunSweep:
         calls.clear()
         for lost in ("variant-ties-l1-d0.2-*.safetensors", "variant-ties-l0.5-d0.4-*.safetensors"):
             next(out.glob(lost)).unlink()
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert calls == [[(0.5, 0.4), (1.0, 0.2)]]
 
     @pytest.mark.parametrize("trans_dtype", [Dtype.BF16, Dtype.F32])
@@ -573,7 +575,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(assembly, "merge_transformer", counting_merge)
         out = tmp_path / "out"
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert calls == [tuple(config.lambda_grid)]
         assert len(list(out.glob("variant-*.safetensors"))) == len(config.lambda_grid)
 
@@ -582,9 +584,9 @@ class TestRunSweep:
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         config = small_config()
         out = tmp_path / "out"
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         mtimes = {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")}
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")} == mtimes
 
     @pytest.mark.parametrize("change", ["vocab-digest", "tool-version", "unreadable"])
@@ -592,8 +594,7 @@ class TestRunSweep:
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         config = small_config(lambda_grid=(0.5,), density_grid=(0.4,))
-        provenance = {f"input.{kind}.sha256": kind[0] * 64 for kind in ("pre", "lvlm", "rm")}
-        provenance["input.lvlm_vocab.sha256"] = "1" * 64
+        provenance = {**DIGESTS, "input.lvlm_vocab.sha256": "1" * 64}
         out = tmp_path / "out"
         run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
         [variant] = out.glob("variant-*.safetensors")
@@ -615,19 +616,19 @@ class TestRunSweep:
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         config = small_config(lambda_grid=(0.5,), density_grid=(0.4,))
         out = tmp_path / "out"
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         [variant] = out.glob("variant-*.safetensors")
         built = variant.read_bytes()
         # its header intact, its data region 64 bytes short
         variant.write_bytes(built[:-64])
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert variant.read_bytes() == built
 
     def test_variant_that_lost_its_vocabulary_sidecar_is_rebuilt(self, rng, tmp_path, monkeypatch):
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         out, clean = tmp_path / "out", tmp_path / "clean"
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         next(out.glob("variant-ties-l1-d0.2-*.safetensors.vocab")).unlink()
         calls, real_assemble = [], sweep.assemble_vlrm
 
@@ -636,9 +637,9 @@ class TestRunSweep:
             return real_assemble(recipes, *args, **kwargs)
 
         monkeypatch.setattr(sweep, "assemble_vlrm", counting_assemble)
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert calls == [["ties-l1-d0.2"]]
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), clean, jobs=1)
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), clean, DIGESTS, jobs=1)
         assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in clean.iterdir())
         for path in clean.iterdir():
             assert (out / path.name).read_bytes() == path.read_bytes()
@@ -647,7 +648,7 @@ class TestRunSweep:
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         out = tmp_path / "out"
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         manifest = out / sweep.MANIFEST_NAME
         previous = manifest.read_bytes()
         real_record, written = sweep._manifest_record, []
@@ -660,53 +661,25 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep, "_manifest_record", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+            run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert written == ["entry", "entry"]
         assert manifest.read_bytes() == previous
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
-    @pytest.mark.parametrize("change", ["vocab-order", "dtype-label"])
-    def test_library_sweep_rebuilds_for_inputs_with_other_layout(self, rng, tmp_path, change):
-        # no input digests: the variant names come from the triple itself
-        triple = classified_toy_triple(rng, trans_dtype=Dtype.F16)
-        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
-        config = small_config(lambda_grid=(0.5,), density_grid=(0.4,))
-        out = tmp_path / "out"
-        [before] = run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1).entries
-        if change == "vocab-order":
-            vocab = triple.lvlm.ckpt.vocab
-            vocab["t0"], vocab["t1"] = vocab["t1"], vocab["t0"]
-        else:  # the same bytes, read as BF16
-            for model in (triple.pre, triple.lvlm, triple.rm):
-                for name in model.cmap.names(Role.TRANSFORMER):
-                    t = model.ckpt.tensors[name]
-                    model.ckpt.tensors[name] = Tensor(name, Dtype.BF16, t.shape, t.data)
-        [after] = run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1).entries
-        assert after.variant_path != before.variant_path
-        rebuilt = tensorstore.read_checkpoint(out / after.variant_path)
-        if change == "vocab-order":
-            assert sorted(rebuilt.vocab, key=rebuilt.vocab.get)[:2] == ["t1", "t0"]
-        else:
-            assert rebuilt.tensors["model.norm.weight"].dtype is Dtype.BF16
-
-    def test_library_sweep_of_opened_files_keeps_its_variant_names(self, rng, tmp_path):
-        # no input digests: the names come from the payloads, streamed from the files
-        pre, lvlm, rm = toy_triple(rng, trans_dtype=Dtype.BF16)
-        paths = write_triple(tmp_path, pre, lvlm, rm)
-        in_memory = classify_triple(pre, lvlm, rm, load_manifest_config())
-        opened = classify_triple(*(tensorstore.read_checkpoint(paths[k]) for k in ("pre", "lvlm", "rm")),
+    @pytest.mark.parametrize("missing", ["pre", "lvlm", "rm"])
+    def test_a_missing_input_digest_is_a_named_error_before_any_write_or_read(
+        self, rng, tmp_path, monkeypatch, missing
+    ):
+        paths = write_triple(tmp_path, *toy_triple(rng, trans_dtype=Dtype.BF16))
+        triple = classify_triple(*(tensorstore.read_checkpoint(paths[k]) for k in ("pre", "lvlm", "rm")),
                                  load_manifest_config())
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
-        results = {}
-        for label, triple in (("memory", in_memory), ("files", opened)):
-            out = tmp_path / label
-            run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, jobs=2)
-            results[label] = {p.name: p.read_bytes() for p in out.glob("variant-*")}
-        assert results["files"] == results["memory"]
-        # and the sweep kept no payload: every one is read from the file again
-        tensorstore.os.truncate(paths["lvlm"], 0)
-        with pytest.raises(CheckpointFormatError, match="cut short"):
-            opened.lvlm.ckpt.tensors["model.norm.weight"].data
+        provenance = {key: value for key, value in DIGESTS.items() if key != f"input.{missing}.sha256"}
+        monkeypatch.setattr(tensorstore.CheckpointFile, "read_into", lambda *args: pytest.fail("a payload was read"))
+        out = tmp_path / "out"
+        with pytest.raises(VlrmergeError, match=f"lacks input\\.{missing}\\.sha256"):
+            run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode,limit", [("wb", 2000), ("w", 20)])
     def test_interrupted_write_leaves_no_variant_and_is_rebuilt(
@@ -737,11 +710,11 @@ class TestRunSweep:
                 patch.setattr(tensorstore.os, "pwrite", interrupted_pwrite)
             else:
                 patch.setattr(tensorstore, "open", interrupted_open, raising=False)
-            run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
+            run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert not list(out.glob("variant-*.safetensors"))
 
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, jobs=1)
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "clean", jobs=1)
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "clean", DIGESTS, jobs=1)
         assert sorted(p.name for p in out.iterdir()) == sorted(
             p.name for p in (tmp_path / "clean").iterdir()
         )
