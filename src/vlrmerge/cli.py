@@ -21,8 +21,8 @@ from .errors import RecipeError, TripleValidationError, VlrmergeError
 from .evaluation import evaluate_bon, evaluate_pairwise, load_bon_dataset, load_pairwise_dataset
 from .merging import MergeMethod, MergeRecipe, default_jobs, run_workers
 from .scoring import RecordingScorer, ReplayScorer, SubprocessScorer, check_timeout, stub_scorer_loop
-from .sweep import MANIFEST_NAME, SweepConfig, generate_grid, run_sweep
-from .tensorstore import Checkpoint, file_digest, read_checkpoint
+from .sweep import MANIFEST_NAME, SweepConfig, generate_grid, run_sweep, sample_validation_slices
+from .tensorstore import Checkpoint, count_vocab, default_vocab_path, file_digest, read_checkpoint, read_header
 
 METHOD_CHOICES = [m.value for m in MergeMethod]
 JOBS_HELP = (
@@ -232,6 +232,8 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         _echo_config("sweep", manifest=manifest or "<builtin>", jobs=jobs, **dataclasses.asdict(config))
         factory = _make_scorer_factory(scorer_argv, replay_dir, record_dir, scorer_timeout)
         dataset = load_pairwise_dataset(data_path)
+        # its size is checked before any checkpoint is read or hashed
+        sample_validation_slices(dataset, config.sampling_seed, config.primary_size, config.tiebreak_size)
         triple, provenance, jobs = _load_triple(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest, generate_grid(config), jobs
         )
@@ -294,7 +296,9 @@ def inspect(ckpt_path, manifest, kind, as_json):
     """Print a checkpoint's tensor table, component roles and metadata."""
     _echo_config("inspect", manifest=manifest or "<builtin>")
     try:
-        ckpt = read_checkpoint(ckpt_path)
+        ckpt = read_header(ckpt_path)
+        sidecar = default_vocab_path(ckpt_path)
+        vocab_size = count_vocab(sidecar) if sidecar.exists() else None
         rules = load_manifest_config(manifest)[kind]
         cmap = classify_tensors(ckpt, rules)
     except (VlrmergeError, OSError) as exc:
@@ -309,7 +313,7 @@ def inspect(ckpt_path, manifest, kind, as_json):
             "tensors": rows,
             "role_counts": {role.value: count for role, count in cmap.counts().items()},
             "metadata": ckpt.metadata,
-            "vocab_size": len(ckpt.vocab) if ckpt.vocab is not None else None,
+            "vocab_size": vocab_size,
         }
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
         return
@@ -323,8 +327,8 @@ def inspect(ckpt_path, manifest, kind, as_json):
     counts = cmap.counts()
     summary = ", ".join(f"{role.value}={counts[role]}" for role in Role if counts[role])
     click.echo(f"roles: {summary}")
-    if ckpt.vocab is not None:
-        click.echo(f"vocabulary: {len(ckpt.vocab)} tokens")
+    if vocab_size is not None:
+        click.echo(f"vocabulary: {vocab_size} tokens")
     for key in sorted(ckpt.metadata):
         click.echo(f"metadata {key}: {ckpt.metadata[key]}")
 

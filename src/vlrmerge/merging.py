@@ -186,16 +186,19 @@ class _Buffers:
         self.mapping.close()
 
 
-def _widened(source: Tensor, role: str, name: str, start: int, out: np.ndarray, space: _Buffers) -> np.ndarray:
-    """Flat elements ``start:start + out.size`` of ``source``, checked finite, then widened into the float32 ``out``.
+def _widened(
+    source: Tensor, role: str, name: str, start: int, out: np.ndarray, space: _Buffers, check: bool
+) -> np.ndarray:
+    """Flat elements ``start:start + out.size`` of ``source``, widened into the float32 ``out``.
 
     The elements are viewed in memory or read from the tensor's file, with
-    one read, into ``space``'s ``storage`` slot (``Tensor.load_range``). A
-    NaN or infinity is a NonFiniteWeightError naming ``role``, the tensor
-    and the flat index, raised before any arithmetic reads the block.
+    one read, into ``space``'s ``storage`` slot (``Tensor.load_range``).
+    With ``check``, a NaN or infinity is a NonFiniteWeightError naming
+    ``role``, the tensor and the flat index, raised before any arithmetic
+    reads the block; without it, the caller has checked that block before.
     """
     view = source.load_range(start, start + out.size, space.get("storage"))
-    if (at := first_non_finite(view, space.get("bits"))) is not None:
+    if check and (at := first_non_finite(view, space.get("bits"))) is not None:
         raise NonFiniteWeightError(f"{role} tensor {name!r} holds a non-finite weight at flat index {start + at}")
     return widen(view, out)
 
@@ -240,8 +243,9 @@ def _merge_per_lam(
     the DARE drop-mask random stream. ties and dare-ties scale the jointly
     merged delta by lam; dare-ties elects signs and takes the disjoint mean
     on the already-rescaled survivors. Each block of each input is read
-    once (linear never reads ``pre``), checked finite and widened into
-    ``space``'s block slots (``_widened``). Then, once per density, in the
+    once (linear never reads ``pre``) and widened into ``space``'s block
+    slots (``_widened``), checked finite there, except for ties, whose
+    ranking keys checked every input block before. Then, once per density, in the
     block slots: form the task vectors, trim or drop, elect and take the
     disjoint mean, apply each lambda and narrow (``_narrowed``). With
     several densities the task vectors go to the ``tau_l`` and ``tau_r``
@@ -263,19 +267,22 @@ def _merge_per_lam(
     taus = ("lvlm", "rm") if len(by_density) == 1 else ("tau_l", "tau_r")
     if method is MergeMethod.TIES:
         with np.errstate(over="ignore"):
-            cuts = [_cuts(_ranking_key(pre, fine, role, name, space), list(by_density), space)
-                    for role, fine in (("lvlm", lvlm), ("rm", rm))]
+            # the first key checks pre's blocks, and each key its fine-tuned model's
+            keys = (_ranking_key(pre, fine, role, name, space, check_pre=role == "lvlm")
+                    for role, fine in (("lvlm", lvlm), ("rm", rm)))
+            cuts = [_cuts(key, list(by_density), space) for key in keys]
         # per density, per task vector: (threshold, entries tied at it still to keep), or None
         trims = [list(pair) for pair in zip(*cuts)]
     elif method.needs_seed:
         streams = [stream_key(seed, origin, name) for origin in ("lvlm", "rm")]
+    check = method is not MergeMethod.TIES  # the ranking keys checked every input block
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            a = _widened(lvlm, "lvlm", name, start, space.get("lvlm", m), space)
-            b = _widened(rm, "rm", name, start, space.get("rm", m), space)
+            a = _widened(lvlm, "lvlm", name, start, space.get("lvlm", m), space, check)
+            b = _widened(rm, "rm", name, start, space.get("rm", m), space, check)
             if method is not MergeMethod.LINEAR:
-                base = _widened(pre, "pre", name, start, space.get("pre", m), space)
+                base = _widened(pre, "pre", name, start, space.get("pre", m), space, check)
             for j, (density, indices) in enumerate(by_density.items()):
                 if method is not MergeMethod.LINEAR:
                     # the task vectors, then the merged delta
@@ -550,20 +557,22 @@ def retained_count(density: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
-def _ranking_key(pre: Tensor, fine: Tensor, role: str, name: str, space: _Buffers) -> np.ndarray:
+def _ranking_key(pre: Tensor, fine: Tensor, role: str, name: str, space: _Buffers, check_pre: bool) -> np.ndarray:
     """|fine - pre| as uint32 bit patterns, the ranking key of ``role``'s task vector, in ``space``'s ``key`` slot.
 
-    Both inputs are read block by block (``_widened``), and each block is
-    checked finite before it is subtracted. A non-negative float32 orders as
-    its bit pattern does, and a task vector is never NaN, so the key ranks
-    the magnitudes as integers.
+    Both inputs are read block by block (``_widened``). Each block of
+    ``fine``, and with ``check_pre`` each block of ``pre`` before it, is
+    checked finite before it is subtracted; without ``check_pre``, an
+    earlier key checked ``pre``. A non-negative float32 orders as its bit
+    pattern does, and a task vector is never NaN, so the key ranks the
+    magnitudes as integers.
     """
     n = pre.numel
     key = space.get("key", n)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        base = _widened(pre, "pre", name, start, space.get("pre", stop - start), space)
-        block = _widened(fine, role, name, start, key[start:stop].view(np.float32), space)
+        base = _widened(pre, "pre", name, start, space.get("pre", stop - start), space, check=check_pre)
+        block = _widened(fine, role, name, start, key[start:stop].view(np.float32), space, check=True)
         np.subtract(block, base, out=block)
         np.bitwise_and(key[start:stop], np.uint32(0x7FFFFFFF), out=key[start:stop])  # |x| is x without its sign bit
     return key

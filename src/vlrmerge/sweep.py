@@ -243,7 +243,9 @@ def run_sweep(
     ``provenance``, recorded in every variant, must hold the input
     checkpoints' file digests (``input.{pre,lvlm,rm}.sha256``, as
     ``tensorstore.file_digest`` gives them), which name the variants: a
-    missing one is a VlrmergeError before ``out_dir`` is made. A cached
+    missing one is a VlrmergeError before ``out_dir`` is made, and so is a
+    ``dataset`` too small for the primary and tie-break slices
+    (``sample_validation_slices``, a DatasetError). A cached
     variant is reused only when its recorded metadata is what this run
     would record. The missing variants are built by one ``assemble_vlrm`` call:
     one merge for the whole grid, which reads each input tensor a block at
@@ -256,12 +258,12 @@ def run_sweep(
     fails is recorded as failed and excluded from selection.
     """
     digest = _inputs_digest(provenance)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    grid = generate_grid(config)
     primary_slice, tiebreak_slice = sample_validation_slices(
         dataset, config.sampling_seed, config.primary_size, config.tiebreak_size
     )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    grid = generate_grid(config)
     variants = {r: out_dir / f"variant-{r.slug()}-{digest}.safetensors" for r in grid}
 
     missing = []

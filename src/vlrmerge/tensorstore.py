@@ -449,9 +449,10 @@ def as_tensor(name: str, source: np.ndarray | Tensor) -> Tensor:
 class Checkpoint:
     """An ordered map of tensors plus an optional vocabulary map.
 
-    ``file`` and ``vocab_sha256`` are set by ``read_checkpoint``: the open
-    file its tensors read their payloads from, and the sha256 of the
-    sidecar bytes ``vocab`` was parsed from.
+    ``file`` is set by ``read_header`` and ``read_checkpoint``, and
+    ``vocab_sha256`` by ``read_checkpoint``: the open file its tensors read
+    their payloads from, and the sha256 of the sidecar bytes ``vocab`` was
+    parsed from.
     """
 
     tensors: dict[str, Tensor]
@@ -584,31 +585,37 @@ def read_metadata(path: str | Path) -> dict[str, str]:
     return metadata
 
 
-def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> Checkpoint:
-    """Open a checkpoint file, reading and validating its header alone.
+def read_header(path: str | Path) -> Checkpoint:
+    """Open a checkpoint file, reading and validating its header alone; no vocabulary is read.
 
     The header is checked against the file's size, the tensors tiling the
     data region exactly, so a truncated file fails here. Each tensor holds
     its place in the file and reads its payload when it is used (see
     ``Tensor``); the checkpoint's ``file`` is the descriptor those reads go
-    through. If ``vocab_path`` is not given and ``<path>.vocab`` exists,
-    the sidecar is loaded automatically, and the digest of the bytes read
-    is kept as ``vocab_sha256``.
+    through.
     """
-    path = Path(path)
-    file, start, metadata, layout = _open(path)
+    file, start, metadata, layout = _open(Path(path))
     tensors = {
         name: Tensor(name, dtype, shape, place=(file, start + begin))
         for name, (dtype, shape, begin, _) in layout.items()
     }
+    return Checkpoint(tensors=tensors, metadata=metadata, file=file)
 
+
+def read_checkpoint(path: str | Path, vocab_path: str | Path | None = None) -> Checkpoint:
+    """Open a checkpoint file by its header (``read_header``) and load its vocabulary sidecar.
+
+    If ``vocab_path`` is not given and ``<path>.vocab`` exists, the sidecar
+    is loaded automatically, and the digest of the bytes read is kept as
+    ``vocab_sha256``.
+    """
+    ckpt = read_header(path)
     if vocab_path is None and default_vocab_path(path).exists():
         vocab_path = default_vocab_path(path)
-    vocab = digest = None
     if vocab_path is not None:
         data = Path(vocab_path).read_bytes()
-        vocab, digest = _parse_vocab(data, vocab_path), hashlib.sha256(data).hexdigest()
-    return Checkpoint(tensors=tensors, vocab=vocab, metadata=metadata, file=file, vocab_sha256=digest)
+        ckpt.vocab, ckpt.vocab_sha256 = _parse_vocab(data, vocab_path), hashlib.sha256(data).hexdigest()
+    return ckpt
 
 
 @contextmanager
@@ -748,6 +755,19 @@ def read_vocab(path: str | Path) -> dict[str, int]:
     line holds the empty token.
     """
     return _parse_vocab(Path(path).read_bytes(), path)
+
+
+def count_vocab(path: str | Path) -> int:
+    """The number of tokens in the vocabulary sidecar at ``path``, counted from its line breaks.
+
+    Equal to ``len(read_vocab(path))`` for every sidecar ``read_vocab``
+    accepts: none in an empty file, else one per LF plus one for a last line
+    without one (CRLF breaks a line once, and no UTF-8 character holds the
+    byte 0x0A). No token is decoded or checked, so a sidecar that
+    ``read_vocab`` rejects is counted too.
+    """
+    data = Path(path).read_bytes()
+    return data.count(b"\n") + (not data.endswith(b"\n")) if data else 0
 
 
 def _parse_vocab(data: bytes, path: str | Path) -> dict[str, int]:

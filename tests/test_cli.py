@@ -27,6 +27,7 @@ from vlrmerge import (
     load_manifest_config,
     merging,
     read_checkpoint,
+    read_vocab,
     tensorstore,
     write_checkpoint,
 )
@@ -465,6 +466,22 @@ def test_ties_merge_workers_hold_blocks_and_the_key_not_payloads(rng, tmp_path):
     assert growth_mib < 40, f"the merge grew the peak resident set by {growth_mib:.1f} MiB"
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak resident set from /proc")
+def test_inspect_counts_a_paper_size_sidecar_without_holding_its_tokens(rng, tmp_path):
+    # 128,000 tokens, 1.2 MB, as many as a paper-scale vocabulary: counting them grows the peak by about
+    # the file's size. A token map of them would grow it by about 20 MiB.
+    paths = write_triple(tmp_path, *toy_triple(rng, trans_dtype=Dtype.BF16))
+    sidecar = tensorstore.default_vocab_path(paths["rm"])
+    sidecar.write_text("".join(f"tok{i}\n" for i in range(128_000)), encoding="utf-8")
+    argv = ["inspect", str(paths["rm"]), "--kind", "rm", "--json"]
+    child = subprocess.run([sys.executable, "-c", PEAK_GROWTH, *argv], capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    *report, growth = child.stdout.splitlines()
+    assert json.loads("\n".join(report))["vocab_size"] == 128_000
+    growth_mib = int(growth) / 1024
+    assert growth_mib < 8, f"inspect grew the peak resident set by {growth_mib:.1f} MiB"
+
+
 def counted_per_worker(paths, recipes) -> int:
     """The bytes per worker ``check_memory`` counts for ``recipes`` on the triple at ``paths``, from the headers."""
     triple = classify_triple(*(read_checkpoint(paths[k]) for k in ("pre", "lvlm", "rm")), load_manifest_config())
@@ -888,6 +905,35 @@ class TestInspectCommand:
         result = runner.invoke(main, ["inspect", str(path), "--kind", "rm"])
         assert_named_error(result, message)
 
+    def test_vocabulary_size_is_the_sidecars_token_count(self, runner, triple_files, tmp_path):
+        out = tmp_path / "merged.safetensors"
+        assert runner.invoke(main, [*merge_args(triple_files, "linear"), "--out", str(out)]).exit_code == 0
+        sidecar = tensorstore.default_vocab_path(out)
+        tokens = len(read_vocab(sidecar))
+        text, as_json = (runner.invoke(main, ["inspect", str(out), *flag]) for flag in ([], ["--json"]))
+        assert f"vocabulary: {tokens} tokens" in text.stdout.splitlines()
+        assert json.loads(as_json.stdout)["vocab_size"] == tokens
+        sidecar.unlink()
+        text, as_json = (runner.invoke(main, ["inspect", str(out), *flag]) for flag in ([], ["--json"]))
+        assert text.exit_code == 0 and not [line for line in text.stdout.splitlines() if "vocabulary" in line]
+        assert json.loads(as_json.stdout)["vocab_size"] is None
+
+    def test_counts_the_sidecar_without_parsing_it(self, runner, triple_files, tmp_path, monkeypatch):
+        out = tmp_path / "merged.safetensors"
+        assert runner.invoke(main, [*merge_args(triple_files, "linear"), "--out", str(out)]).exit_code == 0
+        monkeypatch.setattr(tensorstore, "_parse_vocab", lambda *args: pytest.fail("the sidecar was parsed"))
+        for flag in ([], ["--json"]):
+            result = runner.invoke(main, ["inspect", str(out), *flag])
+            assert result.exit_code == 0, result.output
+
+    def test_a_sidecar_merge_rejects_is_counted(self, runner, triple_files, tmp_path):
+        tensorstore.default_vocab_path(triple_files["rm"]).write_bytes(b"a\na\n\xff\n")  # a duplicate, bad UTF-8
+        result = runner.invoke(main, ["inspect", str(triple_files["rm"]), "--kind", "rm", "--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["vocab_size"] == 3
+        result = runner.invoke(main, [*merge_args(triple_files, "linear"), "--out", str(tmp_path / "out")])
+        assert_named_error(result, "rm.safetensors.vocab: not UTF-8 text: invalid start byte")
+
     def test_unmatched_tensor_listed(self, runner, triple_files, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(
@@ -1072,6 +1118,20 @@ class TestSweepCommand:
             "--scorer", STUB_CMD, "--out-dir", str(tmp_path / "out"),
         ])
         assert_named_error(result, "valid.jsonl:1")
+        assert hashed == [] and not list(tmp_path.glob("*.sha256.json")) and not (tmp_path / "out").exists()
+
+    def test_a_dataset_too_small_for_the_split_fails_before_any_input_is_hashed(
+        self, runner, triple_files, tmp_path, monkeypatch
+    ):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"method": "linear", "lambda_grid": [0.5]}), encoding="utf-8")  # 400 + 100
+        data = write_pairwise_dataset(tmp_path / "valid.jsonl", 12)
+        hashed = spy_on_hashing(monkeypatch)
+        result = runner.invoke(main, [
+            "sweep", *triple_args(triple_files), "--config", str(config), "--data", str(data),
+            "--scorer", STUB_CMD, "--out-dir", str(tmp_path / "out"),
+        ])
+        assert_named_error(result, "validation set has 12 examples; need 400 + 100")
         assert hashed == [] and not list(tmp_path.glob("*.sha256.json")) and not (tmp_path / "out").exists()
 
     def test_a_scorer_that_cannot_start_fails_every_recipe_and_is_recorded(self, runner, triple_files, tmp_path):

@@ -1081,6 +1081,23 @@ class TestNonFiniteWeights:
             with pytest.raises(NonFiniteWeightError, match=message):
                 merge_transformer(recipe, *opened, jobs=jobs, variants=variants)
 
+    def test_ties_checks_each_input_block_once(self, rng, monkeypatch):
+        # blocks of 7: "a" is 3 blocks and "b" 6. The ranking keys check pre and each fine-tuned model;
+        # the block pass reads all three again and checks none. Each variant's output block is checked once.
+        monkeypatch.setattr(merging, "_BLOCK", 7)
+        real, callers = merging.first_non_finite, []
+
+        def spy(view, scratch):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(view, scratch)
+
+        monkeypatch.setattr(merging, "first_non_finite", spy)
+        recipe = MergeRecipe(TIES, lam=0.7, density=0.4)
+        variants = [replace(recipe, lam=lam, density=d) for lam in (0.5, 1.0) for d in (0.4, 0.8)]
+        merge_transformer(recipe, *self.maps(rng, "pre", 0.5), jobs=1, variants=variants)
+        assert callers.count("_widened") == 3 * 9
+        assert callers.count("_narrowed") == len(variants) * 9
+
     def test_opposite_infinite_task_vectors_under_task_arithmetic(self):
         # +inf and -inf task vectors at one position: their sum used to warn "invalid value"
         with pytest.raises(NonFiniteWeightError, match="^lvlm tensor 't' holds a non-finite weight at flat index 1$"):

@@ -681,6 +681,14 @@ class TestRunSweep:
             run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
         assert not out.exists()
 
+    def test_a_dataset_too_small_for_the_slices_is_an_error_before_out_dir_is_made(self, rng, tmp_path):
+        triple = classified_toy_triple(rng)
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 11))
+        out = tmp_path / "out"
+        with pytest.raises(DatasetError, match="validation set has 11 examples; need 8 \\+ 4$"):
+            run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode,limit", [("wb", 2000), ("w", 20)])
     def test_interrupted_write_leaves_no_variant_and_is_rebuilt(
         self, rng, tmp_path, monkeypatch, mode, limit

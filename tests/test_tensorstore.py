@@ -8,14 +8,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vlrmerge.tensorstore import CheckpointFile, checkpoint_writer, first_non_finite, widen
+from vlrmerge.tensorstore import (
+    CheckpointFile,
+    checkpoint_writer,
+    count_vocab,
+    default_vocab_path,
+    first_non_finite,
+    read_header,
+    widen,
+)
 from vlrmerge import (
     Checkpoint,
     CheckpointFormatError,
     Dtype,
     InputChangedError,
+    MergeMethod,
+    MergeRecipe,
     Tensor,
     VocabError,
+    assemble_vlrm,
     read_checkpoint,
     read_metadata,
     read_vocab,
@@ -23,7 +34,7 @@ from vlrmerge import (
     write_vocab,
 )
 
-from helpers import make_tensor
+from helpers import classified_toy_triple, make_tensor
 
 
 def build_file(path, header: dict, data: bytes):
@@ -640,6 +651,49 @@ class TestVocabSidecar:
         assert opened.vocab_sha256 == hashlib.sha256(b"x\n").hexdigest()
         assert read_checkpoint(path, tmp_path / "m.safetensors.vocab").vocab_sha256 == opened.vocab_sha256
         assert read_checkpoint(path.rename(tmp_path / "alone.safetensors")).vocab_sha256 is None
+
+
+class TestVocabCount:
+    @pytest.mark.parametrize("data,tokens", [
+        (b"", 0),
+        (b"\n", 1),
+        (b"a\nb\n\nc", 4),
+        (b"a\r\nb\r\n\r\nc\r\n", 4),
+        (b"a\r\nb", 2),
+        ("\u00e9t\u00e9\n\u2581the\n\U0001f600\n\u4e2d\u6587".encode("utf-8"), 4),
+    ], ids=["empty", "empty-token", "no-final-lf", "crlf", "crlf-no-final-lf", "multi-byte-utf8"])
+    def test_equals_the_tokens_read(self, tmp_path, data, tokens):
+        path = tmp_path / "v.vocab"
+        path.write_bytes(data)
+        assert count_vocab(path) == len(read_vocab(path)) == tokens
+
+    def test_a_merged_outputs_sidecar(self, rng, tmp_path):
+        out = tmp_path / "merged.safetensors"
+        assemble_vlrm([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], classified_toy_triple(rng), [out], jobs=1)
+        sidecar = default_vocab_path(out)
+        assert count_vocab(sidecar) == len(read_vocab(sidecar)) > 0
+
+    def test_a_sidecar_read_vocab_rejects_is_counted_unchecked(self, tmp_path):
+        path = tmp_path / "v.vocab"
+        path.write_bytes(b"a\na\n\xff\rb\n")
+        with pytest.raises(VocabError):
+            read_vocab(path)
+        assert count_vocab(path) == 3
+
+
+class TestReadHeader:
+    def test_the_checkpoint_without_its_sidecar(self, rng, tmp_path):
+        ckpt = random_checkpoint(rng, 3)
+        ckpt.metadata = {"k": "v"}
+        path = tmp_path / "m.safetensors"
+        write_checkpoint(ckpt, path)
+        (tmp_path / "m.safetensors.vocab").write_bytes(b"a\na\n")  # a duplicate token: read_checkpoint rejects it
+        opened = read_header(path)
+        assert opened.vocab is None and opened.vocab_sha256 is None
+        assert opened.metadata == {"k": "v"}
+        assert opened.tensors == ckpt.tensors and opened.file.path == path
+        with pytest.raises(VocabError, match="duplicate token 'a'"):
+            read_checkpoint(path)
 
 
 def test_tensor_invariant_rejects_wrong_payload_size():
