@@ -319,7 +319,7 @@ def read_json_object(path: str | Path, what: str) -> tuple[dict, str]:
     data = Path(path).read_bytes()
     try:
         raw = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # json raises RecursionError for deep nesting
         raise VlrmergeError(f"{path}: {what} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise VlrmergeError(f"{path}: {what} must be a JSON object")

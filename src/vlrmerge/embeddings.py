@@ -8,9 +8,10 @@ For every output token the first applicable rule wins:
 3. token known to both fine-tuned models -> unweighted mean of the two rows
 
 The matrices are merged in their storage dtype: rows of rules 1 and 2 are
-copied as stored, and only rule 3 rows pass through float32. A range of
-output rows can be merged alone, reading from the inputs only the rows it
-takes, so a matrix is merged in row blocks on any number of workers.
+copied as stored, and only rule 3 rows pass through float32. The assembly
+merges a matrix a block of output rows at a time, on any number of workers,
+each block reading from the inputs only the rows it takes; the functions
+here are its block steps, on inputs ``components.validate_triple`` checked.
 
 The output vocabulary is the LVLM vocabulary in order, followed by RM-only
 tokens in RM order.
@@ -23,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import merging
-from .components import embedding_problems, vocab_row_problems
+from .components import vocab_row_problems
 from .errors import NonFiniteWeightError, VocabError
 from .merging import MergeMethod, _Buffers
-from .tensorstore import Dtype, Tensor, as_tensor, first_non_finite, narrow, widen
+from .tensorstore import Dtype, Tensor, first_non_finite, narrow, widen
 
 
 @dataclass
@@ -67,29 +67,21 @@ def align_vocab(
     return AlignedVocab(tokens, rows(pre_vocab), rows(lvlm_vocab), rows(rm_vocab))
 
 
-def _array(space: _Buffers | None, slot: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    """An array of ``shape`` and ``dtype``: cut from the bytes of ``space``'s ``slot``, or new.
+def _array(space: _Buffers, slot: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """An array of ``shape`` and ``dtype``, cut from the bytes of ``space``'s ``slot``.
 
     ``space`` is a worker's ``merging._kernel_slots`` for a block of at least
     ``shape``'s elements: gathered rows go in ``storage``, merged rows in
     ``out``, the float32 rows averaged in ``lvlm`` and ``rm``, scratch in ``bits``.
     """
-    if space is None:
-        return np.empty(shape, dtype)
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     return space.get(slot).view(np.uint8)[:nbytes].view(dtype).reshape(shape)
 
 
-def _gather_arrays(space: _Buffers | None, n: int, width: int, dtype: Dtype) -> tuple[int, np.ndarray, np.ndarray]:
-    """The rows of ``width`` a block holds, at least one, and a gather's arrays for up to ``n`` of them.
-
-    The block is ``space``'s, or ``merging._BLOCK`` elements without one; the
-    arrays are the rows, in ``dtype``, and the finite check's scratch.
-    """
-    step = max(1, (merging._BLOCK if space is None else space.get("out").size) // max(width, 1))
-    held = min(step, n)
-    rows = _array(space, "storage", (held, width), dtype.array_dtype)
-    return step, rows, _array(space, "bits", (max(held * width, 1),), np.uint32)
+def _gather_arrays(space: _Buffers, n: int, width: int, dtype: Dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A gather's arrays in ``space`` for ``n`` rows of ``width``: the rows, in ``dtype``, and the check's scratch."""
+    rows = _array(space, "storage", (n, width), dtype.array_dtype)
+    return rows, _array(space, "bits", (max(n * width, 1),), np.uint32)
 
 
 def _rules(pre_idx: np.ndarray, lv_idx: np.ndarray, rm_idx: np.ndarray, method: MergeMethod) -> tuple[np.ndarray, ...]:
@@ -107,18 +99,14 @@ def _checked_rows(label: str, source: Tensor, rows: np.ndarray, buffer: np.ndarr
     return block
 
 
-def check_embedding_rows(label: str, source: np.ndarray | Tensor, rows: np.ndarray, space: _Buffers | None = None) -> None:
+def check_embedding_rows(label: str, source: Tensor, rows: np.ndarray, space: _Buffers) -> None:
     """Raise NonFiniteWeightError if a row ``rows`` of ``label``'s 2-D embedding ``source`` holds a NaN or infinity.
 
     The error names the model and the first such row in ``rows``. The rows
-    are read and checked a block at a time, in ``space`` (see ``_array``) if
-    given, so memory holds one block whatever their number.
+    are read in one gather in ``space``, a worker's buffers for a block of
+    at least ``len(rows)`` rows (see ``_array``).
     """
-    source = as_tensor(label, source)
-    _, width = source.shape
-    step, buffer, scratch = _gather_arrays(space, len(rows), width, source.dtype)
-    for start in range(0, len(rows), step):
-        _checked_rows(label, source, rows[start : start + step], buffer, scratch)
+    _checked_rows(label, source, rows, *_gather_arrays(space, len(rows), source.shape[1], source.dtype))
 
 
 def unread_rows(aligned: AlignedVocab, method: MergeMethod, n_rows: dict[str, int]) -> dict[str, np.ndarray]:
@@ -126,7 +114,7 @@ def unread_rows(aligned: AlignedVocab, method: MergeMethod, n_rows: dict[str, in
 
     ``merge_embedding_rows`` checks the rows it takes; checking these as well
     (``check_embedding_rows``) covers every row of every matrix the method
-    reads, as the whole-matrix call does. ``linear`` never reads ``pre``.
+    reads. ``linear`` never reads ``pre``.
     """
     use_pre, only_lv, only_rm, both = _rules(aligned.pre_rows, aligned.lvlm_rows, aligned.rm_rows, method)
     taken = {
@@ -145,86 +133,45 @@ def unread_rows(aligned: AlignedVocab, method: MergeMethod, n_rows: dict[str, in
 
 
 def merge_embedding_rows(
-    aligned: AlignedVocab,
-    pre_emb: np.ndarray | Tensor,
-    lvlm_emb: np.ndarray | Tensor,
-    rm_emb: np.ndarray | Tensor,
-    method: MergeMethod,
-    rows: range | None = None,
-    space: _Buffers | None = None,
+    aligned: AlignedVocab, pre: Tensor, lvlm: Tensor, rm: Tensor, method: MergeMethod, rows: range, space: _Buffers
 ) -> np.ndarray:
-    """Build the output rows ``rows`` (a range of step 1; all when None) of the merged embedding matrix.
+    """Build the output rows ``rows``, a range of step 1, of the merged embedding matrix, in ``space``.
 
-    The inputs are storage views (``Dtype.of``) or 2-D ``Tensor``s of one
-    dtype, each view made an in-memory ``Tensor`` first (``as_tensor``), and
-    the output is of that dtype, one row per output token of ``rows``. Each
-    input row an output row takes is read (from a tensor's file, only those
-    rows, see ``Tensor.load_rows``) and checked finite a block at a time: rows of
-    rules 1 and 2 are copied as stored, and the rule 3 rows alone are widened
-    to float32, averaged and narrowed, so no float32 copy of a whole matrix
-    is made and memory beyond the output is a few blocks. The bytes are
-    those of widening every input, merging in float32 and narrowing the
-    output, since widening and narrowing round-trip every stored bit
-    pattern, and do not depend on how the output rows are split. First,
-    ``rows`` must lie inside the output rows, with step 1 (a VocabError names
-    it and the output vocabulary's size), and the matrices must be 2-D, of
-    one width and dtype, with every aligned row of ``rows`` inside its
-    matrix (VocabError, with ``validate_triple``'s message for the same
-    fault). A NaN or infinity in a row read raises
+    The inputs are the triple's 2-D ``Tensor``s of one embedding, as
+    ``validate_triple`` accepts them: of one width and dtype, with every
+    aligned row inside its matrix. The output is of that dtype, one row per
+    output token of ``rows``. Each input row an output row takes is read
+    (from a tensor's file, only those rows, see ``Tensor.load_rows``) and
+    checked finite, one gather per rule: rows of rules 1 and 2 are copied
+    as stored, and the rule 3 rows alone are widened to float32, averaged
+    and narrowed. The bytes are those of widening every input, merging in
+    float32 and narrowing the output, since widening and narrowing
+    round-trip every stored bit pattern, and do not depend on how the
+    output rows are split. A NaN or infinity in a row read raises
     NonFiniteWeightError, naming the model and row, before any arithmetic
-    reads it. The whole-matrix call (``rows`` None) first checks every row
-    of every matrix the method reads (linear never reads ``pre``) in row
-    order; a caller that splits the rows checks the rest with
-    ``unread_rows`` and ``check_embedding_rows``. With ``space``, a worker's
-    buffers for a block of at least ``len(rows)`` rows (see ``_array``),
-    every block array is cut from it, the returned rows too, which the
-    worker's next use of ``space`` overwrites.
+    reads it; the rows no block reads are checked with ``unread_rows`` and
+    ``check_embedding_rows``. ``space`` is a worker's buffers for a block of
+    at least ``len(rows)`` rows (see ``_array``): every array is cut from
+    it, the returned rows too, which the worker's next use of ``space``
+    overwrites.
     """
-    n = len(aligned.tokens)
-    out_rows = range(n) if rows is None else rows
-    if out_rows.step != 1 or not 0 <= out_rows.start <= out_rows.stop <= n:
-        raise VocabError(f"rows {out_rows} are not a range of step 1 inside the {n} rows of the output vocabulary")
-    span = slice(out_rows.start, out_rows.stop)
+    span = slice(rows.start, rows.stop)
     pre_idx, lv_idx, rm_idx = aligned.pre_rows[span], aligned.lvlm_rows[span], aligned.rm_rows[span]
-    pre_emb, lvlm_emb, rm_emb = (
-        as_tensor(label, source) for label, source in (("pre", pre_emb), ("lvlm", lvlm_emb), ("rm", rm_emb))
-    )
-    sources = (("pre", pre_idx, pre_emb), ("lvlm", lv_idx, lvlm_emb), ("rm", rm_idx, rm_emb))
-    matrices = {label: (source.dtype, source.shape) for label, _, source in sources}
-    problems = embedding_problems(matrices) or [
-        problem
-        for label, idx, _ in sources
-        for problem in vocab_row_problems(label, idx[idx >= 0], matrices[label][1][0])
-    ]
-    if problems:
-        raise VocabError(problems[0])
-    dtype, (_, width) = matrices["lvlm"]
-    neither = (lv_idx < 0) & (rm_idx < 0)
-    if neither.any():
-        token = aligned.tokens[out_rows.start + int(neither.argmax())]
-        raise VocabError(f"token {token!r} is in neither fine-tuned vocabulary")
-    if rows is None:
-        for label, _, source in sources[1:] if method is MergeMethod.LINEAR else sources:
-            check_embedding_rows(label, source, np.arange(matrices[label][1][0]))
-
-    # each gather reads one block of rows, so no temporary outgrows a block
-    step, buffer, scratch = _gather_arrays(space, len(out_rows), width, dtype)
-    out = _array(space, "out", (len(out_rows), width), dtype.array_dtype)
+    n, width, dtype = len(rows), lvlm.shape[1], lvlm.dtype
+    buffer, scratch = _gather_arrays(space, n, width, dtype)
+    out = _array(space, "out", (n, width), dtype.array_dtype)
     use_pre, only_lv, only_rm, both = _rules(pre_idx, lv_idx, rm_idx, method)
+    sources = (("pre", pre_idx, pre), ("lvlm", lv_idx, lvlm), ("rm", rm_idx, rm))
     for mask, (label, idx, source) in zip((use_pre, only_lv, only_rm), sources):
-        taken = np.flatnonzero(mask)
-        for start in range(0, taken.size, step):
-            at = taken[start : start + step]
-            out[at] = _checked_rows(label, source, idx[at], buffer, scratch)
-    taken = np.flatnonzero(both)
-    a, b = (_array(space, slot, (min(step, taken.size), width), np.float32) for slot in ("lvlm", "rm"))
+        at = np.flatnonzero(mask)
+        out[at] = _checked_rows(label, source, idx[at], buffer, scratch)
+    at = np.flatnonzero(both)
+    x, y = (_array(space, slot, (at.size, width), np.float32) for slot in ("lvlm", "rm"))
+    widen(_checked_rows("lvlm", lvlm, lv_idx[at], buffer, scratch), x)
+    widen(_checked_rows("rm", rm, rm_idx[at], buffer, scratch), y)
+    # halves first: the sum of two finite rows may overflow, their mean cannot
     half = np.float32(0.5)
-    for start in range(0, taken.size, step):
-        at = taken[start : start + step]
-        x = widen(_checked_rows("lvlm", lvlm_emb, lv_idx[at], buffer, scratch), a[: at.size])
-        y = widen(_checked_rows("rm", rm_emb, rm_idx[at], buffer, scratch), b[: at.size])
-        # halves first: the sum of two finite rows may overflow, their mean cannot
-        np.add(np.multiply(x, half, out=x), np.multiply(y, half, out=y), out=x)
-        narrow(x, dtype, scratch, out=buffer[: at.size].reshape(-1))
-        out[at] = buffer[: at.size]
+    np.add(np.multiply(x, half, out=x), np.multiply(y, half, out=y), out=x)
+    narrow(x, dtype, scratch, out=buffer[: at.size].reshape(-1))
+    out[at] = buffer[: at.size]
     return out

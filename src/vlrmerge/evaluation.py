@@ -163,6 +163,8 @@ def _load_records(path: str | Path, fields: dict[str, type], build) -> list:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{where}: invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # an integer past Python's digit limit, or deep nesting
+            raise DatasetError(f"{where}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise DatasetError(f"{where}: record must be a JSON object")
         missing = [k for k in fields if k not in record]

@@ -35,15 +35,26 @@ class StubScorer:
         return {req["id"]: stub_reward(req["response"]) for req in requests}
 
 
-def _validate_replies(requests: list[Request], rewards: dict[str, float], source: str) -> None:
-    wanted = {req["id"] for req in requests}
-    missing = sorted(wanted - rewards.keys())
+def _finite_rewards(requests: list[Request], rewards: dict[str, object], source: str) -> dict[str, float]:
+    """Each request's reward in ``rewards`` as a float; ScorerError if one is missing or is no finite float.
+
+    A JSON number that converts to no finite float (NaN, an infinity, an
+    integer past the float range) is as malformed as a non-number.
+    """
+    missing = sorted({req["id"] for req in requests} - rewards.keys())
     if missing:
         raise ScorerError(f"{source}: no reward for id(s): {', '.join(missing[:5])}")
-    for rid in wanted:
-        reward = rewards[rid]
-        if not isinstance(reward, (int, float)) or isinstance(reward, bool) or not math.isfinite(reward):
-            raise ScorerError(f"{source}: non-finite or non-numeric reward for id {rid!r}")
+    out = {}
+    for req in requests:
+        reward = rewards[req["id"]]
+        try:
+            value = float(reward) if isinstance(reward, (int, float)) and not isinstance(reward, bool) else math.nan
+        except OverflowError:  # an integer past the float range
+            value = math.nan
+        if not math.isfinite(value):
+            raise ScorerError(f"{source}: non-finite or non-numeric reward for id {req['id']!r}")
+        out[req["id"]] = value
+    return out
 
 
 def check_timeout(seconds: float) -> float:
@@ -85,20 +96,21 @@ class SubprocessScorer:
             replies = proc.stdout.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ScorerError(f"scorer output is not UTF-8 text: {exc.reason}") from exc
-        rewards: dict[str, float] = {}
+        rewards: dict[str, object] = {}
         for line_no, line in enumerate(replies.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
                 reply = json.loads(line)
                 rid, reward = reply["id"], reply["reward"]
-            except (json.JSONDecodeError, TypeError, KeyError) as exc:
+            except (ValueError, RecursionError, TypeError, KeyError) as exc:  # RecursionError: deep nesting
                 raise ScorerError(f"scorer reply line {line_no} is malformed: {line!r}") from exc
+            if not isinstance(rid, str):
+                raise ScorerError(f"scorer reply line {line_no} is malformed: its id is not a string: {line!r}")
             if rid in rewards:
                 raise ScorerError(f"scorer replied twice for id {rid!r}")
             rewards[rid] = reward
-        _validate_replies(requests, rewards, "scorer")
-        return {req["id"]: float(rewards[req["id"]]) for req in requests}
+        return _finite_rewards(requests, rewards, "scorer")
 
 
 class RecordingScorer:
@@ -127,7 +139,7 @@ class ReplayScorer:
 
     def __init__(self, transcript_path: str | Path):
         self.transcript_path = Path(transcript_path)
-        self._rewards: dict[str, float] = {}
+        self._rewards: dict[str, object] = {}
         self._requests: dict[str, Request] = {}
         first_line: dict[str, int] = {}
         try:
@@ -142,10 +154,14 @@ class ReplayScorer:
                 record = json.loads(line)
                 req, reward = record["request"], record["reward"]
                 rid = req["id"]
-            except (json.JSONDecodeError, TypeError, KeyError) as exc:
+            except (ValueError, RecursionError, TypeError, KeyError) as exc:  # RecursionError: deep nesting
                 raise ScorerError(
                     f"{self.transcript_path}:{line_no}: malformed transcript record"
                 ) from exc
+            if not isinstance(rid, str):
+                raise ScorerError(
+                    f"{self.transcript_path}:{line_no}: malformed transcript record: its id is not a string"
+                )
             seen = first_line.setdefault(rid, line_no)
             if seen != line_no and (self._requests[rid], self._rewards[rid]) != (req, reward):
                 raise ScorerError(
@@ -163,8 +179,7 @@ class ReplayScorer:
                 raise ScorerError(
                     f"transcript request for id {rid!r} does not match the live request"
                 )
-        _validate_replies(requests, self._rewards, str(self.transcript_path))
-        return {req["id"]: float(self._rewards[req["id"]]) for req in requests}
+        return _finite_rewards(requests, self._rewards, str(self.transcript_path))
 
 
 def stub_scorer_loop(stdin, stdout) -> None:

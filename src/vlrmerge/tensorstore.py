@@ -478,7 +478,7 @@ def _parse_header(blob: bytes) -> dict:
 
     try:
         header = json.loads(blob.decode("utf-8"), object_pairs_hook=reject_duplicates)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # json raises RecursionError for deep nesting
         raise CheckpointFormatError(f"header is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointFormatError("header JSON must be an object")

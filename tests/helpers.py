@@ -8,22 +8,35 @@ import numpy as np
 
 from vlrmerge import (
     Checkpoint,
+    ComponentMap,
     Dtype,
     MergeMethod,
     MergeRecipe,
+    ModelTriple,
+    Role,
     Tensor,
     assemble_vlrm,
+    assembly,
     classify_triple,
     load_manifest_config,
     merge_transformer,
+    merging,
     read_checkpoint,
     write_checkpoint,
     write_vocab,
 )
-from vlrmerge.tensorstore import default_vocab_path
+from vlrmerge.components import ClassifiedModel
+from vlrmerge.tensorstore import as_tensor, default_vocab_path
 
 
 _outputs = itertools.count()
+
+# JSON texts that Python's parser rejects past its grammar: an integer past the 4,300-digit limit on int
+# conversion (a ValueError that is no JSONDecodeError) and an array nested too deep (a RecursionError)
+JSON_PAST_THE_PARSER = {
+    "long-integer": '{"id": 1' + "0" * 4400 + "}",
+    "deep-array": "[" * 100_000 + "]" * 100_000,
+}
 
 
 def assemble_in(directory: Path, recipes, triple, provenance=None, jobs=None) -> list[Checkpoint]:
@@ -41,6 +54,43 @@ def merge_one(recipe: MergeRecipe, name: str, pre, lvlm, rm) -> np.ndarray:
     """One tensor merged at the recipe's lambda by ``merge_transformer``, as a storage view."""
     [merged] = merge_transformer(recipe, {name: pre}, {name: lvlm}, {name: rm}, jobs=1)
     return merged[name].array()
+
+
+class CollectingWriter:
+    """Stands for a ``CheckpointWriter`` of one payload of ``nbytes`` bytes, which it collects in memory."""
+
+    def __init__(self, nbytes: int):
+        self.payload = bytearray(nbytes)
+
+    def write(self, name: str, piece, at: int = 0) -> None:
+        view = memoryview(piece).cast("B")
+        self.payload[at : at + len(view)] = view
+
+
+EMBEDDING = "model.embed_tokens.weight"
+
+
+def merge_embedding(aligned, pre, lvlm, rm, method: MergeMethod, jobs: int = 2) -> np.ndarray:
+    """The embedding matrices ``pre``, ``lvlm`` and ``rm`` merged under ``aligned`` as ``assemble_vlrm`` merges them.
+
+    Each matrix, a storage view or a ``Tensor``, is the one embedding of its
+    model in an embedding-only triple, a view as the in-memory tensor of its
+    bytes. The triple's pieces (``assembly._pieces``: the output blocks,
+    then the checks of the input rows no block reads) run on ``jobs``
+    workers (``merging.run_workers``) into a ``CollectingWriter``. Each
+    worker's block holds ``merging._BLOCK`` elements, or one row when that
+    is wider, as in an assembly whose largest transformer tensor is at
+    least that large. Returns the merged matrix as a storage view.
+    """
+    sources = [as_tensor(EMBEDDING, source) for source in (pre, lvlm, rm)]
+    models = [ClassifiedModel(Checkpoint({EMBEDDING: t}), ComponentMap({EMBEDDING: Role.EMBEDDING})) for t in sources]
+    (n, width), dtype = (len(aligned.tokens), sources[1].shape[1]), sources[1].dtype
+    writer = CollectingWriter(n * width * dtype.itemsize)
+    block = max(merging._BLOCK, width)
+    slots = merging._kernel_slots(0, block, False)
+    pieces = assembly._pieces(method, aligned, ModelTriple(*models), [writer], block)
+    merging.run_workers(pieces, jobs, lambda piece, space: piece(space), lambda: merging._Buffers(slots))
+    return np.frombuffer(writer.payload, dtype.array_dtype).reshape(n, width)
 
 
 def trim_step(values, density: float) -> np.ndarray:

@@ -23,7 +23,6 @@ from vlrmerge import (
     MergeRecipe,
     Tensor,
     align_vocab,
-    merge_embedding_rows,
     merge_transformer,
     read_checkpoint,
     score_pairwise_bench,
@@ -36,6 +35,7 @@ from vlrmerge.tensorstore import default_vocab_path
 
 from helpers import (
     drop_step,
+    merge_embedding,
     merge_one,
     toy_triple,
     trim_step,
@@ -172,13 +172,13 @@ def test_criterion_5_embedding_rules():
     assert aligned.lvlm_rows.tolist() == [0, 1, 2, -1]
     assert aligned.rm_rows.tolist() == [0, 1, -1, 2]
 
-    merged = merge_embedding_rows(aligned, pre, lvlm, rm, MergeMethod.TASK_ARITHMETIC)
+    merged = merge_embedding(aligned, pre, lvlm, rm, MergeMethod.TASK_ARITHMETIC)
     assert merged[0].tolist() == [9.0, 9.0]  # rule 1: base-model row wins
     assert merged[1].tolist() == [2.0, 2.0]  # rule 3: mean of the two rows
     assert merged[2].tolist() == [5.0, 5.0]  # rule 2: single-model row verbatim
     assert merged[3].tolist() == [7.0, 7.0]
 
-    linear = merge_embedding_rows(aligned, pre, lvlm, rm, MergeMethod.LINEAR)
+    linear = merge_embedding(aligned, pre, lvlm, rm, MergeMethod.LINEAR)
     assert linear[0].tolist() == [1.5, 1.5]  # rule 1 skipped for the linear method
     assert linear[1].tolist() == [2.0, 2.0]
     report(5, "embedding merge rules", started)

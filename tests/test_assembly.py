@@ -18,11 +18,9 @@ from vlrmerge import (
     TripleValidationError,
     VlrmergeError,
     assemble_vlrm,
-    align_vocab,
     assembly,
     classify_triple,
     load_manifest_config,
-    merge_embedding_rows,
     merging,
     read_checkpoint,
     write_checkpoint,
@@ -37,6 +35,7 @@ from vlrmerge.tensorstore import (
     Tensor,
     default_vocab_path,
     file_digest,
+    narrow,
     read_vocab,
 )
 
@@ -415,8 +414,9 @@ class TestEmbeddingBlocks:
     def test_blocks_give_the_whole_matrix_merge_for_any_block_size_and_jobs(self, tmp_path, monkeypatch, recipe):
         triple = self.permuted_triple(tmp_path / "in", np.random.default_rng(3))
         emb = triple.tensors(Role.EMBEDDING)
-        aligned = align_vocab(*(m.ckpt.vocab for m in (triple.pre, triple.lvlm, triple.rm)))
-        whole = merge_embedding_rows(aligned, *(ts[EMB].load() for ts in emb.values()), recipe.method)
+        vocabs = [m.ckpt.vocab for m in (triple.pre, triple.lvlm, triple.rm)]
+        tokens, rows = ref.embedding_rows(recipe.method.value, *vocabs, *(ts[EMB].to_f32() for ts in emb.values()))
+        whole = narrow(np.asarray(rows, np.float32), Dtype.BF16)  # widening and narrowing round-trip every row copied
         default = tmp_path / "default"
         assemble_vlrm([recipe], triple, [default], jobs=2)
         real, calls = assembly.merge_embedding_rows, []
@@ -432,8 +432,8 @@ class TestEmbeddingBlocks:
         for jobs, out in zip((1, 2), outs):
             assemble_vlrm([recipe], triple, [out], jobs=jobs)
         # each of the two calls merges the 49 output rows in 17 blocks
-        assert sum(calls) == 2 * len(aligned.tokens) and len(calls) == 2 * -(-len(aligned.tokens) // 3)
-        assert read_checkpoint(default).tensors[EMB].data == whole.tobytes()
+        assert sum(calls) == 2 * len(tokens) and len(calls) == 2 * -(-len(tokens) // 3)
+        assert read_checkpoint(default).tensors[EMB].data == whole
         assert outs[0].read_bytes() == outs[1].read_bytes() == default.read_bytes()
 
     @pytest.mark.parametrize("recipe", [EVERY_METHOD[0], EVERY_METHOD[2]], ids=lambda r: r.method.value)

@@ -16,7 +16,6 @@ from vlrmerge import (
     classify_tensors,
     classify_triple,
     load_manifest_config,
-    merge_embedding_rows,
     merge_transformer,
     validate_triple,
 )
@@ -24,8 +23,9 @@ from vlrmerge import assembly
 from vlrmerge.components import DEFAULT_MANIFEST, MAKEUP, REQUIRED_ROLES
 from vlrmerge.errors import TripleValidationError
 from vlrmerge.merging import MergeMethod, MergeRecipe
+from vlrmerge.tensorstore import Tensor
 
-from helpers import assemble_in, classified_toy_triple, make_tensor, toy_triple
+from helpers import EMBEDDING, JSON_PAST_THE_PARSER, assemble_in, classified_toy_triple, make_tensor, toy_triple
 
 
 def ckpt_with(names):
@@ -189,9 +189,6 @@ class TestValidateTriple:
                 assert merged.tensors
 
 
-EMBEDDING = "model.embed_tokens.weight"
-
-
 def replace_tensor(model, name, values, dtype=Dtype.F32):
     model.ckpt.tensors[name] = make_tensor(name, values, dtype)
 
@@ -206,11 +203,9 @@ def merge_transformer_of(triple):
     merge_transformer(MergeRecipe(MergeMethod.LINEAR, lam=0.5), *triple.tensors(Role.TRANSFORMER).values(), jobs=1)
 
 
-def merge_embedding_of(triple):
-    """``align_vocab``, then ``merge_embedding_rows`` on the triple's embedding, in ``assemble_vlrm``'s order."""
-    aligned = align_vocab(*(m.ckpt.vocab for m in (triple.pre, triple.lvlm, triple.rm)))
-    emb = triple.tensors(Role.EMBEDDING)
-    merge_embedding_rows(aligned, *(ts[EMBEDDING].load() for ts in emb.values()), MergeMethod.TIES)
+def align_vocab_of(triple):
+    """``align_vocab`` on the triple's vocabularies, as ``assemble_vlrm`` calls it."""
+    align_vocab(*(m.ckpt.vocab for m in (triple.pre, triple.lvlm, triple.rm)))
 
 
 class TestSharedRules:
@@ -252,16 +247,11 @@ class TestSharedRules:
             "rm: vocabulary row index -3 is negative",
             id="negative-row",
         ),
-        pytest.param(
-            lambda t: t.lvlm.ckpt.vocab.update({"overflow-token": 24}),
-            "lvlm: vocabulary row index 24 out of range for an embedding with 24 rows",
-            id="row-past-the-last",
-        ),
     ])
     def test_vocabulary_rows(self, rng, breach, message):
         triple = classified_toy_triple(rng)
         breach(triple)
-        self.both_say(triple, message, merge_embedding_of, VocabError)
+        self.both_say(triple, message, align_vocab_of, VocabError)
 
     @pytest.mark.parametrize("breach,message", [
         pytest.param(
@@ -279,11 +269,25 @@ class TestSharedRules:
             "embedding dtype mismatch: pre F32, lvlm F32, rm F16",
             id="mixed-dtypes",
         ),
+        pytest.param(
+            lambda t: t.lvlm.ckpt.vocab.update({"overflow-token": 24}),
+            "lvlm: vocabulary row index 24 out of range for an embedding with 24 rows",
+            id="row-past-the-last",
+        ),
     ])
-    def test_embedding_matrices(self, rng, breach, message):
+    def test_embedding_faults_stop_the_assembly_before_any_read(self, rng, tmp_path, monkeypatch, breach, message):
+        # the embedding block steps check none of these: validate_triple is their one check
         triple = classified_toy_triple(rng)
         breach(triple)
-        self.both_say(triple, message, merge_embedding_of, VocabError)
+        assert validate_triple(triple) == [message]
+        reads = []
+        monkeypatch.setattr(Tensor, "load_rows", lambda self, *args: reads.append(self.name))
+        monkeypatch.setattr(Tensor, "load_range", lambda self, *args: reads.append(self.name))
+        with pytest.raises(TripleValidationError) as raised:
+            assemble_in(tmp_path, [MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.4)], triple, jobs=2)
+        assert raised.value.report == [message]
+        assert reads == []
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_role_table_gives_the_required_roles_and_the_makeup():
@@ -338,4 +342,12 @@ def test_manifest_config_unknown_role(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text('{"pre": [{"pattern": "*", "role": "head"}]}', encoding="utf-8")
     with pytest.raises(Exception, match="unknown role 'head'"):
+        load_manifest_config(path)
+
+
+@pytest.mark.parametrize("text", list(JSON_PAST_THE_PARSER))
+def test_manifest_config_past_the_json_parsers_limits_is_a_named_error(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(JSON_PAST_THE_PARSER[text], encoding="utf-8")
+    with pytest.raises(VlrmergeError, match="manifest.json: manifest config is not valid JSON: "):
         load_manifest_config(path)

@@ -1,27 +1,24 @@
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from vlrmerge import (
-    AlignedVocab,
     Checkpoint,
     Dtype,
     MergeMethod,
     NonFiniteWeightError,
     VocabError,
     align_vocab,
-    embeddings,
-    merge_embedding_rows,
     merging,
     read_checkpoint,
     write_checkpoint,
 )
-from vlrmerge.embeddings import check_embedding_rows, unread_rows
-from vlrmerge.tensorstore import Tensor, narrow, widen
+from vlrmerge.embeddings import check_embedding_rows, merge_embedding_rows, unread_rows
+from vlrmerge.tensorstore import Tensor, as_tensor, narrow, widen
 
 import reference as ref
+from helpers import merge_embedding
 
 
 def emb(rows):
@@ -68,7 +65,7 @@ class TestMergeRules:
         self.aligned = align_vocab(self.pre_vocab, self.lvlm_vocab, self.rm_vocab)
 
     def test_rule_three_mean_of_two_rows(self):
-        out = merge_embedding_rows(
+        out = merge_embedding(
             self.aligned, self.pre_emb, self.lvlm_emb, self.rm_emb, MergeMethod.TASK_ARITHMETIC
         )
         assert out[1].tolist() == [2.0, 2.0]
@@ -78,49 +75,32 @@ class TestMergeRules:
     def test_mean_of_rows_near_the_float32_maximum_does_not_overflow(self, dtype):
         vocab = {"both": 0}
         rows = np.frombuffer(narrow(emb([[3e38, -3e38]]), dtype), dtype.array_dtype).reshape(1, 2)
-        out = merge_embedding_rows(align_vocab({}, vocab, vocab), rows, rows, rows, MergeMethod.TIES)
+        out = merge_embedding(align_vocab({}, vocab, vocab), rows, rows, rows, MergeMethod.TIES)
         assert out.tobytes() == rows.tobytes()
         assert np.isfinite(widen(out)).all()
 
     def test_rule_two_single_model_row_verbatim(self):
-        out = merge_embedding_rows(
+        out = merge_embedding(
             self.aligned, self.pre_emb, self.lvlm_emb, self.rm_emb, MergeMethod.TASK_ARITHMETIC
         )
         assert out[2].tolist() == [5.0, 5.0]
         assert out[3].tolist() == [7.0, 7.0]
 
     def test_rule_one_pre_row_and_linear_exception(self):
-        non_linear = merge_embedding_rows(
+        non_linear = merge_embedding(
             self.aligned, self.pre_emb, self.lvlm_emb, self.rm_emb, MergeMethod.TASK_ARITHMETIC
         )
         assert non_linear[0].tolist() == [10.0, 10.0]
-        linear = merge_embedding_rows(
+        linear = merge_embedding(
             self.aligned, self.pre_emb, self.lvlm_emb, self.rm_emb, MergeMethod.LINEAR
         )
         assert linear[0].tolist() == [1.5, 1.5]  # mean of lvlm/rm rows, pre skipped
 
     def test_output_shape(self):
-        out = merge_embedding_rows(
+        out = merge_embedding(
             self.aligned, self.pre_emb, self.lvlm_emb, self.rm_emb, MergeMethod.TIES
         )
         assert out.shape == (4, 2)
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(VocabError, match="width mismatch"):
-            merge_embedding_rows(
-                self.aligned, emb([[1.0, 2.0, 3.0]]), self.lvlm_emb, self.rm_emb, MergeMethod.TIES
-            )
-
-    def test_row_index_out_of_range_rejected(self):
-        aligned = align_vocab({}, {"a": 5}, {})
-        with pytest.raises(VocabError, match="out of range"):
-            merge_embedding_rows(aligned, emb([[0.0]]), emb([[1.0]]), emb([[2.0]]), MergeMethod.TIES)
-
-    def test_token_in_neither_fine_tuned_vocabulary_rejected(self):
-        none = np.array([-1], dtype=np.int64)
-        aligned = AlignedVocab(["ghost"], np.array([0], dtype=np.int64), none, none)
-        with pytest.raises(VocabError, match="'ghost' is in neither fine-tuned vocabulary"):
-            merge_embedding_rows(aligned, emb([[0.0]]), emb([[1.0]]), emb([[2.0]]), MergeMethod.TIES)
 
 
 class TestInvariants:
@@ -129,7 +109,7 @@ class TestInvariants:
         rm_vocab = {f"t{i}": i for i in range(20)} | {f"r{i}": 20 + i for i in range(7)}
         pre_vocab = {f"t{i}": i for i in range(10)}
         aligned = align_vocab(pre_vocab, lvlm_vocab, rm_vocab)
-        out = merge_embedding_rows(
+        out = merge_embedding(
             aligned,
             rng.standard_normal((10, 4)).astype(np.float32),
             rng.standard_normal((30, 4)).astype(np.float32),
@@ -143,7 +123,7 @@ class TestInvariants:
         vocab = {f"t{i}": i for i in range(12)}
         pre = rng.standard_normal((12, 6)).astype(np.float32)
         aligned = align_vocab(vocab, dict(vocab), dict(vocab))
-        out = merge_embedding_rows(
+        out = merge_embedding(
             aligned,
             pre,
             rng.standard_normal((12, 6)).astype(np.float32),
@@ -162,10 +142,10 @@ class TestInvariants:
             rng.standard_normal((2, 3)).astype(np.float32),
             rng.standard_normal((2, 3)).astype(np.float32),
         )
-        full = merge_embedding_rows(
+        full = merge_embedding(
             align_vocab(pre_vocab, lvlm_vocab, rm_vocab), pre, lvlm, rm, MergeMethod.LINEAR
         )
-        solo = merge_embedding_rows(
+        solo = merge_embedding(
             align_vocab(pre_vocab, {"a": 0}, {"a": 1}), pre, lvlm, rm, MergeMethod.LINEAR
         )
         assert full[0].tolist() == solo[0].tolist()
@@ -212,7 +192,7 @@ class TestAgainstReference:
             rng.standard_normal((len(v) + 2, 5)).astype(np.float32) for v in (pre_v, lvlm_v, rm_v)
         )
         aligned = align_vocab(pre_v, lvlm_v, rm_v)
-        out = merge_embedding_rows(aligned, pre, lvlm, rm, method)
+        out = merge_embedding(aligned, pre, lvlm, rm, method)
         tokens, rows = ref.embedding_rows(method.value, pre_v, lvlm_v, rm_v, pre, lvlm, rm)
         assert aligned.tokens == tokens
         assert aligned.output_vocab() == {token: i for i, token in enumerate(tokens)}
@@ -281,7 +261,7 @@ class TestStorageDtype:
         # every rule fires (the base rule only for ties) and each rule spans many blocks
         assert (in_lv & in_rm).sum() > 10 and (in_lv & ~in_rm).sum() > 10 and (~in_lv & in_rm).sum() > 10
         assert base.sum() > 10 or method is MergeMethod.LINEAR
-        out = merge_embedding_rows(aligned, pre, lvlm, rm, method)
+        out = merge_embedding(aligned, pre, lvlm, rm, method)
         assert out.dtype == dtype.array_dtype
         assert out.shape == (len(aligned.tokens), 7)
         assert out.tobytes() == widened_route(aligned, pre, lvlm, rm, method, dtype).tobytes()
@@ -293,42 +273,31 @@ class TestStorageDtype:
         pre = bits[None, :].copy()
         lvlm = np.stack([bits, np.roll(bits, 1), np.full(5, 0x3F80, np.uint16)])  # 1.0
         rm = np.stack([bits, np.roll(bits, 2), np.full(5, 0x4000, np.uint16)])  # 2.0
-        out = merge_embedding_rows(aligned, pre, lvlm, rm, MergeMethod.TIES)
+        out = merge_embedding(aligned, pre, lvlm, rm, MergeMethod.TIES)
         assert out.dtype == np.uint16
         assert out[0].tolist() == pre[0].tolist()
         assert out[1].tolist() == lvlm[1].tolist()
         assert out[2].tolist() == [0x3FC0] * 5  # bf16 1.5
         assert out[3].tolist() == rm[1].tolist()
 
-    @pytest.mark.parametrize("odd", ["pre", "lvlm", "rm"])
-    def test_mixed_dtypes_rejected(self, odd):
-        aligned = align_vocab({"a": 0}, {"a": 0}, {"a": 0})
-        views = {label: np.zeros((1, 2), np.uint16) for label in ("pre", "lvlm", "rm")}
-        views[odd] = np.zeros((1, 2), np.float32)
-        with pytest.raises(VocabError, match=f"embedding dtype mismatch: .*{odd} F32"):
-            merge_embedding_rows(aligned, views["pre"], views["lvlm"], views["rm"], MergeMethod.LINEAR)
-
-    def test_non_storage_view_rejected(self):
-        aligned = align_vocab({"a": 0}, {"a": 0}, {"a": 0})
-        wide = np.zeros((1, 2), np.float64)
-        with pytest.raises(TypeError, match="not a storage view"):
-            merge_embedding_rows(aligned, wide, wide, wide, MergeMethod.LINEAR)
-
     @pytest.mark.parametrize("method", [MergeMethod.LINEAR, MergeMethod.TIES])
-    def test_bf16_merge_peaks_below_two_output_matrices(self, rng, method):
+    def test_bf16_merge_peaks_near_the_output_bytes(self, rng, method):
         rows, width = 4096, 512
         vocab = {f"t{i}": i for i in range(rows)}
         # half the rows shared with the base, so ties both copies and averages
         aligned = align_vocab({f"t{i}": i for i in range(rows // 2)}, vocab, dict(vocab))
         pre, lvlm, rm = (rng.integers(0, 0x7F00, (rows, width), dtype=np.uint16) for _ in range(3))
+        merge_embedding(aligned, pre, lvlm, rm, method)  # the pool and lazy imports exist
         tracemalloc.start()
         try:
-            out = merge_embedding_rows(aligned, pre, lvlm, rm, method)
+            out = merge_embedding(aligned, pre, lvlm, rm, method)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # the blocks live in the workers' mappings: beside the collected 4 MiB output, 0.56 MiB was measured at
+        # two workers, mostly the set-up of each worker's DARE draws, where a matrix-sized temporary adds 4 MiB
         output = rows * width * 2
-        assert peak < 2 * output, f"peak {peak} bytes for a {output}-byte output"
+        assert peak < output * 1.25, f"peak {peak} bytes for a {output}-byte output"
         assert out.dtype == np.uint16
 
 
@@ -339,82 +308,82 @@ class TestNonFiniteRows:
     def matrices(rng, vocabs, dtype):
         return {k: storage_matrix(rng, len(vocabs[k]) + 2, 7, dtype) for k in ("pre", "lvlm", "rm")}
 
+    @pytest.mark.parametrize("bad", ["taken", "taken-and-unread", "unread"])
     @pytest.mark.parametrize("model", ["pre", "lvlm", "rm"])
     @pytest.mark.parametrize("dtype", [Dtype.F16, Dtype.BF16, Dtype.F32])
-    def test_rejected_by_model_and_row(self, rng, dtype, model):
+    def test_rejected_by_model_and_row(self, rng, monkeypatch, dtype, model, bad):
         vocabs = random_vocabs(rng, 40, with_rm=True)
         aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
+        monkeypatch.setattr(merging, "_BLOCK", 1)  # one output row a block
+        # the error names the first failing piece's row: the blocks come in output order, then the checks
+        # of the rows no output row takes, in row order
+        unread = unread_rows(aligned, MergeMethod.TIES, {k: len(v) + 2 for k, v in vocabs.items()})[model]
+        rows = {"pre": aligned.pre_rows, "lvlm": aligned.lvlm_rows, "rm": aligned.rm_rows}[model]
+        taken = [row for row in rows.tolist() if row >= 0 and row not in unread]  # in output order
+        if bad == "taken":  # the first row taken, and the lowest row taken after it
+            named, other = taken[0], min(taken[1:])
+        elif bad == "taken-and-unread":
+            named, other = taken[-1], unread[0]
+        else:
+            named, other = unread[0], unread[-1]
         for pattern in NON_FINITE_BITS[dtype]:
             views = self.matrices(rng, vocabs, dtype)
             bits = views[model].view(np.uint32 if dtype is Dtype.F32 else np.uint16)
-            bits[3, 6] = bits[5, 0] = pattern  # the error names the first
-            with pytest.raises(NonFiniteWeightError, match=f"^{model} embedding row 3 holds a non-finite weight$"):
-                merge_embedding_rows(aligned, *views.values(), MergeMethod.TIES)
+            bits[named, 6] = bits[other, 0] = pattern
+            for jobs in (1, 2):
+                with pytest.raises(NonFiniteWeightError, match=f"^{model} embedding row {named} holds a non-finite"):
+                    merge_embedding(aligned, *views.values(), MergeMethod.TIES, jobs=jobs)
 
     def test_linear_never_reads_the_base_matrix(self, rng):
         vocabs = random_vocabs(rng, 40, with_rm=True)
         aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
         views = self.matrices(rng, vocabs, Dtype.BF16)
-        finite = merge_embedding_rows(aligned, *views.values(), MergeMethod.LINEAR)
+        finite = merge_embedding(aligned, *views.values(), MergeMethod.LINEAR)
         views["pre"][:] = NON_FINITE_BITS[Dtype.BF16][0]
-        assert merge_embedding_rows(aligned, *views.values(), MergeMethod.LINEAR).tobytes() == finite.tobytes()
+        assert merge_embedding(aligned, *views.values(), MergeMethod.LINEAR).tobytes() == finite.tobytes()
+
+
+def block_space(rows: int, width: int) -> merging._Buffers:
+    """A worker's buffers, the kernel's slots, for a block of ``rows`` rows of ``width``."""
+    return merging._Buffers(merging._kernel_slots(0, rows * width, False))
 
 
 class TestRowRanges:
     """A range of output rows merges alone to the same bytes as inside the whole matrix."""
 
     @pytest.mark.parametrize("method", list(MergeMethod))
-    def test_any_split_gives_the_whole_matrix(self, rng, monkeypatch, method):
+    def test_any_split_gives_the_whole_matrix(self, rng, method):
         vocabs = random_vocabs(rng, 120, with_rm=True)
         views = {k: storage_matrix(rng, len(vocabs[k]) + 2, 7, Dtype.BF16) for k in ("pre", "lvlm", "rm")}
         aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
-        whole = merge_embedding_rows(aligned, *views.values(), method)
-        monkeypatch.setattr(merging, "_BLOCK", 20)  # two rows a block inside each range
+        whole = merge_embedding(aligned, *views.values(), method)
+        sources = [as_tensor(k, view) for k, view in views.items()]
         bounds = [0, 1, 2, 17, 50, 51, len(aligned.tokens)]
         ranges = [range(a, b) for a, b in zip(bounds, bounds[1:])]
-        parts = [merge_embedding_rows(aligned, *views.values(), method, rows) for rows in ranges]
+        with block_space(max(map(len, ranges)), 7) as space:
+            parts = [merge_embedding_rows(aligned, *sources, method, rows, space).copy() for rows in ranges]
         assert [len(part) for part in parts] == [len(rows) for rows in ranges]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
-    def test_the_kernel_block_alone_sets_a_library_calls_blocks(self, rng, monkeypatch):
-        vocabs = random_vocabs(rng, 120, with_rm=True)
-        views = {k: storage_matrix(rng, len(vocabs[k]) + 2, 7, Dtype.BF16) for k in ("pre", "lvlm", "rm")}
-        aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
-        gathered, real = [], embeddings._checked_rows
-
-        def counting(label, source, rows, buffer, scratch):
-            gathered.append(len(rows))
-            return real(label, source, rows, buffer, scratch)
-
-        monkeypatch.setattr(embeddings, "_checked_rows", counting)
-        whole = merge_embedding_rows(aligned, *views.values(), MergeMethod.TIES)
-        assert max(gathered) > 2
-        gathered.clear()
-        monkeypatch.setattr(merging, "_BLOCK", 20)  # two rows of width 7 a block, in the checks and the gathers
-        assert merge_embedding_rows(aligned, *views.values(), MergeMethod.TIES).tobytes() == whole.tobytes()
-        assert max(gathered) == 2
-
     @pytest.mark.parametrize("dtype", [Dtype.BF16, Dtype.F32])
     @pytest.mark.parametrize("method", list(MergeMethod))
-    def test_blocks_in_one_worker_mapping_give_the_whole_matrix(self, rng, monkeypatch, method, dtype):
+    def test_blocks_in_one_worker_mapping_give_the_whole_matrix(self, rng, method, dtype):
         vocabs = random_vocabs(rng, 120, with_rm=True)
         views = {k: storage_matrix(rng, len(vocabs[k]) + 2, 7, dtype) for k in ("pre", "lvlm", "rm")}
         aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
-        whole = merge_embedding_rows(aligned, *views.values(), method)
-        monkeypatch.setattr(merging, "_BLOCK", 20)  # two rows a block
-        step = merging._BLOCK // 7
-        slots = merging._kernel_slots(0, step * 7, False)  # the kernel's slots, for a block of two rows
-        parts = []
-        with merging._Buffers(slots) as space:
+        whole = merge_embedding(aligned, *views.values(), method)
+        sources = {k: as_tensor(k, view) for k, view in views.items()}
+        step, parts = 2, []
+        with block_space(step, 7) as space:
             mapping = space.mapping
             n = len(aligned.tokens)
             for rows in (range(start, min(start + step, n)) for start in range(0, n, step)):
-                block = merge_embedding_rows(aligned, *views.values(), method, rows, space)
+                block = merge_embedding_rows(aligned, *sources.values(), method, rows, space)
                 assert np.shares_memory(block, np.frombuffer(mapping, np.uint8))
                 parts.append(block.copy())  # the next block overwrites it
                 del block  # no view into the mapping may outlive it
             for label, rows in unread_rows(aligned, method, {k: len(v) for k, v in views.items()}).items():
-                check_embedding_rows(label, views[label], rows[:step], space)
+                check_embedding_rows(label, sources[label], rows[:step], space)
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("method", [MergeMethod.LINEAR, MergeMethod.TIES])
@@ -431,64 +400,39 @@ class TestRowRanges:
                 bad = dict(views, **{label: view.copy()})
                 bad[label][row, 3] = NON_FINITE_BITS[Dtype.BF16][1]
                 if label not in unread:  # linear never reads the base matrix
-                    merge_embedding_rows(aligned, *bad.values(), method)
+                    merge_embedding(aligned, *bad.values(), method)
                     continue
                 with pytest.raises(NonFiniteWeightError, match=f"^{label} embedding row {row} holds"):
-                    merge_embedding_rows(aligned, *bad.values(), method)
-                with pytest.raises(NonFiniteWeightError, match=f"^{label} embedding row {row} holds"):
+                    merge_embedding(aligned, *bad.values(), method)
+                sources = {k: as_tensor(k, matrix) for k, matrix in bad.items()}
+                with pytest.raises(NonFiniteWeightError, match=f"^{label} embedding row {row} holds"), \
+                        block_space(len(view), 7) as space:
                     for start in range(len(aligned.tokens)):
-                        merge_embedding_rows(aligned, *bad.values(), method, range(start, start + 1))
-                    check_embedding_rows(label, bad[label], unread[label])
+                        merge_embedding_rows(aligned, *sources.values(), method, range(start, start + 1), space)
+                    check_embedding_rows(label, sources[label], unread[label], space)
 
     def test_check_names_the_first_bad_row_in_the_order_given(self, rng):
         view = storage_matrix(rng, 9, 7, Dtype.F16)
         view.view(np.uint16)[3, 6] = view.view(np.uint16)[5, 0] = NON_FINITE_BITS[Dtype.F16][0]
-        check_embedding_rows("rm", view, np.array([0, 1, 2]))
-        with pytest.raises(NonFiniteWeightError, match="^rm embedding row 5 holds"):
-            check_embedding_rows("rm", view, np.array([8, 5, 3]))
-
-    @pytest.mark.parametrize("rows", [range(4, 7), range(5, 6), range(-1, 2), range(0, 4, 2), range(3, 2)], ids=str)
-    def test_rows_outside_the_output_or_of_another_step_rejected_before_any_read(self, monkeypatch, rows):
-        aligned = align_vocab({"t0": 0}, {f"t{i}": i for i in range(5)}, {"t0": 0, "t1": 1})
-        views = [np.ones((n, 3), np.float32) for n in (1, 5, 2)]
-
-        def read(*args):
-            raise AssertionError("a row was read")
-
-        monkeypatch.setattr(Tensor, "load_rows", read)
-        message = f"rows {rows} are not a range of step 1 inside the 5 rows of the output vocabulary"
-        with pytest.raises(VocabError, match=f"^{re.escape(message)}$"):
-            merge_embedding_rows(aligned, *views, MergeMethod.TIES, rows)
-        assert merge_embedding_rows(aligned, *views, MergeMethod.TIES, range(5, 5)).shape == (0, 3)
+        source = as_tensor("rm", view)
+        with block_space(3, 7) as space:
+            check_embedding_rows("rm", source, np.array([0, 1, 2]), space)
+        with pytest.raises(NonFiniteWeightError, match="^rm embedding row 5 holds"), block_space(3, 7) as space:
+            check_embedding_rows("rm", source, np.array([8, 5, 3]), space)
 
 
-class TestEntryConversion:
-    """A storage view is merged as the in-memory tensor of its bytes, whatever its strides."""
+class TestFileTensors:
+    """An embedding read from its file merges to the bytes of the same matrix in memory."""
 
-    @staticmethod
-    def strided(rng, rows, dtype, layout):
-        """A ``(rows, 7)`` storage view that is not contiguous: a transposed or a column-strided matrix."""
-        if layout == "transposed":
-            return storage_matrix(rng, 7, rows, dtype).T
-        return storage_matrix(rng, rows, 14, dtype)[:, ::2]
-
-    @pytest.mark.parametrize("layout", ["transposed", "strided"])
     @pytest.mark.parametrize("dtype", [Dtype.F32, Dtype.BF16])
-    def test_a_strided_view_merges_as_its_contiguous_copy_and_its_file(self, rng, tmp_path, dtype, layout):
+    def test_a_file_tensor_merges_as_its_in_memory_copy(self, rng, tmp_path, dtype):
         vocabs = random_vocabs(rng, 60, with_rm=True)
         aligned = align_vocab(vocabs["pre"], vocabs["lvlm"], vocabs["rm"])
-        views = {k: self.strided(rng, len(vocabs[k]) + 2, dtype, layout) for k in ("pre", "lvlm", "rm")}
-        assert not any(view.flags.c_contiguous for view in views.values())
-        copies = {k: np.ascontiguousarray(view) for k, view in views.items()}
+        views = {k: storage_matrix(rng, len(vocabs[k]) + 2, 7, dtype) for k in ("pre", "lvlm", "rm")}
         path = tmp_path / "emb.safetensors"
-        write_checkpoint(Checkpoint({k: Tensor(k, dtype, c.shape, c.tobytes()) for k, c in copies.items()}), path)
+        write_checkpoint(Checkpoint({k: Tensor(k, dtype, v.shape, v.tobytes()) for k, v in views.items()}), path)
         opened = [read_checkpoint(path).tensors[k] for k in ("pre", "lvlm", "rm")]
+        assert all(t._data is None for t in opened)  # each holds only its place in the file
         for method in (MergeMethod.LINEAR, MergeMethod.TIES):
-            for rows in (None, range(3, len(aligned.tokens) - 4)):
-                want = merge_embedding_rows(aligned, *copies.values(), method, rows).tobytes()
-                assert merge_embedding_rows(aligned, *views.values(), method, rows).tobytes() == want
-                assert merge_embedding_rows(aligned, *opened, method, rows).tobytes() == want
-        bad = self.strided(rng, 9, dtype, layout)
-        bad.view(np.uint32 if dtype is Dtype.F32 else np.uint16)[6, 2] = NON_FINITE_BITS[dtype][1]
-        with pytest.raises(NonFiniteWeightError, match="^rm embedding row 6 holds"):
-            check_embedding_rows("rm", bad, np.arange(9))
+            want = merge_embedding(aligned, *views.values(), method).tobytes()
+            assert merge_embedding(aligned, *opened, method).tobytes() == want

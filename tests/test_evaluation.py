@@ -20,7 +20,7 @@ from vlrmerge import (
     score_pairwise_bench,
 )
 
-from helpers import write_bon_dataset, write_pairwise_dataset
+from helpers import JSON_PAST_THE_PARSER, write_bon_dataset, write_pairwise_dataset
 
 
 def pair(chosen, rejected, domain="general", pid="p"):
@@ -164,6 +164,14 @@ class TestDatasets:
         })
         path.write_text(good + "\n" + good.replace('"a"', '"b"') + "\n{broken\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="pairs.jsonl:3"):
+            load_pairwise_dataset(path)
+
+    @pytest.mark.parametrize("text", list(JSON_PAST_THE_PARSER))
+    def test_a_line_past_the_json_parsers_limits_cited_by_number(self, tmp_path, text):
+        path = tmp_path / "pairs.jsonl"
+        good = json.dumps({"id": "a", "domain": "d", "instruction": "i", "chosen_text": "c", "rejected_text": "r"})
+        path.write_text(good + "\n" + JSON_PAST_THE_PARSER[text] + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="pairs.jsonl:2: invalid JSON: "):
             load_pairwise_dataset(path)
 
     def test_missing_field_cited(self, tmp_path):

@@ -7,6 +7,8 @@ from vlrmerge import RecordingScorer, ReplayScorer, StubScorer, SubprocessScorer
 from vlrmerge.errors import ScorerError, VlrmergeError
 from vlrmerge.scoring import stub_reward
 
+from helpers import JSON_PAST_THE_PARSER
+
 
 def requests(n=3):
     return [
@@ -27,6 +29,16 @@ LENGTH_SCORER = [
         "    print(json.dumps({'id': req['id'], 'reward': float(len(req['response']))}))\n"
     ),
 ]
+
+
+def replying(path):
+    """A scorer command that reads the requests and answers with the text of the file at ``path``."""
+    code = "import sys; sys.stdin.read(); sys.stdout.write(open(sys.argv[1], encoding='utf-8').read())"
+    return [sys.executable, "-c", code, str(path)]
+
+
+# a reward of 1 followed by 400 zeros: a JSON integer past the float range
+HUGE = 10**400
 
 
 class TestStub:
@@ -148,6 +160,26 @@ class TestSubprocessScorer:
         with pytest.raises(ScorerError, match="non-finite"):
             SubprocessScorer(nan_scorer).score(requests())
 
+    @pytest.mark.parametrize("text", list(JSON_PAST_THE_PARSER))
+    def test_a_reply_past_the_json_parsers_limits_is_malformed(self, tmp_path, text):
+        path = tmp_path / "replies.jsonl"
+        path.write_text(JSON_PAST_THE_PARSER[text] + "\n", encoding="utf-8")
+        with pytest.raises(ScorerError, match="^scorer reply line 1 is malformed: "):
+            SubprocessScorer(replying(path)).score(requests())
+
+    def test_a_reply_whose_id_is_no_string_is_malformed(self, tmp_path):
+        path = tmp_path / "replies.jsonl"
+        path.write_text('{"id": "r0", "reward": 0.5}\n{"id": ["r1"], "reward": 0.5}\n', encoding="utf-8")
+        with pytest.raises(ScorerError, match="^scorer reply line 2 is malformed: its id is not a string: "):
+            SubprocessScorer(replying(path)).score(requests())
+
+    def test_a_reward_past_the_float_range_is_malformed(self, tmp_path):
+        path = tmp_path / "replies.jsonl"
+        replies = "".join(json.dumps({"id": r["id"], "reward": HUGE}) + "\n" for r in requests())
+        path.write_text(replies, encoding="utf-8")
+        with pytest.raises(ScorerError, match="^scorer: non-finite or non-numeric reward for id 'r0'$"):
+            SubprocessScorer(replying(path)).score(requests())
+
     def test_output_that_is_not_utf8_reported(self):
         garbling = [sys.executable, "-c", "import sys; sys.stdin.read(); sys.stdout.buffer.write(b'\\xff\\n')"]
         with pytest.raises(ScorerError, match="scorer output is not UTF-8 text: invalid start byte"):
@@ -180,6 +212,28 @@ class TestRecordReplay:
         transcript.write_text('{"request": {"id": "a"}, "reward": 1.0}\n{nope\n', encoding="utf-8")
         with pytest.raises(ScorerError, match="t.jsonl:2"):
             ReplayScorer(transcript)
+
+    @pytest.mark.parametrize("text", list(JSON_PAST_THE_PARSER))
+    def test_a_record_past_the_json_parsers_limits_cited_by_line(self, tmp_path, text):
+        transcript = tmp_path / "t.jsonl"
+        good = '{"request": {"id": "a"}, "reward": 1.0}\n'
+        transcript.write_text(good + JSON_PAST_THE_PARSER[text] + "\n", encoding="utf-8")
+        with pytest.raises(ScorerError, match="t.jsonl:2: malformed transcript record$"):
+            ReplayScorer(transcript)
+
+    def test_a_record_whose_id_is_no_string_cited_by_line(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        records = [{"request": {"id": "a"}, "reward": 1.0}, {"request": {"id": ["a"]}, "reward": 1.0}]
+        transcript.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(ScorerError, match="t.jsonl:2: malformed transcript record: its id is not a string$"):
+            ReplayScorer(transcript)
+
+    def test_a_recorded_reward_past_the_float_range_is_malformed(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text("".join(json.dumps({"request": r, "reward": HUGE}) + "\n" for r in requests()),
+                              encoding="utf-8")
+        with pytest.raises(ScorerError, match="t.jsonl: non-finite or non-numeric reward for id 'r0'$"):
+            ReplayScorer(transcript).score(requests())
 
     def test_transcript_that_is_not_utf8_reported(self, tmp_path):
         transcript = tmp_path / "t.jsonl"

@@ -1,5 +1,6 @@
 import builtins
 import json
+import sys
 import threading
 import time
 
@@ -12,6 +13,7 @@ from vlrmerge import (
     ReplayScorer,
     RecordingScorer,
     StubScorer,
+    SubprocessScorer,
     SweepConfig,
     SweepEntry,
     classify_triple,
@@ -25,7 +27,7 @@ from vlrmerge.evaluation import load_pairwise_dataset
 from vlrmerge import assembly, sweep, tensorstore
 from vlrmerge.sweep import sample_validation_slices
 
-from helpers import classified_toy_triple, toy_triple, write_pairwise_dataset, write_triple
+from helpers import JSON_PAST_THE_PARSER, classified_toy_triple, toy_triple, write_pairwise_dataset, write_triple
 
 
 class TestGenerateGrid:
@@ -117,6 +119,13 @@ class TestSweepConfigValidation:
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"method": "ties", **fields}), encoding="utf-8")
         with pytest.raises(VlrmergeError, match=message):
+            SweepConfig.from_json(path)
+
+    @pytest.mark.parametrize("text", list(JSON_PAST_THE_PARSER))
+    def test_config_file_past_the_json_parsers_limits_is_a_named_error(self, tmp_path, text):
+        path = tmp_path / "sweep.json"
+        path.write_text(JSON_PAST_THE_PARSER[text], encoding="utf-8")
+        with pytest.raises(VlrmergeError, match="sweep.json: sweep config is not valid JSON: "):
             SweepConfig.from_json(path)
 
 
@@ -413,6 +422,28 @@ class TestRunSweep:
         assert statuses[(0.5, 0.2)] == "failed"
         assert result.winner is not None
         assert (result.winner.recipe.lam, result.winner.recipe.density) != (0.5, 0.2)
+
+    @pytest.mark.parametrize("reply,error", [
+        ("[req['id']], 'reward': 0.5", "scorer reply line 1 is malformed: its id is not a string: "),
+        ("req['id'], 'reward': 10 ** 400", "scorer: non-finite or non-numeric reward for id "),
+    ], ids=["list-id", "huge-reward"])
+    def test_a_malformed_scorer_reply_fails_its_recipe_and_the_manifest_is_written(self, rng, tmp_path, reply, error):
+        triple = classified_toy_triple(rng)
+        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
+        code = "import json, sys\nfor line in sys.stdin:\n    req = json.loads(line)\n"
+        code += f"    print(json.dumps({{'id': {reply}}}))"
+        malformed = SubprocessScorer([sys.executable, "-c", code])
+
+        def factory(recipe, path):
+            return malformed if (recipe.lam, recipe.density) == (0.5, 0.2) else StubScorer()
+
+        result = run_sweep(small_config(), triple, dataset, factory, tmp_path / "out", DIGESTS, jobs=1)
+        statuses = {(e.recipe.lam, e.recipe.density): e.status for e in result.entries}
+        assert statuses.pop((0.5, 0.2)) == "failed" and set(statuses.values()) == {"ok"}
+        records = [json.loads(line) for line in (tmp_path / "out" / "sweep-manifest.jsonl").read_text().splitlines()]
+        [failed] = [r for r in records if r.get("status") == "failed"]
+        assert (failed["lambda"], failed["density"]) == (0.5, 0.2) and failed["error"].startswith(error)
+        assert records[-1]["record"] == "winner"
 
     def test_all_failed_leaves_no_winner(self, rng, tmp_path):
         triple = classified_toy_triple(rng)

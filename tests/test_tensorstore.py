@@ -34,7 +34,7 @@ from vlrmerge import (
     write_vocab,
 )
 
-from helpers import classified_toy_triple, make_tensor
+from helpers import JSON_PAST_THE_PARSER, classified_toy_triple, make_tensor
 
 
 def build_file(path, header: dict, data: bytes):
@@ -458,6 +458,14 @@ class TestReadMetadata:
         for read in (read_metadata, read_checkpoint):
             with pytest.raises(CheckpointFormatError, match=message):
                 read(path)
+
+    @pytest.mark.parametrize("text", list(JSON_PAST_THE_PARSER))
+    def test_a_header_past_the_json_parsers_limits_is_a_format_error(self, tmp_path, text):
+        blob = JSON_PAST_THE_PARSER[text].encode("utf-8")
+        path = tmp_path / "x"
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob)
+        with pytest.raises(CheckpointFormatError, match="^header is not valid UTF-8 JSON: "):
+            read_header(path)
 
 
 def f16_reference(value: float) -> float:
