@@ -37,7 +37,7 @@ from .components import (  # noqa: F401
 )
 from .merging import MergeMethod, MergeRecipe, merge_transformer  # noqa: F401
 from .embeddings import AlignedVocab, align_vocab  # noqa: F401
-from .assembly import assemble_vlrm, check_merged_structure, write_merged  # noqa: F401
+from .assembly import MergePlan, assemble_vlrm, check_merged_structure, plan_merge, write_merged  # noqa: F401
 from .evaluation import (  # noqa: F401
     BenchReport,
     BoNInstance,

@@ -12,6 +12,7 @@ import logging
 import math
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .errors import InsufficientMemoryError, RecipeError, TripleValidationError,
 from .merging import (
     MergeMethod,
     MergeRecipe,
+    Slots,
     _buffer_sizes,
     _Buffers,
     _kernel_slots,
@@ -84,41 +86,56 @@ def _output_layout(triple: ModelTriple, aligned: AlignedVocab) -> Layout:
     return layout
 
 
-def _worker_sizes(recipes: Sequence[MergeRecipe], triple: ModelTriple) -> tuple[int, int, bool]:
-    """The ``_kernel_slots`` sizes of every worker of an assembly: the kernel's, a block holding an embedding row."""
-    emb = triple.tensors(Role.EMBEDDING)
-    row = max((math.prod(t.shape[1:]) for ts in emb.values() for t in ts.values()), default=0)
-    return _buffer_sizes(recipes, triple.tensors(Role.TRANSFORMER)["pre"], row)
+@dataclass(frozen=True)
+class MergePlan:
+    """A merge of ``recipes`` on ``triple`` that ``plan_merge`` validated and sized; only ``plan_merge`` makes one.
+
+    Each of its ``workers`` maps the buffer table ``slots``, of ``block``
+    elements a block slot; ``aligned`` and ``layout`` are the output's.
+    """
+
+    recipes: tuple[MergeRecipe, ...]
+    triple: ModelTriple
+    workers: int
+    slots: Slots
+    block: int
+    aligned: AlignedVocab
+    layout: Layout
 
 
-def check_memory(recipes: Sequence[MergeRecipe], triple: ModelTriple, jobs: int | None = None) -> int:
-    """The workers a merge of ``recipes`` on ``triple`` may run on, from the headers alone.
+def plan_merge(recipes: Sequence[MergeRecipe], triple: ModelTriple, jobs: int | None = None) -> MergePlan:
+    """The one check of a merge of ``recipes`` on ``triple``, from the headers alone: it reads no payload.
 
-    The recipes must be one merge (``check_variants``: RecipeError
-    otherwise). The workers are ``jobs`` (None takes ``default_jobs()``),
-    lowered when fewer fit the memory this process may use
-    (``available_memory``), each mapping the one table of buffers that
-    every worker of the assembly maps (``_worker_sizes``). Raises
-    InsufficientMemoryError when not even one worker fits, and
-    VlrmergeError for a ``jobs`` below 1. The output bytes do not depend
-    on the worker count.
+    A ``jobs`` below 1 is a VlrmergeError, a triple ``validate_triple``
+    rejects a TripleValidationError, and recipes of several methods or
+    seeds a RecipeError (``check_variants``). Each worker maps one table of
+    buffers, for the kernel and a block of the widest embedding row. The
+    workers are ``jobs`` (None takes ``default_jobs()``), lowered with a
+    warning to those that fit the memory this process may use
+    (``available_memory``); InsufficientMemoryError when none does. The
+    plan of a sweep's grid bounds the merge of any subset of it.
     """
     if jobs is not None and jobs < 1:
         raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
+    if report := validate_triple(triple):
+        raise TripleValidationError(report)
     check_variants(recipes)
-    jobs = jobs or default_jobs()
-    if (have := available_memory()) is None:
-        return jobs
-    per_worker = _Buffers.layout(_kernel_slots(*_worker_sizes(recipes, triple)))[1]
-    fit = have // per_worker
-    if fit < 1:
-        raise InsufficientMemoryError(per_worker, have)
-    if fit < jobs:
-        mib = 1 << 20
-        log.warning("running %d of %d workers: each needs about %.1f MiB and this process may use %.1f MiB",
-                    fit, jobs, per_worker / mib, have / mib)
-        return fit
-    return jobs
+    emb = triple.tensors(Role.EMBEDDING)
+    row = max((math.prod(t.shape[1:]) for ts in emb.values() for t in ts.values()), default=0)
+    key, block, grid = _buffer_sizes(recipes, triple.tensors(Role.TRANSFORMER)["pre"], row)
+    slots = _kernel_slots(key, block, grid)
+    workers = jobs or default_jobs()
+    if (have := available_memory()) is not None:
+        per_worker = _Buffers.layout(slots)[1]
+        fit = have // per_worker
+        if fit < 1:
+            raise InsufficientMemoryError(per_worker, have)
+        if fit < workers:
+            log.warning("running %d of %d workers: each needs about %.1f MiB and this process may use %.1f MiB",
+                        fit, workers, per_worker / 2**20, have / 2**20)
+            workers = fit
+    aligned = align_vocab(*(model.ckpt.vocab for model in (triple.pre, triple.lvlm, triple.rm)))
+    return MergePlan(tuple(recipes), triple, workers, slots, block, aligned, _output_layout(triple, aligned))
 
 
 def _merge_block(
@@ -173,75 +190,51 @@ def _pieces(
 
 
 def assemble_vlrm(
-    recipes: Sequence[MergeRecipe],
-    triple: ModelTriple,
-    paths: Sequence[str | Path],
-    provenance: dict[str, str] | None = None,
-    jobs: int | None = None,
-) -> tuple[Layout, dict[str, int]]:
-    """Merge the triple once for ``recipes``, which are one merge, and write each result to its path.
+    plan: MergePlan, outputs: dict[MergeRecipe, str | Path], provenance: dict[str, str] | None = None
+) -> None:
+    """Merge ``plan``'s triple once for the recipes of ``outputs`` and write each result to its path.
 
-    Validates the triple, aligns its vocabularies and builds the output
-    layout once, and, before any file is written or any payload is read,
-    lowers ``jobs`` to the workers that fit the memory this process may use
-    (``check_memory``: RecipeError unless the recipes share method and seed,
-    so differ only in lambda and density, and InsufficientMemoryError when
-    no worker fits). Then one ``merge_transformer`` call covers every
-    recipe, reading each input tensor a block at a time, and writes each
-    output block at its offset as soon as it is done. Then one
-    ``run_workers`` call on the same workers merges each embedding a block
-    of output rows at a time, reading only the input rows the block takes
-    and writing the block into every output at its offset, checks the input
-    rows no block reads, and copies the vision, adapter and reward head
-    tensors from their files a piece at a time into every output. The
-    language-modeling heads are never read (nor, for linear, the base
-    embedding), and memory holds each worker's buffers, one table for both
-    calls: blocks, and for ties a ranking key of one tensor's size, never a
-    whole payload or a whole model. Each output is written as
-    ``write_merged`` writes and records ``provenance`` and its recipe. When
-    the merge is done, every input file is checked to be as it was opened
-    (InputChangedError if not) and the files are moved onto their paths, so
-    a failure keeps none of them. Returns the layout and vocabulary every
-    output has; no recipes write nothing, align nothing and return two
-    empty maps. Raises TripleValidationError when the triple is not
-    mergeable and RecipeError unless there is one distinct path per recipe.
+    ``outputs`` maps some of the plan's recipes to distinct paths (a
+    RecipeError before any write otherwise); none write nothing. On the
+    plan's workers, each with the plan's buffers, one ``merge_transformer``
+    call covers every recipe, then one ``run_workers`` call merges each
+    embedding a block of output rows at a time, reading only the rows the
+    block takes, checks the input rows no block reads, and copies the
+    vision, adapter and reward head tensors a piece at a time. Every block
+    is written at its offset into every output as soon as it is done, so
+    memory never holds a whole payload; the language-modeling heads are
+    never read (nor, for linear, the base embedding). Each output is
+    written as ``write_merged`` writes and records ``provenance`` and its
+    recipe. When the merge is done, every input file is checked to be as it
+    was opened (InputChangedError if not) and the files are moved onto
+    their paths, so a failure keeps none of them.
     """
-    report = validate_triple(triple)
-    if report:
-        raise TripleValidationError(report)
-    if len(paths) != len(recipes):
-        raise RecipeError(f"{len(recipes)} recipes need as many output paths, got {len(paths)}")
-    owners: dict[Path, int] = {}
-    for i, (recipe, path) in enumerate(zip(recipes, paths)):
-        owner = owners.setdefault(Path(path).resolve(), i)
-        if owner != i:
-            raise RecipeError(f"recipes {recipes[owner].slug()} and {recipe.slug()} share the output path {path}")
-    if not recipes:
-        return {}, {}
-    workers = check_memory(recipes, triple, jobs)
-    key, block, grid = _worker_sizes(recipes, triple)
-    slots = _kernel_slots(key, block, grid)
-
-    models = (triple.pre, triple.lvlm, triple.rm)
-    aligned = align_vocab(*(model.ckpt.vocab for model in models))
-    vocab, layout = aligned.output_vocab(), _output_layout(triple, aligned)
+    owners: dict[Path, MergeRecipe] = {}
+    for recipe, path in outputs.items():
+        if recipe not in plan.recipes:
+            raise RecipeError(f"recipe {recipe.slug()} is not one of the merge plan's recipes")
+        owner = owners.setdefault(Path(path).resolve(), recipe)
+        if owner != recipe:
+            raise RecipeError(f"recipes {owner.slug()} and {recipe.slug()} share the output path {path}")
+    if not outputs:
+        return
+    recipes, triple, vocab = list(outputs), plan.triple, plan.aligned.output_vocab()
     with ExitStack() as stack:
         writers = [
-            stack.enter_context(write_merged(path, vocab, layout, recorded_provenance(recipe, provenance or {})))
-            for recipe, path in zip(recipes, paths)
+            stack.enter_context(write_merged(path, vocab, plan.layout, recorded_provenance(recipe, provenance or {})))
+            for recipe, path in outputs.items()
         ]
         merge_transformer(
             recipes[0],
             *triple.tensors(Role.TRANSFORMER).values(),
-            jobs=workers,
+            jobs=plan.workers,
             variants=recipes,
             sink=lambda i, name, block, at: writers[i].write(name, block, at),
         )
-        pieces = _pieces(recipes[0].method, aligned, triple, writers, block)
-        run_workers(pieces, workers, lambda piece, space: piece(space), lambda: _Buffers(slots))
-        for model in models:
+        pieces = _pieces(recipes[0].method, plan.aligned, triple, writers, plan.block)
+        run_workers(pieces, plan.workers, lambda piece, space: piece(space), lambda: _Buffers(plan.slots))
+        for model in (triple.pre, triple.lvlm, triple.rm):
             model.ckpt.check_unchanged()
-    return layout, vocab
 
 
 @contextmanager

@@ -13,7 +13,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .assembly import assemble_vlrm, check_memory
+from .assembly import assemble_vlrm, plan_merge
 from .assembly import write_merged  # noqa: F401  (the benchmark's tracer wraps it by this name)
 from .components import MODEL_KINDS, Role, classify_tensors, classify_triple, load_manifest_config
 from .components import validate_triple  # noqa: F401  (the benchmark's tracer wraps it by this name)
@@ -101,22 +101,21 @@ def _hash_inputs(ckpts: dict[str, Checkpoint], jobs: int) -> dict[str, str]:
     return provenance
 
 
-def _load_triple(pre, lvlm, rm, pre_vocab, lvlm_vocab, rm_vocab, manifest, recipes, jobs):
-    """The classified triple, the digests of the inputs as they were parsed, and the workers that fit.
+def _plan(pre, lvlm, rm, pre_vocab, lvlm_vocab, rm_vocab, manifest, recipes, jobs):
+    """The merge plan of ``recipes`` on the classified triple, and the digests of the inputs as they were parsed.
 
-    Before hashing reads the inputs, ``check_memory`` lowers ``jobs`` to the
-    workers that fit ``recipes``, from the headers, so a merge that cannot
-    fit reads nothing.
+    The plan (``plan_merge``) validates the triple and fits the workers
+    from the headers before hashing reads the inputs, so a triple that
+    cannot merge or cannot fit reads nothing.
     """
     config = load_manifest_config(manifest)
     paths, vocabs = {"pre": pre, "lvlm": lvlm, "rm": rm}, {"pre": pre_vocab, "lvlm": lvlm_vocab, "rm": rm_vocab}
     ckpts = {label: read_checkpoint(path, vocabs[label]) for label, path in paths.items()}
-    triple = classify_triple(ckpts["pre"], ckpts["lvlm"], ckpts["rm"], config)
-    workers = check_memory(recipes, triple, jobs)
+    plan = plan_merge(recipes, classify_triple(ckpts["pre"], ckpts["lvlm"], ckpts["rm"], config), jobs)
     provenance = _hash_inputs(ckpts, jobs)
     if config.sha256 is not None:
         provenance["input.manifest.sha256"] = config.sha256
-    return triple, provenance, workers
+    return plan, provenance
 
 
 @click.group()
@@ -170,16 +169,16 @@ def merge(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
     jobs = jobs or default_jobs()
     _echo_config("merge", manifest=manifest or "<builtin>", jobs=jobs)
     try:
-        triple, provenance, jobs = _load_triple(
+        plan, provenance = _plan(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest, [recipe], jobs
         )
-        layout, vocab = assemble_vlrm([recipe], triple, [out_path], provenance, jobs=jobs)
+        assemble_vlrm(plan, {recipe: out_path}, provenance)
     except (VlrmergeError, OSError) as exc:
         raise _click_error(exc) from exc
-    click.echo(f"validation: ok ({len(layout)} tensors)")
+    click.echo(f"validation: ok ({len(plan.layout)} tensors)")
     for label in ("pre", "lvlm", "rm"):
         click.echo(f"{label} sha256: {provenance[f'input.{label}.sha256']}")
-    click.echo(f"wrote {out_path} (+ vocabulary sidecar, {len(vocab)} tokens)")
+    click.echo(f"wrote {out_path} (+ vocabulary sidecar, {len(plan.aligned.tokens)} tokens)")
 
 
 def _scorer(argv, replay_path, record_path, timeout):
@@ -234,12 +233,10 @@ def sweep(pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifes
         dataset = load_pairwise_dataset(data_path)
         # its size is checked before any checkpoint is read or hashed
         sample_validation_slices(dataset, config.sampling_seed, config.primary_size, config.tiebreak_size)
-        triple, provenance, jobs = _load_triple(
+        plan, provenance = _plan(
             pre_path, lvlm_path, rm_path, pre_vocab, lvlm_vocab, rm_vocab, manifest, generate_grid(config), jobs
         )
-        result = run_sweep(
-            config, triple, dataset, factory, out_dir, provenance=provenance, jobs=jobs
-        )
+        result = run_sweep(config, plan, dataset, factory, out_dir, provenance=provenance)
     except (VlrmergeError, OSError) as exc:
         raise _click_error(exc) from exc
     failed = [e for e in result.entries if e.status != "ok"]

@@ -35,6 +35,7 @@ draw's integer bits.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import mmap
@@ -138,19 +139,18 @@ def _kernel_slots(key: int, block: int, grid: bool) -> Slots:
         "storage": (np.uint8, 4 * block),
         "bits": (np.uint32, block),
         **{slot: (np.bool_, block) for slot in ("keep", "tied", "up")},
-        "draws": (np.uint64, 3 * min(block, _MASK_CHUNK)),
+        "draws": (np.uint64, 2 * min(block, _MASK_CHUNK)),
     }
 
 
 class _Buffers:
     """One worker's buffers, all cut from one anonymous mapping that is unmapped on exit.
 
-    ``slots`` gives each slot's dtype and element count; a ``draws`` slot is
-    the DARE mask's (see ``_keep_mask``). Arrays from numpy's allocator stay
-    resident in malloc's arenas once freed; the mapping gives its pages back
-    when it is unmapped. Used as a context manager: on exit, an error's
-    finished frames are cleared of the views they hold into the mapping, so
-    that it can be unmapped.
+    ``slots`` gives each slot's dtype and element count. Arrays from
+    numpy's allocator stay resident in malloc's arenas once freed; the
+    mapping gives its pages back when it is unmapped. Used as a context
+    manager: on exit, an error's finished frames are cleared of the views
+    they hold into the mapping, so that it can be unmapped.
     """
 
     def __init__(self, slots: Slots):
@@ -159,9 +159,6 @@ class _Buffers:
         self._slots = {
             slot: np.frombuffer(self.mapping, dtype, count, offset) for slot, (dtype, count, offset) in placed.items()
         }
-        if "draws" in self._slots:  # two rows for the draws, then i * gamma for each i of a chunk
-            draws = self._slots["draws"] = self._slots["draws"].reshape(3, -1)
-            np.multiply(np.arange(draws.shape[1], dtype=np.uint64), _MIX_GAMMA, out=draws[2])
 
     @staticmethod
     def layout(slots: Slots) -> tuple[dict[str, tuple[type, int, int]], int]:
@@ -401,20 +398,6 @@ def _buffer_sizes(
     return key, max(min(_BLOCK, capacity), row, 1), grid
 
 
-def worker_footprint(
-    variants: Sequence[MergeRecipe],
-    pre_trans: dict[str, np.ndarray | Tensor],
-    lvlm_trans: dict[str, np.ndarray | Tensor],
-    rm_trans: dict[str, np.ndarray | Tensor],
-) -> int:
-    """The bytes each ``merge_transformer`` worker maps for ``variants`` on these maps, from their shapes alone.
-
-    That is the size of its ``_Buffers``: the block slots, two more for a
-    grid of densities, and for ties the ranking key of the largest tensor.
-    """
-    return _Buffers.layout(_kernel_slots(*_buffer_sizes(variants, pre_trans)))[1]
-
-
 def _cgroup_free(group: Path) -> int | None:
     """``memory.max`` minus ``memory.current`` plus the file cache of the cgroup v2 ``group``, or None without a limit.
 
@@ -497,16 +480,17 @@ def merge_transformer(
     variant's output block, of the storage dtype of the tensor's lvlm input,
     and checking that finite (NonFiniteWeightError names the variant's slug,
     the tensor and the flat index). A worker's buffers are one anonymous
-    mapping of ``worker_footprint`` bytes, mapped when it starts and
-    unmapped when it ends, on error too: a few blocks, and for ties the key
-    of the largest tensor. With a ``sink``, the worker hands it each output
-    block at once as ``sink(variant_index, name, block, at)``: ``block`` is
-    a read-only byte view of those buffers, the payload's bytes from byte
-    ``at``, valid until the sink returns (a view kept past that raises
-    ValueError when read); the blocks of each variant's payload tile it
-    once, and the call returns None. Without one, a copy of each output is
-    returned, one map per variant, in order. The bytes of each output are
-    those of a call with that recipe alone, for any worker count.
+    mapping of the ``_kernel_slots`` table, mapped when it starts and
+    unmapped when it ends, on error too: a few blocks, two more for a grid
+    of densities, and for ties the key of the largest tensor. With a
+    ``sink``, the worker hands it each output block at once as
+    ``sink(variant_index, name, block, at)``: ``block`` is a read-only byte
+    view of those buffers, the payload's bytes from byte ``at``, valid
+    until the sink returns (a view kept past that raises ValueError when
+    read); the blocks of each variant's payload tile it once, and the call
+    returns None. Without one, a copy of each output is returned, one map
+    per variant, in order. The bytes of each output are those of a call
+    with that recipe alone, for any worker count.
     """
     if jobs is not None and jobs < 1:
         raise VlrmergeError(f"jobs must be at least 1, got {jobs}")
@@ -702,6 +686,14 @@ def stream_key(seed: int, origin: str, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+@functools.cache
+def _mask_steps() -> np.ndarray:
+    """i * gamma (mod 2**64) for each index i of a mask chunk, read-only, made once per process."""
+    steps = np.multiply(np.arange(_MASK_CHUNK, dtype=np.uint64), _MIX_GAMMA)
+    steps.flags.writeable = False
+    return steps
+
+
 def _keep_mask(key: int, start: int, density: float, out: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Drop-mask decisions of one stream for the ``out.size`` flat indices from ``start``, into ``out``; True keeps.
 
@@ -712,12 +704,13 @@ def _keep_mask(key: int, start: int, density: float, out: np.ndarray, draws: np.
     limit shifted left by 11 bits. Scaling by 2**53 is exact in float64, and
     the shifted limit fits 64 bits because it is below 2**53 whenever
     density < 1 (density 1 draws no mask). The draws are made
-    ``_MASK_CHUNK`` at a time in ``draws``, a worker's uint64 slot of three
-    rows of at least min(out.size, _MASK_CHUNK): two for the draws, so no
-    integer temporary exists, and i * gamma for each i of a chunk.
+    ``_MASK_CHUNK`` at a time in ``draws``, a worker's uint64 slot of two
+    rows of at least min(out.size, _MASK_CHUNK), so no integer temporary
+    exists, from i * gamma for each i of a chunk (``_mask_steps``).
     """
     limit = np.uint64(math.ceil(density * 2.0**53) << 11)
-    z, shifted, steps = draws
+    z, shifted = draws.reshape(2, -1)
+    steps = _mask_steps()
     with np.errstate(over="ignore"):
         for at in range(0, out.size, _MASK_CHUNK):
             m = min(_MASK_CHUNK, out.size - at)

@@ -57,6 +57,11 @@ def _finite_rewards(requests: list[Request], rewards: dict[str, object], source:
     return out
 
 
+def _quoted(line: str, limit: int = 200) -> str:
+    """``line`` quoted for an error; past ``limit`` characters, its start and its length."""
+    return repr(line) if len(line) <= limit else f"{line[:limit]!r}... ({len(line)} characters)"
+
+
 def check_timeout(seconds: float) -> float:
     """``seconds`` if it is a finite number above 0; VlrmergeError otherwise."""
     if not (math.isfinite(seconds) and seconds > 0):
@@ -104,9 +109,9 @@ class SubprocessScorer:
                 reply = json.loads(line)
                 rid, reward = reply["id"], reply["reward"]
             except (ValueError, RecursionError, TypeError, KeyError) as exc:  # RecursionError: deep nesting
-                raise ScorerError(f"scorer reply line {line_no} is malformed: {line!r}") from exc
+                raise ScorerError(f"scorer reply line {line_no} is malformed: {_quoted(line)}") from exc
             if not isinstance(rid, str):
-                raise ScorerError(f"scorer reply line {line_no} is malformed: its id is not a string: {line!r}")
+                raise ScorerError(f"scorer reply line {line_no} is malformed: its id is not a string: {_quoted(line)}")
             if rid in rewards:
                 raise ScorerError(f"scorer replied twice for id {rid!r}")
             rewards[rid] = reward

@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import assemble_vlrm, recorded_provenance
+from .assembly import MergePlan, assemble_vlrm, recorded_provenance
 from .assembly import write_merged  # noqa: F401  (the benchmark's tracer wraps it by this name)
-from .components import ModelTriple, read_json_object
+from .components import read_json_object
 from .errors import CheckpointFormatError, DatasetError, ScorerError, VlrmergeError
 from .evaluation import PairwiseExample, evaluate_pairwise
 from .merging import MergeMethod, MergeRecipe
@@ -231,31 +231,28 @@ def _is_current(variant: Path, recipe: MergeRecipe, provenance: dict[str, str]) 
 
 def run_sweep(
     config: SweepConfig,
-    triple: ModelTriple,
+    plan: MergePlan,
     dataset: list[PairwiseExample],
     scorer_factory: Callable[[MergeRecipe, Path], object],
     out_dir: str | Path,
     provenance: dict[str, str],
-    jobs: int | None = None,
 ) -> SweepResult:
     """Build the missing variants, score every grid point in grid order, select the winner.
 
-    ``provenance``, recorded in every variant, must hold the input
-    checkpoints' file digests (``input.{pre,lvlm,rm}.sha256``, as
-    ``tensorstore.file_digest`` gives them), which name the variants: a
-    missing one is a VlrmergeError before ``out_dir`` is made, and so is a
-    ``dataset`` too small for the primary and tie-break slices
-    (``sample_validation_slices``, a DatasetError). A cached
-    variant is reused only when its recorded metadata is what this run
-    would record. The missing variants are built by one ``assemble_vlrm`` call:
-    one merge for the whole grid, which reads each input tensor a block at
-    a time and streams every lambda's and density's variant from each
-    block, so a variant costs one output block per worker, not a model or a
-    tensor, and ``jobs`` is
-    the thread count of that per-tensor merge. The variants are moved into
-    place together when the merge ends, so an interrupted run keeps none of
-    them and the next run rebuilds every missing one. A recipe whose scorer
-    fails is recorded as failed and excluded from selection.
+    ``plan`` is ``plan_merge``'s plan of ``config``'s grid. ``provenance``,
+    recorded in every variant, must hold the input checkpoints' file
+    digests (``input.{pre,lvlm,rm}.sha256``, as ``tensorstore.file_digest``
+    gives them), which name the variants: a missing one is a VlrmergeError
+    before ``out_dir`` is made, and so is a ``dataset`` too small for the
+    primary and tie-break slices (``sample_validation_slices``, a
+    DatasetError). A cached variant is reused only when its recorded
+    metadata is what this run would record. The missing variants are built
+    by one ``assemble_vlrm`` call: one merge for the whole grid, which
+    streams every lambda's and density's variant from each block it reads,
+    so a variant costs one output block per worker. The variants are moved
+    into place together when the merge ends, so an interrupted run keeps
+    none of them and the next run rebuilds every missing one. A recipe
+    whose scorer fails is recorded as failed and excluded from selection.
     """
     digest = _inputs_digest(provenance)
     primary_slice, tiebreak_slice = sample_validation_slices(
@@ -266,16 +263,15 @@ def run_sweep(
     grid = generate_grid(config)
     variants = {r: out_dir / f"variant-{r.slug()}-{digest}.safetensors" for r in grid}
 
-    missing = []
+    missing = {}
     for recipe, variant in variants.items():
         if _is_current(variant, recipe, provenance):
             log.info("reusing cached %s", variant.name)
         else:
-            missing.append(recipe)
-    # with nothing missing this still validates the triple
-    assemble_vlrm(missing, triple, [variants[r] for r in missing], provenance, jobs=jobs)
-    for recipe in missing:
-        log.info("assembled %s", variants[recipe].name)
+            missing[recipe] = variant
+    assemble_vlrm(plan, missing, provenance)
+    for variant in missing.values():
+        log.info("assembled %s", variant.name)
 
     # grid values are distinct, so each recipe keys one scorer
     entries: list[SweepEntry] = []

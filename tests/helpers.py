@@ -18,10 +18,12 @@ from vlrmerge import (
     assemble_vlrm,
     assembly,
     classify_triple,
+    generate_grid,
     load_manifest_config,
     merge_transformer,
     merging,
     read_checkpoint,
+    run_sweep,
     write_checkpoint,
     write_vocab,
 )
@@ -39,11 +41,27 @@ JSON_PAST_THE_PARSER = {
 }
 
 
+def assemble(recipes, triple, paths, provenance=None, jobs=None) -> None:
+    """``assemble_vlrm`` of each recipe into its path, on the plan of ``recipes`` on ``triple`` (``plan_merge``)."""
+    assemble_vlrm(assembly.plan_merge(recipes, triple, jobs), dict(zip(recipes, paths, strict=True)), provenance)
+
+
+def sweep_on(config, triple, dataset, scorer_factory, out_dir, provenance, jobs=None):
+    """``run_sweep`` on the plan of ``config``'s grid on ``triple`` (``plan_merge``)."""
+    plan = assembly.plan_merge(generate_grid(config), triple, jobs)
+    return run_sweep(config, plan, dataset, scorer_factory, out_dir, provenance)
+
+
 def assemble_in(directory: Path, recipes, triple, provenance=None, jobs=None) -> list[Checkpoint]:
-    """``assemble_vlrm`` into fresh files under ``directory``; the written checkpoints, opened."""
+    """``assemble`` into fresh files under ``directory``; the written checkpoints, opened."""
     paths = [directory / f"merged-{next(_outputs)}.safetensors" for _ in recipes]
-    assemble_vlrm(recipes, triple, paths, provenance, jobs=jobs)
+    assemble(recipes, triple, paths, provenance, jobs)
     return [read_checkpoint(path) for path in paths]
+
+
+def footprint(recipes, pre_trans) -> int:
+    """The bytes a ``merge_transformer`` worker maps for ``recipes`` on tensors of ``pre_trans``'s sizes."""
+    return merging._Buffers.layout(merging._kernel_slots(*merging._buffer_sizes(recipes, pre_trans)))[1]
 
 
 def make_tensor(name: str, values, dtype: Dtype = Dtype.F32) -> Tensor:

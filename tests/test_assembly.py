@@ -39,7 +39,7 @@ from vlrmerge.tensorstore import (
     read_vocab,
 )
 
-from helpers import assemble_in, classified_toy_triple, make_tensor, toy_triple, write_triple
+from helpers import assemble, assemble_in, classified_toy_triple, footprint, make_tensor, toy_triple, write_triple
 
 
 class TestComposition:
@@ -126,7 +126,7 @@ class TestDeterminism:
         paths = []
         for i in range(2):
             path = tmp_path / f"out{i}.safetensors"
-            assemble_vlrm([recipe], triple, [path], dict(provenance), jobs=1)
+            assemble([recipe], triple, [path], dict(provenance), jobs=1)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert default_vocab_path(paths[0]).read_bytes() == default_vocab_path(paths[1]).read_bytes()
@@ -198,25 +198,31 @@ class TestLambdaGroups:
         out.mkdir()
         recipes = [MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=3), other]
         with pytest.raises(RecipeError, match=f"recipe {other.slug()} does not share the method and seed of"):
-            assemble_vlrm(recipes, triple, [out / r.slug() for r in recipes], jobs=2)
+            assemble(recipes, triple, [out / r.slug() for r in recipes], jobs=2)
         assert reads == [] and list(out.iterdir()) == []
 
-    def test_no_recipes_write_nothing_but_validate_the_triple(self, rng, tmp_path):
-        triple = classified_toy_triple(rng)
-        assemble_vlrm([], triple, [], jobs=1)
-        del triple.rm.ckpt.tensors["model.norm.weight"]
-        del triple.rm.cmap.assignments["model.norm.weight"]
-        with pytest.raises(TripleValidationError, match="name-set mismatch"):
-            assemble_vlrm([], triple, [], jobs=1)
+    def test_a_plan_needs_recipes(self, rng):
+        with pytest.raises(RecipeError, match="no variant was given"):
+            assembly.plan_merge([], classified_toy_triple(rng), 1)
+
+    def test_no_outputs_write_and_merge_nothing(self, rng, tmp_path, monkeypatch):
+        plan = assembly.plan_merge([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], classified_toy_triple(rng), 1)
+        monkeypatch.setattr(assembly, "merge_transformer", lambda *args, **kwargs: pytest.fail("a merge ran"))
+        assert assemble_vlrm(plan, {}) is None
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("twice", [False, True])
-    def test_recipes_sharing_an_output_path_rejected(self, rng, tmp_path, twice):
-        first = MergeRecipe(MergeMethod.LINEAR, lam=0.2)
-        second = first if twice else MergeRecipe(MergeMethod.LINEAR, lam=0.4)  # one recipe listed twice, or two
+    def test_recipes_sharing_an_output_path_rejected(self, rng, tmp_path):
+        first, second = MergeRecipe(MergeMethod.LINEAR, lam=0.2), MergeRecipe(MergeMethod.LINEAR, lam=0.4)
         paths = [tmp_path / "x", tmp_path / "sub" / ".." / "x"]
         with pytest.raises(RecipeError, match=f"recipes linear-l0.2 and {second.slug()} share the output path"):
-            assemble_vlrm([first, second], classified_toy_triple(rng), paths, jobs=1)
+            assemble([first, second], classified_toy_triple(rng), paths, jobs=1)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_recipe_outside_the_plan_rejected_before_any_write(self, rng, tmp_path):
+        planned, other = MergeRecipe(MergeMethod.LINEAR, lam=0.2), MergeRecipe(MergeMethod.LINEAR, lam=0.4)
+        plan = assembly.plan_merge([planned], classified_toy_triple(rng), 1)
+        with pytest.raises(RecipeError, match="^recipe linear-l0.4 is not one of the merge plan's recipes$"):
+            assemble_vlrm(plan, {planned: tmp_path / "a", other: tmp_path / "b"})
         assert list(tmp_path.iterdir()) == []
 
 
@@ -227,7 +233,7 @@ class TestStructureCheck:
     def reread(self, rng, tmp_path):
         triple = classified_toy_triple(rng)
         path = tmp_path / "merged.safetensors"
-        assemble_vlrm([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], triple, [path], jobs=1)
+        assemble([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], triple, [path], jobs=1)
         return triple, read_checkpoint(path)
 
     def test_reread_checkpoint_passes(self, reread):
@@ -264,7 +270,7 @@ class TestStructureCheck:
 def test_round_trip_through_disk(rng, tmp_path):
     triple = classified_toy_triple(rng)
     path = tmp_path / "merged.safetensors"
-    assemble_vlrm([MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.6)], triple, [path], jobs=1)
+    assemble([MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.6)], triple, [path], jobs=1)
     loaded = read_checkpoint(path)
     assert loaded.vocab == read_vocab(default_vocab_path(path))
     assert check_merged_structure(loaded, triple) == []
@@ -291,8 +297,8 @@ class TestStreamedAssembly:
         opened = opened_triple(tmp_path / "in", np.random.default_rng(5), **kwargs)
         recipe = MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=3)
         paths = [tmp_path / "a.safetensors", tmp_path / "b.safetensors"]
-        assemble_vlrm([recipe], in_memory, paths[:1], jobs=1)
-        assemble_vlrm([recipe], opened, paths[1:], jobs=2)
+        assemble([recipe], in_memory, paths[:1], jobs=1)
+        assemble([recipe], opened, paths[1:], jobs=2)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_language_modeling_heads_are_never_read(self, rng, tmp_path):
@@ -302,7 +308,7 @@ class TestStreamedAssembly:
                 # any read of these heads would run past the end of the file
                 head, file = model.ckpt.tensors[name], model.ckpt.file
                 model.ckpt.tensors[name] = Tensor(name, head.dtype, head.shape, place=(file, file.stamp.size))
-        assemble_vlrm([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], triple, [tmp_path / "out"], jobs=1)
+        assemble([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], triple, [tmp_path / "out"], jobs=1)
         with pytest.raises(CheckpointFormatError, match="cut short"):
             triple.lvlm.ckpt.tensors["lm_head.weight"].load()
 
@@ -317,10 +323,10 @@ class TestStreamedAssembly:
             directory.mkdir()
             paths = write_triple(directory, *toy_triple(np.random.default_rng(layers), hidden=hidden, layers=layers))
             out = directory / "merged.safetensors"
-            assemble_vlrm([recipe], open_triple(paths), [out], jobs=jobs)  # the pool and lazy imports exist
+            assemble([recipe], open_triple(paths), [out], jobs=jobs)  # the pool and lazy imports exist
             tracemalloc.start()
             try:  # from opening the inputs to the renamed output
-                assemble_vlrm([recipe], open_triple(paths), [out], jobs=jobs)
+                assemble([recipe], open_triple(paths), [out], jobs=jobs)
                 peaks[layers] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -334,13 +340,13 @@ class TestStreamedAssembly:
         recipes = [MergeRecipe(MergeMethod.DARE_TIES, lam=lam, density=0.5, seed=1) for lam in (0.5, 1.0)]
         one = [tmp_path / f"one-{i}" for i in range(2)]
         eight = [tmp_path / f"eight-{i}" for i in range(2)]
-        assemble_vlrm(recipes, triple, one, jobs=1)
+        assemble(recipes, triple, one, jobs=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             started = time.monotonic()
             for _ in range(3):
-                assemble_vlrm(recipes, triple, eight, jobs=8)
+                assemble(recipes, triple, eight, jobs=8)
                 assert [p.read_bytes() for p in eight] == [p.read_bytes() for p in one]
             assert time.monotonic() - started < 60
         finally:
@@ -361,14 +367,9 @@ class TestStreamedAssembly:
         out.mkdir()
         recipes = [MergeRecipe(MergeMethod.TASK_ARITHMETIC, lam=lam) for lam in (0.3, 0.6, 0.9)]
         with pytest.raises(RuntimeError, match="worker failed"):
-            assemble_vlrm(recipes, triple, [out / f"v{i}.safetensors" for i in range(3)], jobs=2)
+            assemble(recipes, triple, [out / f"v{i}.safetensors" for i in range(3)], jobs=2)
         # the sidecars are written first; no checkpoint and no temporary file remain
         assert sorted(p.name for p in out.iterdir()) == [f"v{i}.safetensors.vocab" for i in range(3)]
-
-    def test_path_count_must_match_the_recipes(self, rng, tmp_path):
-        with pytest.raises(RecipeError, match="2 recipes need as many output paths, got 1"):
-            recipes = [MergeRecipe(MergeMethod.LINEAR, lam=lam) for lam in (0.2, 0.4)]
-            assemble_vlrm(recipes, classified_toy_triple(rng), [tmp_path / "x"], jobs=1)
 
 
 EMB = "model.embed_tokens.weight"
@@ -418,7 +419,7 @@ class TestEmbeddingBlocks:
         tokens, rows = ref.embedding_rows(recipe.method.value, *vocabs, *(ts[EMB].to_f32() for ts in emb.values()))
         whole = narrow(np.asarray(rows, np.float32), Dtype.BF16)  # widening and narrowing round-trip every row copied
         default = tmp_path / "default"
-        assemble_vlrm([recipe], triple, [default], jobs=2)
+        assemble([recipe], triple, [default], jobs=2)
         real, calls = assembly.merge_embedding_rows, []
 
         def spy(*args):
@@ -430,7 +431,7 @@ class TestEmbeddingBlocks:
         monkeypatch.setattr(merging, "_BLOCK", 24)  # three rows of width 8: blocks cut the runs of rows
         outs = [tmp_path / f"small-j{jobs}" for jobs in (1, 2)]
         for jobs, out in zip((1, 2), outs):
-            assemble_vlrm([recipe], triple, [out], jobs=jobs)
+            assemble([recipe], triple, [out], jobs=jobs)
         # each of the two calls merges the 49 output rows in 17 blocks
         assert sum(calls) == 2 * len(tokens) and len(calls) == 2 * -(-len(tokens) // 3)
         assert read_checkpoint(default).tensors[EMB].data == whole
@@ -442,7 +443,7 @@ class TestEmbeddingBlocks:
         base = triple.pre.ckpt.tensors[EMB]
         file, start = base._place
         reads = spy_reads(monkeypatch)
-        assemble_vlrm([recipe], triple, [tmp_path / "out"], jobs=2)
+        assemble([recipe], triple, [tmp_path / "out"], jobs=2)
         hits = [(offset, size) for path, offset, size in reads
                 if path == file.path and offset < start + base.nbytes and offset + size > start]
         if recipe.method is MergeMethod.LINEAR:
@@ -469,7 +470,7 @@ class TestEmbeddingBlocks:
         rows = "lvlm embedding row 2" if method is MergeMethod.LINEAR else "pre embedding row 24"
         for jobs in (1, 2):
             with pytest.raises(NonFiniteWeightError, match=f"^{rows} holds a non-finite weight$"):
-                assemble_vlrm([recipe], triple, [tmp_path / "out"], jobs=jobs)
+                assemble([recipe], triple, [tmp_path / "out"], jobs=jobs)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -483,10 +484,10 @@ class TestEmbeddingBlocks:
         (tmp_path / "in").mkdir()
         paths = write_triple(tmp_path / "in", pre, lvlm, rm)
         out, recipe = tmp_path / "merged.safetensors", MergeRecipe(MergeMethod.TASK_ARITHMETIC, lam=0.5)
-        assemble_vlrm([recipe], open_triple(paths), [out], jobs=jobs)  # the pool and lazy imports exist
+        assemble([recipe], open_triple(paths), [out], jobs=jobs)  # the pool and lazy imports exist
         tracemalloc.start()
         try:
-            assemble_vlrm([recipe], open_triple(paths), [out], jobs=jobs)
+            assemble([recipe], open_triple(paths), [out], jobs=jobs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -515,29 +516,29 @@ class TestMemoryPreflight:
     def test_a_merge_that_does_not_fit_one_worker_fails_before_any_payload_read(self, rng, tmp_path, monkeypatch):
         triple = opened_triple(tmp_path / "in", rng)
         recipes = [MergeRecipe(MergeMethod.TIES, lam=lam, density=0.4) for lam in (0.5, 1.0)]
-        need = merging.worker_footprint(recipes, *triple.tensors(Role.TRANSFORMER).values())
+        need = footprint(recipes, triple.tensors(Role.TRANSFORMER)["pre"])
         reads = spy_reads(monkeypatch)
         monkeypatch.setattr(assembly, "available_memory", lambda: need - 1)
         paths = [tmp_path / f"v{i}" for i in range(2)]
         numbers = r"^one merge worker needs about [\d.]+ MiB \(.*\), but this process may use only [\d.]+ MiB$"
         with pytest.raises(InsufficientMemoryError, match=numbers) as raised:
-            assemble_vlrm(recipes, triple, paths, jobs=2)
+            assemble(recipes, triple, paths, jobs=2)
         assert (raised.value.needed, raised.value.available) == (need, need - 1)
         assert reads == [] and list(tmp_path.iterdir()) == [tmp_path / "in"]
         monkeypatch.setattr(assembly, "available_memory", lambda: need)
-        assemble_vlrm(recipes, triple, paths, jobs=2)
+        assemble(recipes, triple, paths, jobs=2)
         assert reads
 
     def test_the_workers_are_lowered_to_those_that_fit(self, rng, tmp_path, monkeypatch, caplog):
         triple = opened_triple(tmp_path / "in", rng)
         recipe = MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.4)
-        need = merging.worker_footprint([recipe], *triple.tensors(Role.TRANSFORMER).values())
+        need = footprint([recipe], triple.tensors(Role.TRANSFORMER)["pre"])
         assert len(triple.tensors(Role.TRANSFORMER)["pre"]) >= 4
         for have, workers in ((None, 4), (4 * need, 4), (4 * need - 1, 3), (2 * need - 1, 1)):
             monkeypatch.setattr(assembly, "available_memory", lambda have=have: have)
-            assert assembly.check_memory([recipe], triple, 4) == workers
+            assert assembly.plan_merge([recipe], triple, 4).workers == workers
         assert "running 1 of 4 workers" in caplog.text
-        assemble_vlrm([recipe], triple, [tmp_path / "four"], jobs=4)
+        assemble([recipe], triple, [tmp_path / "four"], jobs=4)
         seen, real_merge, real_run = [], assembly.merge_transformer, assembly.run_workers
 
         def merge(*args, jobs, **kwargs):
@@ -550,14 +551,14 @@ class TestMemoryPreflight:
 
         monkeypatch.setattr(assembly, "merge_transformer", merge)
         monkeypatch.setattr(assembly, "run_workers", run)
-        assemble_vlrm([recipe], triple, [tmp_path / "one"], jobs=4)
+        assemble([recipe], triple, [tmp_path / "one"], jobs=4)
         assert seen == [("merge", 1), ("run", 1)]
         assert (tmp_path / "one").read_bytes() == (tmp_path / "four").read_bytes()
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, rng, tmp_path, jobs):
         with pytest.raises(VlrmergeError, match=f"jobs must be at least 1, got {jobs}"):
-            assemble_vlrm([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], opened_triple(tmp_path / "in", rng),
+            assemble([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], opened_triple(tmp_path / "in", rng),
                           [tmp_path / "out"], jobs=jobs)
 
     def test_the_footprint_counts_the_block_slots_and_the_ties_key(self, rng):
@@ -566,12 +567,12 @@ class TestMemoryPreflight:
         slots = merging._Buffers.layout(merging._kernel_slots(0, merging._BLOCK, False))[1]
         ties = [MergeRecipe(MergeMethod.TIES, lam=lam, density=0.4) for lam in (0.3, 0.6, 0.9)]
         # no payload is staged and no output kept; ties adds a uint32 key of the largest tensor
-        assert merging.worker_footprint(ties, pre, lvlm, rm) == slots + 4 * n
+        assert footprint(ties, pre) == slots + 4 * n
         # lambda outer, density inner, as generate_grid orders a sweep: two float32 block slots more
         grid = [replace(recipe, density=d) for recipe in ties for d in (0.8, 0.6, 0.4, 0.2)]
-        assert merging.worker_footprint(grid, pre, lvlm, rm) == slots + 4 * n + 2 * 4 * merging._BLOCK
+        assert footprint(grid, pre) == slots + 4 * n + 2 * 4 * merging._BLOCK
         linear = [MergeRecipe(MergeMethod.LINEAR, lam=0.5)]
-        assert merging.worker_footprint(linear, pre, lvlm, rm) == slots
+        assert footprint(linear, pre) == slots
 
     @pytest.mark.parametrize("method,seed", [(MergeMethod.TIES, None), (MergeMethod.DARE_TIES, 3),
                                              (MergeMethod.DARE_TASK_ARITHMETIC, 3)])
@@ -668,17 +669,17 @@ class TestOneBufferTable:
                                trans_dtype=Dtype.BF16, emb_dtype=Dtype.BF16)
         recipes = recipes_of(grid)
         tables, mappings = self.spied(monkeypatch)
-        assemble_vlrm(recipes, triple, [tmp_path / recipe.slug() for recipe in recipes], jobs=2)
+        assemble(recipes, triple, [tmp_path / recipe.slug() for recipe in recipes], jobs=2)
         # two workers merge the transformer, then two merge the embedding blocks and copy the rest
         assert len(mappings) == 4
         assert all(any(slots is table for table in tables) for slots, _ in mappings)
         trans = triple.tensors(Role.TRANSFORMER)
-        footprint = merging.worker_footprint(recipes, *trans.values())
-        assert [size for _, size in mappings[:2]] == [footprint] * 2
+        kernel = footprint(recipes, trans["pre"])
+        assert [size for _, size in mappings[:2]] == [kernel] * 2
         block = mappings[2][0]["out"][1]  # the elements of the table's block
         largest = max(t.numel for t in trans["pre"].values())
-        if largest >= block:  # check_memory's "the embedding blocks and copies map no more"
-            assert all(size <= footprint for _, size in mappings[2:])
+        if largest >= block:  # the embedding blocks and copies map no more than the kernel
+            assert all(size <= kernel for _, size in mappings[2:])
 
     @pytest.mark.parametrize("grid", ["linear", "ties-3x4"])
     @pytest.mark.parametrize("rows,width,largest", [
@@ -694,20 +695,20 @@ class TestOneBufferTable:
         assert block <= merging._BLOCK <= largest
         embedding = merging._Buffers.layout(merging._kernel_slots(0, block, False))[1]
         trans = {"w": np.broadcast_to(np.float32(0), (largest,))}  # a size, with no payload behind it
-        assert embedding <= merging.worker_footprint(recipes_of(grid), trans, trans, trans)
+        assert embedding <= footprint(recipes_of(grid), trans)
 
     @staticmethod
     def counted(monkeypatch, recipes, triple) -> int:
-        """The bytes a worker maps by ``check_memory``'s count: what it needs when no memory is left."""
+        """The bytes a worker maps by ``plan_merge``'s count: what it needs when no memory is left."""
         monkeypatch.setattr(assembly, "available_memory", lambda: 0)
         with pytest.raises(InsufficientMemoryError) as raised:
-            assembly.check_memory(recipes, triple, 2)
+            assembly.plan_merge(recipes, triple, 2)
         monkeypatch.setattr(assembly, "available_memory", lambda: None)
         return raised.value.needed
 
     @pytest.mark.parametrize("grid", ["linear", "ties-3x4"])
     @pytest.mark.parametrize("width", [8, 100], ids=["hidden-8", "row-past-the-largest-tensor"])
-    def test_no_mapping_outgrows_what_check_memory_counts(self, tmp_path, monkeypatch, grid, width):
+    def test_no_mapping_outgrows_what_plan_merge_counts(self, tmp_path, monkeypatch, grid, width):
         # 8 x 8 transformer matrices against 28 vocabulary rows of 8, or of 100 elements
         rng = np.random.default_rng(9)
         models = toy_triple(rng, trans_dtype=Dtype.BF16, emb_dtype=Dtype.BF16)
@@ -719,7 +720,7 @@ class TestOneBufferTable:
         recipes = recipes_of(grid)
         per_worker = self.counted(monkeypatch, recipes, triple)
         _, mappings = self.spied(monkeypatch)
-        assemble_vlrm(recipes, triple, [tmp_path / recipe.slug() for recipe in recipes], jobs=2)
+        assemble(recipes, triple, [tmp_path / recipe.slug() for recipe in recipes], jobs=2)
         assert len(mappings) == 4
         assert all(size <= per_worker for _, size in mappings)
 
@@ -733,6 +734,6 @@ class TestOneBufferTable:
             return real(self, name, piece, at)
 
         monkeypatch.setattr(CheckpointWriter, "write", spy)
-        assemble_vlrm([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], triple, [tmp_path / "out"], jobs=2)
+        assemble([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], triple, [tmp_path / "out"], jobs=2)
         for name in triple.lvlm.cmap.names(Role.VISION_ENCODER):
             assert [size for written, size in writes if written == name] == [8 << 10]

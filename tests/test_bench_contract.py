@@ -30,7 +30,6 @@ from vlrmerge import (  # noqa: E402
     MergeRecipe,
     Role,
     align_vocab,
-    assemble_vlrm,
     assembly,
     classify_triple,
     load_manifest_config,
@@ -40,7 +39,7 @@ from vlrmerge import (  # noqa: E402
 from vlrmerge.cli import main  # noqa: E402
 from vlrmerge.sweep import SweepConfig, generate_grid  # noqa: E402
 
-from helpers import inspected_and_source_roles, toy_triple, write_triple  # noqa: E402
+from helpers import assemble, inspected_and_source_roles, toy_triple, write_triple  # noqa: E402
 
 # a gen.py triple small enough for a unit test, in the benchmark's layout and dtype
 TINY = gen.Scale(hidden=16, heads=2, kv_heads=1, intermediate=24, layers=2, cross_layers=(1,),
@@ -114,7 +113,7 @@ def test_traced_assembly_hands_merge_transformer_sized_values(monkeypatch, tmp_p
     try:
         with tracer.span("cli.main"):
             recipe = MergeRecipe(MergeMethod.TIES, lam=0.7, density=0.4)
-            assemble_vlrm([recipe], triple, [tmp_path / "merged.safetensors"], jobs=2)
+            assemble([recipe], triple, [tmp_path / "merged.safetensors"], jobs=2)
     finally:
         tracer.uninstall()
     numel = {name: triple.pre.ckpt.tensors[name].numel for name in triple.pre.cmap.names(Role.TRANSFORMER)}
@@ -139,7 +138,7 @@ def test_streamed_output_passes_the_benchmark_checks(tmp_path):
     tracer = spans.Tracer("t")
     tracer.install()
     try:
-        assemble_vlrm([recipe], inputs.triple, [out], jobs=2)
+        assemble([recipe], inputs.triple, [out], jobs=2)
     finally:
         tracer.uninstall()
     assert check.check_merged(inputs, out, "ties", 0.7, 0.4, None) == []
@@ -176,7 +175,7 @@ def test_traced_grid_sweep_is_one_merge_span_that_class_probes_rerun(monkeypatch
     tracer.install()
     try:
         with tracer.span("cli.main"):
-            assemble_vlrm(recipes, inputs.triple, [tmp_path / f"{r.slug()}.safetensors" for r in recipes], jobs=2)
+            assemble(recipes, inputs.triple, [tmp_path / f"{r.slug()}.safetensors" for r in recipes], jobs=2)
     finally:
         tracer.uninstall()
     [call] = [s for s in tracer.spans if s["name"] == "merging.merge_transformer"]

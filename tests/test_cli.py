@@ -35,6 +35,7 @@ from vlrmerge.cli import main
 from vlrmerge.components import DEFAULT_MANIFEST
 
 from helpers import (
+    assemble,
     inspected_and_source_roles,
     make_tensor,
     toy_triple,
@@ -105,7 +106,7 @@ class TestMergeCommand:
         assert merged.metadata["recipe.seed"] == "7"
         assert merged.vocab is not None
 
-        from vlrmerge import MergeMethod, MergeRecipe, assemble_vlrm, classify_triple, load_manifest_config
+        from vlrmerge import MergeMethod, MergeRecipe, classify_triple, load_manifest_config
 
         triple = classify_triple(
             read_checkpoint(triple_files["pre"]),
@@ -114,7 +115,7 @@ class TestMergeCommand:
             load_manifest_config(),
         )
         recipe = MergeRecipe(MergeMethod.DARE_TIES, lam=0.7, density=0.4, seed=7)
-        assemble_vlrm([recipe], triple, [tmp_path / "library.safetensors"], jobs=1)
+        assemble([recipe], triple, [tmp_path / "library.safetensors"], jobs=1)
         assert merged.tensors == read_checkpoint(tmp_path / "library.safetensors").tensors
 
     @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
@@ -483,11 +484,11 @@ def test_inspect_counts_a_paper_size_sidecar_without_holding_its_tokens(rng, tmp
 
 
 def counted_per_worker(paths, recipes) -> int:
-    """The bytes per worker ``check_memory`` counts for ``recipes`` on the triple at ``paths``, from the headers."""
+    """The bytes per worker ``plan_merge`` counts for ``recipes`` on the triple at ``paths``, from the headers."""
     triple = classify_triple(*(read_checkpoint(paths[k]) for k in ("pre", "lvlm", "rm")), load_manifest_config())
     with pytest.MonkeyPatch.context() as patch, pytest.raises(InsufficientMemoryError) as raised:
         patch.setattr(assembly, "available_memory", lambda: 0)
-        assembly.check_memory(recipes, triple, 2)
+        assembly.plan_merge(recipes, triple, 2)
     return raised.value.needed
 
 
@@ -715,22 +716,34 @@ def test_reward_head_named_like_a_kept_lvlm_tensor_stops_before_any_merge(
     assert merges == []
 
 
-@pytest.mark.parametrize("run", ["merge", "cold-sweep", "warm-sweep", "resumed-sweep"])
-def test_each_command_validates_the_triple_once(runner, triple_files, tmp_path, monkeypatch, run):
+def command_args(runner, run, paths, tmp_path, out_name="out"):
+    """The arguments of a ``merge``, or of a cold, warm or resumed ``sweep`` into ``out_name``, made ready.
+
+    The sweep's grid is two lambdas by two densities of TIES. A warm sweep
+    finds every variant built, and a resumed one all but one.
+    """
     if run == "merge":
-        args = ["merge", *triple_args(triple_files), *linear_args("merge", tmp_path)]
-    else:
-        config = tmp_path / "sweep.json"  # two densities: two merges
-        config.write_text(json.dumps({"method": "ties", "lambda_grid": [0.5, 1.0], "density_grid": [0.4, 0.2],
-                                      "primary_size": 8, "tiebreak_size": 4}), encoding="utf-8")
-        out = tmp_path / "out"
-        args = ["sweep", *triple_args(triple_files), "--config", str(config),
-                "--data", str(write_pairwise_dataset(tmp_path / "valid.jsonl", 12)),
-                "--scorer", STUB_CMD, "--out-dir", str(out)]
-        if run != "cold-sweep":
-            assert runner.invoke(main, args).exit_code == 0
-        if run == "resumed-sweep":
-            next(out.glob("variant-ties-l1-d0.2-*.safetensors")).unlink()
+        return ["merge", *triple_args(paths), *linear_args("merge", tmp_path)]
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"method": "ties", "lambda_grid": [0.5, 1.0], "density_grid": [0.4, 0.2],
+                                  "primary_size": 8, "tiebreak_size": 4}), encoding="utf-8")
+    out = tmp_path / out_name
+    args = ["sweep", *triple_args(paths), "--config", str(config),
+            "--data", str(write_pairwise_dataset(tmp_path / "valid.jsonl", 12)),
+            "--scorer", STUB_CMD, "--out-dir", str(out)]
+    if run != "cold-sweep":
+        assert runner.invoke(main, args).exit_code == 0
+    if run == "resumed-sweep":
+        next(out.glob("variant-ties-l1-d0.2-*.safetensors")).unlink()
+    return args
+
+
+RUNS = ["merge", "cold-sweep", "warm-sweep", "resumed-sweep"]
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_each_command_validates_the_triple_once(runner, triple_files, tmp_path, monkeypatch, run):
+    args = command_args(runner, run, triple_files, tmp_path)
     calls, real = [], assembly.validate_triple
 
     def counting(triple):
@@ -742,6 +755,49 @@ def test_each_command_validates_the_triple_once(runner, triple_files, tmp_path, 
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_each_command_runs_one_preflight(runner, triple_files, tmp_path, monkeypatch, run):
+    args = command_args(runner, run, triple_files, tmp_path)
+    calls, real = [], assembly.available_memory
+
+    def counting():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(assembly, "available_memory", counting)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
+def test_a_triple_that_fails_validation_is_reported_before_any_input_is_hashed(
+    runner, triple_files, tmp_path, monkeypatch
+):
+    warm = command_args(runner, "warm-sweep", triple_files, tmp_path)
+    built = {p.name: p.stat().st_mtime_ns for p in (tmp_path / "out").glob("variant-*")}
+    for memo in tmp_path.glob("*.sha256.json"):
+        memo.unlink()
+    rm = read_checkpoint(triple_files["rm"])
+    del rm.tensors["model.norm.weight"]
+    write_checkpoint(rm, triple_files["rm"])
+    hashed = spy_on_hashing(monkeypatch)
+    runs = {
+        "merge": command_args(runner, "merge", triple_files, tmp_path),
+        "cold-sweep": command_args(runner, "cold-sweep", triple_files, tmp_path, out_name="cold"),
+        "warm-sweep": warm,
+    }
+    reports = {}
+    for run, args in runs.items():
+        result = runner.invoke(main, args)
+        assert_named_error(result, "triple validation failed with")
+        reports[run] = [line for line in result.output.splitlines() if line.startswith("validation: ")]
+    assert any("name-set mismatch" in line for line in reports["merge"]), reports
+    assert reports["cold-sweep"] == reports["warm-sweep"] == reports["merge"]
+    assert hashed == [] and not list(tmp_path.glob("*.sha256.json"))
+    assert not list(tmp_path.glob("x*")) and not (tmp_path / "cold").exists()
+    assert {p.name: p.stat().st_mtime_ns for p in (tmp_path / "out").glob("variant-*")} == built
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])

@@ -204,7 +204,7 @@ def merge_transformer_of(triple):
 
 
 def align_vocab_of(triple):
-    """``align_vocab`` on the triple's vocabularies, as ``assemble_vlrm`` calls it."""
+    """``align_vocab`` on the triple's vocabularies, as ``plan_merge`` calls it."""
     align_vocab(*(m.ckpt.vocab for m in (triple.pre, triple.lvlm, triple.rm)))
 
 

@@ -294,8 +294,8 @@ class TestStorageDtype:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the blocks live in the workers' mappings: beside the collected 4 MiB output, 0.56 MiB was measured at
-        # two workers, mostly the set-up of each worker's DARE draws, where a matrix-sized temporary adds 4 MiB
+        # the blocks live in the workers' mappings: beside the collected 4 MiB output, 0.29 to 0.37 MiB was
+        # measured at two workers, where a matrix-sized temporary adds 4 MiB
         output = rows * width * 2
         assert peak < output * 1.25, f"peak {peak} bytes for a {output}-byte output"
         assert out.dtype == np.uint16

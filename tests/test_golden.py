@@ -13,10 +13,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vlrmerge import Dtype, MergeMethod, MergeRecipe, assemble_vlrm
+from vlrmerge import Dtype, MergeMethod, MergeRecipe
 from vlrmerge.tensorstore import default_vocab_path
 
-from helpers import classified_toy_triple
+from helpers import assemble, classified_toy_triple
 
 RECIPES = {
     "linear": MergeRecipe(MergeMethod.LINEAR, lam=0.6),
@@ -61,7 +61,7 @@ def sha256(path) -> str:
 )
 def test_merged_bytes_match_golden(triple, tmp_path, method, jobs):
     path = tmp_path / f"{method}.safetensors"
-    assemble_vlrm([RECIPES[method]], triple, [path], jobs=jobs)
+    assemble([RECIPES[method]], triple, [path], jobs=jobs)
     assert sha256(path) == CHECKPOINT_SHA256[method]
     assert sha256(default_vocab_path(path)) == VOCAB_SHA256
 
@@ -71,7 +71,7 @@ def test_grouped_bytes_match_golden(triple, tmp_path, method):
     recipe = RECIPES[method]
     group = (replace(recipe, lam=0.0), recipe, replace(recipe, lam=0.25))
     paths = [tmp_path / f"{method}-{i}.safetensors" for i in range(len(group))]
-    assemble_vlrm(group, triple, paths, jobs=2)
+    assemble(group, triple, paths, jobs=2)
     path = paths[1]
     assert sha256(path) == CHECKPOINT_SHA256[method]
     assert sha256(default_vocab_path(path)) == VOCAB_SHA256

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -39,7 +40,7 @@ from vlrmerge.merging import (
 from vlrmerge.sweep import DEFAULT_DENSITY_GRID
 from vlrmerge.tensorstore import narrow
 
-from helpers import drop_step, merge_one, trim_step
+from helpers import drop_step, footprint, merge_one, trim_step
 
 LINEAR = MergeMethod.LINEAR
 TA = MergeMethod.TASK_ARITHMETIC
@@ -785,6 +786,16 @@ class TestWorkerBuffers:
         monkeypatch.setattr(merging, "_Buffers", Recorded)
         return made
 
+    def test_a_workers_buffers_allocate_nothing_beside_the_mapping(self):
+        # the DARE mask's steps, i * gamma for each index of a chunk, are one table a process makes once
+        tracemalloc.start()
+        try:
+            with _Buffers(_kernel_slots(0, _BLOCK, False)):
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, f"making a worker's buffers allocated {peak} bytes"
+
     @staticmethod
     def bf16_files(rng, tmp_path, n):
         shapes = {"big": (n,), "small": (3, 5)}
@@ -836,7 +847,7 @@ class TestWorkerBuffers:
 
         merge_transformer(recipe, *opened, jobs=2, variants=variants, sink=sink)
         assert len(made) == 2
-        assert [buffers.size for buffers in made] == [merging.worker_footprint(variants, *opened)] * 2
+        assert [buffers.size for buffers in made] == [footprint(variants, opened[0])] * 2
         kept = merge_transformer(recipe, *opened, jobs=2, variants=variants)
         assert spans.keys() == {(i, name) for i in range(len(variants)) for name in opened[0]}
         for (i, name), pieces in spans.items():
@@ -876,7 +887,7 @@ class TestWorkerBuffers:
                 # read-only views of one zero: the footprint reads the shapes alone
                 maps = [{"big": np.broadcast_to(np.float32(0), (n,)), "small": np.zeros(5, np.float32)}
                         for _ in range(3)]
-                footprints.append(merging.worker_footprint(variants, *maps))
+                footprints.append(footprint(variants, maps[0]))
             # eight times the elements: only TIES's key grows, by its four bytes per element
             assert footprints[1] - footprints[0] == (4 * 112 * _BLOCK if method is TIES else 0)
 

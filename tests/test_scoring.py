@@ -164,8 +164,11 @@ class TestSubprocessScorer:
     def test_a_reply_past_the_json_parsers_limits_is_malformed(self, tmp_path, text):
         path = tmp_path / "replies.jsonl"
         path.write_text(JSON_PAST_THE_PARSER[text] + "\n", encoding="utf-8")
-        with pytest.raises(ScorerError, match="^scorer reply line 1 is malformed: "):
+        with pytest.raises(ScorerError, match="^scorer reply line 1 is malformed: ") as raised:
             SubprocessScorer(replying(path)).score(requests())
+        # the line is quoted in part, with its length
+        message = str(raised.value)
+        assert len(message) < 300 and f"({len(JSON_PAST_THE_PARSER[text])} characters)" in message
 
     def test_a_reply_whose_id_is_no_string_is_malformed(self, tmp_path):
         path = tmp_path / "replies.jsonl"

@@ -19,15 +19,21 @@ from vlrmerge import (
     classify_triple,
     generate_grid,
     load_manifest_config,
-    run_sweep,
     select_best,
 )
-from vlrmerge.errors import DatasetError, ScorerError, TripleValidationError, VlrmergeError
+from vlrmerge.errors import DatasetError, ScorerError, VlrmergeError
 from vlrmerge.evaluation import load_pairwise_dataset
 from vlrmerge import assembly, sweep, tensorstore
 from vlrmerge.sweep import sample_validation_slices
 
-from helpers import JSON_PAST_THE_PARSER, classified_toy_triple, toy_triple, write_pairwise_dataset, write_triple
+from helpers import (
+    JSON_PAST_THE_PARSER,
+    classified_toy_triple,
+    sweep_on,
+    toy_triple,
+    write_pairwise_dataset,
+    write_triple,
+)
 
 
 class TestGenerateGrid:
@@ -395,7 +401,7 @@ class TestRunSweep:
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         config = small_config()
-        result = run_sweep(
+        result = sweep_on(
             config, triple, dataset, lambda recipe, path: StubScorer(), tmp_path / "out", DIGESTS, jobs=1
         )
         manifest = (tmp_path / "out" / "sweep-manifest.jsonl").read_text().splitlines()
@@ -417,7 +423,7 @@ class TestRunSweep:
                 return FailFor(None, 0.2)
             return StubScorer()
 
-        result = run_sweep(small_config(), triple, dataset, factory, tmp_path / "out", DIGESTS, jobs=1)
+        result = sweep_on(small_config(), triple, dataset, factory, tmp_path / "out", DIGESTS, jobs=1)
         statuses = {(e.recipe.lam, e.recipe.density): e.status for e in result.entries}
         assert statuses[(0.5, 0.2)] == "failed"
         assert result.winner is not None
@@ -437,7 +443,7 @@ class TestRunSweep:
         def factory(recipe, path):
             return malformed if (recipe.lam, recipe.density) == (0.5, 0.2) else StubScorer()
 
-        result = run_sweep(small_config(), triple, dataset, factory, tmp_path / "out", DIGESTS, jobs=1)
+        result = sweep_on(small_config(), triple, dataset, factory, tmp_path / "out", DIGESTS, jobs=1)
         statuses = {(e.recipe.lam, e.recipe.density): e.status for e in result.entries}
         assert statuses.pop((0.5, 0.2)) == "failed" and set(statuses.values()) == {"ok"}
         records = [json.loads(line) for line in (tmp_path / "out" / "sweep-manifest.jsonl").read_text().splitlines()]
@@ -448,7 +454,7 @@ class TestRunSweep:
     def test_all_failed_leaves_no_winner(self, rng, tmp_path):
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
-        result = run_sweep(
+        result = sweep_on(
             small_config(), triple, dataset, lambda r, p: FailFor(None, None), tmp_path / "out", DIGESTS, jobs=1
         )
         assert result.winner is None
@@ -464,12 +470,12 @@ class TestRunSweep:
         def recording_factory(recipe, path):
             return RecordingScorer(StubScorer(), transcripts / f"{recipe.slug()}.jsonl")
 
-        run_sweep(config, triple, dataset, recording_factory, tmp_path / "run1", DIGESTS, jobs=1)
+        sweep_on(config, triple, dataset, recording_factory, tmp_path / "run1", DIGESTS, jobs=1)
 
         def replay_factory(recipe, path):
             return ReplayScorer(transcripts / f"{recipe.slug()}.jsonl")
 
-        run_sweep(config, triple, dataset, replay_factory, tmp_path / "run2", DIGESTS, jobs=1)
+        sweep_on(config, triple, dataset, replay_factory, tmp_path / "run2", DIGESTS, jobs=1)
         first = (tmp_path / "run1" / "sweep-manifest.jsonl").read_bytes()
         second = (tmp_path / "run2" / "sweep-manifest.jsonl").read_bytes()
         assert first == second
@@ -478,7 +484,7 @@ class TestRunSweep:
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 500))
         config = SweepConfig(MergeMethod.LINEAR)  # default grid and 400/100 split
-        result = run_sweep(
+        result = sweep_on(
             config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "out", DIGESTS, jobs=2
         )
         manifest = (tmp_path / "out" / "sweep-manifest.jsonl").read_text().splitlines()
@@ -490,8 +496,8 @@ class TestRunSweep:
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         config = small_config()
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "a", DIGESTS, jobs=1)
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "b", DIGESTS, jobs=4)
+        sweep_on(config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "a", DIGESTS, jobs=1)
+        sweep_on(config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "b", DIGESTS, jobs=4)
         assert (tmp_path / "a" / "sweep-manifest.jsonl").read_bytes() == (
             tmp_path / "b" / "sweep-manifest.jsonl"
         ).read_bytes()
@@ -525,7 +531,7 @@ class TestRunSweep:
             return StubScorer()
 
         monkeypatch.setattr(assembly, "merge_transformer", counting_merge)
-        run_sweep(config, triple, dataset, factory, tmp_path / "out", DIGESTS, jobs=4)
+        sweep_on(config, triple, dataset, factory, tmp_path / "out", DIGESTS, jobs=4)
         assert peak[0] == 1
         assert jobs_seen == [4]  # one merge for the whole grid
         assert scored == generate_grid(config)
@@ -539,33 +545,19 @@ class TestRunSweep:
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         out = tmp_path / "out"
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        sweep_on(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         for variant in out.glob(lost):
             variant.unlink()
         calls = []
         real_assemble = sweep.assemble_vlrm
 
-        def counting_assemble(recipes, *args, **kwargs):
-            calls.append([recipe.slug() for recipe in recipes])
-            return real_assemble(recipes, *args, **kwargs)
+        def counting_assemble(plan, outputs, *args):
+            calls.append([recipe.slug() for recipe in outputs])
+            return real_assemble(plan, outputs, *args)
 
         monkeypatch.setattr(sweep, "assemble_vlrm", counting_assemble)
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        sweep_on(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert calls == [rebuilt]
-
-    def test_warm_sweep_still_validates_the_triple(self, rng, tmp_path):
-        triple = classified_toy_triple(rng)
-        dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
-        # digests in the provenance name the variants, so the broken triple below finds them current
-        provenance = DIGESTS
-        out = tmp_path / "out"
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
-        written = {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")}
-        del triple.rm.ckpt.tensors["model.norm.weight"]
-        del triple.rm.cmap.assignments["model.norm.weight"]
-        with pytest.raises(TripleValidationError, match="name-set mismatch"):
-            run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
-        assert {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")} == written
 
     def test_one_merge_per_pass(self, rng, tmp_path, monkeypatch):
         triple = classified_toy_triple(rng)
@@ -579,7 +571,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(assembly, "merge_transformer", counting_merge)
         out = tmp_path / "out"
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        sweep_on(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert calls == [[(0.5, 0.4), (0.5, 0.2), (1.0, 0.4), (1.0, 0.2)]]  # every density, in grid order
         assert len(list(out.glob("variant-*.safetensors"))) == 4
 
@@ -587,7 +579,7 @@ class TestRunSweep:
         calls.clear()
         for lost in ("variant-ties-l1-d0.2-*.safetensors", "variant-ties-l0.5-d0.4-*.safetensors"):
             next(out.glob(lost)).unlink()
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        sweep_on(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert calls == [[(0.5, 0.4), (1.0, 0.2)]]
 
     @pytest.mark.parametrize("trans_dtype", [Dtype.BF16, Dtype.F32])
@@ -606,7 +598,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(assembly, "merge_transformer", counting_merge)
         out = tmp_path / "out"
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        sweep_on(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert calls == [tuple(config.lambda_grid)]
         assert len(list(out.glob("variant-*.safetensors"))) == len(config.lambda_grid)
 
@@ -615,9 +607,9 @@ class TestRunSweep:
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         config = small_config()
         out = tmp_path / "out"
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        sweep_on(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         mtimes = {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")}
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        sweep_on(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert {p.name: p.stat().st_mtime_ns for p in out.glob("variant-*")} == mtimes
 
     @pytest.mark.parametrize("change", ["vocab-digest", "tool-version", "unreadable"])
@@ -627,7 +619,7 @@ class TestRunSweep:
         config = small_config(lambda_grid=(0.5,), density_grid=(0.4,))
         provenance = {**DIGESTS, "input.lvlm_vocab.sha256": "1" * 64}
         out = tmp_path / "out"
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
+        sweep_on(config, triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
         [variant] = out.glob("variant-*.safetensors")
         if change == "vocab-digest":
             provenance["input.lvlm_vocab.sha256"] = "2" * 64
@@ -635,7 +627,7 @@ class TestRunSweep:
             monkeypatch.setattr(assembly, "__version__", "0.0.0-other")
         else:
             variant.write_bytes(b"\x00" * 4)
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
+        sweep_on(config, triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
         [rebuilt] = out.glob("variant-*.safetensors")
         assert rebuilt.name == variant.name
         assert tensorstore.read_metadata(rebuilt) == assembly.recorded_provenance(
@@ -647,30 +639,30 @@ class TestRunSweep:
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         config = small_config(lambda_grid=(0.5,), density_grid=(0.4,))
         out = tmp_path / "out"
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        sweep_on(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         [variant] = out.glob("variant-*.safetensors")
         built = variant.read_bytes()
         # its header intact, its data region 64 bytes short
         variant.write_bytes(built[:-64])
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        sweep_on(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert variant.read_bytes() == built
 
     def test_variant_that_lost_its_vocabulary_sidecar_is_rebuilt(self, rng, tmp_path, monkeypatch):
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         out, clean = tmp_path / "out", tmp_path / "clean"
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        sweep_on(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         next(out.glob("variant-ties-l1-d0.2-*.safetensors.vocab")).unlink()
         calls, real_assemble = [], sweep.assemble_vlrm
 
-        def counting_assemble(recipes, *args, **kwargs):
-            calls.append([recipe.slug() for recipe in recipes])
-            return real_assemble(recipes, *args, **kwargs)
+        def counting_assemble(plan, outputs, *args):
+            calls.append([recipe.slug() for recipe in outputs])
+            return real_assemble(plan, outputs, *args)
 
         monkeypatch.setattr(sweep, "assemble_vlrm", counting_assemble)
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        sweep_on(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert calls == [["ties-l1-d0.2"]]
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), clean, DIGESTS, jobs=1)
+        sweep_on(small_config(), triple, dataset, lambda r, p: StubScorer(), clean, DIGESTS, jobs=1)
         assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in clean.iterdir())
         for path in clean.iterdir():
             assert (out / path.name).read_bytes() == path.read_bytes()
@@ -679,7 +671,7 @@ class TestRunSweep:
         triple = classified_toy_triple(rng)
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 16))
         out = tmp_path / "out"
-        run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        sweep_on(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         manifest = out / sweep.MANIFEST_NAME
         previous = manifest.read_bytes()
         real_record, written = sweep._manifest_record, []
@@ -692,7 +684,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep, "_manifest_record", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+            sweep_on(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert written == ["entry", "entry"]
         assert manifest.read_bytes() == previous
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
@@ -709,7 +701,7 @@ class TestRunSweep:
         monkeypatch.setattr(tensorstore.CheckpointFile, "read_into", lambda *args: pytest.fail("a payload was read"))
         out = tmp_path / "out"
         with pytest.raises(VlrmergeError, match=f"lacks input\\.{missing}\\.sha256"):
-            run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
+            sweep_on(small_config(), triple, dataset, lambda r, p: StubScorer(), out, provenance, jobs=1)
         assert not out.exists()
 
     def test_a_dataset_too_small_for_the_slices_is_an_error_before_out_dir_is_made(self, rng, tmp_path):
@@ -717,7 +709,7 @@ class TestRunSweep:
         dataset = load_pairwise_dataset(write_pairwise_dataset(tmp_path / "v.jsonl", 11))
         out = tmp_path / "out"
         with pytest.raises(DatasetError, match="validation set has 11 examples; need 8 \\+ 4$"):
-            run_sweep(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+            sweep_on(small_config(), triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert not out.exists()
 
     @pytest.mark.parametrize("mode,limit", [("wb", 2000), ("w", 20)])
@@ -749,11 +741,11 @@ class TestRunSweep:
                 patch.setattr(tensorstore.os, "pwrite", interrupted_pwrite)
             else:
                 patch.setattr(tensorstore, "open", interrupted_open, raising=False)
-            run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+            sweep_on(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
         assert not list(out.glob("variant-*.safetensors"))
 
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
-        run_sweep(config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "clean", DIGESTS, jobs=1)
+        sweep_on(config, triple, dataset, lambda r, p: StubScorer(), out, DIGESTS, jobs=1)
+        sweep_on(config, triple, dataset, lambda r, p: StubScorer(), tmp_path / "clean", DIGESTS, jobs=1)
         assert sorted(p.name for p in out.iterdir()) == sorted(
             p.name for p in (tmp_path / "clean").iterdir()
         )

@@ -26,7 +26,6 @@ from vlrmerge import (
     MergeRecipe,
     Tensor,
     VocabError,
-    assemble_vlrm,
     read_checkpoint,
     read_metadata,
     read_vocab,
@@ -34,7 +33,7 @@ from vlrmerge import (
     write_vocab,
 )
 
-from helpers import JSON_PAST_THE_PARSER, classified_toy_triple, make_tensor
+from helpers import JSON_PAST_THE_PARSER, assemble, classified_toy_triple, make_tensor
 
 
 def build_file(path, header: dict, data: bytes):
@@ -677,7 +676,7 @@ class TestVocabCount:
 
     def test_a_merged_outputs_sidecar(self, rng, tmp_path):
         out = tmp_path / "merged.safetensors"
-        assemble_vlrm([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], classified_toy_triple(rng), [out], jobs=1)
+        assemble([MergeRecipe(MergeMethod.LINEAR, lam=0.5)], classified_toy_triple(rng), [out], jobs=1)
         sidecar = default_vocab_path(out)
         assert count_vocab(sidecar) == len(read_vocab(sidecar)) > 0
 
